@@ -12,7 +12,7 @@
 //! init-time tracker and the Work Queue driver drain it with
 //! [`Cluster::drain_watch`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hta_des::{Duration, SimRng, SimTime};
 use hta_resources::Resources;
@@ -96,6 +96,11 @@ pub struct Cluster {
     registry: Registry,
     nodes: BTreeMap<NodeId, Node>,
     pods: BTreeMap<PodId, Pod>,
+    /// Ids of the non-terminal pods, in id order. Terminal records stay in
+    /// `pods` (a pulled image is still cached for a deleted pod, and
+    /// watchers may look a pod up after it ended), but the per-sample
+    /// group queries walk only this live set.
+    live: BTreeSet<PodId>,
     /// FIFO queue of pods awaiting a node binding.
     pending: Vec<PodId>,
     node_ids: IdGen,
@@ -125,6 +130,7 @@ impl Cluster {
             registry,
             nodes: BTreeMap::new(),
             pods: BTreeMap::new(),
+            live: BTreeSet::new(),
             pending: Vec::new(),
             node_ids: IdGen::default(),
             pod_ids: IdGen::default(),
@@ -207,8 +213,10 @@ impl Cluster {
         self.watch
             .push(WatchEvent::pod(now, id, WatchKind::PodCreated));
         self.pods.insert(id, pod);
+        self.live.insert(id);
         self.pending.push(id);
         let fx = self.try_schedule_all(now);
+        self.assert_invariants();
         (id, fx)
     }
 
@@ -229,6 +237,7 @@ impl Cluster {
             PodPhase::Deleted
         };
         pod.finished_at = Some(now);
+        self.live.remove(&id);
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -245,7 +254,9 @@ impl Cluster {
             },
         ));
         // Freed capacity may admit a pending pod right away.
-        self.try_schedule_all(now)
+        let fx = self.try_schedule_all(now);
+        self.assert_invariants();
+        fx
     }
 
     /// Mark a running pod's containers as exited successfully (graceful
@@ -261,6 +272,7 @@ impl Cluster {
         let node = pod.node.take();
         pod.phase = PodPhase::Succeeded;
         pod.finished_at = Some(now);
+        self.live.remove(&id);
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -269,7 +281,9 @@ impl Cluster {
         }
         self.watch
             .push(WatchEvent::pod(now, id, WatchKind::PodSucceeded));
-        self.try_schedule_all(now)
+        let fx = self.try_schedule_all(now);
+        self.assert_invariants();
+        fx
     }
 
     /// Crash a node (failure injection): every pod bound to it fails
@@ -294,6 +308,7 @@ impl Cluster {
                     pod.phase = PodPhase::Failed;
                     pod.finished_at = Some(now);
                     pod.node = None;
+                    self.live.remove(&pid);
                     self.watch
                         .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
                 }
@@ -301,7 +316,9 @@ impl Cluster {
         }
         // Pods that were pending on this node never started; nothing else
         // holds it. Any queue pressure re-provisions via the controller.
-        self.try_schedule_all(now)
+        let fx = self.try_schedule_all(now);
+        self.assert_invariants();
+        fx
     }
 
     /// A random ready node, if any (failure-injection helper).
@@ -329,7 +346,7 @@ impl Cluster {
 
     /// Deliver one internal event.
     pub fn handle(&mut self, now: SimTime, ev: ClusterEvent) -> Vec<Effect> {
-        match ev {
+        let fx = match ev {
             ClusterEvent::ControllerTick => self.controller_tick(now),
             ClusterEvent::NodeProvisioned(id) => self.node_provisioned(now, id),
             ClusterEvent::NodePreempted(id) => self.fail_node(now, id),
@@ -341,7 +358,9 @@ impl Cluster {
             ClusterEvent::NodeFault(id) => self.node_fault(now, id),
             ClusterEvent::NodeRejoin => self.node_rejoin(now),
             ClusterEvent::PodStarted(pod) => self.pod_started(now, pod),
-        }
+        };
+        self.assert_invariants();
+        fx
     }
 
     /// Handle a flaky node's MTTF expiry: crash it like a preemption and
@@ -586,6 +605,7 @@ impl Cluster {
         let node = pod.node.take();
         pod.phase = PodPhase::Failed;
         pod.finished_at = Some(now);
+        self.live.remove(&pod_id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
                 n.release_pod(pod_id.raw(), now);
@@ -685,10 +705,17 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Whether a node currently hosts a resource-holding pod of `group`.
+    /// Walks the node's pool, which holds exactly the resource-holding
+    /// pods bound to it (see [`Cluster::check_invariants`]), not every pod
+    /// ever created.
     fn node_hosts_group(&self, node: NodeId, group: &str) -> bool {
-        self.pods
-            .values()
-            .any(|p| p.node == Some(node) && p.spec.group == group && p.phase.holds_resources())
+        self.nodes.get(&node).is_some_and(|n| {
+            n.pool.iter().any(|(key, _)| {
+                self.pods
+                    .get(&PodId(key))
+                    .is_some_and(|p| p.spec.group == group)
+            })
+        })
     }
 
     /// Nodes that are `Ready` or `Provisioning`.
@@ -731,11 +758,12 @@ impl Cluster {
         self.pods.values()
     }
 
-    /// Non-terminal pods in a group.
+    /// Non-terminal pods in a group, in id order. O(live pods).
     pub fn live_pods_in_group<'a>(&'a self, group: &'a str) -> impl Iterator<Item = &'a Pod> + 'a {
-        self.pods
-            .values()
-            .filter(move |p| p.spec.group == group && !p.phase.is_terminal())
+        self.live
+            .iter()
+            .filter_map(move |id| self.pods.get(id))
+            .filter(move |p| p.spec.group == group)
     }
 
     /// Number of non-terminal pods in a group (HPA's "current replicas").
@@ -745,9 +773,8 @@ impl Cluster {
 
     /// Running pods in a group.
     pub fn running_pods_in_group(&self, group: &str) -> Vec<PodId> {
-        self.pods
-            .values()
-            .filter(|p| p.spec.group == group && p.phase == PodPhase::Running)
+        self.live_pods_in_group(group)
+            .filter(|p| p.phase == PodPhase::Running)
             .map(|p| p.id)
             .collect()
     }
@@ -808,9 +835,9 @@ impl Cluster {
             );
         }
         let live_pods: Vec<&Pod> = self
-            .pods
-            .values()
-            .filter(|p| !p.phase.is_terminal())
+            .live
+            .iter()
+            .filter_map(|id| self.pods.get(id))
             .collect();
         let _ = writeln!(out, "PODS ({} live):", live_pods.len());
         for p in live_pods {
@@ -828,9 +855,25 @@ impl Cluster {
         out
     }
 
+    /// Assert [`Cluster::check_invariants`] after a mutation (sanitized
+    /// builds only: debug, or the `sim-sanitizer` feature).
+    fn assert_invariants(&self) {
+        if hta_des::sanitize::ACTIVE {
+            assert!(
+                self.check_invariants(),
+                "cluster invariants violated (node pools or live-pod set)"
+            );
+        }
+    }
+
     /// Debug invariant: every node pool's allocations reference live pods
-    /// bound to that node, and sums are consistent.
+    /// bound to that node, sums are consistent, and the live-pod set is
+    /// exactly the recount of non-terminal pods.
     pub fn check_invariants(&self) -> bool {
+        let recount = self.pods.values().filter(|p| !p.phase.is_terminal());
+        if !recount.map(|p| p.id).eq(self.live.iter().copied()) {
+            return false;
+        }
         for node in self.nodes.values() {
             if !node.pool.check_invariant() {
                 return false;

@@ -881,20 +881,27 @@ impl SystemDriver {
                             // and intermediate data survive on the
                             // persistent volume (§V-A).
                             self.master_set.unbind(ev.pod);
-                            self.trace.push(
-                                now,
-                                "driver",
-                                format!("master pod {} lost; StatefulSet restarting it", ev.pod),
-                            );
+                            if self.trace.is_enabled() {
+                                self.trace.push(
+                                    now,
+                                    "driver",
+                                    format!(
+                                        "master pod {} lost; StatefulSet restarting it",
+                                        ev.pod
+                                    ),
+                                );
+                            }
                             let pod = self.create_master_pod(now);
                             self.master_set.bind(pod);
                         }
                         if let Some(wid) = self.pod_to_worker.remove(&ev.pod) {
-                            self.trace.push(
-                                now,
-                                "driver",
-                                format!("worker pod {} killed ({wid})", ev.pod),
-                            );
+                            if self.trace.is_enabled() {
+                                self.trace.push(
+                                    now,
+                                    "driver",
+                                    format!("worker pod {} killed ({wid})", ev.pod),
+                                );
+                            }
                             self.worker_to_pod.remove(&wid);
                             self.master.kill_worker(now, wid, &mut self.wq_sink);
                             self.flush_wq();
@@ -936,13 +943,17 @@ impl SystemDriver {
                     }
                     WqNotification::TaskRequeued(t) => {
                         self.interrupted += 1;
-                        self.trace
-                            .push(now, "wq", format!("{t} re-queued (worker killed)"));
+                        if self.trace.is_enabled() {
+                            self.trace
+                                .push(now, "wq", format!("{t} re-queued (worker killed)"));
+                        }
                     }
                     WqNotification::TaskFastAborted(t) => {
                         self.interrupted += 1;
-                        self.trace
-                            .push(now, "wq", format!("{t} fast-aborted (straggler)"));
+                        if self.trace.is_enabled() {
+                            self.trace
+                                .push(now, "wq", format!("{t} fast-aborted (straggler)"));
+                        }
                     }
                     WqNotification::TaskFailed { task, cat } => {
                         if self.trace.is_enabled() {

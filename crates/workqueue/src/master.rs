@@ -20,8 +20,12 @@
 //!
 //! # Hot path
 //!
-//! The master sits on the simulation's innermost loop, so three design
-//! decisions keep steady-state event handling allocation-free:
+//! The master sits on the simulation's innermost loop. Its worker state
+//! is O(live): a worker is retired from the table the moment it stops,
+//! and the dispatch admission gate (the component-wise max of free
+//! resources) is kept current per worker transition instead of being
+//! rescanned. Three more design decisions keep steady-state event
+//! handling allocation-free:
 //!
 //! * category names are interned once at submission ([`CategoryId`]);
 //!   everything downstream (notifications, snapshots, per-category
@@ -353,6 +357,77 @@ struct CatWall {
     mean: Duration,
 }
 
+/// The dispatch admission gate, kept current per worker instead of
+/// rescanned: the component-wise max of free resources over *eligible*
+/// workers (active, no exclusive task, not a suspect), and whether any of
+/// them is idle. A component-wise max needs one ordered multiset per
+/// axis — a single heap cannot answer it — so each axis counts the
+/// members' free amounts in a `BTreeMap<value, count>`.
+#[derive(Debug, Clone, Default)]
+struct DispatchGate {
+    /// Each eligible worker's free resources and idleness, as counted
+    /// into the axes below.
+    members: BTreeMap<WorkerId, (Resources, bool)>,
+    millicores: BTreeMap<i64, u32>,
+    memory_mb: BTreeMap<i64, u32>,
+    disk_mb: BTreeMap<i64, u32>,
+    /// Members with no assigned task.
+    idle: usize,
+}
+
+impl DispatchGate {
+    /// Replace a worker's entry (`None` = not eligible). O(log live).
+    fn set(&mut self, wid: WorkerId, entry: Option<(Resources, bool)>) {
+        let old = match entry {
+            Some(e) => self.members.insert(wid, e),
+            None => self.members.remove(&wid),
+        };
+        if old == entry {
+            return;
+        }
+        if let Some((free, idle)) = old {
+            for (axis, v) in self.axes(free) {
+                if let Some(n) = axis.get_mut(&v) {
+                    *n -= 1;
+                    if *n == 0 {
+                        axis.remove(&v);
+                    }
+                }
+            }
+            self.idle -= usize::from(idle);
+        }
+        if let Some((free, idle)) = entry {
+            for (axis, v) in self.axes(free) {
+                *axis.entry(v).or_insert(0) += 1;
+            }
+            self.idle += usize::from(idle);
+        }
+    }
+
+    /// Each axis multiset paired with `free`'s amount on that axis.
+    fn axes(&mut self, free: Resources) -> [(&mut BTreeMap<i64, u32>, i64); 3] {
+        [
+            (&mut self.millicores, free.millicores),
+            (&mut self.memory_mb, free.memory_mb),
+            (&mut self.disk_mb, free.disk_mb),
+        ]
+    }
+
+    /// `(max free per axis, any idle)` over the members — exactly what a
+    /// full scan of eligible workers starting from zero yields.
+    fn headroom(&self) -> (Resources, bool) {
+        let top = |axis: &BTreeMap<i64, u32>| axis.keys().next_back().map_or(0, |v| (*v).max(0));
+        (
+            Resources::new(
+                top(&self.millicores),
+                top(&self.memory_mb),
+                top(&self.disk_mb),
+            ),
+            self.idle > 0,
+        )
+    }
+}
+
 /// The master state machine.
 #[derive(Debug, Clone)]
 pub struct Master {
@@ -360,7 +435,12 @@ pub struct Master {
     interner: Interner,
     tasks: BTreeMap<TaskId, TaskRecord>,
     waiting: VecDeque<TaskId>,
+    /// Live (active or draining) workers only: a worker is dropped the
+    /// moment it stops (see [`Master::refresh_worker_snap`]), so every
+    /// scan over this map costs O(live), not O(workers ever connected).
     workers: BTreeMap<WorkerId, Worker>,
+    /// Incrementally maintained dispatch admission gate.
+    gate: DispatchGate,
     link: FairShareLink,
     /// Worker-to-worker transfer link (used when `peer_transfers` is on).
     peer_link: FairShareLink,
@@ -479,6 +559,7 @@ impl Master {
             tasks: BTreeMap::new(),
             waiting: VecDeque::new(),
             workers: BTreeMap::new(),
+            gate: DispatchGate::default(),
             link: FairShareLink::new(cfg.egress_base_mbps, cfg.egress_overhead_per_flow),
             peer_link: FairShareLink::new(cfg.peer_bandwidth_mbps, 0.0),
             peer_transfers: cfg.peer_transfers,
@@ -612,11 +693,8 @@ impl Master {
     pub fn drain_worker(&mut self, now: SimTime, id: WorkerId) {
         self.mwu_cache.set(None);
         let Some(w) = self.workers.get_mut(&id) else {
-            return;
+            return; // never connected, or already stopped and retired
         };
-        if w.state == WorkerState::Stopped {
-            return;
-        }
         if w.drain() {
             w.stop(now);
             self.notifications.push(WqNotification::WorkerStopped(id));
@@ -630,11 +708,8 @@ impl Master {
     pub fn kill_worker(&mut self, now: SimTime, id: WorkerId, fx: &mut EffectSink<WqEvent>) {
         self.mwu_cache.set(None);
         let Some(w) = self.workers.get_mut(&id) else {
-            return;
+            return; // never connected, or already stopped and retired
         };
-        if w.state == WorkerState::Stopped {
-            return;
-        }
         let orphans = w.stop(now);
         self.refresh_worker_snap(id);
         self.last_heartbeat.remove(&id);
@@ -771,9 +846,7 @@ impl Master {
         let wids: Vec<WorkerId> = self.workers.keys().copied().collect();
         for w in wids {
             if let Some(worker) = self.workers.get_mut(&w) {
-                if worker.state != WorkerState::Stopped {
-                    let _ = worker.stop(now);
-                }
+                let _ = worker.stop(now);
             }
             self.refresh_worker_snap(w);
         }
@@ -878,6 +951,10 @@ impl Master {
     ///   whose record says `Waiting`, with no duplicates.
     /// * **Non-negative free resources** — no worker pool is
     ///   over-allocated.
+    /// * **Bounded worker state** — no stopped worker is retained, so
+    ///   the worker table is exactly the live set.
+    /// * **Incremental dispatch gate** — equals a fresh scan of the
+    ///   eligible workers.
     /// * **Interner stability** — category ids stay dense and resolve
     ///   to distinct names.
     pub fn assert_invariants(&self) {
@@ -956,6 +1033,51 @@ impl Master {
                 w.capacity()
             );
         }
+        // Bounded state: a stopped worker is retired on the spot, so the
+        // table holds exactly the live workers the snapshot reports.
+        assert!(
+            self.workers.len() == self.snap.workers.len()
+                && self
+                    .workers
+                    .values()
+                    .all(|w| w.state != WorkerState::Stopped),
+            "worker table holds {} records for {} live workers (stopped worker retained)",
+            self.workers.len(),
+            self.snap.workers.len()
+        );
+        // The incremental dispatch gate must equal a fresh scan: same
+        // members with current entries, axes that count exactly those
+        // members, and the same headroom as the reference scan.
+        let members: BTreeMap<WorkerId, (Resources, bool)> = self
+            .workers
+            .values()
+            .filter_map(|w| Some((w.id, self.gate_entry(w)?)))
+            .collect();
+        assert!(
+            self.gate.members == members,
+            "dispatch gate members {:?} out of sync with the worker table {members:?}",
+            self.gate.members
+        );
+        for axis in [
+            &self.gate.millicores,
+            &self.gate.memory_mb,
+            &self.gate.disk_mb,
+        ] {
+            let counted: usize = axis.values().map(|n| *n as usize).sum();
+            assert!(
+                counted == members.len(),
+                "dispatch gate axis counts {counted} entries for {} members",
+                members.len()
+            );
+        }
+        let idle = members.values().filter(|(_, idle)| *idle).count();
+        assert!(
+            self.gate.idle == idle && self.gate.headroom() == self.scan_headroom(),
+            "dispatch gate {:?} (idle {}) != full scan {:?} (idle {idle})",
+            self.gate.headroom(),
+            self.gate.idle,
+            self.scan_headroom()
+        );
         let mut seen_cats = 0usize;
         for (name, id) in self.interner.iter_by_name() {
             assert!(
@@ -1175,16 +1297,14 @@ impl Master {
     /// worker was cut off, not dead). Re-adopting a suspect re-triggers
     /// dispatch — its re-queued tasks may have nowhere else to go.
     fn recv_heartbeat(&mut self, now: SimTime, worker: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        let live = self
-            .workers
-            .get(&worker)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live {
+        if !self.workers.contains_key(&worker) {
             return;
         }
         self.last_heartbeat.insert(worker, now);
         self.last_telemetry = self.last_telemetry.max(now);
         if self.suspects.remove(&worker) {
+            // Re-adoption makes the worker eligible for placement again.
+            self.refresh_worker_snap(worker);
             self.dispatch(now, fx);
         }
     }
@@ -1257,11 +1377,7 @@ impl Master {
     /// dead worker that is merely partitioned keeps beating — its first
     /// heartbeat to survive the network clears the suspicion.)
     fn heartbeat_tick(&mut self, now: SimTime, worker: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        let live = self
-            .workers
-            .get(&worker)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live || !self.liveness_on() {
+        if !self.workers.contains_key(&worker) || !self.liveness_on() {
             return;
         }
         let _ = self.route_ctl(now, ChanDir::Reverse, ControlMsg::Heartbeat { worker }, fx);
@@ -1288,11 +1404,7 @@ impl Master {
         let gone: Vec<WorkerId> = self
             .last_heartbeat
             .keys()
-            .filter(|w| {
-                self.workers
-                    .get(w)
-                    .is_none_or(|wk| wk.state == WorkerState::Stopped)
-            })
+            .filter(|w| !self.workers.contains_key(w))
             .copied()
             .collect();
         for w in gone {
@@ -1311,11 +1423,7 @@ impl Master {
     /// re-adopted with its files still warm.
     fn presume_dead(&mut self, now: SimTime, wid: WorkerId, fx: &mut EffectSink<WqEvent>) {
         self.mwu_cache.set(None);
-        let live = self
-            .workers
-            .get(&wid)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live {
+        if !self.workers.contains_key(&wid) {
             return;
         }
         self.leases_expired += 1;
@@ -1610,12 +1718,7 @@ impl Master {
         // The failed attempt's duplicate (if any) is pointless now: the
         // retry restarts from scratch anyway.
         self.cancel_speculation(now, task);
-        let largest_mem = self
-            .workers
-            .values()
-            .filter(|w| w.state != WorkerState::Stopped)
-            .map(|w| w.capacity().memory_mb)
-            .max();
+        let largest_mem = self.workers.values().map(|w| w.capacity().memory_mb).max();
         let rec = self.tasks.get_mut(&task).expect("checked above");
         let wall = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
         let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
@@ -1966,7 +2069,9 @@ impl Master {
         // a request that does not fit it cannot fit any single worker. On
         // a saturated cluster (the common long-queue case) this skips the
         // per-task worker scan entirely without changing any decision.
-        let (mut max_free, mut any_idle) = self.dispatch_headroom();
+        // Both are upper bounds — `can_accept` checks per-worker fit, so a
+        // request exceeding the max on any axis fits nowhere.
+        let (mut max_free, mut any_idle) = self.gate.headroom();
         loop {
             // O(distinct requirements) early exit: once the headroom
             // fits nothing still waiting, the rest of the scan cannot
@@ -2021,10 +2126,10 @@ impl Master {
                     None => worker.assign_exclusive(tid),
                 }
             }
+            // The placement shrank this worker's free pool; the refresh
+            // updates its gate entry, so re-reading keeps the bound sound.
             self.refresh_worker_snap(wid);
-            // The placement shrank this worker's free pool; re-derive the
-            // gate so it stays a sound upper bound.
-            (max_free, any_idle) = self.dispatch_headroom();
+            (max_free, any_idle) = self.gate.headroom();
             self.net_seq += 1;
             let seq = self.net_seq;
             let rec = self.tasks.get_mut(&tid).expect("task exists");
@@ -2113,7 +2218,7 @@ impl Master {
                 let held_elsewhere = self
                     .workers
                     .values()
-                    .any(|w| w.id != wid && w.state != WorkerState::Stopped && w.has_cached(*f));
+                    .any(|w| w.id != wid && w.has_cached(*f));
                 if held_elsewhere {
                     peer_fetches.push((*f, spec.size_mb));
                     continue;
@@ -2169,12 +2274,13 @@ impl Master {
         }
     }
 
-    /// The dispatch admission gate: the component-wise max of free
-    /// resources across workers that could take a declared-resources task,
-    /// and whether any worker could take an exclusive (unknown-resources)
-    /// one. Both are upper bounds — `can_accept` checks per-worker fit, so
-    /// a request exceeding the max on any axis fits nowhere.
-    fn dispatch_headroom(&self) -> (Resources, bool) {
+    /// The dispatch admission gate recomputed by a full worker scan: the
+    /// component-wise max of free resources across workers that could
+    /// take a declared-resources task, and whether any worker could take
+    /// an exclusive (unknown-resources) one. Dispatch reads the
+    /// incremental [`DispatchGate`]; this scan is the sanitizer's
+    /// reference for it.
+    fn scan_headroom(&self) -> (Resources, bool) {
         let mut max_free = Resources::ZERO;
         let mut any_idle = false;
         for w in self.workers.values() {
@@ -2234,28 +2340,42 @@ impl Master {
         }
     }
 
-    /// Re-derive one worker's entry in the snapshot (removed once
-    /// stopped). Called whenever its state, load, or task count changes.
+    /// Re-derive one worker's entries in the snapshot and the dispatch
+    /// gate, and retire the worker once it has stopped. Called whenever
+    /// its state, load, task count or suspicion changes — every path that
+    /// stops a worker ends here, which is what keeps `workers` O(live).
     fn refresh_worker_snap(&mut self, wid: WorkerId) {
-        let entry = self
+        let live = self
             .workers
             .get(&wid)
-            .filter(|w| w.state != WorkerState::Stopped)
-            .map(|w| WorkerSnapshot {
+            .filter(|w| w.state != WorkerState::Stopped);
+        let Some(w) = live else {
+            self.workers.remove(&wid);
+            self.snap.workers.remove(&wid);
+            self.gate.set(wid, None);
+            return;
+        };
+        self.snap.workers.insert(
+            wid,
+            WorkerSnapshot {
                 id: w.id,
                 capacity: w.capacity(),
                 available: w.pool.available(),
                 state: w.state,
                 tasks: w.task_count(),
-            });
-        match entry {
-            Some(s) => {
-                self.snap.workers.insert(wid, s);
-            }
-            None => {
-                self.snap.workers.remove(&wid);
-            }
-        }
+            },
+        );
+        let entry = self.gate_entry(w);
+        self.gate.set(wid, entry);
+    }
+
+    /// A worker's dispatch-gate entry: its free resources and idleness
+    /// when it could take a declared-resources task, `None` otherwise.
+    fn gate_entry(&self, w: &Worker) -> Option<(Resources, bool)> {
+        let eligible = w.state == WorkerState::Active
+            && w.exclusive_task.is_none()
+            && !self.suspects.contains(&w.id);
+        eligible.then(|| (w.pool.available(), w.is_idle()))
     }
 
     /// Bring the waiting view of the snapshot up to date (the running and
@@ -2355,7 +2475,8 @@ impl Master {
             .any(|r| r.cat == cat && !matches!(r.state, TaskState::Complete | TaskState::Failed))
     }
 
-    /// A worker.
+    /// A live (active or draining) worker. `None` once the worker has
+    /// stopped: stopped workers are retired from the master's state.
     pub fn worker(&self, id: WorkerId) -> Option<&Worker> {
         self.workers.get(&id)
     }
@@ -2385,16 +2506,6 @@ impl Master {
             .sum()
     }
 
-    /// Total busy CPU cores across all workers: Σ over running tasks of
-    /// `actual cores × cpu_fraction`. This is the paper's RIU ("resources
-    /// currently being used by running jobs").
-    pub fn total_busy_cores(&self) -> f64 {
-        self.workers
-            .keys()
-            .map(|w| self.worker_busy_cores(*w))
-            .sum()
-    }
-
     /// Mean CPU utilization across connected workers (the HPA metric):
     /// per-worker `busy / capacity`, averaged. `None` when no worker is
     /// connected (no metrics — like a Deployment with zero ready pods).
@@ -2402,15 +2513,11 @@ impl Master {
         if let Some(cached) = self.mwu_cache.get() {
             return cached;
         }
-        let mut live = 0usize;
         let mut sum = 0.0;
         for w in self.workers.values() {
-            if w.state == WorkerState::Stopped {
-                continue;
-            }
-            live += 1;
             sum += w.utilization(self.worker_busy_cores(w.id));
         }
+        let live = self.workers.len();
         let mean = if live == 0 {
             None
         } else {
@@ -2454,9 +2561,6 @@ impl Master {
             self.link.active_flows(),
         );
         for w in self.workers.values() {
-            if w.state == WorkerState::Stopped {
-                continue;
-            }
             let _ = writeln!(
                 out,
                 "  {:<10} {:<9} {} tasks, used {} / {}",
@@ -3421,5 +3525,173 @@ mod tests {
             "replay emits no notifications"
         );
         assert!(m.has_live_task_in_category(m.task(TaskId(2)).unwrap().cat));
+    }
+
+    /// Drive the master through every event due at or before `until`.
+    fn run_until(
+        master: &mut Master,
+        q: &mut EventQueue<WqEvent>,
+        fx: &mut EffectSink<WqEvent>,
+        until: SimTime,
+    ) {
+        sched(q, fx);
+        while q.peek_time().is_some_and(|t| t <= until) {
+            let Some((now, ev)) = q.pop() else { break };
+            master.handle(now, ev, fx);
+            sched(q, fx);
+        }
+    }
+
+    /// Heartbeat lease on (30 s), with the given partition episodes.
+    fn lease_cfg(partitions: Vec<hta_des::Partition>) -> MasterConfig {
+        MasterConfig {
+            net: NetworkFaults {
+                lease: Duration::from_secs(30),
+                partitions,
+                ..NetworkFaults::default()
+            },
+            ..link_cfg()
+        }
+    }
+
+    #[test]
+    fn stopped_workers_are_retired() {
+        let (cat, _db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        let ids: Vec<WorkerId> = (0..50)
+            .map(|_| m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx))
+            .collect();
+        assert_eq!(m.connected_workers(), 50);
+        assert_eq!(m.gate.members.len(), 50);
+        for w in &ids {
+            m.drain_worker(SimTime::from_secs(10), *w);
+        }
+        for w in &ids {
+            assert!(m.worker(*w).is_none(), "{w:?} retained after it stopped");
+        }
+        assert_eq!(m.connected_workers(), 0);
+        assert!(m.workers.is_empty() && m.gate.members.is_empty());
+        assert_eq!(m.gate.headroom(), (Resources::ZERO, false));
+        assert_eq!(m.mean_worker_utilization(), None);
+        let stopped = m
+            .drain_notifications()
+            .into_iter()
+            .filter(|n| matches!(n, WqNotification::WorkerStopped(_)))
+            .count();
+        assert_eq!(stopped, 50);
+        // A retired id stays retired: ids are never reused.
+        let next = m.worker_connect(
+            SimTime::from_secs(20),
+            Resources::cores(4, 16_000, 50_000),
+            &mut fx,
+        );
+        assert_eq!(next, WorkerId(50));
+        assert_eq!(m.connected_workers(), 1);
+    }
+
+    #[test]
+    fn draining_worker_is_retired_when_its_last_task_completes() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        m.submit(
+            SimTime::ZERO,
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        m.drain_worker(SimTime::ZERO, w);
+        assert_eq!(m.worker(w).map(|w| w.state), Some(WorkerState::Draining));
+        run(&mut m, &mut q, &mut fx, 100);
+        assert!(m.all_complete());
+        assert!(m.worker(w).is_none(), "drained worker retired on stop");
+        assert!(m.workers.is_empty());
+    }
+
+    #[test]
+    fn stale_events_reaching_a_retired_worker_are_noops() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(lease_cfg(Vec::new()), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        m.submit(
+            SimTime::ZERO,
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(5));
+        let rec = m.task(TaskId(0)).unwrap();
+        assert_eq!(rec.state, TaskState::Running(w));
+        let (run_gen, seq) = (rec.run_generation, rec.dispatch_seq);
+        let now = q.now();
+        m.kill_worker(now, w, &mut fx);
+        assert!(m.worker(w).is_none(), "killed worker retired");
+        assert_eq!(m.waiting_count(), 1, "its task is back in the queue");
+        assert!(fx.is_empty(), "no worker left to dispatch to");
+        m.drain_notifications();
+        let before = m.describe();
+        // Events armed while the worker lived, arriving after it retired.
+        let stale = [
+            WqEvent::HeartbeatTick(w),
+            WqEvent::DispatchTimeout(TaskId(0), seq, 0),
+            WqEvent::TaskFinished(TaskId(0), run_gen),
+            WqEvent::NetDeliver(ControlMsg::Completion {
+                task: TaskId(0),
+                run_gen,
+            }),
+            WqEvent::NetDeliver(ControlMsg::Heartbeat { worker: w }),
+        ];
+        for ev in stale {
+            m.handle(now, ev, &mut fx);
+            assert!(fx.is_empty(), "{ev:?} scheduled follow-ups");
+            assert!(m.drain_notifications().is_empty(), "{ev:?} notified");
+        }
+        m.drain_worker(now, w);
+        m.kill_worker(now, w, &mut fx);
+        assert!(fx.is_empty());
+        assert_eq!(m.describe(), before);
+        assert!(m.worker(w).is_none());
+        assert!(!m.last_heartbeat.contains_key(&w));
+        assert_eq!(m.waiting_count(), 1);
+        assert_eq!(m.completed_count(), 0);
+        assert_eq!(m.task(TaskId(0)).unwrap().state, TaskState::Waiting);
+    }
+
+    #[test]
+    fn heartbeat_readopts_suspect_and_reopens_the_gate() {
+        // Worker→master traffic is cut for the first 100 s: heartbeats are
+        // lost, the lease expires and the worker becomes a suspect, which
+        // closes the dispatch gate.
+        let (cat, db) = catalog_with_db();
+        let cut = hta_des::Partition {
+            start: Duration::ZERO,
+            duration: Duration::from_secs(100),
+            asymmetric: true,
+        };
+        let mut m = Master::new(lease_cfg(vec![cut]), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(60));
+        assert!(m.suspects.contains(&w), "lease expired during the cut");
+        assert!(m.worker(w).is_some(), "a suspect is not retired");
+        assert_eq!(m.gate.headroom(), (Resources::ZERO, false));
+        m.submit(
+            q.now(),
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        assert_eq!(m.waiting_count(), 1, "no eligible worker while suspect");
+        // The first heartbeat after the cut heals re-adopts the worker;
+        // the refreshed gate admits the waiting task.
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(101));
+        assert!(!m.suspects.contains(&w), "re-adopted");
+        assert_eq!(m.waiting_count(), 0, "re-opened gate placed the task");
+        assert_eq!(m.task(TaskId(0)).unwrap().worker(), Some(w));
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(300));
+        assert_eq!(m.completed_count(), 1);
     }
 }
