@@ -155,7 +155,7 @@ const SNAPSHOT_BRANCHES: u64 = 16;
 /// Reported in the same [`PerfEntry`] shape as the run workloads:
 /// `events` is the total branch events (deterministic, so it doubles as
 /// the fingerprint), `events_per_sec` the branch-simulation throughput
-/// including the deep-clone cost of every fork.
+/// including the clone cost of every fork.
 pub fn snapshot_microbench(reps: usize) -> PerfEntry {
     // Build one parent and advance it mid-flight; forking never perturbs
     // it, so every repetition forks the identical decision point.

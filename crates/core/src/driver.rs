@@ -28,12 +28,13 @@ use hta_des::{
     EventQueue, SimTime, Wal,
 };
 use hta_makeflow::Workflow;
-use hta_metrics::{FaultSummary, RunRecorder, RunSummary, Sample, TaskSpan};
+use hta_metrics::{FaultSummary, RunRecorder, RunSummary, Sample, StepIntegral, TaskSpan};
 use hta_resources::Resources;
 use hta_trace::{ArrivalSource, ArrivalStats};
 use hta_workqueue::master::{Master, MasterConfig, WqEvent, WqNotification};
 use hta_workqueue::{WorkerId, WorkerState};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::fault::{ControlPlaneFaults, FaultPlan};
 use crate::init_time::InitTimeTracker;
@@ -239,13 +240,45 @@ struct RecoveryState {
     reports: Vec<RecoveryReport>,
 }
 
+/// What a driver keeps of its run's metrics.
+#[derive(Clone)]
+enum History {
+    /// Every recorded series. Shared copy-on-write: a fork costs a
+    /// reference count until one side records its next sample.
+    Full(Arc<RunRecorder>),
+    /// A what-if rollout keeps only what its outcome is scored on: the
+    /// running supply integral, continued from the parent's series.
+    Rollout(StepIntegral),
+}
+
+impl History {
+    /// `∫ supply dt` from the first sample to `end_s` (not before the
+    /// newest sample).
+    fn supply_until(&self, end_s: f64) -> f64 {
+        match self {
+            History::Full(recorder) => recorder.supply.integral_until(end_s),
+            History::Rollout(supply) => supply.until(end_s),
+        }
+    }
+
+    /// The running supply integral a rollout continues from.
+    fn supply_integral(&self) -> StepIntegral {
+        match self {
+            History::Full(recorder) => recorder.supply.running_integral(),
+            History::Rollout(supply) => *supply,
+        }
+    }
+}
+
 /// The driver.
 ///
 /// `Clone` is the checkpoint operation of the what-if subsystem: a clone
-/// is a deep, fully independent copy of the entire system state (event
-/// queue, master, cluster, operator, policy, metrics). See
-/// [`SystemDriver::fork_branch`] for the RNG-partitioned fork used by
-/// counterfactual rollouts.
+/// is a fully independent copy of the entire system state (event queue,
+/// master, cluster, operator, policy, metrics). Mutable state is copied;
+/// inputs that are fixed once the run is built (the workflow graph, the
+/// file catalogue, the metrics history until one side samples) are shared
+/// behind `Arc`. See [`SystemDriver::fork_branch`] for the
+/// RNG-partitioned fork used by counterfactual rollouts.
 #[derive(Clone)]
 pub struct SystemDriver {
     cfg: DriverConfig,
@@ -254,7 +287,7 @@ pub struct SystemDriver {
     operator: Operator,
     policy: Box<dyn ScalingPolicy>,
     tracker: InitTimeTracker,
-    recorder: RunRecorder,
+    history: History,
     queue: EventQueue<Event>,
     worker_image: ImageId,
     master_image: ImageId,
@@ -360,7 +393,7 @@ impl SystemDriver {
             operator,
             policy,
             tracker,
-            recorder: RunRecorder::new(),
+            history: History::Full(Arc::new(RunRecorder::new())),
             queue: EventQueue::new(),
             worker_image,
             master_image,
@@ -434,10 +467,11 @@ impl SystemDriver {
 
     /// Checkpoint the full system state and fork an independent branch.
     ///
-    /// The branch is a deep clone; salt `0` keeps the parent's RNG
-    /// streams (exact replay of the parent's own future), any other salt
-    /// re-partitions every stream via [`SnapshotState::reseed`] for an
-    /// independent stochastic future. Forking never mutates the parent —
+    /// The branch is a clone (copied mutable state, shared immutable
+    /// inputs); salt `0` keeps the parent's RNG streams (exact replay of
+    /// the parent's own future), any other salt re-partitions every
+    /// stream via [`SnapshotState::reseed`] for an independent
+    /// stochastic future. Forking never mutates the parent —
     /// same-seed parent runs stay bitwise identical whether or not they
     /// were forked (enforced by the fork-determinism property tests).
     ///
@@ -734,9 +768,13 @@ impl SystemDriver {
         let now = self.queue.now();
         self.sample(now);
         let end = self.workload_finished_at.unwrap_or(now).as_secs_f64();
-        self.recorder.finish(end);
+        let History::Full(recorder) = self.history else {
+            unreachable!("a what-if rollout never runs to the end");
+        };
+        let mut recorder = Arc::unwrap_or_clone(recorder);
+        recorder.finish(end);
         let label = self.policy.name();
-        let mut summary = self.recorder.summary(label.clone());
+        let mut summary = recorder.summary(label.clone());
         let task_faults = self.master.fault_stats();
         let cluster_faults = self.cluster.fault_stats();
         let (jobs_failed, jobs_abandoned) = self.operator.failure_counts();
@@ -807,7 +845,7 @@ impl SystemDriver {
             jobs_abandoned,
             trace: self.trace,
             task_spans,
-            recorder: self.recorder,
+            recorder,
         }
     }
 
@@ -1563,27 +1601,11 @@ impl SystemDriver {
     /// beyond current supply, capped at the maximum resource quota
     /// ("there usually exists a maximum resource quota depending on the
     /// user budget"), which is what an autoscaler could still fix.
+    ///
+    /// A what-if rollout stops after the metrics pipeline and the supply
+    /// integral: the policy reads the one, the branch outcome the other,
+    /// and nothing reads the rest.
     fn sample(&mut self, now: SimTime) {
-        // Resolve open time-to-recover watches. Watches still open when
-        // cleanup begins never resolve (the pool shrinks on purpose).
-        if !self.recovery_watches.is_empty() && !self.cleanup_started {
-            let connected = self.master.connected_workers();
-            let t = now.as_secs_f64();
-            let mut resolved = Vec::new();
-            for w in &mut self.recovery_watches {
-                if !w.2 {
-                    w.2 = connected < w.1;
-                } else if connected >= w.1 {
-                    resolved.push(now.since(w.0).as_secs_f64());
-                    w.1 = usize::MAX; // mark for removal
-                }
-            }
-            self.recovery_watches.retain(|w| w.1 != usize::MAX);
-            for r in resolved {
-                self.recovery_times.push(r);
-                self.recorder.record_extra("recovery_s", t, r);
-            }
-        }
         // Feed the (laggy) metrics pipeline.
         let util_now = self.current_utilization();
         self.util_history.push_back((now, util_now));
@@ -1608,6 +1630,33 @@ impl SystemDriver {
             .values()
             .map(|w| w.capacity.cores_f64())
             .sum();
+        let t = now.as_secs_f64();
+        let recorder = match &mut self.history {
+            History::Full(recorder) => Arc::make_mut(recorder),
+            History::Rollout(supply) => {
+                supply.push(t, supply_cores);
+                return;
+            }
+        };
+        // Resolve open time-to-recover watches. Watches still open when
+        // cleanup begins never resolve (the pool shrinks on purpose).
+        if !self.recovery_watches.is_empty() && !self.cleanup_started {
+            let connected = self.master.connected_workers();
+            let mut resolved = Vec::new();
+            for w in &mut self.recovery_watches {
+                if !w.2 {
+                    w.2 = connected < w.1;
+                } else if connected >= w.1 {
+                    resolved.push(now.since(w.0).as_secs_f64());
+                    w.1 = usize::MAX; // mark for removal
+                }
+            }
+            self.recovery_watches.retain(|w| w.1 != usize::MAX);
+            for r in resolved {
+                self.recovery_times.push(r);
+                recorder.record_extra("recovery_s", t, r);
+            }
+        }
         let held = self.operator.held_jobs();
         let held_count: usize = held.iter().map(|(_, c)| c).sum();
         let waiting_cores: f64 = self
@@ -1647,13 +1696,12 @@ impl SystemDriver {
         for r in status.running.values() {
             self.per_cat_counts[r.cat.index()] += 1;
         }
-        let t = now.as_secs_f64();
         for &cat in &self.seen_categories {
             if self.per_cat_counts[cat.index()] == 0 {
                 self.label_buf.clear();
                 self.label_buf.push_str("running:");
                 self.label_buf.push_str(self.master.interner().name(cat));
-                self.recorder.record_extra(&self.label_buf, t, 0.0);
+                recorder.record_extra(&self.label_buf, t, 0.0);
             }
         }
         for i in 0..self.per_cat_counts.len() {
@@ -1665,11 +1713,11 @@ impl SystemDriver {
             self.label_buf.clear();
             self.label_buf.push_str("running:");
             self.label_buf.push_str(self.master.interner().name(cat));
-            self.recorder.record_extra(&self.label_buf, t, count as f64);
+            recorder.record_extra(&self.label_buf, t, count as f64);
             self.seen_categories.insert(cat);
         }
-        self.recorder.record(Sample {
-            time_s: now.as_secs_f64(),
+        recorder.record(Sample {
+            time_s: t,
             supply_cores,
             in_use_cores,
             shortage_cores,
@@ -1699,53 +1747,64 @@ impl SnapshotState for SystemDriver {
     }
 }
 
-impl WhatIf for SystemDriver {
-    /// Fork a branch, apply the candidate action at the fork instant, and
-    /// roll the branch forward under a frozen policy to the horizon (or
-    /// the event budget). The receiver is untouched.
-    fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
-        let mut branch = self.fork_branch(spec.salt);
-        let t0 = branch.queue.now();
-        let completed_before = branch.master.completed_count();
-        let events_before = branch.queue.delivered();
-        branch.apply_action(t0, spec.initial_action);
-        let (_, budget_exhausted) = branch.run_loop(t0 + spec.horizon, spec.max_events);
-        let t1 = branch.queue.now();
+impl SystemDriver {
+    /// Apply `spec.initial_action` at the fork instant and roll this
+    /// (already forked) driver forward to the horizon or the event budget.
+    fn roll_out(mut self, spec: &BranchSpec) -> BranchOutcome {
+        let t0 = self.queue.now();
+        let supply_before = self.history.supply_until(t0.as_secs_f64());
+        let completed_before = self.master.completed_count();
+        let events_before = self.queue.delivered();
+        self.apply_action(t0, spec.initial_action);
+        let (_, budget_exhausted) = self.run_loop(t0 + spec.horizon, spec.max_events);
+        let t1 = self.queue.now();
         // Final sample so the cost integral reflects the branch-end state.
-        branch.sample(t1);
-        let finished = branch.workload_finished_at.is_some();
+        self.sample(t1);
+        let finished = self.workload_finished_at.is_some();
         let stop = if finished {
             BranchStop::Finished
         } else if budget_exhausted {
             BranchStop::Budget
-        } else if branch.queue.is_empty() {
+        } else if self.queue.is_empty() {
             BranchStop::Quiescent
         } else {
             BranchStop::Horizon
         };
-        let held: usize = branch.operator.held_jobs().iter().map(|(_, c)| c).sum();
-        let supply = &branch.recorder.supply;
-        let cost_core_s = (supply.integral_until(t1.as_secs_f64())
-            - supply.integral_until(t0.as_secs_f64()))
-        .max(0.0);
+        let held: usize = self.operator.held_jobs().iter().map(|(_, c)| c).sum();
+        let cost_core_s = (self.history.supply_until(t1.as_secs_f64()) - supply_before).max(0.0);
         BranchOutcome {
             elapsed_s: t1.since(t0).as_secs_f64(),
-            events: branch.queue.delivered() - events_before,
+            events: self.queue.delivered() - events_before,
             stop,
             finished,
-            completed_delta: branch.master.completed_count() - completed_before,
-            tasks_waiting: branch.master.waiting_count() + held,
-            tasks_running: branch.master.running_count(),
-            live_worker_pods: branch.live_worker_pods(),
+            completed_delta: self.master.completed_count() - completed_before,
+            tasks_waiting: self.master.waiting_count() + held,
+            tasks_running: self.master.running_count(),
+            live_worker_pods: self.live_worker_pods(),
             cost_core_s,
         }
+    }
+}
+
+impl WhatIf for SystemDriver {
+    /// Fork a branch, apply the candidate action at the fork instant, and
+    /// roll the branch forward under a frozen policy to the horizon (or
+    /// the event budget). The receiver is untouched.
+    ///
+    /// The branch records only its running supply integral, continued
+    /// from the receiver's series, so `cost_core_s` is bitwise what a full
+    /// fork would read off its recorder.
+    fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
+        let mut branch = self.fork_branch(spec.salt);
+        branch.history = History::Rollout(self.history.supply_integral());
+        branch.roll_out(spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FixedPolicy, HtaConfig, HtaPolicy};
+    use crate::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy};
     use hta_cluster::MachineType;
     use hta_makeflow::{CategoryProfile, Job, JobId, SimProfile};
 
@@ -2160,6 +2219,176 @@ mod tests {
         assert_eq!(plain.events, armed.events);
         assert_eq!(plain.summary, armed.summary);
         assert!(armed.recoveries.is_empty());
+    }
+
+    /// A Fig. 10-shaped workflow: one split job fans out to `n` align
+    /// jobs, and one reduce job waits for all of them.
+    fn staged_workflow(n: u64) -> Workflow {
+        let mut jobs = vec![Job {
+            id: JobId(0),
+            category: "split".into(),
+            command: "split".into(),
+            inputs: vec!["query".into()],
+            outputs: (0..n).map(|i| format!("part.{i}")).collect(),
+        }];
+        jobs.extend((0..n).map(|i| Job {
+            id: JobId(i + 1),
+            category: "align".into(),
+            command: format!("blast {i}"),
+            inputs: vec!["db".into(), format!("part.{i}")],
+            outputs: vec![format!("out.{i}")],
+        }));
+        jobs.push(Job {
+            id: JobId(n + 1),
+            category: "reduce".into(),
+            command: "cat".into(),
+            inputs: (0..n).map(|i| format!("out.{i}")).collect(),
+            outputs: vec!["result".into()],
+        });
+        let profile = |name: &str, wall: u64| CategoryProfile {
+            name: name.into(),
+            declared: Some(Resources::cores(1, 2_000, 2_000)),
+            sim: SimProfile {
+                wall: Duration::from_secs(wall),
+                cpu_fraction: 0.9,
+                actual: Resources::cores(1, 2_000, 2_000),
+                output_mb: 0.6,
+                wall_jitter: 0.2,
+                heavy_tail: false,
+            },
+        };
+        Workflow::from_jobs(
+            jobs,
+            vec![
+                profile("split", 30),
+                profile("align", 90),
+                profile("reduce", 20),
+            ],
+        )
+        .unwrap()
+        .with_source_file("db", 100.0, true)
+        .with_source_file("query", 5.0, false)
+    }
+
+    /// The staged workflow with node crashes mid-run (so recovery watches
+    /// are open at some forks) and a laggy metrics pipeline (so policy
+    /// ticks inside a branch read `util_history`).
+    fn fig10_driver(policy: Box<dyn ScalingPolicy>) -> SystemDriver {
+        let mut cfg = small_cfg();
+        cfg.node_failures = vec![Duration::from_secs(250), Duration::from_secs(420)];
+        cfg.metrics_lag = Duration::from_secs(30);
+        SystemDriver::new(cfg, staged_workflow(60), policy)
+    }
+
+    /// Advance `driver` through a run and, at each stop, check that the
+    /// lean rollout reports exactly what a full-fidelity branch reports:
+    /// a full fork, the full sampler, and the cost read as the difference
+    /// of two `integral_until` calls on its recorder. A stop on a whole
+    /// second forks on a sample tick; any other stop forks between ticks.
+    /// Returns how many forks had a node-crash recovery watch open.
+    fn assert_rollouts_match_full_branches(mut driver: SystemDriver, stops_ms: &[u64]) -> usize {
+        let mut forked_at = Vec::new();
+        let mut watching = 0;
+        for &stop in stops_ms {
+            if driver.advance_until(SimTime::from_millis(stop)) {
+                break;
+            }
+            // An off-tick stop steps on, one event at a time, to the
+            // first instant that is not a whole second.
+            while !stop.is_multiple_of(1_000) && driver.now().as_millis().is_multiple_of(1_000) {
+                let Some((now, ev)) = driver.queue.pop() else {
+                    break;
+                };
+                driver.dispatch(now, ev);
+            }
+            assert!(!driver.is_finished(), "fork at {stop} ms is mid-run");
+            forked_at.push(driver.now().as_millis());
+            watching += usize::from(!driver.recovery_watches.is_empty());
+            for salt in [0, 1, 0xD1CE] {
+                for (initial_action, max_events) in [
+                    (ScaleAction::CreateWorkers(2), u64::MAX),
+                    (ScaleAction::None, u64::MAX),
+                    (ScaleAction::DrainWorkers(1), u64::MAX),
+                    (ScaleAction::CreateWorkers(1), 40),
+                ] {
+                    let spec = BranchSpec {
+                        salt,
+                        initial_action,
+                        horizon: Duration::from_secs(300),
+                        max_events,
+                    };
+                    let lean = driver.branch(&spec);
+                    let full = driver.fork_branch(salt).roll_out(&spec);
+                    assert!(matches!(driver.history, History::Full(_)));
+                    assert_eq!(lean, full, "at {stop} ms, {spec:?}");
+                    assert_eq!(
+                        lean.cost_core_s.to_bits(),
+                        full.cost_core_s.to_bits(),
+                        "at {stop} ms, {spec:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(forked_at.len(), stops_ms.len(), "every stop is mid-run");
+        for (stop, at) in stops_ms.iter().zip(&forked_at) {
+            assert_eq!(
+                stop.is_multiple_of(1_000),
+                at.is_multiple_of(1_000),
+                "fork for stop {stop} ms landed at {at} ms"
+            );
+        }
+        watching
+    }
+
+    #[test]
+    fn rollouts_match_full_branches_on_a_fig10_run_with_node_crashes() {
+        // Crashes at 250 s and 420 s: the later forks see open watches.
+        let stops = [0, 90_000, 201_500, 260_000, 300_250, 433_700];
+        let hta = fig10_driver(Box::new(HtaPolicy::new(HtaConfig::default())));
+        assert!(assert_rollouts_match_full_branches(hta, &stops) > 0);
+        let hpa = fig10_driver(Box::new(HpaPolicy::new(0.5, 2, 6)));
+        assert!(assert_rollouts_match_full_branches(hpa, &stops) > 0);
+    }
+
+    #[test]
+    fn rollouts_match_full_branches_on_a_traced_run() {
+        let traced = traced_driver("demo-1k,tasks=400,rate=4", 7, 4);
+        assert_rollouts_match_full_branches(traced, &[0, 30_000, 64_300, 121_000, 150_900]);
+    }
+
+    #[test]
+    fn forks_share_the_immutable_run_inputs() {
+        let mut parent = fig10_driver(Box::new(FixedPolicy::new(3)));
+        parent.advance_until(SimTime::from_secs(120));
+        let fork = parent.fork_branch(1);
+        assert!(Arc::ptr_eq(
+            parent.operator.file_ids(),
+            fork.operator.file_ids()
+        ));
+        let dag = |d: &SystemDriver| d.operator.workflow().dag.job(JobId(3)).unwrap() as *const Job;
+        assert_eq!(dag(&parent), dag(&fork), "one job table");
+        let db = |d: &SystemDriver| {
+            d.master.catalog().get(hta_workqueue::FileId(0)).unwrap()
+                as *const hta_workqueue::FileSpec
+        };
+        assert_eq!(db(&parent), db(&fork), "one file catalogue");
+        let (History::Full(a), History::Full(b)) = (&parent.history, &fork.history) else {
+            panic!("a plain fork keeps the full history");
+        };
+        assert!(
+            Arc::ptr_eq(a, b),
+            "history is shared until one side samples"
+        );
+        // The fork's first sample copies the history; the parent's stays.
+        let mut fork = fork;
+        let parent_len = a.supply.len();
+        fork.advance_until(SimTime::from_secs(130));
+        let History::Full(b) = &fork.history else {
+            unreachable!()
+        };
+        assert!(!Arc::ptr_eq(a, b));
+        assert!(b.supply.len() > parent_len);
+        assert_eq!(a.supply.len(), parent_len);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! category name strings.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hta_des::{CategoryId, Duration, EffectSink, SimRng, SimTime};
 use hta_makeflow::{JobId, Workflow};
@@ -82,7 +83,9 @@ pub struct Operator {
     learned: BTreeMap<CategoryId, Resources>,
     probing: BTreeMap<CategoryId, bool>,
     held: BTreeMap<CategoryId, Vec<JobId>>,
-    file_ids: BTreeMap<String, FileId>,
+    /// File name → catalogue id. Fixed at construction and shared by
+    /// clones.
+    file_ids: Arc<BTreeMap<String, FileId>>,
     job_for_task: BTreeMap<TaskId, JobId>,
     task_for_job: BTreeMap<JobId, TaskId>,
     next_task: u64,
@@ -178,7 +181,7 @@ impl Operator {
             learned,
             probing: BTreeMap::new(),
             held: BTreeMap::new(),
-            file_ids,
+            file_ids: Arc::new(file_ids),
             job_for_task: BTreeMap::new(),
             task_for_job: BTreeMap::new(),
             next_task: 0,
@@ -210,6 +213,12 @@ impl Operator {
     /// The wrapped workflow (read access).
     pub fn workflow(&self) -> &Workflow {
         &self.workflow
+    }
+
+    /// The shared file-name map, for sharing checks in tests.
+    #[cfg(test)]
+    pub(crate) fn file_ids(&self) -> &Arc<BTreeMap<String, FileId>> {
+        &self.file_ids
     }
 
     /// Known per-category resources by name (declared-and-trusted or

@@ -4,10 +4,11 @@
 //! the snapshot/fork machinery: a world that implements it can be asked
 //! "what happens over the next horizon if we take this action now?"
 //! without the asker knowing anything about drivers, clusters, or event
-//! queues. `SystemDriver` implements it by forking itself (deep clone +
-//! RNG partition — see `hta_des::SnapshotState`), applying the candidate
+//! queues. `SystemDriver` implements it by forking itself (clone + RNG
+//! partition — see `hta_des::SnapshotState`), applying the candidate
 //! action, and running the branch forward under a frozen policy with
-//! event/time budgets.
+//! event/time budgets. A branch records only the supply integral its
+//! [`BranchOutcome::cost_core_s`] is read from.
 //!
 //! Everything crossing the trait is plain data, which is what lets the
 //! model-predictive policy in `crates/forecast` depend only on this crate

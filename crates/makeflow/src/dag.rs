@@ -7,6 +7,7 @@
 //! notification.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::job::{Job, JobId, JobState};
 
@@ -33,20 +34,31 @@ impl std::fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// The workflow DAG with execution state.
+///
+/// The graph itself (job table, producers, dependents) is fixed once
+/// [`Dag::build`] returns, so it sits behind an [`Arc`] and every clone
+/// shares it; a clone copies only the per-run execution state. That
+/// keeps a what-if fork of a running workflow cheap.
 #[derive(Debug, Clone)]
 pub struct Dag {
-    jobs: BTreeMap<JobId, Job>,
+    graph: Arc<Graph>,
     states: BTreeMap<JobId, JobState>,
-    /// file name → producing job. Ordered so that any future iteration
-    /// (none today) cannot depend on hash state.
-    producers: BTreeMap<String, JobId>,
-    /// job → jobs that consume one of its outputs.
-    dependents: BTreeMap<JobId, BTreeSet<JobId>>,
     /// job → number of *incomplete* producer jobs it waits on.
     missing_deps: BTreeMap<JobId, usize>,
     completed: usize,
     failed: usize,
     abandoned: usize,
+}
+
+/// The immutable shape of a DAG, shared by all clones.
+#[derive(Debug)]
+struct Graph {
+    jobs: BTreeMap<JobId, Job>,
+    /// file name → producing job. Ordered so that any future iteration
+    /// (none today) cannot depend on hash state.
+    producers: BTreeMap<String, JobId>,
+    /// job → jobs that consume one of its outputs.
+    dependents: BTreeMap<JobId, BTreeSet<JobId>>,
 }
 
 impl Dag {
@@ -90,10 +102,12 @@ impl Dag {
             })
             .collect();
         let dag = Dag {
-            jobs: jobs.into_iter().map(|j| (j.id, j)).collect(),
+            graph: Arc::new(Graph {
+                jobs: jobs.into_iter().map(|j| (j.id, j)).collect(),
+                producers,
+                dependents,
+            }),
             states,
-            producers,
-            dependents,
             missing_deps: missing,
             completed: 0,
             failed: 0,
@@ -115,7 +129,7 @@ impl Dag {
         let mut seen = 0usize;
         while let Some(j) = queue.pop() {
             seen += 1;
-            if let Some(deps) = self.dependents.get(&j) {
+            if let Some(deps) = self.graph.dependents.get(&j) {
                 for &d in deps {
                     let m = missing.get_mut(&d).expect("dependent exists");
                     *m -= 1;
@@ -125,7 +139,7 @@ impl Dag {
                 }
             }
         }
-        if seen != self.jobs.len() {
+        if seen != self.graph.jobs.len() {
             let stuck = missing
                 .iter()
                 .find(|(_, &m)| m > 0)
@@ -138,12 +152,12 @@ impl Dag {
 
     /// Total job count.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.graph.jobs.len()
     }
 
     /// True when the DAG holds no jobs.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.graph.jobs.is_empty()
     }
 
     /// Jobs currently in `Ready` state, in id order.
@@ -157,7 +171,7 @@ impl Dag {
 
     /// A job by id.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.graph.jobs.get(&id)
     }
 
     /// A job's state.
@@ -184,8 +198,10 @@ impl Dag {
         *s = JobState::Complete;
         self.completed += 1;
         let mut newly_ready = Vec::new();
-        if let Some(deps) = self.dependents.get(&id).cloned() {
-            for d in deps {
+        // The graph and the per-run state are disjoint fields, so the
+        // loop reads the dependents in place.
+        if let Some(deps) = self.graph.dependents.get(&id) {
+            for &d in deps {
                 let m = self.missing_deps.get_mut(&d).expect("dependent tracked");
                 *m = m.saturating_sub(1);
                 if *m == 0 {
@@ -220,10 +236,10 @@ impl Dag {
         let mut abandoned = Vec::new();
         let mut frontier = vec![id];
         while let Some(j) = frontier.pop() {
-            let Some(deps) = self.dependents.get(&j).cloned() else {
+            let Some(deps) = self.graph.dependents.get(&j) else {
                 continue;
             };
-            for d in deps {
+            for &d in deps {
                 let st = self.states.get_mut(&d).expect("state tracked");
                 if matches!(
                     st,
@@ -257,30 +273,30 @@ impl Dag {
 
     /// True when every job is complete.
     pub fn all_complete(&self) -> bool {
-        self.completed == self.jobs.len()
+        self.completed == self.graph.jobs.len()
     }
 
     /// True when every job has reached a terminal state — complete,
     /// failed, or abandoned. This is "the workflow is over" under fault
     /// injection; without faults it coincides with [`Dag::all_complete`].
     pub fn all_resolved(&self) -> bool {
-        self.completed + self.failed + self.abandoned == self.jobs.len()
+        self.completed + self.failed + self.abandoned == self.graph.jobs.len()
     }
 
     /// Which job produces `file`, if any (workflow sources have none).
     pub fn producer_of(&self, file: &str) -> Option<JobId> {
-        self.producers.get(file).copied()
+        self.graph.producers.get(file).copied()
     }
 
     /// Iterate jobs in id order.
     pub fn jobs(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.values()
+        self.graph.jobs.values()
     }
 
     /// Distinct category names, in first-seen (id) order.
     pub fn categories(&self) -> Vec<String> {
         let mut seen = Vec::new();
-        for j in self.jobs.values() {
+        for j in self.graph.jobs.values() {
             if !seen.contains(&j.category) {
                 seen.push(j.category.clone());
             }
@@ -412,6 +428,41 @@ mod tests {
         assert!(d.fail_job(JobId(1)).is_empty(), "double fail is a no-op");
         assert_eq!(d.failed(), 1);
         assert_eq!(d.abandoned(), 1);
+    }
+
+    #[test]
+    fn clones_share_the_graph_but_not_the_run_state() {
+        let original = diamond();
+        let mut fork = original.clone();
+        assert!(Arc::ptr_eq(&original.graph, &fork.graph));
+        fork.mark_submitted(JobId(0));
+        assert_eq!(fork.complete_job(JobId(0)), vec![JobId(1), JobId(2)]);
+        assert_eq!(fork.fail_job(JobId(1)), vec![JobId(3)]);
+        assert_eq!(
+            (fork.completed(), fork.failed(), fork.abandoned()),
+            (1, 1, 1)
+        );
+        // The original still stands where it was built.
+        assert_eq!(original.ready_jobs(), vec![JobId(0)]);
+        for j in 1..4 {
+            assert_eq!(original.state(JobId(j)), Some(JobState::Blocked));
+        }
+        assert_eq!(
+            (
+                original.completed(),
+                original.failed(),
+                original.abandoned()
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(original.missing_deps, diamond().missing_deps);
+        // And it still runs to completion on its own.
+        let mut original = original;
+        for j in 0..4 {
+            original.complete_job(JobId(j));
+        }
+        assert!(original.all_complete());
+        assert_eq!(fork.state(JobId(3)), Some(JobState::Abandoned));
     }
 
     #[test]

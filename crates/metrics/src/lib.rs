@@ -38,4 +38,4 @@ pub use cost::{bill, Bill, PriceBook};
 pub use gantt::{render_gantt, TaskSpan};
 pub use histogram::Histogram;
 pub use recorder::{FaultSummary, RunRecorder, RunSummary, Sample};
-pub use series::TimeSeries;
+pub use series::{StepIntegral, TimeSeries};

@@ -125,6 +125,16 @@ impl TimeSeries {
         acc
     }
 
+    /// The running form of [`TimeSeries::integral_until`] over the
+    /// samples so far; keep it going with [`StepIntegral::push`].
+    pub fn running_integral(&self) -> StepIntegral {
+        let mut acc = StepIntegral::default();
+        for (t, v) in self.iter() {
+            acc.push(t, v);
+        }
+        acc
+    }
+
     /// Step integral over the full recorded span.
     pub fn integral(&self) -> f64 {
         match self.last_time() {
@@ -168,9 +178,95 @@ impl TimeSeries {
     }
 }
 
+/// The step integral of a series that is only ever appended to, kept in
+/// O(1) space: the sum of every closed step plus the newest sample.
+///
+/// [`StepIntegral::push`] takes samples as [`TimeSeries::push`] does
+/// (a time before the newest one is clamped forward) and adds each step
+/// as it closes, in the order [`TimeSeries::integral_until`] adds it.
+/// So for any `end_s` at or after the newest sample, `until(end_s)` is
+/// bitwise equal to `integral_until(end_s)` over the same samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StepIntegral {
+    closed: f64,
+    /// Newest `(time_s, value)`.
+    last: Option<(f64, f64)>,
+}
+
+impl StepIntegral {
+    /// Append a sample.
+    pub fn push(&mut self, time_s: f64, value: f64) {
+        let t = match self.last {
+            Some((lt, lv)) => {
+                let t = time_s.max(lt);
+                if t > lt {
+                    self.closed += lv * (t - lt);
+                }
+                t
+            }
+            None => time_s,
+        };
+        self.last = Some((t, value));
+    }
+
+    /// `∫ value dt` from the first sample to `end_s`, which must not be
+    /// before the newest sample.
+    pub fn until(&self, end_s: f64) -> f64 {
+        match self.last {
+            Some((lt, lv)) if lt < end_s => self.closed + lv * (end_s - lt),
+            _ => {
+                debug_assert!(
+                    self.last.is_none_or(|(lt, _)| lt == end_s),
+                    "step integral read before its newest sample"
+                );
+                self.closed
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A running integral taken from a series at any split point and
+        /// fed the rest of the samples reads bitwise what the series'
+        /// own `integral_until` reads, at every sample and between them.
+        #[test]
+        fn running_integral_is_bitwise_integral_until(
+            steps in proptest::collection::vec((0u8..4, 0.0f64..1.7, 0u8..6), 1..120),
+            split in 0usize..120,
+            tail in 0.0f64..3.3,
+        ) {
+            let mut series = TimeSeries::new("x");
+            let mut running = None;
+            let mut t = 0.0;
+            for (i, &(kind, dt, v)) in steps.iter().enumerate() {
+                if i == split.min(steps.len() - 1) {
+                    running = Some(series.running_integral());
+                }
+                // Kind 0 samples again at the same instant (a value
+                // change with no width); the rest step forward.
+                if kind > 0 {
+                    t += dt;
+                }
+                let value = f64::from(v) * 0.3 + 0.1;
+                series.push(t, value);
+                let Some(run) = running.as_mut() else {
+                    continue;
+                };
+                run.push(t, value);
+                for end in [t, t + tail] {
+                    prop_assert_eq!(
+                        run.until(end).to_bits(),
+                        series.integral_until(end).to_bits()
+                    );
+                }
+            }
+        }
+    }
 
     fn s(pairs: &[(f64, f64)]) -> TimeSeries {
         let mut ts = TimeSeries::new("t");

@@ -6,6 +6,8 @@
 //! worker pays the transfer once; non-cacheable inputs (per-task query
 //! chunks) are moved for every task.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ids::FileId;
@@ -24,9 +26,14 @@ pub struct FileSpec {
 }
 
 /// The master's file catalogue.
+///
+/// Files are registered while the workflow is set up and never change
+/// afterwards, so the list sits behind an [`Arc`] and clones (what-if
+/// forks of the master) share it. [`FileCatalog::register`] copies the
+/// list first if a clone still shares it.
 #[derive(Debug, Clone, Default)]
 pub struct FileCatalog {
-    files: Vec<FileSpec>,
+    files: Arc<Vec<FileSpec>>,
 }
 
 impl FileCatalog {
@@ -38,7 +45,7 @@ impl FileCatalog {
     /// Register a file; returns its id.
     pub fn register(&mut self, name: impl Into<String>, size_mb: f64, cacheable: bool) -> FileId {
         let id = FileId(self.files.len() as u64);
-        self.files.push(FileSpec {
+        Arc::make_mut(&mut self.files).push(FileSpec {
             id,
             name: name.into(),
             size_mb: size_mb.max(0.0),
@@ -103,6 +110,20 @@ mod tests {
         assert!((missing - 2.0).abs() < 1e-9);
         let missing_all = cat.missing_mb([&db, &q], |_| false);
         assert!((missing_all - 1402.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn clones_share_files_until_one_registers() {
+        let mut original = FileCatalog::new();
+        let db = original.register("db", 1400.0, true);
+        let mut fork = original.clone();
+        assert!(Arc::ptr_eq(&original.files, &fork.files));
+        let q = fork.register("q", 2.0, false);
+        assert_eq!(fork.len(), 2);
+        assert_eq!(fork.get(q).unwrap().name, "q");
+        assert_eq!(original.len(), 1, "the original never sees the fork's file");
+        assert_eq!(original.get(q), None);
+        assert_eq!(original.get(db), fork.get(db));
     }
 
     #[test]
