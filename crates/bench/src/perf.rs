@@ -168,9 +168,11 @@ pub fn snapshot_microbench(reps: usize) -> PerfEntry {
     let mut elapsed = 0f64;
     reset_peak_rss();
     for _ in 0..reps.max(1) {
-        // hta-lint: allow(wall-clock): measuring host wall time is this
-        // harness's purpose; the simulation itself never reads the host
-        // clock. Keep as long as this file only times runs.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measuring host wall time is this harness's purpose; the simulation itself \
+                      never reads the host clock. Keep as long as this file only times runs"
+        )]
         let t = Instant::now();
         let (mut ev, mut el) = (0u64, 0f64);
         for salt in 1..=SNAPSHOT_BRANCHES {
@@ -213,9 +215,12 @@ pub fn run_perf(label: &str, quick: bool, reps: usize) -> PerfReport {
         let mut makespan = 0f64;
         reset_peak_rss();
         for _ in 0..reps {
-            // hta-lint: allow(wall-clock): measuring host wall time is
-            // this harness's purpose; the simulation itself never reads
-            // the host clock. Keep as long as this file only times runs.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "measuring host wall time is this harness's purpose; the simulation \
+                          itself never reads the host clock. Keep as long as this file only \
+                          times runs"
+            )]
             let t = Instant::now();
             let r = f(PERF_SEED, None);
             let wall = t.elapsed().as_secs_f64();

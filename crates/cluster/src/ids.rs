@@ -89,9 +89,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "exercises the Hash impl itself and never iterates the set"
+    )]
     fn ids_are_ord_and_hashable() {
-        // This test exercises the Hash impl itself and never iterates
-        // the set; test regions are exempt from the container lint.
         use std::collections::HashSet;
         let mut s = HashSet::new();
         s.insert(PodId(1));

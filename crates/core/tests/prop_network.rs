@@ -115,7 +115,6 @@ fn completed_set(r: &RunResult) -> Vec<String> {
 
 /// A random-but-bounded fault plan: every transport fault plus an
 /// optional partition episode and an optional heartbeat lease.
-#[allow(clippy::type_complexity)]
 fn arb_net() -> impl Strategy<Value = NetworkFaults> {
     (
         0u64..200,                                              // delay ms

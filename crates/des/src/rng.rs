@@ -8,6 +8,24 @@
 //! The normal sampler is an in-house Box–Muller implementation; the offline
 //! crate set does not include `rand_distr`, and the handful of samplers the
 //! model needs are small enough to own (and property-test) directly.
+//!
+//! Randomness is seeded or it does not compile: the vendored `rand` has no
+//! unseeded constructor. A seeded generator builds,
+//!
+//! ```
+//! use rand::{rngs::SmallRng, Rng, SeedableRng};
+//! let _: f64 = SmallRng::seed_from_u64(7).gen();
+//! ```
+//!
+//! but the ambient ones do not:
+//!
+//! ```compile_fail,E0425
+//! let _rng = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail,E0425
+//! let _: f64 = rand::random();
+//! ```
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};

@@ -1,8 +1,8 @@
 //! Runtime invariant checking (the "sim-sanitizer") and event-stream
 //! digests for divergence hunting.
 //!
-//! Static analysis (`hta-lint`) catches determinism hazards that are
-//! visible in the source. This module catches the rest at runtime, in
+//! Static analysis (clippy's determinism bans and `hta-lint`) catches
+//! determinism hazards that are visible in the source. This module catches the rest at runtime, in
 //! two layers:
 //!
 //! 1. **Invariant assertions.** Components assert per-event invariants

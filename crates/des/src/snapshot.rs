@@ -7,9 +7,9 @@
 //! 1. **Isolation** — forking must never perturb the parent. The fork
 //!    operates on `&self`, so the type system already forbids mutation;
 //!    the subtle hazard is *shared mutable state* (`Rc<RefCell<…>>`,
-//!    `static mut`), which a deep clone silently aliases. The
-//!    `fork-unsafe-state` rule in `hta-lint` guards against introducing
-//!    such state into simulation components.
+//!    `static mut`), which a deep clone silently aliases. The workspace
+//!    lints ban it: `Rc`/`RefCell` are clippy `disallowed-types`, and
+//!    `unsafe_code = "forbid"` rejects every `static mut` access.
 //! 2. **Determinism** — a branch forked with salt `0` is an exact replay:
 //!    it must reproduce the parent's future event-for-event. A branch
 //!    forked with a non-zero salt reseeds every RNG stream via

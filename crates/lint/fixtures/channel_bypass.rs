@@ -56,9 +56,3 @@ impl Master {
         let _ = worker;
     }
 }
-
-// Justified allow: a recovery shim that re-injects a checkpointed
-// message without a live channel, with the reason spelled out.
-fn replay_shim(m: &mut Master, msg: ControlMsg) {
-    m.deliver_ctl(msg); // hta-lint: allow(channel-bypass): fixture for a justified allow on this rule
-}

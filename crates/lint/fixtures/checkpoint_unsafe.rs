@@ -1,5 +1,5 @@
 //! Lint fixture: checkpoint-unsafe control-plane state — one violation
-//! per hazard class plus a justified allow. Never compiled; scanned by
+//! per hazard class. Never compiled; scanned by
 //! `tests/fixtures.rs` under a `crates/core/src/` path (under any other
 //! path the rule is silent by scope).
 
@@ -13,11 +13,4 @@ struct BadMaster {
 
 fn peek(p: *const u64) -> u64 {
     unsafe { *p }
-}
-
-struct Probe {
-    // hta-lint: allow(checkpoint-unsafe-state): wall-time probe is the
-    // harness half of this struct and is excluded from ControlPlaneState
-    // by construction; remove the allowance if it ever moves in.
-    wall: SystemTime,
 }

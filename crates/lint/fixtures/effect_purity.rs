@@ -34,9 +34,3 @@ impl Machine {
         queue.schedule_in(Duration::ZERO, Ev::Tick);
     }
 }
-
-// Justified allow: a migration shim that still straddles both
-// channels, with the removal condition spelled out.
-fn shim(fx: &mut EffectSink<Ev>, queue: &mut EventQueue<Ev>) { // hta-lint: allow(effect-purity): fixture for a justified allow on this rule
-    let _ = (fx, queue);
-}

@@ -33,9 +33,3 @@ fn threaded(sim: &mut Sim, salt: u64) -> u64 {
     drop(branch);
     branch_salt(salt, 1).wrapping_add(branch_salt(salt, 2))
 }
-
-// Justified allow: the one blessed pin, with its expiry condition.
-fn pinned(sim: &mut Sim) {
-    let probe = sim.fork(7); // hta-lint: allow(salt-flow): fixture for the trailing allow form on this rule
-    drop(probe);
-}

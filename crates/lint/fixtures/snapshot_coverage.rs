@@ -45,10 +45,3 @@ fn spec_len(s: &Spec) -> usize {
 fn window() -> Window {
     Window { span: 0..10, kind: Kind::Fixed }
 }
-
-// Justified allow, standalone form covering its paragraph.
-fn probed(c: &Cluster) -> u32 {
-    // hta-lint: allow(snapshot-field-coverage): fixture for a justified allow on this rule
-    let Cluster { nodes, .. } = c;
-    *nodes
-}

@@ -1,46 +1,50 @@
-//! Lint fixture: every hazard name the linter knows, placed where the
-//! regex-era engine false-positived — string literals, raw strings,
+//! Lint fixture: every hazard token the linter matches, placed where a
+//! text scanner would false-positive — string literals, raw strings,
 //! doc comments, block comments, and `#[cfg(test)]` regions. The
-//! syntax-aware engine must scan this file *clean* under any path.
-//! Never compiled; scanned by `tests/fixtures.rs`.
+//! token engine must scan this file *clean* under every rule's scope
+//! (`tests/fixtures.rs` scans it under each). Never compiled.
 
-//! A doc comment mentioning HashMap, Instant::now() and thread_rng.
+//! A doc comment mentioning File, Instant, SmallRng and *mut u8.
 
-// Line comment: HashSet, SystemTime::now, rand::random, par_iter.sum()
-/* Block comment: FxHashMap, OsRng, static mut COUNTER, Rc<RefCell<T>> */
+// Line comment: fork(42), fork(0), branch_salt(s, 1) twice, .collect().
+/* Block comment: deliver_ctl(m), begin_staging(t), schedule_in(d, e) */
 
-/// Rustdoc for `lookup`: prefer `HashMap` for O(1), says the internet.
+/// Rustdoc for `lookup`: keep a `File` handle and `Instant` in the master.
 fn lookup() -> &'static str {
-    let a = "HashMap and HashSet in a plain string";
-    let b = "Instant::now() and SystemTime::UNIX_EPOCH quoted";
-    let c = r"thread_rng in a raw string with from_entropy";
-    let d = r#"par_iter().sum() and fork(42) and branch_salt(s, 1)"#;
+    let a = "File and TcpStream in a plain string";
+    let b = "Instant and SystemTime quoted, *const u8 too";
+    let c = r"SmallRng in a raw string with StdRng";
+    let d = r#"fork(42) and branch_salt(s, 1) and with_capacity(n)"#;
     let e = "WalRecord::Orphan { .. } and ControlPlaneState { .. }";
     let f = concat!(a, b, c, d, e);
-    let g = 'H'; // a char literal is not an ident: HashMap
+    let g = 'F'; // a char literal is not an ident: File
     let _ = (f, g);
-    "Ha" // a string that, glued to the next line's comment, spells nothing
+    "Fi" // a string that, glued to the next line's comment, spells nothing
 }
 
 /// The escape-laden cases the lexer must not lose its place in.
 fn escapes() -> String {
-    let quote_then_hazard = "escaped quote \" then HashMap stays quoted";
+    let quote_then_hazard = "escaped quote \" then File stays quoted";
     let backslash = "trailing backslash \\";
-    let newline_escape = "line one\nline two with Instant::now()";
+    let newline_escape = "line one\nline two with deliver_ctl(m)";
     format!("{quote_then_hazard}{backslash}{newline_escape}")
 }
 
 #[cfg(test)]
 mod tests {
-    // Real hazards, but in a test region: exempt by design. Tests may
-    // hold wall clocks, hash maps and ad-hoc RNGs freely.
-    use std::collections::HashMap;
+    // Real hazards, but in a test region: exempt by design.
+    use std::fs::File;
+    use std::time::Instant;
 
     #[test]
-    fn timing_scratch() {
-        let started = std::time::Instant::now();
-        let mut m: HashMap<u32, f64> = HashMap::new();
-        m.insert(1, started.elapsed().as_secs_f64());
-        let _jitter: f64 = rand::thread_rng().gen();
+    fn scratch() {
+        let started: Instant = clock();
+        let log: File = open();
+        let branch = sim.fork(42);
+        let ghost = sim.fork(0);
+        let v: Vec<u32> = (0..10).collect();
+        let buf: Vec<u8> = Vec::with_capacity(v.len());
+        master.deliver_ctl(msg);
+        let _ = (started, log, branch, ghost, buf);
     }
 }

@@ -36,10 +36,3 @@ fn streamed(arrivals: &mut ArrivalSource, now: f64) -> usize {
     }
     n
 }
-
-// Justified allow: a genuinely bounded collection, with the bound and
-// the expiry condition stated.
-fn category_table(cats: &[Category]) -> Vec<Weighted> {
-    // hta-lint: allow(trace-unbounded-materialization): bounded by the preset's category count (≤ 3), not by trace length
-    cats.iter().map(weight).collect()
-}

@@ -2,10 +2,9 @@
 //!
 //! These rules cannot be expressed per file, let alone per line: they
 //! relate an enum *definition* in one crate to its *uses* in another,
-//! or a struct's field list to every construct/destructure site in the
-//! workspace. The engine extracts cheap, serializable [`Facts`] from
-//! each file (cache-friendly — facts are recomputed only when the file
-//! changes) and a single [`finalize`] pass joins them:
+//! or a type's snapshot bundling to every construct/destructure site in
+//! the workspace. The engine extracts [`Facts`] from each file and a
+//! single [`finalize`] pass joins them:
 //!
 //! * **`wal-coverage`** — every `WalRecord` variant must have at least
 //!   one construct site (a decision that is actually logged) and at
@@ -22,6 +21,7 @@
 
 use crate::lexer::TokKind;
 use crate::parser::{Parser, Structure};
+use crate::Finding;
 
 /// The WAL decision-log enum the coverage contract tracks.
 const WAL_ENUM: &str = "WalRecord";
@@ -30,9 +30,8 @@ const WAL_ENUM: &str = "WalRecord";
 /// `impl SnapshotState` lives in a file outside the scan set.
 const SNAPSHOT_SEED_TYPES: &[&str] = &["ControlPlaneState"];
 
-/// Per-file facts feeding the cross-file contract rules. Everything in
-/// here is derived from one file alone, so the incremental cache can
-/// store facts per content hash and skip re-extraction.
+/// Per-file facts feeding the cross-file contract rules, each derived
+/// from one file alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Facts {
     /// `(variant, line)` when this file defines `enum WalRecord`
@@ -52,9 +51,6 @@ pub struct Facts {
     /// syntax, outside tests, with `Self` resolved to the impl target.
     pub rest_uses: Vec<(String, usize)>,
 }
-
-/// One cross-file finding: `(path, line, rule, message)`.
-pub type ContractFinding = (String, usize, &'static str, String);
 
 /// Extract the contract facts from one parsed file.
 pub fn extract_facts(p: &Parser<'_>, st: &Structure) -> Facts {
@@ -203,7 +199,7 @@ fn rest_uses(p: &Parser<'_>, st: &Structure, facts: &mut Facts) {
 }
 
 /// Join per-file facts into workspace-level contract findings.
-pub fn finalize(files: &[(String, Facts)]) -> Vec<ContractFinding> {
+pub fn finalize(files: &[(String, Facts)]) -> Vec<Finding> {
     let mut out = Vec::new();
 
     // wal-coverage: needs the enum definition to be in the scan set.
@@ -219,38 +215,39 @@ pub fn finalize(files: &[(String, Facts)]) -> Vec<ContractFinding> {
             .collect();
         for (variant, line) in &def_facts.wal_variants {
             if !constructed.contains(&variant.as_str()) {
-                out.push((
-                    def_path.clone(),
-                    *line,
-                    "wal-coverage",
-                    format!(
+                out.push(Finding {
+                    path: def_path.clone(),
+                    line: *line,
+                    rule: "wal-coverage",
+                    message: format!(
                         "`WalRecord::{variant}` is never constructed — the decision it \
                          represents is not being logged, so recovery cannot reapply it"
                     ),
-                ));
+                });
             }
             if !replayed.contains(&variant.as_str()) {
-                out.push((
-                    def_path.clone(),
-                    *line,
-                    "wal-coverage",
-                    format!(
+                out.push(Finding {
+                    path: def_path.clone(),
+                    line: *line,
+                    rule: "wal-coverage",
+                    message: format!(
                         "`WalRecord::{variant}` has no replay arm — recovery would drop \
                          this logged decision on restart"
                     ),
-                ));
+                });
             }
         }
         for (path, f) in files {
             for line in &f.wal_wildcards {
-                out.push((
-                    path.clone(),
-                    *line,
-                    "wal-coverage",
-                    "`match` over `WalRecord` with a wildcard `_ =>` arm — a new variant \
-                     would be silently ignored here instead of failing to compile"
+                out.push(Finding {
+                    path: path.clone(),
+                    line: *line,
+                    rule: "wal-coverage",
+                    message: "`match` over `WalRecord` with a wildcard `_ =>` arm — a new \
+                              variant would be silently ignored here instead of failing to \
+                              compile"
                         .to_string(),
-                ));
+                });
             }
         }
     }
@@ -266,21 +263,20 @@ pub fn finalize(files: &[(String, Facts)]) -> Vec<ContractFinding> {
     for (path, f) in files {
         for (ty, line) in &f.rest_uses {
             if snapshot_types.contains(&ty.as_str()) {
-                out.push((
-                    path.clone(),
-                    *line,
-                    "snapshot-field-coverage",
-                    format!(
+                out.push(Finding {
+                    path: path.clone(),
+                    line: *line,
+                    rule: "snapshot-field-coverage",
+                    message: format!(
                         "`{ty} {{ .. }}` rest syntax on a snapshot-bundled struct — name \
                          every field so adding one forces this checkpoint/restore site to \
                          be updated"
                     ),
-                ));
+                });
             }
         }
     }
 
-    out.sort_by(|a, b| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)));
     out
 }
 
@@ -359,8 +355,8 @@ mod tests {
         let files = vec![("def.rs".to_string(), def), ("use.rs".to_string(), uses)];
         let out = finalize(&files);
         assert_eq!(out.len(), 1);
-        assert!(out[0].3.contains("Orphan"));
-        assert!(out[0].3.contains("never constructed"));
+        assert!(out[0].message.contains("Orphan"));
+        assert!(out[0].message.contains("never constructed"));
     }
 
     #[test]
@@ -373,7 +369,7 @@ mod tests {
         let files = vec![("a.rs".to_string(), a), ("b.rs".to_string(), b)];
         let out = finalize(&files);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].2, "snapshot-field-coverage");
-        assert!(out[0].3.contains("Cluster"));
+        assert_eq!(out[0].rule, "snapshot-field-coverage");
+        assert!(out[0].message.contains("Cluster"));
     }
 }

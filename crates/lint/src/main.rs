@@ -1,219 +1,66 @@
-//! `hta-lint` CLI: scan the workspace for determinism hazards.
+//! `hta-lint` CLI: scan the workspace for determinism-contract
+//! violations.
 //!
 //! ```text
-//! hta-lint [--root DIR] [--json] [--sarif FILE] [--deny] [--fix]
-//!          [--baseline FILE] [--write-baseline] [--cache FILE]
-//!          [--include-fixtures] [--list-rules]
+//! hta-lint [--root DIR]
 //! ```
 //!
-//! When a baseline file exists (default `<root>/.hta-lint-baseline`),
-//! `--deny` gates on findings *not* in the baseline, so an accepted
-//! inventory can be burned down without blocking CI. `--write-baseline`
-//! records the current findings as that inventory.
-//!
-//! Exit status: 0 clean (or findings without `--deny`), 1 new findings
-//! with `--deny`, 2 usage or I/O error.
+//! Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hta_lint::baseline::Baseline;
-use hta_lint::{findings_to_json, fix, sarif, scan_workspace_opts, ScanOptions, RULES};
+use hta_lint::{scan_workspace, RULES};
 
-fn usage() -> &'static str {
-    "usage: hta-lint [--root DIR] [--json] [--sarif FILE] [--deny] [--fix]\n\
-     \x20               [--baseline FILE] [--write-baseline] [--cache FILE]\n\
-     \x20               [--include-fixtures] [--list-rules]\n\
-     \n\
-     Scan the HTA workspace's Rust sources for determinism hazards.\n\
-     \n\
-     options:\n\
-       --root DIR          workspace root to scan (default: current directory)\n\
-       --json              emit findings as a JSON array on stdout\n\
-       --sarif FILE        also write findings as SARIF 2.1.0 to FILE\n\
-       --deny              exit 1 if any non-baselined finding is reported (CI mode)\n\
-       --fix               apply mechanical autofixes, then rescan\n\
-       --baseline FILE     baseline file (default: <root>/.hta-lint-baseline)\n\
-       --write-baseline    record current findings as the accepted baseline and exit\n\
-       --cache FILE        incremental cache: reuse per-file analyses by content hash\n\
-       --include-fixtures  also scan fixtures/ directories (engine self-tests)\n\
-       --list-rules        print the rule table and exit\n\
-       -h, --help          this message"
+fn usage() -> String {
+    let mut s = String::from(
+        "usage: hta-lint [--root DIR]\n\
+         \n\
+         Scan the HTA workspace's Rust sources (default root: the current\n\
+         directory) for the determinism contracts clippy cannot express.\n\
+         \n\
+         rules:\n",
+    );
+    for r in RULES {
+        s.push_str(&format!("  {:<32} {}\n", r.id, r.what));
+    }
+    s
 }
 
-struct Cli {
-    root: PathBuf,
-    json: bool,
-    sarif_path: Option<PathBuf>,
-    deny: bool,
-    fix: bool,
-    baseline_path: Option<PathBuf>,
-    write_baseline: bool,
-    cache_path: Option<PathBuf>,
-    include_fixtures: bool,
-    list_rules: bool,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        root: PathBuf::from("."),
-        json: false,
-        sarif_path: None,
-        deny: false,
-        fix: false,
-        baseline_path: None,
-        write_baseline: false,
-        cache_path: None,
-        include_fixtures: false,
-        list_rules: false,
-    };
+fn parse_args() -> Result<PathBuf, String> {
+    let mut root = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--root" => cli.root = PathBuf::from(value(&mut args, "--root")?),
-            "--json" => cli.json = true,
-            "--sarif" => cli.sarif_path = Some(PathBuf::from(value(&mut args, "--sarif")?)),
-            "--deny" => cli.deny = true,
-            "--fix" => cli.fix = true,
-            "--baseline" => {
-                cli.baseline_path = Some(PathBuf::from(value(&mut args, "--baseline")?))
-            }
-            "--write-baseline" => cli.write_baseline = true,
-            "--cache" => cli.cache_path = Some(PathBuf::from(value(&mut args, "--cache")?)),
-            "--include-fixtures" => cli.include_fixtures = true,
-            "--list-rules" => cli.list_rules = true,
-            "-h" | "--help" => return Err(String::new()),
+            "--root" => root = args.next().ok_or("--root needs a value")?.into(),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(cli)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(cli) => cli,
-        Err(msg) if msg.is_empty() => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
+    let root = match parse_args() {
+        Ok(root) => root,
         Err(msg) => {
             eprintln!("{msg}\n{}", usage());
             return ExitCode::from(2);
         }
     };
-
-    if cli.list_rules {
-        for r in RULES {
-            println!("{:<24} {}", r.id, r.what);
-            println!("{:<24}   fix: {}", "", r.hint);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let opts = ScanOptions {
-        include_fixtures: cli.include_fixtures,
-        cache_path: cli.cache_path.clone(),
-    };
-    let mut scan = match scan_workspace_opts(&cli.root, &opts) {
-        Ok(s) => s,
+    let (findings, files) = match scan_workspace(&root) {
+        Ok(scan) => scan,
         Err(e) => {
-            eprintln!("hta-lint: cannot scan {}: {e}", cli.root.display());
+            eprintln!("hta-lint: cannot scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if cli.fix {
-        match fix::fix_workspace(&cli.root, &scan) {
-            Ok(outcome) if outcome.edits > 0 => {
-                eprintln!(
-                    "hta-lint: applied {} fix(es) in {} file(s)",
-                    outcome.edits, outcome.files_changed
-                );
-                // Rescan: fixed files miss the cache by content hash.
-                scan = match scan_workspace_opts(&cli.root, &opts) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("hta-lint: rescan after --fix failed: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("hta-lint: --fix failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    let baseline_path = cli
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| cli.root.join(".hta-lint-baseline"));
-
-    if cli.write_baseline {
-        let b = Baseline::from_scan(&scan.findings, &scan.files);
-        if let Err(e) = b.save(&baseline_path) {
-            eprintln!("hta-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "hta-lint: wrote baseline with {} entr(ies) to {}",
-            b.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Findings gating `--deny`: everything, minus the baseline.
-    let (effective, baselined, resolved) = match Baseline::load(&baseline_path) {
-        Some(b) => {
-            let (new, matched, resolved) = b.diff(&scan.findings, &scan.files);
-            (new, matched, resolved)
-        }
-        None => (scan.findings.clone(), 0, 0),
-    };
-
-    if let Some(sarif_path) = &cli.sarif_path {
-        // SARIF carries the *full* picture (baselined findings too);
-        // consumers do their own triage.
-        if let Err(e) = std::fs::write(sarif_path, sarif::to_sarif(&scan.findings)) {
-            eprintln!("hta-lint: cannot write {}: {e}", sarif_path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if cli.json {
-        println!("{}", findings_to_json(&effective));
-    } else {
-        for f in &effective {
-            println!("{f}");
-        }
-        let mut summary = format!(
-            "hta-lint: {} finding(s) in {} file(s)",
-            effective.len(),
-            scan.files.len()
-        );
-        if baselined > 0 {
-            summary.push_str(&format!(", {baselined} baselined"));
-        }
-        if resolved > 0 {
-            summary.push_str(&format!(
-                ", {resolved} baseline entr(ies) resolved — run --write-baseline to shrink it"
-            ));
-        }
-        if scan.cache_hits > 0 {
-            summary.push_str(&format!(", {} cache hit(s)", scan.cache_hits));
-        }
-        eprintln!("{summary}");
-    }
-
-    if cli.deny && !effective.is_empty() {
-        ExitCode::FAILURE
-    } else {
+    eprintln!("hta-lint: {} finding(s) in {files} file(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

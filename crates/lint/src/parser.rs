@@ -10,8 +10,8 @@
 //! * **Function definitions** — name, parameter names/types, return
 //!   type and body extent, for the `effect-purity` and `salt-flow`
 //!   rules.
-//! * **Struct and enum definitions** — field and variant lists, for the
-//!   `snapshot-field-coverage` and `wal-coverage` contract rules.
+//! * **Enum definitions** — variant lists, for the `wal-coverage`
+//!   contract rule.
 //! * **`impl SnapshotState for X` / `impl X` blocks** — which types are
 //!   snapshot-bundled, and what `Self { … }` resolves to.
 //!
@@ -49,26 +49,11 @@ pub struct FnDef {
     pub in_test: bool,
 }
 
-/// A struct definition with named fields.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-    /// (field name, normalized type text, 1-based line).
-    pub fields: Vec<(String, String, usize)>,
-    /// True when inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-}
-
 /// An enum definition.
 #[derive(Debug, Clone)]
 pub struct EnumDef {
     /// Enum name.
     pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
     /// (variant name, 1-based line).
     pub variants: Vec<(String, usize)>,
     /// True when inside a `#[cfg(test)]` region.
@@ -80,8 +65,6 @@ pub struct EnumDef {
 pub struct Structure {
     /// Every function definition, impl methods included.
     pub fns: Vec<FnDef>,
-    /// Every struct definition with named fields.
-    pub structs: Vec<StructDef>,
     /// Every enum definition.
     pub enums: Vec<EnumDef>,
     /// Type names with an `impl SnapshotState for X` in this file
@@ -275,16 +258,8 @@ impl<'a> Parser<'a> {
                     i = self.parse_fn(i, in_test || pending_test, st);
                     pending_test = false;
                 }
-                "struct" => {
-                    i = self.parse_struct(i, in_test || pending_test, st);
-                    pending_test = false;
-                }
                 "enum" => {
                     i = self.parse_enum(i, in_test || pending_test, st);
-                    pending_test = false;
-                }
-                "union" => {
-                    i = self.skip_item(i + 1);
                     pending_test = false;
                 }
                 "impl" => {
@@ -302,7 +277,7 @@ impl<'a> Parser<'a> {
                     if self.punct(k, '{') {
                         let close = self.skip_group(k);
                         if item_test {
-                            self.mark_test(i, close, st);
+                            self.mark_test_span(i, close, st);
                         }
                         self.items(k + 1, close - 1, item_test, st);
                         i = close;
@@ -312,8 +287,8 @@ impl<'a> Parser<'a> {
                 }
                 "}" => return,
                 _ => {
-                    // Unrecognized item (use, static, const item, macro
-                    // invocation, let in a body, expression…): skip to
+                    // Unrecognized item (struct, use, static, const item,
+                    // macro invocation, let in a body, expression…): skip to
                     // the next `;` at depth 0 or over one brace group.
                     let item_test = in_test || pending_test;
                     let start = i;
@@ -365,10 +340,6 @@ impl<'a> Parser<'a> {
             }
         }
         false
-    }
-
-    fn mark_test(&self, start_sig: usize, end_sig: usize, st: &mut Structure) {
-        self.mark_test_span(start_sig, end_sig, st);
     }
 
     fn mark_test_span(&self, start_sig: usize, end_sig: usize, st: &mut Structure) {
@@ -563,99 +534,8 @@ impl<'a> Parser<'a> {
         params
     }
 
-    fn parse_struct(&self, kw: usize, in_test: bool, st: &mut Structure) -> usize {
-        let name = self.text(kw + 1).to_string();
-        let line = self.tok(kw).map_or(0, |t| t.line);
-        let mut k = kw + 2;
-        if self.punct(k, '<') {
-            k = self.skip_generics(k);
-        }
-        // Skip a where clause before the body.
-        while self.tok(k).is_some()
-            && !self.punct(k, '{')
-            && !self.punct(k, ';')
-            && !self.punct(k, '(')
-        {
-            k += 1;
-        }
-        if self.punct(k, '(') {
-            // Tuple struct: skip to trailing `;`.
-            let close = self.skip_group(k);
-            let end = if self.punct(close, ';') {
-                close + 1
-            } else {
-                close
-            };
-            if in_test {
-                self.mark_test_span(kw, end, st);
-            }
-            return end;
-        }
-        if !self.punct(k, '{') {
-            // Unit struct `struct X;`.
-            let end = k + 1;
-            if in_test {
-                self.mark_test_span(kw, end, st);
-            }
-            return end;
-        }
-        let close = self.skip_group(k);
-        let mut fields = Vec::new();
-        let mut j = k + 1;
-        while j < close - 1 {
-            // Skip attributes and visibility on the field.
-            if self.punct(j, '#') {
-                let open = if self.punct(j + 1, '[') { j + 1 } else { j + 2 };
-                j = self.skip_group(open);
-                continue;
-            }
-            if self.ident(j, "pub") {
-                j += 1;
-                if self.punct(j, '(') {
-                    j = self.skip_group(j);
-                }
-                continue;
-            }
-            // Expect `name : type ,`.
-            if self.tok(j).is_some_and(|t| t.kind == TokKind::Ident) && self.punct(j + 1, ':') {
-                let fname = self.text(j).to_string();
-                let fline = self.tok(j).map_or(0, |t| t.line);
-                let mut e = j + 2;
-                while e < close - 1 {
-                    if self.punct(e, '(') || self.punct(e, '[') || self.punct(e, '{') {
-                        e = self.skip_group(e);
-                        continue;
-                    }
-                    if self.punct(e, '<') {
-                        e = self.skip_generics(e);
-                        continue;
-                    }
-                    if self.punct(e, ',') {
-                        break;
-                    }
-                    e += 1;
-                }
-                fields.push((fname, self.span_text(j + 2, e.min(close - 1)), fline));
-                j = e + 1;
-            } else {
-                j += 1;
-            }
-        }
-        if in_test {
-            self.mark_test_span(kw, close, st);
-        }
-        st.structs.push(StructDef {
-            name,
-            line,
-            fields,
-            in_test,
-        });
-        close
-    }
-
     fn parse_enum(&self, kw: usize, in_test: bool, st: &mut Structure) -> usize {
         let name = self.text(kw + 1).to_string();
-        let line = self.tok(kw).map_or(0, |t| t.line);
         let mut k = kw + 2;
         if self.punct(k, '<') {
             k = self.skip_generics(k);
@@ -696,7 +576,6 @@ impl<'a> Parser<'a> {
         }
         st.enums.push(EnumDef {
             name,
-            line,
             variants,
             in_test,
         });
@@ -837,15 +716,12 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_enum_variants() {
+    fn structs_are_skipped_and_enum_variants_parsed() {
         let src = "pub struct S<T> { pub a: BTreeMap<u32, T>, b: Vec<(u8, u8)>, }\n\
+                   struct P(u8);\nstruct U;\n\
                    enum E { A, B { x: u8 }, C(u32), }\n";
         let st = parse(src);
-        let s = &st.structs[0];
-        assert_eq!(s.name, "S");
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[0].0, "a");
-        assert!(s.fields[0].1.contains("BTreeMap"));
+        assert_eq!(st.enums.len(), 1);
         let e = &st.enums[0];
         assert_eq!(e.name, "E");
         let names: Vec<&str> = e.variants.iter().map(|(n, _)| n.as_str()).collect();
