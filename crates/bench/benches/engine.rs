@@ -46,10 +46,13 @@ fn bench_link(c: &mut Criterion) {
                     link.add_flow(SimTime::ZERO, FlowId(i as u64), 100.0 + i as f64);
                 }
                 let mut now = SimTime::ZERO;
+                let mut done = Vec::new();
                 while let Some(d) = link.next_completion_delay() {
                     now += d;
                     link.advance(now);
-                    black_box(link.take_completed());
+                    done.clear();
+                    link.take_completed(&mut done);
+                    black_box(&done);
                 }
                 black_box(link.active_flows())
             });

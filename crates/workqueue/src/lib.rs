@@ -77,6 +77,7 @@ pub mod link;
 pub mod master;
 pub mod proto;
 pub mod task;
+mod task_table;
 pub mod worker;
 
 pub use file::{FileCatalog, FileSpec};

@@ -129,22 +129,22 @@ impl FairShareLink {
         self.generation
     }
 
-    /// Remove and return every flow whose residual is (numerically) zero.
-    /// Bumps the generation when any complete.
-    pub fn take_completed(&mut self) -> Vec<FlowId> {
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, r)| **r <= COMPLETE_EPS_MB)
-            .map(|(id, _)| *id)
-            .collect();
-        if !done.is_empty() {
-            for id in &done {
-                self.flows.remove(id);
+    /// Remove every flow whose residual is (numerically) zero, appending
+    /// their ids to `done` in ascending order. Bumps the generation when
+    /// any complete. The caller owns `done`, so a recycled buffer makes
+    /// the per-wake path allocation-free.
+    pub fn take_completed(&mut self, done: &mut Vec<FlowId>) {
+        let before = done.len();
+        self.flows.retain(|id, r| {
+            let complete = *r <= COMPLETE_EPS_MB;
+            if complete {
+                done.push(*id);
             }
+            !complete
+        });
+        if done.len() > before {
             self.generation += 1;
         }
-        done
     }
 
     /// Delay (from the last advance point) until the next flow completes.
@@ -177,6 +177,12 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn completed(link: &mut FairShareLink) -> Vec<FlowId> {
+        let mut done = Vec::new();
+        link.take_completed(&mut done);
+        done
+    }
+
     #[test]
     fn single_flow_gets_full_capacity() {
         let mut link = FairShareLink::new(100.0, 0.0);
@@ -185,7 +191,7 @@ mod tests {
         let d = link.next_completion_delay().unwrap();
         assert!((d.as_secs_f64() - 10.0).abs() < 0.01, "{d:?}");
         link.advance(t(0) + d);
-        assert_eq!(link.take_completed(), vec![FlowId(1)]);
+        assert_eq!(completed(&mut link), vec![FlowId(1)]);
         assert_eq!(link.active_flows(), 0);
     }
 
@@ -214,7 +220,7 @@ mod tests {
         // Both now drain at 50 MB/s; flow1 (50MB) and flow2 (50MB) finish
         // together 1 s later.
         link.advance(t(1500));
-        let done = link.take_completed();
+        let done = completed(&mut link);
         assert_eq!(done.len(), 2);
     }
 
@@ -281,7 +287,7 @@ mod tests {
         let mut link = FairShareLink::new(100.0, 0.0);
         link.advance(t(0));
         link.add_flow(t(0), FlowId(1), 0.0);
-        assert_eq!(link.take_completed(), vec![FlowId(1)]);
+        assert_eq!(completed(&mut link), vec![FlowId(1)]);
     }
 
     #[test]
@@ -292,7 +298,7 @@ mod tests {
         let d = link.next_completion_delay().unwrap();
         assert!(d.as_millis() >= 334);
         link.advance(t(0) + d);
-        assert_eq!(link.take_completed(), vec![FlowId(1)]);
+        assert_eq!(completed(&mut link), vec![FlowId(1)]);
     }
 
     #[test]

@@ -51,6 +51,7 @@ use crate::ids::{FileId, FlowId, TaskId, WorkerId};
 use crate::link::FairShareLink;
 use crate::proto::ControlMsg;
 use crate::task::{Measured, Speculative, TaskRecord, TaskSpec, TaskState};
+use crate::task_table::TaskTable;
 use crate::worker::{Worker, WorkerState};
 
 /// Events the master schedules for itself.
@@ -433,7 +434,7 @@ impl DispatchGate {
 pub struct Master {
     catalog: FileCatalog,
     interner: Interner,
-    tasks: BTreeMap<TaskId, TaskRecord>,
+    tasks: TaskTable,
     waiting: VecDeque<TaskId>,
     /// Live (active or draining) workers only: a worker is dropped the
     /// moment it stops (see [`Master::refresh_worker_snap`]), so every
@@ -494,6 +495,8 @@ pub struct Master {
     dispatch_scratch: VecDeque<TaskId>,
     /// Recycled input-file buffer for [`Master::dispatch`].
     input_scratch: Vec<FileId>,
+    /// Recycled completed-flow buffer for the link wake-ups.
+    flow_scratch: Vec<FlowId>,
     /// Memoised [`Master::mean_worker_utilization`] result, cleared by
     /// every mutating entry point. The metrics sampler reads the mean
     /// several times per (usually event-free) sampling interval; the
@@ -556,7 +559,7 @@ impl Master {
         Master {
             catalog,
             interner: Interner::new(),
-            tasks: BTreeMap::new(),
+            tasks: TaskTable::new(),
             waiting: VecDeque::new(),
             workers: BTreeMap::new(),
             gate: DispatchGate::default(),
@@ -584,6 +587,7 @@ impl Master {
             waiting_demand: Vec::new(),
             dispatch_scratch: VecDeque::new(),
             input_scratch: Vec::new(),
+            flow_scratch: Vec::new(),
             mwu_cache: std::cell::Cell::new(None),
             net: NetChannel::new(cfg.net),
             net_seq: 0,
@@ -951,6 +955,8 @@ impl Master {
     ///   whose record says `Waiting`, with no duplicates.
     /// * **Non-negative free resources** — no worker pool is
     ///   over-allocated.
+    /// * **Task table** — its record counter equals a recount of the
+    ///   occupied slots, and its window stays trimmed and bounded.
     /// * **Bounded worker state** — no stopped worker is retained, so
     ///   the worker table is exactly the live set.
     /// * **Incremental dispatch gate** — equals a fresh scan of the
@@ -961,6 +967,7 @@ impl Master {
         if !hta_des::sanitize::ACTIVE {
             return;
         }
+        self.tasks.assert_consistent();
         let mut waiting = 0usize;
         let mut on_worker = 0usize;
         let mut complete = 0usize;
@@ -1112,8 +1119,10 @@ impl Master {
                     return; // stale wake-up
                 }
                 self.peer_link.advance(now);
-                let done = self.peer_link.take_completed();
-                self.process_completed_flows(now, done, fx);
+                let mut done = std::mem::take(&mut self.flow_scratch);
+                self.peer_link.take_completed(&mut done);
+                self.process_completed_flows(now, &mut done, fx);
+                self.flow_scratch = done;
                 self.dispatch(now, fx);
                 self.arm_peer_wake(fx);
             }
@@ -1580,21 +1589,23 @@ impl Master {
 
     fn link_progress(&mut self, now: SimTime, fx: &mut EffectSink<WqEvent>) {
         self.link.advance(now);
-        let done = self.link.take_completed();
-        self.process_completed_flows(now, done, fx);
+        let mut done = std::mem::take(&mut self.flow_scratch);
+        self.link.take_completed(&mut done);
+        self.process_completed_flows(now, &mut done, fx);
+        self.flow_scratch = done;
         self.dispatch(now, fx);
         self.arm_link_wake(fx);
     }
 
     /// Resolve a batch of completed staging/returning flows (from either
-    /// link).
+    /// link), leaving `done` empty for reuse.
     fn process_completed_flows(
         &mut self,
         now: SimTime,
-        done: Vec<FlowId>,
+        done: &mut Vec<FlowId>,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        for flow in done {
+        for flow in done.drain(..) {
             let Some(purpose) = self.flows.remove(&flow) else {
                 continue;
             };
@@ -2803,6 +2814,42 @@ mod tests {
         // Same completion set ⇒ same order-insensitive digest.
         assert_eq!(retiring.completed_digest(), plain.completed_digest());
         assert_eq!(retiring.category_summary(), plain.category_summary());
+    }
+
+    #[test]
+    fn a_failed_record_does_not_widen_the_task_table() {
+        // Under retirement a permanently failed record stays (it feeds
+        // the run's task spans) while every later task retires. The
+        // table must stay sized by its live records, not by the id range
+        // the failed record pins open.
+        let (cat, db) = catalog_with_db();
+        let cfg = MasterConfig {
+            retire_completed: true,
+            ..link_cfg()
+        };
+        let mut m = Master::new(cfg, cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let decl = Some(Resources::cores(1, 2_000, 2_000));
+        m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
+        m.recover_failed(SimTime::ZERO, TaskId(0));
+        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        run(&mut m, &mut q, &mut fx, 10);
+        let mut widest = 0;
+        for i in 1..=10_000u64 {
+            m.submit(q.now(), cpu_task(i, db, decl), &mut fx);
+            run(&mut m, &mut q, &mut fx, 100);
+            assert_eq!(
+                m.completed_count() as u64,
+                i,
+                "task {i} completes before the next submission"
+            );
+            widest = widest.max(m.tasks.slot_count());
+        }
+        assert!(widest <= 100, "task table grew to {widest} slots");
+        assert_eq!(m.tasks.len(), 1, "only the failed record is retained");
+        assert_eq!(m.task(TaskId(0)).map(|r| r.state), Some(TaskState::Failed));
+        m.assert_invariants();
     }
 
     #[test]

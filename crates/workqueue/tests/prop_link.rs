@@ -20,18 +20,18 @@ proptest! {
             link.add_flow(SimTime::ZERO, FlowId(i as u64), *mb);
         }
         let mut now = SimTime::ZERO;
-        let mut completed = 0usize;
+        let mut done = Vec::new();
         for _ in 0..10_000 {
             match link.next_completion_delay() {
                 Some(d) => {
                     now += d;
                     link.advance(now);
-                    completed += link.take_completed().len();
+                    link.take_completed(&mut done);
                 }
                 None => break,
             }
         }
-        prop_assert_eq!(completed, sizes.len());
+        prop_assert_eq!(done.len(), sizes.len());
         prop_assert_eq!(link.active_flows(), 0);
         // Total time must be at least total_bytes / best_aggregate.
         let total_mb: f64 = sizes.iter().sum();
