@@ -9,22 +9,21 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hta_bench::{
-    ablation_run, fig10_run, fig11_run, fig2_run, fig4_run, fig6_measurements, Ablation,
-    Fig4Config, PolicyKind,
+    ablation_run, fig10, fig11, fig2, fig4, fig6_measurements, Ablation, Fig4Config, PolicyKind,
 };
 
 fn bench_fig2(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2");
     g.bench_function("hpa50_blast200", |b| {
         b.iter(|| {
-            black_box(fig2_run(PolicyKind::Hpa(0.50), 42))
+            black_box(fig2(PolicyKind::Hpa(0.50), 42).run(None))
                 .summary
                 .runtime_s
         })
     });
     g.bench_function("ideal_blast200", |b| {
         b.iter(|| {
-            black_box(fig2_run(PolicyKind::Fixed(60), 42))
+            black_box(fig2(PolicyKind::Fixed(60), 42).run(None))
                 .summary
                 .runtime_s
         })
@@ -40,7 +39,7 @@ fn bench_fig4(c: &mut Criterion) {
         ("coarse_known", Fig4Config::CoarseKnown),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| black_box(fig4_run(cfg, 42)).summary.runtime_s)
+            b.iter(|| black_box(fig4(cfg, 42).run(None)).summary.runtime_s)
         });
     }
     g.finish();
@@ -57,7 +56,7 @@ fn bench_fig10(c: &mut Criterion) {
     g.sample_size(10);
     for (name, kind) in [("hpa20", PolicyKind::Hpa(0.20)), ("hta", PolicyKind::Hta)] {
         g.bench_function(name, |b| {
-            b.iter(|| black_box(fig10_run(kind, 42)).summary.runtime_s)
+            b.iter(|| black_box(fig10(kind, 42).run(None)).summary.runtime_s)
         });
     }
     g.finish();
@@ -68,7 +67,7 @@ fn bench_fig11(c: &mut Criterion) {
     g.sample_size(10);
     for (name, kind) in [("hpa20", PolicyKind::Hpa(0.20)), ("hta", PolicyKind::Hta)] {
         g.bench_function(name, |b| {
-            b.iter(|| black_box(fig11_run(kind, 42)).summary.runtime_s)
+            b.iter(|| black_box(fig11(kind, 42).run(None)).summary.runtime_s)
         });
     }
     g.finish();

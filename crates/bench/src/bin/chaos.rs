@@ -14,15 +14,19 @@
 //! kind, wasted core·s, crash-recovery work and the completion guarantee.
 //! Everything draws from the seeded plan, so the table is reproducible.
 
-use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
-use hta_core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta_core::{FaultPlan, OperatorConfig};
+use hta_bench::{paper, PolicyKind};
+use hta_core::driver::RunResult;
+use hta_core::FaultPlan;
 use hta_des::Duration;
 use hta_makeflow::Workflow;
 use hta_workloads::{blast_multistage, MultistageParams};
 use rayon::prelude::*;
 
-const POLICIES: [&str; 3] = ["hta", "hpa20", "fixed"];
+const POLICIES: [(&str, PolicyKind); 3] = [
+    ("hta", PolicyKind::Hta),
+    ("hpa20", PolicyKind::Hpa(0.20)),
+    ("fixed", PolicyKind::Fixed(20)),
+];
 const LEVELS: [&str; 3] = ["none", "light", "heavy"];
 
 fn plan(level: &str, seed: u64) -> FaultPlan {
@@ -45,23 +49,10 @@ fn workload(tasks: usize, declared: bool) -> Workflow {
     blast_multistage(&if declared { p.declared() } else { p })
 }
 
-fn run(policy: &str, level: &str, tasks: usize, seed: u64) -> RunResult {
-    let (pol, hta): (Box<dyn ScalingPolicy>, bool) = match policy {
-        "hta" => (Box::new(HtaPolicy::new(HtaConfig::default())), true),
-        "hpa20" => (Box::new(HpaPolicy::new(0.20, 3, 20)), false),
-        _ => (Box::new(FixedPolicy::new(20)), false),
-    };
-    let cfg = DriverConfig {
-        operator: OperatorConfig {
-            warmup: hta,
-            trust_declared: !hta,
-            learn: true,
-            seed,
-        },
-        faults: plan(level, seed),
-        ..DriverConfig::default()
-    };
-    SystemDriver::new(cfg, workload(tasks, !hta), pol).run()
+fn run(kind: PolicyKind, level: &str, tasks: usize, seed: u64) -> RunResult {
+    let mut s = paper(kind, seed, |declared| workload(tasks, declared));
+    s.cfg.faults = plan(level, seed);
+    s.run(None)
 }
 
 fn main() {
@@ -75,7 +66,7 @@ fn main() {
         .collect();
     let results: Vec<((usize, usize), RunResult)> = cells
         .par_iter()
-        .map(|&(p, l)| ((p, l), run(POLICIES[p], LEVELS[l], tasks, seed)))
+        .map(|&(p, l)| ((p, l), run(POLICIES[p].1, LEVELS[l], tasks, seed)))
         .collect();
 
     println!(
@@ -98,7 +89,7 @@ fn main() {
         "part_s",
         "complete"
     );
-    for (p, policy) in POLICIES.iter().enumerate() {
+    for (p, (policy, _)) in POLICIES.iter().enumerate() {
         let baseline = results
             .iter()
             .find(|((pp, ll), _)| *pp == p && *ll == 0)

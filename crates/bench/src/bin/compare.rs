@@ -6,9 +6,8 @@
 //!   size:     task count / scale knob             (default: workload-specific)
 //! ```
 
-use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
-use hta_core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta_core::{OperatorConfig, OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy};
+use hta_bench::{paper, PolicyKind};
+use hta_core::driver::RunResult;
 use hta_des::Duration;
 use hta_makeflow::Workflow;
 use hta_resources::Resources;
@@ -50,32 +49,19 @@ fn workload(kind: &str, size: usize, declared: bool) -> Workflow {
     }
 }
 
-fn run(kind: &str, size: usize, which: usize) -> (String, RunResult) {
-    // Build the policy inside the worker so trait objects need not be Send.
-    let declared_wf = workload(kind, size, true);
-    let (policy, hta): (Box<dyn ScalingPolicy>, bool) = match which {
-        0 => (Box::new(HtaPolicy::new(HtaConfig::default())), true),
-        1 => (Box::new(HpaPolicy::new(0.20, 3, 20)), false),
-        2 => (Box::new(HpaPolicy::new(0.50, 3, 20)), false),
-        3 => (Box::new(FixedPolicy::new(20)), false),
-        4 => (
-            Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
-            false,
-        ),
-        _ => (Box::new(OraclePolicy::from_workflow(&declared_wf)), false),
-    };
-    let cfg = DriverConfig {
-        operator: OperatorConfig {
-            warmup: hta,
-            trust_declared: !hta,
-            learn: true,
-            seed: 13,
-        },
-        ..DriverConfig::default()
-    };
-    let wf = workload(kind, size, !hta);
-    let label = policy.name();
-    (label, SystemDriver::new(cfg, wf, policy).run())
+/// Every built-in policy; HTA first (the summary line compares it).
+const POLICIES: [PolicyKind; 6] = [
+    PolicyKind::Hta,
+    PolicyKind::Hpa(0.20),
+    PolicyKind::Hpa(0.50),
+    PolicyKind::Fixed(20),
+    PolicyKind::Tracking,
+    PolicyKind::Oracle,
+];
+
+fn run(kind: &str, size: usize, policy: PolicyKind) -> (String, RunResult) {
+    let r = paper(policy, 13, |declared| workload(kind, size, declared)).run(None);
+    (r.label.clone(), r)
 }
 
 fn main() {
@@ -97,11 +83,8 @@ fn main() {
         .unwrap_or(default_size);
     println!("workload: {kind} (size {size}) — all policies, 20-worker quota\n");
 
-    let results: Vec<(String, RunResult)> = (0..6usize)
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|&i| run(&kind, size, i))
-        .collect();
+    let results: Vec<(String, RunResult)> =
+        POLICIES.par_iter().map(|&p| run(&kind, size, p)).collect();
 
     println!(
         "{:<26} {:>10} {:>14} {:>16} {:>7} {:>6}",

@@ -15,7 +15,7 @@
 //! 12.5–16.6 % runtime cost.
 
 use hta_bench::results::{default_dir, save, FigureResult};
-use hta_bench::{fig10_run, fig10_workload, print_series_chart, PolicyKind, ReportTable};
+use hta_bench::{fig10, fig10_workload, print_series_chart, PolicyKind, ReportTable};
 use rayon::prelude::*;
 
 fn main() {
@@ -76,7 +76,7 @@ fn main() {
         .collect();
     let runs: Vec<_> = jobs
         .par_iter()
-        .map(|&(kind, seed)| fig10_run(kind, seed))
+        .map(|&(kind, seed)| fig10(kind, seed).run(None))
         .collect();
     let mut results = Vec::new();
     for ((label, _, (p_rt, p_w, p_s)), r) in configs.iter().zip(runs) {

@@ -13,7 +13,7 @@
 //! Headline claim: HTA shortens execution time up to 3.66×.
 
 use hta_bench::results::{default_dir, save, FigureResult};
-use hta_bench::{fig11_run, print_series_chart, PolicyKind, ReportTable};
+use hta_bench::{fig11, print_series_chart, PolicyKind, ReportTable};
 use rayon::prelude::*;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
         .collect();
     let runs: Vec<_> = jobs
         .par_iter()
-        .map(|&(kind, seed)| fig11_run(kind, seed))
+        .map(|&(kind, seed)| fig11(kind, seed).run(None))
         .collect();
     let mut results = Vec::new();
     for ((label, _, (p_rt, p_w, p_s)), r) in configs.iter().zip(runs) {

@@ -8,7 +8,7 @@
 //! 65.2 %, and Config-99 never scaling up.
 
 use hta_bench::results::{default_dir, save, FigureResult};
-use hta_bench::{fig2_run, print_series_chart, PolicyKind, ReportTable};
+use hta_bench::{fig2, print_series_chart, PolicyKind, ReportTable};
 use hta_metrics::AsciiChart;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     );
 
     for (i, (label, kind, paper)) in configs.iter().enumerate() {
-        let r = fig2_run(*kind, 42 + i as u64);
+        let r = fig2(*kind, 42 + i as u64).run(None);
         let (paper_rt, paper_cpu) = paper.expect("every fig2 config carries paper numbers");
         let measured = vec![
             r.summary.runtime_s,

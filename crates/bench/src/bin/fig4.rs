@@ -12,7 +12,7 @@
 //!     parallel tasks each — paper: 330 s, 466.173 MB/s, 85.73 % CPU.
 
 use hta_bench::results::{default_dir, save, FigureResult};
-use hta_bench::{fig4_run, Fig4Config, ReportTable};
+use hta_bench::{fig4, Fig4Config, ReportTable};
 use hta_metrics::TimeSeries;
 
 /// Mean of a series over the samples where it is positive — the paper's
@@ -71,7 +71,7 @@ fn main() {
     );
 
     for (i, (label, cfg, (p_rt, p_bw, p_cpu))) in configs.iter().enumerate() {
-        let r = fig4_run(*cfg, 42 + i as u64);
+        let r = fig4(*cfg, 42 + i as u64).run(None);
         let bw = mean_while_active(&r.recorder.egress_mbps);
         let measured = vec![
             r.summary.runtime_s,

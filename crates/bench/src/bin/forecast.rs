@@ -16,11 +16,9 @@
 //! injected faults; the table quantifies what that buys (and what it
 //! costs in decision overhead, reported as forked-branch event counts).
 
-use hta_bench::{
-    fig10_run, fig10_run_faulted, fig11_run, fig11_run_faulted, PolicyKind, ReportTable,
-};
-use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
-use hta_core::{FaultPlan, OperatorConfig};
+use hta_bench::{fig10, fig11, paper, PolicyKind, ReportTable};
+use hta_core::driver::RunResult;
+use hta_core::FaultPlan;
 use hta_forecast::{MpcConfig, MpcPolicy};
 use hta_workloads::{blast_multistage, MultistageParams};
 use rayon::prelude::*;
@@ -71,27 +69,20 @@ fn quick(seed: u64) {
             ..MultistageParams::default()
         })
     };
-    let run = |mpc: bool| -> RunResult {
-        let cfg = DriverConfig {
-            operator: OperatorConfig {
-                warmup: true,
-                trust_declared: false,
-                learn: true,
-                seed,
-            },
-            ..DriverConfig::default()
-        };
-        let policy: Box<dyn hta_core::ScalingPolicy> = if mpc {
-            let mut mpc_cfg = MpcConfig::default();
-            mpc_cfg.forecast.ensemble = 1;
-            mpc_cfg.forecast.max_branches = 8;
-            Box::new(MpcPolicy::new(mpc_cfg))
-        } else {
-            Box::new(hta_core::HtaPolicy::new(Default::default()))
-        };
-        SystemDriver::new(cfg, workload(), policy).run()
+    let run = |kind: PolicyKind| -> RunResult {
+        let s = paper(kind, seed, |_| workload());
+        if kind != PolicyKind::Mpc {
+            return s.run(None);
+        }
+        let mut mpc_cfg = MpcConfig::default();
+        mpc_cfg.forecast.ensemble = 1;
+        mpc_cfg.forecast.max_branches = 8;
+        s.driver(Box::new(MpcPolicy::new(mpc_cfg))).run()
     };
-    let mut results: Vec<RunResult> = [true, false].par_iter().map(|&m| run(m)).collect();
+    let mut results: Vec<RunResult> = [PolicyKind::Mpc, PolicyKind::Hta]
+        .par_iter()
+        .map(|&k| run(k))
+        .collect();
     let hta = results.pop().expect("two runs");
     let mpc = results.pop().expect("two runs");
     assert!(!mpc.timed_out, "MPC run hit the simulation cut-off");
@@ -133,18 +124,17 @@ fn main() {
         .par_iter()
         .map(|&(w, level, p)| {
             let kind = POLICIES[p].1;
-            let plan = match level {
-                1 => Some(FaultPlan::light(seed)),
-                2 => Some(FaultPlan::heavy(seed)),
-                _ => None,
+            let mut s = if w == 0 {
+                fig10(kind, seed)
+            } else {
+                fig11(kind, seed)
             };
-            let r = match (w, plan) {
-                (0, None) => fig10_run(kind, seed),
-                (0, Some(plan)) => fig10_run_faulted(kind, seed, plan),
-                (_, None) => fig11_run(kind, seed),
-                (_, Some(plan)) => fig11_run_faulted(kind, seed, plan),
-            };
-            ((w, level, p), r)
+            match level {
+                1 => s.cfg.faults = FaultPlan::light(seed),
+                2 => s.cfg.faults = FaultPlan::heavy(seed),
+                _ => {}
+            }
+            ((w, level, p), s.run(None))
         })
         .collect();
 

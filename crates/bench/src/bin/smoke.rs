@@ -25,7 +25,7 @@ fn main() {
             ("fig4/coarse-unknown", Fig4Config::CoarseUnknown),
             ("fig4/coarse-known", Fig4Config::CoarseKnown),
         ] {
-            let r = fig4_run(cfg, 42);
+            let r = fig4(cfg, 42).run(None);
             show(tag, &r);
         }
     }
@@ -36,7 +36,7 @@ fn main() {
             ("fig2/hpa-99", PolicyKind::Hpa(0.99)),
             ("fig2/ideal", PolicyKind::Fixed(60)),
         ] {
-            let r = fig2_run(kind, 42);
+            let r = fig2(kind, 42).run(None);
             show(tag, &r);
         }
     }
@@ -46,7 +46,7 @@ fn main() {
             ("fig10/hpa-50", PolicyKind::Hpa(0.50)),
             ("fig10/hta", PolicyKind::Hta),
         ] {
-            let r = fig10_run(kind, 42);
+            let r = fig10(kind, 42).run(None);
             show(tag, &r);
         }
     }
@@ -56,7 +56,7 @@ fn main() {
             ("fig11/hpa-50", PolicyKind::Hpa(0.50)),
             ("fig11/hta", PolicyKind::Hta),
         ] {
-            let r = fig11_run(kind, 42);
+            let r = fig11(kind, 42).run(None);
             show(tag, &r);
         }
     }

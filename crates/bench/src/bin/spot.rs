@@ -8,9 +8,7 @@
 //! runtime/interruption penalty — against a naive cost model (spot ≈ 1/4
 //! of on-demand per core-hour, GCE's preemptible discount).
 
-use hta_bench::{fig10_driver, fig10_workload, PolicyKind};
-use hta_core::driver::SystemDriver;
-use hta_core::policy::{HtaConfig, HtaPolicy};
+use hta_bench::{fig10, PolicyKind};
 use hta_des::Duration;
 use hta_metrics::{bill, PriceBook, TimeSeries};
 use rayon::prelude::*;
@@ -31,13 +29,9 @@ fn main() {
     let results: Vec<_> = lifetimes
         .par_iter()
         .map(|mean_life| {
-            let mut cfg = fig10_driver(PolicyKind::Hta, 42);
-            cfg.cluster.preemption_mean_lifetime = mean_life.map(Duration::from_secs);
-            let policy = Box::new(HtaPolicy::new(HtaConfig::default()));
-            (
-                *mean_life,
-                SystemDriver::new(cfg, fig10_workload(false), policy).run(),
-            )
+            let mut s = fig10(PolicyKind::Hta, 42);
+            s.cfg.cluster.preemption_mean_lifetime = mean_life.map(Duration::from_secs);
+            (*mean_life, s.run(None))
         })
         .collect();
 

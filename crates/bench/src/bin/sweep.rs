@@ -5,55 +5,26 @@
 //! All configurations run in parallel (rayon) — each simulation is an
 //! independent deterministic event loop.
 
-use hta_bench::PolicyKind;
-use hta_cluster::ClusterConfig;
-use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
-use hta_core::policy::{HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta_core::OperatorConfig;
+use hta_bench::{paper, PolicyKind};
+use hta_core::driver::RunResult;
 use hta_des::Duration;
 use hta_resources::Resources;
 use hta_workloads::{blast_single_stage, BlastParams};
 use rayon::prelude::*;
 
-fn policy_for(kind: PolicyKind, max: usize) -> (Box<dyn ScalingPolicy>, bool) {
-    match kind {
-        PolicyKind::Hta => (
-            Box::new(HtaPolicy::new(HtaConfig::default())) as Box<dyn ScalingPolicy>,
-            true,
-        ),
-        PolicyKind::Hpa(t) => (Box::new(HpaPolicy::new(t, 3, max)), false),
-        PolicyKind::Fixed(_) | PolicyKind::Mpc => unreachable!("not used in sweeps"),
-    }
-}
-
 fn run_one(jobs: usize, wall_s: u64, init_sd_s: u64, kind: PolicyKind) -> RunResult {
-    let (policy, hta) = policy_for(kind, 20);
-    let cfg = DriverConfig {
-        cluster: ClusterConfig {
-            min_nodes: 3,
-            max_nodes: 20,
-            node_provision_sd: Duration::from_secs(init_sd_s),
-            seed: 42 ^ (jobs as u64) ^ (wall_s << 8) ^ (init_sd_s << 16),
-            ..ClusterConfig::default()
-        },
-        operator: OperatorConfig {
-            warmup: hta,
-            trust_declared: !hta,
-            learn: true,
-            seed: 9,
-        },
-        initial_workers: 3,
-        max_workers: 20,
-        ..DriverConfig::default()
-    };
-    let wf = blast_single_stage(&BlastParams {
-        jobs,
-        wall: Duration::from_secs(wall_s),
-        db_mb: 400.0,
-        declared: (!hta).then_some(Resources::cores(1, 3_000, 5_000)),
-        ..BlastParams::default()
+    let mut s = paper(kind, 9, |declared| {
+        blast_single_stage(&BlastParams {
+            jobs,
+            wall: Duration::from_secs(wall_s),
+            db_mb: 400.0,
+            declared: declared.then_some(Resources::cores(1, 3_000, 5_000)),
+            ..BlastParams::default()
+        })
     });
-    SystemDriver::new(cfg, wf, policy).run()
+    s.cfg.cluster.node_provision_sd = Duration::from_secs(init_sd_s);
+    s.cfg.cluster.seed = 42 ^ (jobs as u64) ^ (wall_s << 8) ^ (init_sd_s << 16);
+    s.run(None)
 }
 
 fn main() {

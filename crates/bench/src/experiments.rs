@@ -1,17 +1,29 @@
 //! Configuration of every evaluation setup in the paper.
 //!
-//! Each `figN_*` function builds the workload + driver configuration for
-//! one experimental configuration, so the figure binaries, integration
-//! tests and Criterion benches run exactly the same setups.
+//! This module is the one place that decides a run's [`DriverConfig`],
+//! workload and policy. Each builder returns a [`Scenario`] and states
+//! only where its setup differs from `DriverConfig::default()`, which is
+//! already the §VI evaluation cluster. The figure binaries, the perf
+//! harness, `hta-run` and the integration tests all run these values, so
+//! every run of a setup uses the same definition.
+//!
+//! [`PolicyKind`] is the one policy table: it parses every policy
+//! spelling, builds the policy, and [`PolicyKind::operator`] derives the
+//! operator mode a policy needs.
+
+use std::str::FromStr;
 
 use hta_cluster::{ClusterConfig, MachineType};
 use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
 use hta_core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta_core::OperatorConfig;
+use hta_core::{
+    ControlPlaneFaults, OperatorConfig, OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy,
+};
 use hta_des::{DigestConfig, Duration};
 use hta_forecast::{MpcConfig, MpcPolicy};
 use hta_makeflow::Workflow;
 use hta_resources::Resources;
+use hta_trace::ArrivalSource;
 use hta_workloads::{
     blast_multistage, blast_single_stage, iobound, BlastParams, IoBoundParams, MultistageParams,
 };
@@ -27,43 +39,179 @@ pub enum PolicyKind {
     Hpa(f64),
     /// A fixed pool of N workers.
     Fixed(usize),
+    /// Clairvoyant baseline that plans from the workflow's true task
+    /// footprints (workflow runs only).
+    Oracle,
+    /// Target tracking on CPU utilization with a cooldown.
+    Tracking,
     /// Model-predictive control over snapshot/fork what-if branches
     /// (`hta-forecast`, not in the paper).
     Mpc,
 }
 
+impl FromStr for PolicyKind {
+    type Err = String;
+
+    /// Parse `hta`, `hpa:<target%>` (a trailing `%` is allowed),
+    /// `fixed:<n>`, `oracle`, `tracking` or `mpc`.
+    fn from_str(spec: &str) -> Result<Self, String> {
+        if let Some(t) = spec.strip_prefix("hpa:") {
+            let pct: f64 = t
+                .trim_end_matches('%')
+                .parse()
+                .map_err(|e| format!("hpa: {e}"))?;
+            if !pct.is_finite() || pct < 0.0 {
+                return Err(format!("hpa: target {pct}% is not a CPU percentage"));
+            }
+            return Ok(PolicyKind::Hpa(pct / 100.0));
+        }
+        if let Some(n) = spec.strip_prefix("fixed:") {
+            let n = n.parse().map_err(|e| format!("fixed: {e}"))?;
+            return Ok(PolicyKind::Fixed(n));
+        }
+        match spec {
+            "hta" => Ok(PolicyKind::Hta),
+            "oracle" => Ok(PolicyKind::Oracle),
+            "tracking" => Ok(PolicyKind::Tracking),
+            "mpc" => Ok(PolicyKind::Mpc),
+            _ => Err(format!("unknown policy {spec:?}")),
+        }
+    }
+}
+
 impl PolicyKind {
-    /// Policies that run the HTA-style operator pipeline (warm-up
-    /// probing, learned categories, undeclared resources) rather than
-    /// trusting declared resources like the HPA/fixed baselines.
-    pub fn uses_warmup(self) -> bool {
-        matches!(self, PolicyKind::Hta | PolicyKind::Mpc)
+    /// The operator mode a run under this policy needs. On a workflow,
+    /// HTA and MPC run the HTA operator pipeline (warm-up probing,
+    /// learned categories, undeclared resources) and the baselines trust
+    /// declared resources. An open-loop trace has no workflow jobs to
+    /// probe and its generator declares every task's resources, so a
+    /// trace run trusts declared resources under every policy.
+    pub fn operator(self, trace: bool, seed: u64) -> OperatorConfig {
+        let probe = matches!(self, PolicyKind::Hta | PolicyKind::Mpc) && !trace;
+        OperatorConfig {
+            warmup: probe,
+            trust_declared: !probe,
+            learn: true,
+            seed,
+        }
+    }
+
+    /// A fresh policy for a run of `cfg`: HPA scales between the run's
+    /// initial and maximum worker counts, and the oracle plans from
+    /// `workflow`, so it fails on a trace run (no workflow).
+    pub fn build(
+        self,
+        cfg: &DriverConfig,
+        workflow: Option<&Workflow>,
+    ) -> Result<Box<dyn ScalingPolicy>, String> {
+        Ok(match self {
+            PolicyKind::Hta => Box::new(HtaPolicy::new(HtaConfig::default())),
+            PolicyKind::Hpa(target) => {
+                Box::new(HpaPolicy::new(target, cfg.initial_workers, cfg.max_workers))
+            }
+            PolicyKind::Fixed(n) => Box::new(FixedPolicy::new(n)),
+            PolicyKind::Oracle => {
+                let workflow = workflow
+                    .ok_or("oracle plans from the workflow DAG; an open-loop trace has none")?;
+                Box::new(OraclePolicy::from_workflow(workflow))
+            }
+            PolicyKind::Tracking => {
+                Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default()))
+            }
+            PolicyKind::Mpc => Box::new(MpcPolicy::new(MpcConfig::default())),
+        })
     }
 }
 
-fn make_policy(
-    kind: PolicyKind,
-    min_replicas: usize,
-    max_replicas: usize,
-) -> Box<dyn ScalingPolicy> {
-    match kind {
-        PolicyKind::Hta => Box::new(HtaPolicy::new(HtaConfig::default())),
-        PolicyKind::Hpa(target) => Box::new(HpaPolicy::new(target, min_replicas, max_replicas)),
-        PolicyKind::Fixed(n) => Box::new(FixedPolicy::new(n)),
-        PolicyKind::Mpc => Box::new(MpcPolicy::new(MpcConfig::default())),
+/// What a run executes.
+#[derive(Debug)]
+pub enum Input {
+    /// A workflow DAG.
+    Workflow(Workflow),
+    /// An open-loop arrival stream.
+    Trace(ArrivalSource),
+}
+
+/// One run's whole definition: driver configuration, input and policy.
+#[derive(Debug)]
+pub struct Scenario {
+    /// The driver configuration.
+    pub cfg: DriverConfig,
+    /// The workflow or arrival stream.
+    pub input: Input,
+    /// The autoscaler.
+    pub policy: PolicyKind,
+}
+
+impl Scenario {
+    /// A fresh instance of the scenario's policy. Fails only when the
+    /// policy cannot drive the input (the oracle on a trace).
+    pub fn build_policy(&self) -> Result<Box<dyn ScalingPolicy>, String> {
+        let workflow = match &self.input {
+            Input::Workflow(w) => Some(w),
+            Input::Trace(_) => None,
+        };
+        self.policy.build(&self.cfg, workflow)
+    }
+
+    /// The scenario's driver under `policy`: the scenario's own (see
+    /// [`Scenario::build_policy`]) or a variant of it.
+    pub fn driver(self, policy: Box<dyn ScalingPolicy>) -> SystemDriver {
+        match self.input {
+            Input::Workflow(w) => SystemDriver::new(self.cfg, w, policy),
+            Input::Trace(source) => SystemDriver::new_traced(self.cfg, source, policy),
+        }
+    }
+
+    /// Run the scenario under its own policy, recording an event-stream
+    /// digest when `digest` is given (`perf --paranoid`).
+    pub fn run(self, digest: Option<DigestConfig>) -> RunResult {
+        let policy = self
+            .build_policy()
+            .expect("a scenario's policy drives its input");
+        let driver = self.driver(policy);
+        match digest {
+            Some(d) => driver.with_digest(d).run(),
+            None => driver.run(),
+        }
     }
 }
 
-/// The paper's evaluation cluster (§VI): 20 × `n1-standard-4`, private
-/// registry, Kubernetes 1.13 semantics.
-fn paper_cluster(min_nodes: usize, max_nodes: usize, seed: u64) -> ClusterConfig {
-    ClusterConfig {
-        machine: MachineType::n1_standard_4(),
-        min_nodes,
-        max_nodes,
-        seed,
-        ..ClusterConfig::default()
+// ----------------------------------------------------------------------
+// The §VI setup
+// ----------------------------------------------------------------------
+
+/// `DriverConfig::default()`, the §VI cluster (3–20 × n1-standard-4,
+/// node-sized 3-core worker pods, master in-cluster, 60 s metrics lag),
+/// in the operator mode `kind` needs on a workflow, seeded with `seed`.
+/// The cluster keeps its default latency stream.
+pub fn paper_driver(kind: PolicyKind, seed: u64) -> DriverConfig {
+    DriverConfig {
+        operator: kind.operator(false, seed),
+        ..DriverConfig::default()
     }
+}
+
+/// A workflow on the §VI setup ([`paper_driver`]) under `kind`, as the
+/// `compare`, `chaos`, `sweep` and `forecast --quick` tables run it.
+/// `workflow(declared)` builds the workload; `declared` is true when the
+/// policy's operator mode trusts declared resources.
+pub fn paper(kind: PolicyKind, seed: u64, workflow: impl FnOnce(bool) -> Workflow) -> Scenario {
+    let cfg = paper_driver(kind, seed);
+    let workflow = workflow(cfg.operator.trust_declared);
+    Scenario {
+        cfg,
+        input: Input::Workflow(workflow),
+        policy: kind,
+    }
+}
+
+/// `hta-run`'s workflow mode: `workflow` on the §VI setup with the
+/// cluster's latency stream seeded by `seed` too.
+pub fn cli_workflow(workflow: Workflow, kind: PolicyKind, seed: u64) -> Scenario {
+    let mut s = paper(kind, seed, |_| workflow);
+    s.cfg.cluster.seed = seed;
+    s
 }
 
 // ----------------------------------------------------------------------
@@ -86,46 +234,34 @@ pub fn fig2_workload() -> Workflow {
     })
 }
 
-/// Driver config for Fig. 2: a 15-node GKE cluster, 1-core worker pods
-/// (up to 60), master outside the cluster.
-pub fn fig2_driver(seed: u64) -> DriverConfig {
-    DriverConfig {
-        cluster: paper_cluster(3, 15, seed),
-        master: MasterConfig::default(),
-        operator: OperatorConfig {
-            warmup: false,
-            trust_declared: true,
-            learn: true,
+/// One Fig. 2 configuration (`Config-10/50/99` under `Hpa`, or the ideal
+/// pool under `Fixed`): a 15-node GKE cluster, 1-core worker pods (up to
+/// 60), master outside the cluster.
+pub fn fig2(kind: PolicyKind, seed: u64) -> Scenario {
+    let mut cfg = DriverConfig {
+        cluster: ClusterConfig {
+            max_nodes: 15,
             seed,
+            ..ClusterConfig::default()
         },
+        operator: kind.operator(false, seed),
         worker_request: Resources::new(1000, 3_500, 10_000),
-        worker_anti_affinity: false,
-        worker_image_mb: 500.0,
         master_in_cluster: false,
         master_request: Resources::ZERO,
-        initial_workers: 3,
         max_workers: 60,
-        sample_interval: Duration::from_secs(1),
-        default_init_time: Duration::from_millis(157_400),
-        use_measured_init_time: true,
-        node_failures: Vec::new(),
-        faults: Default::default(),
-        trace_capacity: 0,
-        metrics_lag: Duration::from_secs(60),
         max_sim_time: Duration::from_secs(50_000),
-    }
-}
-
-/// One Fig. 2 configuration (`Config-10/50/99` or the ideal pool).
-pub fn fig2_run(kind: PolicyKind, seed: u64) -> RunResult {
-    let mut cfg = fig2_driver(seed);
+        ..DriverConfig::default()
+    };
     if let PolicyKind::Fixed(n) = kind {
         // The "ideal scenario": the full pool exists from the start.
         cfg.initial_workers = n;
         cfg.cluster.min_nodes = cfg.cluster.max_nodes;
     }
-    let policy = make_policy(kind, 3, cfg.max_workers);
-    SystemDriver::new(cfg, fig2_workload(), policy).run()
+    Scenario {
+        cfg,
+        input: Input::Workflow(fig2_workload()),
+        policy: kind,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -163,34 +299,18 @@ pub fn fig4_workload(declared: bool) -> Workflow {
     })
 }
 
-/// Finish driver construction: attach a digest when requested, run.
-fn finish(driver: SystemDriver, digest: Option<DigestConfig>) -> RunResult {
-    match digest {
-        Some(d) => driver.with_digest(d).run(),
-        None => driver.run(),
-    }
-}
-
-/// One Fig. 4 run on the fixed 5-node (3 vCPU / 12 GB) cluster.
-pub fn fig4_run(config: Fig4Config, seed: u64) -> RunResult {
-    fig4_run_with(config, seed, None)
-}
-
-/// [`fig4_run`] with an optional event-stream digest (`perf --paranoid`).
-pub fn fig4_run_with(config: Fig4Config, seed: u64, digest: Option<DigestConfig>) -> RunResult {
+/// One Fig. 4 run: a fixed pool on the fixed 5-node (3 vCPU / 12 GB)
+/// cluster, master outside it.
+pub fn fig4(config: Fig4Config, seed: u64) -> Scenario {
     let machine = MachineType::gke_3cpu_12gb();
-    let (workers, worker_request, declared, learn) = match config {
+    let (workers, worker_request) = match config {
         Fig4Config::FineGrained | Fig4Config::FineGrainedPeer => {
-            (15usize, Resources::new(1000, 3_800, 20_000), true, true)
+            (15, Resources::new(1000, 3_800, 20_000))
         }
-        Fig4Config::CoarseUnknown => (5, machine.allocatable, false, false),
-        Fig4Config::CoarseKnown => (5, machine.allocatable, true, true),
+        Fig4Config::CoarseUnknown | Fig4Config::CoarseKnown => (5, machine.allocatable),
     };
-    let master = MasterConfig {
-        peer_transfers: config == Fig4Config::FineGrainedPeer,
-        ..MasterConfig::default()
-    };
-    let cfg = DriverConfig {
+    let kind = PolicyKind::Fixed(workers);
+    let mut cfg = DriverConfig {
         cluster: ClusterConfig {
             machine,
             min_nodes: 5,
@@ -198,34 +318,31 @@ pub fn fig4_run_with(config: Fig4Config, seed: u64, digest: Option<DigestConfig>
             seed,
             ..ClusterConfig::default()
         },
-        master,
-        operator: OperatorConfig {
-            warmup: false,
-            trust_declared: declared,
-            learn,
-            seed,
+        master: MasterConfig {
+            peer_transfers: config == Fig4Config::FineGrainedPeer,
+            ..MasterConfig::default()
         },
+        operator: kind.operator(false, seed),
         worker_request,
-        worker_anti_affinity: false,
-        worker_image_mb: 500.0,
         master_in_cluster: false,
         master_request: Resources::ZERO,
         initial_workers: workers,
         max_workers: workers,
-        sample_interval: Duration::from_secs(1),
-        default_init_time: Duration::from_millis(157_400),
-        use_measured_init_time: true,
-        node_failures: Vec::new(),
-        faults: Default::default(),
-        trace_capacity: 0,
-        metrics_lag: Duration::from_secs(60),
         max_sim_time: Duration::from_secs(20_000),
+        ..DriverConfig::default()
     };
-    let policy = make_policy(PolicyKind::Fixed(workers), workers, workers);
-    finish(
-        SystemDriver::new(cfg, fig4_workload(declared), policy),
-        digest,
-    )
+    let declared = config != Fig4Config::CoarseUnknown;
+    if !declared {
+        // (b): nothing declared and nothing learned, so every task holds
+        // a whole worker.
+        cfg.operator.trust_declared = false;
+        cfg.operator.learn = false;
+    }
+    Scenario {
+        cfg,
+        input: Input::Workflow(fig4_workload(declared)),
+        policy: kind,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -320,85 +437,55 @@ pub fn fig10_workload(declared: bool) -> Workflow {
     blast_multistage(&params)
 }
 
-/// Driver config for the §VI evaluation cluster: 20 × n1-standard-4,
-/// node-sized (3-core) worker pods, master in-cluster.
+/// Driver config for the §VI evaluation cluster: [`paper_driver`] with
+/// the cluster's latency stream seeded too and a 100 000 s cut-off.
 pub fn fig10_driver(kind: PolicyKind, seed: u64) -> DriverConfig {
-    let hta = kind.uses_warmup();
     DriverConfig {
-        cluster: paper_cluster(3, 20, seed),
-        master: MasterConfig::default(),
-        operator: OperatorConfig {
-            warmup: hta,
-            trust_declared: !hta,
-            learn: true,
+        cluster: ClusterConfig {
             seed,
+            ..ClusterConfig::default()
         },
-        worker_request: Resources::cores(3, 12_000, 50_000),
-        worker_anti_affinity: false,
-        worker_image_mb: 500.0,
-        master_in_cluster: true,
-        master_request: Resources::new(1000, 4_000, 20_000),
-        initial_workers: 3,
-        max_workers: 20,
-        sample_interval: Duration::from_secs(1),
-        default_init_time: Duration::from_millis(157_400),
-        use_measured_init_time: true,
-        node_failures: Vec::new(),
-        faults: Default::default(),
-        trace_capacity: 0,
-        metrics_lag: Duration::from_secs(60),
         max_sim_time: Duration::from_secs(100_000),
+        ..paper_driver(kind, seed)
     }
 }
 
 /// One Fig. 10 run.
-pub fn fig10_run(kind: PolicyKind, seed: u64) -> RunResult {
-    fig10_run_with(kind, seed, None)
-}
-
-/// [`fig10_run`] with an optional event-stream digest (`perf --paranoid`).
-pub fn fig10_run_with(kind: PolicyKind, seed: u64, digest: Option<DigestConfig>) -> RunResult {
+pub fn fig10(kind: PolicyKind, seed: u64) -> Scenario {
     let cfg = fig10_driver(kind, seed);
-    let policy = make_policy(kind, 3, cfg.max_workers);
-    let workload = fig10_workload(!kind.uses_warmup());
-    finish(SystemDriver::new(cfg, workload, policy), digest)
+    let workflow = fig10_workload(cfg.operator.trust_declared);
+    Scenario {
+        cfg,
+        input: Input::Workflow(workflow),
+        policy: kind,
+    }
 }
 
-/// [`fig10_run`] with a seeded control-plane crash-recovery cycle: the
+/// [`fig10`] with a seeded control-plane crash-recovery cycle: the
 /// master/operator/policy die mid-ramp, checkpoint-restore after the
 /// outage and WAL-replay their decisions. The perf harness tracks this
 /// workload (`master-crash-recover300s`) to bound the checkpoint + WAL
 /// overhead on the hot path, and `perf --paranoid` replays it bitwise.
-pub fn fig10_run_crash_recovery(
-    kind: PolicyKind,
-    seed: u64,
-    digest: Option<DigestConfig>,
-) -> RunResult {
-    let mut cfg = fig10_driver(kind, seed);
-    cfg.faults.control_plane = hta_core::ControlPlaneFaults {
+pub fn fig10_crash_recovery(kind: PolicyKind, seed: u64) -> Scenario {
+    let mut s = fig10(kind, seed);
+    s.cfg.faults.control_plane = ControlPlaneFaults {
         crash_times: vec![Duration::from_secs(900)],
         outage: Duration::from_secs(60),
         checkpoint_interval: Duration::from_secs(300),
     };
-    let policy = make_policy(kind, 3, cfg.max_workers);
-    let workload = fig10_workload(!kind.uses_warmup());
-    finish(SystemDriver::new(cfg, workload, policy), digest)
+    s
 }
 
-/// [`fig10_run`] over a degraded control channel: 20 ms message delay
+/// [`fig10`] over a degraded control channel: 20 ms message delay
 /// (30 % jitter), 0.5 % loss, 60 s heartbeat leases, and a 300 s
 /// symmetric partition mid-run. The perf harness tracks this workload
 /// (`net-partition300s`) to bound the cost of routing every dispatch /
 /// ack / completion / heartbeat through the message channel plus the
 /// partition's presumed-dead re-queues, and `perf --paranoid` replays
 /// it bitwise.
-pub fn fig10_run_net_partition(
-    kind: PolicyKind,
-    seed: u64,
-    digest: Option<DigestConfig>,
-) -> RunResult {
-    let mut cfg = fig10_driver(kind, seed);
-    cfg.faults.network = NetworkFaults {
+pub fn fig10_net_partition(kind: PolicyKind, seed: u64) -> Scenario {
+    let mut s = fig10(kind, seed);
+    s.cfg.faults.network = NetworkFaults {
         delay: Duration::from_millis(20),
         jitter: 0.3,
         loss: 0.005,
@@ -410,64 +497,33 @@ pub fn fig10_run_net_partition(
         }],
         ..NetworkFaults::default()
     };
-    let policy = make_policy(kind, 3, cfg.max_workers);
-    let workload = fig10_workload(!kind.uses_warmup());
-    finish(SystemDriver::new(cfg, workload, policy), digest)
-}
-
-/// [`fig10_run`] under an injected fault plan (the `forecast` bin's
-/// faulted frontier).
-pub fn fig10_run_faulted(kind: PolicyKind, seed: u64, faults: hta_core::FaultPlan) -> RunResult {
-    let mut cfg = fig10_driver(kind, seed);
-    cfg.faults = faults;
-    let policy = make_policy(kind, 3, cfg.max_workers);
-    let workload = fig10_workload(!kind.uses_warmup());
-    SystemDriver::new(cfg, workload, policy).run()
+    s
 }
 
 // ----------------------------------------------------------------------
 // Fig. 11 — I/O-bound workload under HPA-20 / HPA-50 / HTA
 // ----------------------------------------------------------------------
 
-/// One Fig. 11 run: 200 `dd` tasks.
-pub fn fig11_run(kind: PolicyKind, seed: u64) -> RunResult {
-    fig11_run_with(kind, seed, None)
-}
-
-/// [`fig11_run`] with an optional event-stream digest (`perf --paranoid`).
-pub fn fig11_run_with(kind: PolicyKind, seed: u64, digest: Option<DigestConfig>) -> RunResult {
-    fig11_run_opts(kind, seed, digest, None)
-}
-
-/// [`fig11_run`] under an injected fault plan (the `forecast` bin's
-/// faulted frontier).
-pub fn fig11_run_faulted(kind: PolicyKind, seed: u64, faults: hta_core::FaultPlan) -> RunResult {
-    fig11_run_opts(kind, seed, None, Some(faults))
-}
-
-fn fig11_run_opts(
-    kind: PolicyKind,
-    seed: u64,
-    digest: Option<DigestConfig>,
-    faults: Option<hta_core::FaultPlan>,
-) -> RunResult {
-    let hta = kind.uses_warmup();
+/// One Fig. 11 run: 200 `dd` tasks on the Fig. 10 cluster.
+pub fn fig11(kind: PolicyKind, seed: u64) -> Scenario {
     let mut cfg = fig10_driver(kind, seed);
-    if let Some(f) = faults {
-        cfg.faults = f;
-    }
     // The HPA baselines start from the small standing pool they then
     // never grow (CPU stays under every target); HTA starts from the
     // 3-node warm-up pool.
-    cfg.initial_workers = if hta { 3 } else { 5 };
-    cfg.cluster.min_nodes = if hta { 3 } else { 5 };
-    let policy = make_policy(kind, cfg.initial_workers, cfg.max_workers);
-    let params = if hta {
-        IoBoundParams::default()
-    } else {
+    if !cfg.operator.warmup {
+        cfg.initial_workers = 5;
+        cfg.cluster.min_nodes = 5;
+    }
+    let params = if cfg.operator.trust_declared {
         IoBoundParams::default().declared()
+    } else {
+        IoBoundParams::default()
     };
-    finish(SystemDriver::new(cfg, iobound(&params), policy), digest)
+    Scenario {
+        cfg,
+        input: Input::Workflow(iobound(&params)),
+        policy: kind,
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -483,47 +539,42 @@ fn fig11_run_opts(
 /// in-cluster, 60 s metrics lag.
 pub fn trace_driver(seed: u64) -> DriverConfig {
     DriverConfig {
-        cluster: paper_cluster(3, 100, seed),
-        master: MasterConfig::default(),
-        operator: OperatorConfig {
-            // Open-loop specs arrive with declared resources filled by
-            // the generator; probing a warm-up batch would be
-            // meaningless when the client keeps submitting regardless.
-            warmup: false,
-            trust_declared: true,
-            learn: true,
+        cluster: ClusterConfig {
+            max_nodes: 100,
             seed,
+            ..ClusterConfig::default()
         },
-        worker_request: Resources::cores(3, 12_000, 50_000),
-        worker_anti_affinity: false,
-        worker_image_mb: 500.0,
-        master_in_cluster: true,
-        master_request: Resources::new(1000, 4_000, 20_000),
+        // The trace-mode operator is the same under every policy.
+        operator: PolicyKind::Hta.operator(true, seed),
         initial_workers: 8,
         max_workers: 96,
-        sample_interval: Duration::from_secs(1),
-        default_init_time: Duration::from_millis(157_400),
-        use_measured_init_time: true,
-        node_failures: Vec::new(),
-        faults: Default::default(),
-        trace_capacity: 0,
-        metrics_lag: Duration::from_secs(60),
         // blast-1m spans ~25.6 k sim-seconds of arrivals; leave room
         // for the ramp and the drain tail.
         max_sim_time: Duration::from_secs(60_000),
+        ..DriverConfig::default()
     }
 }
 
-/// One open-loop trace run: a synthetic preset streamed through
-/// [`SystemDriver::new_traced`] under the HTA policy. The master retires
-/// completed task records, so peak memory is bounded by the in-flight
-/// set, not the trace length — `blast-1m` (10⁶ tasks) is the headline
-/// proof, `trace-50k` the CI-sized stand-in.
-pub fn trace_run_with(preset: &str, seed: u64, digest: Option<DigestConfig>) -> RunResult {
-    let cfg = trace_driver(seed);
-    let source = hta_trace::ArrivalSource::synth(preset, seed).expect("known synth preset");
-    let policy = make_policy(PolicyKind::Hta, 3, cfg.max_workers);
-    finish(SystemDriver::new_traced(cfg, source, policy), digest)
+/// An open-loop run of `source` on the trace cluster ([`trace_driver`])
+/// under `kind`. The master retires completed task records, so peak
+/// memory is bounded by the in-flight set, not the trace length.
+pub fn trace(source: ArrivalSource, kind: PolicyKind, seed: u64) -> Scenario {
+    Scenario {
+        cfg: trace_driver(seed),
+        input: Input::Trace(source),
+        policy: kind,
+    }
+}
+
+/// A synthetic trace (`<preset>[,tasks=N][,rate=R][,amp=A]`) under HTA:
+/// `blast-1m` (10⁶ tasks) is the bounded-memory headline, `trace-50k`
+/// the CI-sized stand-in.
+pub fn synth_trace(spec: &str, seed: u64) -> Result<Scenario, String> {
+    Ok(trace(
+        ArrivalSource::synth(spec, seed)?,
+        PolicyKind::Hta,
+        seed,
+    ))
 }
 
 // ----------------------------------------------------------------------
@@ -553,27 +604,26 @@ pub enum Ablation {
 /// Run one ablation variant on the Fig. 10 multistage workload.
 pub fn ablation_run(variant: Ablation, seed: u64) -> RunResult {
     use hta_core::policy::EstimatorMode;
-    let mut cfg = fig10_driver(PolicyKind::Hta, seed);
+    let mut s = fig10(PolicyKind::Hta, seed);
     let mut hta_cfg = HtaConfig::default();
     match variant {
         Ablation::Full => {}
         Ablation::NoLearning => {
-            cfg.operator.learn = false;
-            cfg.operator.warmup = false;
+            s.cfg.operator.learn = false;
+            s.cfg.operator.warmup = false;
         }
         Ablation::NoWarmup => {
-            cfg.operator.warmup = false;
+            s.cfg.operator.warmup = false;
         }
         Ablation::FrozenInitTime => {
-            cfg.use_measured_init_time = false;
-            cfg.default_init_time = Duration::from_secs(30);
+            s.cfg.use_measured_init_time = false;
+            s.cfg.default_init_time = Duration::from_secs(30);
         }
         Ablation::PerWorkerEstimator => {
             hta_cfg.estimator_mode = EstimatorMode::PerWorker;
         }
     }
-    let policy: Box<dyn ScalingPolicy> = Box::new(HtaPolicy::new(hta_cfg));
-    SystemDriver::new(cfg, fig10_workload(false), policy).run()
+    s.driver(Box::new(HtaPolicy::new(hta_cfg))).run()
 }
 
 #[cfg(test)]
@@ -602,16 +652,16 @@ mod tests {
 
     #[test]
     fn fig4_peer_variant_completes() {
-        let r = fig4_run(Fig4Config::FineGrainedPeer, 1);
+        let r = fig4(Fig4Config::FineGrainedPeer, 1).run(None);
         assert!(!r.timed_out);
         assert_eq!(r.summary.peak_workers, 15.0);
     }
 
     #[test]
     fn fig2_ideal_beats_every_hpa_config() {
-        let ideal = fig2_run(PolicyKind::Fixed(60), 1);
-        let hpa10 = fig2_run(PolicyKind::Hpa(0.10), 1);
-        let hpa99 = fig2_run(PolicyKind::Hpa(0.99), 1);
+        let ideal = fig2(PolicyKind::Fixed(60), 1).run(None);
+        let hpa10 = fig2(PolicyKind::Hpa(0.10), 1).run(None);
+        let hpa99 = fig2(PolicyKind::Hpa(0.99), 1).run(None);
         assert!(!ideal.timed_out && !hpa10.timed_out && !hpa99.timed_out);
         assert!(ideal.summary.runtime_s < hpa10.summary.runtime_s);
         assert!(hpa10.summary.runtime_s < hpa99.summary.runtime_s);
@@ -625,8 +675,8 @@ mod tests {
     #[test]
     fn fig11_headline_holds_for_any_seed() {
         for seed in [3, 77] {
-            let hpa = fig11_run(PolicyKind::Hpa(0.20), seed);
-            let hta = fig11_run(PolicyKind::Hta, seed);
+            let hpa = fig11(PolicyKind::Hpa(0.20), seed).run(None);
+            let hta = fig11(PolicyKind::Hta, seed).run(None);
             assert!(
                 hta.summary.runtime_s * 1.5 < hpa.summary.runtime_s,
                 "seed {seed}: HTA {} vs HPA {}",
@@ -639,8 +689,8 @@ mod tests {
     #[test]
     fn fig10_headline_holds_for_any_seed() {
         for seed in [3, 77] {
-            let hpa = fig10_run(PolicyKind::Hpa(0.20), seed);
-            let hta = fig10_run(PolicyKind::Hta, seed);
+            let hpa = fig10(PolicyKind::Hpa(0.20), seed).run(None);
+            let hta = fig10(PolicyKind::Hta, seed).run(None);
             // Waste at least halved; runtime within +40 %.
             assert!(
                 hta.summary.accumulated_waste_core_s * 2.0 < hpa.summary.accumulated_waste_core_s,

@@ -5,8 +5,9 @@
 //! over the simulation engine and scaled-down end-to-end experiments.
 //!
 //! [`experiments`] holds the configuration of every evaluation setup so
-//! the binaries, integration tests and Criterion benches share one source
-//! of truth; [`report`] holds the paper-vs-measured table printer.
+//! the binaries, `hta-run`, integration tests and Criterion benches share
+//! one source of truth; [`report`] holds the paper-vs-measured table
+//! printer.
 //!
 //! Parallel sweeps map each configuration to its own seeded run and
 //! collect the results in input order:

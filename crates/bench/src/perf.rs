@@ -16,10 +16,9 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::{
-    fig10_driver, fig10_run_crash_recovery, fig10_run_net_partition, fig10_run_with,
-    fig10_workload, fig11_run_with, fig4_run_with, trace_run_with, Fig4Config, PolicyKind,
+    fig10, fig10_crash_recovery, fig10_net_partition, fig11, fig4, synth_trace, Fig4Config,
+    PolicyKind, Scenario,
 };
-use hta_core::driver::{RunResult, SystemDriver};
 use hta_core::whatif::{BranchSpec, WhatIf};
 use hta_core::{HoldPolicy, ScaleAction};
 use hta_des::sanitize::{DigestConfig, Divergence};
@@ -66,7 +65,8 @@ pub struct PerfReport {
     pub entries: Vec<PerfEntry>,
 }
 
-type RunFn = fn(u64, Option<DigestConfig>) -> RunResult;
+/// Builds one workload's scenario from the seed.
+type ScenarioFn = fn(u64) -> Scenario;
 
 /// Reset the kernel's peak-RSS counter (`VmHWM`) so the next
 /// [`peak_rss_mb`] reading is a per-workload peak rather than a
@@ -101,46 +101,42 @@ pub fn peak_rss_mb() -> f64 {
 ///
 /// `quick` keeps only the headline Fig. 10 BLAST-200 runs (the CI
 /// regression gate); the full set adds Fig. 4 and Fig. 11.
-pub fn workloads(quick: bool) -> Vec<(&'static str, RunFn)> {
-    let mut v: Vec<(&'static str, RunFn)> = vec![
-        ("fig10-blast200-hta", |s, d| {
-            fig10_run_with(PolicyKind::Hta, s, d)
-        }),
-        ("fig10-blast200-hpa50", |s, d| {
-            fig10_run_with(PolicyKind::Hpa(0.5), s, d)
-        }),
+pub fn workloads(quick: bool) -> Vec<(&'static str, ScenarioFn)> {
+    let mut v: Vec<(&'static str, ScenarioFn)> = vec![
+        ("fig10-blast200-hta", |s| fig10(PolicyKind::Hta, s)),
+        ("fig10-blast200-hpa50", |s| fig10(PolicyKind::Hpa(0.5), s)),
         // The crash-recovery gate: same Fig. 10 HTA run with a seeded
         // control-plane crash (checkpoints every 300 s, WAL replay on
         // restart). Tracked so checkpoint overhead stays bounded.
-        ("master-crash-recover300s", |s, d| {
-            fig10_run_crash_recovery(PolicyKind::Hta, s, d)
+        ("master-crash-recover300s", |s| {
+            fig10_crash_recovery(PolicyKind::Hta, s)
         }),
         // The lossy-control-plane gate: same Fig. 10 HTA run with every
         // control message routed through a degraded channel (delay +
         // loss + leases) and a 300 s partition. Tracked so the message
         // layer stays off the hot path.
-        ("net-partition300s", |s, d| {
-            fig10_run_net_partition(PolicyKind::Hta, s, d)
+        ("net-partition300s", |s| {
+            fig10_net_partition(PolicyKind::Hta, s)
         }),
         // The streaming-admission gate: 50 k open-loop arrivals (MMPP
         // bursts + diurnal cycle) streamed from `crates/trace` under
         // HTA with completed-record retirement. Tracked so streaming
         // admission stays off the hot path and peak RSS stays bounded
         // by the in-flight set.
-        ("trace-50k", |s, d| trace_run_with("trace-50k", s, d)),
+        ("trace-50k", |s| {
+            synth_trace("trace-50k", s).expect("known synth preset")
+        }),
     ];
     if !quick {
-        v.push(("fig11-iobound-hta", |s, d| {
-            fig11_run_with(PolicyKind::Hta, s, d)
-        }));
-        v.push(("fig4-blast100-fine", |s, d| {
-            fig4_run_with(Fig4Config::FineGrained, s, d)
-        }));
+        v.push(("fig11-iobound-hta", |s| fig11(PolicyKind::Hta, s)));
+        v.push(("fig4-blast100-fine", |s| fig4(Fig4Config::FineGrained, s)));
         // The headline bounded-memory workload: one million open-loop
         // arrivals end-to-end. Full-set only (it dominates wall time);
         // `compare` skips it when a quick run checks against the
         // committed baseline.
-        v.push(("blast-1M", |s, d| trace_run_with("blast-1m", s, d)));
+        v.push(("blast-1M", |s| {
+            synth_trace("blast-1m", s).expect("known synth preset")
+        }));
     }
     v
 }
@@ -159,8 +155,7 @@ const SNAPSHOT_BRANCHES: u64 = 16;
 pub fn snapshot_microbench(reps: usize) -> PerfEntry {
     // Build one parent and advance it mid-flight; forking never perturbs
     // it, so every repetition forks the identical decision point.
-    let cfg = fig10_driver(PolicyKind::Hta, PERF_SEED);
-    let mut parent = SystemDriver::new(cfg, fig10_workload(false), Box::new(HoldPolicy));
+    let mut parent = fig10(PolicyKind::Hta, PERF_SEED).driver(Box::new(HoldPolicy));
     parent.advance_until(SimTime::ZERO + Duration::from_secs(600));
 
     let mut best = f64::INFINITY;
@@ -222,7 +217,7 @@ pub fn run_perf(label: &str, quick: bool, reps: usize) -> PerfReport {
                           times runs"
             )]
             let t = Instant::now();
-            let r = f(PERF_SEED, None);
+            let r = f(PERF_SEED).run(None);
             let wall = t.elapsed().as_secs_f64();
             best = best.min(wall);
             events = r.events;
@@ -265,10 +260,16 @@ pub enum ParanoidOutcome {
 /// Same-seed runs must be bitwise identical; if they are not, a third
 /// run with a capture window around the first differing checkpoint
 /// pinpoints the exact first divergent event.
-pub fn paranoid_check(name: &str, f: RunFn) -> ParanoidOutcome {
+pub fn paranoid_check(name: &str, f: ScenarioFn) -> ParanoidOutcome {
     let cfg = DigestConfig::default();
-    let a = f(PERF_SEED, Some(cfg)).digest.expect("digest requested");
-    let b = f(PERF_SEED, Some(cfg)).digest.expect("digest requested");
+    let a = f(PERF_SEED)
+        .run(Some(cfg))
+        .digest
+        .expect("digest requested");
+    let b = f(PERF_SEED)
+        .run(Some(cfg))
+        .digest
+        .expect("digest requested");
     let Some(div) = a.first_divergence(&b) else {
         return ParanoidOutcome::Deterministic { events: a.events };
     };
@@ -283,8 +284,8 @@ pub fn paranoid_check(name: &str, f: RunFn) -> ParanoidOutcome {
                 capture: Some((after, by)),
                 ..cfg
             };
-            let ca = f(PERF_SEED, Some(capture)).digest.expect("digest");
-            let cb = f(PERF_SEED, Some(capture)).digest.expect("digest");
+            let ca = f(PERF_SEED).run(Some(capture)).digest.expect("digest");
+            let cb = f(PERF_SEED).run(Some(capture)).digest.expect("digest");
             match ca.first_divergent_capture(&cb) {
                 Some((ea, eb)) => format!(
                     "{name}: first divergent event is #{} — run A at t={}ms: {} | run B at t={}ms: {}",

@@ -734,15 +734,6 @@ impl Cluster {
             .count()
     }
 
-    /// Sum of allocatable capacity across ready nodes.
-    pub fn ready_capacity(&self) -> Resources {
-        self.nodes
-            .values()
-            .filter(|n| n.state == NodeState::Ready)
-            .map(|n| n.pool.capacity())
-            .sum()
-    }
-
     /// A pod by id.
     pub fn pod(&self, id: PodId) -> Option<&Pod> {
         self.pods.get(&id)

@@ -83,14 +83,11 @@ pub struct DriverConfig {
     /// HTA) or always hand it `default_init_time` (false — the
     /// frozen-init-time ablation).
     pub use_measured_init_time: bool,
-    /// Failure injection: instants at which a node hosting a running
-    /// worker crashes (pods fail, tasks re-queue, capacity re-provisions).
-    pub node_failures: Vec<Duration>,
     /// The unified fault-injection plan. When active it is distributed
-    /// into the cluster and master fault configs (and its crash times
-    /// appended to `node_failures`) by [`SystemDriver::new`]; when
-    /// inactive (the default) the sub-configs keep whatever fault knobs
-    /// were set on them directly.
+    /// into the cluster and master fault configs by [`SystemDriver::new`],
+    /// and its node crash times are scheduled at start; when inactive
+    /// (the default) the sub-configs keep whatever fault knobs were set
+    /// on them directly.
     pub faults: FaultPlan,
     /// Keep the most recent N trace entries (scaling decisions, pod and
     /// workload transitions). 0 disables tracing.
@@ -120,7 +117,6 @@ impl Default for DriverConfig {
             sample_interval: Duration::from_secs(1),
             default_init_time: Duration::from_millis(157_400),
             use_measured_init_time: true,
-            node_failures: Vec::new(),
             faults: FaultPlan::default(),
             trace_capacity: 0,
             metrics_lag: Duration::from_secs(60),
@@ -351,8 +347,6 @@ impl SystemDriver {
         if cfg.faults.is_active() {
             let plan = cfg.faults.clone();
             plan.apply(&mut cfg.cluster, &mut cfg.master);
-            cfg.node_failures
-                .extend(plan.node_crash_times.iter().copied());
         }
         let mut cluster = Cluster::new(cfg.cluster.clone());
         let worker_image = cluster
@@ -636,7 +630,7 @@ impl SystemDriver {
         self.queue.schedule_in(Duration::ZERO, Event::Sample);
         self.queue
             .schedule_in(Duration::from_secs(1), Event::PolicyTick);
-        for at in self.cfg.node_failures.clone() {
+        for at in self.cfg.faults.node_crash_times.clone() {
             self.queue.schedule_in(at, Event::FailWorkerNode);
         }
         let crash_times: Vec<Duration> = self
@@ -1879,7 +1873,6 @@ mod tests {
             sample_interval: Duration::from_secs(1),
             default_init_time: Duration::from_secs(157),
             use_measured_init_time: true,
-            node_failures: Vec::new(),
             faults: FaultPlan::default(),
             trace_capacity: 0,
             metrics_lag: Duration::ZERO,
@@ -2275,7 +2268,7 @@ mod tests {
     /// ticks inside a branch read `util_history`).
     fn fig10_driver(policy: Box<dyn ScalingPolicy>) -> SystemDriver {
         let mut cfg = small_cfg();
-        cfg.node_failures = vec![Duration::from_secs(250), Duration::from_secs(420)];
+        cfg.faults.node_crash_times = vec![Duration::from_secs(250), Duration::from_secs(420)];
         cfg.metrics_lag = Duration::from_secs(30);
         SystemDriver::new(cfg, staged_workflow(60), policy)
     }

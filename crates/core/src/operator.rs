@@ -677,17 +677,6 @@ impl Operator {
             self.rng.jittered(sim.wall, sim.wall_jitter)
         }
     }
-
-    /// The workflow job a task implements.
-    pub fn job_of(&self, task: TaskId) -> Option<JobId> {
-        self.job_for_task.get(&task).copied()
-    }
-
-    /// Default execution estimate for the estimator (mean of known
-    /// category walls, or 60 s).
-    pub fn default_exec_estimate(&self) -> Duration {
-        Duration::from_secs(60)
-    }
 }
 
 #[cfg(test)]

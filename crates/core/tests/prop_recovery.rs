@@ -87,7 +87,6 @@ fn cfg(seed: u64) -> DriverConfig {
         sample_interval: Duration::from_secs(1),
         default_init_time: Duration::from_secs(157),
         use_measured_init_time: true,
-        node_failures: Vec::new(),
         faults: FaultPlan::default(),
         trace_capacity: 0,
         metrics_lag: Duration::ZERO,

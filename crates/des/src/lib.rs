@@ -49,7 +49,6 @@ pub mod intern;
 pub mod queue;
 pub mod rng;
 pub mod sanitize;
-pub mod sim;
 pub mod sink;
 pub mod snapshot;
 pub mod time;
@@ -62,7 +61,6 @@ pub use intern::{CategoryId, Interner};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
 pub use sanitize::{DigestConfig, DigestReport, Divergence, EventDigest};
-pub use sim::{Simulation, StopReason};
 pub use sink::EffectSink;
 pub use snapshot::{branch_salt, SnapshotState};
 pub use time::{Duration, SimTime};

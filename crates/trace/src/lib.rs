@@ -48,12 +48,3 @@ pub use arrival::{ArrivalProcess, BurstRegime, Diurnal};
 pub use azure::AzureTrace;
 pub use source::{ArrivalSource, ArrivalStats, TraceKind};
 pub use synth::{SynthConfig, SynthTrace, WallDist};
-
-/// Build an [`ArrivalSource`] from a CLI-style spec: `synth:<preset>`
-/// with optional knobs, or `azure:<csv text already read by the
-/// caller>` via [`ArrivalSource::azure_csv`]. This helper only handles
-/// the synthetic form; the CLI resolves `azure:` paths itself because
-/// this crate stays I/O-free.
-pub fn parse_synth_source(spec: &str, seed: u64) -> Result<ArrivalSource, String> {
-    ArrivalSource::synth(spec, seed)
-}

@@ -15,10 +15,10 @@
 //!                          autoscaler driving the worker pool  [hta]
 //!                          (mpc forks what-if branches of the live
 //!                          simulation at each decision; see hta-forecast)
-//!   --max-workers <n>      worker-pod quota                    [20]
-//!   --nodes <min>:<max>    cluster size bounds                 [3:20]
+//!   --max-workers <n>      worker-pod quota          [workflow 20, trace 96]
+//!   --nodes <min>:<max>    cluster size bounds       [workflow 3:20, trace 3:100]
 //!   --worker-cores <n>     worker pod size in cores            [3]
-//!   --initial <n>          worker pods created at start        [3]
+//!   --initial <n>          worker pods created at start [workflow 3, trace 8]
 //!   --seed <n>             simulation seed                     [42]
 //!   --fail-at <s,s,...>    inject node crashes at these times
 //!   --fail-node <s,s,...>  alias for --fail-at
@@ -49,6 +49,10 @@
 //!   --analyze-only         print DAG structure + plan bounds, don't run
 //! ```
 //!
+//! A workflow runs on the paper's §VI cluster and a trace on the larger
+//! trace cluster, both as defined in `hta_bench::experiments`; the
+//! cluster flags override those defaults only when given.
+//!
 //! Example:
 //! ```sh
 //! cargo run --release --bin hta-run -- demo --policy hpa:20 --chart
@@ -57,18 +61,12 @@
 use std::collections::VecDeque;
 use std::process::ExitCode;
 
-use hta::cluster::ClusterConfig;
-use hta::core::driver::{DriverConfig, SystemDriver};
-use hta::core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta::core::{
-    ControlPlaneFaults, FaultPlan, OperatorConfig, OraclePolicy, TargetTrackingConfig,
-    TargetTrackingPolicy,
-};
-use hta::forecast::{MpcConfig, MpcPolicy};
+use hta::core::{ControlPlaneFaults, FaultPlan};
 use hta::makeflow;
 use hta::metrics::AsciiChart;
 use hta::prelude::*;
 use hta::workqueue::{NetworkFaults, Partition};
+use hta_bench::experiments::{self, PolicyKind};
 
 const DEMO: &str = r#"
 # Demo: a two-stage pipeline with a shared cacheable input.
@@ -104,12 +102,13 @@ result: out.0 out.1 out.2 out.3
 struct Options {
     workflow: Option<String>,
     trace_source: Option<String>,
-    policy: String,
-    max_workers: usize,
-    min_nodes: usize,
-    max_nodes: usize,
-    worker_cores: i64,
-    initial: usize,
+    policy: PolicyKind,
+    // The cluster flags are `None` unless given: each mode has its own
+    // defaults (see the module docs).
+    max_workers: Option<usize>,
+    nodes: Option<(usize, usize)>,
+    worker_cores: Option<i64>,
+    initial: Option<usize>,
     seed: u64,
     fail_at: Vec<u64>,
     crash_master: Vec<u64>,
@@ -142,7 +141,9 @@ fn usage() -> &'static str {
      [--checkpoint-interval S] [--task-fail-rate P] [--oom-rate P] \
      [--pull-fail-rate P] [--net-delay MS] [--net-loss P] [--partition START:DUR[:asym]] \
      [--lease S] [--preempt-mean S] [--max-retries N] [--straggler-factor F] \
-     [--csv path] [--json path] [--chart] [--gantt] [--trace-log] [--analyze-only]"
+     [--csv path] [--json path] [--chart] [--gantt] [--trace-log] [--analyze-only]\n\
+     defaults: workflow mode --max-workers 20 --nodes 3:20 --initial 3; \
+     trace mode --max-workers 96 --nodes 3:100 --initial 8"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -150,12 +151,11 @@ fn parse_args() -> Result<Options, String> {
     let mut opt = Options {
         workflow: None,
         trace_source: None,
-        policy: "hta".into(),
-        max_workers: 20,
-        min_nodes: 3,
-        max_nodes: 20,
-        worker_cores: 3,
-        initial: 3,
+        policy: PolicyKind::Hta,
+        max_workers: None,
+        nodes: None,
+        worker_cores: None,
+        initial: None,
         seed: 42,
         fail_at: Vec::new(),
         crash_master: Vec::new(),
@@ -193,29 +193,41 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opt.trace_source = Some(spec);
             }
-            "--policy" => opt.policy = need(&mut args, "--policy")?,
-            "--max-workers" => {
-                opt.max_workers = need(&mut args, "--max-workers")?
+            "--policy" => {
+                opt.policy = need(&mut args, "--policy")?
                     .parse()
-                    .map_err(|e| format!("--max-workers: {e}"))?
+                    .map_err(|e| format!("--policy: {e}\n{}", usage()))?
+            }
+            "--max-workers" => {
+                opt.max_workers = Some(
+                    need(&mut args, "--max-workers")?
+                        .parse()
+                        .map_err(|e| format!("--max-workers: {e}"))?,
+                )
             }
             "--nodes" => {
                 let v = need(&mut args, "--nodes")?;
                 let (lo, hi) = v
                     .split_once(':')
                     .ok_or_else(|| "--nodes wants MIN:MAX".to_string())?;
-                opt.min_nodes = lo.parse().map_err(|e| format!("--nodes: {e}"))?;
-                opt.max_nodes = hi.parse().map_err(|e| format!("--nodes: {e}"))?;
+                opt.nodes = Some((
+                    lo.parse().map_err(|e| format!("--nodes: {e}"))?,
+                    hi.parse().map_err(|e| format!("--nodes: {e}"))?,
+                ));
             }
             "--worker-cores" => {
-                opt.worker_cores = need(&mut args, "--worker-cores")?
-                    .parse()
-                    .map_err(|e| format!("--worker-cores: {e}"))?
+                opt.worker_cores = Some(
+                    need(&mut args, "--worker-cores")?
+                        .parse()
+                        .map_err(|e| format!("--worker-cores: {e}"))?,
+                )
             }
             "--initial" => {
-                opt.initial = need(&mut args, "--initial")?
-                    .parse()
-                    .map_err(|e| format!("--initial: {e}"))?
+                opt.initial = Some(
+                    need(&mut args, "--initial")?
+                        .parse()
+                        .map_err(|e| format!("--initial: {e}"))?,
+                )
             }
             "--seed" => {
                 opt.seed = need(&mut args, "--seed")?
@@ -359,46 +371,6 @@ fn parse_args() -> Result<Options, String> {
     }
 }
 
-fn build_policy(
-    spec: &str,
-    workflow: Option<&makeflow::Workflow>,
-    min: usize,
-    max: usize,
-) -> Result<(Box<dyn ScalingPolicy>, bool), String> {
-    // Returns (policy, is_hta): non-HTA policies trust declared resources.
-    if spec == "hta" {
-        return Ok((Box::new(HtaPolicy::new(HtaConfig::default())), true));
-    }
-    if spec == "oracle" {
-        let workflow = workflow.ok_or(
-            "--policy oracle plans from the workflow DAG; \
-             an open-loop --trace has none",
-        )?;
-        return Ok((Box::new(OraclePolicy::from_workflow(workflow)), false));
-    }
-    if spec == "mpc" {
-        return Ok((Box::new(MpcPolicy::new(MpcConfig::default())), true));
-    }
-    if spec == "tracking" {
-        return Ok((
-            Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
-            false,
-        ));
-    }
-    if let Some(t) = spec.strip_prefix("hpa:") {
-        let pct: f64 = t
-            .trim_end_matches('%')
-            .parse()
-            .map_err(|e| format!("--policy hpa: {e}"))?;
-        return Ok((Box::new(HpaPolicy::new(pct / 100.0, min, max)), false));
-    }
-    if let Some(n) = spec.strip_prefix("fixed:") {
-        let n: usize = n.parse().map_err(|e| format!("--policy fixed: {e}"))?;
-        return Ok((Box::new(FixedPolicy::new(n)), false));
-    }
-    Err(format!("unknown policy {spec:?}\n{}", usage()))
-}
-
 fn main() -> ExitCode {
     let opt = match parse_args() {
         Ok(o) => o,
@@ -491,77 +463,68 @@ fn main() -> ExitCode {
         println!("trace: {} ({} tasks)", stats.label, stats.total_tasks);
     }
 
-    let (policy, is_hta) =
-        match build_policy(&opt.policy, workflow.as_ref(), opt.initial, opt.max_workers) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-    let cfg = DriverConfig {
-        cluster: ClusterConfig {
-            min_nodes: opt.min_nodes,
-            max_nodes: opt.max_nodes,
-            seed: opt.seed,
-            preemption_mean_lifetime: opt.preempt_mean.map(Duration::from_secs),
-            ..ClusterConfig::default()
-        },
-        // Node crash times go through `node_failures` directly; the plan
-        // carries the probabilistic fault rates.
-        faults: FaultPlan {
-            seed: opt.seed,
-            image_pull_fail_rate: opt.pull_fail_rate,
-            task_transient_rate: opt.task_fail_rate,
-            task_oom_rate: opt.oom_rate,
-            straggler_factor: opt.straggler_factor,
-            max_task_retries: opt.max_retries,
-            control_plane: ControlPlaneFaults {
-                crash_times: opt
-                    .crash_master
-                    .iter()
-                    .map(|s| Duration::from_secs(*s))
-                    .collect(),
-                outage: Duration::from_secs(opt.crash_outage),
-                checkpoint_interval: Duration::from_secs(opt.checkpoint_interval),
-            },
-            network: NetworkFaults {
-                delay: Duration::from_millis(opt.net_delay_ms),
-                jitter: if opt.net_delay_ms > 0 { 0.3 } else { 0.0 },
-                loss: opt.net_loss,
-                partitions: opt.partitions.clone(),
-                lease: opt.lease.map_or(Duration::ZERO, Duration::from_secs),
-                ..NetworkFaults::default()
-            },
-            ..FaultPlan::default()
-        },
-        operator: OperatorConfig {
-            // Open-loop traces have no workflow jobs to warm-up probe;
-            // categories are learned from the stream itself.
-            warmup: is_hta && arrivals.is_none(),
-            trust_declared: !is_hta || arrivals.is_some(),
-            learn: true,
-            seed: opt.seed,
-        },
-        worker_request: Resources::cores(opt.worker_cores, 4_000 * opt.worker_cores, 50_000),
-        initial_workers: opt.initial,
-        max_workers: opt.max_workers,
-        node_failures: opt
+    let mut scenario = match (workflow, arrivals) {
+        (Some(workflow), None) => experiments::cli_workflow(workflow, opt.policy, opt.seed),
+        (None, Some(source)) => experiments::trace(source, opt.policy, opt.seed),
+        _ => unreachable!("parse_args enforces exactly one input"),
+    };
+    let cfg = &mut scenario.cfg;
+    if let Some(n) = opt.max_workers {
+        cfg.max_workers = n;
+    }
+    if let Some((min, max)) = opt.nodes {
+        cfg.cluster.min_nodes = min;
+        cfg.cluster.max_nodes = max;
+    }
+    if let Some(cores) = opt.worker_cores {
+        cfg.worker_request = Resources::cores(cores, 4_000 * cores, 50_000);
+    }
+    if let Some(n) = opt.initial {
+        cfg.initial_workers = n;
+    }
+    cfg.cluster.preemption_mean_lifetime = opt.preempt_mean.map(Duration::from_secs);
+    cfg.faults = FaultPlan {
+        seed: opt.seed,
+        node_crash_times: opt
             .fail_at
             .iter()
             .map(|s| Duration::from_secs(*s))
             .collect(),
-        trace_capacity: if opt.trace_log { 2048 } else { 0 },
-        ..DriverConfig::default()
+        image_pull_fail_rate: opt.pull_fail_rate,
+        task_transient_rate: opt.task_fail_rate,
+        task_oom_rate: opt.oom_rate,
+        straggler_factor: opt.straggler_factor,
+        max_task_retries: opt.max_retries,
+        control_plane: ControlPlaneFaults {
+            crash_times: opt
+                .crash_master
+                .iter()
+                .map(|s| Duration::from_secs(*s))
+                .collect(),
+            outage: Duration::from_secs(opt.crash_outage),
+            checkpoint_interval: Duration::from_secs(opt.checkpoint_interval),
+        },
+        network: NetworkFaults {
+            delay: Duration::from_millis(opt.net_delay_ms),
+            jitter: if opt.net_delay_ms > 0 { 0.3 } else { 0.0 },
+            loss: opt.net_loss,
+            partitions: opt.partitions.clone(),
+            lease: opt.lease.map_or(Duration::ZERO, Duration::from_secs),
+            ..NetworkFaults::default()
+        },
+        ..FaultPlan::default()
+    };
+    cfg.trace_capacity = if opt.trace_log { 2048 } else { 0 };
+    let policy = match scenario.build_policy() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("--policy {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let label = policy.name();
     println!("policy: {label}\n");
-    let result = match (workflow, arrivals) {
-        (Some(workflow), None) => SystemDriver::new(cfg, workflow, policy).run(),
-        (None, Some(source)) => SystemDriver::new_traced(cfg, source, policy).run(),
-        _ => unreachable!("parse_args enforces exactly one input"),
-    };
+    let result = scenario.driver(policy).run();
 
     println!("makespan:             {:>10.0} s", result.makespan_s);
     println!(

@@ -14,13 +14,8 @@
 //! Under a release-mode sanitizer:
 //! `cargo test --release --features sim-sanitizer --test churn_state`.
 
-use hta::cluster::{ClusterConfig, MachineType};
-use hta::core::driver::{DriverConfig, RunResult, SystemDriver};
-use hta::core::policy::{HtaConfig, HtaPolicy};
-use hta::core::OperatorConfig;
-use hta::prelude::*;
-use hta::trace::ArrivalSource;
-use hta::workqueue::master::MasterConfig;
+use hta::core::driver::RunResult;
+use hta_bench::experiments::synth_trace;
 
 /// The churny open-loop trace: `trace-50k` cut to 3 000 tasks at a
 /// 1 task/s base rate, so the arrivals span ~3 diurnal cycles of 900 s,
@@ -29,38 +24,10 @@ use hta::workqueue::master::MasterConfig;
 /// churn in between.)
 const SPEC: &str = "trace-50k,tasks=3000,rate=1,amp=0.8";
 
-/// Open-loop trace configuration: the paper's cluster grown to 100
-/// nodes, declared resources trusted (no warm-up probe), completed task
-/// records retired, up to 96 node-sized workers.
-fn trace_cfg(seed: u64) -> DriverConfig {
-    DriverConfig {
-        cluster: ClusterConfig {
-            machine: MachineType::n1_standard_4(),
-            min_nodes: 3,
-            max_nodes: 100,
-            seed,
-            ..ClusterConfig::default()
-        },
-        master: MasterConfig::default(),
-        operator: OperatorConfig {
-            warmup: false,
-            trust_declared: true,
-            learn: true,
-            seed,
-        },
-        worker_request: Resources::cores(3, 12_000, 50_000),
-        initial_workers: 8,
-        max_workers: 96,
-        metrics_lag: Duration::from_secs(60),
-        max_sim_time: Duration::from_secs(20_000),
-        ..DriverConfig::default()
-    }
-}
-
+/// The churny trace on the perf harness's trace cluster (up to 96
+/// node-sized workers on up to 100 nodes) under HTA.
 fn churn_run(seed: u64) -> RunResult {
-    let source = ArrivalSource::synth(SPEC, seed).expect("valid synth spec");
-    let policy = Box::new(HtaPolicy::new(HtaConfig::default()));
-    SystemDriver::new_traced(trace_cfg(seed), source, policy).run()
+    synth_trace(SPEC, seed).expect("valid synth spec").run(None)
 }
 
 /// Workers that connected over the run: every rise of the sampled

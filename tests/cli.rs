@@ -2,6 +2,11 @@
 
 use std::process::Command;
 
+use hta::core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
+use hta::core::{OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy};
+use hta::forecast::{MpcConfig, MpcPolicy};
+use hta_bench::experiments::{fig2_workload, paper_driver, synth_trace, PolicyKind};
+
 fn hta_run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_hta-run"))
         .args(args)
@@ -375,4 +380,118 @@ fn bad_inputs_fail_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+}
+
+#[test]
+fn trace_mode_runs_the_experiments_trace_scenario() {
+    let spec = "trace-50k,tasks=2000";
+    let out = hta_run(&["--trace", &format!("synth:{spec}"), "--seed", "42"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = |key: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(key))
+            .unwrap_or_else(|| panic!("no {key:?} line in\n{stdout}"))
+            .to_string()
+    };
+    let r = synth_trace(spec, 42).expect("valid synth spec").run(None);
+    assert_eq!(
+        line("simulation events:"),
+        format!("simulation events:    {:>10}", r.events)
+    );
+    assert_eq!(
+        line("tasks completed:"),
+        format!(
+            "tasks completed:      {:>10} (digest {:#018x})",
+            r.completed, r.completed_digest
+        )
+    );
+}
+
+#[test]
+fn every_policy_spelling_maps_to_one_policy_and_operator_mode() {
+    // The policy and operator mode each spelling got from the per-binary
+    // policy tables: HTA and MPC probe a workflow with a warm-up batch
+    // and learn undeclared resources; every baseline trusts declared
+    // resources. HPA scales between the initial and maximum pool.
+    let cfg = paper_driver(PolicyKind::Hta, 7);
+    let wf = fig2_workload();
+    let table: Vec<(&str, PolicyKind, bool, Box<dyn ScalingPolicy>)> = vec![
+        (
+            "hta",
+            PolicyKind::Hta,
+            true,
+            Box::new(HtaPolicy::new(HtaConfig::default())),
+        ),
+        (
+            "mpc",
+            PolicyKind::Mpc,
+            true,
+            Box::new(MpcPolicy::new(MpcConfig::default())),
+        ),
+        (
+            "hpa:20",
+            PolicyKind::Hpa(0.20),
+            false,
+            Box::new(HpaPolicy::new(0.20, 3, 20)),
+        ),
+        (
+            "hpa:50%",
+            PolicyKind::Hpa(0.50),
+            false,
+            Box::new(HpaPolicy::new(0.50, 3, 20)),
+        ),
+        (
+            "fixed:6",
+            PolicyKind::Fixed(6),
+            false,
+            Box::new(FixedPolicy::new(6)),
+        ),
+        (
+            "oracle",
+            PolicyKind::Oracle,
+            false,
+            Box::new(OraclePolicy::from_workflow(&wf)),
+        ),
+        (
+            "tracking",
+            PolicyKind::Tracking,
+            false,
+            Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
+        ),
+    ];
+    for (spelling, kind, probes, expected) in table {
+        let parsed: PolicyKind = spelling.parse().expect("known spelling");
+        assert_eq!(parsed, kind, "{spelling}");
+        let op = parsed.operator(false, 7);
+        assert_eq!(
+            (op.warmup, op.trust_declared, op.learn, op.seed),
+            (probes, !probes, true, 7),
+            "{spelling} on a workflow"
+        );
+        // An open-loop trace has nothing to probe: every policy trusts
+        // the declared resources.
+        let op = parsed.operator(true, 7);
+        assert_eq!(
+            (op.warmup, op.trust_declared),
+            (false, true),
+            "{spelling} on a trace"
+        );
+        let built = parsed.build(&cfg, Some(&wf)).expect("policy builds");
+        assert_eq!(built.name(), expected.name(), "{spelling}");
+    }
+    for bad in [
+        "nonsense", "HTA", "", "hpa:", "hpa:x", "hpa:-5", "hpa:nan", "fixed:", "fixed:-1",
+    ] {
+        assert!(bad.parse::<PolicyKind>().is_err(), "{bad:?} must not parse");
+    }
+    assert!(
+        PolicyKind::Oracle.build(&cfg, None).is_err(),
+        "the oracle needs a workflow"
+    );
 }

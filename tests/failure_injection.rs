@@ -5,7 +5,7 @@
 use hta::cluster::{ClusterConfig, MachineType};
 use hta::core::driver::{DriverConfig, SystemDriver};
 use hta::core::policy::{HtaConfig, HtaPolicy};
-use hta::core::OperatorConfig;
+use hta::core::{FaultPlan, OperatorConfig};
 use hta::prelude::*;
 use hta::workloads::{blast_single_stage, BlastParams};
 
@@ -26,7 +26,10 @@ fn cfg_with_failures(failures: Vec<Duration>) -> DriverConfig {
         },
         initial_workers: 2,
         max_workers: 10,
-        node_failures: failures,
+        faults: FaultPlan {
+            node_crash_times: failures,
+            ..FaultPlan::default()
+        },
         ..DriverConfig::default()
     }
 }
