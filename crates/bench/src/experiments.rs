@@ -183,10 +183,14 @@ impl Scenario {
 
 /// `DriverConfig::default()`, the §VI cluster (3–20 × n1-standard-4,
 /// node-sized 3-core worker pods, master in-cluster, 60 s metrics lag),
-/// in the operator mode `kind` needs on a workflow, seeded with `seed`.
-/// The cluster keeps its default latency stream.
+/// in the operator mode `kind` needs on a workflow. `seed` seeds both
+/// the operator and the cluster's latency stream.
 pub fn paper_driver(kind: PolicyKind, seed: u64) -> DriverConfig {
     DriverConfig {
+        cluster: ClusterConfig {
+            seed,
+            ..ClusterConfig::default()
+        },
         operator: kind.operator(false, seed),
         ..DriverConfig::default()
     }
@@ -206,12 +210,9 @@ pub fn paper(kind: PolicyKind, seed: u64, workflow: impl FnOnce(bool) -> Workflo
     }
 }
 
-/// `hta-run`'s workflow mode: `workflow` on the §VI setup with the
-/// cluster's latency stream seeded by `seed` too.
+/// `hta-run`'s workflow mode: `workflow` on the §VI setup.
 pub fn cli_workflow(workflow: Workflow, kind: PolicyKind, seed: u64) -> Scenario {
-    let mut s = paper(kind, seed, |_| workflow);
-    s.cfg.cluster.seed = seed;
-    s
+    paper(kind, seed, |_| workflow)
 }
 
 // ----------------------------------------------------------------------
@@ -438,13 +439,9 @@ pub fn fig10_workload(declared: bool) -> Workflow {
 }
 
 /// Driver config for the §VI evaluation cluster: [`paper_driver`] with
-/// the cluster's latency stream seeded too and a 100 000 s cut-off.
+/// a 100 000 s cut-off.
 pub fn fig10_driver(kind: PolicyKind, seed: u64) -> DriverConfig {
     DriverConfig {
-        cluster: ClusterConfig {
-            seed,
-            ..ClusterConfig::default()
-        },
         max_sim_time: Duration::from_secs(100_000),
         ..paper_driver(kind, seed)
     }
@@ -629,6 +626,21 @@ pub fn ablation_run(variant: Ablation, seed: u64) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_run_seed_seeds_the_cluster_latency_stream() {
+        let seeds: Vec<u64> = [1, 2]
+            .into_iter()
+            .map(|seed| {
+                paper(PolicyKind::Hta, seed, |_| fig2_workload())
+                    .cfg
+                    .cluster
+                    .seed
+            })
+            .collect();
+        assert_ne!(seeds[0], seeds[1], "two seeds, two cluster streams");
+        assert_eq!(fig10_driver(PolicyKind::Hta, 2).cluster.seed, seeds[1]);
+    }
 
     #[test]
     fn fig6_latency_matches_calibration() {

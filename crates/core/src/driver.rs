@@ -1085,7 +1085,7 @@ impl SystemDriver {
             .recovery
             .as_mut()
             .expect("checkpointing without control-plane faults");
-        rs.checkpoint = Some(Checkpoint::take(&state, now));
+        rs.checkpoint = Some(Checkpoint::take(state, now));
         rs.wal.truncate();
     }
 
@@ -1166,9 +1166,11 @@ impl SystemDriver {
                 .checkpoint
                 .as_ref()
                 .expect("crashes are ignored before checkpoint #0");
+            // Moved, not copied: step 8 re-checkpoints, which supersedes
+            // these records before anything could crash again.
             (
                 cp.restore(),
-                rs.wal.records().to_vec(),
+                rs.wal.take_records(),
                 rs.last_crash_at,
                 cp.taken_at(),
             )

@@ -4,9 +4,9 @@
 //! capability with partitioned RNG streams. Crash recovery layers two small
 //! containers on top of it:
 //!
-//! * [`Checkpoint`] — a point-in-time snapshot of a component (taken with
-//!   `fork(0)`, i.e. an exact-replay clone) stamped with the sim instant it
-//!   was captured at.
+//! * [`Checkpoint`] — a point-in-time snapshot of a component (an
+//!   exact-replay copy the caller hands over by value) stamped with the sim
+//!   instant it was captured at.
 //! * [`Wal`] — an in-memory write-ahead log of *decision records* appended
 //!   since the last checkpoint. Recovery restores the checkpoint and then
 //!   re-applies the log in order.
@@ -21,9 +21,11 @@
 //! contract documented in ARCHITECTURE.md §9.
 //!
 //! The log is truncated at every checkpoint, so a crash replays at most one
-//! checkpoint interval of records. Records are deliberately *kept* across a
-//! recovery: a second crash before the next checkpoint must replay the same
-//! records against the same checkpoint.
+//! checkpoint interval of records. [`Wal::records`] leaves them in place
+//! (a second crash before the next checkpoint must replay the same records
+//! against the same checkpoint); a recovery that checkpoints as soon as it
+//! has replayed may move them out with [`Wal::take_records`] instead of
+//! copying them.
 
 use crate::{SimTime, SnapshotState};
 
@@ -35,10 +37,12 @@ pub struct Checkpoint<S: SnapshotState> {
 }
 
 impl<S: SnapshotState> Checkpoint<S> {
-    /// Capture `state` at sim instant `at` (an exact-replay fork).
-    pub fn take(state: &S, at: SimTime) -> Self {
+    /// Keep `state`, captured at sim instant `at`. The caller builds the
+    /// copy (an exact-replay `fork(0)` or clone of the live component)
+    /// and hands it over, so a checkpoint costs one copy, not two.
+    pub fn take(state: S, at: SimTime) -> Self {
         Checkpoint {
-            state: state.fork(0),
+            state,
             taken_at: at,
         }
     }
@@ -99,6 +103,14 @@ impl<T> Wal<T> {
         &self.records
     }
 
+    /// Move the pending records out, leaving the log empty. For a
+    /// recovery that checkpoints right after replaying them: the records
+    /// are not copied, and no truncation is counted (the checkpoint that
+    /// follows counts its own).
+    pub fn take_records(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.records)
+    }
+
     /// Number of records currently pending replay.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -150,7 +162,7 @@ mod tests {
             rng: SimRng::seed_from_u64(7),
             value: 10,
         };
-        let cp = Checkpoint::take(&c, SimTime::from_secs(30));
+        let cp = Checkpoint::take(c.fork(0), SimTime::from_secs(30));
         c.value = 99;
         let restored = cp.restore();
         assert_eq!(c.value, 99, "mutating the live state is visible there");
@@ -164,7 +176,7 @@ mod tests {
             rng: SimRng::seed_from_u64(7),
             value: 0,
         };
-        let cp = Checkpoint::take(&c, SimTime::ZERO);
+        let cp = Checkpoint::take(c.fork(0), SimTime::ZERO);
         let mut a = cp.restore();
         let mut b = c.clone();
         for _ in 0..16 {
@@ -178,7 +190,7 @@ mod tests {
             rng: SimRng::seed_from_u64(3),
             value: 5,
         };
-        let cp = Checkpoint::take(&c, SimTime::ZERO);
+        let cp = Checkpoint::take(c.fork(0), SimTime::ZERO);
         let mut first = cp.restore();
         let mut second = cp.restore();
         assert_eq!(first.value, second.value);
@@ -217,5 +229,17 @@ mod tests {
         assert_eq!(replayed, ["submit t0"]);
         // …no truncate between recoveries…
         assert_eq!(wal.records(), &["submit t0"]);
+    }
+
+    #[test]
+    fn take_records_moves_the_log_out_without_truncating() {
+        let mut wal: Wal<u32> = Wal::new();
+        wal.extend([1, 2]);
+        assert_eq!(wal.take_records(), vec![1, 2]);
+        assert!(wal.is_empty());
+        assert_eq!(wal.truncations(), 0, "only checkpoints count truncations");
+        assert_eq!(wal.appended_total(), 2);
+        wal.append(3);
+        assert_eq!(wal.records(), &[3]);
     }
 }

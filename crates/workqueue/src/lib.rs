@@ -78,6 +78,7 @@ pub mod master;
 pub mod proto;
 pub mod task;
 mod task_table;
+mod waiting;
 pub mod worker;
 
 pub use file::{FileCatalog, FileSpec};

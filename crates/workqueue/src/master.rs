@@ -37,7 +37,7 @@
 //!   every poll ([`Master::queue_status`] only re-derives the waiting
 //!   view, and only when the queue actually changed).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use hta_des::{
     branch_salt, CategoryId, ChanDir, ChannelStats, Delivery, Duration, EffectSink, Interner,
@@ -52,6 +52,7 @@ use crate::link::FairShareLink;
 use crate::proto::ControlMsg;
 use crate::task::{Measured, Speculative, TaskRecord, TaskSpec, TaskState};
 use crate::task_table::TaskTable;
+use crate::waiting::WaitingQueue;
 use crate::worker::{Worker, WorkerState};
 
 /// Events the master schedules for itself.
@@ -256,10 +257,13 @@ enum FlowPurpose {
     /// Delivering inputs for a task; `files` are the cacheable files the
     /// flow carries (cached on the worker when it completes).
     Staging {
-        /// The task that initiated the transfer.
+        /// The task that initiated the transfer (it waits on the flow).
         task: TaskId,
         /// Cacheable files carried (other tasks may be waiting on them).
         files: Vec<FileId>,
+        /// Other tasks on the same worker waiting on the carried files.
+        /// They leave with the flow: a cancelled flow drops its list.
+        sharers: Vec<TaskId>,
     },
     /// Returning a task's output.
     Returning(TaskId),
@@ -435,7 +439,15 @@ pub struct Master {
     catalog: FileCatalog,
     interner: Interner,
     tasks: TaskTable,
-    waiting: VecDeque<TaskId>,
+    /// The FIFO of waiting tasks and its demand histogram: distinct
+    /// (category, declared requirement) pairs with their counts. The
+    /// histogram lets [`Master::dispatch`] stop scanning the moment
+    /// remaining headroom fits no waiting requirement — on a saturated
+    /// cluster with a deep open-loop backlog that turns each O(queue)
+    /// rescan into O(placements made) — and gives the driver's metrics
+    /// sampler an O(distinct) waiting-cores sum instead of an O(queue)
+    /// walk.
+    waiting: WaitingQueue,
     /// Live (active or draining) workers only: a worker is dropped the
     /// moment it stops (see [`Master::refresh_worker_snap`]), so every
     /// scan over this map costs O(live), not O(workers ever connected).
@@ -452,7 +464,9 @@ pub struct Master {
     // injection draws a fate per started attempt.
     flows: BTreeMap<FlowId, FlowPurpose>,
     /// Tasks in `Staging` waiting on one or more flows (their own
-    /// transfer and/or shared cacheable files already in flight).
+    /// transfer and/or shared cacheable files already in flight). A
+    /// completed flow releases only its own waiters (the initiating task
+    /// and its `sharers`), never scanning this map.
     staging_waits: BTreeMap<TaskId, Vec<FlowId>>,
     next_flow: u64,
     next_worker: u64,
@@ -483,16 +497,6 @@ pub struct Master {
     snap: QueueStatus,
     /// True when `snap.waiting` no longer reflects the FIFO queue.
     waiting_dirty: bool,
-    /// Histogram of the distinct (category, declared requirement) pairs
-    /// currently in `waiting` (None = undeclared/exclusive). Lets
-    /// [`Master::dispatch`] stop scanning the moment remaining headroom
-    /// fits no waiting requirement — on a saturated cluster with a deep
-    /// open-loop backlog that turns each O(queue) rescan into
-    /// O(placements made) — and gives the driver's metrics sampler an
-    /// O(distinct) waiting-cores sum instead of an O(queue) walk.
-    waiting_demand: Vec<(CategoryId, Option<Resources>, usize)>,
-    /// Recycled `leftover` deque for [`Master::dispatch`].
-    dispatch_scratch: VecDeque<TaskId>,
     /// Recycled input-file buffer for [`Master::dispatch`].
     input_scratch: Vec<FileId>,
     /// Recycled completed-flow buffer for the link wake-ups.
@@ -543,6 +547,23 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// True when a record is in the waiting queue's live set.
+fn is_waiting(rec: &TaskRecord) -> bool {
+    rec.state == TaskState::Waiting
+}
+
+/// True when a record is in a terminal state (completed or failed).
+fn is_terminal(rec: &TaskRecord) -> bool {
+    matches!(rec.state, TaskState::Complete | TaskState::Failed)
+}
+
+/// The waiting queue's liveness test: a queue entry is live while its
+/// task's record exists and says `Waiting`; any other entry is a
+/// tombstone.
+fn queued(tasks: &TaskTable, id: TaskId) -> bool {
+    tasks.get(&id).is_some_and(is_waiting)
+}
+
 impl hta_des::SnapshotState for Master {
     /// Re-partition the fault/speculation and channel RNGs for a what-if
     /// branch; queue contents, workers, flows and statistics are
@@ -560,7 +581,7 @@ impl Master {
             catalog,
             interner: Interner::new(),
             tasks: TaskTable::new(),
-            waiting: VecDeque::new(),
+            waiting: WaitingQueue::default(),
             workers: BTreeMap::new(),
             gate: DispatchGate::default(),
             link: FairShareLink::new(cfg.egress_base_mbps, cfg.egress_overhead_per_flow),
@@ -584,8 +605,6 @@ impl Master {
             fault_stats: TaskFaultStats::default(),
             snap: QueueStatus::default(),
             waiting_dirty: false,
-            waiting_demand: Vec::new(),
-            dispatch_scratch: VecDeque::new(),
             input_scratch: Vec::new(),
             flow_scratch: Vec::new(),
             mwu_cache: std::cell::Cell::new(None),
@@ -638,8 +657,7 @@ impl Master {
         let cat = self.interner.intern(&spec.category);
         let declared = spec.declared;
         self.tasks.insert(id, TaskRecord::new(spec, cat, now));
-        self.waiting.push_back(id);
-        self.demand_inc(cat, declared);
+        self.waiting.push_back(id, cat, declared);
         self.waiting_dirty = true;
         self.dispatch(now, fx);
         self.assert_invariants();
@@ -649,18 +667,13 @@ impl Master {
     /// category's measured requirement to queued jobs — §IV-A step iii).
     pub fn declare_resources(&mut self, task: TaskId, declared: Resources) {
         self.mwu_cache.set(None);
-        let mut replaced = None;
-        if let Some(rec) = self.tasks.get_mut(&task) {
-            if rec.state == TaskState::Waiting {
-                replaced = Some((rec.cat, rec.spec.declared));
-                rec.spec.declared = Some(declared);
-                self.waiting_dirty = true;
-            }
-        }
-        if let Some((cat, old)) = replaced {
-            self.demand_dec(cat, old);
-            self.demand_inc(cat, Some(declared));
-        }
+        let Some(rec) = self.tasks.get_mut_if(&task, is_waiting) else {
+            return;
+        };
+        let old = rec.spec.declared;
+        rec.spec.declared = Some(declared);
+        self.waiting.redeclare(rec.cat, old, Some(declared));
+        self.waiting_dirty = true;
     }
 
     /// A new worker connected with the given capacity.
@@ -777,8 +790,7 @@ impl Master {
             rec.started_at = None;
             rec.run_generation += 1;
             rec.interruptions += 1;
-            self.waiting.push_front(*t);
-            self.demand_inc_for(*t);
+            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
             self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
             self.refresh_task_snap(*t);
@@ -842,8 +854,7 @@ impl Master {
             rec.run_generation += 1;
             rec.interruptions += 1;
             rec.dispatch_acked = false;
-            self.waiting.push_front(*t);
-            self.demand_inc_for(*t);
+            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
             self.refresh_task_snap(*t);
         }
         self.waiting_dirty = true;
@@ -875,12 +886,9 @@ impl Master {
     /// [`recover_reset_data_plane`]: Self::recover_reset_data_plane
     pub fn recover_complete(&mut self, at: SimTime, task: TaskId) {
         self.mwu_cache.set(None);
-        let Some(rec) = self.tasks.get_mut(&task) else {
+        let Some(rec) = self.tasks.get_mut_if(&task, |r| !is_terminal(r)) else {
             return;
         };
-        if matches!(rec.state, TaskState::Complete | TaskState::Failed) {
-            return;
-        }
         debug_assert_eq!(
             rec.state,
             TaskState::Waiting,
@@ -893,9 +901,9 @@ impl Master {
         let cat = rec.cat;
         self.completed_count += 1;
         self.note_completed_id(task);
-        self.waiting.retain(|t| *t != task);
         if was_waiting {
-            self.demand_dec(cat, declared);
+            let tasks = &self.tasks;
+            self.waiting.remove(cat, declared, |t| queued(tasks, t));
         }
         self.waiting_dirty = true;
         self.refresh_task_snap(task);
@@ -909,12 +917,9 @@ impl Master {
     /// counterpart of [`recover_complete`](Self::recover_complete)).
     pub fn recover_failed(&mut self, at: SimTime, task: TaskId) {
         self.mwu_cache.set(None);
-        let Some(rec) = self.tasks.get_mut(&task) else {
+        let Some(rec) = self.tasks.get_mut_if(&task, |r| !is_terminal(r)) else {
             return;
         };
-        if matches!(rec.state, TaskState::Complete | TaskState::Failed) {
-            return;
-        }
         debug_assert_eq!(
             rec.state,
             TaskState::Waiting,
@@ -927,9 +932,9 @@ impl Master {
         rec.completed_at = Some(at);
         self.failed_count += 1;
         self.fault_stats.permanent_failures += 1;
-        self.waiting.retain(|t| *t != task);
         if was_waiting {
-            self.demand_dec(cat, declared);
+            let tasks = &self.tasks;
+            self.waiting.remove(cat, declared, |t| queued(tasks, t));
         }
         self.waiting_dirty = true;
         self.refresh_task_snap(task);
@@ -944,15 +949,25 @@ impl Master {
     ///
     /// Called after every event and API mutation in sanitized builds
     /// (debug, or the `sim-sanitizer` feature); plain release builds
-    /// never evaluate the checks. O(tasks + workers) — acceptable for
-    /// checked runs, which is why it must stay behind the gate.
+    /// never evaluate the checks. The delta checks come first and cost
+    /// O(1) (O(distinct requirements) for the histogram); the full audit
+    /// after them is O(tasks + workers) — acceptable for checked runs,
+    /// which is why it must stay behind the gate.
     ///
-    /// Invariants:
+    /// Delta checks:
+    /// * **Counter conservation** — live queue entries + on-worker tasks
+    ///   (the running snapshot) + retained completions + failures equal
+    ///   the retained records.
+    /// * **Waiting queue** — its histogram counts its live entries, and
+    ///   tombstones never outnumber them.
+    ///
+    /// Full audit:
     /// * **Task conservation** — every submitted task is in exactly one
     ///   of waiting / on-a-worker / complete / failed, and the terminal
     ///   counters agree with the records.
-    /// * **Queue consistency** — the FIFO deque holds exactly the tasks
-    ///   whose record says `Waiting`, with no duplicates.
+    /// * **Queue consistency** — the queue's live entries are exactly the
+    ///   tasks whose record says `Waiting`, every other entry is a
+    ///   counted tombstone, and the demand histogram is a recount.
     /// * **Non-negative free resources** — no worker pool is
     ///   over-allocated.
     /// * **Task table** — its record counter equals a recount of the
@@ -967,6 +982,21 @@ impl Master {
         if !hta_des::sanitize::ACTIVE {
             return;
         }
+        self.waiting.assert_consistent();
+        let retained_complete = self.completed_count.checked_sub(self.retired);
+        assert!(
+            retained_complete
+                .map(|c| self.waiting.len() + self.snap.running.len() + c + self.failed_count)
+                == Some(self.tasks.len()),
+            "task conservation violated by the counters: waiting queue {} live + {} on-worker \
+             + {} completed - {} retired + {} failed != {} retained",
+            self.waiting.len(),
+            self.snap.running.len(),
+            self.completed_count,
+            self.retired,
+            self.failed_count,
+            self.tasks.len()
+        );
         self.tasks.assert_consistent();
         let mut waiting = 0usize;
         let mut on_worker = 0usize;
@@ -994,42 +1024,39 @@ impl Master {
             self.retired,
             self.failed_count
         );
-        assert!(
-            self.waiting.len() == waiting,
-            "waiting queue holds {} ids but {waiting} tasks are in state Waiting",
-            self.waiting.len()
-        );
-        for t in &self.waiting {
-            let state = self.tasks.get(t).map(|r| r.state);
-            assert!(
-                state == Some(TaskState::Waiting),
-                "waiting queue holds {t:?} in state {state:?}"
-            );
-        }
-        // The demand histogram must be an exact recount of the queue —
-        // dispatch's early exit is only sound if no requirement is ever
-        // under-counted.
+        let (mut live, mut dead) = (0usize, 0usize);
+        // The demand histogram must be an exact recount of the live
+        // entries — dispatch's early exit is only sound if no requirement
+        // is ever under-counted.
         let mut expect: Vec<(CategoryId, Option<Resources>, usize)> = Vec::new();
-        for t in &self.waiting {
-            if let Some(rec) = self.tasks.get(t) {
-                match expect
-                    .iter_mut()
-                    .find(|(c, d, _)| *c == rec.cat && *d == rec.spec.declared)
-                {
-                    Some(slot) => slot.2 += 1,
-                    None => expect.push((rec.cat, rec.spec.declared, 1)),
-                }
+        for t in self.waiting.iter() {
+            let Some(rec) = self.tasks.get(&t).filter(|r| is_waiting(r)) else {
+                dead += 1;
+                continue;
+            };
+            live += 1;
+            match expect
+                .iter_mut()
+                .find(|(c, d, _)| *c == rec.cat && *d == rec.spec.declared)
+            {
+                Some(slot) => slot.2 += 1,
+                None => expect.push((rec.cat, rec.spec.declared, 1)),
             }
         }
         assert!(
-            expect.len() == self.waiting_demand.len()
-                && expect.iter().all(|(c, d, n)| {
-                    self.waiting_demand
-                        .iter()
-                        .any(|(cc, dd, nn)| cc == c && dd == d && nn == n)
-                }),
-            "waiting-demand histogram {:?} out of sync with queue recount {expect:?}",
-            self.waiting_demand
+            live == waiting && live == self.waiting.len() && dead == self.waiting.tombstones(),
+            "waiting queue holds {live} live entries and {dead} tombstones, but {waiting} \
+             tasks are in state Waiting and the queue counts {} live and {} tombstones",
+            self.waiting.len(),
+            self.waiting.tombstones()
+        );
+        let demand = self.waiting.demand();
+        assert!(
+            expect.len() == demand.len()
+                && expect.iter().all(|(c, d, n)| demand
+                    .iter()
+                    .any(|(cc, dd, nn)| cc == c && dd == d && nn == n)),
+            "waiting-demand histogram {demand:?} out of sync with queue recount {expect:?}"
         );
         for w in self.workers.values() {
             let free = w.pool.available();
@@ -1228,10 +1255,9 @@ impl Master {
         match msg {
             ControlMsg::Dispatch { task, seq } => self.recv_dispatch(now, task, seq, fx),
             ControlMsg::DispatchAck { task, seq } => {
-                if let Some(rec) = self.tasks.get_mut(&task) {
-                    if rec.dispatch_seq == seq {
-                        rec.dispatch_acked = true;
-                    }
+                let fresh = |r: &TaskRecord| r.dispatch_seq == seq && !r.dispatch_acked;
+                if let Some(rec) = self.tasks.get_mut_if(&task, fresh) {
+                    rec.dispatch_acked = true;
                 }
             }
             ControlMsg::Completion { task, run_gen } => {
@@ -1462,12 +1488,9 @@ impl Master {
             self.cancel_speculation(now, *t);
         }
         for t in orphans.iter().rev() {
-            let Some(rec) = self.tasks.get_mut(t) else {
+            let Some(rec) = self.tasks.get_mut_if(t, |r| !is_terminal(r)) else {
                 continue;
             };
-            if matches!(rec.state, TaskState::Complete | TaskState::Failed) {
-                continue;
-            }
             rec.speculative = None;
             rec.state = TaskState::Waiting;
             rec.allocation = None;
@@ -1475,8 +1498,7 @@ impl Master {
             rec.run_generation += 1;
             rec.interruptions += 1;
             rec.dispatch_acked = false;
-            self.waiting.push_front(*t);
-            self.demand_inc_for(*t);
+            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
             self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
             self.refresh_task_snap(*t);
@@ -1556,8 +1578,7 @@ impl Master {
         rec.started_at = None;
         rec.run_generation += 1;
         rec.interruptions += 1;
-        self.waiting.push_front(task);
-        self.demand_inc_for(task);
+        self.waiting.push_front(task, rec.cat, rec.spec.declared);
         self.waiting_dirty = true;
         self.notifications
             .push(WqNotification::TaskFastAborted(task));
@@ -1610,7 +1631,11 @@ impl Master {
                 continue;
             };
             match purpose {
-                FlowPurpose::Staging { task, files } => {
+                FlowPurpose::Staging {
+                    task,
+                    files,
+                    mut sharers,
+                } => {
                     // The carried cacheable files are now on the worker.
                     if let Some(rec) = self.tasks.get(&task) {
                         if let TaskState::Staging(wid) = rec.state {
@@ -1621,19 +1646,23 @@ impl Master {
                             }
                         }
                     }
-                    // Release every task that was waiting on this flow
-                    // (the initiating task and any cache-sharers).
-                    let ready: Vec<TaskId> = self
-                        .staging_waits
-                        .iter_mut()
-                        .filter_map(|(t, deps)| {
-                            deps.retain(|f| *f != flow);
-                            deps.is_empty().then_some(*t)
-                        })
-                        .collect();
-                    for t in ready {
-                        self.staging_waits.remove(&t);
-                        self.start_execution(now, t, fx);
+                    // Start every waiter (the initiating task and any
+                    // cache-sharers) this was the last flow for, in
+                    // ascending task id. The initiator is slotted in by
+                    // position rather than pushed, so the common flow
+                    // with no sharers allocates nothing.
+                    let initiator_ready = self.release_waiter(task, flow);
+                    sharers.retain(|t| self.release_waiter(*t, flow));
+                    sharers.sort_unstable();
+                    let at = sharers.partition_point(|t| *t < task);
+                    for t in &sharers[..at] {
+                        self.start_execution(now, *t, fx);
+                    }
+                    if initiator_ready {
+                        self.start_execution(now, task, fx);
+                    }
+                    for t in &sharers[at..] {
+                        self.start_execution(now, *t, fx);
                     }
                 }
                 FlowPurpose::Returning(task) => {
@@ -1643,13 +1672,33 @@ impl Master {
         }
     }
 
+    /// Strike the completed `flow` off `task`'s staging waits; true when
+    /// it was the task's last one (the task may start). A task that no
+    /// longer waits on `flow` (re-queued since it registered) is left
+    /// alone.
+    fn release_waiter(&mut self, task: TaskId, flow: FlowId) -> bool {
+        let Some(deps) = self.staging_waits.get_mut(&task) else {
+            return false;
+        };
+        let Some(pos) = deps.iter().position(|f| *f == flow) else {
+            return false;
+        };
+        deps.remove(pos);
+        if !deps.is_empty() {
+            return false;
+        }
+        self.staging_waits.remove(&task);
+        true
+    }
+
     fn start_execution(&mut self, now: SimTime, task: TaskId, fx: &mut EffectSink<WqEvent>) {
         let (duration, generation, cat) = {
-            let Some(rec) = self.tasks.get_mut(&task) else {
+            let staging = |r: &TaskRecord| matches!(r.state, TaskState::Staging(_));
+            let Some(rec) = self.tasks.get_mut_if(&task, staging) else {
                 return;
             };
             let TaskState::Staging(wid) = rec.state else {
-                return;
+                unreachable!("state checked above");
             };
             rec.state = TaskState::Running(wid);
             rec.started_at = Some(now);
@@ -1770,8 +1819,7 @@ impl Master {
                 }
             }
             rec.state = TaskState::Waiting;
-            self.waiting.push_front(task);
-            self.demand_inc_for(task);
+            self.waiting.push_front(task, rec.cat, rec.spec.declared);
             self.waiting_dirty = true;
         }
         self.refresh_task_snap(task);
@@ -1845,17 +1893,16 @@ impl Master {
         fx: &mut EffectSink<WqEvent>,
     ) {
         let (primary_wid, wasted_core_s, new_gen) = {
-            let Some(rec) = self.tasks.get_mut(&task) else {
+            let racing = |r: &TaskRecord| {
+                r.run_generation == run_gen
+                    && matches!(r.state, TaskState::Running(_))
+                    && r.speculative.is_some()
+            };
+            let Some(rec) = self.tasks.get_mut_if(&task, racing) else {
                 return;
             };
-            if rec.run_generation != run_gen {
-                return;
-            }
-            let TaskState::Running(wid) = rec.state else {
-                return;
-            };
-            let Some(sp) = rec.speculative.take() else {
-                return;
+            let (TaskState::Running(wid), Some(sp)) = (rec.state, rec.speculative.take()) else {
+                unreachable!("state checked above");
             };
             let elapsed = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
             let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
@@ -1877,12 +1924,10 @@ impl Master {
     /// some other way), charging its burned core·seconds as waste.
     fn cancel_speculation(&mut self, now: SimTime, task: TaskId) {
         let (sp, wasted_core_s) = {
-            let Some(rec) = self.tasks.get_mut(&task) else {
+            let Some(rec) = self.tasks.get_mut_if(&task, |r| r.speculative.is_some()) else {
                 return;
             };
-            let Some(sp) = rec.speculative.take() else {
-                return;
-            };
+            let sp = rec.speculative.take().expect("checked above");
             let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
             (sp, cores * now.since(sp.started_at).as_secs_f64())
         };
@@ -1935,10 +1980,11 @@ impl Master {
         });
         let cat = rec.cat;
         let output_mb = rec.spec.output_mb;
+        if output_mb > 0.0 {
+            rec.state = TaskState::Returning(wid);
+        }
         self.observe_wall(cat, wall);
         if output_mb > 0.0 {
-            let rec = self.tasks.get_mut(&task).expect("checked above");
-            rec.state = TaskState::Returning(wid);
             let flow = FlowId(self.next_flow);
             self.next_flow += 1;
             self.link.advance(now);
@@ -1954,13 +2000,10 @@ impl Master {
     }
 
     fn finalize_completion(&mut self, now: SimTime, task: TaskId) {
-        let Some(rec) = self.tasks.get_mut(&task) else {
+        let Some(rec) = self.tasks.get_mut_if(&task, |r| r.worker().is_some()) else {
             return;
         };
-        let wid = match rec.state {
-            TaskState::Running(w) | TaskState::Returning(w) | TaskState::Staging(w) => w,
-            _ => return,
-        };
+        let wid = rec.worker().expect("checked above");
         rec.state = TaskState::Complete;
         rec.completed_at = Some(now);
         let measured = rec.measured.unwrap_or(Measured {
@@ -2011,69 +2054,32 @@ impl Master {
         self.cat_retired[cat.index()] += 1;
     }
 
-    /// First-fit FIFO dispatch of waiting tasks onto workers.
-    /// Count one waiting task's (category, declared requirement) into
-    /// the demand histogram. Every `waiting.push_*` site must pair with
-    /// this.
-    fn demand_inc(&mut self, cat: CategoryId, declared: Option<Resources>) {
-        match self
-            .waiting_demand
-            .iter_mut()
-            .find(|(c, d, _)| *c == cat && *d == declared)
-        {
-            Some(slot) => slot.2 += 1,
-            None => self.waiting_demand.push((cat, declared, 1)),
-        }
-    }
-
-    /// Remove one waiting task's entry from the demand histogram. Every
-    /// removal from `waiting` must pair with this.
-    fn demand_dec(&mut self, cat: CategoryId, declared: Option<Resources>) {
-        if let Some(pos) = self
-            .waiting_demand
-            .iter()
-            .position(|(c, d, _)| *c == cat && *d == declared)
-        {
-            self.waiting_demand[pos].2 -= 1;
-            if self.waiting_demand[pos].2 == 0 {
-                self.waiting_demand.remove(pos);
-            }
-        }
-    }
-
-    /// [`demand_inc`](Self::demand_inc) looked up from the task record
-    /// (for requeue sites, where the record already exists).
-    fn demand_inc_for(&mut self, task: TaskId) {
-        if let Some((cat, d)) = self.tasks.get(&task).map(|r| (r.cat, r.spec.declared)) {
-            self.demand_inc(cat, d);
-        }
-    }
-
     /// The demand histogram: distinct (category, declared, count) triples
     /// over the waiting queue, in first-seen order. O(distinct) summary
     /// for consumers (metrics, autoscalers) that would otherwise walk the
     /// whole queue.
     pub fn waiting_demand(&self) -> &[(CategoryId, Option<Resources>, usize)] {
-        &self.waiting_demand
+        self.waiting.demand()
     }
 
     /// True when some requirement in the demand histogram fits the
     /// dispatch headroom — the O(distinct categories) precondition for
     /// the waiting-queue scan to possibly place anything.
     fn demand_feasible(&self, max_free: &Resources, any_idle: bool) -> bool {
-        self.waiting_demand.iter().any(|(_, d, _)| match d {
+        self.waiting.demand().iter().any(|(_, d, _)| match d {
             Some(req) => req.fits_in(max_free),
             None => any_idle,
         })
     }
 
+    /// First-fit FIFO dispatch of waiting tasks onto workers.
     fn dispatch(&mut self, now: SimTime, fx: &mut EffectSink<WqEvent>) {
+        // Tests the live count: a queue of tombstones alone must not
+        // advance the link (an extra rounding step in the fluid model).
         if self.waiting.is_empty() {
             return;
         }
         self.link.advance(now);
-        let mut leftover = std::mem::take(&mut self.dispatch_scratch);
-        leftover.clear();
         let mut changed = false;
         // Admission gate: the component-wise max of free resources across
         // accepting workers is a necessary condition for any placement —
@@ -2091,17 +2097,11 @@ impl Master {
             if !self.demand_feasible(&max_free, any_idle) {
                 break;
             }
-            let Some(tid) = self.waiting.pop_front() else {
+            let tasks = &self.tasks;
+            let Some(tid) = self.waiting.pop_front(|t| queued(tasks, t)) else {
                 break;
             };
-            let Some(rec) = self.tasks.get(&tid) else {
-                changed = true;
-                continue;
-            };
-            if rec.state != TaskState::Waiting {
-                changed = true;
-                continue;
-            }
+            let rec = &self.tasks[&tid];
             let declared = rec.spec.declared;
             let cat = rec.cat;
             let feasible = match declared {
@@ -2109,7 +2109,7 @@ impl Master {
                 None => any_idle,
             };
             if !feasible {
-                leftover.push_back(tid);
+                self.waiting.defer(tid);
                 continue;
             }
             let target = match declared {
@@ -2125,11 +2125,11 @@ impl Master {
                     .map(|w| (w.id, w.capacity())),
             };
             let Some((wid, allocation)) = target else {
-                leftover.push_back(tid);
+                self.waiting.defer(tid);
                 continue;
             };
             changed = true;
-            self.demand_dec(cat, declared);
+            self.waiting.placed(cat, declared);
             {
                 let worker = self.workers.get_mut(&wid).expect("worker exists");
                 match declared {
@@ -2164,20 +2164,8 @@ impl Master {
                 fx.push(d, WqEvent::DispatchTimeout(tid, seq, 0));
             }
         }
-        // Reassemble the queue as rejected-entries-then-unscanned-tail
-        // (both already in submission order, so FIFO is preserved), moving
-        // whichever side is smaller: after an early exit only the few
-        // scanned-and-rejected ids move, so dispatch costs O(scan work),
-        // not O(queue length).
-        if leftover.len() <= self.waiting.len() {
-            for t in leftover.drain(..).rev() {
-                self.waiting.push_front(t);
-            }
-        } else {
-            leftover.extend(self.waiting.drain(..));
-            std::mem::swap(&mut self.waiting, &mut leftover);
-        }
-        self.dispatch_scratch = leftover;
+        let tasks = &self.tasks;
+        self.waiting.finish_pass(|t| queued(tasks, t));
         if changed {
             self.waiting_dirty = true;
         }
@@ -2253,6 +2241,7 @@ impl Master {
                 FlowPurpose::Staging {
                     task,
                     files: own_cacheable,
+                    sharers: Vec::new(),
                 },
             );
             deps.push(own_flow_id);
@@ -2269,6 +2258,7 @@ impl Master {
                     FlowPurpose::Staging {
                         task,
                         files: vec![f],
+                        sharers: Vec::new(),
                     },
                 );
                 if let Some(w) = self.workers.get_mut(&wid) {
@@ -2281,6 +2271,19 @@ impl Master {
         if deps.is_empty() {
             self.start_execution(now, task, fx);
         } else {
+            // Join the waiters of the other tasks' flows this one shares.
+            for flow in &deps {
+                if let Some(FlowPurpose::Staging {
+                    task: initiator,
+                    sharers,
+                    ..
+                }) = self.flows.get_mut(flow)
+                {
+                    if *initiator != task {
+                        sharers.push(task);
+                    }
+                }
+            }
             self.staging_waits.insert(task, deps);
         }
     }
@@ -2398,8 +2401,8 @@ impl Master {
         self.waiting_dirty = false;
         self.snap.waiting.clear();
         self.snap.waiting.reserve(self.waiting.len());
-        for t in &self.waiting {
-            if let Some(r) = self.tasks.get(t) {
+        for t in self.waiting.iter() {
+            if let Some(r) = self.tasks.get(&t).filter(|r| is_waiting(r)) {
                 self.snap.waiting.push(WaitingSnapshot {
                     id: r.spec.id,
                     cat: r.cat,
@@ -2413,7 +2416,7 @@ impl Master {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Number of waiting tasks.
+    /// Number of waiting tasks (live queue entries).
     pub fn waiting_count(&self) -> usize {
         self.waiting.len()
     }
@@ -2647,7 +2650,7 @@ impl Master {
 mod tests {
     use super::*;
     use crate::task::ExecModel;
-    use hta_des::EventQueue;
+    use hta_des::{Checkpoint, EventQueue};
 
     fn catalog_with_db() -> (FileCatalog, crate::ids::FileId) {
         let mut cat = FileCatalog::new();
@@ -2870,6 +2873,84 @@ mod tests {
         let rec1 = m.task(TaskId(1)).unwrap();
         // Second task skipped staging: started as soon as dispatched.
         assert_eq!(rec1.started_at.unwrap(), t0_done);
+    }
+
+    #[test]
+    fn one_cacheable_flow_releases_its_many_waiters_in_id_order() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let _w = m.worker_connect(
+            SimTime::ZERO,
+            Resources::cores(32, 128_000, 500_000),
+            &mut fx,
+        );
+        run(&mut m, &mut q, &mut fx, 10);
+        // Submitted in descending id, so dispatch (and sharer) order is
+        // the reverse of the id order the release must follow.
+        let decl = Some(Resources::cores(1, 2_000, 2_000));
+        for id in (0..32).rev() {
+            m.submit(SimTime::ZERO, cpu_task(id, db, decl), &mut fx);
+        }
+        assert_eq!(m.flows.len(), 1, "one transfer carries the database");
+        let Some(FlowPurpose::Staging { task, sharers, .. }) = m.flows.values().next() else {
+            panic!("a staging flow");
+        };
+        assert_eq!(*task, TaskId(31), "the first dispatched task initiates it");
+        assert_eq!(sharers.len(), 31, "every other task waits on it");
+        assert_eq!(m.staging_waits.len(), 32);
+        // Drive events until the flow completes; the tasks it releases
+        // schedule their finish events in start order.
+        sched(&mut q, &mut fx);
+        let mut started = Vec::new();
+        while let Some((now, ev)) = q.pop() {
+            m.handle(now, ev, &mut fx);
+            for (d, e) in fx.drain() {
+                if let WqEvent::TaskFinished(t, _) = e {
+                    started.push(t);
+                }
+                q.schedule_in(d, e);
+            }
+            if !started.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(started, (0..32).map(TaskId).collect::<Vec<_>>());
+        assert!(m.staging_waits.is_empty() && m.flows.is_empty());
+        run(&mut m, &mut q, &mut fx, 10_000);
+        assert!(m.all_complete());
+        assert_eq!(m.completed_count(), 32);
+    }
+
+    #[test]
+    fn a_cancelled_flow_leaves_no_waiter_behind() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let cap = Resources::cores(8, 64_000, 500_000);
+        let w = m.worker_connect(SimTime::ZERO, cap, &mut fx);
+        run(&mut m, &mut q, &mut fx, 10);
+        let decl = Some(Resources::cores(1, 2_000, 2_000));
+        for id in 0..8 {
+            m.submit(SimTime::ZERO, cpu_task(id, db, decl), &mut fx);
+        }
+        assert_eq!(m.staging_waits.len(), 8);
+        m.kill_worker(SimTime::from_secs(1), w, &mut fx);
+        assert!(
+            m.flows.is_empty(),
+            "the killed worker's transfer is cancelled"
+        );
+        assert!(
+            m.staging_waits.is_empty(),
+            "…and none of its waiters remain"
+        );
+        assert_eq!(m.waiting_count(), 8);
+        let _w2 = m.worker_connect(SimTime::from_secs(1), cap, &mut fx);
+        run(&mut m, &mut q, &mut fx, 10_000);
+        assert!(m.all_complete());
+        assert_eq!(m.completed_count(), 8);
     }
 
     #[test]
@@ -3367,6 +3448,132 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_shares_records_until_the_live_master_writes_them() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(
+            faulty_cfg(TaskFaults {
+                oom_rate: 1.0,
+                max_retries: 5,
+                oom_escalation: 2.0,
+                ..TaskFaults::default()
+            }),
+            cat,
+        );
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let decl = Some(Resources::cores(1, 2_000, 2_000));
+        for id in 0..3 {
+            m.submit(SimTime::ZERO, cpu_task(id, db, decl), &mut fx);
+        }
+        let ids: Vec<TaskId> = (0..3).map(TaskId).collect();
+        let cp = Checkpoint::take(m.clone(), SimTime::ZERO);
+        let probe = cp.restore();
+        for id in &ids {
+            assert!(m.tasks.shares_record(&probe.tasks, id), "{id:?} shared");
+        }
+        drop(probe);
+        // Write every record through the live master: a redeclaration,
+        // then dispatch onto a fresh worker, then OOM kills that escalate
+        // the declared memory on retry.
+        m.declare_resources(TaskId(2), Resources::cores(1, 3_000, 2_000));
+        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        run(&mut m, &mut q, &mut fx, 60);
+        let live = m.task(TaskId(0)).unwrap();
+        assert!(live.retries > 0, "an attempt was OOM-killed");
+        assert!(live.spec.declared.unwrap().memory_mb > 2_000, "escalated");
+        let redeclared = m.task(TaskId(2)).unwrap().spec.declared.unwrap();
+        assert!(
+            redeclared.memory_mb >= 3_000,
+            "redeclared, then maybe escalated"
+        );
+        // The checkpoint still holds the pre-write values.
+        let restored = cp.restore();
+        for id in &ids {
+            assert!(!m.tasks.shares_record(&restored.tasks, id), "{id:?} copied");
+            let rec = restored.task(*id).unwrap();
+            assert_eq!(rec.state, TaskState::Waiting);
+            assert_eq!((rec.retries, rec.run_generation), (0, 0));
+            assert_eq!(rec.spec.declared, decl);
+        }
+        assert_eq!(restored.waiting_count(), 3);
+        assert_eq!(
+            restored.waiting_demand(),
+            &[(m.task(TaskId(0)).unwrap().cat, decl, 3)]
+        );
+        restored.assert_invariants();
+    }
+
+    #[test]
+    fn wal_replay_tombstones_match_a_retain_reference() {
+        // The WAL-replay shape at scale: a deep backlog, then thousands of
+        // logged completions and failures applied in an arbitrary order.
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut reference: std::collections::VecDeque<TaskId> = std::collections::VecDeque::new();
+        let mut fx = EffectSink::new();
+        let n = 10_000u64;
+        for id in 0..n {
+            let declared =
+                (id % 3 != 0).then(|| Resources::cores(1 + (id % 2) as i64, 2_000, 2_000));
+            m.submit(SimTime::ZERO, cpu_task(id, db, declared), &mut fx);
+            reference.push_back(TaskId(id));
+        }
+        // Three ids in five, in a scattered order: 5,000 replayed
+        // completions and 1,000 failures.
+        let mut completions = 0;
+        for k in 0..n {
+            let id = TaskId((k * 7_919) % n);
+            if id.raw() % 5 < 2 {
+                continue;
+            }
+            if id.raw() % 10 == 9 {
+                m.recover_failed(SimTime::from_secs(1), id);
+            } else {
+                m.recover_complete(SimTime::from_secs(1), id);
+                completions += 1;
+            }
+            reference.retain(|t| *t != id);
+            assert!(
+                m.waiting.physical_len() <= 2 * m.waiting.len(),
+                "queue of {} entries for {} live",
+                m.waiting.physical_len(),
+                m.waiting.len()
+            );
+        }
+        assert_eq!(completions, 5_000);
+        let live: Vec<TaskId> = m.waiting.iter().filter(|t| queued(&m.tasks, *t)).collect();
+        assert_eq!(live, Vec::from(reference.clone()), "live order");
+        assert_eq!(m.waiting_count(), reference.len());
+        let snap: Vec<TaskId> = m.queue_status().waiting.iter().map(|w| w.id).collect();
+        assert_eq!(
+            snap,
+            Vec::from(reference.clone()),
+            "snapshot skips tombstones"
+        );
+        let mut counts: Vec<(Option<Resources>, usize)> = Vec::new();
+        for t in &reference {
+            let d = m.task(*t).unwrap().spec.declared;
+            match counts.iter_mut().find(|(dd, _)| *dd == d) {
+                Some(slot) => slot.1 += 1,
+                None => counts.push((d, 1)),
+            }
+        }
+        let mut hist: Vec<(Option<Resources>, usize)> = m
+            .waiting_demand()
+            .iter()
+            .map(|(_, d, c)| (*d, *c))
+            .collect();
+        hist.sort_by_key(|(d, _)| d.map(|r| r.millicores));
+        counts.sort_by_key(|(d, _)| d.map(|r| r.millicores));
+        assert_eq!(hist, counts, "demand histogram");
+        // Dispatch skips the tombstones: the head survivor goes first.
+        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        let head = m.task(reference[0]).unwrap();
+        assert!(head.worker().is_some(), "{:?} placed", head.spec.id);
+        assert!(m.waiting_count() < reference.len());
+    }
+
+    #[test]
     fn zero_rates_draw_nothing_and_change_nothing() {
         let (cat, db) = catalog_with_db();
         let mut m = Master::new(faulty_cfg(TaskFaults::default()), cat);
@@ -3503,7 +3710,8 @@ mod tests {
         let mut fx = EffectSink::new();
         m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
         // A task id queued twice (double-requeue bug) must be caught.
-        m.waiting.push_back(TaskId(0));
+        let cat = m.task(TaskId(0)).unwrap().cat;
+        m.waiting.push_back(TaskId(0), cat, None);
         m.assert_invariants();
     }
 
@@ -3533,7 +3741,7 @@ mod tests {
             "recovery emits no notifications"
         );
         // Front of the queue is ascending task id (retry priority).
-        let front: Vec<TaskId> = m.waiting.iter().copied().collect();
+        let front: Vec<TaskId> = m.waiting.iter().collect();
         assert_eq!(front, vec![TaskId(0), TaskId(1), TaskId(2)]);
         // A surviving worker re-registers and the queue drains normally.
         let _w2 = m.worker_connect(now, Resources::cores(4, 16_000, 50_000), &mut fx);

@@ -7,9 +7,15 @@
 //! `id − base` instead of an ordered map: a lookup is one index, not a
 //! B-tree walk.
 //!
-//! * **Slots are pointer-sized** (`Option<Box<TaskRecord>>`). An empty
+//! * **Slots are pointer-sized** (`Option<Arc<TaskRecord>>`). An empty
 //!   slot costs a word, not a whole record, so the holes that
 //!   out-of-order retirement leaves inside the window stay cheap.
+//! * **Copy-on-write records.** Cloning the table (a checkpoint, its
+//!   restore, a what-if fork) copies pointers and shares every record.
+//!   [`TaskTable::get_mut`] goes through [`Arc::make_mut`], so a shared
+//!   record is copied on its first write after the clone and never
+//!   again; read-only paths must use [`TaskTable::get`], which copies
+//!   nothing.
 //! * **Retirement** empties a slot and pops empty slots off both ends,
 //!   so the window follows the in-flight tasks.
 //! * **Bounded window.** A record that never leaves (a permanently
@@ -24,6 +30,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Index;
+use std::sync::Arc;
 
 use crate::ids::TaskId;
 use crate::task::TaskRecord;
@@ -44,11 +51,11 @@ pub(crate) struct TaskTable {
     base: u64,
     /// Records with ids in `base..base + slots.len()`. When non-empty,
     /// the first and last slots are occupied.
-    slots: VecDeque<Option<Box<TaskRecord>>>,
+    slots: VecDeque<Option<Arc<TaskRecord>>>,
     /// Occupied slots in `slots`.
     occupied: usize,
     /// Records with ids below `base`.
-    overflow: BTreeMap<TaskId, Box<TaskRecord>>,
+    overflow: BTreeMap<TaskId, Arc<TaskRecord>>,
 }
 
 impl TaskTable {
@@ -71,12 +78,28 @@ impl TaskTable {
         }
     }
 
-    /// The record for `id`, mutably.
+    /// The record for `id`, mutably. A record still shared with a clone
+    /// of the table is copied first (see the module docs).
     pub(crate) fn get_mut(&mut self, id: &TaskId) -> Option<&mut TaskRecord> {
-        match self.offset(*id) {
-            Some(off) => self.slots[off].as_deref_mut(),
-            None => self.overflow.get_mut(id).map(|r| &mut **r),
+        let rec = match self.offset(*id) {
+            Some(off) => self.slots[off].as_mut(),
+            None => self.overflow.get_mut(id),
+        }?;
+        Some(Arc::make_mut(rec))
+    }
+
+    /// The record for `id`, mutably, when `write` says the caller will
+    /// change it: a shared record the caller would only read is not
+    /// copied.
+    pub(crate) fn get_mut_if(
+        &mut self,
+        id: &TaskId,
+        write: impl FnOnce(&TaskRecord) -> bool,
+    ) -> Option<&mut TaskRecord> {
+        if !write(self.get(id)?) {
+            return None;
         }
+        self.get_mut(id)
     }
 
     /// True when a record for `id` is retained.
@@ -98,10 +121,10 @@ impl TaskTable {
     /// the record it replaces.
     pub(crate) fn insert(&mut self, id: TaskId, rec: TaskRecord) -> Option<TaskRecord> {
         debug_assert_eq!(id, rec.spec.id, "task record filed under a foreign id");
-        let rec = Box::new(rec);
+        let rec = Arc::new(rec);
         let raw = id.raw();
         if raw < self.base {
-            return self.overflow.insert(id, rec).map(|r| *r);
+            return self.overflow.insert(id, rec).map(Arc::unwrap_or_clone);
         }
         // Past the back: spill the front first, so a long gap in the ids
         // never materialises as a run of empty slots.
@@ -119,10 +142,11 @@ impl TaskTable {
         if old.is_none() {
             self.occupied += 1;
         }
-        old.map(|r| *r)
+        old.map(Arc::unwrap_or_clone)
     }
 
-    /// Remove and return the record for `id`.
+    /// Remove and return the record for `id` (copied only if a clone of
+    /// the table still shares it).
     pub(crate) fn remove(&mut self, id: &TaskId) -> Option<TaskRecord> {
         let rec = match self.offset(*id) {
             Some(off) => {
@@ -133,7 +157,7 @@ impl TaskTable {
             }
             None => self.overflow.remove(id)?,
         };
-        Some(*rec)
+        Some(Arc::unwrap_or_clone(rec))
     }
 
     /// Pop empty slots off both ends, then spill front records until the
@@ -176,6 +200,20 @@ impl TaskTable {
     /// Records in ascending id.
     pub(crate) fn values(&self) -> impl Iterator<Item = &TaskRecord> {
         self.iter().map(|(_, r)| r)
+    }
+
+    /// True when this table and `other` hold the very same allocation
+    /// for `id` (a record not yet copied on write since a clone).
+    #[cfg(test)]
+    pub(crate) fn shares_record(&self, other: &TaskTable, id: &TaskId) -> bool {
+        let slot = |t: &TaskTable| match t.offset(*id) {
+            Some(off) => t.slots[off].clone(),
+            None => t.overflow.get(id).cloned(),
+        };
+        match (slot(self), slot(other)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a, &b),
+            _ => false,
+        }
     }
 
     /// Slots the window holds (occupied or not).
@@ -263,12 +301,14 @@ mod tests {
         Touch(usize),
         /// Remove every record, then insert one.
         DrainAndInsert,
+        /// Clone the table (a checkpoint); later ops must not reach it.
+        Snapshot,
     }
 
     /// Mostly consecutive inserts, some short gaps and a few gaps longer
     /// than `SLACK`; removals at any position.
     fn op() -> impl Strategy<Value = Op> {
-        (0u32..10, 0u64..300, any::<usize>()).prop_map(|(kind, gap, pos)| match kind {
+        (0u32..11, 0u64..300, any::<usize>()).prop_map(|(kind, gap, pos)| match kind {
             0..=3 => Op::Insert(match gap {
                 0..=179 => 0,
                 180..=239 => gap % 4 + 1,
@@ -276,7 +316,8 @@ mod tests {
             }),
             4..=6 => Op::Remove(pos),
             7..=8 => Op::Touch(pos),
-            _ => Op::DrainAndInsert,
+            9 => Op::DrainAndInsert,
+            _ => Op::Snapshot,
         })
     }
 
@@ -301,12 +342,14 @@ mod tests {
     }
 
     proptest! {
-        /// The table behaves like the ordered map it replaces.
+        /// The table behaves like the ordered map it replaces, and a
+        /// clone keeps its records however the original changes after.
         #[test]
         fn agrees_with_an_ordered_map(ops in proptest::collection::vec(op(), 1..300)) {
             let mut table = TaskTable::new();
             let mut model: BTreeMap<TaskId, TaskRecord> = BTreeMap::new();
             let mut next = 0u64;
+            let mut snapshot: Option<(TaskTable, BTreeMap<TaskId, TaskRecord>, u64)> = None;
             for op in ops {
                 match op {
                     Op::Insert(gap) => {
@@ -339,8 +382,12 @@ mod tests {
                         model.insert(TaskId(next), record(next));
                         next += 1;
                     }
+                    Op::Snapshot => snapshot = Some((table.clone(), model.clone(), next)),
                 }
                 check(&table, &model, next);
+                if let Some((snap, snap_model, snap_next)) = &snapshot {
+                    check(snap, snap_model, *snap_next);
+                }
             }
         }
     }
