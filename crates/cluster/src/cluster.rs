@@ -13,6 +13,7 @@
 //! [`Cluster::drain_watch`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use hta_des::{Duration, SimRng, SimTime};
 use hta_resources::Resources;
@@ -98,9 +99,14 @@ pub struct Cluster {
     pods: BTreeMap<PodId, Pod>,
     /// Ids of the non-terminal pods, in id order. Terminal records stay in
     /// `pods` (a pulled image is still cached for a deleted pod, and
-    /// watchers may look a pod up after it ended), but the per-sample
-    /// group queries walk only this live set.
+    /// watchers may look a pod up after it ended), but the group queries
+    /// walk only this live set.
     live: BTreeSet<PodId>,
+    /// Size of `live` per pod group, so the per-sample replica count is
+    /// one lookup. A group keeps its entry (possibly zero) once seen, so
+    /// only a group's first pod allocates its key, and a clone shares the
+    /// keys.
+    live_per_group: BTreeMap<Arc<str>, usize>,
     /// FIFO queue of pods awaiting a node binding.
     pending: Vec<PodId>,
     node_ids: IdGen,
@@ -131,6 +137,7 @@ impl Cluster {
             nodes: BTreeMap::new(),
             pods: BTreeMap::new(),
             live: BTreeSet::new(),
+            live_per_group: BTreeMap::new(),
             pending: Vec::new(),
             node_ids: IdGen::default(),
             pod_ids: IdGen::default(),
@@ -212,6 +219,13 @@ impl Cluster {
         let pod = Pod::new(id, spec, now);
         self.watch
             .push(WatchEvent::pod(now, id, WatchKind::PodCreated));
+        match self.live_per_group.get_mut(pod.spec.group.as_str()) {
+            Some(n) => *n += 1,
+            None => {
+                self.live_per_group
+                    .insert(Arc::from(pod.spec.group.as_str()), 1);
+            }
+        }
         self.pods.insert(id, pod);
         self.live.insert(id);
         self.pending.push(id);
@@ -237,7 +251,7 @@ impl Cluster {
             PodPhase::Deleted
         };
         pod.finished_at = Some(now);
-        self.live.remove(&id);
+        self.leave_live(id);
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -272,7 +286,7 @@ impl Cluster {
         let node = pod.node.take();
         pod.phase = PodPhase::Succeeded;
         pod.finished_at = Some(now);
-        self.live.remove(&id);
+        self.leave_live(id);
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -308,7 +322,7 @@ impl Cluster {
                     pod.phase = PodPhase::Failed;
                     pod.finished_at = Some(now);
                     pod.node = None;
-                    self.live.remove(&pid);
+                    self.leave_live(pid);
                     self.watch
                         .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
                 }
@@ -319,6 +333,18 @@ impl Cluster {
         let fx = self.try_schedule_all(now);
         self.assert_invariants();
         fx
+    }
+
+    /// Take a pod that just reached a terminal phase out of the live set
+    /// and its group's count.
+    fn leave_live(&mut self, id: PodId) {
+        if self.live.remove(&id) {
+            let group = self.pods[&id].spec.group.as_str();
+            *self
+                .live_per_group
+                .get_mut(group)
+                .expect("a live pod's group is counted") -= 1;
+        }
     }
 
     /// A random ready node, if any (failure-injection helper).
@@ -605,7 +631,7 @@ impl Cluster {
         let node = pod.node.take();
         pod.phase = PodPhase::Failed;
         pod.finished_at = Some(now);
-        self.live.remove(&pod_id);
+        self.leave_live(pod_id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
                 n.release_pod(pod_id.raw(), now);
@@ -758,8 +784,9 @@ impl Cluster {
     }
 
     /// Number of non-terminal pods in a group (HPA's "current replicas").
+    /// O(log groups): read from the per-group count.
     pub fn group_replicas(&self, group: &str) -> usize {
-        self.live_pods_in_group(group).count()
+        self.live_per_group.get(group).copied().unwrap_or(0)
     }
 
     /// Running pods in a group.
@@ -858,11 +885,26 @@ impl Cluster {
     }
 
     /// Debug invariant: every node pool's allocations reference live pods
-    /// bound to that node, sums are consistent, and the live-pod set is
-    /// exactly the recount of non-terminal pods.
+    /// bound to that node, sums are consistent, the live-pod set is
+    /// exactly the recount of non-terminal pods, and the per-group live
+    /// counts are exactly a recount of that set.
     pub fn check_invariants(&self) -> bool {
         let recount = self.pods.values().filter(|p| !p.phase.is_terminal());
         if !recount.map(|p| p.id).eq(self.live.iter().copied()) {
+            return false;
+        }
+        let mut per_group: BTreeMap<&str, usize> = BTreeMap::new();
+        for id in &self.live {
+            *per_group
+                .entry(self.pods[id].spec.group.as_str())
+                .or_default() += 1;
+        }
+        let counted = self
+            .live_per_group
+            .iter()
+            .filter(|(_, &n)| n > 0)
+            .map(|(g, &n)| (&**g, n));
+        if !counted.eq(per_group) {
             return false;
         }
         for node in self.nodes.values() {
@@ -1207,6 +1249,50 @@ mod tests {
         assert_eq!(c.group_replicas("wq-worker"), 1);
         assert_eq!(c.group_replicas("other"), 0);
         assert_eq!(c.running_pods_in_group("wq-worker"), vec![p1]);
+    }
+
+    #[test]
+    fn group_counts_follow_every_exit_from_the_live_set() {
+        let mut c = Cluster::new(small_cfg());
+        let img = c.registry_mut().register("worker", 100.0);
+        let mut q = hta_des::EventQueue::new();
+        for (d, e) in c.bootstrap(SimTime::ZERO) {
+            q.schedule_in(d, e);
+        }
+        let other = |image| PodSpec {
+            group: "other".into(),
+            ..worker_spec(image)
+        };
+        let recount = |c: &Cluster, g: &str| c.live_pods_in_group(g).count();
+        let (running, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
+        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let (deleted, _) = c.create_pod(q.now(), worker_spec(img));
+        let (completed, _) = c.create_pod(q.now(), other(img));
+        assert_eq!(
+            (c.group_replicas("wq-worker"), c.group_replicas("other")),
+            (2, 1)
+        );
+        let _ = c.delete_pod(q.now(), deleted);
+        let _ = c.complete_pod(q.now(), completed);
+        assert_eq!(
+            (c.group_replicas("wq-worker"), c.group_replicas("other")),
+            (1, 0)
+        );
+        // A node crash fails the running pod; a terminal pod's second
+        // exit is a no-op and must not count twice.
+        let node = c.pod(running).and_then(|p| p.node).expect("bound");
+        let _ = c.fail_node(q.now(), node);
+        let _ = c.delete_pod(q.now(), running);
+        for g in ["wq-worker", "other", "never-seen"] {
+            assert_eq!(c.group_replicas(g), 0, "{g}");
+            assert_eq!(c.group_replicas(g), recount(&c, g), "{g}");
+        }
+        assert!(c.check_invariants());
+        let (_again, _) = c.create_pod(q.now(), other(img));
+        assert_eq!(c.group_replicas("other"), 1);
+        // A desynchronised count is an invariant violation.
+        *c.live_per_group.get_mut("other").expect("seen") += 1;
+        assert!(!c.check_invariants());
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! at construction, so completion handling and warm-up checks never touch
 //! category name strings.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hta_des::{CategoryId, Duration, EffectSink, SimRng, SimTime};
-use hta_makeflow::{JobId, Workflow};
+use hta_makeflow::{JobId, SimProfile, Workflow};
 use hta_resources::Resources;
 use hta_workqueue::master::{Master, WqEvent};
 use hta_workqueue::task::{ExecModel, Measured, TaskSpec};
@@ -113,22 +113,22 @@ impl Operator {
         let mut file_ids = BTreeMap::new();
         // Register source files with their metadata; intermediate files
         // with the producing category's output size (non-cacheable).
-        let mut names: Vec<String> = Vec::new();
-        for job in workflow.dag.jobs() {
-            for f in job.inputs.iter().chain(job.outputs.iter()) {
-                if !names.contains(f) {
-                    names.push(f.clone());
-                }
-            }
-        }
+        // Distinct names in first-seen order, so every `FileId` follows
+        // the jobs' id order.
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        let names = workflow
+            .dag
+            .jobs()
+            .flat_map(|job| job.inputs.iter().chain(job.outputs.iter()))
+            .filter(|f| seen.insert(f.as_str()));
         for name in names {
-            let id = match workflow.source_files.get(&name) {
+            let id = match workflow.source_files.get(name) {
                 Some(src) => {
                     master
                         .catalog_mut()
                         .register(name.clone(), src.size_mb, src.cacheable)
                 }
-                None => match workflow.dag.producer_of(&name) {
+                None => match workflow.dag.producer_of(name) {
                     Some(producer) => {
                         let cat = &workflow
                             .dag
@@ -146,7 +146,7 @@ impl Operator {
                     None => master.catalog_mut().register(name.clone(), 0.0, false),
                 },
             };
-            file_ids.insert(name, id);
+            file_ids.insert(name.clone(), id);
         }
         // Intern every category up front (job categories may lack
         // profiles and vice versa — cover both) so ids exist before the
@@ -306,7 +306,9 @@ impl Operator {
         }
     }
 
-    /// Build a task spec for `job` and submit it to the master.
+    /// Build a task spec for `job` and submit it to the master. The job
+    /// and its category profile are read in place; only the spec's own
+    /// fields are allocated.
     fn push_job(
         &mut self,
         now: SimTime,
@@ -314,32 +316,32 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        let j = self.workflow.dag.job(job).expect("job exists").clone();
-        let profile = self
+        let j = self.workflow.dag.job(job).expect("job exists");
+        // A category without a profile runs as `CategoryProfile::unknown`.
+        let sim = self
             .workflow
             .categories
             .get(&j.category)
-            .cloned()
-            .unwrap_or_else(|| hta_makeflow::CategoryProfile::unknown(j.category.clone()));
+            .map_or_else(SimProfile::default, |p| p.sim);
         let declared = self.known_resources_id(self.cat_of[&j.category]);
         let inputs: Vec<FileId> = j
             .inputs
             .iter()
             .filter_map(|f| self.file_ids.get(f).copied())
             .collect();
-        let wall = self.sample_wall(&profile.sim);
+        let wall = sample_wall(&mut self.rng, &sim);
         let task_id = TaskId(self.next_task);
         self.next_task += 1;
         let spec = TaskSpec {
             id: task_id,
             category: j.category.clone(),
             inputs,
-            output_mb: profile.sim.output_mb,
+            output_mb: sim.output_mb,
             declared,
-            actual: profile.sim.actual,
+            actual: sim.actual,
             exec: ExecModel {
                 duration: wall,
-                cpu_fraction: profile.sim.cpu_fraction,
+                cpu_fraction: sim.cpu_fraction,
             },
         };
         self.job_for_task.insert(task_id, job);
@@ -452,9 +454,9 @@ impl Operator {
             }
         }
 
-        // Unblock the DAG and submit newly ready jobs.
+        // Unblock the DAG and submit whatever its ready set now holds.
         if let Some(job) = self.job_for_task.get(&task).copied() {
-            let _newly_ready = self.workflow.complete(job);
+            self.workflow.complete(job);
             self.submit_ready(now, master, fx);
         }
     }
@@ -589,7 +591,7 @@ impl Operator {
     /// newly ready jobs were submitted under their own records).
     pub fn replay_complete(&mut self, task: TaskId) {
         if let Some(job) = self.job_for_task.get(&task).copied() {
-            let _ = self.workflow.complete(job);
+            self.workflow.complete(job);
         }
     }
 
@@ -661,21 +663,21 @@ impl Operator {
         self.held.retain(|_, v| !v.is_empty());
         promoted
     }
+}
 
-    /// Sample a job's wall time from its category profile: exact when
-    /// jitter is zero, uniform ±jitter by default, lognormal (median =
-    /// nominal wall, σ = jitter) when the profile is heavy-tailed.
-    fn sample_wall(&mut self, sim: &hta_makeflow::SimProfile) -> Duration {
-        if sim.wall_jitter <= 0.0 {
-            return sim.wall;
-        }
-        if sim.heavy_tail {
-            let mu = sim.wall.as_secs_f64().max(1e-3).ln();
-            let secs = self.rng.lognormal(mu, sim.wall_jitter);
-            Duration::from_secs_f64(secs)
-        } else {
-            self.rng.jittered(sim.wall, sim.wall_jitter)
-        }
+/// Sample a job's wall time from its category profile: exact when jitter
+/// is zero, uniform ±jitter by default, lognormal (median = nominal wall,
+/// σ = jitter) when the profile is heavy-tailed.
+fn sample_wall(rng: &mut SimRng, sim: &SimProfile) -> Duration {
+    if sim.wall_jitter <= 0.0 {
+        return sim.wall;
+    }
+    if sim.heavy_tail {
+        let mu = sim.wall.as_secs_f64().max(1e-3).ln();
+        let secs = rng.lognormal(mu, sim.wall_jitter);
+        Duration::from_secs_f64(secs)
+    } else {
+        rng.jittered(sim.wall, sim.wall_jitter)
     }
 }
 

@@ -1,10 +1,13 @@
 //! The workflow DAG.
 //!
 //! Nodes are jobs; an edge exists from job A to job B when B consumes a
-//! file A produces. The DAG maintains the ready set incrementally: when a
-//! job completes, exactly the jobs whose last missing input it produced
-//! become ready — the operation Makeflow performs on every completion
-//! notification.
+//! file A produces. The DAG keeps the set of `Ready` jobs beside the job
+//! states and updates it on every state change: [`Dag::build`] seeds it
+//! with the source jobs, a completion adds exactly the jobs whose last
+//! missing input it produced (the operation Makeflow performs on every
+//! completion notification), and submission, failure and abandonment
+//! take jobs out. [`Dag::ready_jobs`] reads the set, so asking what to
+//! submit costs O(ready), not O(jobs).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -43,6 +46,8 @@ impl std::error::Error for DagError {}
 pub struct Dag {
     graph: Arc<Graph>,
     states: BTreeMap<JobId, JobState>,
+    /// Exactly the jobs whose state is `Ready`, in id order.
+    ready: BTreeSet<JobId>,
     /// job → number of *incomplete* producer jobs it waits on.
     missing_deps: BTreeMap<JobId, usize>,
     completed: usize,
@@ -101,6 +106,11 @@ impl Dag {
                 (j.id, st)
             })
             .collect();
+        let ready = states
+            .iter()
+            .filter(|(_, s)| **s == JobState::Ready)
+            .map(|(&j, _)| j)
+            .collect();
         let dag = Dag {
             graph: Arc::new(Graph {
                 jobs: jobs.into_iter().map(|j| (j.id, j)).collect(),
@@ -108,6 +118,7 @@ impl Dag {
                 dependents,
             }),
             states,
+            ready,
             missing_deps: missing,
             completed: 0,
             failed: 0,
@@ -160,13 +171,9 @@ impl Dag {
         self.graph.jobs.is_empty()
     }
 
-    /// Jobs currently in `Ready` state, in id order.
+    /// Jobs currently in `Ready` state, in id order. O(ready).
     pub fn ready_jobs(&self) -> Vec<JobId> {
-        self.states
-            .iter()
-            .filter(|(_, s)| **s == JobState::Ready)
-            .map(|(&j, _)| j)
-            .collect()
+        self.ready.iter().copied().collect()
     }
 
     /// A job by id.
@@ -184,18 +191,26 @@ impl Dag {
         if let Some(s) = self.states.get_mut(&id) {
             debug_assert_eq!(*s, JobState::Ready, "submitting a non-ready job");
             *s = JobState::Submitted;
+            self.ready.remove(&id);
         }
+        self.assert_ready_set();
     }
 
-    /// Record a completion; returns the jobs that just became ready.
+    /// Record a completion; returns the jobs that just became ready. A
+    /// job already terminal (complete, failed or abandoned) stays as it
+    /// is, so the terminal counters never count a job twice.
     pub fn complete_job(&mut self, id: JobId) -> Vec<JobId> {
         let Some(s) = self.states.get_mut(&id) else {
             return Vec::new();
         };
-        if *s == JobState::Complete {
+        if matches!(
+            s,
+            JobState::Complete | JobState::Failed | JobState::Abandoned
+        ) {
             return Vec::new();
         }
         *s = JobState::Complete;
+        self.ready.remove(&id);
         self.completed += 1;
         let mut newly_ready = Vec::new();
         // The graph and the per-run state are disjoint fields, so the
@@ -208,11 +223,13 @@ impl Dag {
                     let st = self.states.get_mut(&d).expect("state tracked");
                     if *st == JobState::Blocked {
                         *st = JobState::Ready;
+                        self.ready.insert(d);
                         newly_ready.push(d);
                     }
                 }
             }
         }
+        self.assert_ready_set();
         newly_ready
     }
 
@@ -231,6 +248,7 @@ impl Dag {
             return Vec::new();
         }
         *s = JobState::Failed;
+        self.ready.remove(&id);
         self.failed += 1;
         // BFS over the dependents closure.
         let mut abandoned = Vec::new();
@@ -248,12 +266,32 @@ impl Dag {
                     continue;
                 }
                 *st = JobState::Abandoned;
+                self.ready.remove(&d);
                 self.abandoned += 1;
                 abandoned.push(d);
                 frontier.push(d);
             }
         }
+        self.assert_ready_set();
         abandoned
+    }
+
+    /// Assert that the ready set is exactly a scan of the `Ready` states
+    /// (sanitized builds only: debug, or the `sim-sanitizer` feature).
+    /// O(jobs), so plain release builds never evaluate it.
+    fn assert_ready_set(&self) {
+        if hta_des::sanitize::ACTIVE {
+            let scan = self
+                .states
+                .iter()
+                .filter(|(_, s)| **s == JobState::Ready)
+                .map(|(&j, _)| j);
+            assert!(
+                scan.eq(self.ready.iter().copied()),
+                "DAG ready set {:?} out of sync with the job states",
+                self.ready
+            );
+        }
     }
 
     /// Number of completed jobs.
@@ -295,13 +333,13 @@ impl Dag {
 
     /// Distinct category names, in first-seen (id) order.
     pub fn categories(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for j in self.graph.jobs.values() {
-            if !seen.contains(&j.category) {
-                seen.push(j.category.clone());
-            }
-        }
-        seen
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        self.graph
+            .jobs
+            .values()
+            .filter(|j| seen.insert(j.category.as_str()))
+            .map(|j| j.category.clone())
+            .collect()
     }
 }
 
@@ -417,6 +455,29 @@ mod tests {
         d.complete_job(JobId(2));
         assert_eq!(d.state(JobId(3)), Some(JobState::Abandoned));
         assert!(d.ready_jobs().is_empty());
+    }
+
+    #[test]
+    fn completing_a_failed_or_abandoned_job_changes_nothing() {
+        let mut d = diamond();
+        d.complete_job(JobId(0));
+        d.fail_job(JobId(1));
+        assert!(d.complete_job(JobId(1)).is_empty());
+        assert!(d.complete_job(JobId(3)).is_empty());
+        assert_eq!(d.state(JobId(1)), Some(JobState::Failed));
+        assert_eq!(d.state(JobId(3)), Some(JobState::Abandoned));
+        assert_eq!((d.completed(), d.failed(), d.abandoned()), (1, 1, 1));
+        assert_eq!(d.ready_jobs(), vec![JobId(2)]);
+    }
+
+    // The ready-set audit runs in sanitized builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of sync with the job states")]
+    fn sanitizer_catches_a_ready_set_desync() {
+        let mut d = diamond();
+        d.ready.insert(JobId(3));
+        d.mark_submitted(JobId(0));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`parser`] — the Makeflow-syntax parser: `targets : sources` rules
 //!   with tab-indented commands, `VAR=value` assignments, `$(VAR)`
 //!   substitution, and per-category resource/simulation directives;
-//! * [`dag`] — the in-memory DAG with cycle detection and incremental
-//!   ready-set maintenance (`complete_job` returns newly unblocked jobs);
+//! * [`dag`] — the in-memory DAG with cycle detection and a ready set
+//!   kept beside the job states (`ready_jobs` reads it in O(ready);
+//!   `complete_job` also returns the newly unblocked jobs);
 //! * [`category`] — job categories: jobs in one category are copies of
 //!   the same program on different inputs, the property HTA's estimator
 //!   exploits (§IV-A);

@@ -1,5 +1,6 @@
 //! Property tests for the DAG: random layered workflows complete in any
-//! valid order; ready-set maintenance is exact; cycles are rejected.
+//! valid order; the maintained ready set equals a scan of the job states
+//! after any submit/complete/fail sequence; cycles are rejected.
 
 use hta_makeflow::{Dag, Job, JobId, JobState};
 use proptest::prelude::*;
@@ -79,6 +80,57 @@ proptest! {
             prop_assert!(steps <= total + 1, "too many rounds");
         }
         prop_assert_eq!(dag.completed(), total);
+    }
+
+    /// Under any interleaving of submissions, completions and failures
+    /// (including repeats on terminal jobs), the maintained ready set is
+    /// exactly a scan of the `Ready` states in id order, and the terminal
+    /// counters are exactly a recount of the states.
+    #[test]
+    fn ready_set_matches_a_state_scan_after_every_step(
+        widths in proptest::collection::vec(1usize..7, 1..6),
+        picks in proptest::collection::vec(0usize..100, 8..64),
+        ops in proptest::collection::vec((0u8..4, 0usize..1_000), 1..120),
+    ) {
+        let mut dag = Dag::build(layered(widths, picks)).expect("acyclic");
+        let ids: Vec<JobId> = dag.jobs().map(|j| j.id).collect();
+        let in_state = |dag: &Dag, st: JobState| -> Vec<JobId> {
+            ids.iter().copied().filter(|j| dag.state(*j) == Some(st)).collect()
+        };
+        for (op, pick) in ops {
+            let pick_from = |v: Vec<JobId>| (!v.is_empty()).then(|| v[pick % v.len()]);
+            match op {
+                // Submit a ready job.
+                0 => if let Some(j) = pick_from(in_state(&dag, JobState::Ready)) {
+                    dag.mark_submitted(j);
+                },
+                // Complete a submitted job.
+                1 => if let Some(j) = pick_from(in_state(&dag, JobState::Submitted)) {
+                    dag.complete_job(j);
+                },
+                // Fail a ready or submitted job (abandons its dependents).
+                2 => {
+                    let mut live = in_state(&dag, JobState::Ready);
+                    live.extend(in_state(&dag, JobState::Submitted));
+                    if let Some(j) = pick_from(live) {
+                        dag.fail_job(j);
+                    }
+                }
+                // Complete or fail any job, terminal ones included.
+                _ => {
+                    let j = ids[pick % ids.len()];
+                    if pick % 2 == 0 {
+                        dag.complete_job(j);
+                    } else {
+                        dag.fail_job(j);
+                    }
+                }
+            }
+            prop_assert_eq!(dag.ready_jobs(), in_state(&dag, JobState::Ready));
+            prop_assert_eq!(dag.completed(), in_state(&dag, JobState::Complete).len());
+            prop_assert_eq!(dag.failed(), in_state(&dag, JobState::Failed).len());
+            prop_assert_eq!(dag.abandoned(), in_state(&dag, JobState::Abandoned).len());
+        }
     }
 
     /// The initial ready set is exactly the jobs with no produced inputs.

@@ -740,9 +740,7 @@ impl Master {
             .map(|(f, _)| *f)
             .collect();
         for f in stale {
-            self.link.cancel_flow(now, f);
-            self.peer_link.cancel_flow(now, f);
-            self.flows.remove(&f);
+            self.cancel_flow(now, f);
         }
         for t in &orphans {
             self.staging_waits.remove(t);
@@ -829,9 +827,7 @@ impl Master {
         self.mwu_cache.set(None);
         let stale: Vec<FlowId> = self.flows.keys().copied().collect();
         for f in stale {
-            self.link.cancel_flow(now, f);
-            self.peer_link.cancel_flow(now, f);
-            self.flows.remove(&f);
+            self.cancel_flow(now, f);
         }
         self.staging_waits.clear();
         let orphans: Vec<TaskId> = self
@@ -970,6 +966,8 @@ impl Master {
     ///   counted tombstone, and the demand histogram is a recount.
     /// * **Non-negative free resources** — no worker pool is
     ///   over-allocated.
+    /// * **Live staging flows** — every worker's in-flight file marker
+    ///   and every staging waiter names a flow that is still live.
     /// * **Task table** — its record counter equals a recount of the
     ///   occupied slots, and its window stays trimmed and bounded.
     /// * **Bounded worker state** — no stopped worker is retained, so
@@ -1065,6 +1063,21 @@ impl Master {
                 "worker {:?} over-allocated: available {free:?} of capacity {:?}",
                 w.id,
                 w.capacity()
+            );
+            // A marker naming a dead flow strands every later task on
+            // this worker that needs the file.
+            for flow in w.inflight_flows() {
+                assert!(
+                    self.flows.contains_key(&flow),
+                    "worker {:?} marks a file in flight on {flow:?}, which is no longer live",
+                    w.id
+                );
+            }
+        }
+        for (task, deps) in &self.staging_waits {
+            assert!(
+                deps.iter().all(|f| self.flows.contains_key(f)),
+                "task {task:?} waits on staging flows {deps:?}, not all of them live"
             );
         }
         // Bounded state: a stopped worker is retired on the spot, so the
@@ -1479,9 +1492,7 @@ impl Master {
             .map(|(f, _)| *f)
             .collect();
         for f in stale {
-            self.link.cancel_flow(now, f);
-            self.peer_link.cancel_flow(now, f);
-            self.flows.remove(&f);
+            self.cancel_flow(now, f);
         }
         for t in &orphans {
             self.staging_waits.remove(t);
@@ -1669,6 +1680,25 @@ impl Master {
                     self.finalize_completion(now, task);
                 }
             }
+        }
+    }
+
+    /// Cancel a staging or returning flow on both links. A staging flow
+    /// also takes its in-flight markers off the worker it was delivering
+    /// to: the worker may live on (a presumed-dead worker re-adopted by a
+    /// heartbeat), and a marker naming a dead flow would make every later
+    /// task there that needs the same file wait on it forever.
+    fn cancel_flow(&mut self, now: SimTime, flow: FlowId) {
+        self.link.cancel_flow(now, flow);
+        self.peer_link.cancel_flow(now, flow);
+        let Some(FlowPurpose::Staging { task, .. }) = self.flows.remove(&flow) else {
+            return;
+        };
+        let Some(TaskState::Staging(wid)) = self.tasks.get(&task).map(|r| r.state) else {
+            return;
+        };
+        if let Some(w) = self.workers.get_mut(&wid) {
+            w.clear_inflight_flow(flow);
         }
     }
 
@@ -3948,5 +3978,45 @@ mod tests {
         assert_eq!(m.task(TaskId(0)).unwrap().worker(), Some(w));
         run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(300));
         assert_eq!(m.completed_count(), 1);
+    }
+
+    #[test]
+    fn a_readopted_worker_restages_a_file_whose_flow_died_with_its_lease() {
+        // A 10 GB cacheable input takes 100 s on the 100 MB/s uplink.
+        // Worker→master traffic is cut from 1 s to 101 s, so the lease
+        // runs out mid-transfer: the presumed-dead worker's flow is
+        // cancelled and its task re-queued. The heartbeat after the cut
+        // re-adopts the worker with the task's file still unstaged, and
+        // the re-dispatched task must start a fresh transfer rather than
+        // wait on the cancelled one.
+        let mut cat = FileCatalog::new();
+        let db = cat.register("blast-db", 10_000.0, true);
+        let cut = hta_des::Partition {
+            start: Duration::from_secs(1),
+            duration: Duration::from_secs(100),
+            asymmetric: true,
+        };
+        let mut m = Master::new(lease_cfg(vec![cut]), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        m.submit(
+            SimTime::ZERO,
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(60));
+        assert!(m.suspects.contains(&w), "lease expired mid-transfer");
+        assert!(m.flows.is_empty(), "the suspect's transfer is cancelled");
+        assert_eq!(
+            m.workers[&w].inflight_flows().count(),
+            0,
+            "…and so is its in-flight marker"
+        );
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(5_000));
+        assert!(!m.suspects.contains(&w), "re-adopted after the cut");
+        let rec = m.task(TaskId(0)).unwrap();
+        assert_eq!(rec.state, TaskState::Complete, "stuck in {:?}", rec.state);
+        assert!(m.workers[&w].has_cached(db));
     }
 }

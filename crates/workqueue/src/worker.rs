@@ -159,6 +159,11 @@ impl Worker {
         }
     }
 
+    /// The flows currently delivering files to this worker.
+    pub(crate) fn inflight_flows(&self) -> impl Iterator<Item = crate::ids::FlowId> + '_ {
+        self.inflight.iter().map(|(_, flow)| *flow)
+    }
+
     /// Forget an in-flight transfer (cancelled flow).
     pub fn clear_inflight_flow(&mut self, flow: crate::ids::FlowId) {
         self.inflight.retain(|(_, f)| *f != flow);
