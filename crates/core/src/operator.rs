@@ -221,17 +221,8 @@ impl Operator {
         &self.file_ids
     }
 
-    /// Known per-category resources by name (declared-and-trusted or
-    /// learned). Boundary convenience; the hot path uses
-    /// [`Operator::known_resources_id`].
-    pub fn known_resources(&self, category: &str) -> Option<Resources> {
-        self.cat_of
-            .get(category)
-            .and_then(|id| self.learned.get(id))
-            .copied()
-    }
-
-    /// Known per-category resources by interned id.
+    /// Known per-category resources (declared-and-trusted or learned) by
+    /// interned id; resolve a name through [`Master::interner`].
     pub fn known_resources_id(&self, cat: CategoryId) -> Option<Resources> {
         self.learned.get(&cat).copied()
     }
@@ -742,11 +733,11 @@ mod tests {
         let op = Operator::new(OperatorConfig::default(), wf, &mut m);
         // db + 3 outputs.
         assert_eq!(m.catalog().len(), 4);
-        assert!(op.known_resources("align").is_none());
         assert!(
             m.interner().get("align").is_some(),
             "workflow categories are pre-interned"
         );
+        assert!(op.known_resources_id(cat(&m, "align")).is_none());
     }
 
     #[test]
@@ -783,10 +774,6 @@ mod tests {
         );
         assert_eq!(op.submitted_count(), 10, "probe + 9 released");
         assert!(op.held_jobs().is_empty());
-        assert_eq!(
-            op.known_resources("align"),
-            Some(Resources::cores(1, 2_000, 2_000))
-        );
         assert_eq!(
             op.known_resources_id(align),
             Some(Resources::cores(1, 2_000, 2_000))
@@ -1168,7 +1155,10 @@ mod tests {
         rop.reconcile_probes(t, &mut rm, &mut rfx);
         assert_eq!(rop.submitted_count(), op.submitted_count());
         assert_eq!(rop.held_jobs(), op.held_jobs());
-        assert_eq!(rop.known_resources("align"), op.known_resources("align"));
+        assert_eq!(
+            rop.known_resources_id(cat(&rm, "align")),
+            op.known_resources_id(cat(&m, "align"))
+        );
         assert_eq!(rm.completed_task_ids(), m.completed_task_ids());
         assert_eq!(rm.waiting_count(), m.waiting_count());
         // Released submissions carry the learned declaration (embedded in

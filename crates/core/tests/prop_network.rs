@@ -3,8 +3,13 @@
 //! heartbeat leases), a run over the degraded channel must terminate with
 //! the *identical* completed-task set as its fault-free twin — exactly
 //! once per task, no zombie double-completions, no lost work — and do so
-//! bitwise-reproducibly per seed. A salt-0 what-if fork taken while a
-//! partition is actively cutting the link must replay its parent exactly.
+//! bitwise-reproducibly per seed. The shared input is either small
+//! (80 MB, staged in well under a second) or large (16–64 GB over the
+//! master's 200 MB/s link, staged for minutes), so lease expiries also
+//! land while workers are still staging and the re-adopt-and-restage
+//! path is checked against the twin too. A salt-0 what-if fork
+//! taken while a partition is actively cutting the link must replay its
+//! parent exactly.
 
 use hta_cluster::{ClusterConfig, MachineType};
 use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
@@ -19,7 +24,7 @@ use hta_workqueue::master::MasterConfig;
 use hta_workqueue::{NetworkFaults, Partition};
 use proptest::prelude::*;
 
-fn workload(jobs: u64, wall_s: u64) -> Workflow {
+fn workload(jobs: u64, wall_s: u64, db_mb: f64) -> Workflow {
     let jobs: Vec<Job> = (0..jobs)
         .map(|i| Job {
             id: JobId(i),
@@ -43,7 +48,7 @@ fn workload(jobs: u64, wall_s: u64) -> Workflow {
     };
     Workflow::from_jobs(jobs, vec![profile])
         .expect("single-stage workflow is well-formed")
-        .with_source_file("db", 80.0, true)
+        .with_source_file("db", db_mb, true)
 }
 
 fn cfg(seed: u64, net: NetworkFaults) -> DriverConfig {
@@ -151,8 +156,16 @@ fn arb_net() -> impl Strategy<Value = NetworkFaults> {
         })
 }
 
+/// The shared input's size: the small 80 MB file or a large one
+/// (16–64 GB) that keeps workers staging long enough for a lease expiry
+/// to catch them mid-transfer (about one case in eight does).
+fn arb_db_mb() -> impl Strategy<Value = f64> {
+    (any::<bool>(), 16_000.0f64..64_000.0).prop_map(|(large, mb)| if large { mb } else { 80.0 })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    // Enough cases for several lease expiries to land mid-staging.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any seeded network-fault plan — loss, duplication, reordering,
     /// partitions, lease expiries, zombie fencing — terminates with the
@@ -163,11 +176,12 @@ proptest! {
         seed in 0u64..1_000,
         jobs in 4u64..16,
         wall_s in 20u64..90,
+        db_mb in arb_db_mb(),
         net in arb_net(),
     ) {
         let baseline = SystemDriver::new(
             cfg(seed, NetworkFaults::default()),
-            workload(jobs, wall_s),
+            workload(jobs, wall_s, db_mb),
             Box::new(FixedPolicy::new(3)),
         )
         .run();
@@ -176,7 +190,7 @@ proptest! {
         let faulted = || {
             SystemDriver::new(
                 cfg(seed, net.clone()),
-                workload(jobs, wall_s),
+                workload(jobs, wall_s, db_mb),
                 Box::new(FixedPolicy::new(3)),
             )
             .run()
@@ -204,6 +218,10 @@ proptest! {
         prop_assert_eq!(a.events, b.events);
         prop_assert_eq!(a.makespan_s, b.makespan_s);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// A salt-0 no-action fork taken while a partition is actively
     /// cutting the control link replays the parent's own future exactly:
@@ -234,7 +252,7 @@ proptest! {
         };
         let mut parent = SystemDriver::new(
             cfg(seed, net),
-            workload(jobs, wall_s),
+            workload(jobs, wall_s, 80.0),
             Box::new(FixedPolicy::new(3)),
         );
         // Fork strictly inside the partition window.

@@ -7,7 +7,7 @@
 //! A doc comment mentioning File, Instant, SmallRng and *mut u8.
 
 // Line comment: fork(42), fork(0), branch_salt(s, 1) twice, .collect().
-/* Block comment: deliver_ctl(m), begin_staging(t), schedule_in(d, e) */
+/* Block comment: schedule_in(d, e) and Vec::with_capacity(total) */
 
 /// Rustdoc for `lookup`: keep a `File` handle and `Instant` in the master.
 fn lookup() -> &'static str {
@@ -26,7 +26,7 @@ fn lookup() -> &'static str {
 fn escapes() -> String {
     let quote_then_hazard = "escaped quote \" then File stays quoted";
     let backslash = "trailing backslash \\";
-    let newline_escape = "line one\nline two with deliver_ctl(m)";
+    let newline_escape = "line one\nline two with fork(7)";
     format!("{quote_then_hazard}{backslash}{newline_escape}")
 }
 
@@ -44,7 +44,6 @@ mod tests {
         let ghost = sim.fork(0);
         let v: Vec<u32> = (0..10).collect();
         let buf: Vec<u8> = Vec::with_capacity(v.len());
-        master.deliver_ctl(msg);
         let _ = (started, log, branch, ghost, buf);
     }
 }

@@ -19,7 +19,7 @@
 //! rejects `#[allow]` and reason-less expectations, and rustc reports an
 //! expectation that no longer fires.
 //!
-//! This crate checks the seven rules those tools cannot express (see
+//! This crate checks the six rules those tools cannot express (see
 //! [`RULES`]). It has no suppression mechanism: a rule's legitimate
 //! exceptions live in its scope tables in [`rules`], and the binary
 //! exits 1 on any finding.
@@ -80,14 +80,6 @@ pub const RULES: &[Rule] = &[
                returned effect Vec)",
         hint: "push every effect into the sink; the driver drains it and applies \
                incarnation tagging that crash recovery relies on",
-    },
-    Rule {
-        id: "channel-bypass",
-        what: "master↔worker control state mutated without going through the message \
-               channel (a channel-internal entry point called outside its legal callers)",
-        hint: "send a typed ControlMsg via `route_ctl` — the channel applies loss, delay, \
-               partitions and the dispatch-sequence/run-generation fencing that keeps \
-               delivery idempotent",
     },
     Rule {
         id: "wal-coverage",

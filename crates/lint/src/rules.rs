@@ -47,29 +47,10 @@ const EFFECT_SCOPE: &[&str] = &[
     "crates/workqueue/src/",
 ];
 
-/// Source root the control-channel contract governs.
-const CHANNEL_SCOPE: &str = "crates/workqueue/src/";
-
 /// Source root of the streaming trace subsystem: arrival generation
 /// must stay lazy, with memory bounded by the in-flight lookahead
 /// window — never by total trace length.
 const TRACE_SCOPE: &str = "crates/trace/src/";
-
-/// Channel-internal entry points and the only functions allowed to call
-/// each. Everything else must route through the message channel
-/// (`route_ctl`), which is where loss, delay, partitions, duplication
-/// and the fencing rules live.
-const CHANNEL_INTERNALS: &[(&str, &[&str])] = &[
-    // Message delivery: inline from the router, or the scheduled
-    // `NetDeliver` arm of the event handler.
-    ("deliver_ctl", &["route_ctl", "handle"]),
-    // Staging starts only when a Dispatch message is received.
-    ("begin_staging", &["recv_dispatch"]),
-    // Typed receivers: only the delivery demultiplexer.
-    ("recv_dispatch", &["deliver_ctl"]),
-    ("recv_completion", &["deliver_ctl"]),
-    ("recv_heartbeat", &["deliver_ctl"]),
-];
 
 /// True when `path` is library/binary source (not integration tests).
 fn in_src(path: &str) -> bool {
@@ -91,9 +72,6 @@ pub fn per_file_rules(path: &str, p: &Parser<'_>, st: &Structure) -> Vec<Finding
     }
     if EFFECT_SCOPE.iter().any(|s| path.starts_with(s)) {
         effect_purity(p, st, &mut out);
-    }
-    if path.starts_with(CHANNEL_SCOPE) {
-        channel_bypass(p, st, &mut out);
     }
     if path.starts_with(TRACE_SCOPE) {
         trace_materialization(p, st, &mut out);
@@ -314,52 +292,6 @@ fn effect_purity(p: &Parser<'_>, st: &Structure, out: &mut Findings) {
     }
 }
 
-/// `channel-bypass`: master↔worker control state moves only through the
-/// message channel. The channel-internal entry points
-/// ([`CHANNEL_INTERNALS`]) each have a closed set of legal callers; a
-/// call from anywhere else skips the loss/delay/partition model and the
-/// fencing rules (dispatch sequence, run generation) that make delivery
-/// idempotent — work that would silently be exactly-once in simulation
-/// but at-least-once on a real network.
-fn channel_bypass(p: &Parser<'_>, st: &Structure, out: &mut Findings) {
-    for i in 0..p.sig.len() {
-        let Some(t) = p.tok(i) else { break };
-        if t.kind != TokKind::Ident || st.in_test(t.start) {
-            continue;
-        }
-        // The definition itself is not a call.
-        if i > 0 && p.ident(i - 1, "fn") {
-            continue;
-        }
-        let word = p.text(i);
-        let Some((callee, allowed)) = CHANNEL_INTERNALS.iter().find(|(c, _)| *c == word) else {
-            continue;
-        };
-        if !p.punct(i + 1, '(') {
-            continue; // a path or field mention, not a call
-        }
-        let fid = enclosing_fn(st, i);
-        let caller = st.fns.get(fid).map_or("<top level>", |f| f.name.as_str());
-        if allowed.contains(&caller) {
-            continue;
-        }
-        out.push(
-            t.line,
-            "channel-bypass",
-            format!(
-                "`{callee}` called from `fn {caller}` — only {} may; everything else \
-                 routes through the message channel (`route_ctl`) so loss, partitions \
-                 and the idempotence fencing apply",
-                allowed
-                    .iter()
-                    .map(|a| format!("`{a}`"))
-                    .collect::<Vec<_>>()
-                    .join("/")
-            ),
-        );
-    }
-}
-
 /// `trace-unbounded-materialization`: the trace crate's contract is
 /// O(in-flight) memory for arbitrarily long traces. Collecting the
 /// arrival stream (`.collect::<Vec<_>>()`) or pre-sizing a buffer from
@@ -539,25 +471,6 @@ mod tests {
             "fn h(fx: &mut EffectSink<E>, w: &mut World) {\n    w.queue.schedule_in(d, e);\n}\n";
         let f = findings("crates/des/src/a.rs", src);
         assert_eq!(f, vec![(2, "effect-purity")]);
-    }
-
-    #[test]
-    fn channel_bypass_positive_negative_and_scope() {
-        let src = "impl Master {\n    fn route_ctl(&mut self, m: ControlMsg) { self.deliver_ctl(m); }\n    fn dispatch(&mut self, m: ControlMsg) { self.deliver_ctl(m); }\n    fn recv_dispatch(&mut self, t: TaskId) { self.begin_staging(t); }\n    fn worker_connect(&mut self, t: TaskId) { self.begin_staging(t); }\n}\n";
-        let f = findings("crates/workqueue/src/master.rs", src);
-        assert_eq!(
-            f,
-            vec![(3, "channel-bypass"), (5, "channel-bypass")],
-            "only the disallowed callers fire"
-        );
-        // Outside the workqueue source tree the rule is scoped off.
-        assert!(findings("crates/core/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn channel_bypass_ignores_definitions_and_tests() {
-        let src = "fn deliver_ctl(m: ControlMsg) {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { m.deliver_ctl(msg); }\n}\n";
-        assert!(findings("crates/workqueue/src/master.rs", src).is_empty());
     }
 
     #[test]

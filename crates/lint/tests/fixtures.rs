@@ -12,7 +12,6 @@ const CHECKPOINT: &str = include_str!("../fixtures/checkpoint_unsafe.rs");
 const STRINGS: &str = include_str!("../fixtures/strings_and_comments.rs");
 const SALT_FLOW: &str = include_str!("../fixtures/salt_flow.rs");
 const EFFECT_PURITY: &str = include_str!("../fixtures/effect_purity.rs");
-const CHANNEL_BYPASS: &str = include_str!("../fixtures/channel_bypass.rs");
 const WAL_DEFS: &str = include_str!("../fixtures/wal_defs.rs");
 const WAL_USES: &str = include_str!("../fixtures/wal_uses.rs");
 const SNAPSHOT: &str = include_str!("../fixtures/snapshot_coverage.rs");
@@ -133,23 +132,6 @@ fn snapshot_field_coverage_fixture() {
 }
 
 #[test]
-fn channel_bypass_fixture_positive_negative_and_scope() {
-    let f = scan_file("crates/workqueue/src/fixture.rs", CHANNEL_BYPASS);
-    assert_eq!(
-        pairs(&f),
-        vec![
-            (27, "channel-bypass"),
-            (33, "channel-bypass"),
-            (38, "channel-bypass"),
-        ],
-        "full findings: {f:#?}"
-    );
-    // Outside the workqueue source tree the rule is scoped off.
-    let g = scan_file("crates/core/src/fixture.rs", CHANNEL_BYPASS);
-    assert!(g.is_empty(), "{g:#?}");
-}
-
-#[test]
 fn trace_materialization_fixture_positive_negative_and_scope() {
     let f = scan_file("crates/trace/src/fixture.rs", TRACE_MAT);
     assert_eq!(
@@ -173,7 +155,6 @@ fn every_rule_fires_on_some_fixture() {
     all.extend(scan_file("crates/core/src/fixture.rs", CHECKPOINT));
     all.extend(scan_file("crates/core/src/fixture.rs", SALT_FLOW));
     all.extend(scan_file("crates/des/src/fixture.rs", EFFECT_PURITY));
-    all.extend(scan_file("crates/workqueue/src/fixture.rs", CHANNEL_BYPASS));
     all.extend(scan_file("crates/cluster/src/fixture.rs", SNAPSHOT));
     all.extend(scan_file("crates/trace/src/fixture.rs", TRACE_MAT));
     let defs = analyze_file("crates/des/src/wal_defs.rs", WAL_DEFS);

@@ -86,8 +86,8 @@ pub use hta_des::{ChannelStats, NetworkFaults, Partition};
 pub use ids::{FileId, FlowId, TaskId, WorkerId};
 pub use link::FairShareLink;
 pub use master::{
-    CategorySummary, FailKind, Master, MasterConfig, QueueStatus, RunningSnapshot, TaskFaultStats,
-    TaskFaults, WaitingSnapshot, WorkerSnapshot, WqEffect, WqEvent, WqNotification,
+    FailKind, Master, MasterConfig, QueueStatus, RunningSnapshot, TaskFaultStats, TaskFaults,
+    WaitingSnapshot, WorkerSnapshot, WqEffect, WqEvent, WqNotification,
 };
 pub use proto::ControlMsg;
 pub use task::{ExecModel, Speculative, TaskRecord, TaskSpec, TaskState};

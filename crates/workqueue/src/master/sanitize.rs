@@ -1,0 +1,278 @@
+//! The sim-sanitizer's audit of the master's structural invariants.
+
+use std::collections::BTreeMap;
+
+use hta_des::CategoryId;
+use hta_resources::Resources;
+
+use super::{is_waiting, Master};
+use crate::ids::WorkerId;
+use crate::task::TaskState;
+use crate::worker::WorkerState;
+
+impl Master {
+    /// Assert the master's structural invariants (sim-sanitizer).
+    ///
+    /// Called after every event and API mutation in sanitized builds
+    /// (debug, or the `sim-sanitizer` feature); plain release builds
+    /// never evaluate the checks. The delta checks come first and cost
+    /// O(1) (O(distinct requirements) for the histogram); the full audit
+    /// after them is O(tasks + workers) — acceptable for checked runs,
+    /// which is why it must stay behind the gate.
+    ///
+    /// Delta checks:
+    /// * **Counter conservation** — live queue entries + on-worker tasks
+    ///   (the running snapshot) + retained completions + failures equal
+    ///   the retained records.
+    /// * **Waiting queue** — its histogram counts its live entries, and
+    ///   tombstones never outnumber them.
+    ///
+    /// Full audit:
+    /// * **Task conservation** — every submitted task is in exactly one
+    ///   of waiting / on-a-worker / complete / failed, and the terminal
+    ///   counters agree with the records.
+    /// * **Queue consistency** — the queue's live entries are exactly the
+    ///   tasks whose record says `Waiting`, every other entry is a
+    ///   counted tombstone, and the demand histogram is a recount.
+    /// * **Non-negative free resources** — no worker pool is
+    ///   over-allocated.
+    /// * **Live staging flows** — every worker's in-flight file marker
+    ///   and every staging waiter names a flow that is still live.
+    /// * **Task table** — its record counter equals a recount of the
+    ///   occupied slots, and its window stays trimmed and bounded.
+    /// * **Bounded worker state** — no stopped worker is retained, so
+    ///   the worker table is exactly the live set.
+    /// * **Incremental dispatch gate** — equals a fresh scan of the
+    ///   eligible workers.
+    /// * **Interner stability** — category ids stay dense and resolve
+    ///   to distinct names.
+    pub fn assert_invariants(&self) {
+        if !hta_des::sanitize::ACTIVE {
+            return;
+        }
+        self.waiting.assert_consistent();
+        let retained_complete = self.completed_count.checked_sub(self.retired);
+        assert!(
+            retained_complete
+                .map(|c| self.waiting.len() + self.snap.running.len() + c + self.failed_count)
+                == Some(self.tasks.len()),
+            "task conservation violated by the counters: waiting queue {} live + {} on-worker \
+             + {} completed - {} retired + {} failed != {} retained",
+            self.waiting.len(),
+            self.snap.running.len(),
+            self.completed_count,
+            self.retired,
+            self.failed_count,
+            self.tasks.len()
+        );
+        self.tasks.assert_consistent();
+        let mut waiting = 0usize;
+        let mut on_worker = 0usize;
+        let mut complete = 0usize;
+        let mut failed = 0usize;
+        for rec in self.tasks.values() {
+            match rec.state {
+                TaskState::Waiting => waiting += 1,
+                TaskState::Staging(_) | TaskState::Running(_) | TaskState::Returning(_) => {
+                    on_worker += 1
+                }
+                TaskState::Complete => complete += 1,
+                TaskState::Failed => failed += 1,
+            }
+        }
+        let submitted = self.tasks.len();
+        assert!(
+            waiting + on_worker + complete + failed == submitted
+                && complete + self.retired == self.completed_count
+                && failed == self.failed_count,
+            "task conservation violated: {waiting} waiting + {on_worker} on-worker + \
+             {complete} complete + {failed} failed != {submitted} retained \
+             (counters: completed={}, retired={}, failed={})",
+            self.completed_count,
+            self.retired,
+            self.failed_count
+        );
+        let (mut live, mut dead) = (0usize, 0usize);
+        // The demand histogram must be an exact recount of the live
+        // entries — dispatch's early exit is only sound if no requirement
+        // is ever under-counted.
+        let mut expect: Vec<(CategoryId, Option<Resources>, usize)> = Vec::new();
+        for t in self.waiting.iter() {
+            let Some(rec) = self.tasks.get(&t).filter(|r| is_waiting(r)) else {
+                dead += 1;
+                continue;
+            };
+            live += 1;
+            match expect
+                .iter_mut()
+                .find(|(c, d, _)| *c == rec.cat && *d == rec.spec.declared)
+            {
+                Some(slot) => slot.2 += 1,
+                None => expect.push((rec.cat, rec.spec.declared, 1)),
+            }
+        }
+        assert!(
+            live == waiting && live == self.waiting.len() && dead == self.waiting.tombstones(),
+            "waiting queue holds {live} live entries and {dead} tombstones, but {waiting} \
+             tasks are in state Waiting and the queue counts {} live and {} tombstones",
+            self.waiting.len(),
+            self.waiting.tombstones()
+        );
+        let demand = self.waiting.demand();
+        assert!(
+            expect.len() == demand.len()
+                && expect.iter().all(|(c, d, n)| demand
+                    .iter()
+                    .any(|(cc, dd, nn)| cc == c && dd == d && nn == n)),
+            "waiting-demand histogram {demand:?} out of sync with queue recount {expect:?}"
+        );
+        for w in self.workers.values() {
+            let free = w.pool.available();
+            assert!(
+                !free.has_negative(),
+                "worker {:?} over-allocated: available {free:?} of capacity {:?}",
+                w.id,
+                w.capacity()
+            );
+            // A marker naming a dead flow strands every later task on
+            // this worker that needs the file.
+            for flow in w.inflight_flows() {
+                assert!(
+                    self.flows.contains_key(&flow),
+                    "worker {:?} marks a file in flight on {flow:?}, which is no longer live",
+                    w.id
+                );
+            }
+        }
+        for (task, deps) in &self.staging_waits {
+            assert!(
+                deps.iter().all(|f| self.flows.contains_key(f)),
+                "task {task:?} waits on staging flows {deps:?}, not all of them live"
+            );
+        }
+        // Bounded state: a stopped worker is retired on the spot, so the
+        // table holds exactly the live workers the snapshot reports.
+        assert!(
+            self.workers.len() == self.snap.workers.len()
+                && self
+                    .workers
+                    .values()
+                    .all(|w| w.state != WorkerState::Stopped),
+            "worker table holds {} records for {} live workers (stopped worker retained)",
+            self.workers.len(),
+            self.snap.workers.len()
+        );
+        // The incremental dispatch gate must equal a fresh scan: same
+        // members with current entries, axes that count exactly those
+        // members, and the same headroom as the reference scan.
+        let members: BTreeMap<WorkerId, (Resources, bool)> = self
+            .workers
+            .values()
+            .filter_map(|w| Some((w.id, self.gate_entry(w)?)))
+            .collect();
+        assert!(
+            self.gate.members == members,
+            "dispatch gate members {:?} out of sync with the worker table {members:?}",
+            self.gate.members
+        );
+        for axis in [
+            &self.gate.millicores,
+            &self.gate.memory_mb,
+            &self.gate.disk_mb,
+        ] {
+            let counted: usize = axis.values().map(|n| *n as usize).sum();
+            assert!(
+                counted == members.len(),
+                "dispatch gate axis counts {counted} entries for {} members",
+                members.len()
+            );
+        }
+        let idle = members.values().filter(|(_, idle)| *idle).count();
+        assert!(
+            self.gate.idle == idle && self.gate.headroom() == self.scan_headroom(),
+            "dispatch gate {:?} (idle {}) != full scan {:?} (idle {idle})",
+            self.gate.headroom(),
+            self.gate.idle,
+            self.scan_headroom()
+        );
+        let mut seen_cats = 0usize;
+        for (name, id) in self.interner.iter_by_name() {
+            assert!(
+                self.interner.name(id) == name,
+                "interner id {id:?} no longer resolves to {name:?}"
+            );
+            seen_cats += 1;
+        }
+        assert!(
+            seen_cats == self.interner.len(),
+            "interner lost ids: {seen_cats} names resolve, {} allocated",
+            self.interner.len()
+        );
+    }
+
+    /// The dispatch admission gate recomputed by a full worker scan: the
+    /// component-wise max of free resources across workers that could
+    /// take a declared-resources task, and whether any worker could take
+    /// an exclusive (unknown-resources) one. Dispatch reads the
+    /// incremental [`DispatchGate`]; this scan is the sanitizer's
+    /// reference for it.
+    fn scan_headroom(&self) -> (Resources, bool) {
+        let mut max_free = Resources::ZERO;
+        let mut any_idle = false;
+        for w in self.workers.values() {
+            if w.state != WorkerState::Active
+                || w.exclusive_task.is_some()
+                || self.suspects.contains(&w.id)
+            {
+                continue;
+            }
+            let free = w.pool.available();
+            max_free.millicores = max_free.millicores.max(free.millicores);
+            max_free.memory_mb = max_free.memory_mb.max(free.memory_mb);
+            max_free.disk_mb = max_free.disk_mb.max(free.disk_mb);
+            any_idle |= w.is_idle();
+        }
+        (max_free, any_idle)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::master::testkit::*;
+
+    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
+    #[test]
+    #[should_panic(expected = "task conservation violated")]
+    fn sanitizer_catches_broken_conservation() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        m.submit(
+            SimTime::ZERO,
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        run(&mut m, &mut q, &mut fx, 100);
+        assert!(m.all_complete());
+        // Corrupt the terminal counter the way a buggy completion path
+        // would: the next invariant check must abort the run.
+        m.completed_count += 1;
+        m.assert_invariants();
+    }
+
+    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
+    #[test]
+    #[should_panic(expected = "waiting queue")]
+    fn sanitizer_catches_queue_desync() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
+        // A task id queued twice (double-requeue bug) must be caught.
+        let cat = m.task(TaskId(0)).unwrap().cat;
+        m.waiting.push_back(TaskId(0), cat, None);
+        m.assert_invariants();
+    }
+}
