@@ -151,6 +151,7 @@ fn bench_master_dispatch(c: &mut Criterion) {
                     let mut catalog = FileCatalog::new();
                     let db = catalog.register("db", 200.0, true);
                     let mut m = Master::new(MasterConfig::default(), catalog);
+                    let align = m.intern_category("align");
                     let mut q = EventQueue::new();
                     let mut fx = EffectSink::new();
                     for _ in 0..workers {
@@ -168,7 +169,7 @@ fn bench_master_dispatch(c: &mut Criterion) {
                             SimTime::ZERO,
                             TaskSpec {
                                 id: TaskId(i as u64),
-                                category: "align".into(),
+                                cat: align,
                                 inputs: vec![db],
                                 output_mb: 0.6,
                                 declared: Some(Resources::cores(1, 3_000, 5_000)),

@@ -437,7 +437,9 @@ impl SystemDriver {
     /// not when a DAG unblocks them. The master runs with streaming
     /// admission ([`MasterConfig::retire_completed`]) so its memory
     /// tracks *in-flight* tasks rather than the full trace length — the
-    /// invariant that makes million-task traces runnable.
+    /// invariant that makes million-task traces runnable. The source's
+    /// category table is interned here, in table order, before the first
+    /// arrival: the ids its specs carry are in every checkpoint.
     pub fn new_traced(
         mut cfg: DriverConfig,
         source: ArrivalSource,
@@ -447,6 +449,10 @@ impl SystemDriver {
         let workflow =
             Workflow::from_jobs(Vec::new(), Vec::new()).expect("empty workflow is a valid DAG");
         let mut driver = SystemDriver::new(cfg, workflow, policy);
+        for (i, name) in source.categories().enumerate() {
+            let id = driver.master.intern_category(name);
+            assert_eq!(id.index(), i, "trace table interned out of order");
+        }
         driver.arrivals = Some(source);
         driver
     }
@@ -809,7 +815,7 @@ impl SystemDriver {
             .task_records()
             .map(|r| TaskSpan {
                 label: r.spec.id.to_string(),
-                category: r.spec.category.clone(),
+                category: self.master.interner().name(r.spec.cat).to_string(),
                 submitted_s: r.submitted_at.as_secs_f64(),
                 started_s: r.started_at.map(|t| t.as_secs_f64()),
                 completed_s: r.completed_at.map(|t| t.as_secs_f64()),
@@ -1195,58 +1201,9 @@ impl SystemDriver {
         // unknown until re-adopted, every Staging/Running/Returning task
         // is re-queued exactly once.
         let tasks_requeued = self.master.recover_reset_data_plane(now);
-        // 3. Replay the decision log on top. Submits re-enter with their
-        // originally sampled specs (no randomness re-drawn); terminal
-        // acknowledgements re-apply at their original instants.
+        // 3. Replay the decision log on top.
         let wal_replayed = records.len();
-        for rec in records {
-            match rec {
-                WalRecord::Submit { job, spec } => {
-                    self.operator.replay_submit(
-                        now,
-                        job,
-                        spec,
-                        &mut self.master,
-                        &mut self.wq_sink,
-                    );
-                }
-                WalRecord::Learn { cat, resources } => {
-                    self.operator.replay_learn(cat, resources, &mut self.master);
-                }
-                WalRecord::Complete { task, at } => {
-                    self.master.recover_complete(at, task);
-                    self.operator.replay_complete(task);
-                }
-                WalRecord::Fail { task, at } => {
-                    let cat = self.master.task(task).map(|r| r.cat);
-                    self.master.recover_failed(at, task);
-                    if let Some(cat) = cat {
-                        self.operator.replay_fail(task, cat);
-                    }
-                }
-                WalRecord::TraceSubmit { spec } => {
-                    // Advance the restored cursor one event: the
-                    // generator re-derives this arrival from its rewound
-                    // RNG streams, so the logged spec and the cursor stay
-                    // in lockstep (checked) and no randomness is re-drawn
-                    // for arrivals the old incarnation already admitted.
-                    if let Some(a) = self.arrivals.as_mut() {
-                        let regenerated = a.replay_next().map(|(_, s)| s);
-                        debug_assert_eq!(
-                            regenerated.as_ref(),
-                            Some(&spec),
-                            "trace cursor diverged from the WAL"
-                        );
-                    }
-                    self.operator.replay_trace_submit(
-                        now,
-                        spec,
-                        &mut self.master,
-                        &mut self.wq_sink,
-                    );
-                }
-            }
-        }
+        self.replay_wal(now, records);
         // Replay dispatch effects go nowhere (no workers are connected
         // yet) but must still drain under the new incarnation.
         self.flush_wq();
@@ -1324,6 +1281,66 @@ impl SystemDriver {
             ),
         );
         self.master.assert_invariants();
+    }
+
+    /// Re-apply the WAL on top of a restored checkpoint. Submits re-enter
+    /// with their originally sampled specs (no randomness re-drawn);
+    /// terminal acknowledgements re-apply at their original instants.
+    ///
+    /// The one non-test `match` over [`WalRecord`]: a wildcard arm here
+    /// fails clippy (or rustc's `unreachable_patterns`), so a new variant
+    /// fails to compile until recovery replays it.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::match_wildcard_for_single_variants)]
+    fn replay_wal(&mut self, now: SimTime, records: Vec<WalRecord>) {
+        for rec in records {
+            match rec {
+                WalRecord::Submit { job, spec } => {
+                    self.operator.replay_submit(
+                        now,
+                        job,
+                        spec,
+                        &mut self.master,
+                        &mut self.wq_sink,
+                    );
+                }
+                WalRecord::Learn { cat, resources } => {
+                    self.operator.replay_learn(cat, resources, &mut self.master);
+                }
+                WalRecord::Complete { task, at } => {
+                    self.master.recover_complete(at, task);
+                    self.operator.replay_complete(task);
+                }
+                WalRecord::Fail { task, at } => {
+                    let cat = self.master.task(task).map(|r| r.spec.cat);
+                    self.master.recover_failed(at, task);
+                    if let Some(cat) = cat {
+                        self.operator.replay_fail(task, cat);
+                    }
+                }
+                WalRecord::TraceSubmit { spec } => {
+                    // Advance the restored cursor one event: the
+                    // generator re-derives this arrival from its rewound
+                    // RNG streams, so the logged spec and the cursor stay
+                    // in lockstep (checked) and no randomness is re-drawn
+                    // for arrivals the old incarnation already admitted.
+                    if let Some(a) = self.arrivals.as_mut() {
+                        let regenerated = a.replay_next().map(|(_, s)| s);
+                        debug_assert_eq!(
+                            regenerated.as_ref(),
+                            Some(&spec),
+                            "trace cursor diverged from the WAL"
+                        );
+                    }
+                    self.operator.replay_trace_submit(
+                        now,
+                        spec,
+                        &mut self.master,
+                        &mut self.wq_sink,
+                    );
+                }
+            }
+        }
     }
 
     /// Clean-up stage: drain every worker, delete pending worker pods and
@@ -2199,6 +2216,74 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.completed_digest, b.completed_digest);
         assert_eq!(a.makespan_s, b.makespan_s);
+    }
+
+    #[test]
+    fn traced_crash_recovery_replays_a_category_first_seen_after_the_checkpoint() {
+        // `late` first arrives in minute 5: after checkpoint #0 and
+        // before the crash at 330 s, so its first tasks reach the
+        // restarted master only through WAL replay. The driver interned
+        // it at construction, so the restored checkpoint already names it.
+        let csv = "function,minute,invocations,p50_ms,p99_ms\n\
+                   early,0,30,60000,90000\n\
+                   early,2,30,60000,90000\n\
+                   late,5,10,60000,90000\n\
+                   early,6,30,60000,90000\n";
+        let source = || ArrivalSource::azure_csv("azure:late", csv, 3).expect("valid trace");
+        let driver = |crash: bool| {
+            let mut cfg = small_cfg();
+            if crash {
+                cfg.faults.control_plane = ControlPlaneFaults {
+                    crash_times: vec![Duration::from_secs(330)],
+                    outage: Duration::from_secs(20),
+                    checkpoint_interval: Duration::from_secs(3_600),
+                };
+            }
+            SystemDriver::new_traced(cfg, source(), Box::new(FixedPolicy::new(4)))
+        };
+        // Each task's category name, as the trace itself names it.
+        let mut expected = BTreeMap::new();
+        let mut drain = source();
+        let table: Vec<String> = drain.categories().map(str::to_string).collect();
+        while let Some((_, spec)) = drain.replay_next() {
+            expected.insert(spec.id, table[spec.cat.index()].clone());
+        }
+
+        let crash_free = driver(false).run();
+        assert!(!crash_free.timed_out);
+        assert_eq!(crash_free.completed, 100);
+
+        let mut d = driver(true);
+        d.advance_until(SimTime::from_secs(351));
+        let names = d.master.interner();
+        let mut late_live = 0;
+        for r in d.master.task_records() {
+            let name = names.name(r.spec.cat);
+            assert_eq!(
+                name, expected[&r.spec.id],
+                "{:?} resolves by name",
+                r.spec.id
+            );
+            late_live += usize::from(name == "late");
+        }
+        assert!(
+            late_live > 0,
+            "replayed `late` tasks are live after the restart"
+        );
+
+        let a = d.run();
+        assert!(!a.timed_out, "recovered traced run must complete");
+        let rep = &a.recoveries[0];
+        assert!(
+            rep.checkpoint_at < SimTime::from_secs(300) && rep.crashed_at > SimTime::from_secs(306),
+            "`late` must first arrive between the checkpoint and the crash: {rep:?}"
+        );
+        assert!(rep.wal_replayed > 0);
+        assert_eq!(a.completed, crash_free.completed);
+        assert_eq!(
+            a.completed_digest, crash_free.completed_digest,
+            "identical completed-task set across crash and crash-free runs"
+        );
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! registering source and intermediate files in the master's catalogue.
 //!
 //! Category bookkeeping is keyed by interned [`CategoryId`]s: the
-//! operator pre-interns every workflow category in the master's interner
-//! at construction, so completion handling and warm-up checks never touch
-//! category name strings.
+//! operator interns every workflow category in the master's interner at
+//! construction — the master's table is the only name↔id map — so task
+//! specs, completion handling and warm-up checks carry ids, never names.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -77,8 +77,6 @@ pub struct Operator {
     cfg: OperatorConfig,
     workflow: Workflow,
     stats: crate::category_stats::CategoryStats,
-    /// Workflow category name → interned id (filled at construction).
-    cat_of: BTreeMap<String, CategoryId>,
     /// Learned (or trusted-declared) per-category resources.
     learned: BTreeMap<CategoryId, Resources>,
     probing: BTreeMap<CategoryId, bool>,
@@ -151,33 +149,21 @@ impl Operator {
         // Intern every category up front (job categories may lack
         // profiles and vice versa — cover both) so ids exist before the
         // first submission.
-        let mut cat_of = BTreeMap::new();
         for job in workflow.dag.jobs() {
-            if !cat_of.contains_key(&job.category) {
-                let id = master.intern_category(&job.category);
-                cat_of.insert(job.category.clone(), id);
-            }
-        }
-        for name in workflow.categories.keys() {
-            if !cat_of.contains_key(name) {
-                let id = master.intern_category(name);
-                cat_of.insert(name.clone(), id);
-            }
+            master.intern_category(&job.category);
         }
         // Trusted declared resources seed the knowledge map.
         let mut learned = BTreeMap::new();
-        if cfg.trust_declared {
-            for (name, prof) in &workflow.categories {
-                if let Some(r) = prof.declared {
-                    learned.insert(cat_of[name], r);
-                }
+        for (name, prof) in &workflow.categories {
+            let id = master.intern_category(name);
+            if let Some(r) = prof.declared.filter(|_| cfg.trust_declared) {
+                learned.insert(id, r);
             }
         }
         Operator {
             cfg,
             workflow,
             stats: crate::category_stats::CategoryStats::new(),
-            cat_of,
             learned,
             probing: BTreeMap::new(),
             held: BTreeMap::new(),
@@ -273,12 +259,8 @@ impl Operator {
         fx: &mut EffectSink<WqEvent>,
     ) {
         for job in self.workflow.ready_jobs() {
-            let cat = self.cat_of[&self
-                .workflow
-                .dag
-                .job(job)
-                .expect("ready job exists")
-                .category];
+            let j = self.workflow.dag.job(job).expect("ready job exists");
+            let cat = workflow_cat(master, &j.category);
             if !self.cfg.warmup {
                 self.submit_job(now, job, master, fx);
                 continue;
@@ -314,7 +296,8 @@ impl Operator {
             .categories
             .get(&j.category)
             .map_or_else(SimProfile::default, |p| p.sim);
-        let declared = self.known_resources_id(self.cat_of[&j.category]);
+        let cat = workflow_cat(master, &j.category);
+        let declared = self.known_resources_id(cat);
         let inputs: Vec<FileId> = j
             .inputs
             .iter()
@@ -325,7 +308,7 @@ impl Operator {
         self.next_task += 1;
         let spec = TaskSpec {
             id: task_id,
-            category: j.category.clone(),
+            cat,
             inputs,
             output_mb: sim.output_mb,
             declared,
@@ -361,10 +344,10 @@ impl Operator {
     /// Admit one open-loop trace arrival. Trace tasks have no workflow
     /// job behind them: the DAG stays untouched and completion
     /// acknowledgements only feed the category statistics and learning.
-    /// Categories are interned on first sight (unlike workflow stages,
-    /// trace categories are unknown at construction), and a spec with no
-    /// declared resources picks up whatever the category has learned so
-    /// far — open-loop arrivals never wait in warm-up holds.
+    /// The spec's category id comes from the trace's table, which the
+    /// driver interned at construction. A spec with no declared resources
+    /// picks up whatever the category has learned so far — open-loop
+    /// arrivals never wait in warm-up holds.
     pub fn submit_trace(
         &mut self,
         now: SimTime,
@@ -372,9 +355,8 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        let cat = self.intern_trace_category(&spec.category, master);
         if spec.declared.is_none() {
-            spec.declared = self.known_resources_id(cat);
+            spec.declared = self.known_resources_id(spec.cat);
         }
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.submitted += 1;
@@ -383,17 +365,6 @@ impl Operator {
                 .push(WalRecord::TraceSubmit { spec: spec.clone() });
         }
         master.submit(now, spec, fx);
-    }
-
-    fn intern_trace_category(&mut self, name: &str, master: &mut Master) -> CategoryId {
-        match self.cat_of.get(name) {
-            Some(c) => *c,
-            None => {
-                let id = master.intern_category(name);
-                self.cat_of.insert(name.to_string(), id);
-                id
-            }
-        }
     }
 
     /// Handle a completed task: record statistics, release held jobs,
@@ -424,18 +395,7 @@ impl Operator {
                     resources: est.resources,
                 });
             }
-            // Upgrade already-queued waiting tasks of this category (e.g.
-            // re-queued after a worker kill).
-            let waiting: Vec<TaskId> = master
-                .queue_status()
-                .waiting
-                .iter()
-                .filter(|w| w.cat == cat)
-                .map(|w| w.id)
-                .collect();
-            for t in waiting {
-                master.declare_resources(t, est.resources);
-            }
+            declare_waiting(cat, est.resources, master);
             if let Some(held) = self.held.remove(&cat) {
                 for job in held {
                     // Held jobs were marked submitted in the DAG; submit
@@ -466,16 +426,8 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        let Some(job) = self.job_for_task.get(&task).copied() else {
+        if !self.fail_job(task) {
             return;
-        };
-        let abandoned = self.workflow.fail(job);
-        // Abandoned jobs will never run: purge them from the held lists.
-        if !abandoned.is_empty() {
-            for list in self.held.values_mut() {
-                list.retain(|j| !abandoned.contains(j));
-            }
-            self.held.retain(|_, v| !v.is_empty());
         }
         // Re-aim the warm-up probe if it just died unlearned.
         if self.cfg.warmup
@@ -529,7 +481,7 @@ impl Operator {
         }
         // The first submission of a still-unlearned category under warm-up
         // was that category's probe: restore the flag.
-        let cat = self.cat_of[&spec.category];
+        let cat = spec.cat;
         if self.cfg.warmup
             && !self.learned.contains_key(&cat)
             && !self.probing.get(&cat).copied().unwrap_or(false)
@@ -543,10 +495,10 @@ impl Operator {
         master.submit(now, spec, fx);
     }
 
-    /// Re-apply a logged trace admission. The spec is decided data — the
-    /// declared fill already happened before logging — so replay only
-    /// re-interns the category (post-checkpoint interns were lost with
-    /// the crash) and resubmits, without logging.
+    /// Re-apply a logged trace admission. The spec is decided data: the
+    /// declared fill happened before logging, and its category id,
+    /// interned at construction, is in every checkpoint. Replay only
+    /// resubmits, without logging.
     pub fn replay_trace_submit(
         &mut self,
         now: SimTime,
@@ -554,7 +506,6 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        self.intern_trace_category(&spec.category, master);
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.submitted += 1;
         master.submit(now, spec, fx);
@@ -566,16 +517,7 @@ impl Operator {
     pub fn replay_learn(&mut self, cat: CategoryId, resources: Resources, master: &mut Master) {
         self.learned.insert(cat, resources);
         self.probing.insert(cat, false);
-        let waiting: Vec<TaskId> = master
-            .queue_status()
-            .waiting
-            .iter()
-            .filter(|w| w.cat == cat)
-            .map(|w| w.id)
-            .collect();
-        for t in waiting {
-            master.declare_resources(t, resources);
-        }
+        declare_waiting(cat, resources, master);
     }
 
     /// Re-apply a logged completion acknowledgement (DAG unblock only;
@@ -590,8 +532,23 @@ impl Operator {
     /// handler's probe re-aim produced its own `Submit` record, so replay
     /// only fails the DAG and drops the dead probe flag.
     pub fn replay_fail(&mut self, task: TaskId, cat: CategoryId) {
-        let Some(job) = self.job_for_task.get(&task).copied() else {
+        if !self.fail_job(task) {
             return;
+        }
+        if self.cfg.warmup
+            && !self.learned.contains_key(&cat)
+            && self.probing.get(&cat).copied().unwrap_or(false)
+        {
+            self.probing.insert(cat, false);
+        }
+    }
+
+    /// Fail `task`'s job in the DAG and purge the dependents it abandons
+    /// from the warm-up holds: they will never run. False when no
+    /// workflow job stands behind the task (trace arrivals).
+    fn fail_job(&mut self, task: TaskId) -> bool {
+        let Some(job) = self.job_for_task.get(&task).copied() else {
+            return false;
         };
         let abandoned = self.workflow.fail(job);
         if !abandoned.is_empty() {
@@ -600,12 +557,7 @@ impl Operator {
             }
             self.held.retain(|_, v| !v.is_empty());
         }
-        if self.cfg.warmup
-            && !self.learned.contains_key(&cat)
-            && self.probing.get(&cat).copied().unwrap_or(false)
-        {
-            self.probing.insert(cat, false);
-        }
+        true
     }
 
     /// Post-replay invariant pass: every category flagged as probing must
@@ -653,6 +605,29 @@ impl Operator {
         }
         self.held.retain(|_, v| !v.is_empty());
         promoted
+    }
+}
+
+/// The id of a workflow category, interned by [`Operator::new`].
+fn workflow_cat(master: &Master, name: &str) -> CategoryId {
+    master
+        .interner()
+        .get(name)
+        .expect("workflow categories are interned at construction")
+}
+
+/// Upgrade the queued waiting tasks of `cat` (e.g. re-queued after a
+/// worker kill) to the category's learned requirement.
+fn declare_waiting(cat: CategoryId, resources: Resources, master: &mut Master) {
+    let waiting: Vec<TaskId> = master
+        .queue_status()
+        .waiting
+        .iter()
+        .filter(|w| w.cat == cat)
+        .map(|w| w.id)
+        .collect();
+    for t in waiting {
+        master.declare_resources(t, resources);
     }
 }
 
@@ -1143,7 +1118,7 @@ mod tests {
                     rop.replay_complete(*task);
                 }
                 WalRecord::Fail { task, at } => {
-                    let c = rm.task(*task).unwrap().cat;
+                    let c = rm.task(*task).unwrap().spec.cat;
                     rm.recover_failed(*at, *task);
                     rop.replay_fail(*task, c);
                 }

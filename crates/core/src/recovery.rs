@@ -43,8 +43,8 @@ pub enum WalRecord {
     },
     /// A category's resources were learned from its first measurement.
     Learn {
-        /// The interned category (ids are stable: every workflow category
-        /// is interned at operator construction, before checkpoint #0).
+        /// The interned category. Ids are stable: every category is
+        /// interned when the run is built, before checkpoint #0.
         cat: hta_des::CategoryId,
         /// The committed requirement.
         resources: Resources,
@@ -64,9 +64,10 @@ pub enum WalRecord {
         at: SimTime,
     },
     /// An open-loop trace arrival was admitted. The spec embeds every
-    /// decided value exactly as drawn from the generator; replay also
-    /// advances the checkpoint-restored trace cursor one event, so the
-    /// generator never re-draws an already-admitted arrival's randomness.
+    /// decided value exactly as drawn from the generator, its category as
+    /// an id every checkpoint already holds; replay also advances the
+    /// checkpoint-restored trace cursor one event, so the generator never
+    /// re-draws an already-admitted arrival's randomness.
     TraceSubmit {
         /// The exact spec handed to the master.
         spec: TaskSpec,

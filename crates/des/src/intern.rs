@@ -6,14 +6,18 @@
 //! each distinct name to a dense [`CategoryId`] once; the hot path then
 //! moves `Copy` ids around and aggregates in `Vec`s indexed by id.
 //!
-//! Determinism: ids are assigned in first-intern order, which is itself
-//! deterministic per run (workflow submission order). Anything that must
-//! present output in *name* order (summaries, recorded metrics) goes
-//! through [`Interner::iter_by_name`], which walks the names in
-//! lexicographic order exactly like the `BTreeMap<String, _>` aggregates
-//! this replaces.
+//! The layer that builds the run fills the table before the first
+//! submission, so task specs, WAL records and checkpoints carry only ids.
+//!
+//! Determinism: ids are assigned in first-intern order, which is fixed
+//! per run: workflow order (job categories, then profile names) or
+//! trace-table order. Anything that must present output in *name* order
+//! (summaries, recorded metrics) goes through [`Interner::iter_by_name`],
+//! which walks the names in lexicographic order exactly like the
+//! `BTreeMap<String, _>` aggregates this replaces.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +26,9 @@ use serde::{Deserialize, Serialize};
 pub struct CategoryId(u32);
 
 impl CategoryId {
-    /// Construct from a raw index (tests and pre-seeded tables; real ids
-    /// come from [`Interner::intern`]).
+    /// Construct from a raw index: a position in a table interned in
+    /// order when the run is built (a trace's category table), or a test
+    /// fixture.
     pub const fn from_u32(v: u32) -> Self {
         CategoryId(v)
     }
@@ -39,11 +44,13 @@ impl CategoryId {
     }
 }
 
-/// A string-to-[`CategoryId`] interner.
+/// A string-to-[`CategoryId`] interner. Each name is allocated once and
+/// shared by both maps, so a clone (every checkpoint and fork copies the
+/// master's) bumps reference counts instead of copying names.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    names: Vec<String>,
-    by_name: BTreeMap<String, CategoryId>,
+    names: Vec<Arc<str>>,
+    by_name: BTreeMap<Arc<str>, CategoryId>,
 }
 
 impl Interner {
@@ -60,8 +67,9 @@ impl Interner {
         }
         let id =
             CategoryId(u32::try_from(self.names.len()).expect("more than u32::MAX categories"));
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
+        let shared: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&shared));
+        self.by_name.insert(shared, id);
         crate::sanitize_assert!(
             self.names.len() == self.by_name.len(),
             "interner id instability: {} dense ids vs {} names (duplicate or lost intern)",
@@ -69,7 +77,7 @@ impl Interner {
             self.by_name.len()
         );
         crate::sanitize_assert!(
-            self.names[id.index()] == name,
+            &*self.names[id.index()] == name,
             "interner id instability: id {id:?} resolves to {:?}, interned {name:?}",
             self.names[id.index()]
         );
@@ -101,12 +109,7 @@ impl Interner {
     /// `(name, id)` pairs in lexicographic name order — the iteration
     /// order of the `BTreeMap<String, _>` aggregates interning replaced.
     pub fn iter_by_name(&self) -> impl Iterator<Item = (&str, CategoryId)> {
-        self.by_name.iter().map(|(n, &id)| (n.as_str(), id))
-    }
-
-    /// All ids in assignment (first-intern) order.
-    pub fn ids(&self) -> impl Iterator<Item = CategoryId> {
-        (0..self.names.len() as u32).map(CategoryId)
+        self.by_name.iter().map(|(n, &id)| (&**n, id))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Lint fixture (cross-file pair, 2/2): WAL construct sites and replay
-//! arms — `Orphan` is never constructed, `Expire` never replayed —
-//! plus one wildcard match. Never compiled; see `wal_defs.rs`.
+//! arms — `Orphan` is never constructed, `Expire` never replayed.
+//! Never compiled; see `wal_defs.rs`.
 
 fn log_decisions(wal: &mut Wal) {
     wal.append(WalRecord::Submit { job: 1 });
@@ -9,22 +9,12 @@ fn log_decisions(wal: &mut Wal) {
     wal.append(WalRecord::Expire { task: 9 });
 }
 
-// Negative: an exhaustive replay match is exactly what the contract
-// wants — adding a variant fails to compile here.
+// Replay arms for every variant but `Expire`.
 fn replay(rec: WalRecord) {
     match rec {
         WalRecord::Submit { job } => apply(job),
         WalRecord::Learn(cat) => learn(cat),
         WalRecord::Complete => finish(),
         WalRecord::Orphan { task } => ignore(task),
-    }
-}
-
-// Positive: the wildcard compiles the exhaustiveness check away — a
-// new variant would be silently ignored here.
-fn sloppy(rec: &WalRecord) -> bool {
-    match rec {
-        WalRecord::Submit { .. } => true,
-        _ => false,
     }
 }

@@ -9,9 +9,8 @@
 //! * **`wal-coverage`** — every `WalRecord` variant must have at least
 //!   one construct site (a decision that is actually logged) and at
 //!   least one replay arm (a decision that recovery actually reapplies).
-//!   A `match` over `WalRecord` with a wildcard `_ =>` arm is also
-//!   flagged: it compiles away the exhaustiveness check that makes
-//!   adding a variant a compile error at every replay site.
+//!   Exhaustiveness of the replay match itself is clippy's job: the
+//!   driver's replay function denies `clippy::wildcard_enum_match_arm`.
 //! * **`snapshot-field-coverage`** — struct literals and patterns of
 //!   snapshot-bundled types (`impl SnapshotState for X` targets, plus
 //!   `ControlPlaneState`) must not use `..` rest syntax. With every
@@ -42,9 +41,6 @@ pub struct Facts {
     pub wal_constructs: Vec<String>,
     /// Variant names consumed in this file (match or `if let` arms).
     pub wal_arms: Vec<String>,
-    /// Lines of `match` blocks that mention `WalRecord` variants and
-    /// also contain a wildcard `_ =>` arm.
-    pub wal_wildcards: Vec<usize>,
     /// Types with a non-test `impl SnapshotState for X` in this file.
     pub snapshot_impls: Vec<String>,
     /// `(type name, line)` of struct literals/patterns using `..` rest
@@ -64,7 +60,6 @@ pub fn extract_facts(p: &Parser<'_>, st: &Structure) -> Facts {
         }
     }
     wal_uses(p, st, &mut facts);
-    wal_wildcards(p, st, &mut facts);
     rest_uses(p, st, &mut facts);
     facts
 }
@@ -96,50 +91,6 @@ fn wal_uses(p: &Parser<'_>, st: &Structure, facts: &mut Facts) {
             facts.wal_arms.push(variant);
         } else {
             facts.wal_constructs.push(variant);
-        }
-    }
-}
-
-/// Find `match` blocks that consume `WalRecord` variants but keep a
-/// wildcard `_ =>` arm at the top level of the match body.
-fn wal_wildcards(p: &Parser<'_>, st: &Structure, facts: &mut Facts) {
-    for i in 0..p.sig.len() {
-        if !p.ident(i, "match") {
-            continue;
-        }
-        let Some(t) = p.tok(i) else { break };
-        if st.in_test(t.start) {
-            continue;
-        }
-        // Scrutinee runs to the match's `{` at depth 0.
-        let mut k = i + 1;
-        while p.tok(k).is_some() && !p.punct(k, '{') {
-            if p.punct(k, '(') || p.punct(k, '[') {
-                k = p.skip_group(k);
-                continue;
-            }
-            k += 1;
-        }
-        if !p.punct(k, '{') {
-            continue;
-        }
-        let close = p.skip_group(k);
-        let mut mentions_wal = false;
-        let mut wildcard = false;
-        let mut depth = 0i64;
-        for j in k..close {
-            if p.punct(j, '(') || p.punct(j, '[') || p.punct(j, '{') {
-                depth += 1;
-            } else if p.punct(j, ')') || p.punct(j, ']') || p.punct(j, '}') {
-                depth -= 1;
-            } else if p.ident(j, WAL_ENUM) {
-                mentions_wal = true;
-            } else if depth == 1 && p.ident(j, "_") && p.op(j + 1, "=>") {
-                wildcard = true;
-            }
-        }
-        if mentions_wal && wildcard {
-            facts.wal_wildcards.push(t.line);
         }
     }
 }
@@ -237,19 +188,6 @@ pub fn finalize(files: &[(String, Facts)]) -> Vec<Finding> {
                 });
             }
         }
-        for (path, f) in files {
-            for line in &f.wal_wildcards {
-                out.push(Finding {
-                    path: path.clone(),
-                    line: *line,
-                    rule: "wal-coverage",
-                    message: "`match` over `WalRecord` with a wildcard `_ =>` arm — a new \
-                              variant would be silently ignored here instead of failing to \
-                              compile"
-                        .to_string(),
-                });
-            }
-        }
     }
 
     // snapshot-field-coverage: `..` rest on snapshot-bundled types.
@@ -304,7 +242,6 @@ mod tests {
         );
         assert_eq!(uses.wal_constructs, vec!["Submit"]);
         assert_eq!(uses.wal_arms, vec!["Submit", "Learn", "Complete"]);
-        assert!(uses.wal_wildcards.is_empty());
     }
 
     #[test]
@@ -312,19 +249,6 @@ mod tests {
         let f = facts("fn g(r: &WalRecord) { if let WalRecord::Learn(c) = r { use_it(c); } }\n");
         assert_eq!(f.wal_arms, vec!["Learn"]);
         assert!(f.wal_constructs.is_empty());
-    }
-
-    #[test]
-    fn wildcard_match_detected() {
-        let f = facts(
-            "fn replay(rec: WalRecord) {\n    match rec {\n        WalRecord::Submit { job } => apply(job),\n        _ => {}\n    }\n}\n",
-        );
-        assert_eq!(f.wal_wildcards.len(), 1);
-        // `Some(_)` patterns do not count as wildcard arms.
-        let g = facts(
-            "fn h(r: Option<WalRecord>) {\n    match r {\n        Some(x) => use_rec(x),\n        None => {}\n    }\n}\n",
-        );
-        assert!(g.wal_wildcards.is_empty());
     }
 
     #[test]

@@ -83,10 +83,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "wal-coverage",
-        what: "WalRecord variant without a construct site or replay arm, or a WalRecord \
-               match with a wildcard `_ =>` arm",
-        hint: "log the decision where it is made, replay it in every recovery path, and \
-               keep WalRecord matches exhaustive so new variants fail to compile",
+        what: "WalRecord variant without a construct site or replay arm",
+        hint: "log the decision where it is made and replay it in every recovery path",
     },
     Rule {
         id: "snapshot-field-coverage",

@@ -223,16 +223,24 @@ impl<'a> Parser<'a> {
 
     /// Scan items in `sig[i..end)`; `in_test` marks an enclosing
     /// `#[cfg(test)]` region.
-    fn items(&self, mut i: usize, end: usize, in_test: bool, st: &mut Structure) {
+    fn items(&self, mut i: usize, end: usize, mut in_test: bool, st: &mut Structure) {
         let mut pending_test = false;
         while i < end {
-            // Attributes: `#[...]` / `#![...]`.
+            // Attributes: `#[...]` marks the next item, an inner `#![...]`
+            // the enclosing one — for `#![cfg(test)]` at the top of a file,
+            // the whole file, as in rustc.
             if self.punct(i, '#') {
-                let open = if self.punct(i + 1, '!') { i + 2 } else { i + 1 };
+                let inner = self.punct(i + 1, '!');
+                let open = if inner { i + 2 } else { i + 1 };
                 if self.punct(open, '[') {
                     let close = self.skip_group(open);
                     if self.attr_is_test(open, close) {
-                        pending_test = true;
+                        if inner {
+                            self.mark_test_span(i, end, st);
+                            in_test = true;
+                        } else {
+                            pending_test = true;
+                        }
                     }
                     i = close;
                     continue;
@@ -705,6 +713,23 @@ mod tests {
         let pos = src.find("helper").unwrap();
         assert!(st.in_test(pos));
         assert!(!st.in_test(0));
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_whole_file() {
+        let src = "//! Test helpers.\n#![cfg(test)]\nuse super::*;\n\
+                   fn first() {}\nimpl Kit { fn second(&self) {} }\nfn third() {}\n";
+        let st = parse(src);
+        for name in ["first", "second", "third"] {
+            let f = st.fns.iter().find(|f| f.name == name).unwrap();
+            assert!(f.in_test, "{name} is test code");
+            assert!(st.in_test(src.find(name).unwrap()));
+        }
+        // An outer `#[cfg(test)]` still marks only the next item.
+        let src = "#[cfg(test)]\nfn helper() {}\nfn live() {}\n";
+        let st = parse(src);
+        assert!(st.fns.iter().find(|f| f.name == "helper").unwrap().in_test);
+        assert!(!st.fns.iter().find(|f| f.name == "live").unwrap().in_test);
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! Memory is proportional to the number of *bins in the file* (and the
 //! handful active within one minute) — never to the task count.
 
+use std::collections::BTreeMap;
+
 use hta_des::snapshot::branch_salt;
-use hta_des::{Duration, SimRng, SimTime};
+use hta_des::{CategoryId, Duration, SimRng, SimTime};
 use hta_resources::Resources;
 use hta_workqueue::{ExecModel, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -34,8 +36,8 @@ const Z99: f64 = 2.326_347_874_040_841;
 /// One `(function, minute)` bin of the trace file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AzureBin {
-    /// Function (category) name.
-    pub function: String,
+    /// The bin's function: an index into [`AzureConfig::functions`].
+    pub function: u32,
     /// 0-based minute of the trace day.
     pub minute: u64,
     /// Invocations inside the minute.
@@ -46,9 +48,11 @@ pub struct AzureBin {
     pub p99_ms: f64,
 }
 
-/// Parsed trace file: bins sorted by `(minute, function)`.
+/// Parsed trace file: bins sorted by `(minute, function name)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AzureConfig {
+    /// Distinct function names in first-bin order — the category table.
+    pub functions: Vec<String>,
     /// All bins, minute-major.
     pub bins: Vec<AzureBin>,
     /// Σ invocations — the task count the trace will emit.
@@ -66,7 +70,7 @@ pub fn parse_csv(text: &str) -> Result<AzureConfig, String> {
             header.trim()
         ));
     }
-    let mut bins: Vec<AzureBin> = Vec::new();
+    let mut rows: Vec<(String, AzureBin)> = Vec::new();
     let mut total_tasks = 0u64;
     for (idx, line) in lines {
         let line = line.trim();
@@ -107,19 +111,35 @@ pub fn parse_csv(text: &str) -> Result<AzureConfig, String> {
             return Err(format!("line {lineno}: p99_ms must be ≥ p50_ms"));
         }
         total_tasks += invocations;
-        bins.push(AzureBin {
-            function,
+        let bin = AzureBin {
+            function: 0, // numbered below, once the bins are in order
             minute,
             invocations,
             p50_ms,
             p99_ms,
-        });
+        };
+        rows.push((function, bin));
     }
     if total_tasks == 0 {
         return Err("trace has no invocations".into());
     }
-    bins.sort_by(|a, b| (a.minute, &a.function).cmp(&(b.minute, &b.function)));
-    Ok(AzureConfig { bins, total_tasks })
+    rows.sort_by(|(fa, a), (fb, b)| (a.minute, fa).cmp(&(b.minute, fb)));
+    let mut functions: Vec<String> = Vec::new();
+    let mut index: BTreeMap<String, u32> = BTreeMap::new();
+    let mut bins = Vec::new();
+    for (name, mut bin) in rows {
+        let next = u32::try_from(functions.len()).map_err(|_| "too many distinct functions")?;
+        bin.function = *index.entry(name).or_insert_with_key(|name| {
+            functions.push(name.clone());
+            next
+        });
+        bins.push(bin);
+    }
+    Ok(AzureConfig {
+        functions,
+        bins,
+        total_tasks,
+    })
 }
 
 /// A bin currently emitting inside the active minute.
@@ -178,6 +198,11 @@ impl AzureTrace {
         self.cfg.total_tasks
     }
 
+    /// The category table: distinct function names in first-bin order.
+    pub fn functions(&self) -> &[String] {
+        &self.cfg.functions
+    }
+
     /// Jittered-uniform offset of arrival `k` of `n` inside a minute:
     /// `60·(k + u)/n` seconds, strictly monotone in `k` since `u < 1`.
     fn draw_offset(&mut self, k: u64, n: u64) -> f64 {
@@ -231,7 +256,7 @@ impl AzureTrace {
         let offset_s = self.active[pick].next_offset_s;
         let (function, p50_ms, p99_ms) = {
             let b = &self.cfg.bins[bin_idx];
-            (b.function.clone(), b.p50_ms, b.p99_ms)
+            (b.function, b.p50_ms, b.p99_ms)
         };
         let at = SimTime::from_millis(self.minute * 60_000 + (offset_s * 1_000.0).round() as u64);
 
@@ -256,7 +281,7 @@ impl AzureTrace {
         let wall_s = self.wall_rng.lognormal((p50_ms / 1_000.0).ln(), sigma);
         let spec = TaskSpec {
             id: TaskId(self.emitted),
-            category: function,
+            cat: CategoryId::from_u32(function),
             inputs: Vec::new(),
             output_mb: 0.0,
             declared: Some(FUNCTION_SHAPE),
@@ -309,6 +334,21 @@ mod tests {
         assert_eq!(cfg.bins.len(), 4);
         assert_eq!(cfg.total_tasks, 65);
         assert!(cfg.bins.windows(2).all(|w| w[0].minute <= w[1].minute));
+        assert_eq!(cfg.functions, vec!["resize", "thumbnail"]);
+    }
+
+    #[test]
+    fn functions_are_numbered_in_first_bin_order() {
+        // `zeta` sorts after `alpha` by name, but its first bin comes a
+        // minute earlier, so it takes id 0.
+        let text = "function,minute,invocations,p50_ms,p99_ms\n\
+                    alpha,1,3,100,200\n\
+                    zeta,0,2,100,200\n\
+                    zeta,1,1,100,200\n";
+        let cfg = parse_csv(text).unwrap();
+        assert_eq!(cfg.functions, vec!["zeta", "alpha"]);
+        let ids: Vec<u32> = cfg.bins.iter().map(|b| b.function).collect();
+        assert_eq!(ids, vec![0, 1, 0]);
     }
 
     #[test]
@@ -339,7 +379,7 @@ mod tests {
         while let Some((at, spec)) = tr.next_arrival() {
             assert!(at >= last, "time-ordered");
             assert_eq!(spec.id, TaskId(n));
-            if spec.category == "resize" {
+            if tr.functions()[spec.cat.index()] == "resize" {
                 resize += 1;
             }
             last = at;

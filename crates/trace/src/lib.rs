@@ -23,6 +23,9 @@
 //!   implements [`hta_des::SnapshotState`]: a salt-0 fork replays the
 //!   remainder of the trace exactly; non-zero salts re-partition each
 //!   stream with distinct [`hta_des::snapshot::branch_salt`] indices.
+//! * **Category table** — a spec carries its category's index in
+//!   [`ArrivalSource::categories`] as its [`hta_des::CategoryId`]; the
+//!   driver interns that table, in order, before the first arrival.
 //! * **Cursor-in-checkpoint** — the control plane checkpoints the whole
 //!   [`ArrivalSource`] (cursor + RNG states + lookahead buffer), and WAL
 //!   replay advances the restored cursor one event per logged

@@ -20,7 +20,7 @@ use hta_workqueue::TaskSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::azure::AzureTrace;
-use crate::synth::SynthTrace;
+use crate::synth::{CategorySpec, SynthTrace};
 
 /// Cap on pre-drawn arrivals buffered ahead of the simulation clock.
 pub const LOOKAHEAD: usize = 64;
@@ -122,6 +122,17 @@ impl ArrivalSource {
             label,
             TraceKind::Azure(AzureTrace::new(cfg, seed)),
         ))
+    }
+
+    /// The category table: entry `i` names `CategoryId` `i` in every spec
+    /// this source emits. `SystemDriver::new_traced` interns it in order.
+    pub fn categories(&self) -> impl Iterator<Item = &str> {
+        let (mix, functions): (&[CategorySpec], &[String]) = match &self.trace {
+            TraceKind::Synth(t) => (&t.config().categories, &[]),
+            TraceKind::Azure(t) => (&[], t.functions()),
+        };
+        let mix = mix.iter().map(|c| c.name.as_str());
+        mix.chain(functions.iter().map(String::as_str))
     }
 
     fn refill(&mut self) {

@@ -16,7 +16,7 @@
 //! independent futures.
 
 use hta_des::snapshot::branch_salt;
-use hta_des::{Duration, SimRng, SimTime};
+use hta_des::{CategoryId, Duration, SimRng, SimTime};
 use hta_resources::Resources;
 use hta_workqueue::{ExecModel, TaskId, TaskSpec};
 
@@ -102,7 +102,8 @@ pub struct SynthConfig {
     pub arrivals: ArrivalProcess,
     /// Optional diurnal intensity modulation.
     pub diurnal: Option<Diurnal>,
-    /// Weighted category mix (at least one entry).
+    /// Weighted category mix (at least one entry, distinct names), and
+    /// the category table: a task of entry `i` carries `CategoryId` `i`.
     pub categories: Vec<CategorySpec>,
     /// Hard cap on sampled wall times (keeps Pareto tails from stalling
     /// a run indefinitely).
@@ -121,7 +122,10 @@ impl SynthConfig {
             return Err("the category mix needs at least one entry".into());
         }
         let mut weight_sum = 0.0;
-        for c in &self.categories {
+        for (i, c) in self.categories.iter().enumerate() {
+            if self.categories[..i].iter().any(|d| d.name == c.name) {
+                return Err(format!("category {}: listed twice in the mix", c.name));
+            }
             if !(c.weight.is_finite() && c.weight > 0.0) {
                 return Err(format!("category {}: weight must be positive", c.name));
             }
@@ -212,14 +216,15 @@ impl SynthTrace {
         }
         let t_s = self.engine.next_arrival_s();
         let at = SimTime::from_millis((t_s * 1_000.0).round() as u64);
-        let cat = &self.cfg.categories[sample_category(&self.cfg.categories, &mut self.mix_rng)];
+        let idx = sample_category(&self.cfg.categories, &mut self.mix_rng);
+        let cat = &self.cfg.categories[idx];
         let wall_s = cat
             .wall
             .sample_s(&mut self.wall_rng)
             .min(self.cfg.max_wall_s);
         let spec = TaskSpec {
             id: TaskId(self.emitted),
-            category: cat.name.clone(),
+            cat: CategoryId::from_u32(idx as u32),
             inputs: Vec::new(),
             output_mb: cat.output_mb,
             declared: cat.declared,
@@ -455,6 +460,21 @@ mod tests {
             cfg.validate().expect("preset validates");
         }
         assert!(preset("nope").is_none());
+    }
+
+    #[test]
+    fn specs_carry_their_mix_index_and_names_are_distinct() {
+        let mut tr = SynthTrace::new(preset("demo-1k").unwrap(), 3).unwrap();
+        let n = tr.config().categories.len();
+        while let Some((_, spec)) = tr.next_arrival() {
+            assert!(spec.cat.index() < n);
+        }
+        // The mix is the category table: a repeated name would give one
+        // category two ids.
+        let mut cfg = preset("demo-1k").unwrap();
+        cfg.categories[1].name = cfg.categories[0].name.clone();
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("listed twice"), "{err}");
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! let mut catalog = FileCatalog::new();
 //! let db = catalog.register("blast-db", 100.0, true);
 //! let mut master = Master::new(MasterConfig::default(), catalog);
+//! // Categories are interned before the first submission; specs carry ids.
+//! let align = master.intern_category("align");
 //! let mut queue = EventQueue::new();
 //! let mut fx = EffectSink::new();
 //!
@@ -50,7 +52,7 @@
 //!
 //! master.submit(SimTime::ZERO, TaskSpec {
 //!     id: TaskId(0),
-//!     category: "align".into(),
+//!     cat: align,
 //!     inputs: vec![db],
 //!     output_mb: 0.6,
 //!     declared: Some(Resources::cores(1, 3_000, 5_000)),

@@ -27,9 +27,9 @@
 //! rescanned. Three more design decisions keep steady-state event
 //! handling allocation-free:
 //!
-//! * category names are interned once at submission ([`CategoryId`]);
-//!   everything downstream (notifications, snapshots, per-category
-//!   statistics) moves the `Copy` id instead of cloning `String`s;
+//! * category names are interned once, when the run is built, and task
+//!   specs carry the [`CategoryId`]; everything downstream (notifications,
+//!   snapshots, per-category statistics) moves the `Copy` id;
 //! * every effect-producing method pushes into a caller-owned
 //!   [`EffectSink`] instead of returning a fresh `Vec` per event;
 //! * the autoscaler's [`QueueStatus`] is maintained *incrementally* at
@@ -433,8 +433,9 @@ impl Master {
         &self.interner
     }
 
-    /// Intern a category name ahead of submission (the operator does this
-    /// for every workflow category so ids exist before the first job).
+    /// Intern a category name ahead of submission. The layer that builds
+    /// the run calls this for every category it will submit, before the
+    /// first submission; [`Master::submit`] only reads the spec's id.
     pub fn intern_category(&mut self, name: &str) -> CategoryId {
         self.interner.intern(name)
     }
@@ -450,10 +451,14 @@ impl Master {
             !self.tasks.contains_key(&id),
             "duplicate task id {id:?} submitted"
         );
+        let cat = spec.cat;
+        hta_des::sanitize_assert!(
+            cat.index() < self.interner.len(),
+            "{cat:?} was never interned"
+        );
         self.mwu_cache.set(None);
-        let cat = self.interner.intern(&spec.category);
         let declared = spec.declared;
-        self.tasks.insert(id, TaskRecord::new(spec, cat, now));
+        self.tasks.insert(id, TaskRecord::new(spec, now));
         self.waiting.push_back(id, cat, declared);
         self.waiting_dirty = true;
         self.dispatch(now, fx);
@@ -469,7 +474,7 @@ impl Master {
         };
         let old = rec.spec.declared;
         rec.spec.declared = Some(declared);
-        self.waiting.redeclare(rec.cat, old, Some(declared));
+        self.waiting.redeclare(rec.spec.cat, old, Some(declared));
         self.waiting_dirty = true;
     }
 
@@ -536,7 +541,7 @@ impl Master {
             rec.started_at = None;
             rec.run_generation += 1;
             rec.interruptions += 1;
-            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
+            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
             self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
             self.refresh_task_snap(*t);
@@ -649,7 +654,7 @@ impl Master {
             };
             rec.state = TaskState::Running(wid);
             rec.started_at = Some(now);
-            (rec.spec.exec.duration, rec.run_generation, rec.cat)
+            (rec.spec.exec.duration, rec.run_generation, rec.spec.cat)
         };
         self.refresh_task_snap(task);
         // Fault injection: this attempt may die partway through instead of
@@ -719,7 +724,7 @@ impl Master {
             peak: rec.spec.actual,
             wall,
         });
-        let cat = rec.cat;
+        let cat = rec.spec.cat;
         let output_mb = rec.spec.output_mb;
         if output_mb > 0.0 {
             rec.state = TaskState::Returning(wid);
@@ -747,7 +752,7 @@ impl Master {
             peak: rec.spec.actual,
             wall: Duration::ZERO,
         });
-        let cat = rec.cat;
+        let cat = rec.spec.cat;
         self.completed_count += 1;
         self.note_completed_id(task);
         self.notifications.push(WqNotification::TaskCompleted {
@@ -861,9 +866,9 @@ impl Master {
     /// True when some task of `cat` is waiting or on a worker (the
     /// operator's probe reconciliation checks this after a recovery).
     pub fn has_live_task_in_category(&self, cat: CategoryId) -> bool {
-        self.tasks
-            .values()
-            .any(|r| r.cat == cat && !matches!(r.state, TaskState::Complete | TaskState::Failed))
+        self.tasks.values().any(|r| {
+            r.spec.cat == cat && !matches!(r.state, TaskState::Complete | TaskState::Failed)
+        })
     }
 
     /// A live (active or draining) worker. `None` once the worker has
@@ -999,6 +1004,18 @@ mod testkit {
         (cat, db)
     }
 
+    /// The category of every testkit task: the first id [`new_master`]
+    /// interns.
+    pub(super) const ALIGN: CategoryId = CategoryId::from_u32(0);
+
+    /// A master whose interner already holds the testkit's category, as
+    /// it does before a run's first submission.
+    pub(super) fn new_master(cfg: MasterConfig, catalog: FileCatalog) -> Master {
+        let mut m = Master::new(cfg, catalog);
+        assert_eq!(m.intern_category("align"), ALIGN);
+        m
+    }
+
     pub(super) fn cpu_task(
         id: u64,
         db: crate::ids::FileId,
@@ -1006,7 +1023,7 @@ mod testkit {
     ) -> TaskSpec {
         TaskSpec {
             id: TaskId(id),
-            category: "align".into(),
+            cat: ALIGN,
             inputs: vec![db],
             output_mb: 0.6,
             declared,
@@ -1089,7 +1106,7 @@ mod tests {
     #[test]
     fn single_task_full_lifecycle() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -1124,7 +1141,7 @@ mod tests {
                     retire_completed: retire,
                     ..link_cfg()
                 };
-                let mut m = Master::new(cfg, cat);
+                let mut m = new_master(cfg, cat);
                 let mut q = EventQueue::new();
                 let mut fx = EffectSink::new();
                 let _w =
@@ -1162,7 +1179,7 @@ mod tests {
             retire_completed: true,
             ..link_cfg()
         };
-        let mut m = Master::new(cfg, cat);
+        let mut m = new_master(cfg, cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
@@ -1190,7 +1207,7 @@ mod tests {
     #[test]
     fn drain_lets_running_tasks_finish() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -1212,7 +1229,7 @@ mod tests {
     #[test]
     fn drain_idle_worker_stops_immediately() {
         let (cat, _db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 0, 0), &mut fx);
         m.drain_worker(SimTime::from_secs(1), w);
@@ -1223,7 +1240,7 @@ mod tests {
     #[test]
     fn kill_requeues_tasks_and_they_rerun_elsewhere() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w1 = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -1273,7 +1290,7 @@ mod tests {
     #[test]
     fn utilization_reflects_actual_usage_not_allocation() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(3, 12_000, 50_000), &mut fx);
@@ -1299,7 +1316,7 @@ mod tests {
     #[test]
     fn declare_resources_upgrades_waiting_tasks() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -1326,7 +1343,7 @@ mod tests {
     #[test]
     fn describe_reports_queue_and_workers() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(
@@ -1343,7 +1360,7 @@ mod tests {
     #[test]
     fn in_use_cores_counts_allocations() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
@@ -1354,7 +1371,7 @@ mod tests {
     #[test]
     fn stopped_workers_are_retired() {
         let (cat, _db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let ids: Vec<WorkerId> = (0..50)
             .map(|_| m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx))
@@ -1390,7 +1407,7 @@ mod tests {
     #[test]
     fn draining_worker_is_retired_when_its_last_task_completes() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -1410,7 +1427,7 @@ mod tests {
     #[test]
     fn stale_events_reaching_a_retired_worker_are_noops() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(lease_cfg(Vec::new()), cat);
+        let mut m = new_master(lease_cfg(Vec::new()), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);

@@ -176,7 +176,7 @@ mod tests {
             duration: Duration::from_secs(100),
             asymmetric: true,
         };
-        let mut m = Master::new(lease_cfg(vec![cut]), cat);
+        let mut m = new_master(lease_cfg(vec![cut]), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);

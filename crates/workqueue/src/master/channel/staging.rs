@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn cacheable_input_transfers_once_per_worker() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn one_cacheable_flow_releases_its_many_waiters_in_id_order() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn a_cancelled_flow_leaves_no_waiter_behind() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let cap = Resources::cores(8, 64_000, 500_000);
@@ -459,7 +459,7 @@ mod tests {
         // Slow master uplink, fast peer network: the second worker's copy
         // of the cacheable db should come from its peer, far sooner than
         // another master transfer would allow.
-        let mut m = Master::new(
+        let mut m = new_master(
             MasterConfig {
                 egress_base_mbps: 10.0, // 100 MB db → 10 s per master copy
                 egress_overhead_per_flow: 0.0,
@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn peer_transfers_disabled_use_master_uplink() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(
+        let mut m = new_master(
             MasterConfig {
                 egress_base_mbps: 10.0,
                 egress_overhead_per_flow: 0.0,

@@ -125,7 +125,7 @@ impl Master {
             };
             let rec = &self.tasks[&tid];
             let declared = rec.spec.declared;
-            let cat = rec.cat;
+            let cat = rec.spec.cat;
             let feasible = match declared {
                 Some(req) => req.fits_in(&max_free),
                 None => any_idle,
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn unknown_resources_run_exclusively() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn known_resources_pack_in_parallel() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);

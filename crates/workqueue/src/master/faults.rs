@@ -103,7 +103,8 @@ impl Master {
         rec.started_at = None;
         rec.run_generation += 1;
         rec.interruptions += 1;
-        self.waiting.push_front(task, rec.cat, rec.spec.declared);
+        self.waiting
+            .push_front(task, rec.spec.cat, rec.spec.declared);
         self.waiting_dirty = true;
         self.notifications
             .push(WqNotification::TaskFastAborted(task));
@@ -179,7 +180,7 @@ impl Master {
             rec.completed_at = Some(now);
             self.fault_stats.permanent_failures += 1;
             self.failed_count += 1;
-            let cat = rec.cat;
+            let cat = rec.spec.cat;
             self.notifications
                 .push(WqNotification::TaskFailed { task, cat });
         } else {
@@ -202,7 +203,8 @@ impl Master {
                 }
             }
             rec.state = TaskState::Waiting;
-            self.waiting.push_front(task, rec.cat, rec.spec.declared);
+            self.waiting
+                .push_front(task, rec.spec.cat, rec.spec.declared);
             self.waiting_dirty = true;
         }
         self.refresh_task_snap(task);
@@ -232,7 +234,7 @@ impl Master {
             if rec.speculative.is_some() {
                 return;
             }
-            (rec.allocation.unwrap_or(rec.spec.actual), wid, rec.cat)
+            (rec.allocation.unwrap_or(rec.spec.actual), wid, rec.spec.cat)
         };
         // A duplicate needs room on a *different* active worker; if none
         // has any, skip silently (the primary keeps running).
@@ -372,7 +374,7 @@ mod tests {
     #[test]
     fn fast_abort_requeues_straggler() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(
+        let mut m = new_master(
             MasterConfig {
                 egress_base_mbps: 100.0,
                 egress_overhead_per_flow: 0.0,
@@ -421,7 +423,7 @@ mod tests {
     #[test]
     fn fast_abort_disabled_by_default() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -442,7 +444,7 @@ mod tests {
         let (cat, db) = catalog_with_db();
         // Every attempt fails → the task burns its whole retry budget and
         // is permanently failed after max_retries + 1 attempts.
-        let mut m = Master::new(
+        let mut m = new_master(
             faulty_cfg(TaskFaults {
                 transient_rate: 1.0,
                 max_retries: 2,
@@ -487,7 +489,7 @@ mod tests {
         // First attempt OOMs; after that, rates off would be ideal but the
         // stream is seeded — instead allow plenty of retries and check the
         // declared memory grew by the escalation factor after the first kill.
-        let mut m = Master::new(
+        let mut m = new_master(
             faulty_cfg(TaskFaults {
                 oom_rate: 1.0,
                 max_retries: 2,
@@ -515,7 +517,7 @@ mod tests {
     #[test]
     fn zero_rates_draw_nothing_and_change_nothing() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(faulty_cfg(TaskFaults::default()), cat);
+        let mut m = new_master(faulty_cfg(TaskFaults::default()), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -533,7 +535,7 @@ mod tests {
     #[test]
     fn speculative_duplicate_wins_race_and_primary_is_cancelled() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(
+        let mut m = new_master(
             faulty_cfg(TaskFaults {
                 straggler_factor: Some(2.0),
                 ..TaskFaults::default()
@@ -582,7 +584,7 @@ mod tests {
     #[test]
     fn primary_finishing_first_cancels_the_duplicate() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(
+        let mut m = new_master(
             faulty_cfg(TaskFaults {
                 straggler_factor: Some(1.0),
                 ..TaskFaults::default()

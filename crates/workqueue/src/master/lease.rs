@@ -192,7 +192,7 @@ impl Master {
             rec.run_generation += 1;
             rec.interruptions += 1;
             rec.dispatch_acked = false;
-            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
+            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
             self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
             self.refresh_task_snap(*t);
@@ -231,7 +231,7 @@ mod tests {
             duration: Duration::from_secs(100),
             asymmetric: true,
         };
-        let mut m = Master::new(lease_cfg(vec![cut]), cat);
+        let mut m = new_master(lease_cfg(vec![cut]), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);

@@ -49,7 +49,7 @@ impl Master {
             rec.run_generation += 1;
             rec.interruptions += 1;
             rec.dispatch_acked = false;
-            self.waiting.push_front(*t, rec.cat, rec.spec.declared);
+            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
             self.refresh_task_snap(*t);
         }
         self.waiting_dirty = true;
@@ -93,7 +93,7 @@ impl Master {
         let declared = rec.spec.declared;
         rec.state = TaskState::Complete;
         rec.completed_at = Some(at);
-        let cat = rec.cat;
+        let cat = rec.spec.cat;
         self.completed_count += 1;
         self.note_completed_id(task);
         if was_waiting {
@@ -122,7 +122,7 @@ impl Master {
         );
         let was_waiting = rec.state == TaskState::Waiting;
         let declared = rec.spec.declared;
-        let cat = rec.cat;
+        let cat = rec.spec.cat;
         rec.state = TaskState::Failed;
         rec.completed_at = Some(at);
         self.failed_count += 1;
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn a_checkpoint_shares_records_until_the_live_master_writes_them() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(
+        let mut m = new_master(
             faulty_cfg(TaskFaults {
                 oom_rate: 1.0,
                 max_retries: 5,
@@ -192,7 +192,7 @@ mod tests {
         assert_eq!(restored.waiting_count(), 3);
         assert_eq!(
             restored.waiting_demand(),
-            &[(m.task(TaskId(0)).unwrap().cat, decl, 3)]
+            &[(m.task(TaskId(0)).unwrap().spec.cat, decl, 3)]
         );
         restored.assert_invariants();
     }
@@ -202,7 +202,7 @@ mod tests {
         // The WAL-replay shape at scale: a deep backlog, then thousands of
         // logged completions and failures applied in an arbitrary order.
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut reference: std::collections::VecDeque<TaskId> = std::collections::VecDeque::new();
         let mut fx = EffectSink::new();
         let n = 10_000u64;
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn recover_reset_requeues_inflight_and_disconnects_workers() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn recover_complete_and_failed_replay_terminal_states() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         for i in 0..3 {
             m.submit(SimTime::ZERO, cpu_task(i, db, None), &mut fx);
@@ -331,6 +331,6 @@ mod tests {
             m.drain_notifications().is_empty(),
             "replay emits no notifications"
         );
-        assert!(m.has_live_task_in_category(m.task(TaskId(2)).unwrap().cat));
+        assert!(m.has_live_task_in_category(m.task(TaskId(2)).unwrap().spec.cat));
     }
 }

@@ -105,10 +105,10 @@ impl Master {
             live += 1;
             match expect
                 .iter_mut()
-                .find(|(c, d, _)| *c == rec.cat && *d == rec.spec.declared)
+                .find(|(c, d, _)| *c == rec.spec.cat && *d == rec.spec.declared)
             {
                 Some(slot) => slot.2 += 1,
-                None => expect.push((rec.cat, rec.spec.declared, 1)),
+                None => expect.push((rec.spec.cat, rec.spec.declared, 1)),
             }
         }
         assert!(
@@ -245,7 +245,7 @@ mod tests {
     #[should_panic(expected = "task conservation violated")]
     fn sanitizer_catches_broken_conservation() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
@@ -267,12 +267,24 @@ mod tests {
     #[should_panic(expected = "waiting queue")]
     fn sanitizer_catches_queue_desync() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
         // A task id queued twice (double-requeue bug) must be caught.
-        let cat = m.task(TaskId(0)).unwrap().cat;
+        let cat = m.task(TaskId(0)).unwrap().spec.cat;
         m.waiting.push_back(TaskId(0), cat, None);
         m.assert_invariants();
+    }
+
+    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
+    #[test]
+    #[should_panic(expected = "was never interned")]
+    fn sanitizer_catches_a_category_that_was_never_interned() {
+        let (cat, db) = catalog_with_db();
+        let mut m = new_master(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        let mut spec = cpu_task(0, db, None);
+        spec.cat = CategoryId::from_u32(ALIGN.as_u32() + 1);
+        m.submit(SimTime::ZERO, spec, &mut fx);
     }
 }

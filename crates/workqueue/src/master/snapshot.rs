@@ -76,7 +76,7 @@ impl Master {
             let worker = r.worker()?;
             Some(RunningSnapshot {
                 id: r.spec.id,
-                cat: r.cat,
+                cat: r.spec.cat,
                 started_at: r.started_at,
                 allocation: r.allocation.unwrap_or(Resources::ZERO),
                 worker,
@@ -134,7 +134,7 @@ impl Master {
             if let Some(r) = self.tasks.get(&t).filter(|r| is_waiting(r)) {
                 self.snap.waiting.push(WaitingSnapshot {
                     id: r.spec.id,
-                    cat: r.cat,
+                    cat: r.spec.cat,
                     declared: r.spec.declared,
                 });
             }
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn queue_status_snapshot() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(2, 8_000, 10_000), &mut fx);
         m.submit(
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn incremental_snapshot_matches_rebuilt_state() {
         let (cat, db) = catalog_with_db();
-        let mut m = Master::new(link_cfg(), cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(2, 8_000, 50_000), &mut fx);

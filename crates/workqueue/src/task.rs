@@ -54,8 +54,11 @@ impl ExecModel {
 pub struct TaskSpec {
     /// Identity (allocated by the submitting layer).
     pub id: TaskId,
-    /// Workflow category (stage) — jobs in one category are near-identical.
-    pub category: String,
+    /// Workflow category (stage) — jobs in one category are
+    /// near-identical. An id from the master's interner, which the layer
+    /// building the run fills before the first submission; resolve the
+    /// name through `Master::interner`.
+    pub cat: CategoryId,
     /// Input files to deliver before execution.
     pub inputs: Vec<FileId>,
     /// Output size transferred back to the master on completion (MB).
@@ -113,9 +116,6 @@ pub struct Speculative {
 pub struct TaskRecord {
     /// The submitted spec.
     pub spec: TaskSpec,
-    /// Interned id of `spec.category` (assigned by the master's interner
-    /// at submission; the hot path moves this instead of the string).
-    pub cat: CategoryId,
     /// Current state.
     pub state: TaskState,
     /// What the master allocated on the worker for this run (whole worker
@@ -152,10 +152,9 @@ pub struct TaskRecord {
 
 impl TaskRecord {
     /// A freshly submitted record.
-    pub fn new(spec: TaskSpec, cat: CategoryId, submitted_at: SimTime) -> Self {
+    pub fn new(spec: TaskSpec, submitted_at: SimTime) -> Self {
         TaskRecord {
             spec,
-            cat,
             state: TaskState::Waiting,
             allocation: None,
             submitted_at,
@@ -198,7 +197,7 @@ mod tests {
     fn spec(declared: Option<Resources>) -> TaskSpec {
         TaskSpec {
             id: TaskId(0),
-            category: "align".into(),
+            cat: CategoryId::from_u32(0),
             inputs: vec![FileId(0)],
             output_mb: 0.6,
             declared,
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn record_lifecycle_accessors() {
-        let mut r = TaskRecord::new(spec(None), CategoryId::from_u32(0), SimTime::from_secs(1));
+        let mut r = TaskRecord::new(spec(None), SimTime::from_secs(1));
         assert_eq!(r.state, TaskState::Waiting);
         assert_eq!(r.worker(), None);
         assert_eq!(r.planning_resources(), None);
@@ -229,11 +228,7 @@ mod tests {
 
     #[test]
     fn declared_resources_flow_to_planning() {
-        let r = TaskRecord::new(
-            spec(Some(Resources::new(1000, 2_000, 0))),
-            CategoryId::from_u32(0),
-            SimTime::ZERO,
-        );
+        let r = TaskRecord::new(spec(Some(Resources::new(1000, 2_000, 0))), SimTime::ZERO);
         assert_eq!(r.planning_resources(), Some(Resources::new(1000, 2_000, 0)));
     }
 
@@ -247,7 +242,7 @@ mod tests {
             (TaskState::Complete, None),
             (TaskState::Failed, None),
         ] {
-            let mut r = TaskRecord::new(spec(None), CategoryId::from_u32(0), SimTime::ZERO);
+            let mut r = TaskRecord::new(spec(None), SimTime::ZERO);
             r.state = state;
             assert_eq!(r.worker(), expect);
         }

@@ -281,14 +281,14 @@ mod tests {
     fn record(id: u64) -> TaskRecord {
         let spec = TaskSpec {
             id: TaskId(id),
-            category: "t".into(),
+            cat: CategoryId::from_u32(0),
             inputs: Vec::new(),
             output_mb: 0.0,
             declared: None,
             actual: Resources::cores(1, 1, 1),
             exec: ExecModel::cpu_bound(Duration::from_secs(1)),
         };
-        TaskRecord::new(spec, CategoryId::from_u32(0), SimTime::ZERO)
+        TaskRecord::new(spec, SimTime::ZERO)
     }
 
     #[derive(Debug, Clone)]
