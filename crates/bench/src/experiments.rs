@@ -398,11 +398,12 @@ pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
         for (d, e) in fx {
             q.schedule_in(d, e);
         }
-        // Run until this pod is running.
+        // Run until this pod is running (or has failed and left the
+        // cluster).
         for _ in 0..100_000 {
             if cluster
                 .pod(pod)
-                .is_some_and(|p| p.phase == PodPhase::Running)
+                .is_none_or(|p| p.phase == PodPhase::Running)
             {
                 break;
             }
@@ -411,8 +412,10 @@ pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
                 q.schedule_in(d, e);
             }
         }
-        let p = cluster.pod(pod).expect("pod exists");
-        assert_eq!(p.phase, PodPhase::Running, "pod failed to start");
+        let p = cluster
+            .pod(pod)
+            .filter(|p| p.phase == PodPhase::Running)
+            .expect("pod failed to start");
         let created = p.created_at.as_secs_f64();
         let scheduled = p.scheduled_at.expect("scheduled").as_secs_f64();
         let running = p.running_at.expect("running").as_secs_f64();

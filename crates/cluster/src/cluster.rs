@@ -11,15 +11,20 @@
 //! Every observable transition is appended to the informer buffer; HTA's
 //! init-time tracker and the Work Queue driver drain it with
 //! [`Cluster::drain_watch`].
+//!
+//! Like a Kubernetes API server, the cluster stores only live objects: a
+//! pod leaves when it succeeds, fails or is deleted, and a node leaves
+//! when it is scaled down, preempted or crashes. The watch stream carries
+//! those exits, so a what-if fork copies live state, not run history.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hta_des::{Duration, SimRng, SimTime};
 use hta_resources::Resources;
 
 use crate::config::ClusterConfig;
-use crate::ids::{IdGen, NodeId, PodId};
+use crate::ids::{IdGen, ImageId, NodeId, PodId};
 use crate::image::Registry;
 use crate::node::{Node, NodeState};
 use crate::pod::{PendingReason, Pod, PodPhase, PodSpec};
@@ -35,8 +40,9 @@ pub enum ClusterEvent {
     NodeProvisioned(NodeId),
     /// The provider reclaimed a preemptible node (spot pool only).
     NodePreempted(NodeId),
-    /// Kubelet finished pulling a pod's image on a node.
-    PodImagePulled(PodId, NodeId),
+    /// Kubelet finished pulling a pod's image on a node. The image is
+    /// carried because the node caches it even if the pod is gone.
+    PodImagePulled(PodId, NodeId, ImageId),
     /// A pull attempt failed (fault injection); the kubelet begins
     /// attempt number `.2` after its `ImagePullBackOff` delay.
     PodPullRetry(PodId, NodeId, u32),
@@ -53,29 +59,6 @@ pub enum ClusterEvent {
 
 /// A follow-up event with its delay.
 pub type Effect = (Duration, ClusterEvent);
-
-/// Aggregate cluster counters (see [`Cluster::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// Nodes with a reservation in flight.
-    pub nodes_provisioning: usize,
-    /// Nodes accepting pods.
-    pub nodes_ready: usize,
-    /// Nodes removed (scale-down, failure, preemption).
-    pub nodes_removed: usize,
-    /// Pods with no placeable node.
-    pub pods_unschedulable: usize,
-    /// Pods waiting on an image pull.
-    pub pods_pulling: usize,
-    /// Pods running.
-    pub pods_running: usize,
-    /// Pods that exited gracefully.
-    pub pods_succeeded: usize,
-    /// Pods killed.
-    pub pods_failed: usize,
-    /// Pods deleted before running.
-    pub pods_deleted: usize,
-}
 
 /// Cumulative fault-injection counters (see [`Cluster::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,14 +78,11 @@ pub struct ClusterFaultStats {
 pub struct Cluster {
     cfg: ClusterConfig,
     registry: Registry,
+    /// The live nodes (`Provisioning` or `Ready`).
     nodes: BTreeMap<NodeId, Node>,
+    /// The live pods (pending or running).
     pods: BTreeMap<PodId, Pod>,
-    /// Ids of the non-terminal pods, in id order. Terminal records stay in
-    /// `pods` (a pulled image is still cached for a deleted pod, and
-    /// watchers may look a pod up after it ended), but the group queries
-    /// walk only this live set.
-    live: BTreeSet<PodId>,
-    /// Size of `live` per pod group, so the per-sample replica count is
+    /// Number of `pods` per pod group, so the per-sample replica count is
     /// one lookup. A group keeps its entry (possibly zero) once seen, so
     /// only a group's first pod allocates its key, and a clone shares the
     /// keys.
@@ -136,7 +116,6 @@ impl Cluster {
             registry,
             nodes: BTreeMap::new(),
             pods: BTreeMap::new(),
-            live: BTreeSet::new(),
             live_per_group: BTreeMap::new(),
             pending: Vec::new(),
             node_ids: IdGen::default(),
@@ -153,16 +132,6 @@ impl Cluster {
         &mut self.registry
     }
 
-    /// Shared registry access.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
     /// Create the initial `min_nodes` pool **already Ready** (the paper's
     /// experiments start from an existing 3-node cluster) and arm the
     /// controller tick.
@@ -170,7 +139,7 @@ impl Cluster {
         let mut fx = Vec::new();
         for _ in 0..self.cfg.min_nodes {
             let id = NodeId(self.node_ids.alloc());
-            let mut node = Node::provisioning(id, self.cfg.machine.clone(), now);
+            let mut node = Node::provisioning(id, self.cfg.machine.clone());
             node.mark_ready(now);
             self.watch
                 .push(WatchEvent::node(now, WatchKind::NodeReady(id)));
@@ -227,72 +196,38 @@ impl Cluster {
             }
         }
         self.pods.insert(id, pod);
-        self.live.insert(id);
         self.pending.push(id);
         let fx = self.try_schedule_all(now);
         self.assert_invariants();
         (id, fx)
     }
 
-    /// Delete a pod (eviction semantics): running pods turn `Failed`,
-    /// pending pods are simply removed. Frees node resources immediately.
+    /// Delete a pod (eviction semantics): it leaves the API server and
+    /// frees its node's resources immediately. A running pod's watchers
+    /// see `PodFailed`, a pending pod's `PodSucceeded`.
     pub fn delete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
-        let Some(pod) = self.pods.get_mut(&id) else {
-            return Vec::new();
-        };
-        if pod.phase.is_terminal() {
+        if !self.pods.contains_key(&id) {
             return Vec::new();
         }
-        let was_running = pod.phase == PodPhase::Running;
-        let node = pod.node.take();
-        pod.phase = if was_running {
-            PodPhase::Failed
-        } else {
-            PodPhase::Deleted
+        let kind = match self.retire_pod(now, id).phase {
+            PodPhase::Running => WatchKind::PodFailed,
+            PodPhase::Pending(_) => WatchKind::PodSucceeded,
         };
-        pod.finished_at = Some(now);
-        self.leave_live(id);
-        self.pending.retain(|p| *p != id);
-        if let Some(nid) = node {
-            if let Some(n) = self.nodes.get_mut(&nid) {
-                n.release_pod(id.raw(), now);
-            }
-        }
-        self.watch.push(WatchEvent::pod(
-            now,
-            id,
-            if was_running {
-                WatchKind::PodFailed
-            } else {
-                WatchKind::PodSucceeded
-            },
-        ));
+        self.watch.push(WatchEvent::pod(now, id, kind));
         // Freed capacity may admit a pending pod right away.
         let fx = self.try_schedule_all(now);
         self.assert_invariants();
         fx
     }
 
-    /// Mark a running pod's containers as exited successfully (graceful
-    /// worker drain — the paper's *Worker-Pod Stopped* state). Frees the
-    /// node's resources.
+    /// A running pod's containers exited successfully (graceful worker
+    /// drain — the paper's *Worker-Pod Stopped* state): the pod leaves the
+    /// API server and frees its node's resources.
     pub fn complete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
-        let Some(pod) = self.pods.get_mut(&id) else {
-            return Vec::new();
-        };
-        if pod.phase.is_terminal() {
+        if !self.pods.contains_key(&id) {
             return Vec::new();
         }
-        let node = pod.node.take();
-        pod.phase = PodPhase::Succeeded;
-        pod.finished_at = Some(now);
-        self.leave_live(id);
-        self.pending.retain(|p| *p != id);
-        if let Some(nid) = node {
-            if let Some(n) = self.nodes.get_mut(&nid) {
-                n.release_pod(id.raw(), now);
-            }
-        }
+        self.retire_pod(now, id);
         self.watch
             .push(WatchEvent::pod(now, id, WatchKind::PodSucceeded));
         let fx = self.try_schedule_all(now);
@@ -300,65 +235,46 @@ impl Cluster {
         fx
     }
 
-    /// Crash a node (failure injection): every pod bound to it fails
-    /// (emitting `PodFailed` watch events — workers on it are killed and
-    /// their tasks re-queued by the layers above), the node is removed,
-    /// and the cloud controller will replace capacity on its next scan if
+    /// Crash a node (failure injection): the node is removed and every
+    /// pod bound to it fails (emitting `PodFailed` watch events — workers
+    /// on it are killed and their tasks re-queued by the layers above);
+    /// the cloud controller will replace capacity on its next scan if
     /// pending pods need it.
     pub fn fail_node(&mut self, now: SimTime, id: NodeId) -> Vec<Effect> {
-        let Some(node) = self.nodes.get_mut(&id) else {
+        let Some(node) = self.nodes.remove(&id) else {
             return Vec::new();
         };
-        if node.state == NodeState::Removed {
-            return Vec::new();
-        }
-        let victims: Vec<PodId> = node.pool.iter().map(|(k, _)| PodId(k)).collect();
-        node.mark_removed(now);
         self.watch
             .push(WatchEvent::node(now, WatchKind::NodeRemoved(id)));
-        for pid in victims {
-            if let Some(pod) = self.pods.get_mut(&pid) {
-                if !pod.phase.is_terminal() {
-                    pod.phase = PodPhase::Failed;
-                    pod.finished_at = Some(now);
-                    pod.node = None;
-                    self.leave_live(pid);
-                    self.watch
-                        .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
-                }
-            }
+        for (key, _) in node.pool.iter() {
+            let pid = PodId(key);
+            self.retire_pod(now, pid);
+            self.watch
+                .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
         }
-        // Pods that were pending on this node never started; nothing else
-        // holds it. Any queue pressure re-provisions via the controller.
+        // Any queue pressure re-provisions via the controller.
         let fx = self.try_schedule_all(now);
         self.assert_invariants();
         fx
     }
 
-    /// Take a pod that just reached a terminal phase out of the live set
-    /// and its group's count.
-    fn leave_live(&mut self, id: PodId) {
-        if self.live.remove(&id) {
-            let group = self.pods[&id].spec.group.as_str();
-            *self
-                .live_per_group
-                .get_mut(group)
-                .expect("a live pod's group is counted") -= 1;
+    /// Remove a stopped pod from the API server: out of `pods`, its
+    /// group's count, the pending queue and its node's pool. The caller
+    /// reports how it ended on the watch stream.
+    fn retire_pod(&mut self, now: SimTime, id: PodId) -> Pod {
+        let pod = self.pods.remove(&id).expect("a retired pod is live");
+        *self
+            .live_per_group
+            .get_mut(pod.spec.group.as_str())
+            .expect("a live pod's group is counted") -= 1;
+        // The pending queue holds exactly the pods waiting for a node.
+        if pod.phase == PodPhase::Pending(PendingReason::InsufficientResource) {
+            self.pending.retain(|p| *p != id);
         }
-    }
-
-    /// A random ready node, if any (failure-injection helper).
-    pub fn any_ready_node(&self) -> Option<NodeId> {
-        self.nodes
-            .values()
-            .find(|n| n.state == NodeState::Ready && !n.pool.is_empty())
-            .map(|n| n.id)
-            .or_else(|| {
-                self.nodes
-                    .values()
-                    .find(|n| n.state == NodeState::Ready)
-                    .map(|n| n.id)
-            })
+        if let Some(n) = pod.node.and_then(|nid| self.nodes.get_mut(&nid)) {
+            n.release_pod(id.raw(), now);
+        }
+        pod
     }
 
     /// Drain the informer buffer (events since the last drain).
@@ -376,7 +292,9 @@ impl Cluster {
             ClusterEvent::ControllerTick => self.controller_tick(now),
             ClusterEvent::NodeProvisioned(id) => self.node_provisioned(now, id),
             ClusterEvent::NodePreempted(id) => self.fail_node(now, id),
-            ClusterEvent::PodImagePulled(pod, node) => self.image_pulled(now, pod, node),
+            ClusterEvent::PodImagePulled(pod, node, image) => {
+                self.image_pulled(now, pod, node, image)
+            }
             ClusterEvent::PodPullRetry(pod, node, attempt) => {
                 self.pod_pull_retry(now, pod, node, attempt)
             }
@@ -392,11 +310,7 @@ impl Cluster {
     /// Handle a flaky node's MTTF expiry: crash it like a preemption and
     /// schedule a replacement machine after the sampled repair time.
     fn node_fault(&mut self, now: SimTime, id: NodeId) -> Vec<Effect> {
-        let alive = self
-            .nodes
-            .get(&id)
-            .is_some_and(|n| n.state != NodeState::Removed);
-        if !alive {
+        if !self.nodes.contains_key(&id) {
             // The autoscaler (or a preemption) already removed it.
             return Vec::new();
         }
@@ -414,7 +328,7 @@ impl Cluster {
             return Vec::new();
         }
         let id = NodeId(self.node_ids.alloc());
-        let mut node = Node::provisioning(id, self.cfg.machine.clone(), now);
+        let mut node = Node::provisioning(id, self.cfg.machine.clone());
         node.mark_ready(now);
         self.watch
             .push(WatchEvent::node(now, WatchKind::NodeReady(id)));
@@ -432,7 +346,7 @@ impl Cluster {
     }
 
     fn controller_tick(&mut self, now: SimTime) -> Vec<Effect> {
-        let mut fx = self.scale_up_for_pending(now);
+        let mut fx = self.scale_up_for_pending();
         self.scale_down_idle(now);
         fx.push((self.cfg.controller_interval, ClusterEvent::ControllerTick));
         fx
@@ -444,7 +358,7 @@ impl Cluster {
     /// batch, each node sampling its own latency from the calibrated
     /// distribution (the paper: "requests submitted in the same batch …
     /// experience similar resource initialization latency").
-    fn scale_up_for_pending(&mut self, now: SimTime) -> Vec<Effect> {
+    fn scale_up_for_pending(&mut self) -> Vec<Effect> {
         if self.pending.is_empty() {
             return Vec::new();
         }
@@ -463,10 +377,9 @@ impl Cluster {
         let mut free: Vec<Resources> = self
             .nodes
             .values()
-            .filter_map(|n| match n.state {
-                NodeState::Ready => Some(n.pool.available()),
-                NodeState::Provisioning => Some(n.machine.allocatable),
-                NodeState::Removed => None,
+            .map(|n| match n.state {
+                NodeState::Ready => n.pool.available(),
+                NodeState::Provisioning => n.machine.allocatable,
             })
             .collect();
         let machine_alloc = self.cfg.machine.allocatable;
@@ -498,7 +411,7 @@ impl Cluster {
         let mut fx = Vec::with_capacity(to_create);
         for _ in 0..to_create {
             let id = NodeId(self.node_ids.alloc());
-            let node = Node::provisioning(id, self.cfg.machine.clone(), now);
+            let node = Node::provisioning(id, self.cfg.machine.clone());
             self.nodes.insert(id, node);
             let latency = self
                 .rng
@@ -528,12 +441,10 @@ impl Cluster {
             if live <= self.cfg.min_nodes {
                 break;
             }
-            if let Some(n) = self.nodes.get_mut(&id) {
-                n.mark_removed(now);
-                live -= 1;
-                self.watch
-                    .push(WatchEvent::node(now, WatchKind::NodeRemoved(id)));
-            }
+            self.nodes.remove(&id);
+            live -= 1;
+            self.watch
+                .push(WatchEvent::node(now, WatchKind::NodeRemoved(id)));
         }
     }
 
@@ -548,22 +459,23 @@ impl Cluster {
         self.try_schedule_all(now)
     }
 
-    fn image_pulled(&mut self, now: SimTime, pod_id: PodId, node_id: NodeId) -> Vec<Effect> {
+    fn image_pulled(
+        &mut self,
+        now: SimTime,
+        pod_id: PodId,
+        node_id: NodeId,
+        image: ImageId,
+    ) -> Vec<Effect> {
         // The pull completed on the node regardless of the pod's fate.
         if let Some(n) = self.nodes.get_mut(&node_id) {
-            if n.state == NodeState::Ready {
-                if let Some(pod) = self.pods.get(&pod_id) {
-                    n.cache_image(pod.spec.image);
-                }
-            }
+            n.cache_image(image);
         }
-        let Some(pod) = self.pods.get_mut(&pod_id) else {
+        let Some(pod) = self.pods.get(&pod_id) else {
             return Vec::new();
         };
         if pod.phase != PodPhase::Pending(PendingReason::PullingImage) {
             return Vec::new();
         }
-        pod.pulled_image = true;
         self.watch.push(WatchEvent::pod(
             now,
             pod_id,
@@ -577,13 +489,20 @@ impl Cluster {
     /// (`ErrImagePull`): the transfer time is spent anyway, then the
     /// kubelet backs off on the capped-exponential schedule before the
     /// next attempt — or gives up once the attempt budget is exhausted.
-    fn start_pull(&mut self, pid: PodId, nid: NodeId, attempt: u32, pull: Duration) -> Effect {
+    fn start_pull(
+        &mut self,
+        pid: PodId,
+        nid: NodeId,
+        image: ImageId,
+        attempt: u32,
+        pull: Duration,
+    ) -> Effect {
         let faults = self.cfg.faults.clone();
         // No draw at rate 0 so fault-free runs keep their RNG stream.
         let failed =
             faults.image_pull_fail_rate > 0.0 && self.rng.uniform() < faults.image_pull_fail_rate;
         if !failed {
-            return (pull, ClusterEvent::PodImagePulled(pid, nid));
+            return (pull, ClusterEvent::PodImagePulled(pid, nid, image));
         }
         let next = attempt + 1;
         if next >= faults.image_pull_max_attempts {
@@ -595,7 +514,8 @@ impl Cluster {
     }
 
     /// A backoff window elapsed: re-attempt the pull if the pod is still
-    /// waiting on this node (it may have died with the node meanwhile).
+    /// waiting on this node (it may have died with the node meanwhile; a
+    /// live pod's node is live).
     fn pod_pull_retry(
         &mut self,
         now: SimTime,
@@ -604,39 +524,28 @@ impl Cluster {
         attempt: u32,
     ) -> Vec<Effect> {
         let _ = now;
-        let valid = self.pods.get(&pod_id).is_some_and(|p| {
+        let Some(pod) = self.pods.get(&pod_id).filter(|p| {
             p.phase == PodPhase::Pending(PendingReason::PullingImage) && p.node == Some(node_id)
-        }) && self
-            .nodes
-            .get(&node_id)
-            .is_some_and(|n| n.state == NodeState::Ready);
-        if !valid {
+        }) else {
             return Vec::new();
-        }
-        let image = self.pods[&pod_id].spec.image;
+        };
+        let image = pod.spec.image;
         let pull = self.registry.pull_duration(image, &mut self.rng);
-        vec![self.start_pull(pod_id, node_id, attempt, pull)]
+        vec![self.start_pull(pod_id, node_id, image, attempt, pull)]
     }
 
     /// The kubelet exhausted its pull attempts: fail the pod and free its
     /// node slot. The layers above observe `PodFailed` and recover.
     fn pod_pull_gave_up(&mut self, now: SimTime, pod_id: PodId) -> Vec<Effect> {
-        let Some(pod) = self.pods.get_mut(&pod_id) else {
-            return Vec::new();
-        };
-        if pod.phase != PodPhase::Pending(PendingReason::PullingImage) {
+        let pulling = self
+            .pods
+            .get(&pod_id)
+            .is_some_and(|p| p.phase == PodPhase::Pending(PendingReason::PullingImage));
+        if !pulling {
             return Vec::new();
         }
         self.fault_stats.image_pull_gaveups += 1;
-        let node = pod.node.take();
-        pod.phase = PodPhase::Failed;
-        pod.finished_at = Some(now);
-        self.leave_live(pod_id);
-        if let Some(nid) = node {
-            if let Some(n) = self.nodes.get_mut(&nid) {
-                n.release_pod(pod_id.raw(), now);
-            }
-        }
+        self.retire_pod(now, pod_id);
         self.watch
             .push(WatchEvent::pod(now, pod_id, WatchKind::PodFailed));
         self.try_schedule_all(now)
@@ -646,7 +555,7 @@ impl Cluster {
         let Some(pod) = self.pods.get_mut(&pod_id) else {
             return Vec::new();
         };
-        if pod.phase.is_terminal() || pod.phase == PodPhase::Running {
+        if pod.phase == PodPhase::Running {
             return Vec::new();
         }
         let Some(node) = pod.node else {
@@ -708,7 +617,7 @@ impl Cluster {
                         self.watch
                             .push(WatchEvent::pod(now, pid, WatchKind::PodImagePulled(nid)));
                     } else {
-                        fx.push(self.start_pull(pid, nid, 0, pull));
+                        fx.push(self.start_pull(pid, nid, image, 0, pull));
                     }
                 }
                 None => {
@@ -746,10 +655,7 @@ impl Cluster {
 
     /// Nodes that are `Ready` or `Provisioning`.
     pub fn live_node_count(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.state != NodeState::Removed)
-            .count()
+        self.nodes.len()
     }
 
     /// Nodes currently `Ready`.
@@ -760,30 +666,17 @@ impl Cluster {
             .count()
     }
 
-    /// A pod by id.
+    /// A live pod by id; `None` once it has stopped.
     pub fn pod(&self, id: PodId) -> Option<&Pod> {
         self.pods.get(&id)
     }
 
-    /// A node by id.
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(&id)
-    }
-
-    /// All pods (any phase).
-    pub fn pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pods.values()
-    }
-
-    /// Non-terminal pods in a group, in id order. O(live pods).
+    /// Live pods in a group, in id order. O(live pods).
     pub fn live_pods_in_group<'a>(&'a self, group: &'a str) -> impl Iterator<Item = &'a Pod> + 'a {
-        self.live
-            .iter()
-            .filter_map(move |id| self.pods.get(id))
-            .filter(move |p| p.spec.group == group)
+        self.pods.values().filter(move |p| p.spec.group == group)
     }
 
-    /// Number of non-terminal pods in a group (HPA's "current replicas").
+    /// Number of live pods in a group (HPA's "current replicas").
     /// O(log groups): read from the per-group count.
     pub fn group_replicas(&self, group: &str) -> usize {
         self.live_per_group.get(group).copied().unwrap_or(0)
@@ -802,46 +695,18 @@ impl Cluster {
         self.pending.len()
     }
 
-    /// Aggregate counters by phase/state (monitoring endpoints).
-    pub fn stats(&self) -> ClusterStats {
-        let mut st = ClusterStats::default();
-        for n in self.nodes.values() {
-            match n.state {
-                NodeState::Provisioning => st.nodes_provisioning += 1,
-                NodeState::Ready => st.nodes_ready += 1,
-                NodeState::Removed => st.nodes_removed += 1,
-            }
-        }
-        for p in self.pods.values() {
-            match p.phase {
-                PodPhase::Pending(PendingReason::InsufficientResource) => {
-                    st.pods_unschedulable += 1
-                }
-                PodPhase::Pending(PendingReason::PullingImage) => st.pods_pulling += 1,
-                PodPhase::Running => st.pods_running += 1,
-                PodPhase::Succeeded => st.pods_succeeded += 1,
-                PodPhase::Failed => st.pods_failed += 1,
-                PodPhase::Deleted => st.pods_deleted += 1,
-            }
-        }
-        st
-    }
-
     /// Cumulative fault-injection counters.
     pub fn fault_stats(&self) -> ClusterFaultStats {
         self.fault_stats
     }
 
-    /// `kubectl get`-style textual snapshot of nodes and non-terminal
-    /// pods — the first thing to print when a simulation misbehaves.
+    /// `kubectl get`-style textual snapshot of the live nodes and pods —
+    /// the first thing to print when a simulation misbehaves.
     pub fn describe(&self, now: SimTime) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "NODES ({} live):", self.live_node_count());
         for n in self.nodes.values() {
-            if n.state == NodeState::Removed {
-                continue;
-            }
             let _ = writeln!(
                 out,
                 "  {:<10} {:<13} used {} / {}  pods {}",
@@ -852,13 +717,8 @@ impl Cluster {
                 n.pool.len(),
             );
         }
-        let live_pods: Vec<&Pod> = self
-            .live
-            .iter()
-            .filter_map(|id| self.pods.get(id))
-            .collect();
-        let _ = writeln!(out, "PODS ({} live):", live_pods.len());
-        for p in live_pods {
+        let _ = writeln!(out, "PODS ({} live):", self.pods.len());
+        for p in self.pods.values() {
             let age = now.since(p.created_at).as_secs_f64();
             let _ = writeln!(
                 out,
@@ -879,25 +739,21 @@ impl Cluster {
         if hta_des::sanitize::ACTIVE {
             assert!(
                 self.check_invariants(),
-                "cluster invariants violated (node pools or live-pod set)"
+                "cluster invariants violated (node pools or group counts)"
             );
         }
     }
 
-    /// Debug invariant: every node pool's allocations reference live pods
-    /// bound to that node, sums are consistent, the live-pod set is
-    /// exactly the recount of non-terminal pods, and the per-group live
-    /// counts are exactly a recount of that set.
+    /// Debug invariant: every node pool's allocations reference pods
+    /// bound to that node, sums are consistent, every bound pod's node is
+    /// live, and the per-group counts are exactly a recount of `pods`.
     pub fn check_invariants(&self) -> bool {
-        let recount = self.pods.values().filter(|p| !p.phase.is_terminal());
-        if !recount.map(|p| p.id).eq(self.live.iter().copied()) {
-            return false;
-        }
         let mut per_group: BTreeMap<&str, usize> = BTreeMap::new();
-        for id in &self.live {
-            *per_group
-                .entry(self.pods[id].spec.group.as_str())
-                .or_default() += 1;
+        for p in self.pods.values() {
+            *per_group.entry(p.spec.group.as_str()).or_default() += 1;
+            if p.node.is_some_and(|n| !self.nodes.contains_key(&n)) {
+                return false;
+            }
         }
         let counted = self
             .live_per_group
@@ -907,23 +763,14 @@ impl Cluster {
         if !counted.eq(per_group) {
             return false;
         }
-        for node in self.nodes.values() {
-            if !node.pool.check_invariant() {
-                return false;
-            }
-            for (key, _) in node.pool.iter() {
-                let pid = PodId(key);
-                match self.pods.get(&pid) {
-                    Some(p) => {
-                        if p.node != Some(node.id) || !p.phase.holds_resources() {
-                            return false;
-                        }
-                    }
-                    None => return false,
-                }
-            }
-        }
-        true
+        self.nodes.values().all(|node| {
+            node.pool.check_invariant()
+                && node.pool.iter().all(|(key, _)| {
+                    self.pods
+                        .get(&PodId(key))
+                        .is_some_and(|p| p.node == Some(node.id) && p.phase.holds_resources())
+                })
+        })
     }
 }
 
@@ -931,7 +778,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::config::MachineType;
-    use crate::ids::ImageId;
 
     fn small_cfg() -> ClusterConfig {
         ClusterConfig {
@@ -971,12 +817,7 @@ mod tests {
                     .nodes
                     .values()
                     .all(|n| n.state != NodeState::Provisioning);
-            if only_ticks
-                && cluster
-                    .pods
-                    .values()
-                    .all(|p| p.phase == PodPhase::Running || p.phase.is_terminal())
-            {
+            if only_ticks && cluster.pods.values().all(|p| p.phase == PodPhase::Running) {
                 break;
             }
             let Some((now, ev)) = q.pop() else { break };
@@ -1019,20 +860,20 @@ mod tests {
         run_to_quiescence(&mut c, fx, &mut q, 1000);
         let pod1 = c.pod(p1).unwrap();
         assert_eq!(pod1.phase, PodPhase::Running);
-        assert!(pod1.pulled_image);
         assert!(!pod1.waited_for_node);
         // 10s pull + 1s start.
         assert_eq!(pod1.running_at.unwrap(), SimTime::from_secs(11));
 
         // Complete it, then a second pod reuses the cached image.
         let fx = c.complete_pod(q.now(), p1);
+        assert!(c.pod(p1).is_none(), "a completed pod leaves the cluster");
         run_to_quiescence(&mut c, fx, &mut q, 1000);
         let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
         let before = q.now();
         run_to_quiescence(&mut c, fx, &mut q, 1000);
         let pod2 = c.pod(p2).unwrap();
         assert_eq!(pod2.phase, PodPhase::Running);
-        assert!(!pod2.pulled_image, "image was cached");
+        // No pull: only the 1s container start.
         assert_eq!(
             pod2.running_at.unwrap().since(before),
             Duration::from_secs(1)
@@ -1051,17 +892,37 @@ mod tests {
         // Fill the single warm node, then submit one more pod.
         let (_p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
         run_to_quiescence(&mut c, fx, &mut q, 1000);
+        c.drain_watch();
         let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
         run_to_quiescence(&mut c, fx, &mut q, 5000);
 
         let pod2 = c.pod(p2).unwrap();
         assert_eq!(pod2.phase, PodPhase::Running);
         assert!(pod2.waited_for_node);
-        assert!(pod2.pulled_image);
-        assert!(pod2.measured_full_init());
         // Init latency ≈ controller tick (≤10s) + 150s provision + 10s pull + 1s start.
-        let lat = pod2.init_latency().unwrap().as_secs_f64();
+        let lat = pod2
+            .running_at
+            .unwrap()
+            .since(pod2.created_at)
+            .as_secs_f64();
         assert!((155.0..=175.0).contains(&lat), "latency {lat}");
+        // The watch stream shows all three creation states (§V-B).
+        let kinds: Vec<WatchKind> = c
+            .drain_watch()
+            .into_iter()
+            .filter(|e| e.pod == p2)
+            .map(|e| e.kind)
+            .collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                WatchKind::PodCreated,
+                WatchKind::PodUnschedulable,
+                WatchKind::PodScheduled(_),
+                WatchKind::PodImagePulled(_),
+                WatchKind::PodRunning(_),
+            ]
+        ));
         assert_eq!(c.ready_node_count(), 2);
         assert!(c.check_invariants());
     }
@@ -1108,6 +969,7 @@ mod tests {
         assert_eq!(c.ready_node_count(), 2);
 
         // Finish both pods; after the idle timeout one node is reclaimed.
+        c.drain_watch();
         let mut fx = c.complete_pod(q.now(), p1);
         fx.extend(c.complete_pod(q.now(), p2));
         for (d, e) in fx {
@@ -1125,10 +987,11 @@ mod tests {
             }
         }
         assert_eq!(c.ready_node_count(), 1, "scaled down to min_nodes");
+        assert_eq!(c.live_node_count(), 1, "the removed node is gone");
         let removed = c
-            .nodes
-            .values()
-            .filter(|n| n.state == NodeState::Removed)
+            .drain_watch()
+            .iter()
+            .filter(|e| matches!(e.kind, WatchKind::NodeRemoved(_)))
             .count();
         assert_eq!(removed, 1);
         assert!(c.check_invariants());
@@ -1148,9 +1011,11 @@ mod tests {
 
         c.drain_watch();
         let _ = c.delete_pod(q.now(), p1);
-        assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Failed);
+        assert!(c.pod(p1).is_none());
         let events = c.drain_watch();
-        assert!(events.iter().any(|e| e.kind == WatchKind::PodFailed));
+        assert!(events
+            .iter()
+            .any(|e| e.pod == p1 && e.kind == WatchKind::PodFailed));
         // Node is free again.
         let node = c.nodes.values().next().unwrap();
         assert!(node.pool.is_empty());
@@ -1170,9 +1035,17 @@ mod tests {
         let (_p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
         run_to_quiescence(&mut c, fx, &mut q, 1000);
         let (p2, _fx) = c.create_pod(q.now(), worker_spec(img));
+        c.drain_watch();
         let _ = c.delete_pod(q.now(), p2);
-        assert_eq!(c.pod(p2).unwrap().phase, PodPhase::Deleted);
+        assert!(c.pod(p2).is_none());
         assert_eq!(c.pending_pod_count(), 0);
+        assert_eq!(c.group_replicas("wq-worker"), 1);
+        // A pod deleted before it ran reports a clean exit.
+        let events = c.drain_watch();
+        assert!(events
+            .iter()
+            .any(|e| e.pod == p2 && e.kind == WatchKind::PodSucceeded));
+        assert!(c.check_invariants());
     }
 
     #[test]
@@ -1198,25 +1071,6 @@ mod tests {
             .iter()
             .any(|k| matches!(k, WatchKind::PodImagePulled(_))));
         assert!(matches!(kinds.last(), Some(WatchKind::PodRunning(_))));
-    }
-
-    #[test]
-    fn stats_count_by_phase() {
-        let mut c = Cluster::new(small_cfg());
-        let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
-        let (_p2, _fx) = c.create_pod(q.now(), worker_spec(img)); // unschedulable
-        let st = c.stats();
-        assert_eq!(st.nodes_ready, 1);
-        assert_eq!(st.pods_running, 1);
-        assert_eq!(st.pods_unschedulable, 1);
-        let _ = c.complete_pod(q.now(), p1);
-        assert_eq!(c.stats().pods_succeeded, 1);
     }
 
     #[test]
@@ -1278,7 +1132,7 @@ mod tests {
             (c.group_replicas("wq-worker"), c.group_replicas("other")),
             (1, 0)
         );
-        // A node crash fails the running pod; a terminal pod's second
+        // A node crash fails the running pod; a retired pod's second
         // exit is a no-op and must not count twice.
         let node = c.pod(running).and_then(|p| p.node).expect("bound");
         let _ = c.fail_node(q.now(), node);
@@ -1324,12 +1178,16 @@ mod tests {
             for (d, e) in c.handle(now, ev) {
                 q.schedule_in(d, e);
             }
-            if c.pod(p1).is_some_and(|p| p.phase == PodPhase::Failed) {
+            if c.pod(p1).is_none() {
                 preempted = true;
                 break;
             }
         }
         assert!(preempted, "spot node must be reclaimed within 2 h");
+        assert!(c
+            .drain_watch()
+            .iter()
+            .any(|e| e.pod == p1 && e.kind == WatchKind::PodFailed));
         assert!(c.check_invariants());
     }
 
@@ -1373,12 +1231,15 @@ mod tests {
         for (d, e) in fx {
             q.schedule_in(d, e);
         }
-        assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Failed);
+        assert!(c.pod(p1).is_none());
+        assert_eq!(c.live_node_count(), 0);
         let events = c.drain_watch();
-        assert!(events.iter().any(|e| e.kind == WatchKind::PodFailed));
         assert!(events
             .iter()
-            .any(|e| matches!(e.kind, WatchKind::NodeRemoved(_))));
+            .any(|e| e.pod == p1 && e.kind == WatchKind::PodFailed));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == WatchKind::NodeRemoved(node)));
         assert!(c.check_invariants());
         // A replacement pod pends and a fresh node is provisioned.
         let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
@@ -1391,7 +1252,9 @@ mod tests {
         let mut c = Cluster::new(small_cfg());
         let _ = c.bootstrap(SimTime::ZERO);
         assert!(c.fail_node(SimTime::ZERO, NodeId(99)).is_empty());
-        let id = c.any_ready_node().unwrap();
+        let WatchKind::NodeReady(id) = c.drain_watch()[0].kind else {
+            panic!("bootstrap readies a node");
+        };
         let _ = c.fail_node(SimTime::ZERO, id);
         assert!(c.fail_node(SimTime::ZERO, id).is_empty(), "double fail");
     }
@@ -1571,5 +1434,172 @@ mod tests {
         assert_eq!(c.ready_node_count(), 1);
         assert_eq!(c.running_pods_in_group("wq-worker").len(), 4);
         assert!(c.check_invariants());
+    }
+
+    #[test]
+    fn image_pulled_for_a_deleted_pod_is_still_cached() {
+        let mut c = Cluster::new(small_cfg());
+        let img = c.registry_mut().register("worker", 500.0);
+        let mut q = hta_des::EventQueue::new();
+        for (d, e) in c.bootstrap(SimTime::ZERO) {
+            q.schedule_in(d, e);
+        }
+        // The pod is deleted while its 10 s pull is in flight.
+        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
+        for (d, e) in fx {
+            q.schedule_in(d, e);
+        }
+        let node = c.pod(p1).and_then(|p| p.node).expect("bound at once");
+        let _ = c.delete_pod(SimTime::ZERO, p1);
+        assert!(c.pod(p1).is_none());
+        // The pull still completes on the node and caches the image.
+        while q.peek_time().is_some_and(|t| t <= SimTime::from_secs(10)) {
+            let (now, ev) = q.pop().unwrap();
+            for (d, e) in c.handle(now, ev) {
+                q.schedule_in(d, e);
+            }
+        }
+        assert!(c.nodes[&node].has_image(img));
+        // The next pod on that node skips the pull: scheduled and pulled
+        // at once, running after the 1 s container start.
+        c.drain_watch();
+        let created = q.now();
+        let (p2, fx) = c.create_pod(created, worker_spec(img));
+        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let pod2 = c.pod(p2).unwrap();
+        assert_eq!(pod2.node, Some(node));
+        assert_eq!(pod2.running_at, Some(created + Duration::from_secs(1)));
+        let pulled: Vec<SimTime> = c
+            .drain_watch()
+            .iter()
+            .filter(|e| e.pod == p2 && e.kind == WatchKind::PodImagePulled(node))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(pulled, vec![created]);
+    }
+
+    mod retired_state {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Create a pod in the worker group (`true`) or another group.
+            Create(bool),
+            /// Complete the live pod at this position (modulo the count).
+            Complete(usize),
+            /// Delete the live pod at this position.
+            Delete(usize),
+            /// Crash the live node at this position (or an unknown node
+            /// when none is live).
+            FailNode(usize),
+            /// Deliver up to this many cluster events.
+            Step(usize),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            (0u32..10, any::<usize>(), 1usize..40).prop_map(|(kind, i, n)| match kind {
+                0..=2 => Op::Create(i % 2 == 0),
+                3 => Op::Complete(i),
+                4 => Op::Delete(i),
+                5 => Op::FailNode(i),
+                _ => Op::Step(n),
+            })
+        }
+
+        fn pick<T: Copy>(items: &[T], i: usize) -> Option<T> {
+            (!items.is_empty()).then(|| items[i % items.len()])
+        }
+
+        proptest! {
+            /// With pull and node faults on, a pod or node that stops leaves
+            /// the cluster: the stored pods are exactly the group counts, a
+            /// pod with a `PodSucceeded`/`PodFailed` watch event is gone for
+            /// good (its id never comes back), every other issued pod is
+            /// still there, a node with a `NodeRemoved` event is gone, and
+            /// the pool stays within `max_nodes`.
+            #[test]
+            fn stopped_objects_leave_the_cluster(
+                seed in any::<u64>(),
+                ops in proptest::collection::vec(op(), 1..120),
+            ) {
+                let mut cfg = small_cfg();
+                cfg.seed = seed;
+                cfg.max_nodes = 4;
+                cfg.faults.image_pull_fail_rate = 0.3;
+                cfg.faults.image_pull_max_attempts = 3;
+                cfg.faults.node_mttf = Some(Duration::from_secs(400));
+                cfg.faults.node_mttr = Duration::from_secs(60);
+                let max_nodes = cfg.max_nodes;
+                let mut c = Cluster::new(cfg);
+                let img = c.registry_mut().register("worker", 100.0);
+                let mut q = hta_des::EventQueue::new();
+                for (d, e) in c.bootstrap(SimTime::ZERO) {
+                    q.schedule_in(d, e);
+                }
+                let mut issued: BTreeSet<PodId> = BTreeSet::new();
+                let mut retired: BTreeSet<PodId> = BTreeSet::new();
+                let mut removed: BTreeSet<NodeId> = BTreeSet::new();
+                for op in ops {
+                    let now = q.now();
+                    let live: Vec<PodId> = issued.difference(&retired).copied().collect();
+                    let fx = match op {
+                        Op::Create(worker) => {
+                            let mut spec = worker_spec(img);
+                            if !worker {
+                                spec.group = "other".into();
+                                spec.request = Resources::cores(1, 2_000, 5_000);
+                            }
+                            let (id, fx) = c.create_pod(now, spec);
+                            prop_assert!(issued.insert(id), "{} reissued", id);
+                            fx
+                        }
+                        Op::Complete(i) => pick(&live, i)
+                            .map(|id| c.complete_pod(now, id))
+                            .unwrap_or_default(),
+                        Op::Delete(i) => pick(&live, i)
+                            .map(|id| c.delete_pod(now, id))
+                            .unwrap_or_default(),
+                        Op::FailNode(i) => {
+                            let nodes: Vec<NodeId> = c.nodes.keys().copied().collect();
+                            c.fail_node(now, pick(&nodes, i).unwrap_or(NodeId(u64::MAX)))
+                        }
+                        Op::Step(n) => {
+                            for _ in 0..n {
+                                let Some((t, ev)) = q.pop() else { break };
+                                for (d, e) in c.handle(t, ev) {
+                                    q.schedule_in(d, e);
+                                }
+                            }
+                            Vec::new()
+                        }
+                    };
+                    for (d, e) in fx {
+                        q.schedule_in(d, e);
+                    }
+                    for e in c.drain_watch() {
+                        match e.kind {
+                            WatchKind::PodSucceeded | WatchKind::PodFailed => {
+                                prop_assert!(retired.insert(e.pod), "{} stopped twice", e.pod);
+                            }
+                            WatchKind::NodeRemoved(n) => {
+                                prop_assert!(removed.insert(n), "{} removed twice", n);
+                            }
+                            _ => {}
+                        }
+                    }
+                    let replicas: usize =
+                        ["wq-worker", "other"].iter().map(|g| c.group_replicas(g)).sum();
+                    prop_assert_eq!(c.pods.len(), replicas);
+                    for id in &issued {
+                        prop_assert_eq!(c.pod(*id).is_none(), retired.contains(id), "{}", id);
+                    }
+                    prop_assert!(removed.iter().all(|n| !c.nodes.contains_key(n)));
+                    prop_assert!(c.live_node_count() <= max_nodes);
+                    prop_assert!(c.check_invariants());
+                }
+            }
+        }
     }
 }

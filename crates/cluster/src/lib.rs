@@ -6,7 +6,10 @@
 //!
 //! * **Pods** with the paper's Fig. 9 lifecycle: *No Available Node*
 //!   (`Pending/InsufficientResource`) → *No Container Image*
-//!   (`Pending/PullingImage`) → *Running* → *Succeeded/Failed*.
+//!   (`Pending/PullingImage`) → *Running* → *Stopped*. A stopped pod
+//!   leaves the API server; its `PodSucceeded`/`PodFailed` watch event
+//!   is the last trace of it. Removed nodes leave the same way, so the
+//!   cluster's state scales with live objects, not with run history.
 //! * **Nodes** of a fixed machine type, provisioned by a cloud-controller-
 //!   manager with a calibrated Gaussian initialization latency (the paper
 //!   measures GKE at mean 157.4 s, σ 4.2 s — Fig. 6; that total includes
@@ -74,7 +77,7 @@ pub mod objects;
 pub mod pod;
 pub mod watch;
 
-pub use cluster::{Cluster, ClusterEvent, ClusterFaultStats, ClusterStats, Effect};
+pub use cluster::{Cluster, ClusterEvent, ClusterFaultStats, Effect};
 pub use config::{ClusterConfig, ClusterFaults, MachineType};
 pub use hpa::{Hpa, HpaConfig};
 pub use ids::{ImageId, NodeId, PodId};

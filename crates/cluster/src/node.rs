@@ -1,10 +1,12 @@
 //! Cluster nodes (virtual machines).
 //!
-//! A node goes `Provisioning → Ready → Removed`. While `Ready` it owns a
-//! [`ResourcePool`] keyed by pod id and an image cache. The cluster
-//! autoscaler removes a node only after it has been empty for the idle
-//! timeout, mirroring the Kubernetes cluster-autoscaler's scale-down
-//! behaviour the paper contrasts HTA against.
+//! A node goes `Provisioning → Ready`, and its record leaves the cluster
+//! when the node is scaled down, preempted or crashes (the removal is a
+//! `NodeRemoved` watch event). While `Ready` it owns a [`ResourcePool`]
+//! keyed by pod id and an image cache. The cluster autoscaler removes a
+//! node only after it has been empty for the idle timeout, mirroring the
+//! Kubernetes cluster-autoscaler's scale-down behaviour the paper
+//! contrasts HTA against.
 
 use hta_des::SimTime;
 use hta_resources::{ResourcePool, Resources};
@@ -19,8 +21,6 @@ pub enum NodeState {
     Provisioning,
     /// Accepting pods.
     Ready,
-    /// Removed from the cluster (kept for post-run inspection).
-    Removed,
 }
 
 /// A virtual machine in the node pool.
@@ -36,20 +36,14 @@ pub struct Node {
     pub pool: ResourcePool,
     /// Images present on the node's disk.
     images: Vec<ImageId>,
-    /// When provisioning started.
-    pub requested_at: SimTime,
-    /// When the node became `Ready`.
-    pub ready_at: Option<SimTime>,
-    /// When the node was removed.
-    pub removed_at: Option<SimTime>,
     /// Last instant the node transitioned to empty (no pods). Drives the
     /// idle-timeout scale-down. `None` while occupied.
     pub empty_since: Option<SimTime>,
 }
 
 impl Node {
-    /// A node entering provisioning at `requested_at`.
-    pub fn provisioning(id: NodeId, machine: MachineType, requested_at: SimTime) -> Self {
+    /// A node entering provisioning.
+    pub fn provisioning(id: NodeId, machine: MachineType) -> Self {
         let pool = ResourcePool::new(machine.allocatable);
         Node {
             id,
@@ -57,9 +51,6 @@ impl Node {
             state: NodeState::Provisioning,
             pool,
             images: Vec::new(),
-            requested_at,
-            ready_at: None,
-            removed_at: None,
             empty_since: None,
         }
     }
@@ -68,16 +59,7 @@ impl Node {
     pub fn mark_ready(&mut self, now: SimTime) {
         debug_assert_eq!(self.state, NodeState::Provisioning);
         self.state = NodeState::Ready;
-        self.ready_at = Some(now);
         self.empty_since = Some(now);
-    }
-
-    /// Transition to `Removed`, dropping all allocations.
-    pub fn mark_removed(&mut self, now: SimTime) {
-        self.state = NodeState::Removed;
-        self.removed_at = Some(now);
-        self.pool.clear();
-        self.empty_since = None;
     }
 
     /// True when `Ready` and able to fit `request` right now.
@@ -136,7 +118,6 @@ mod tests {
         let mut n = Node::provisioning(
             NodeId(0),
             MachineType::custom("test", Resources::cores(4, 16_000, 100_000)),
-            SimTime::ZERO,
         );
         n.mark_ready(SimTime::from_secs(150));
         n
@@ -144,16 +125,12 @@ mod tests {
 
     #[test]
     fn provisioning_to_ready() {
-        let mut n = Node::provisioning(
-            NodeId(0),
-            MachineType::n1_standard_4(),
-            SimTime::from_secs(1),
-        );
+        let mut n = Node::provisioning(NodeId(0), MachineType::n1_standard_4());
         assert_eq!(n.state, NodeState::Provisioning);
         assert!(!n.can_fit(&Resources::cores(1, 0, 0)));
         n.mark_ready(SimTime::from_secs(150));
         assert_eq!(n.state, NodeState::Ready);
-        assert_eq!(n.ready_at, Some(SimTime::from_secs(150)));
+        assert_eq!(n.empty_since, Some(SimTime::from_secs(150)));
         assert!(n.can_fit(&Resources::cores(1, 0, 0)));
     }
 
@@ -178,8 +155,6 @@ mod tests {
         let timeout = Duration::from_secs(600);
         assert!(!n.idle_expired(SimTime::from_secs(700), timeout));
         assert!(n.idle_expired(SimTime::from_secs(800), timeout));
-        n.mark_removed(SimTime::from_secs(801));
-        assert!(!n.idle_expired(SimTime::from_secs(900), timeout));
     }
 
     #[test]
@@ -189,15 +164,5 @@ mod tests {
         n.cache_image(ImageId(0));
         n.cache_image(ImageId(0));
         assert!(n.has_image(ImageId(0)));
-    }
-
-    #[test]
-    fn removal_clears_pool() {
-        let mut n = node();
-        n.bind_pod(1, Resources::cores(4, 0, 0)).unwrap();
-        n.mark_removed(SimTime::from_secs(500));
-        assert!(n.pool.is_empty());
-        assert_eq!(n.state, NodeState::Removed);
-        assert!(!n.can_fit(&Resources::cores(1, 0, 0)));
     }
 }

@@ -12,6 +12,12 @@
 //! 4. **Stopped** — for HTA worker pods, the worker process exits after
 //!    draining and the pod turns `Succeeded` and is removed. Evictions
 //!    (HPA scale-down of a plain pod group) turn the pod `Failed`.
+//!
+//! A [`Pod`] record exists only while the pod is live (phases 1–3). The
+//! stop removes it from the API server; the outcome travels on the watch
+//! stream as [`WatchKind::PodSucceeded`](crate::watch::WatchKind::PodSucceeded)
+//! or [`WatchKind::PodFailed`](crate::watch::WatchKind::PodFailed), which
+//! is where HTA's informer learns it (§V-B).
 
 use hta_des::SimTime;
 use hta_resources::Resources;
@@ -28,19 +34,14 @@ pub enum PendingReason {
     PullingImage,
 }
 
-/// Pod phase (Kubernetes `status.phase` plus an explicit `Deleted`).
+/// Phase of a live pod (Kubernetes `status.phase`). A pod that stops
+/// leaves the API server, so there is no terminal phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PodPhase {
     /// Accepted but containers not running yet; see [`PendingReason`].
     Pending(PendingReason),
     /// Containers running.
     Running,
-    /// All containers exited successfully (graceful worker drain).
-    Succeeded,
-    /// Terminated abnormally (eviction / kill).
-    Failed,
-    /// Object removed from the API server.
-    Deleted,
 }
 
 impl PodPhase {
@@ -49,14 +50,6 @@ impl PodPhase {
         matches!(
             self,
             PodPhase::Pending(PendingReason::PullingImage) | PodPhase::Running
-        )
-    }
-
-    /// True once the pod has permanently stopped.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            PodPhase::Succeeded | PodPhase::Failed | PodPhase::Deleted
         )
     }
 }
@@ -95,14 +88,9 @@ pub struct Pod {
     pub scheduled_at: Option<SimTime>,
     /// When containers started running.
     pub running_at: Option<SimTime>,
-    /// When the pod reached a terminal phase.
-    pub finished_at: Option<SimTime>,
-    /// Whether this pod ever waited for a node (needed by HTA's init-time
-    /// tracker: only pods that traversed *No Available Node* →
-    /// *No Container Image* → *Running* measure a full initialization).
+    /// Whether this pod ever waited for a node, so its
+    /// `PodUnschedulable` watch event is emitted once.
     pub waited_for_node: bool,
-    /// Whether the image had to be pulled (vs. already cached).
-    pub pulled_image: bool,
 }
 
 impl Pod {
@@ -116,21 +104,8 @@ impl Pod {
             created_at,
             scheduled_at: None,
             running_at: None,
-            finished_at: None,
             waited_for_node: false,
-            pulled_image: false,
         }
-    }
-
-    /// End-to-end initialization latency (create → running), if running.
-    pub fn init_latency(&self) -> Option<hta_des::Duration> {
-        self.running_at.map(|r| r.since(self.created_at))
-    }
-
-    /// True if this pod measured a *full* resource-initialization cycle in
-    /// the paper's sense (§V-B): it experienced all three creation states.
-    pub fn measured_full_init(&self) -> bool {
-        self.waited_for_node && self.pulled_image && self.running_at.is_some()
     }
 }
 
@@ -155,7 +130,6 @@ mod tests {
             PodPhase::Pending(PendingReason::InsufficientResource)
         );
         assert!(p.node.is_none());
-        assert!(!p.phase.is_terminal());
         assert!(!p.phase.holds_resources());
     }
 
@@ -164,29 +138,5 @@ mod tests {
         assert!(PodPhase::Running.holds_resources());
         assert!(PodPhase::Pending(PendingReason::PullingImage).holds_resources());
         assert!(!PodPhase::Pending(PendingReason::InsufficientResource).holds_resources());
-        assert!(!PodPhase::Succeeded.holds_resources());
-        assert!(PodPhase::Failed.is_terminal());
-        assert!(PodPhase::Deleted.is_terminal());
-        assert!(!PodPhase::Running.is_terminal());
-    }
-
-    #[test]
-    fn init_latency_and_full_init() {
-        let mut p = Pod::new(PodId(1), spec(), SimTime::from_secs(10));
-        assert_eq!(p.init_latency(), None);
-        assert!(!p.measured_full_init());
-        p.waited_for_node = true;
-        p.pulled_image = true;
-        p.running_at = Some(SimTime::from_secs(167));
-        assert_eq!(p.init_latency().unwrap(), hta_des::Duration::from_secs(157));
-        assert!(p.measured_full_init());
-    }
-
-    #[test]
-    fn warm_pod_does_not_measure_full_init() {
-        let mut p = Pod::new(PodId(2), spec(), SimTime::ZERO);
-        p.running_at = Some(SimTime::from_secs(2));
-        p.pulled_image = false; // image was cached
-        assert!(!p.measured_full_init());
     }
 }

@@ -538,7 +538,7 @@ impl SystemDriver {
         }
     }
 
-    /// Worker pods not yet terminal (pending + running).
+    /// Live worker pods (pending + running).
     fn live_worker_pods(&self) -> usize {
         self.cluster.group_replicas(WORKER_GROUP)
     }
@@ -602,7 +602,7 @@ impl SystemDriver {
         self.queue.now()
     }
 
-    /// Worker pods not yet terminal (pending + running), for
+    /// Live worker pods (pending + running), for
     /// introspection at a decision point.
     pub fn live_workers(&self) -> usize {
         self.live_worker_pods()
@@ -850,7 +850,7 @@ impl SystemDriver {
     }
 
     /// True once the workload is done and every cluster object we created
-    /// has reached a terminal phase.
+    /// has stopped (and so left the cluster).
     fn is_finished(&self) -> bool {
         if self.workload_finished_at.is_none() {
             return false;
@@ -858,14 +858,8 @@ impl SystemDriver {
         if self.live_worker_pods() > 0 {
             return false;
         }
-        match self.master_pod {
-            Some(pod) => self
-                .cluster
-                .pod(pod)
-                .map(|p| p.phase.is_terminal())
-                .unwrap_or(true),
-            None => true,
-        }
+        self.master_pod
+            .is_none_or(|pod| self.cluster.pod(pod).is_none())
     }
 
     /// Cross-component plumbing: drain informer events and master
@@ -894,14 +888,20 @@ impl SystemDriver {
                             // the watch-stream snapshot.
                             continue;
                         }
+                        // A pod turns Running only in its own `PodStarted`
+                        // event, and the pump drains the watch buffer right
+                        // after every event, so nothing has retired the pod
+                        // before this arm reads it.
+                        let group = &self
+                            .cluster
+                            .pod(ev.pod)
+                            .expect("a pod reported running is still live")
+                            .spec
+                            .group;
                         if Some(ev.pod) == self.master_pod && !self.master_ready {
                             self.master_ready = true;
                             self.on_master_ready(now);
-                        } else if self
-                            .cluster
-                            .pod(ev.pod)
-                            .is_some_and(|p| p.spec.group == WORKER_GROUP)
-                        {
+                        } else if group == WORKER_GROUP {
                             let wid = self.master.worker_connect(
                                 now,
                                 self.cfg.worker_request,
@@ -1534,14 +1534,14 @@ impl SystemDriver {
     ///
     /// Victim selection is deterministic: `pod_to_worker` is a `BTreeMap`,
     /// so iteration is ordered by `PodId` and the victim is always the
-    /// running worker pod with the lowest id — two same-seed runs crash
-    /// the same node at the same instant.
+    /// running worker pod with the lowest id (a mapped pod still in the
+    /// cluster is running) — two same-seed runs crash the same node at
+    /// the same instant.
     fn fail_worker_node(&mut self, now: SimTime) {
         let target = self
             .pod_to_worker
             .keys()
             .filter_map(|pid| self.cluster.pod(*pid))
-            .filter(|p| p.phase == hta_cluster::PodPhase::Running)
             .filter_map(|p| p.node)
             .next();
         if let Some(node) = target {

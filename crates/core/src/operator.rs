@@ -79,13 +79,13 @@ pub struct Operator {
     stats: crate::category_stats::CategoryStats,
     /// Learned (or trusted-declared) per-category resources.
     learned: BTreeMap<CategoryId, Resources>,
-    probing: BTreeMap<CategoryId, bool>,
+    /// Categories with a warm-up probe in flight.
+    probing: BTreeSet<CategoryId>,
     held: BTreeMap<CategoryId, Vec<JobId>>,
     /// File name → catalogue id. Fixed at construction and shared by
     /// clones.
     file_ids: Arc<BTreeMap<String, FileId>>,
     job_for_task: BTreeMap<TaskId, JobId>,
-    task_for_job: BTreeMap<JobId, TaskId>,
     next_task: u64,
     rng: SimRng,
     submitted: usize,
@@ -165,11 +165,10 @@ impl Operator {
             workflow,
             stats: crate::category_stats::CategoryStats::new(),
             learned,
-            probing: BTreeMap::new(),
+            probing: BTreeSet::new(),
             held: BTreeMap::new(),
             file_ids: Arc::new(file_ids),
             job_for_task: BTreeMap::new(),
-            task_for_job: BTreeMap::new(),
             next_task: 0,
             rng,
             submitted: 0,
@@ -244,7 +243,7 @@ impl Operator {
     fn knowledge(&self, cat: CategoryId) -> CatKnowledge {
         if self.learned.contains_key(&cat) {
             CatKnowledge::Known
-        } else if self.probing.get(&cat).copied().unwrap_or(false) {
+        } else if self.probing.contains(&cat) {
             CatKnowledge::Probing
         } else {
             CatKnowledge::Unknown
@@ -262,14 +261,14 @@ impl Operator {
             let j = self.workflow.dag.job(job).expect("ready job exists");
             let cat = workflow_cat(master, &j.category);
             if !self.cfg.warmup {
-                self.submit_job(now, job, master, fx);
+                self.submit_job(now, job, cat, master, fx);
                 continue;
             }
             match self.knowledge(cat) {
-                CatKnowledge::Known => self.submit_job(now, job, master, fx),
+                CatKnowledge::Known => self.submit_job(now, job, cat, master, fx),
                 CatKnowledge::Unknown => {
-                    self.probing.insert(cat, true);
-                    self.submit_job(now, job, master, fx);
+                    self.probing.insert(cat);
+                    self.submit_job(now, job, cat, master, fx);
                 }
                 CatKnowledge::Probing => {
                     self.workflow.submit(job); // leaves the DAG ready set
@@ -279,13 +278,14 @@ impl Operator {
         }
     }
 
-    /// Build a task spec for `job` and submit it to the master. The job
-    /// and its category profile are read in place; only the spec's own
-    /// fields are allocated.
+    /// Build a task spec for `job`, whose category id is `cat`, and
+    /// submit it to the master. The job and its category profile are read
+    /// in place; only the spec's own fields are allocated.
     fn push_job(
         &mut self,
         now: SimTime,
         job: JobId,
+        cat: CategoryId,
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
@@ -296,7 +296,6 @@ impl Operator {
             .categories
             .get(&j.category)
             .map_or_else(SimProfile::default, |p| p.sim);
-        let cat = workflow_cat(master, &j.category);
         let declared = self.known_resources_id(cat);
         let inputs: Vec<FileId> = j
             .inputs
@@ -319,7 +318,6 @@ impl Operator {
             },
         };
         self.job_for_task.insert(task_id, job);
-        self.task_for_job.insert(job, task_id);
         self.submitted += 1;
         if self.wal_recording {
             self.wal_pending.push(WalRecord::Submit {
@@ -334,11 +332,12 @@ impl Operator {
         &mut self,
         now: SimTime,
         job: JobId,
+        cat: CategoryId,
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
         self.workflow.submit(job);
-        self.push_job(now, job, master, fx);
+        self.push_job(now, job, cat, master, fx);
     }
 
     /// Admit one open-loop trace arrival. Trace tasks have no workflow
@@ -388,7 +387,7 @@ impl Operator {
                 .estimate(cat)
                 .expect("just observed this category");
             self.learned.insert(cat, est.resources);
-            self.probing.insert(cat, false);
+            self.probing.remove(&cat);
             if self.wal_recording {
                 self.wal_pending.push(WalRecord::Learn {
                     cat,
@@ -400,7 +399,7 @@ impl Operator {
                 for job in held {
                     // Held jobs were marked submitted in the DAG; submit
                     // them to the master now with the learned resources.
-                    self.push_job(now, job, master, fx);
+                    self.push_job(now, job, cat, master, fx);
                 }
             }
         }
@@ -430,19 +429,15 @@ impl Operator {
             return;
         }
         // Re-aim the warm-up probe if it just died unlearned.
-        if self.cfg.warmup
-            && !self.learned.contains_key(&cat)
-            && self.probing.get(&cat).copied().unwrap_or(false)
-        {
-            self.probing.insert(cat, false);
+        if self.cfg.warmup && !self.learned.contains_key(&cat) && self.probing.remove(&cat) {
             let next = self
                 .held
                 .get_mut(&cat)
                 .filter(|v| !v.is_empty())
                 .map(|v| v.remove(0));
             if let Some(next_job) = next {
-                self.probing.insert(cat, true);
-                self.push_job(now, next_job, master, fx);
+                self.probing.insert(cat);
+                self.push_job(now, next_job, cat, master, fx);
             }
         }
         self.submit_ready(now, master, fx);
@@ -482,15 +477,11 @@ impl Operator {
         // The first submission of a still-unlearned category under warm-up
         // was that category's probe: restore the flag.
         let cat = spec.cat;
-        if self.cfg.warmup
-            && !self.learned.contains_key(&cat)
-            && !self.probing.get(&cat).copied().unwrap_or(false)
-        {
-            self.probing.insert(cat, true);
+        if self.cfg.warmup && !self.learned.contains_key(&cat) {
+            self.probing.insert(cat);
         }
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.job_for_task.insert(spec.id, job);
-        self.task_for_job.insert(job, spec.id);
         self.submitted += 1;
         master.submit(now, spec, fx);
     }
@@ -516,7 +507,7 @@ impl Operator {
     /// records.
     pub fn replay_learn(&mut self, cat: CategoryId, resources: Resources, master: &mut Master) {
         self.learned.insert(cat, resources);
-        self.probing.insert(cat, false);
+        self.probing.remove(&cat);
         declare_waiting(cat, resources, master);
     }
 
@@ -535,11 +526,8 @@ impl Operator {
         if !self.fail_job(task) {
             return;
         }
-        if self.cfg.warmup
-            && !self.learned.contains_key(&cat)
-            && self.probing.get(&cat).copied().unwrap_or(false)
-        {
-            self.probing.insert(cat, false);
+        if self.cfg.warmup && !self.learned.contains_key(&cat) {
+            self.probing.remove(&cat);
         }
     }
 
@@ -573,16 +561,11 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) -> usize {
-        let flagged: Vec<CategoryId> = self
-            .probing
-            .iter()
-            .filter(|(_, on)| **on)
-            .map(|(cat, _)| *cat)
-            .collect();
+        let flagged: Vec<CategoryId> = self.probing.iter().copied().collect();
         let mut promoted = 0;
         for cat in flagged {
             if self.learned.contains_key(&cat) {
-                self.probing.insert(cat, false);
+                self.probing.remove(&cat);
                 continue;
             }
             if master.has_live_task_in_category(cat) {
@@ -595,11 +578,11 @@ impl Operator {
                 .map(|v| v.remove(0));
             match next {
                 Some(job) => {
-                    self.push_job(now, job, master, fx);
+                    self.push_job(now, job, cat, master, fx);
                     promoted += 1;
                 }
                 None => {
-                    self.probing.insert(cat, false);
+                    self.probing.remove(&cat);
                 }
             }
         }

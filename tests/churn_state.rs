@@ -6,10 +6,11 @@
 //! release builds with `--features sim-sanitizer`) the master asserts
 //! after every transition that it retains no stopped worker and that its
 //! incremental dispatch gate equals a full scan of the eligible workers,
-//! and the cluster asserts that its live-pod set equals a recount of the
-//! non-terminal pods. State that grows with run history instead of with
-//! the live set therefore fails this test on any machine: the checks
-//! count, they do not time.
+//! and the cluster asserts that its per-group pod counts equal a recount
+//! of the pods it stores (stopped pods and removed nodes leave it, so
+//! what it stores is the live set). State that grows with run history
+//! instead of with the live set therefore fails this test on any
+//! machine: the checks count, they do not time.
 //!
 //! Under a release-mode sanitizer:
 //! `cargo test --release --features sim-sanitizer --test churn_state`.
