@@ -556,8 +556,9 @@ pub fn trace_driver(seed: u64) -> DriverConfig {
 }
 
 /// An open-loop run of `source` on the trace cluster ([`trace_driver`])
-/// under `kind`. The master retires completed task records, so peak
-/// memory is bounded by the in-flight set, not the trace length.
+/// under `kind`. Finished tasks leave the master and a traced run keeps
+/// no spans of them, so peak memory is bounded by the in-flight set,
+/// not the trace length.
 pub fn trace(source: ArrivalSource, kind: PolicyKind, seed: u64) -> Scenario {
     Scenario {
         cfg: trace_driver(seed),

@@ -120,9 +120,9 @@ pub fn workloads(quick: bool) -> Vec<(&'static str, ScenarioFn)> {
         }),
         // The streaming-admission gate: 50 k open-loop arrivals (MMPP
         // bursts + diurnal cycle) streamed from `crates/trace` under
-        // HTA with completed-record retirement. Tracked so streaming
-        // admission stays off the hot path and peak RSS stays bounded
-        // by the in-flight set.
+        // HTA; finished tasks leave the master and a traced run keeps
+        // no spans of them. Tracked so streaming admission stays off
+        // the hot path and peak RSS stays bounded by the in-flight set.
         ("trace-50k", |s| {
             synth_trace("trace-50k", s).expect("known synth preset")
         }),

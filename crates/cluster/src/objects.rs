@@ -1,17 +1,18 @@
-//! Lightweight StatefulSet and Service objects.
+//! A lightweight StatefulSet object.
 //!
 //! The paper's deployment (§V-A) wraps the Work Queue *master* pod in a
-//! StatefulSet (sticky identity + persistent volume for intermediate data)
-//! and exposes it through two Services (in-cluster for workers, external
-//! for Makeflow/HTA). Worker pods are deliberately *not* wrapped in a
-//! controller object — §II-C: deleting a managing deployment unit would
-//! interrupt running jobs, so HTA manages worker-pod lifecycles directly
-//! through Work Queue.
+//! StatefulSet (sticky identity + persistent volume for intermediate
+//! data); the driver restarts a lost master pod through it. Worker pods
+//! are deliberately *not* wrapped in a controller object — §II-C:
+//! deleting a managing deployment unit would interrupt running jobs, so
+//! HTA manages worker-pod lifecycles directly through Work Queue.
 //!
-//! These objects carry just enough state for the operator to reproduce
-//! that topology; they do not add behaviour beyond identity bookkeeping.
+//! The object carries just enough state to reproduce that topology; it
+//! adds no behaviour beyond identity bookkeeping. The paper's two
+//! Services in front of the master (in-cluster for workers, external for
+//! Makeflow/HTA) are not modelled: the simulation routes every message
+//! directly, so they would carry no state anything reads.
 
-use hta_resources::Resources;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::PodId;
@@ -67,56 +68,6 @@ impl StatefulSet {
     }
 }
 
-/// How a Service is reachable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServiceKind {
-    /// Reachable only inside the cluster (worker → master).
-    ClusterIp,
-    /// Reachable from outside (Makeflow/HTA → master).
-    LoadBalancer,
-}
-
-/// A Service selecting a pod group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Service {
-    /// Object name.
-    pub name: String,
-    /// Pod group this service routes to.
-    pub selector_group: String,
-    /// Exposure.
-    pub kind: ServiceKind,
-    /// Service port.
-    pub port: u16,
-}
-
-impl Service {
-    /// Construct a service.
-    pub fn new(
-        name: impl Into<String>,
-        selector_group: impl Into<String>,
-        kind: ServiceKind,
-        port: u16,
-    ) -> Self {
-        Service {
-            name: name.into(),
-            selector_group: selector_group.into(),
-            kind,
-            port,
-        }
-    }
-
-    /// Whether a pod in `group` is selected by this service.
-    pub fn selects(&self, group: &str) -> bool {
-        self.selector_group == group
-    }
-}
-
-/// The master-pod resource request used by the operator: modest CPU, room
-/// for the queue state and cached intermediate data on the volume.
-pub fn master_pod_request() -> Resources {
-    Resources::new(1000, 4_000, 20_000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,24 +92,5 @@ mod tests {
         ss.bind(PodId(1)).unwrap();
         assert_eq!(ss.bind(PodId(2)), None);
         assert_eq!(ss.unbind(PodId(99)), None);
-    }
-
-    #[test]
-    fn service_selection() {
-        let svc = Service::new(
-            "wq-master-external",
-            "wq-master",
-            ServiceKind::LoadBalancer,
-            9123,
-        );
-        assert!(svc.selects("wq-master"));
-        assert!(!svc.selects("wq-worker"));
-        assert_eq!(svc.kind, ServiceKind::LoadBalancer);
-    }
-
-    #[test]
-    fn master_request_is_modest() {
-        let r = master_pod_request();
-        assert!(r.fits_in(&crate::config::MachineType::n1_standard_4().allocatable));
     }
 }

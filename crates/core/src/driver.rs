@@ -18,7 +18,7 @@
 //! * the **policy** is evaluated on its own cadence and its actions are
 //!   translated into pod creations, graceful drains, or evictions.
 
-use hta_cluster::objects::{Service, ServiceKind, StatefulSet};
+use hta_cluster::objects::StatefulSet;
 use hta_cluster::{
     Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodPhase, PodSpec, WatchKind,
 };
@@ -32,7 +32,7 @@ use hta_metrics::{FaultSummary, RunRecorder, RunSummary, Sample, StepIntegral, T
 use hta_resources::Resources;
 use hta_trace::{ArrivalSource, ArrivalStats};
 use hta_workqueue::master::{Master, MasterConfig, WqEvent, WqNotification};
-use hta_workqueue::{WorkerId, WorkerState};
+use hta_workqueue::{TaskId, WorkerId, WorkerState};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -156,8 +156,11 @@ pub struct RunResult {
     pub jobs_abandoned: usize,
     /// The retained trace tail (empty when tracing was disabled).
     pub trace: TraceRing,
-    /// Per-task lifecycle spans (submission/start/completion), for Gantt
-    /// rendering and post-run analysis.
+    /// Per-task lifecycle spans (submission/start/exit), in task-id
+    /// order, for Gantt rendering and post-run analysis. A workflow run
+    /// lists every submitted task; a traced run lists only the tasks
+    /// still live at the end (its finished tasks would grow with the
+    /// trace).
     pub task_spans: Vec<TaskSpan>,
     /// Event-stream digest, present when the run was started with
     /// [`SystemDriver::with_digest`] (the `perf --paranoid` double-run
@@ -168,12 +171,12 @@ pub struct RunResult {
     pub recoveries: Vec<RecoveryReport>,
     /// Open-loop arrival-stream summary (None for workflow-driven runs).
     pub arrivals: Option<ArrivalStats>,
-    /// Tasks completed, by counter — includes records retired under
-    /// streaming admission, which never appear in `task_spans`.
+    /// Tasks completed, by counter — includes a traced run's tasks,
+    /// which never appear in `task_spans`.
     pub completed: usize,
     /// Order-insensitive digest over the completed task ids (see
     /// [`Master::completed_digest`]): the completion-set identity that
-    /// crash-equivalence checks compare even when records were retired.
+    /// crash-equivalence checks compare.
     pub completed_digest: u64,
 }
 
@@ -236,15 +239,39 @@ struct RecoveryState {
     reports: Vec<RecoveryReport>,
 }
 
-/// What a driver keeps of its run's metrics.
+/// What a driver keeps of its run's history.
 #[derive(Clone)]
 enum History {
-    /// Every recorded series. Shared copy-on-write: a fork costs a
-    /// reference count until one side records its next sample.
-    Full(Arc<RunRecorder>),
+    /// Every recorded series and the finished tasks' spans. Shared
+    /// copy-on-write: a fork costs a reference count until one side
+    /// records.
+    Full(Arc<FullHistory>),
     /// A what-if rollout keeps only what its outcome is scored on: the
     /// running supply integral, continued from the parent's series.
     Rollout(StepIntegral),
+}
+
+/// A full run's history: its metric series and its finished tasks'
+/// lifecycles.
+#[derive(Clone, Default)]
+struct FullHistory {
+    recorder: RunRecorder,
+    /// One span per task that left the master, in exit order (workflow
+    /// runs only; see [`SystemDriver::record_exit`]).
+    spans: Vec<Span>,
+}
+
+/// A task's lifecycle, kept compact until [`SystemDriver::finalize`]
+/// names it as a [`TaskSpan`].
+#[derive(Clone, Copy)]
+struct Span {
+    task: TaskId,
+    cat: CategoryId,
+    submitted_at: SimTime,
+    started_at: Option<SimTime>,
+    /// When the task completed or failed; `None` while it is live.
+    exited_at: Option<SimTime>,
+    interruptions: u32,
 }
 
 impl History {
@@ -252,7 +279,7 @@ impl History {
     /// newest sample).
     fn supply_until(&self, end_s: f64) -> f64 {
         match self {
-            History::Full(recorder) => recorder.supply.integral_until(end_s),
+            History::Full(full) => full.recorder.supply.integral_until(end_s),
             History::Rollout(supply) => supply.until(end_s),
         }
     }
@@ -260,7 +287,7 @@ impl History {
     /// The running supply integral a rollout continues from.
     fn supply_integral(&self) -> StepIntegral {
         match self {
-            History::Full(recorder) => recorder.supply.running_integral(),
+            History::Full(full) => full.recorder.supply.running_integral(),
             History::Rollout(supply) => *supply,
         }
     }
@@ -290,11 +317,10 @@ pub struct SystemDriver {
     pod_to_worker: BTreeMap<PodId, WorkerId>,
     worker_to_pod: BTreeMap<WorkerId, PodId>,
     master_pod: Option<PodId>,
-    /// The §V-A deployment objects: the master runs in a single-replica
+    /// The §V-A deployment object: the master runs in a single-replica
     /// StatefulSet (sticky identity + persistent volume for intermediate
-    /// data) behind one in-cluster and one external Service.
+    /// data).
     master_set: StatefulSet,
-    services: Vec<Service>,
     master_ready: bool,
     initial_workers_created: bool,
     workload_finished_at: Option<SimTime>,
@@ -387,7 +413,7 @@ impl SystemDriver {
             operator,
             policy,
             tracker,
-            history: History::Full(Arc::new(RunRecorder::new())),
+            history: History::Full(Arc::default()),
             queue: EventQueue::new(),
             worker_image,
             master_image,
@@ -395,20 +421,6 @@ impl SystemDriver {
             worker_to_pod: BTreeMap::new(),
             master_pod: None,
             master_set: StatefulSet::new(MASTER_GROUP, 1, 50_000),
-            services: vec![
-                Service::new(
-                    "wq-master-internal",
-                    MASTER_GROUP,
-                    ServiceKind::ClusterIp,
-                    9123,
-                ),
-                Service::new(
-                    "wq-master-external",
-                    MASTER_GROUP,
-                    ServiceKind::LoadBalancer,
-                    9123,
-                ),
-            ],
             master_ready: false,
             initial_workers_created: false,
             workload_finished_at: None,
@@ -434,18 +446,17 @@ impl SystemDriver {
 
     /// Build a driver over an open-loop arrival trace instead of a
     /// workflow: tasks enter the system when the trace says they arrive,
-    /// not when a DAG unblocks them. The master runs with streaming
-    /// admission ([`MasterConfig::retire_completed`]) so its memory
+    /// not when a DAG unblocks them. The master keeps only in-flight
+    /// tasks and the driver records no finished task's span, so memory
     /// tracks *in-flight* tasks rather than the full trace length — the
     /// invariant that makes million-task traces runnable. The source's
     /// category table is interned here, in table order, before the first
     /// arrival: the ids its specs carry are in every checkpoint.
     pub fn new_traced(
-        mut cfg: DriverConfig,
+        cfg: DriverConfig,
         source: ArrivalSource,
         policy: Box<dyn ScalingPolicy>,
     ) -> Self {
-        cfg.master.retire_completed = true;
         let workflow =
             Workflow::from_jobs(Vec::new(), Vec::new()).expect("empty workflow is a valid DAG");
         let mut driver = SystemDriver::new(cfg, workflow, policy);
@@ -522,11 +533,6 @@ impl SystemDriver {
             self.queue.schedule_in(d, Event::Cluster(e));
         }
         pod
-    }
-
-    /// The Services routing to the master (for introspection/tests).
-    pub fn services(&self) -> &[Service] {
-        &self.services
     }
 
     fn worker_pod_spec(&self) -> PodSpec {
@@ -768,10 +774,13 @@ impl SystemDriver {
         let now = self.queue.now();
         self.sample(now);
         let end = self.workload_finished_at.unwrap_or(now).as_secs_f64();
-        let History::Full(recorder) = self.history else {
+        let History::Full(full) = self.history else {
             unreachable!("a what-if rollout never runs to the end");
         };
-        let mut recorder = Arc::unwrap_or_clone(recorder);
+        let FullHistory {
+            mut recorder,
+            mut spans,
+        } = Arc::unwrap_or_clone(full);
         recorder.finish(end);
         let label = self.policy.name();
         let mut summary = recorder.summary(label.clone());
@@ -810,16 +819,25 @@ impl SystemDriver {
                 .net_config()
                 .partition_seconds(Duration::from_secs_f64(end)),
         };
-        let task_spans: Vec<TaskSpan> = self
-            .master
-            .task_records()
-            .map(|r| TaskSpan {
-                label: r.spec.id.to_string(),
-                category: self.master.interner().name(r.spec.cat).to_string(),
-                submitted_s: r.submitted_at.as_secs_f64(),
-                started_s: r.started_at.map(|t| t.as_secs_f64()),
-                completed_s: r.completed_at.map(|t| t.as_secs_f64()),
-                interruptions: r.interruptions,
+        // The tasks still live (a timed-out run) join the finished ones.
+        spans.extend(self.master.task_records().map(|r| Span {
+            task: r.spec.id,
+            cat: r.spec.cat,
+            submitted_at: r.submitted_at,
+            started_at: r.started_at,
+            exited_at: None,
+            interruptions: r.interruptions,
+        }));
+        spans.sort_unstable_by_key(|s| s.task);
+        let task_spans: Vec<TaskSpan> = spans
+            .iter()
+            .map(|s| TaskSpan {
+                label: s.task.to_string(),
+                category: self.master.interner().name(s.cat).to_string(),
+                submitted_s: s.submitted_at.as_secs_f64(),
+                started_s: s.started_at.map(|t| t.as_secs_f64()),
+                completed_s: s.exited_at.map(|t| t.as_secs_f64()),
+                interruptions: s.interruptions,
             })
             .collect();
         let digest = self.digest.take().map(EventDigest::report);
@@ -949,18 +967,20 @@ impl SystemDriver {
                 }
             }
             for note in notes {
+                self.record_exit(now, &note);
                 match note {
                     WqNotification::TaskCompleted {
                         task,
                         cat,
                         measured,
+                        ..
                     } => {
                         // Log the acknowledgement *before* handling it:
                         // the handler's own decisions (learning commits,
                         // released warm-up holds) append their records
                         // after this one, preserving causal replay order.
                         if let Some(rs) = self.recovery.as_mut() {
-                            rs.wal.append(WalRecord::Complete { task, at: now });
+                            rs.wal.append(WalRecord::Complete { task });
                         }
                         self.operator.on_task_completed(
                             now,
@@ -993,7 +1013,7 @@ impl SystemDriver {
                                 .push(now, "wq", format!("{t} fast-aborted (straggler)"));
                         }
                     }
-                    WqNotification::TaskFailed { task, cat } => {
+                    WqNotification::TaskFailed { task, cat, .. } => {
                         if self.trace.is_enabled() {
                             let name = self.master.interner().name(cat);
                             self.trace.push(
@@ -1003,7 +1023,7 @@ impl SystemDriver {
                             );
                         }
                         if let Some(rs) = self.recovery.as_mut() {
-                            rs.wal.append(WalRecord::Fail { task, at: now });
+                            rs.wal.append(WalRecord::Fail { task });
                         }
                         self.operator.on_task_failed(
                             now,
@@ -1036,6 +1056,41 @@ impl SystemDriver {
                     }
                 }
             }
+        }
+    }
+
+    /// Keep the span of a task that `note` says left the master. It is
+    /// recorded once, from the live exit notification: WAL replay
+    /// re-finishes a task silently. Workflow runs only — a traced run's
+    /// spans would grow with the trace — and never in a what-if rollout.
+    fn record_exit(&mut self, now: SimTime, note: &WqNotification) {
+        let (WqNotification::TaskCompleted {
+            task,
+            cat,
+            submitted_at,
+            started_at,
+            interruptions,
+            ..
+        }
+        | WqNotification::TaskFailed {
+            task,
+            cat,
+            submitted_at,
+            started_at,
+            interruptions,
+        }) = *note
+        else {
+            return;
+        };
+        if let (History::Full(full), None) = (&mut self.history, &self.arrivals) {
+            Arc::make_mut(full).spans.push(Span {
+                task,
+                cat,
+                submitted_at,
+                started_at,
+                exited_at: Some(now),
+                interruptions,
+            });
         }
     }
 
@@ -1307,13 +1362,13 @@ impl SystemDriver {
                 WalRecord::Learn { cat, resources } => {
                     self.operator.replay_learn(cat, resources, &mut self.master);
                 }
-                WalRecord::Complete { task, at } => {
-                    self.master.recover_complete(at, task);
+                WalRecord::Complete { task } => {
+                    self.master.recover_complete(task);
                     self.operator.replay_complete(task);
                 }
-                WalRecord::Fail { task, at } => {
+                WalRecord::Fail { task } => {
                     let cat = self.master.task(task).map(|r| r.spec.cat);
-                    self.master.recover_failed(at, task);
+                    self.master.recover_failed(task);
                     if let Some(cat) = cat {
                         self.operator.replay_fail(task, cat);
                     }
@@ -1645,7 +1700,7 @@ impl SystemDriver {
             .sum();
         let t = now.as_secs_f64();
         let recorder = match &mut self.history {
-            History::Full(recorder) => Arc::make_mut(recorder),
+            History::Full(full) => &mut Arc::make_mut(full).recorder,
             History::Rollout(supply) => {
                 supply.push(t, supply_cores);
                 return;
@@ -1874,7 +1929,6 @@ mod tests {
                 peer_bandwidth_mbps: 2_000.0,
                 faults: Default::default(),
                 net: Default::default(),
-                retire_completed: false,
             },
             operator: OperatorConfig {
                 warmup: false,
@@ -2042,6 +2096,66 @@ mod tests {
         assert!(a.matches(&c), "capturing must not perturb the run");
     }
 
+    /// A chain of `n` 10 s jobs: each reads the previous job's output.
+    fn chain_workflow(n: u64) -> Workflow {
+        let jobs: Vec<Job> = (0..n)
+            .map(|i| Job {
+                id: JobId(i),
+                category: "align".into(),
+                command: format!("step {i}"),
+                inputs: vec![match i {
+                    0 => "db".into(),
+                    _ => format!("out.{}", i - 1),
+                }],
+                outputs: vec![format!("out.{i}")],
+            })
+            .collect();
+        let profile = CategoryProfile {
+            name: "align".into(),
+            declared: Some(Resources::cores(1, 2_000, 2_000)),
+            sim: SimProfile {
+                wall: Duration::from_secs(10),
+                cpu_fraction: 0.9,
+                actual: Resources::cores(1, 2_000, 2_000),
+                output_mb: 0.6,
+                wall_jitter: 0.0,
+                heavy_tail: false,
+            },
+        };
+        Workflow::from_jobs(jobs, vec![profile])
+            .unwrap()
+            .with_source_file("db", 100.0, true)
+    }
+
+    #[test]
+    fn crash_run_spans_keep_their_live_times() {
+        // A crash re-finishes the tasks completed since the checkpoint
+        // through WAL replay. Their spans must still show the times of
+        // their real runs: a start, and submit ≤ start ≤ completion.
+        for crash_s in (200..=290).step_by(30) {
+            let mut cfg = small_cfg();
+            cfg.cluster.seed = 0;
+            cfg.operator.seed = 0;
+            cfg.faults.control_plane = ControlPlaneFaults {
+                crash_times: vec![Duration::from_secs(crash_s)],
+                outage: Duration::from_secs(30),
+                checkpoint_interval: Duration::from_secs(60),
+            };
+            let r = SystemDriver::new(cfg, chain_workflow(30), Box::new(FixedPolicy::new(3))).run();
+            assert!(!r.timed_out, "crash at {crash_s} s");
+            assert_eq!(r.summary.faults.master_crashes, 1, "crash at {crash_s} s");
+            assert_eq!(r.task_spans.len(), 30, "one span per job");
+            for s in &r.task_spans {
+                let done = s.completed_s.expect("every job completes");
+                let start = s.started_s.expect("a completed span has a start");
+                assert!(
+                    s.submitted_s <= start && start <= done,
+                    "crash at {crash_s} s: {s:?}"
+                );
+            }
+        }
+    }
+
     fn completed_labels(r: &RunResult) -> Vec<String> {
         let mut v: Vec<String> = r
             .task_spans
@@ -2151,8 +2265,8 @@ mod tests {
         assert!(st.exhausted);
         assert_eq!(result.completed, 400);
         assert_ne!(result.completed_digest, 0);
-        // Streaming admission: every record was retired on completion, so
-        // memory tracked in-flight tasks and no spans were retained.
+        // Every record left the master on completion and a traced run
+        // keeps no exit spans, so memory tracked in-flight tasks.
         assert!(result.task_spans.is_empty());
         // Open loop: the run outlives the last arrival.
         assert!(result.makespan_s >= st.last_arrival_s.expect("arrivals emitted"));
@@ -2461,14 +2575,14 @@ mod tests {
         );
         // The fork's first sample copies the history; the parent's stays.
         let mut fork = fork;
-        let parent_len = a.supply.len();
+        let parent_len = a.recorder.supply.len();
         fork.advance_until(SimTime::from_secs(130));
         let History::Full(b) = &fork.history else {
             unreachable!()
         };
         assert!(!Arc::ptr_eq(a, b));
-        assert!(b.supply.len() > parent_len);
-        assert_eq!(a.supply.len(), parent_len);
+        assert!(b.recorder.supply.len() > parent_len);
+        assert_eq!(a.recorder.supply.len(), parent_len);
     }
 
     #[test]

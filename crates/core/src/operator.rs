@@ -85,6 +85,9 @@ pub struct Operator {
     /// File name → catalogue id. Fixed at construction and shared by
     /// clones.
     file_ids: Arc<BTreeMap<String, FileId>>,
+    /// The workflow job behind each task still in the master (waiting or
+    /// on a worker); a task's entry leaves with its record, so a fork
+    /// copies O(in-flight) entries.
     job_for_task: BTreeMap<TaskId, JobId>,
     next_task: u64,
     rng: SimRng,
@@ -405,7 +408,7 @@ impl Operator {
         }
 
         // Unblock the DAG and submit whatever its ready set now holds.
-        if let Some(job) = self.job_for_task.get(&task).copied() {
+        if let Some(job) = self.job_for_task.remove(&task) {
             self.workflow.complete(job);
             self.submit_ready(now, master, fx);
         }
@@ -514,7 +517,7 @@ impl Operator {
     /// Re-apply a logged completion acknowledgement (DAG unblock only;
     /// newly ready jobs were submitted under their own records).
     pub fn replay_complete(&mut self, task: TaskId) {
-        if let Some(job) = self.job_for_task.get(&task).copied() {
+        if let Some(job) = self.job_for_task.remove(&task) {
             self.workflow.complete(job);
         }
     }
@@ -535,7 +538,7 @@ impl Operator {
     /// from the warm-up holds: they will never run. False when no
     /// workflow job stands behind the task (trace arrivals).
     fn fail_job(&mut self, task: TaskId) -> bool {
-        let Some(job) = self.job_for_task.get(&task).copied() else {
+        let Some(job) = self.job_for_task.remove(&task) else {
             return false;
         };
         let abandoned = self.workflow.fail(job);
@@ -674,7 +677,6 @@ mod tests {
                 peer_bandwidth_mbps: 2_000.0,
                 faults: Default::default(),
                 net: Default::default(),
-                retire_completed: false,
             },
             FileCatalog::new(),
         )
@@ -1066,14 +1068,11 @@ mod tests {
             wall: Duration::from_secs(58),
         };
         let align = cat(&m, "align");
-        wal.push(WalRecord::Complete {
-            task: TaskId(0),
-            at: SimTime::from_secs(60),
-        });
+        wal.push(WalRecord::Complete { task: TaskId(0) });
         // In a full run the master completes the task before notifying the
-        // operator; there are no workers here, so apply the terminal
-        // transition directly to keep the live master consistent.
-        m.recover_complete(SimTime::from_secs(60), TaskId(0));
+        // operator; there are no workers here, so apply the exit directly
+        // to keep the live master consistent.
+        m.recover_complete(TaskId(0));
         op.on_task_completed(
             SimTime::from_secs(60),
             TaskId(0),
@@ -1096,13 +1095,13 @@ mod tests {
                     rop.replay_submit(t, *job, spec.clone(), &mut rm, &mut rfx)
                 }
                 WalRecord::Learn { cat, resources } => rop.replay_learn(*cat, *resources, &mut rm),
-                WalRecord::Complete { task, at } => {
-                    rm.recover_complete(*at, *task);
+                WalRecord::Complete { task } => {
+                    rm.recover_complete(*task);
                     rop.replay_complete(*task);
                 }
-                WalRecord::Fail { task, at } => {
+                WalRecord::Fail { task } => {
                     let c = rm.task(*task).unwrap().spec.cat;
-                    rm.recover_failed(*at, *task);
+                    rm.recover_failed(*task);
                     rop.replay_fail(*task, c);
                 }
                 WalRecord::TraceSubmit { spec } => {
@@ -1117,8 +1116,14 @@ mod tests {
             rop.known_resources_id(cat(&rm, "align")),
             op.known_resources_id(cat(&m, "align"))
         );
-        assert_eq!(rm.completed_task_ids(), m.completed_task_ids());
+        assert_eq!(rm.completed_count(), m.completed_count());
+        assert_eq!(rm.completed_digest(), m.completed_digest());
         assert_eq!(rm.waiting_count(), m.waiting_count());
+        // The job map holds exactly the tasks still in the master.
+        let live = |m: &Master| m.task_records().map(|r| r.spec.id).collect::<Vec<_>>();
+        assert_eq!(live(&rm), (1..5).map(TaskId).collect::<Vec<_>>());
+        assert!(rop.job_for_task.keys().copied().eq(live(&rm)));
+        assert!(op.job_for_task.keys().copied().eq(live(&m)));
         // Released submissions carry the learned declaration (embedded in
         // the recorded specs), exactly like the live queue.
         rm.refresh_queue_status();
@@ -1145,7 +1150,7 @@ mod tests {
         // Lose the probe without any record of its fate (simulates an
         // acknowledgement lost in the outage): force-complete it in the
         // master only.
-        m.recover_complete(SimTime::from_secs(10), TaskId(0));
+        m.recover_complete(TaskId(0));
         let promoted = op.reconcile_probes(SimTime::from_secs(20), &mut m, &mut fx);
         assert_eq!(promoted, 1, "one held job became the new probe");
         assert_eq!(op.submitted_count(), 2);

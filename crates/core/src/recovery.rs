@@ -53,15 +53,11 @@ pub enum WalRecord {
     Complete {
         /// The completed task.
         task: TaskId,
-        /// The acknowledgement instant (preserved through replay).
-        at: SimTime,
     },
     /// A task's permanent failure was acknowledged to the operator.
     Fail {
         /// The failed task.
         task: TaskId,
-        /// The acknowledgement instant.
-        at: SimTime,
     },
     /// An open-loop trace arrival was admitted. The spec embeds every
     /// decided value exactly as drawn from the generator, its category as

@@ -77,7 +77,6 @@ fn cfg(seed: u64, net: NetworkFaults) -> DriverConfig {
             peer_bandwidth_mbps: 2_000.0,
             faults: Default::default(),
             net: Default::default(),
-            retire_completed: false,
         },
         operator: OperatorConfig {
             warmup: false,

@@ -69,7 +69,6 @@ fn cfg(seed: u64) -> DriverConfig {
             peer_bandwidth_mbps: 2_000.0,
             faults: Default::default(),
             net: Default::default(),
-            retire_completed: false,
         },
         operator: OperatorConfig {
             warmup: false,
@@ -147,6 +146,13 @@ proptest! {
             baseline.task_spans.iter().filter(|s| s.completed_s.is_some()).count(),
             "completed-task accounting must match"
         );
+        // Every span keeps the times of its real run, although WAL replay
+        // re-finished the tasks completed since the checkpoint.
+        for s in &a.task_spans {
+            let done = s.completed_s.expect("every job completes");
+            let start = s.started_s.expect("a completed span has a start");
+            prop_assert!(s.submitted_s <= start && start <= done, "{:?}", s);
+        }
         // Bounded amnesia: every recovery restored a checkpoint at most
         // one interval old and was re-queued exactly once per orphan.
         for rep in &a.recoveries {

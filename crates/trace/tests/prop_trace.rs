@@ -57,7 +57,6 @@ fn driver_cfg(seed: u64) -> DriverConfig {
             peer_bandwidth_mbps: 2_000.0,
             faults: Default::default(),
             net: Default::default(),
-            retire_completed: true,
         },
         operator: OperatorConfig {
             warmup: false,

@@ -11,8 +11,8 @@
 //!
 //! Dispatch → staging (inputs over the shared link, minus per-worker cache
 //! hits) → execution → output return (also over the link) → completion,
-//! at which point the resource monitor's measurement is surfaced as a
-//! [`WqNotification::TaskCompleted`].
+//! at which point the task leaves the master and the resource monitor's
+//! measurement is surfaced as a [`WqNotification::TaskCompleted`].
 //!
 //! Workers leave in two ways: [`Master::drain_worker`] (graceful, HTA) and
 //! [`Master::kill_worker`] (eviction, HPA) — killed workers orphan their
@@ -20,12 +20,14 @@
 //!
 //! # Hot path
 //!
-//! The master sits on the simulation's innermost loop. Its worker state
-//! is O(live): a worker is retired from the table the moment it stops,
-//! and the dispatch admission gate (the component-wise max of free
-//! resources) is kept current per worker transition instead of being
-//! rescanned. Three more design decisions keep steady-state event
-//! handling allocation-free:
+//! The master sits on the simulation's innermost loop. Its state is
+//! O(live), in every run: a task's record leaves the table when the task
+//! completes or permanently fails (its exit notification, the counters
+//! and the completion digest are all that remain of it), a worker is
+//! retired from the table the moment it stops, and the dispatch
+//! admission gate (the component-wise max of free resources) is kept
+//! current per worker transition instead of being rescanned. Three more
+//! design decisions keep steady-state event handling allocation-free:
 //!
 //! * category names are interned once, when the run is built, and task
 //!   specs carry the [`CategoryId`]; everything downstream (notifications,
@@ -58,6 +60,7 @@
 //! * `sanitize` — [`Master::assert_invariants`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use hta_des::{
     branch_salt, CategoryId, ChannelStats, Duration, EffectSink, Interner, NetChannel,
@@ -145,7 +148,8 @@ pub type WqEffect = (Duration, WqEvent);
 /// Upward notifications drained by the layer above (the HTA operator).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WqNotification {
-    /// A task completed; the resource monitor's measurement is attached.
+    /// A task completed and left the master; the resource monitor's
+    /// measurement is attached.
     TaskCompleted {
         /// Which task.
         task: TaskId,
@@ -154,23 +158,39 @@ pub enum WqNotification {
         cat: CategoryId,
         /// Measured peak resources + wall time.
         measured: Measured,
+        /// When the task entered the queue.
+        submitted_at: SimTime,
+        /// When its winning run started executing.
+        started_at: Option<SimTime>,
+        /// Times it was re-queued after losing its worker or run.
+        interruptions: u32,
     },
     /// A task was re-queued because its worker was killed.
     TaskRequeued(TaskId),
     /// A straggling task was aborted by fast abort and re-queued.
     TaskFastAborted(TaskId),
-    /// A task exhausted its retry budget and is permanently failed.
+    /// A task exhausted its retry budget, is permanently failed and left
+    /// the master.
     TaskFailed {
         /// Which task.
         task: TaskId,
         /// Its interned category.
         cat: CategoryId,
+        /// When the task entered the queue.
+        submitted_at: SimTime,
+        /// When its last counted run started: `None`, because the failed
+        /// attempt's start is cleared with the attempt.
+        started_at: Option<SimTime>,
+        /// Times it was re-queued after losing its worker or run.
+        interruptions: u32,
     },
     /// A drained worker finished its last task and stopped.
     WorkerStopped(WorkerId),
 }
 
-/// Master tuning knobs.
+/// Master tuning knobs. None of them decides what the master keeps:
+/// finished tasks always leave its state, so its memory follows the
+/// in-flight tasks in workflow and trace runs alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MasterConfig {
     /// Base egress capacity (MB/s).
@@ -197,15 +217,6 @@ pub struct MasterConfig {
     /// zero-fault default makes the channel a strict pass-through.
     #[serde(default)]
     pub net: NetworkFaults,
-    /// Streaming admission: drop a task's record the moment it completes,
-    /// keeping master memory proportional to *in-flight* tasks instead of
-    /// every task ever submitted. Required for open-loop trace runs
-    /// (millions of arrivals); leave off for workflow runs, whose post-run
-    /// reporting (task spans, completed-id sets) reads the retained
-    /// records. Terminal accounting survives retirement via counters and
-    /// an order-insensitive completed-id digest.
-    #[serde(default)]
-    pub retire_completed: bool,
 }
 
 impl Default for MasterConfig {
@@ -218,7 +229,6 @@ impl Default for MasterConfig {
             peer_bandwidth_mbps: 2_000.0,
             faults: TaskFaults::default(),
             net: NetworkFaults::default(),
-            retire_completed: false,
         }
     }
 }
@@ -272,16 +282,14 @@ pub struct Master {
     next_flow: u64,
     next_worker: u64,
     notifications: Vec<WqNotification>,
+    /// Tasks ever submitted: every one is waiting, on a worker, completed
+    /// or failed, and only the first two keep a record.
+    submitted: usize,
     completed_count: usize,
     failed_count: usize,
-    /// Streaming admission (see [`MasterConfig::retire_completed`]).
-    retire_completed: bool,
-    /// Completed task records dropped under retirement.
-    retired: usize,
     /// Order-insensitive digest over every completed task id (wrapping
-    /// sum of a bit-mixed id). Maintained whether or not retirement is
-    /// on, so crash-equivalence checks can compare completion *sets*
-    /// even when the records themselves were retired.
+    /// sum of a bit-mixed id), so crash-equivalence checks can compare
+    /// completion *sets* although finished records are gone.
     completed_digest: u64,
     fast_abort_multiplier: Option<f64>,
     /// Mean observed wall per category, indexed by [`CategoryId`].
@@ -350,11 +358,6 @@ fn is_waiting(rec: &TaskRecord) -> bool {
     rec.state == TaskState::Waiting
 }
 
-/// True when a record is in a terminal state (completed or failed).
-fn is_terminal(rec: &TaskRecord) -> bool {
-    matches!(rec.state, TaskState::Complete | TaskState::Failed)
-}
-
 /// The waiting queue's liveness test: a queue entry is live while its
 /// task's record exists and says `Waiting`; any other entry is a
 /// tombstone.
@@ -390,10 +393,9 @@ impl Master {
             next_flow: 0,
             next_worker: 0,
             notifications: Vec::new(),
+            submitted: 0,
             completed_count: 0,
             failed_count: 0,
-            retire_completed: cfg.retire_completed,
-            retired: 0,
             completed_digest: 0,
             fast_abort_multiplier: cfg.fast_abort_multiplier,
             cat_wall: Vec::new(),
@@ -458,6 +460,7 @@ impl Master {
         );
         self.mwu_cache.set(None);
         let declared = spec.declared;
+        self.submitted += 1;
         self.tasks.insert(id, TaskRecord::new(spec, now));
         self.waiting.push_back(id, cat, declared);
         self.waiting_dirty = true;
@@ -742,36 +745,24 @@ impl Master {
     }
 
     fn finalize_completion(&mut self, now: SimTime, task: TaskId) {
-        let Some(rec) = self.tasks.get_mut_if(&task, |r| r.worker().is_some()) else {
+        let Some(wid) = self.tasks.get(&task).and_then(TaskRecord::worker) else {
             return;
         };
-        let wid = rec.worker().expect("checked above");
-        rec.state = TaskState::Complete;
-        rec.completed_at = Some(now);
-        let measured = rec.measured.unwrap_or(Measured {
-            peak: rec.spec.actual,
-            wall: Duration::ZERO,
-        });
-        let cat = rec.spec.cat;
+        let rec = self.retire_task(task);
         self.completed_count += 1;
         self.note_completed_id(task);
         self.notifications.push(WqNotification::TaskCompleted {
             task,
-            cat,
-            measured,
+            cat: rec.spec.cat,
+            measured: rec.measured.unwrap_or(Measured {
+                peak: rec.spec.actual,
+                wall: Duration::ZERO,
+            }),
+            submitted_at: rec.submitted_at,
+            started_at: rec.started_at,
+            interruptions: rec.interruptions,
         });
-        self.refresh_task_snap(task);
-        if let Some(w) = self.workers.get_mut(&wid) {
-            w.remove_task(task);
-            if w.state == WorkerState::Draining && w.is_idle() {
-                w.stop(now);
-                self.notifications.push(WqNotification::WorkerStopped(wid));
-            }
-            self.refresh_worker_snap(wid);
-        }
-        if self.retire_completed {
-            self.retire_task(task);
-        }
+        self.release_from_worker(now, wid, task);
     }
 
     /// Fold a completed task id into the order-insensitive completion
@@ -781,14 +772,19 @@ impl Master {
         self.completed_digest = self.completed_digest.wrapping_add(mix64(task.raw()));
     }
 
-    /// Streaming admission: drop a completed task's record, moving it
-    /// into the retirement counters. The notification carrying the task's
-    /// measurement was already pushed, so nothing downstream needs the
-    /// record again.
-    fn retire_task(&mut self, task: TaskId) {
-        if self.tasks.remove(&task).is_some() {
-            self.retired += 1;
-        }
+    /// Drop a finished (completed or permanently failed) task's record
+    /// and its running-snapshot entry, returning the record. The table
+    /// holds only waiting and on-worker tasks, so master memory follows
+    /// the in-flight tasks, not every task ever submitted; the finished
+    /// task lives on in the counters, the completion digest and its exit
+    /// notification.
+    fn retire_task(&mut self, task: TaskId) -> Arc<TaskRecord> {
+        let rec = self
+            .tasks
+            .remove(&task)
+            .expect("a finishing task has a record");
+        self.refresh_task_snap(task);
+        rec
     }
 
     /// The demand histogram: distinct (category, declared, count) triples
@@ -823,52 +819,31 @@ impl Master {
         self.fault_stats
     }
 
-    /// True when every submitted task has reached a terminal state
-    /// (completed, or permanently failed under fault injection). Under
-    /// streaming admission completed records are retired, so the retired
-    /// counter stands in for the emptied map.
+    /// True when at least one task was submitted and every submitted
+    /// task has finished (completed, or permanently failed under fault
+    /// injection): nothing waits and nothing is on a worker.
     pub fn all_complete(&self) -> bool {
-        self.waiting.is_empty()
-            && self.running_count() == 0
-            && (!self.tasks.is_empty() || self.retired > 0)
-    }
-
-    /// Completed task records dropped under streaming admission
-    /// ([`MasterConfig::retire_completed`]); always 0 otherwise.
-    pub fn retired_count(&self) -> usize {
-        self.retired
+        self.waiting.is_empty() && self.running_count() == 0 && self.submitted > 0
     }
 
     /// Order-insensitive digest over every completed task id. Two runs
     /// completing the same id *set* agree regardless of completion order
-    /// or retirement — the trace crash-equivalence checks compare this
-    /// where [`Master::completed_task_ids`] would only see retained
-    /// records.
+    /// — the crash-equivalence checks compare this, since finished
+    /// records are gone.
     pub fn completed_digest(&self) -> u64 {
         self.completed_digest
     }
 
-    /// A task record.
+    /// The record of a live (waiting or on-worker) task. `None` once the
+    /// task has finished: finished tasks leave the master's state.
     pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
         self.tasks.get(&id)
-    }
-
-    /// Ids of all completed tasks, ascending (the crash-recovery
-    /// equivalence checks compare these sets across runs).
-    pub fn completed_task_ids(&self) -> Vec<TaskId> {
-        self.tasks
-            .iter()
-            .filter(|(_, r)| r.state == TaskState::Complete)
-            .map(|(t, _)| *t)
-            .collect()
     }
 
     /// True when some task of `cat` is waiting or on a worker (the
     /// operator's probe reconciliation checks this after a recovery).
     pub fn has_live_task_in_category(&self, cat: CategoryId) -> bool {
-        self.tasks.values().any(|r| {
-            r.spec.cat == cat && !matches!(r.state, TaskState::Complete | TaskState::Failed)
-        })
+        self.tasks.values().any(|r| r.spec.cat == cat)
     }
 
     /// A live (active or draining) worker. `None` once the worker has
@@ -970,7 +945,7 @@ impl Master {
         out
     }
 
-    /// All task records (post-run inspection: per-task timelines).
+    /// The live (waiting and on-worker) task records, in ascending id.
     pub fn task_records(&self) -> impl Iterator<Item = &TaskRecord> {
         self.tasks.values()
     }
@@ -1039,19 +1014,47 @@ mod testkit {
         }
     }
 
-    /// Drive the master until the queue is empty of events or `limit` pops.
+    /// Drive the master until the queue is empty of events or `limit`
+    /// pops, returning when each task completed meanwhile (the instant of
+    /// the event that emitted its `TaskCompleted`).
     pub(super) fn run(
         master: &mut Master,
         q: &mut EventQueue<WqEvent>,
         fx: &mut EffectSink<WqEvent>,
         limit: usize,
-    ) {
+    ) -> BTreeMap<TaskId, SimTime> {
+        let mut done = BTreeMap::new();
         sched(q, fx);
         for _ in 0..limit {
             let Some((now, ev)) = q.pop() else { break };
+            let seen = master.notifications.len();
             master.handle(now, ev, fx);
             sched(q, fx);
+            for n in &master.notifications[seen..] {
+                if let WqNotification::TaskCompleted { task, .. } = n {
+                    done.insert(*task, now);
+                }
+            }
         }
+        done
+    }
+
+    /// `task`'s pending `TaskCompleted` notification, the only record a
+    /// completed task leaves: `(measured, started_at, interruptions)`.
+    pub(super) fn completion(m: &Master, task: TaskId) -> (Measured, Option<SimTime>, u32) {
+        m.notifications
+            .iter()
+            .find_map(|n| match *n {
+                WqNotification::TaskCompleted {
+                    task: t,
+                    measured,
+                    started_at,
+                    interruptions,
+                    ..
+                } if t == task => Some((measured, started_at, interruptions)),
+                _ => None,
+            })
+            .expect("a pending completion notification")
     }
 
     pub(super) fn link_cfg() -> MasterConfig {
@@ -1116,81 +1119,70 @@ mod tests {
             cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
             &mut fx,
         );
-        run(&mut m, &mut q, &mut fx, 100);
+        let done = run(&mut m, &mut q, &mut fx, 100);
         assert!(m.all_complete());
-        let rec = m.task(TaskId(0)).unwrap();
-        assert_eq!(rec.state, TaskState::Complete);
+        assert!(m.task(TaskId(0)).is_none(), "a completed task leaves");
         // 1 s staging (100MB at 100MB/s) + 60 s exec + ~6 ms output.
-        let done = rec.completed_at.unwrap().as_secs_f64();
+        let done = done[&TaskId(0)].as_secs_f64();
         assert!((61.0..61.2).contains(&done), "completed at {done}");
         let notes = m.drain_notifications();
         assert!(matches!(
             notes.last(),
-            Some(WqNotification::TaskCompleted { .. })
+            Some(WqNotification::TaskCompleted {
+                task: TaskId(0),
+                submitted_at: SimTime::ZERO,
+                started_at: Some(_),
+                interruptions: 0,
+                ..
+            })
         ));
     }
 
     #[test]
     fn retirement_drops_records_but_keeps_accounting() {
+        let (cat, db) = catalog_with_db();
+        let mut m = new_master(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        run(&mut m, &mut q, &mut fx, 10);
         let decl = Some(Resources::cores(1, 2_000, 2_000));
-        let mut masters: Vec<Master> = [false, true]
-            .into_iter()
-            .map(|retire| {
-                let (cat, db) = catalog_with_db();
-                let cfg = MasterConfig {
-                    retire_completed: retire,
-                    ..link_cfg()
-                };
-                let mut m = new_master(cfg, cat);
-                let mut q = EventQueue::new();
-                let mut fx = EffectSink::new();
-                let _w =
-                    m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
-                run(&mut m, &mut q, &mut fx, 10);
-                for i in 0..4 {
-                    m.submit(SimTime::ZERO, cpu_task(i, db, decl), &mut fx);
-                }
-                run(&mut m, &mut q, &mut fx, 400);
-                assert!(m.all_complete());
-                m
-            })
-            .collect();
-        let retiring = masters.pop().expect("two masters");
-        let plain = masters.pop().expect("two masters");
-        // Records are gone, counters and the per-category summary are not.
-        assert_eq!(retiring.retired_count(), 4);
-        assert_eq!(retiring.completed_count(), 4);
-        assert!(retiring.task(TaskId(0)).is_none());
-        assert!(retiring.completed_task_ids().is_empty());
-        assert_eq!(plain.retired_count(), 0);
-        assert_eq!(plain.completed_task_ids().len(), 4);
-        // Same completion set ⇒ same order-insensitive digest.
-        assert_eq!(retiring.completed_digest(), plain.completed_digest());
+        for i in 0..4 {
+            m.submit(SimTime::ZERO, cpu_task(i, db, decl), &mut fx);
+        }
+        let done = run(&mut m, &mut q, &mut fx, 400);
+        assert!(m.all_complete());
+        // Records are gone; counters, the digest and the notifications
+        // are not.
+        assert_eq!(done.len(), 4);
+        assert_eq!(m.completed_count(), 4);
+        assert_eq!((m.submitted, m.tasks.len()), (4, 0));
+        assert!((0..4).all(|i| m.task(TaskId(i)).is_none()));
+        let digest = (0..4u64).fold(0u64, |d, i| d.wrapping_add(mix64(i)));
+        assert_eq!(m.completed_digest(), digest);
+        m.assert_invariants();
     }
 
     #[test]
-    fn a_failed_record_does_not_widen_the_task_table() {
-        // Under retirement a permanently failed record stays (it feeds
-        // the run's task spans) while every later task retires. The
-        // table must stay sized by its live records, not by the id range
-        // the failed record pins open.
+    fn a_long_running_task_does_not_widen_the_task_table() {
+        // One task runs for the whole test while 10,000 later tasks each
+        // finish and leave. The table must stay sized by its live
+        // records, not by the id range the long task pins open.
         let (cat, db) = catalog_with_db();
-        let cfg = MasterConfig {
-            retire_completed: true,
-            ..link_cfg()
-        };
-        let mut m = new_master(cfg, cat);
+        let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
-        m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
-        m.recover_failed(SimTime::ZERO, TaskId(0));
+        let mut long = cpu_task(0, db, decl);
+        long.exec = ExecModel::cpu_bound(Duration::from_secs(10_000_000));
+        m.submit(SimTime::ZERO, long, &mut fx);
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
-        run(&mut m, &mut q, &mut fx, 10);
+        run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(10));
         let mut widest = 0;
         for i in 1..=10_000u64 {
-            m.submit(q.now(), cpu_task(i, db, decl), &mut fx);
-            run(&mut m, &mut q, &mut fx, 100);
+            let now = q.now();
+            m.submit(now, cpu_task(i, db, decl), &mut fx);
+            run_until(&mut m, &mut q, &mut fx, now + Duration::from_secs(100));
             assert_eq!(
                 m.completed_count() as u64,
                 i,
@@ -1199,8 +1191,11 @@ mod tests {
             widest = widest.max(m.tasks.slot_count());
         }
         assert!(widest <= 100, "task table grew to {widest} slots");
-        assert_eq!(m.tasks.len(), 1, "only the failed record is retained");
-        assert_eq!(m.task(TaskId(0)).map(|r| r.state), Some(TaskState::Failed));
+        assert_eq!(m.tasks.len(), 1, "only the long-running record is stored");
+        assert!(matches!(
+            m.task(TaskId(0)).map(|r| r.state),
+            Some(TaskState::Running(_))
+        ));
         m.assert_invariants();
     }
 
@@ -1276,15 +1271,15 @@ mod tests {
         // calls must use the queue's current time — effects are scheduled
         // relative to it.)
         let _w2 = m.worker_connect(q.now(), Resources::cores(4, 16_000, 50_000), &mut fx);
-        run(&mut m, &mut q, &mut fx, 300);
+        let done = run(&mut m, &mut q, &mut fx, 300);
         assert!(m.all_complete());
         // The rerun re-staged (cache was lost with the killed worker) and
         // re-executed the full 60 s: completion lands after the stale
         // first-run TaskFinished time (~61 s), proving the stale event was
         // ignored rather than completing the task early.
-        let done = m.task(TaskId(0)).unwrap().completed_at.unwrap();
+        let done = done[&TaskId(0)];
         assert!(done > SimTime::from_secs(61), "done={done:?}");
-        assert_eq!(m.task(TaskId(0)).unwrap().interruptions, 1);
+        assert_eq!(completion(&m, TaskId(0)).2, 1, "one interruption");
     }
 
     #[test]
@@ -1333,11 +1328,18 @@ mod tests {
             "declared upgrade must show in the next snapshot"
         );
         // …but the exclusive task still blocks the worker; the waiting task
-        // dispatches only after it completes.
-        run(&mut m, &mut q, &mut fx, 400);
-        assert!(m.all_complete());
+        // dispatches only after it completes, with the declared allocation.
+        sched(&mut q, &mut fx);
+        while m.task(TaskId(1)).unwrap().worker().is_none() {
+            let (now, ev) = q.pop().expect("events remain");
+            m.handle(now, ev, &mut fx);
+            sched(&mut q, &mut fx);
+        }
+        assert!(m.task(TaskId(0)).is_none(), "the exclusive task finished");
         let rec = m.task(TaskId(1)).unwrap();
         assert_eq!(rec.allocation, Some(Resources::cores(1, 2_000, 2_000)));
+        run(&mut m, &mut q, &mut fx, 400);
+        assert!(m.all_complete());
     }
 
     #[test]

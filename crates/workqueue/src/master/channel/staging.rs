@@ -365,14 +365,12 @@ mod tests {
         run(&mut m, &mut q, &mut fx, 10);
         let decl = Some(Resources::cores(4, 2_000, 2_000)); // serialize on cores
         m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
-        run(&mut m, &mut q, &mut fx, 200);
+        let t0_done = run(&mut m, &mut q, &mut fx, 200)[&TaskId(0)];
         assert!(m.worker(w).unwrap().has_cached(db));
-        let t0_done = m.task(TaskId(0)).unwrap().completed_at.unwrap();
         m.submit(t0_done, cpu_task(1, db, decl), &mut fx);
         run(&mut m, &mut q, &mut fx, 200);
-        let rec1 = m.task(TaskId(1)).unwrap();
         // Second task skipped staging: started as soon as dispatched.
-        assert_eq!(rec1.started_at.unwrap(), t0_done);
+        assert_eq!(completion(&m, TaskId(1)).1, Some(t0_done));
     }
 
     #[test]
@@ -476,7 +474,7 @@ mod tests {
         let decl = Some(Resources::cores(4, 2_000, 2_000)); // serialize per worker
         m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
         run(&mut m, &mut q, &mut fx, 100);
-        assert!(m.task(TaskId(0)).unwrap().state == TaskState::Complete);
+        assert_eq!(m.completed_count(), 1);
         // Pin worker 1 with a long task so the next task lands on worker 2
         // (whose cache is cold) while worker 1 still holds the db.
         let mut blocker = cpu_task(9, db, decl);
@@ -491,11 +489,10 @@ mod tests {
         let t1_submit = q.now();
         m.submit(t1_submit, cpu_task(1, db, decl), &mut fx);
         run(&mut m, &mut q, &mut fx, 200);
-        let rec = m.task(TaskId(1)).unwrap();
-        assert_eq!(rec.state, TaskState::Complete);
+        let (_, started_at, _) = completion(&m, TaskId(1));
         // Staging must be far faster than the 10 s a master copy takes:
         // ~0.3 s (0.1 s peer db + 0.2 s master query chunk).
-        let staging = rec.started_at.unwrap().since(t1_submit).as_secs_f64();
+        let staging = started_at.unwrap().since(t1_submit).as_secs_f64();
         assert!(staging < 2.0, "staging took {staging}s — not peer-served");
         assert!(m.worker(w2).unwrap().has_cached(db));
     }
@@ -528,8 +525,8 @@ mod tests {
         let t1_submit = q.now();
         m.submit(t1_submit, cpu_task(1, db, decl), &mut fx);
         run(&mut m, &mut q, &mut fx, 200);
-        let rec = m.task(TaskId(1)).unwrap();
-        let staging = rec.started_at.unwrap().since(t1_submit).as_secs_f64();
+        let (_, started_at, _) = completion(&m, TaskId(1));
+        let staging = started_at.unwrap().since(t1_submit).as_secs_f64();
         assert!(
             staging > 9.0,
             "staging took {staging}s — master copy expected"

@@ -222,15 +222,10 @@ mod tests {
         m.submit(SimTime::ZERO, cpu_task(1, db, None), &mut fx);
         assert_eq!(m.running_count(), 1);
         assert_eq!(m.waiting_count(), 1);
-        run(&mut m, &mut q, &mut fx, 200);
+        let done = run(&mut m, &mut q, &mut fx, 200);
         assert!(m.all_complete());
         // Sequential execution: second finishes after ~2×(stage+exec).
-        let t1 = m
-            .task(TaskId(1))
-            .unwrap()
-            .completed_at
-            .unwrap()
-            .as_secs_f64();
+        let t1 = done[&TaskId(1)].as_secs_f64();
         assert!(t1 > 120.0, "second exclusive task serialized, done at {t1}");
     }
 
@@ -247,17 +242,13 @@ mod tests {
             m.submit(SimTime::ZERO, cpu_task(i, db, decl), &mut fx);
         }
         assert_eq!(m.running_count(), 4, "all four pack onto the worker");
-        run(&mut m, &mut q, &mut fx, 400);
+        let done = run(&mut m, &mut q, &mut fx, 400);
         assert!(m.all_complete());
         // Parallel: all done by ~62 s, not 4×61.
-        for i in 0..4 {
-            let done = m
-                .task(TaskId(i))
-                .unwrap()
-                .completed_at
-                .unwrap()
-                .as_secs_f64();
-            assert!(done < 70.0, "task {i} at {done}");
+        assert_eq!(done.len(), 4);
+        for (i, t) in done {
+            let t = t.as_secs_f64();
+            assert!(t < 70.0, "task {i} at {t}");
         }
     }
 }

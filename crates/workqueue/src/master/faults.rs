@@ -176,13 +176,16 @@ impl Master {
         rec.allocation = None;
         rec.started_at = None;
         if rec.retries > self.faults.max_retries {
-            rec.state = TaskState::Failed;
-            rec.completed_at = Some(now);
             self.fault_stats.permanent_failures += 1;
             self.failed_count += 1;
-            let cat = rec.spec.cat;
-            self.notifications
-                .push(WqNotification::TaskFailed { task, cat });
+            let rec = self.retire_task(task);
+            self.notifications.push(WqNotification::TaskFailed {
+                task,
+                cat: rec.spec.cat,
+                submitted_at: rec.submitted_at,
+                started_at: rec.started_at,
+                interruptions: rec.interruptions,
+            });
         } else {
             self.fault_stats.retries += 1;
             if kind == FailKind::Oom {
@@ -206,8 +209,8 @@ impl Master {
             self.waiting
                 .push_front(task, rec.spec.cat, rec.spec.declared);
             self.waiting_dirty = true;
+            self.refresh_task_snap(task);
         }
-        self.refresh_task_snap(task);
         self.release_from_worker(now, wid, task);
         self.dispatch(now, fx);
     }
@@ -391,7 +394,7 @@ mod tests {
         // Establish the category mean with a normal 60 s task…
         m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
         run(&mut m, &mut q, &mut fx, 100);
-        assert!(m.task(TaskId(0)).unwrap().state == TaskState::Complete);
+        assert_eq!(m.completed_count(), 1);
         // …then a straggler that would run 1000 s (mean 60 × 2 = 120 s
         // threshold). It gets aborted and re-run; the rerun also exceeds
         // the threshold, so it keeps cycling until the mean catches up or
@@ -436,7 +439,7 @@ mod tests {
         m.submit(q.now(), slow, &mut fx);
         run(&mut m, &mut q, &mut fx, 300);
         assert!(m.all_complete());
-        assert_eq!(m.task(TaskId(1)).unwrap().interruptions, 0);
+        assert_eq!(completion(&m, TaskId(1)).2, 0, "never interrupted");
     }
 
     #[test]
@@ -462,13 +465,11 @@ mod tests {
             &mut fx,
         );
         run(&mut m, &mut q, &mut fx, 500);
-        let rec = m.task(TaskId(0)).unwrap();
-        assert_eq!(rec.state, TaskState::Failed);
-        assert_eq!(rec.retries, 3, "max_retries + 1 attempts");
+        assert!(m.task(TaskId(0)).is_none(), "a failed task leaves");
         assert_eq!(m.failed_count, 1);
         assert_eq!(m.completed_count(), 0);
         let st = m.fault_stats();
-        assert_eq!(st.transient_failures, 3);
+        assert_eq!(st.transient_failures, 3, "max_retries + 1 attempts");
         assert_eq!(st.retries, 2);
         assert_eq!(st.permanent_failures, 1);
         assert!(st.wasted_core_s > 0.0, "failed attempts burn core·s");
@@ -477,6 +478,9 @@ mod tests {
             n,
             WqNotification::TaskFailed {
                 task: TaskId(0),
+                submitted_at: SimTime::ZERO,
+                started_at: None,
+                interruptions: 0,
                 ..
             }
         )));
@@ -486,9 +490,8 @@ mod tests {
     #[test]
     fn oom_kill_escalates_memory_on_retry() {
         let (cat, db) = catalog_with_db();
-        // First attempt OOMs; after that, rates off would be ideal but the
-        // stream is seeded — instead allow plenty of retries and check the
-        // declared memory grew by the escalation factor after the first kill.
+        // Every attempt OOMs: check the declared memory after the second
+        // kill, while the task is still live (the third kill fails it).
         let mut m = new_master(
             faulty_cfg(TaskFaults {
                 oom_rate: 1.0,
@@ -507,11 +510,18 @@ mod tests {
             cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
             &mut fx,
         );
-        run(&mut m, &mut q, &mut fx, 500);
+        sched(&mut q, &mut fx);
+        while m.fault_stats().oom_kills < 2 {
+            let (now, ev) = q.pop().expect("events remain");
+            m.handle(now, ev, &mut fx);
+            sched(&mut q, &mut fx);
+        }
         let rec = m.task(TaskId(0)).unwrap();
         // 2000 → 4000 → 8000 MB, capped at the 16 GB worker.
         assert_eq!(rec.spec.declared.unwrap().memory_mb, 8_000);
-        assert!(m.fault_stats().oom_kills >= 2);
+        run(&mut m, &mut q, &mut fx, 500);
+        assert_eq!(m.fault_stats().oom_kills, 3);
+        assert_eq!(m.fault_stats().permanent_failures, 1);
     }
 
     #[test]
@@ -559,10 +569,8 @@ mod tests {
         straggler.exec = ExecModel::cpu_bound(Duration::from_secs(10_000));
         let submit_at = q.now();
         m.submit(submit_at, straggler, &mut fx);
-        run(&mut m, &mut q, &mut fx, 500);
-        let rec = m.task(TaskId(1)).unwrap();
-        assert_eq!(rec.state, TaskState::Complete);
-        let done = rec.completed_at.unwrap().since(submit_at).as_secs_f64();
+        let done = run(&mut m, &mut q, &mut fx, 500);
+        let done = done[&TaskId(1)].since(submit_at).as_secs_f64();
         assert!(
             done < 1_000.0,
             "speculation should finish the task long before the 10 000 s primary (took {done}s)"
@@ -573,7 +581,7 @@ mod tests {
         assert!(st.wasted_core_s > 0.0, "the cancelled primary burned work");
         // The duplicate's wall (≈60 s) is what the category statistics see,
         // not the straggler's 10 000 s.
-        let wall = rec.measured.unwrap().wall.as_secs_f64();
+        let wall = completion(&m, TaskId(1)).0.wall.as_secs_f64();
         assert!(
             wall < 100.0,
             "measured wall {wall}s should be the duplicate's"
@@ -605,9 +613,8 @@ mod tests {
         let mut slow = cpu_task(1, db, decl);
         slow.exec = ExecModel::cpu_bound(Duration::from_secs(61));
         m.submit(q.now(), slow, &mut fx);
-        run(&mut m, &mut q, &mut fx, 500);
-        let rec = m.task(TaskId(1)).unwrap();
-        assert_eq!(rec.state, TaskState::Complete);
+        let done = run(&mut m, &mut q, &mut fx, 500);
+        assert!(done.contains_key(&TaskId(1)));
         let st = m.fault_stats();
         assert_eq!(st.speculative_launched, 1);
         assert_eq!(st.speculative_wins, 0, "primary won; duplicate cancelled");

@@ -1,10 +1,10 @@
 //! Control-plane crash recovery: the hooks that reset a
 //! checkpoint-restored master's data plane and replay the write-ahead
-//! log's terminal task states into it.
+//! log's task exits into it.
 
 use hta_des::SimTime;
 
-use super::{is_terminal, queued, Master};
+use super::{is_waiting, queued, Master};
 use crate::ids::{TaskId, WorkerId};
 use crate::task::TaskState;
 
@@ -73,66 +73,45 @@ impl Master {
 
     /// Apply a durably logged completion during WAL replay.
     ///
-    /// The task was re-queued by [`recover_reset_data_plane`]; take it
-    /// straight back to `Complete` (stamped with the original completion
-    /// instant) without emitting a notification — the operator replays its
-    /// own record of the same decision.
+    /// The task was re-queued by [`recover_reset_data_plane`]; it leaves
+    /// the master as a completion without emitting a notification — the
+    /// operator replays its own record of the same decision, and the
+    /// driver recorded the task's span when the live notification was
+    /// handled. A task with no record (already replayed) is skipped.
     ///
     /// [`recover_reset_data_plane`]: Self::recover_reset_data_plane
-    pub fn recover_complete(&mut self, at: SimTime, task: TaskId) {
-        self.mwu_cache.set(None);
-        let Some(rec) = self.tasks.get_mut_if(&task, |r| !is_terminal(r)) else {
-            return;
-        };
-        debug_assert_eq!(
-            rec.state,
-            TaskState::Waiting,
-            "WAL replay runs against a reset data plane"
-        );
-        let was_waiting = rec.state == TaskState::Waiting;
-        let declared = rec.spec.declared;
-        rec.state = TaskState::Complete;
-        rec.completed_at = Some(at);
-        let cat = rec.spec.cat;
-        self.completed_count += 1;
-        self.note_completed_id(task);
-        if was_waiting {
-            let tasks = &self.tasks;
-            self.waiting.remove(cat, declared, |t| queued(tasks, t));
+    pub fn recover_complete(&mut self, task: TaskId) {
+        if self.tasks.contains_key(&task) {
+            self.completed_count += 1;
+            self.note_completed_id(task);
+            self.retire_replayed(task);
         }
-        self.waiting_dirty = true;
-        self.refresh_task_snap(task);
-        if self.retire_completed {
-            self.retire_task(task);
-        }
-        self.assert_invariants();
     }
 
     /// Apply a durably logged permanent failure during WAL replay (the
     /// counterpart of [`recover_complete`](Self::recover_complete)).
-    pub fn recover_failed(&mut self, at: SimTime, task: TaskId) {
+    pub fn recover_failed(&mut self, task: TaskId) {
+        if self.tasks.contains_key(&task) {
+            self.failed_count += 1;
+            self.fault_stats.permanent_failures += 1;
+            self.retire_replayed(task);
+        }
+    }
+
+    /// Retire a task the WAL says finished, tombstoning its queue entry.
+    fn retire_replayed(&mut self, task: TaskId) {
         self.mwu_cache.set(None);
-        let Some(rec) = self.tasks.get_mut_if(&task, |r| !is_terminal(r)) else {
-            return;
-        };
-        debug_assert_eq!(
-            rec.state,
-            TaskState::Waiting,
+        let rec = self.retire_task(task);
+        debug_assert!(
+            is_waiting(&rec),
             "WAL replay runs against a reset data plane"
         );
-        let was_waiting = rec.state == TaskState::Waiting;
-        let declared = rec.spec.declared;
-        let cat = rec.spec.cat;
-        rec.state = TaskState::Failed;
-        rec.completed_at = Some(at);
-        self.failed_count += 1;
-        self.fault_stats.permanent_failures += 1;
-        if was_waiting {
+        if is_waiting(&rec) {
             let tasks = &self.tasks;
-            self.waiting.remove(cat, declared, |t| queued(tasks, t));
+            self.waiting
+                .remove(rec.spec.cat, rec.spec.declared, |t| queued(tasks, t));
         }
         self.waiting_dirty = true;
-        self.refresh_task_snap(task);
         self.assert_invariants();
     }
 }
@@ -147,7 +126,8 @@ mod tests {
         let mut m = new_master(
             faulty_cfg(TaskFaults {
                 oom_rate: 1.0,
-                max_retries: 5,
+                // Enough that no task fails (and leaves) within the run.
+                max_retries: 1_000,
                 oom_escalation: 2.0,
                 ..TaskFaults::default()
             }),
@@ -221,9 +201,9 @@ mod tests {
                 continue;
             }
             if id.raw() % 10 == 9 {
-                m.recover_failed(SimTime::from_secs(1), id);
+                m.recover_failed(id);
             } else {
-                m.recover_complete(SimTime::from_secs(1), id);
+                m.recover_complete(id);
                 completions += 1;
             }
             reference.retain(|t| *t != id);
@@ -303,34 +283,33 @@ mod tests {
     }
 
     #[test]
-    fn recover_complete_and_failed_replay_terminal_states() {
+    fn recover_complete_and_failed_replay_task_exits() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
         for i in 0..3 {
             m.submit(SimTime::ZERO, cpu_task(i, db, None), &mut fx);
         }
-        m.recover_complete(SimTime::from_secs(45), TaskId(0));
-        m.recover_failed(SimTime::from_secs(50), TaskId(1));
+        m.recover_complete(TaskId(0));
+        m.recover_failed(TaskId(1));
         assert_eq!(m.completed_count(), 1);
         assert_eq!(m.failed_count, 1);
+        assert_eq!(m.fault_stats().permanent_failures, 1);
         assert_eq!(m.waiting_count(), 1);
-        assert_eq!(m.completed_task_ids(), vec![TaskId(0)]);
-        let done = m.task(TaskId(0)).unwrap();
-        assert_eq!(done.state, TaskState::Complete);
-        assert_eq!(
-            done.completed_at,
-            Some(SimTime::from_secs(45)),
-            "original completion instant preserved"
-        );
-        assert_eq!(m.task(TaskId(1)).unwrap().state, TaskState::Failed);
-        // Replaying the same record twice is a no-op (idempotent).
-        m.recover_complete(SimTime::from_secs(60), TaskId(0));
-        assert_eq!(m.completed_count(), 1);
+        assert_eq!(m.completed_digest(), mix64(0));
+        assert!(m.task(TaskId(0)).is_none() && m.task(TaskId(1)).is_none());
+        // Replaying the same records twice is a no-op (idempotent).
+        m.recover_complete(TaskId(0));
+        m.recover_failed(TaskId(1));
+        assert_eq!((m.completed_count(), m.failed_count), (1, 1));
+        assert_eq!(m.completed_digest(), mix64(0));
         assert!(
             m.drain_notifications().is_empty(),
             "replay emits no notifications"
         );
-        assert!(m.has_live_task_in_category(m.task(TaskId(2)).unwrap().spec.cat));
+        assert!(m.has_live_task_in_category(ALIGN));
+        m.recover_complete(TaskId(2));
+        assert!(!m.has_live_task_in_category(ALIGN));
+        assert!(m.all_complete());
     }
 }

@@ -7,7 +7,6 @@ use hta_resources::Resources;
 
 use super::{is_waiting, Master};
 use crate::ids::WorkerId;
-use crate::task::TaskState;
 use crate::worker::WorkerState;
 
 impl Master {
@@ -21,16 +20,14 @@ impl Master {
     /// which is why it must stay behind the gate.
     ///
     /// Delta checks:
-    /// * **Counter conservation** — live queue entries + on-worker tasks
-    ///   (the running snapshot) + retained completions + failures equal
-    ///   the retained records.
+    /// * **Counter conservation** — every submitted task is stored or
+    ///   counted as completed or failed, and the stored records are
+    ///   exactly the live queue entries plus the on-worker tasks (the
+    ///   running snapshot): no finished task keeps a record.
     /// * **Waiting queue** — its histogram counts its live entries, and
     ///   tombstones never outnumber them.
     ///
     /// Full audit:
-    /// * **Task conservation** — every submitted task is in exactly one
-    ///   of waiting / on-a-worker / complete / failed, and the terminal
-    ///   counters agree with the records.
     /// * **Queue consistency** — the queue's live entries are exactly the
     ///   tasks whose record says `Waiting`, every other entry is a
     ///   counted tombstone, and the demand histogram is a recount.
@@ -51,47 +48,21 @@ impl Master {
             return;
         }
         self.waiting.assert_consistent();
-        let retained_complete = self.completed_count.checked_sub(self.retired);
+        let records = self.tasks.len();
         assert!(
-            retained_complete
-                .map(|c| self.waiting.len() + self.snap.running.len() + c + self.failed_count)
-                == Some(self.tasks.len()),
-            "task conservation violated by the counters: waiting queue {} live + {} on-worker \
-             + {} completed - {} retired + {} failed != {} retained",
-            self.waiting.len(),
-            self.snap.running.len(),
+            self.submitted == records + self.completed_count + self.failed_count
+                && self.waiting.len() + self.snap.running.len() == records,
+            "task conservation violated by the counters: {} submitted != {records} stored \
+             + {} completed + {} failed, or the stored records are not the waiting queue's \
+             {} live entries + {} on-worker tasks",
+            self.submitted,
             self.completed_count,
-            self.retired,
             self.failed_count,
-            self.tasks.len()
+            self.waiting.len(),
+            self.snap.running.len()
         );
         self.tasks.assert_consistent();
-        let mut waiting = 0usize;
-        let mut on_worker = 0usize;
-        let mut complete = 0usize;
-        let mut failed = 0usize;
-        for rec in self.tasks.values() {
-            match rec.state {
-                TaskState::Waiting => waiting += 1,
-                TaskState::Staging(_) | TaskState::Running(_) | TaskState::Returning(_) => {
-                    on_worker += 1
-                }
-                TaskState::Complete => complete += 1,
-                TaskState::Failed => failed += 1,
-            }
-        }
-        let submitted = self.tasks.len();
-        assert!(
-            waiting + on_worker + complete + failed == submitted
-                && complete + self.retired == self.completed_count
-                && failed == self.failed_count,
-            "task conservation violated: {waiting} waiting + {on_worker} on-worker + \
-             {complete} complete + {failed} failed != {submitted} retained \
-             (counters: completed={}, retired={}, failed={})",
-            self.completed_count,
-            self.retired,
-            self.failed_count
-        );
+        let waiting = self.tasks.values().filter(|r| is_waiting(r)).count();
         let (mut live, mut dead) = (0usize, 0usize);
         // The demand histogram must be an exact recount of the live
         // entries — dispatch's early exit is only sound if no requirement
@@ -236,11 +207,10 @@ impl Master {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, any(debug_assertions, feature = "sim-sanitizer")))]
 mod tests {
     use crate::master::testkit::*;
 
-    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
     #[test]
     #[should_panic(expected = "task conservation violated")]
     fn sanitizer_catches_broken_conservation() {
@@ -262,7 +232,6 @@ mod tests {
         m.assert_invariants();
     }
 
-    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
     #[test]
     #[should_panic(expected = "waiting queue")]
     fn sanitizer_catches_queue_desync() {
@@ -276,7 +245,6 @@ mod tests {
         m.assert_invariants();
     }
 
-    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
     #[test]
     #[should_panic(expected = "was never interned")]
     fn sanitizer_catches_a_category_that_was_never_interned() {

@@ -71,7 +71,9 @@ pub struct TaskSpec {
     pub exec: ExecModel,
 }
 
-/// Where a task is in its life.
+/// Where a live task is. A task that finishes (completes, or fails past
+/// its retry budget) leaves the master's table, so there is no terminal
+/// state: its exit notification is the only record of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaskState {
     /// In the master's queue.
@@ -82,11 +84,6 @@ pub enum TaskState {
     Running(WorkerId),
     /// Execution finished; output transferring back to the master.
     Returning(WorkerId),
-    /// Done; measured statistics available.
-    Complete,
-    /// Permanently failed: the retry budget was exhausted (fault
-    /// injection). Terminal — the task never completes.
-    Failed,
 }
 
 /// Resource-monitor measurement of a finished run.
@@ -125,9 +122,8 @@ pub struct TaskRecord {
     pub submitted_at: SimTime,
     /// When execution started (inputs local).
     pub started_at: Option<SimTime>,
-    /// When the task completed (output at master).
-    pub completed_at: Option<SimTime>,
-    /// Resource-monitor measurement, set on completion.
+    /// Resource-monitor measurement of the finished run, set when
+    /// execution ends (the output may still be returning).
     pub measured: Option<Measured>,
     /// Number of times the task was re-queued after a worker was killed.
     pub interruptions: u32,
@@ -159,7 +155,6 @@ impl TaskRecord {
             allocation: None,
             submitted_at,
             started_at: None,
-            completed_at: None,
             measured: None,
             interruptions: 0,
             retries: 0,
@@ -180,7 +175,7 @@ impl TaskRecord {
     pub fn worker(&self) -> Option<WorkerId> {
         match self.state {
             TaskState::Staging(w) | TaskState::Running(w) | TaskState::Returning(w) => Some(w),
-            _ => None,
+            TaskState::Waiting => None,
         }
     }
 
@@ -239,8 +234,6 @@ mod tests {
             (TaskState::Staging(WorkerId(1)), Some(WorkerId(1))),
             (TaskState::Running(WorkerId(2)), Some(WorkerId(2))),
             (TaskState::Returning(WorkerId(3)), Some(WorkerId(3))),
-            (TaskState::Complete, None),
-            (TaskState::Failed, None),
         ] {
             let mut r = TaskRecord::new(spec(None), SimTime::ZERO);
             r.state = state;

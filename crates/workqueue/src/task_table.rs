@@ -1,9 +1,10 @@
-//! The master's task table: every retained [`TaskRecord`], keyed by
-//! [`TaskId`].
+//! The master's task table: the record of every live (waiting or
+//! on-worker) task, keyed by [`TaskId`]. A task's record leaves the table
+//! when the task finishes.
 //!
 //! Task ids are dense and increasing (the operator and the trace
-//! generators count them up from 0), and records leave the table roughly
-//! in submission order. So the table is a window of slots indexed by
+//! generators count them up from 0), and tasks finish roughly in
+//! submission order. So the table is a window of slots indexed by
 //! `id − base` instead of an ordered map: a lookup is one index, not a
 //! B-tree walk.
 //!
@@ -16,13 +17,13 @@
 //!   record is copied on its first write after the clone and never
 //!   again; read-only paths must use [`TaskTable::get`], which copies
 //!   nothing.
-//! * **Retirement** empties a slot and pops empty slots off both ends,
-//!   so the window follows the in-flight tasks.
-//! * **Bounded window.** A record that never leaves (a permanently
-//!   failed task kept for reporting, or a long straggler) would pin the
-//!   window's front and make it grow with every later task. Whenever the
-//!   window holds more than `2 × records + SLACK` slots, front records
-//!   move to a small ordered overflow map, so slot count stays O(live).
+//! * **Retirement** (a task finishing) empties a slot and pops empty
+//!   slots off both ends, so the window follows the in-flight tasks.
+//! * **Bounded window.** A record that stays long (a long-running task,
+//!   or one starved in the queue) would pin the window's front and make
+//!   it grow with every later task. Whenever the window holds more than
+//!   `2 × records + SLACK` slots, front records move to a small ordered
+//!   overflow map, so slot count stays O(live).
 //! * **Order.** [`TaskTable::iter`] and [`TaskTable::values`] yield
 //!   records in ascending id — the overflow (all below `base`), then the
 //!   window — the order a `BTreeMap<TaskId, TaskRecord>` gives, so every
@@ -102,19 +103,14 @@ impl TaskTable {
         self.get_mut(id)
     }
 
-    /// True when a record for `id` is retained.
+    /// True when a record for `id` is stored.
     pub(crate) fn contains_key(&self, id: &TaskId) -> bool {
         self.get(id).is_some()
     }
 
-    /// Retained records.
+    /// Stored records.
     pub(crate) fn len(&self) -> usize {
         self.occupied + self.overflow.len()
-    }
-
-    /// True when no record is retained.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Store `rec` under `id` (which must be `rec.spec.id`), returning
@@ -145,9 +141,9 @@ impl TaskTable {
         old.map(Arc::unwrap_or_clone)
     }
 
-    /// Remove and return the record for `id` (copied only if a clone of
-    /// the table still shares it).
-    pub(crate) fn remove(&mut self, id: &TaskId) -> Option<TaskRecord> {
+    /// Remove and return the record for `id`, still shared with any clone
+    /// of the table that holds it (nothing is copied).
+    pub(crate) fn remove(&mut self, id: &TaskId) -> Option<Arc<TaskRecord>> {
         let rec = match self.offset(*id) {
             Some(off) => {
                 let rec = self.slots[off].take()?;
@@ -157,7 +153,7 @@ impl TaskTable {
             }
             None => self.overflow.remove(id)?,
         };
-        Some(Arc::unwrap_or_clone(rec))
+        Some(rec)
     }
 
     /// Pop empty slots off both ends, then spill front records until the
@@ -324,7 +320,6 @@ mod tests {
     fn check(table: &TaskTable, model: &BTreeMap<TaskId, TaskRecord>, next: u64) {
         table.assert_consistent();
         assert_eq!(table.len(), model.len());
-        assert_eq!(table.is_empty(), model.is_empty());
         let ids: Vec<TaskId> = table.iter().map(|(id, _)| *id).collect();
         let want: Vec<TaskId> = model.keys().copied().collect();
         assert_eq!(ids, want, "iteration order");

@@ -8,15 +8,17 @@
 //! incremental dispatch gate equals a full scan of the eligible workers,
 //! and the cluster asserts that its per-group pod counts equal a recount
 //! of the pods it stores (stopped pods and removed nodes leave it, so
-//! what it stores is the live set). State that grows with run history
-//! instead of with the live set therefore fails this test on any
-//! machine: the checks count, they do not time.
+//! what it stores is the live set). The master also asserts that it
+//! stores only waiting and on-worker task records — every finished task
+//! leaves — in the trace runs and in a closed Fig. 10 workflow. State
+//! that grows with run history instead of with the live set therefore
+//! fails this test on any machine: the checks count, they do not time.
 //!
 //! Under a release-mode sanitizer:
 //! `cargo test --release --features sim-sanitizer --test churn_state`.
 
 use hta::core::driver::RunResult;
-use hta_bench::experiments::synth_trace;
+use hta_bench::experiments::{fig10, fig10_workload, synth_trace, PolicyKind};
 
 /// The churny open-loop trace: `trace-50k` cut to 3 000 tasks at a
 /// 1 task/s base rate, so the arrivals span ~3 diurnal cycles of 900 s,
@@ -63,4 +65,16 @@ fn churny_trace_completes_with_bounded_state() {
             r.summary.peak_workers
         );
     }
+}
+
+#[test]
+fn closed_workflow_leaves_no_task_record() {
+    let jobs = fig10_workload(false).len();
+    let r = fig10(PolicyKind::Hta, 42).run(None);
+    assert!(!r.timed_out, "run hit the safety cut-off");
+    assert_eq!(r.completed, jobs, "every job completes");
+    // One span per job, all from exit notifications: a record still in
+    // the master at the end would add an unfinished span.
+    assert_eq!(r.task_spans.len(), jobs);
+    assert!(r.task_spans.iter().all(|s| s.completed_s.is_some()));
 }
