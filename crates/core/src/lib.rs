@@ -78,12 +78,11 @@ pub mod init_time;
 pub mod operator;
 pub mod oracle;
 pub mod policy;
-pub mod recovery;
 pub mod target_tracking;
 pub mod whatif;
 
 pub use category_stats::{CategoryEstimate, CategoryStats};
-pub use driver::{DriverConfig, SystemDriver};
+pub use driver::{DriverConfig, RecoveryReport, SystemDriver};
 pub use estimator::{
     estimate, estimate_per_worker, forecast_rsh_cores, EstimatorInput, RunningTask, ScaleDecision,
     WaitingTask,
@@ -95,6 +94,5 @@ pub use oracle::OraclePolicy;
 pub use policy::{
     FixedPolicy, HoldPolicy, HpaPolicy, HtaPolicy, PolicyContext, ScaleAction, ScalingPolicy,
 };
-pub use recovery::{ControlPlaneState, RecoveryReport, WalRecord};
 pub use target_tracking::{TargetTrackingConfig, TargetTrackingPolicy};
 pub use whatif::{BranchOutcome, BranchSpec, BranchStop, WhatIf};

@@ -28,7 +28,7 @@ use hta_workqueue::master::{Master, WqEvent};
 use hta_workqueue::task::{ExecModel, Measured, TaskSpec};
 use hta_workqueue::{FileId, TaskId};
 
-use crate::recovery::WalRecord;
+use crate::driver::WalRecord;
 
 /// Operator behaviour switches.
 #[derive(Debug, Clone)]
@@ -183,13 +183,13 @@ impl Operator {
     /// Turn write-ahead decision logging on or off. The driver enables
     /// this when the fault plan schedules control-plane crashes; normal
     /// runs keep it off and pay nothing.
-    pub fn record_wal(&mut self, on: bool) {
+    pub(crate) fn record_wal(&mut self, on: bool) {
         self.wal_recording = on;
     }
 
     /// Drain the decision records logged since the last call (the driver
     /// appends them to its WAL after every operator entry point).
-    pub fn drain_wal_records(&mut self) -> Vec<WalRecord> {
+    pub(crate) fn drain_wal_records(&mut self) -> Vec<WalRecord> {
         std::mem::take(&mut self.wal_pending)
     }
 

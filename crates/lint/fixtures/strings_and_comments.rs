@@ -15,7 +15,7 @@ fn lookup() -> &'static str {
     let b = "Instant and SystemTime quoted, *const u8 too";
     let c = r"SmallRng in a raw string with StdRng";
     let d = r#"fork(42) and branch_salt(s, 1) and with_capacity(n)"#;
-    let e = "WalRecord::Orphan { .. } and ControlPlaneState { .. }";
+    let e = "ControlPlaneState { .. } in a string";
     let f = concat!(a, b, c, d, e);
     let g = 'F'; // a char literal is not an ident: File
     let _ = (f, g);

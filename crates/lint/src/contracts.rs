@@ -1,29 +1,25 @@
 //! Cross-file contract rules.
 //!
 //! These rules cannot be expressed per file, let alone per line: they
-//! relate an enum *definition* in one crate to its *uses* in another,
-//! or a type's snapshot bundling to every construct/destructure site in
-//! the workspace. The engine extracts [`Facts`] from each file and a
+//! relate a type's snapshot bundling to every construct/destructure site
+//! in the workspace. The engine extracts [`Facts`] from each file and a
 //! single [`finalize`] pass joins them:
 //!
-//! * **`wal-coverage`** — every `WalRecord` variant must have at least
-//!   one construct site (a decision that is actually logged) and at
-//!   least one replay arm (a decision that recovery actually reapplies).
-//!   Exhaustiveness of the replay match itself is clippy's job: the
-//!   driver's replay function denies `clippy::wildcard_enum_match_arm`.
 //! * **`snapshot-field-coverage`** — struct literals and patterns of
 //!   snapshot-bundled types (`impl SnapshotState for X` targets, plus
 //!   `ControlPlaneState`) must not use `..` rest syntax. With every
 //!   field named, the *compiler* enforces that a new field shows up at
 //!   every checkpoint construct and restore destructure; `..` is the
 //!   one escape hatch that silently drops fields from the checkpoint.
+//!
+//! The write-ahead log's contract needs no rule here: `WalRecord` is
+//! crate-private, so rustc's `dead_code` reports a variant that is never
+//! constructed, and the replay match denies wildcard arms, so a variant
+//! without a replay arm fails to compile.
 
 use crate::lexer::TokKind;
 use crate::parser::{Parser, Structure};
 use crate::Finding;
-
-/// The WAL decision-log enum the coverage contract tracks.
-const WAL_ENUM: &str = "WalRecord";
 
 /// Types always treated as snapshot-bundled, even if their
 /// `impl SnapshotState` lives in a file outside the scan set.
@@ -33,14 +29,6 @@ const SNAPSHOT_SEED_TYPES: &[&str] = &["ControlPlaneState"];
 /// from one file alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Facts {
-    /// `(variant, line)` when this file defines `enum WalRecord`
-    /// outside tests.
-    pub wal_variants: Vec<(String, usize)>,
-    /// Variant names constructed in this file (`WalRecord::X { … }` in
-    /// expression position).
-    pub wal_constructs: Vec<String>,
-    /// Variant names consumed in this file (match or `if let` arms).
-    pub wal_arms: Vec<String>,
     /// Types with a non-test `impl SnapshotState for X` in this file.
     pub snapshot_impls: Vec<String>,
     /// `(type name, line)` of struct literals/patterns using `..` rest
@@ -54,45 +42,8 @@ pub fn extract_facts(p: &Parser<'_>, st: &Structure) -> Facts {
         snapshot_impls: st.snapshot_impls.clone(),
         ..Facts::default()
     };
-    for e in &st.enums {
-        if e.name == WAL_ENUM && !e.in_test {
-            facts.wal_variants = e.variants.clone();
-        }
-    }
-    wal_uses(p, st, &mut facts);
     rest_uses(p, st, &mut facts);
     facts
-}
-
-/// Classify every `WalRecord::Variant` path use as construct or arm.
-fn wal_uses(p: &Parser<'_>, st: &Structure, facts: &mut Facts) {
-    for i in 0..p.sig.len() {
-        let Some(t) = p.tok(i) else { break };
-        if t.kind != TokKind::Ident || p.text(i) != WAL_ENUM || st.in_test(t.start) {
-            continue;
-        }
-        if !p.op(i + 1, "::") {
-            continue;
-        }
-        let vi = i + 3;
-        let Some(vt) = p.tok(vi) else { continue };
-        if vt.kind != TokKind::Ident {
-            continue;
-        }
-        let variant = p.text(vi).to_string();
-        // Skip the payload group, if any, to see what follows.
-        let after = if p.punct(vi + 1, '{') || p.punct(vi + 1, '(') {
-            p.skip_group(vi + 1)
-        } else {
-            vi + 1
-        };
-        let is_arm = p.op(after, "=>") || p.punct(after, '|') || (i >= 1 && p.ident(i - 1, "let")); // `if let WalRecord::X { … } = rec`
-        if is_arm {
-            facts.wal_arms.push(variant);
-        } else {
-            facts.wal_constructs.push(variant);
-        }
-    }
 }
 
 /// Record `Type { …, .. }` rest uses (literal update syntax and pattern
@@ -153,43 +104,6 @@ fn rest_uses(p: &Parser<'_>, st: &Structure, facts: &mut Facts) {
 pub fn finalize(files: &[(String, Facts)]) -> Vec<Finding> {
     let mut out = Vec::new();
 
-    // wal-coverage: needs the enum definition to be in the scan set.
-    let def = files.iter().find(|(_, f)| !f.wal_variants.is_empty());
-    if let Some((def_path, def_facts)) = def {
-        let constructed: Vec<&str> = files
-            .iter()
-            .flat_map(|(_, f)| f.wal_constructs.iter().map(String::as_str))
-            .collect();
-        let replayed: Vec<&str> = files
-            .iter()
-            .flat_map(|(_, f)| f.wal_arms.iter().map(String::as_str))
-            .collect();
-        for (variant, line) in &def_facts.wal_variants {
-            if !constructed.contains(&variant.as_str()) {
-                out.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "wal-coverage",
-                    message: format!(
-                        "`WalRecord::{variant}` is never constructed — the decision it \
-                         represents is not being logged, so recovery cannot reapply it"
-                    ),
-                });
-            }
-            if !replayed.contains(&variant.as_str()) {
-                out.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "wal-coverage",
-                    message: format!(
-                        "`WalRecord::{variant}` has no replay arm — recovery would drop \
-                         this logged decision on restart"
-                    ),
-                });
-            }
-        }
-    }
-
     // snapshot-field-coverage: `..` rest on snapshot-bundled types.
     let mut snapshot_types: Vec<&str> = files
         .iter()
@@ -231,27 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_enum_and_uses_extracted() {
-        let def = facts("pub enum WalRecord { Submit { job: u64 }, Learn(u32), Complete, }\n");
-        let names: Vec<&str> = def.wal_variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Submit", "Learn", "Complete"]);
-
-        let uses = facts(
-            "fn log(w: &mut Wal) { w.append(WalRecord::Submit { job: 1 }); }\n\
-             fn replay(rec: WalRecord) {\n    match rec {\n        WalRecord::Submit { job } => apply(job),\n        WalRecord::Learn(c) => learn(c),\n        WalRecord::Complete => {}\n    }\n}\n",
-        );
-        assert_eq!(uses.wal_constructs, vec!["Submit"]);
-        assert_eq!(uses.wal_arms, vec!["Submit", "Learn", "Complete"]);
-    }
-
-    #[test]
-    fn if_let_counts_as_arm() {
-        let f = facts("fn g(r: &WalRecord) { if let WalRecord::Learn(c) = r { use_it(c); } }\n");
-        assert_eq!(f.wal_arms, vec!["Learn"]);
-        assert!(f.wal_constructs.is_empty());
-    }
-
-    #[test]
     fn rest_use_extraction_resolves_self() {
         let f = facts(
             "impl SnapshotState for ControlPlaneState { fn reseed(&mut self, s: u64) {} }\n\
@@ -267,20 +160,6 @@ mod tests {
     fn range_in_field_value_is_not_rest() {
         let f = facts("fn g() -> Spec { Spec { window: 0..10, len: n } }\n");
         assert!(f.rest_uses.is_empty());
-    }
-
-    #[test]
-    fn finalize_reports_missing_coverage() {
-        let def = facts("pub enum WalRecord { Submit, Learn, Orphan, }\n");
-        let uses = facts(
-            "fn c(w: &mut Wal) { w.append(WalRecord::Submit); w.append(WalRecord::Learn); }\n\
-             fn r(rec: WalRecord) { match rec { WalRecord::Submit => a(), WalRecord::Learn => b(), WalRecord::Orphan => c() } }\n",
-        );
-        let files = vec![("def.rs".to_string(), def), ("use.rs".to_string(), uses)];
-        let out = finalize(&files);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("Orphan"));
-        assert!(out[0].message.contains("never constructed"));
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!   `SystemTime::now` and `SystemTime::elapsed` (host time);
 //! * `unsafe_code = "forbid"`: every access to a `static mut`;
 //! * the vendored `rand` has no unseeded constructor and the vendored
-//!   `rayon` has no reductions, so neither hazard compiles.
+//!   `rayon` has no reductions, so neither hazard compiles;
+//! * the write-ahead log: `WalRecord` is crate-private, so rustc's
+//!   `dead_code` reports a variant that no decision site logs, and the
+//!   replay match denies wildcard arms, so a variant that recovery does
+//!   not replay fails to compile.
 //!
 //! A justified exception is `#[expect(lint, reason = "…")]`; clippy
 //! rejects `#[allow]` and reason-less expectations, and rustc reports an
 //! expectation that no longer fires.
 //!
-//! This crate checks the six rules those tools cannot express (see
+//! This crate checks the five rules those tools cannot express (see
 //! [`RULES`]). It has no suppression mechanism: a rule's legitimate
 //! exceptions live in its scope tables in [`rules`], and the binary
 //! exits 1 on any finding.
@@ -32,8 +36,8 @@
 //!    a string literal or comment never fires, identifier boundaries are
 //!    exact, and `#[cfg(test)]` regions are exempt. The same pass
 //!    extracts [`contracts::Facts`].
-//! 2. **Workspace** ([`finalize`]): the cross-file contract rules join
-//!    the facts (`wal-coverage`, `snapshot-field-coverage`).
+//! 2. **Workspace** ([`finalize`]): the cross-file contract rule
+//!    (`snapshot-field-coverage`) joins the facts.
 
 pub mod contracts;
 pub mod lexer;
@@ -80,11 +84,6 @@ pub const RULES: &[Rule] = &[
                returned effect Vec)",
         hint: "push every effect into the sink; the driver drains it and applies \
                incarnation tagging that crash recovery relies on",
-    },
-    Rule {
-        id: "wal-coverage",
-        what: "WalRecord variant without a construct site or replay arm",
-        hint: "log the decision where it is made and replay it in every recovery path",
     },
     Rule {
         id: "snapshot-field-coverage",

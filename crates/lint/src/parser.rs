@@ -10,8 +10,6 @@
 //! * **Function definitions** — name, parameter names/types, return
 //!   type and body extent, for the `effect-purity` and `salt-flow`
 //!   rules.
-//! * **Enum definitions** — variant lists, for the `wal-coverage`
-//!   contract rule.
 //! * **`impl SnapshotState for X` / `impl X` blocks** — which types are
 //!   snapshot-bundled, and what `Self { … }` resolves to.
 //!
@@ -49,24 +47,11 @@ pub struct FnDef {
     pub in_test: bool,
 }
 
-/// An enum definition.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// (variant name, 1-based line).
-    pub variants: Vec<(String, usize)>,
-    /// True when inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-}
-
 /// Structure extracted from one file.
 #[derive(Debug, Clone, Default)]
 pub struct Structure {
     /// Every function definition, impl methods included.
     pub fns: Vec<FnDef>,
-    /// Every enum definition.
-    pub enums: Vec<EnumDef>,
     /// Type names with an `impl SnapshotState for X` in this file
     /// (test regions excluded).
     pub snapshot_impls: Vec<String>,
@@ -264,10 +249,6 @@ impl<'a> Parser<'a> {
                 }
                 "fn" => {
                     i = self.parse_fn(i, in_test || pending_test, st);
-                    pending_test = false;
-                }
-                "enum" => {
-                    i = self.parse_enum(i, in_test || pending_test, st);
                     pending_test = false;
                 }
                 "impl" => {
@@ -542,54 +523,6 @@ impl<'a> Parser<'a> {
         params
     }
 
-    fn parse_enum(&self, kw: usize, in_test: bool, st: &mut Structure) -> usize {
-        let name = self.text(kw + 1).to_string();
-        let mut k = kw + 2;
-        if self.punct(k, '<') {
-            k = self.skip_generics(k);
-        }
-        while self.tok(k).is_some() && !self.punct(k, '{') && !self.punct(k, ';') {
-            k += 1;
-        }
-        if !self.punct(k, '{') {
-            return k + 1;
-        }
-        let close = self.skip_group(k);
-        let mut variants = Vec::new();
-        let mut j = k + 1;
-        let mut expect_variant = true;
-        while j < close - 1 {
-            if self.punct(j, '#') {
-                let open = if self.punct(j + 1, '[') { j + 1 } else { j + 2 };
-                j = self.skip_group(open);
-                continue;
-            }
-            if expect_variant && self.tok(j).is_some_and(|t| t.kind == TokKind::Ident) {
-                variants.push((self.text(j).to_string(), self.tok(j).map_or(0, |t| t.line)));
-                expect_variant = false;
-                j += 1;
-                continue;
-            }
-            if self.punct(j, '(') || self.punct(j, '{') || self.punct(j, '[') {
-                j = self.skip_group(j);
-                continue;
-            }
-            if self.punct(j, ',') {
-                expect_variant = true;
-            }
-            j += 1;
-        }
-        if in_test {
-            self.mark_test_span(kw, close, st);
-        }
-        st.enums.push(EnumDef {
-            name,
-            variants,
-            in_test,
-        });
-        close
-    }
-
     fn parse_impl(&self, kw: usize, in_test: bool, st: &mut Structure) -> usize {
         // Scan the impl header up to `{`, looking for
         // `SnapshotState for <Name>` and the target type name.
@@ -741,16 +674,16 @@ mod tests {
     }
 
     #[test]
-    fn structs_are_skipped_and_enum_variants_parsed() {
+    fn structs_and_enums_are_skipped() {
         let src = "pub struct S<T> { pub a: BTreeMap<u32, T>, b: Vec<(u8, u8)>, }\n\
                    struct P(u8);\nstruct U;\n\
-                   enum E { A, B { x: u8 }, C(u32), }\n";
+                   enum E { A, B { x: u8 }, C(u32), }\n\
+                   #[cfg(test)]\nenum T { D }\nfn after() {}\n";
         let st = parse(src);
-        assert_eq!(st.enums.len(), 1);
-        let e = &st.enums[0];
-        assert_eq!(e.name, "E");
-        let names: Vec<&str> = e.variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C"]);
+        let names: Vec<&str> = st.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
+        assert!(st.in_test(src.find("D }").unwrap()));
+        assert!(!st.in_test(src.find("after").unwrap()));
     }
 
     #[test]

@@ -36,7 +36,7 @@ const CHECKPOINT_UNSAFE_TYPES: &[(&str, &str)] = &[
 const REPLAY_SCOPE: &[&str] = &[
     "crates/des/src/wal.rs",
     "crates/des/src/snapshot.rs",
-    "crates/core/src/recovery.rs",
+    "crates/core/src/driver/recovery.rs",
     "crates/core/src/whatif.rs",
 ];
 
@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(f, vec![(1, "salt-flow")]);
         // Salt 0 inside replay scope.
         let f = findings(
-            "crates/core/src/recovery.rs",
+            "crates/core/src/driver/recovery.rs",
             "fn f(s: &mut S) { let c = s.fork(0); }\n",
         );
         assert!(f.is_empty());

@@ -6,14 +6,12 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hta_lint::{analyze_file, scan_file, Finding, RULES};
+use hta_lint::{scan_file, Finding, RULES};
 
 const CHECKPOINT: &str = include_str!("../fixtures/checkpoint_unsafe.rs");
 const STRINGS: &str = include_str!("../fixtures/strings_and_comments.rs");
 const SALT_FLOW: &str = include_str!("../fixtures/salt_flow.rs");
 const EFFECT_PURITY: &str = include_str!("../fixtures/effect_purity.rs");
-const WAL_DEFS: &str = include_str!("../fixtures/wal_defs.rs");
-const WAL_USES: &str = include_str!("../fixtures/wal_uses.rs");
 const SNAPSHOT: &str = include_str!("../fixtures/snapshot_coverage.rs");
 const TRACE_MAT: &str = include_str!("../fixtures/trace_materialization.rs");
 const TEST_ONLY_FILE: &str = include_str!("../fixtures/test_only_file.rs");
@@ -51,7 +49,7 @@ fn salt_flow_fixture_positive_negative_and_scope() {
     );
     // The same file inside the replay scope legalizes the salt-0 call
     // (and only that one).
-    let r = scan_file("crates/core/src/recovery.rs", SALT_FLOW);
+    let r = scan_file("crates/core/src/driver/recovery.rs", SALT_FLOW);
     assert!(
         !r.iter().any(|x| x.line == 17),
         "salt 0 is legal in replay scope: {r:#?}"
@@ -96,44 +94,6 @@ fn file_level_cfg_test_makes_the_whole_file_a_test_region() {
 }
 
 #[test]
-fn wal_coverage_joins_across_files() {
-    let defs_path = "crates/des/src/wal_defs.rs".to_string();
-    let uses_path = "crates/des/src/wal_uses.rs".to_string();
-    let files = vec![
-        (defs_path.clone(), analyze_file(&defs_path, WAL_DEFS)),
-        (uses_path.clone(), analyze_file(&uses_path, WAL_USES)),
-    ];
-    let f = hta_lint::finalize(&files);
-    let got: Vec<(&str, usize, &str)> = f
-        .iter()
-        .map(|x| (x.path.as_str(), x.line, x.rule))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("crates/des/src/wal_defs.rs", 12, "wal-coverage"),
-            ("crates/des/src/wal_defs.rs", 13, "wal-coverage"),
-        ],
-        "full findings: {f:#?}"
-    );
-    assert!(
-        f[0].message.contains("never constructed"),
-        "{}",
-        f[0].message
-    );
-    assert!(f[1].message.contains("no replay arm"), "{}", f[1].message);
-}
-
-#[test]
-fn wal_coverage_needs_the_definition_in_scope() {
-    // Without the enum definition the contract cannot anchor: uses
-    // alone produce no wal findings (the defining crate is always in
-    // the real scan set).
-    let f = scan_file("crates/des/src/wal_uses.rs", WAL_USES);
-    assert!(f.is_empty(), "expected clean, got: {f:#?}");
-}
-
-#[test]
 fn snapshot_field_coverage_fixture() {
     let f = scan_file("crates/cluster/src/fixture.rs", SNAPSHOT);
     assert_eq!(
@@ -173,12 +133,6 @@ fn every_rule_fires_on_some_fixture() {
     all.extend(scan_file("crates/des/src/fixture.rs", EFFECT_PURITY));
     all.extend(scan_file("crates/cluster/src/fixture.rs", SNAPSHOT));
     all.extend(scan_file("crates/trace/src/fixture.rs", TRACE_MAT));
-    let defs = analyze_file("crates/des/src/wal_defs.rs", WAL_DEFS);
-    let uses = analyze_file("crates/des/src/wal_uses.rs", WAL_USES);
-    all.extend(hta_lint::finalize(&[
-        ("crates/des/src/wal_defs.rs".to_string(), defs),
-        ("crates/des/src/wal_uses.rs".to_string(), uses),
-    ]));
     for r in RULES {
         assert!(
             all.iter().any(|x| x.rule == r.id),
