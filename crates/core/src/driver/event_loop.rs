@@ -464,6 +464,29 @@ mod tests {
     }
 
     #[test]
+    fn permanently_failed_spans_show_the_run_that_failed() {
+        // The fault knobs of `hta-run demo --task-fail-rate 0.6
+        // --max-retries 1 --seed 9`: a task whose both attempts fail
+        // leaves the master, and its span still shows its last run.
+        let mut cfg = small_cfg();
+        cfg.faults = FaultPlan {
+            seed: 9,
+            task_transient_rate: 0.6,
+            max_task_retries: 1,
+            ..FaultPlan::default()
+        };
+        let r = SystemDriver::new(cfg, tiny_workflow(12), Box::new(FixedPolicy::new(3))).run();
+        assert!(!r.timed_out);
+        assert!(r.jobs_failed > 0, "some task must fail permanently");
+        assert_eq!(r.task_spans.len(), 12, "one span per job");
+        for s in &r.task_spans {
+            let exit = s.completed_s.expect("every job completes or fails");
+            let start = s.started_s.expect("an exited span has a start");
+            assert!(s.submitted_s <= start && start <= exit, "{s:?}");
+        }
+    }
+
+    #[test]
     fn traced_run_completes_and_retires_every_record() {
         let result = traced_driver("demo-1k,tasks=400,rate=4", 7, 4).run();
         assert!(!result.timed_out, "traced run must complete");

@@ -178,8 +178,7 @@ pub enum WqNotification {
         cat: CategoryId,
         /// When the task entered the queue.
         submitted_at: SimTime,
-        /// When its last counted run started: `None`, because the failed
-        /// attempt's start is cleared with the attempt.
+        /// When the attempt that failed it started.
         started_at: Option<SimTime>,
         /// Times it was re-queued after losing its worker or run.
         interruptions: u32,

@@ -164,7 +164,11 @@ impl Master {
         self.cancel_speculation(now, task);
         let largest_mem = self.workers.values().map(|w| w.capacity().memory_mb).max();
         let rec = self.tasks.get_mut(&task).expect("checked above");
-        let wall = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
+        // The failed attempt's start leaves the record with the attempt,
+        // but a permanent failure still reports it: the task's span shows
+        // the run that failed.
+        let started_at = rec.started_at.take();
+        let wall = started_at.map_or(Duration::ZERO, |s| now.since(s));
         let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
         self.fault_stats.wasted_core_s += cores * wall.as_secs_f64();
         match kind {
@@ -174,7 +178,6 @@ impl Master {
         rec.retries += 1;
         rec.run_generation += 1;
         rec.allocation = None;
-        rec.started_at = None;
         if rec.retries > self.faults.max_retries {
             self.fault_stats.permanent_failures += 1;
             self.failed_count += 1;
@@ -183,7 +186,7 @@ impl Master {
                 task,
                 cat: rec.spec.cat,
                 submitted_at: rec.submitted_at,
-                started_at: rec.started_at,
+                started_at,
                 interruptions: rec.interruptions,
             });
         } else {
@@ -474,16 +477,22 @@ mod tests {
         assert_eq!(st.permanent_failures, 1);
         assert!(st.wasted_core_s > 0.0, "failed attempts burn core·s");
         let notes = m.drain_notifications();
-        assert!(notes.iter().any(|n| matches!(
-            n,
+        let started = notes.iter().find_map(|n| match *n {
             WqNotification::TaskFailed {
                 task: TaskId(0),
                 submitted_at: SimTime::ZERO,
-                started_at: None,
+                started_at,
                 interruptions: 0,
                 ..
-            }
-        )));
+            } => Some(started_at),
+            _ => None,
+        });
+        let t = started
+            .expect("the failure is notified")
+            .expect("the failed run's start is reported");
+        // The last attempt started after the first two failed, and at or
+        // before its own failure.
+        assert!(SimTime::ZERO < t && t <= q.now(), "started at {t:?}");
         assert!(m.all_complete(), "failed is terminal");
     }
 
