@@ -115,7 +115,6 @@ fn bench_cluster_scheduler(c: &mut Criterion) {
                         request: Resources::cores(1, 3_000, 5_000),
                         image: img,
                         group: "w".into(),
-                        anti_affinity: false,
                     },
                 );
                 for (d, e) in fx {

@@ -16,9 +16,7 @@ use std::str::FromStr;
 use hta_cluster::{ClusterConfig, MachineType};
 use hta_core::driver::{DriverConfig, RunResult, SystemDriver};
 use hta_core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta_core::{
-    ControlPlaneFaults, OperatorConfig, OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy,
-};
+use hta_core::{ControlPlaneFaults, OperatorConfig, OraclePolicy, TargetTrackingPolicy};
 use hta_des::{DigestConfig, Duration};
 use hta_forecast::{MpcConfig, MpcPolicy};
 use hta_makeflow::Workflow;
@@ -115,9 +113,7 @@ impl PolicyKind {
                     .ok_or("oracle plans from the workflow DAG; an open-loop trace has none")?;
                 Box::new(OraclePolicy::from_workflow(workflow))
             }
-            PolicyKind::Tracking => {
-                Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default()))
-            }
+            PolicyKind::Tracking => Box::new(TargetTrackingPolicy::new()),
             PolicyKind::Mpc => Box::new(MpcPolicy::new(MpcConfig::default())),
         })
     }
@@ -392,7 +388,6 @@ pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
                 request: Resources::cores(4, 14_000, 50_000),
                 image,
                 group: "bench".into(),
-                anti_affinity: false,
             },
         );
         for (d, e) in fx {

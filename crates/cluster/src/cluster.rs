@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hta_des::{Duration, SimRng, SimTime};
+use hta_des::{Backoff, Duration, SimRng, SimTime};
 use hta_resources::Resources;
 
 use crate::config::ClusterConfig;
@@ -363,12 +363,13 @@ impl Cluster {
             return Vec::new();
         }
         // Batched reservation processing: while a batch is in flight, new
-        // requests wait for the next cycle (§IV-B).
-        if self.cfg.serialize_provisioning
-            && self
-                .nodes
-                .values()
-                .any(|n| n.state == NodeState::Provisioning)
+        // requests wait for the next scan after it is ready (§IV-B:
+        // "cluster managers usually process reservation requests in
+        // batches"). This is the staircase scale-up of Figs. 2 and 10.
+        if self
+            .nodes
+            .values()
+            .any(|n| n.state == NodeState::Provisioning)
         {
             return Vec::new();
         }
@@ -386,22 +387,13 @@ impl Cluster {
         let mut new_nodes = 0usize;
         for pid in &self.pending {
             let req = self.pods[pid].spec.request;
-            // Anti-affinity pods conservatively claim whole fresh nodes in
-            // the virtual packing (they cannot share a node with their
-            // group, and group placement on partially-free nodes is not
-            // tracked here).
-            let anti = self.pods[pid].spec.anti_affinity;
-            if !anti {
-                if let Some(slot) = free.iter_mut().find(|s| req.fits_in(s)) {
-                    *slot = slot.saturating_sub(&req);
-                    continue;
-                }
+            if let Some(slot) = free.iter_mut().find(|s| req.fits_in(s)) {
+                *slot = slot.saturating_sub(&req);
+                continue;
             }
             if req.fits_in(&machine_alloc) {
                 new_nodes += 1;
-                if !anti {
-                    free.push(machine_alloc.saturating_sub(&req));
-                }
+                free.push(machine_alloc.saturating_sub(&req));
             }
             // else: request larger than any machine — stays pending forever.
         }
@@ -509,7 +501,7 @@ impl Cluster {
             return (pull, ClusterEvent::PodPullGaveUp(pid));
         }
         self.fault_stats.image_pull_retries += 1;
-        let backoff = faults.image_pull_backoff.jittered(attempt, &mut self.rng);
+        let backoff = Backoff::IMAGE_PULL.jittered(attempt, &mut self.rng);
         (pull + backoff, ClusterEvent::PodPullRetry(pid, nid, next))
     }
 
@@ -582,17 +574,7 @@ impl Cluster {
             }
             let req = pod.spec.request;
             let image = pod.spec.image;
-            let anti = pod.spec.anti_affinity.then(|| pod.spec.group.clone());
-            let target = self
-                .nodes
-                .values()
-                .filter(|n| n.can_fit(&req))
-                .filter(|n| {
-                    anti.as_deref()
-                        .is_none_or(|group| !self.node_hosts_group(n.id, group))
-                })
-                .map(|n| n.id)
-                .next();
+            let target = self.nodes.values().find(|n| n.can_fit(&req)).map(|n| n.id);
             match target {
                 Some(nid) => {
                     let node = self.nodes.get_mut(&nid).expect("node exists");
@@ -638,20 +620,6 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
-
-    /// Whether a node currently hosts a resource-holding pod of `group`.
-    /// Walks the node's pool, which holds exactly the resource-holding
-    /// pods bound to it (see [`Cluster::check_invariants`]), not every pod
-    /// ever created.
-    fn node_hosts_group(&self, node: NodeId, group: &str) -> bool {
-        self.nodes.get(&node).is_some_and(|n| {
-            n.pool.iter().any(|(key, _)| {
-                self.pods
-                    .get(&PodId(key))
-                    .is_some_and(|p| p.spec.group == group)
-            })
-        })
-    }
 
     /// Nodes that are `Ready` or `Provisioning`.
     pub fn live_node_count(&self) -> usize {
@@ -788,7 +756,6 @@ mod tests {
             node_provision_sd: Duration::ZERO,
             controller_interval: Duration::from_secs(10),
             node_idle_timeout: Duration::from_secs(60),
-            serialize_provisioning: true,
             registry_bandwidth_mbps: 50.0,
             preemption_mean_lifetime: None,
             image_pull_jitter: 0.0,
@@ -832,7 +799,6 @@ mod tests {
             request: Resources::cores(4, 15_000, 50_000),
             image,
             group: "wq-worker".into(),
-            anti_affinity: false,
         }
     }
 
@@ -946,6 +912,58 @@ mod tests {
         assert_eq!(c.live_node_count(), 2);
         // 2 pods run (one per node), 3 remain pending.
         assert_eq!(c.pending_pod_count(), 3);
+        assert!(c.check_invariants());
+    }
+
+    #[test]
+    fn pod_pending_during_a_batch_waits_for_the_next_scan() {
+        let mut c = Cluster::new(small_cfg());
+        let img = c.registry_mut().register("worker", 100.0);
+        let mut q = hta_des::EventQueue::new();
+        for (d, e) in c.bootstrap(SimTime::ZERO) {
+            q.schedule_in(d, e);
+        }
+        let pump_until = |c: &mut Cluster, q: &mut hta_des::EventQueue<_>, t: u64| {
+            while q.peek_time().is_some_and(|at| at <= SimTime::from_secs(t)) {
+                let (now, ev) = q.pop().unwrap();
+                for (d, e) in c.handle(now, ev) {
+                    q.schedule_in(d, e);
+                }
+            }
+        };
+        // One node-sized pod fills the bootstrap node; the second makes
+        // the 10 s scan request a node, ready 150 s later.
+        for _ in 0..2 {
+            let (_, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
+            for (d, e) in fx {
+                q.schedule_in(d, e);
+            }
+        }
+        pump_until(&mut c, &mut q, 10);
+        assert_eq!(c.live_node_count(), 2, "the first batch is requested");
+        // A third pod turns pending while that batch is provisioning: the
+        // scans at 60..150 s request nothing for it.
+        pump_until(&mut c, &mut q, 55);
+        let (p3, fx) = c.create_pod(q.now(), worker_spec(img));
+        for (d, e) in fx {
+            q.schedule_in(d, e);
+        }
+        pump_until(&mut c, &mut q, 159);
+        assert_eq!(
+            c.live_node_count(),
+            2,
+            "no request while the batch is in flight"
+        );
+        assert_eq!(c.ready_node_count(), 1);
+        // The batch is ready at 160 s and takes the second pod; the next
+        // scan then requests a node for the third.
+        pump_until(&mut c, &mut q, 160);
+        assert_eq!(c.ready_node_count(), 2);
+        assert_eq!(c.pending_pod_count(), 1);
+        assert!(c.pod(p3).unwrap().node.is_none());
+        pump_until(&mut c, &mut q, 170);
+        assert_eq!(c.live_node_count(), 3, "the next scan requests a node");
+        assert_eq!(c.ready_node_count(), 2);
         assert!(c.check_invariants());
     }
 
@@ -1260,71 +1278,6 @@ mod tests {
     }
 
     #[test]
-    fn anti_affinity_spreads_pods_across_nodes() {
-        let mut c = Cluster::new(small_cfg());
-        let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        // Three tiny anti-affinity pods: CPU-wise they all fit one node,
-        // but the scheduler must give each its own node.
-        let spec = PodSpec {
-            request: Resources::cores(1, 2_000, 5_000),
-            image: img,
-            group: "wq-worker".into(),
-            anti_affinity: true,
-        };
-        let mut fx_all = Vec::new();
-        for _ in 0..3 {
-            let (_, fx) = c.create_pod(SimTime::ZERO, spec.clone());
-            fx_all.extend(fx);
-        }
-        run_to_quiescence(&mut c, fx_all, &mut q, 5000);
-        let pods = c.running_pods_in_group("wq-worker");
-        assert_eq!(pods.len(), 3);
-        let nodes: std::collections::BTreeSet<_> = pods
-            .iter()
-            .map(|p| c.pod(*p).unwrap().node.unwrap())
-            .collect();
-        assert_eq!(nodes.len(), 3, "one node per pod");
-        assert!(c.check_invariants());
-    }
-
-    #[test]
-    fn anti_affinity_only_applies_within_the_group() {
-        let mut c = Cluster::new(small_cfg());
-        let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let worker = PodSpec {
-            request: Resources::cores(1, 2_000, 5_000),
-            image: img,
-            group: "wq-worker".into(),
-            anti_affinity: true,
-        };
-        let sidecar = PodSpec {
-            request: Resources::cores(1, 2_000, 5_000),
-            image: img,
-            group: "sidecar".into(),
-            anti_affinity: false,
-        };
-        let (p1, fx1) = c.create_pod(SimTime::ZERO, worker);
-        let (p2, fx2) = c.create_pod(SimTime::ZERO, sidecar);
-        let mut fx = fx1;
-        fx.extend(fx2);
-        run_to_quiescence(&mut c, fx, &mut q, 2000);
-        // Different groups may share the single bootstrap node.
-        assert_eq!(
-            c.pod(p1).unwrap().node,
-            c.pod(p2).unwrap().node,
-            "cross-group co-location allowed"
-        );
-    }
-
-    #[test]
     fn memory_binds_packing_before_cpu() {
         // 4-core node with 16 GB: 7 GB pods pack 2-per-node even though
         // CPU would allow 4.
@@ -1338,7 +1291,6 @@ mod tests {
             request: Resources::new(1000, 7_000, 5_000),
             image: img,
             group: "wq-worker".into(),
-            anti_affinity: false,
         };
         let mut fx_all = Vec::new();
         for _ in 0..4 {
@@ -1366,7 +1318,6 @@ mod tests {
                 request: Resources::cores(64, 1_000_000, 0),
                 image: img,
                 group: "huge".into(),
-                anti_affinity: false,
             },
         );
         for (d, e) in fx {
@@ -1422,7 +1373,6 @@ mod tests {
             request: Resources::cores(1, 2_000, 5_000),
             image: img,
             group: "wq-worker".into(),
-            anti_affinity: false,
         };
         let mut fx_all = Vec::new();
         for _ in 0..4 {

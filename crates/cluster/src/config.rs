@@ -7,7 +7,7 @@
 //! latency (mean 157.4 s, σ 4.2 s end-to-end; the node-reservation part
 //! here is that total minus the default image pull).
 
-use hta_des::{Backoff, Duration};
+use hta_des::Duration;
 use hta_resources::Resources;
 use serde::{Deserialize, Serialize};
 
@@ -80,12 +80,6 @@ pub struct ClusterConfig {
     /// it. Kubernetes' cluster-autoscaler default is 10 minutes; GKE in
     /// 2019/2020 behaved the same.
     pub node_idle_timeout: Duration,
-    /// Process node reservations in serialized batches: a new batch
-    /// starts only after the previous batch's nodes are ready. This is
-    /// the paper's §IV-B observation ("cluster managers usually process
-    /// reservation requests in batches") and produces the staircase
-    /// scale-up GKE exhibits in Figs. 2 and 10.
-    pub serialize_provisioning: bool,
     /// Bandwidth from the (private, same-region) container registry to a
     /// node, MB/s. Governs image pull time.
     pub registry_bandwidth_mbps: f64,
@@ -116,11 +110,9 @@ pub struct ClusterConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterFaults {
     /// Probability that one image-pull attempt fails (`ErrImagePull`).
-    /// The kubelet retries on the `image_pull_backoff` schedule.
+    /// The kubelet retries on the `hta_des::Backoff::IMAGE_PULL` schedule
+    /// (`ImagePullBackOff` semantics: capped exponential with jitter).
     pub image_pull_fail_rate: f64,
-    /// Retry schedule after a failed pull (`ImagePullBackOff` semantics:
-    /// capped exponential with jitter).
-    pub image_pull_backoff: Backoff,
     /// Give up and fail the pod after this many failed pull attempts
     /// (the layers above observe `PodFailed` and recover — e.g. the
     /// driver re-queues the worker's tasks).
@@ -140,7 +132,6 @@ impl Default for ClusterFaults {
     fn default() -> Self {
         ClusterFaults {
             image_pull_fail_rate: 0.0,
-            image_pull_backoff: Backoff::IMAGE_PULL,
             image_pull_max_attempts: 20,
             node_mttf: None,
             node_mttr: Duration::from_secs(120),
@@ -161,7 +152,6 @@ impl Default for ClusterConfig {
             node_provision_sd: Duration::from_millis(4_000),
             controller_interval: Duration::from_secs(10),
             node_idle_timeout: Duration::from_secs(600),
-            serialize_provisioning: true,
             registry_bandwidth_mbps: 40.0,
             image_pull_jitter: 0.08,
             pod_start_delay: Duration::from_secs(2),

@@ -33,12 +33,6 @@ pub struct HpaConfig {
     pub min_replicas: usize,
     /// Upper replica clamp.
     pub max_replicas: usize,
-    /// Metric sync period (Kubernetes default 15 s).
-    pub sync_interval: Duration,
-    /// Downscale stabilization window (Kubernetes default 300 s).
-    pub downscale_stabilization: Duration,
-    /// Dead-band around the target ratio (Kubernetes default 0.1).
-    pub tolerance: f64,
 }
 
 impl HpaConfig {
@@ -48,12 +42,14 @@ impl HpaConfig {
             target_utilization: target_utilization.clamp(0.01, 1.0),
             min_replicas,
             max_replicas,
-            sync_interval: Duration::from_secs(15),
-            downscale_stabilization: Duration::from_secs(300),
-            tolerance: 0.1,
         }
     }
 }
+
+/// Downscale stabilization window (Kubernetes default 300 s).
+const DOWNSCALE_STABILIZATION: Duration = Duration::from_secs(300);
+/// Dead-band around the target ratio (Kubernetes default 0.1).
+const TOLERANCE: f64 = 0.1;
 
 /// Horizontal Pod Autoscaler controller state.
 #[derive(Debug, Clone)]
@@ -64,17 +60,15 @@ pub struct Hpa {
 }
 
 impl Hpa {
+    /// Metric sync period (Kubernetes default 15 s).
+    pub const SYNC_INTERVAL: Duration = Duration::from_secs(15);
+
     /// A controller with empty history.
     pub fn new(cfg: HpaConfig) -> Self {
         Hpa {
             cfg,
             history: VecDeque::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HpaConfig {
-        &self.cfg
     }
 
     /// One sync: returns the desired replica count.
@@ -95,7 +89,7 @@ impl Hpa {
             Some(util) => {
                 let util = util.max(0.0);
                 let ratio = util / self.cfg.target_utilization;
-                if (ratio - 1.0).abs() <= self.cfg.tolerance {
+                if (ratio - 1.0).abs() <= TOLERANCE {
                     current_replicas
                 } else {
                     // eq. 1, ceil-rounded; at least 1 so the group can
@@ -121,9 +115,8 @@ impl Hpa {
 
     fn record(&mut self, now: SimTime, raw: usize) {
         self.history.push_back((now, raw));
-        let horizon = self.cfg.downscale_stabilization;
         while let Some(&(t, _)) = self.history.front() {
-            if now.since(t) > horizon {
+            if now.since(t) > DOWNSCALE_STABILIZATION {
                 self.history.pop_front();
             } else {
                 break;

@@ -52,7 +52,6 @@
 //!     request: Resources::cores(3, 12_000, 50_000),
 //!     image,
 //!     group: "wq-worker".into(),
-//!     anti_affinity: false,
 //! });
 //! for (d, e) in fx {
 //!     queue.schedule_in(d, e);

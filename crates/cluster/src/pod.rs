@@ -64,11 +64,6 @@ pub struct PodSpec {
     /// Logical group (e.g. `"wq-worker"`): HPA and the provisioner act on
     /// groups, mirroring a Deployment/label-selector.
     pub group: String,
-    /// Pod anti-affinity: when set, the scheduler never co-locates two
-    /// pods of this group on one node (`requiredDuringScheduling` pod
-    /// anti-affinity on the group label) — the hard guarantee behind the
-    /// paper's one-worker-pod-per-node layout (§IV-A).
-    pub anti_affinity: bool,
 }
 
 /// A pod object plus the timestamps the informer exposes.
@@ -118,7 +113,6 @@ mod tests {
             request: Resources::cores(3, 12_000, 50_000),
             image: ImageId(0),
             group: "wq-worker".into(),
-            anti_affinity: false,
         }
     }
 

@@ -82,9 +82,6 @@ pub struct DriverConfig {
     pub operator: OperatorConfig,
     /// Worker pod resource request (§IV-A: node-sized for HTA).
     pub worker_request: Resources,
-    /// Hard anti-affinity between worker pods (never two on one node) —
-    /// guarantees the one-worker-per-node layout even for small workers.
-    pub worker_anti_affinity: bool,
     /// Worker container image size (MB) — drives pull time.
     pub worker_image_mb: f64,
     /// Run the master as a StatefulSet pod in the cluster (§V-A) or
@@ -130,7 +127,6 @@ impl Default for DriverConfig {
             master: MasterConfig::default(),
             operator: OperatorConfig::default(),
             worker_request: Resources::cores(3, 12_000, 50_000),
-            worker_anti_affinity: false,
             worker_image_mb: 500.0,
             master_in_cluster: true,
             master_request: Resources::new(1000, 4_000, 20_000),
@@ -450,7 +446,6 @@ impl SystemDriver {
             request: self.cfg.worker_request,
             image: self.worker_image,
             group: WORKER_GROUP.into(),
-            anti_affinity: self.cfg.worker_anti_affinity,
         }
     }
 
@@ -674,7 +669,6 @@ mod testkit {
                 node_provision_sd: Duration::from_secs(2),
                 controller_interval: Duration::from_secs(10),
                 node_idle_timeout: Duration::from_secs(120),
-                serialize_provisioning: true,
                 registry_bandwidth_mbps: 50.0,
                 image_pull_jitter: 0.0,
                 pod_start_delay: Duration::from_secs(1),
@@ -685,7 +679,6 @@ mod testkit {
             master: MasterConfig {
                 egress_base_mbps: 200.0,
                 egress_overhead_per_flow: 0.0,
-                fast_abort_multiplier: None,
                 peer_transfers: false,
                 peer_bandwidth_mbps: 2_000.0,
                 faults: Default::default(),
@@ -698,7 +691,6 @@ mod testkit {
                 seed: 1,
             },
             worker_request: Resources::cores(3, 12_000, 50_000),
-            worker_anti_affinity: false,
             worker_image_mb: 250.0,
             master_in_cluster: true,
             master_request: Resources::new(1000, 2_000, 5_000),

@@ -18,7 +18,6 @@ impl SystemDriver {
             request: self.cfg.master_request,
             image: self.master_image,
             group: MASTER_GROUP.into(),
-            anti_affinity: false,
         };
         let (pod, fx) = self.cluster.create_pod(now, spec);
         self.master_pod = Some(pod);
@@ -311,13 +310,6 @@ impl SystemDriver {
                         if self.trace.is_enabled() {
                             self.trace
                                 .push(now, "wq", format!("{t} re-queued (worker killed)"));
-                        }
-                    }
-                    WqNotification::TaskFastAborted(t) => {
-                        self.interrupted += 1;
-                        if self.trace.is_enabled() {
-                            self.trace
-                                .push(now, "wq", format!("{t} fast-aborted (straggler)"));
                         }
                     }
                     WqNotification::TaskFailed { task, cat, .. } => {

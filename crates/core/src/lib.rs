@@ -94,5 +94,5 @@ pub use oracle::OraclePolicy;
 pub use policy::{
     FixedPolicy, HoldPolicy, HpaPolicy, HtaPolicy, PolicyContext, ScaleAction, ScalingPolicy,
 };
-pub use target_tracking::{TargetTrackingConfig, TargetTrackingPolicy};
+pub use target_tracking::TargetTrackingPolicy;
 pub use whatif::{BranchOutcome, BranchSpec, BranchStop, WhatIf};

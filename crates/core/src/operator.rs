@@ -672,7 +672,6 @@ mod tests {
             MasterConfig {
                 egress_base_mbps: 100.0,
                 egress_overhead_per_flow: 0.0,
-                fast_abort_multiplier: None,
                 peer_transfers: false,
                 peer_bandwidth_mbps: 2_000.0,
                 faults: Default::default(),

@@ -114,56 +114,34 @@ impl Clone for Box<dyn ScalingPolicy> {
 // HTA
 // ----------------------------------------------------------------------
 
+/// Re-evaluation interval when the estimator has nothing to do.
+const DEFAULT_CYCLE: Duration = Duration::from_secs(30);
+/// Expected execution time for categories with no measurement yet.
+const DEFAULT_EXEC: Duration = Duration::from_secs(60);
+/// Lower bound between evaluations (avoid zero-delay loops).
+const MIN_INTERVAL: Duration = Duration::from_secs(5);
+/// Upper bound between evaluations (stay responsive to new stages).
+const MAX_INTERVAL: Duration = Duration::from_secs(120);
+/// Telemetry staleness bound: when the context's `telemetry_age`
+/// exceeds it, the policy freezes (holds the pool) instead of acting on
+/// a stale picture of the cluster — graceful degradation during a
+/// network partition rather than scale thrash.
+const STALENESS_BOUND: Duration = Duration::from_secs(60);
+/// At most this many waiting tasks enter Algorithm 1's forward
+/// simulation (its cost is quadratic in the input). The truncated tail
+/// is not dropped: it is summarized into the estimator's `overflow`
+/// groups, which suppress scale-down and size scale-up arithmetically —
+/// so an open-loop backlog of hundreds of thousands still saturates the
+/// decision at "scale out to the quota" while each decision stays
+/// O(cap²). Every closed workflow workload (queues of a few hundred)
+/// fits under the cap and is bit-exact.
+const ESTIMATOR_QUEUE_CAP: usize = 1024;
+
 /// Tuning for [`HtaPolicy`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HtaConfig {
-    /// Re-evaluation interval when the estimator has nothing to do.
-    pub default_cycle: Duration,
-    /// Expected execution time for categories with no measurement yet.
-    pub default_exec: Duration,
-    /// Lower bound between evaluations (avoid zero-delay loops).
-    pub min_interval: Duration,
-    /// Upper bound between evaluations (stay responsive to new stages).
-    pub max_interval: Duration,
     /// Capacity model for the estimator (ablation knob).
     pub estimator_mode: EstimatorMode,
-    /// Standby floor: never drain below this many worker pods while the
-    /// workload is running (a production guardrail against the
-    /// probe/stage-boundary churn; 0 = paper behaviour).
-    pub min_pool: usize,
-    /// At most this many workers drained per decision (rate limit; the
-    /// next cycle re-evaluates). `usize::MAX` = paper behaviour.
-    pub max_drain_per_cycle: usize,
-    /// Telemetry staleness bound: when the context's `telemetry_age`
-    /// exceeds it, the policy freezes (holds the pool) instead of acting
-    /// on a stale picture of the cluster — graceful degradation during a
-    /// network partition rather than scale thrash.
-    pub staleness_bound: Duration,
-    /// At most this many waiting tasks enter Algorithm 1's forward
-    /// simulation (its cost is quadratic in the input). The truncated
-    /// tail is not dropped: it is summarized into the estimator's
-    /// `overflow` groups, which suppress scale-down and size scale-up
-    /// arithmetically — so an open-loop backlog of hundreds of thousands
-    /// still saturates the decision at "scale out to the quota" while
-    /// each decision stays O(cap²). Every closed workflow workload
-    /// (queues of a few hundred) fits under the cap and is bit-exact.
-    pub estimator_queue_cap: usize,
-}
-
-impl Default for HtaConfig {
-    fn default() -> Self {
-        HtaConfig {
-            default_cycle: Duration::from_secs(30),
-            default_exec: Duration::from_secs(60),
-            min_interval: Duration::from_secs(5),
-            max_interval: Duration::from_secs(120),
-            estimator_mode: EstimatorMode::Aggregate,
-            min_pool: 0,
-            max_drain_per_cycle: usize::MAX,
-            staleness_bound: Duration::from_secs(60),
-            estimator_queue_cap: 1024,
-        }
-    }
 }
 
 /// The paper's well-informed feedback autoscaler.
@@ -185,7 +163,6 @@ impl HtaPolicy {
     /// Build the estimator's view from the queue snapshot.
     fn build_input(&self, ctx: &PolicyContext<'_>) -> EstimatorInput {
         let stats = ctx.stats;
-        let default_exec = self.cfg.default_exec;
 
         let running: Vec<RunningTask> = ctx
             .queue
@@ -195,7 +172,7 @@ impl HtaPolicy {
                 let mean = stats
                     .estimate(r.cat)
                     .map(|e| e.mean_wall)
-                    .unwrap_or(default_exec);
+                    .unwrap_or(DEFAULT_EXEC);
                 let elapsed = r
                     .started_at
                     .map(|s| ctx.now.since(s))
@@ -211,14 +188,14 @@ impl HtaPolicy {
             .queue
             .waiting
             .iter()
-            .take(self.cfg.estimator_queue_cap)
+            .take(ESTIMATOR_QUEUE_CAP)
             .map(|w| {
                 let est = stats.estimate(w.cat);
                 let resources = w
                     .declared
                     .or(est.map(|e| e.resources))
                     .unwrap_or(ctx.worker_unit);
-                let exec = est.map(|e| e.mean_wall).unwrap_or(default_exec);
+                let exec = est.map(|e| e.mean_wall).unwrap_or(DEFAULT_EXEC);
                 WaitingTask { resources, exec }
             })
             .collect();
@@ -228,7 +205,7 @@ impl HtaPolicy {
         // pass over the snapshot at policy ticks only (the per-second
         // sampler never walks the queue).
         let mut overflow: Vec<(Resources, usize)> = Vec::new();
-        for w in ctx.queue.waiting.iter().skip(self.cfg.estimator_queue_cap) {
+        for w in ctx.queue.waiting.iter().skip(ESTIMATOR_QUEUE_CAP) {
             let resources = w
                 .declared
                 .or(stats.estimate(w.cat).map(|e| e.resources))
@@ -270,7 +247,7 @@ impl HtaPolicy {
 
         EstimatorInput {
             rsrc_init_time: ctx.init_time,
-            default_cycle: self.cfg.default_cycle,
+            default_cycle: DEFAULT_CYCLE,
             running,
             waiting,
             active_workers,
@@ -291,27 +268,25 @@ impl ScalingPolicy for HtaPolicy {
             self.last_desired = 0;
             let live = ctx.live_worker_pods;
             return if live > 0 {
-                (ScaleAction::DrainWorkers(live), self.cfg.default_cycle)
+                (ScaleAction::DrainWorkers(live), DEFAULT_CYCLE)
             } else {
-                (ScaleAction::None, self.cfg.default_cycle)
+                (ScaleAction::None, DEFAULT_CYCLE)
             };
         }
-        if ctx.telemetry_age > self.cfg.staleness_bound {
+        if ctx.telemetry_age > STALENESS_BOUND {
             // The inputs are a stale picture of the cluster (heartbeats
             // have stopped arriving — likely a partition). Freeze the
             // pool and re-check soon; acting would thrash against a state
             // we cannot observe.
             self.last_desired = ctx.live_worker_pods;
-            return (ScaleAction::None, self.cfg.min_interval);
+            return (ScaleAction::None, MIN_INTERVAL);
         }
         let input = self.build_input(ctx);
         let ScaleDecision { delta, next_action } = match self.cfg.estimator_mode {
             EstimatorMode::Aggregate => estimate(&input),
             EstimatorMode::PerWorker => estimate_per_worker(&input),
         };
-        let next = next_action
-            .max(self.cfg.min_interval)
-            .min(self.cfg.max_interval);
+        let next = next_action.max(MIN_INTERVAL).min(MAX_INTERVAL);
         let action = if delta > 0 {
             let headroom = ctx.max_workers.saturating_sub(ctx.live_worker_pods);
             let n = (delta as usize).min(headroom);
@@ -322,11 +297,7 @@ impl ScalingPolicy for HtaPolicy {
                 ScaleAction::CreateWorkers(n)
             }
         } else if delta < 0 {
-            let n = (-delta) as usize;
-            // Guardrails: the standby floor and the per-cycle drain limit.
-            let floor = self.cfg.min_pool.min(ctx.max_workers);
-            let drainable = ctx.live_worker_pods.saturating_sub(floor);
-            let n = n.min(drainable).min(self.cfg.max_drain_per_cycle);
+            let n = ((-delta) as usize).min(ctx.live_worker_pods);
             self.last_desired = ctx.live_worker_pods - n;
             if n == 0 {
                 ScaleAction::None
@@ -383,7 +354,6 @@ impl ScalingPolicy for HpaPolicy {
     }
 
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> (ScaleAction, Duration) {
-        let sync = self.hpa.config().sync_interval;
         let desired = self
             .hpa
             .tick(ctx.now, ctx.live_worker_pods, ctx.utilization)
@@ -397,7 +367,7 @@ impl ScalingPolicy for HpaPolicy {
         } else {
             ScaleAction::None
         };
-        (action, sync)
+        (action, Hpa::SYNC_INTERVAL)
     }
 
     fn desired(&self) -> usize {
@@ -655,39 +625,6 @@ mod tests {
         let mut p = HtaPolicy::new(HtaConfig::default());
         let (action, _) = p.decide(&ctx(&q, &stats, &[], 4));
         assert_eq!(action, ScaleAction::DrainWorkers(4));
-    }
-
-    #[test]
-    fn min_pool_floor_limits_drains() {
-        let mut q = empty_queue();
-        q.workers = idle_workers(6);
-        let stats = CategoryStats::new();
-        let mut p = HtaPolicy::new(HtaConfig {
-            min_pool: 4,
-            ..HtaConfig::default()
-        });
-        // Fully idle pool of 6 would drain 6; the floor keeps 4.
-        let (action, _) = p.decide(&ctx(&q, &stats, &[], 6));
-        assert_eq!(action, ScaleAction::DrainWorkers(2));
-        assert_eq!(p.desired(), 4);
-        // Clean-up ignores the floor.
-        let mut done = ctx(&q, &stats, &[], 6);
-        done.workload_done = true;
-        let (action, _) = p.decide(&done);
-        assert_eq!(action, ScaleAction::DrainWorkers(6));
-    }
-
-    #[test]
-    fn drain_rate_limit_caps_each_cycle() {
-        let mut q = empty_queue();
-        q.workers = idle_workers(8);
-        let stats = CategoryStats::new();
-        let mut p = HtaPolicy::new(HtaConfig {
-            max_drain_per_cycle: 3,
-            ..HtaConfig::default()
-        });
-        let (action, _) = p.decide(&ctx(&q, &stats, &[], 8));
-        assert_eq!(action, ScaleAction::DrainWorkers(3));
     }
 
     #[test]

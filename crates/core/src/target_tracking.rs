@@ -19,55 +19,32 @@ use hta_des::{Duration, SimTime};
 
 use crate::policy::{PolicyContext, ScaleAction, ScalingPolicy};
 
-/// Target-tracking configuration.
-#[derive(Debug, Clone)]
-pub struct TargetTrackingConfig {
-    /// Desired waiting tasks per live worker.
-    pub target_backlog_per_worker: f64,
-    /// Evaluation period.
-    pub sync_interval: Duration,
-    /// Scale-in cooldown (AWS default: 300 s).
-    pub scale_in_cooldown: Duration,
-    /// Lower clamp.
-    pub min_workers: usize,
-}
-
-impl Default for TargetTrackingConfig {
-    fn default() -> Self {
-        TargetTrackingConfig {
-            target_backlog_per_worker: 2.0,
-            sync_interval: Duration::from_secs(15),
-            scale_in_cooldown: Duration::from_secs(300),
-            min_workers: 1,
-        }
-    }
-}
+/// Desired waiting tasks per live worker.
+const TARGET_BACKLOG_PER_WORKER: f64 = 2.0;
+/// Evaluation period.
+const SYNC_INTERVAL: Duration = Duration::from_secs(15);
+/// Scale-in cooldown (AWS default: 300 s).
+const SCALE_IN_COOLDOWN: Duration = Duration::from_secs(300);
+/// Lower clamp.
+const MIN_WORKERS: usize = 1;
 
 /// The policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TargetTrackingPolicy {
-    cfg: TargetTrackingConfig,
     last_desired: usize,
     last_scale_in: Option<SimTime>,
 }
 
 impl TargetTrackingPolicy {
     /// A fresh controller.
-    pub fn new(cfg: TargetTrackingConfig) -> Self {
-        TargetTrackingPolicy {
-            cfg,
-            last_desired: 0,
-            last_scale_in: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 impl ScalingPolicy for TargetTrackingPolicy {
     fn name(&self) -> String {
-        format!(
-            "TargetTracking({}/worker)",
-            self.cfg.target_backlog_per_worker
-        )
+        format!("TargetTracking({TARGET_BACKLOG_PER_WORKER}/worker)")
     }
 
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> (ScaleAction, Duration) {
@@ -76,23 +53,20 @@ impl ScalingPolicy for TargetTrackingPolicy {
             return if ctx.live_worker_pods > 0 {
                 (
                     ScaleAction::DrainWorkers(ctx.live_worker_pods),
-                    self.cfg.sync_interval,
+                    SYNC_INTERVAL,
                 )
             } else {
-                (ScaleAction::None, self.cfg.sync_interval)
+                (ScaleAction::None, SYNC_INTERVAL)
             };
         }
         let backlog =
             ctx.queue.waiting.len() + ctx.held_jobs.iter().map(|(_, n)| *n).sum::<usize>();
         let live = ctx.live_worker_pods.max(1);
         let metric = backlog as f64 / live as f64;
-        let raw = ((live as f64) * metric / self.cfg.target_backlog_per_worker).ceil() as usize;
+        let raw = ((live as f64) * metric / TARGET_BACKLOG_PER_WORKER).ceil() as usize;
         // Keep at least enough workers for what is running.
         let busy_floor = if ctx.queue.running.is_empty() { 0 } else { 1 };
-        let desired = raw
-            .max(self.cfg.min_workers)
-            .max(busy_floor)
-            .min(ctx.max_workers);
+        let desired = raw.max(MIN_WORKERS).max(busy_floor).min(ctx.max_workers);
         self.last_desired = desired;
         let action = if desired > ctx.live_worker_pods {
             ScaleAction::CreateWorkers(desired - ctx.live_worker_pods)
@@ -100,7 +74,7 @@ impl ScalingPolicy for TargetTrackingPolicy {
             // Scale-in cooldown.
             let ok = self
                 .last_scale_in
-                .map(|t| ctx.now.since(t) >= self.cfg.scale_in_cooldown)
+                .map(|t| ctx.now.since(t) >= SCALE_IN_COOLDOWN)
                 .unwrap_or(true);
             if ok {
                 self.last_scale_in = Some(ctx.now);
@@ -111,7 +85,7 @@ impl ScalingPolicy for TargetTrackingPolicy {
         } else {
             ScaleAction::None
         };
-        (action, self.cfg.sync_interval)
+        (action, SYNC_INTERVAL)
     }
 
     fn desired(&self) -> usize {
@@ -179,7 +153,7 @@ mod tests {
 
     #[test]
     fn tracks_backlog_target() {
-        let mut p = TargetTrackingPolicy::new(TargetTrackingConfig::default());
+        let mut p = TargetTrackingPolicy::new();
         let q = backlog(20);
         let stats = CategoryStats::new();
         // 20 waiting / target 2 per worker → 10 desired.
@@ -191,7 +165,7 @@ mod tests {
 
     #[test]
     fn scale_in_respects_cooldown() {
-        let mut p = TargetTrackingPolicy::new(TargetTrackingConfig::default());
+        let mut p = TargetTrackingPolicy::new();
         let stats = CategoryStats::new();
         let empty = backlog(0);
         // First scale-in applies…
@@ -207,7 +181,7 @@ mod tests {
 
     #[test]
     fn quota_clamped_and_cleanup() {
-        let mut p = TargetTrackingPolicy::new(TargetTrackingConfig::default());
+        let mut p = TargetTrackingPolicy::new();
         let stats = CategoryStats::new();
         let q = backlog(500);
         let (action, _) = p.decide(&ctx(&q, &stats, 1, 0));

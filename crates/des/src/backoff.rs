@@ -1,20 +1,19 @@
 //! Capped exponential backoff with optional jitter.
 //!
-//! The retry schedule used across the stack for transient faults —
-//! kubelet image-pull retries (`ImagePullBackOff` semantics), node
-//! replacement, and any other "try again later" path. The schedule is
+//! The retry schedule used across the stack for transient faults: the
+//! kubelet's image-pull retries ([`Backoff::IMAGE_PULL`],
+//! `ImagePullBackOff` semantics) and the control channel's dispatch
+//! retransmits ([`Backoff::DISPATCH_RETRY`]). The schedule is
 //! the classic capped doubling series `min(base · factor^attempt, cap)`;
 //! [`Backoff::jittered`] multiplies each delay by a uniform factor drawn
 //! from a [`SimRng`] so synchronized failures do not retry in lock-step
 //! (the thundering-herd guard real schedulers apply).
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 use crate::time::Duration;
 
 /// A capped exponential retry schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Delay before the first retry (attempt 0).
     pub base: Duration,
@@ -27,15 +26,16 @@ pub struct Backoff {
     pub jitter: f64,
 }
 
-impl Default for Backoff {
-    /// A general-purpose schedule: 5 s doubling to a 60 s cap, ±10 %
-    /// jitter (the control-channel dispatch-retry default).
-    fn default() -> Self {
-        Backoff::doubling(Duration::from_secs(5), Duration::from_secs(60))
-    }
-}
-
 impl Backoff {
+    /// Control-channel dispatch-retry schedule (at-least-once delivery):
+    /// 5 s doubling to a 60 s cap, ±10 % jitter.
+    pub const DISPATCH_RETRY: Backoff = Backoff {
+        base: Duration::from_secs(5),
+        cap: Duration::from_secs(60),
+        factor: 2.0,
+        jitter: 0.1,
+    };
+
     /// Kubernetes-style image-pull schedule: 10 s doubling to a 300 s
     /// cap, ±10 % jitter.
     pub const IMAGE_PULL: Backoff = Backoff {
@@ -44,16 +44,6 @@ impl Backoff {
         factor: 2.0,
         jitter: 0.1,
     };
-
-    /// A doubling schedule from `base` to `cap` with ±10 % jitter.
-    pub fn doubling(base: Duration, cap: Duration) -> Self {
-        Backoff {
-            base,
-            cap,
-            factor: 2.0,
-            jitter: 0.1,
-        }
-    }
 
     /// The deterministic delay before retry number `attempt` (0-based):
     /// `min(base · factor^attempt, cap)`.
@@ -77,7 +67,7 @@ mod tests {
 
     #[test]
     fn schedule_doubles_then_caps() {
-        let b = Backoff::doubling(Duration::from_secs(10), Duration::from_secs(300));
+        let b = Backoff::IMAGE_PULL;
         assert_eq!(b.delay(0), Duration::from_secs(10));
         assert_eq!(b.delay(1), Duration::from_secs(20));
         assert_eq!(b.delay(2), Duration::from_secs(40));

@@ -94,10 +94,6 @@ pub struct NetworkFaults {
     /// `Duration::ZERO` disables the liveness machinery entirely.
     #[serde(default)]
     pub lease: Duration,
-    /// Retry schedule for unacknowledged dispatches (at-least-once
-    /// delivery).
-    #[serde(default)]
-    pub retry: Backoff,
     /// Seed for the channel's fault RNG stream. A plan loaded from JSON
     /// without one gets seed 0 — still fully deterministic; the core
     /// `FaultPlan` stamps a derived seed over it either way.
@@ -115,7 +111,6 @@ impl Default for NetworkFaults {
             reorder: 0.0,
             partitions: Vec::new(),
             lease: Duration::ZERO,
-            retry: Backoff::default(),
             seed: 0x4E45_5431, // "NET1"
         }
     }
@@ -274,7 +269,7 @@ impl NetChannel {
     /// own fault stream (keeps retry timing on the same seeded schedule
     /// as the faults that caused it).
     pub fn retry_delay(&mut self, attempt: u32) -> Duration {
-        self.cfg.retry.jittered(attempt, &mut self.rng)
+        Backoff::DISPATCH_RETRY.jittered(attempt, &mut self.rng)
     }
 }
 
@@ -455,7 +450,6 @@ mod tests {
     fn legacy_json_without_network_fields_deserializes() {
         let cfg: NetworkFaults = serde_json::from_str("{}").expect("all fields defaulted");
         assert!(!cfg.is_active(), "empty JSON is a zero-fault plan");
-        assert_eq!(cfg.retry, Backoff::default());
         let cfg: NetworkFaults = serde_json::from_str(r#"{"loss": 0.1}"#).expect("partial config");
         assert!(cfg.is_active());
     }

@@ -64,7 +64,6 @@ impl<S: SnapshotState> Checkpoint<S> {
 #[derive(Debug, Clone)]
 pub struct Wal<T> {
     records: Vec<T>,
-    appended_total: u64,
     truncations: u64,
 }
 
@@ -79,7 +78,6 @@ impl<T> Wal<T> {
     pub fn new() -> Self {
         Wal {
             records: Vec::new(),
-            appended_total: 0,
             truncations: 0,
         }
     }
@@ -87,14 +85,11 @@ impl<T> Wal<T> {
     /// Append one decision record.
     pub fn append(&mut self, record: T) {
         self.records.push(record);
-        self.appended_total += 1;
     }
 
     /// Append every record drained from a producer.
     pub fn extend(&mut self, records: impl IntoIterator<Item = T>) {
-        for r in records {
-            self.append(r);
-        }
+        self.records.extend(records);
     }
 
     /// Records appended since the last [`truncate`](Self::truncate), in
@@ -126,11 +121,6 @@ impl<T> Wal<T> {
     pub fn truncate(&mut self) {
         self.records.clear();
         self.truncations += 1;
-    }
-
-    /// Total records ever appended (diagnostics; survives truncation).
-    pub fn appended_total(&self) -> u64 {
-        self.appended_total
     }
 
     /// Number of checkpoint truncations performed.
@@ -212,11 +202,9 @@ mod tests {
         assert_eq!(wal.len(), 3);
         wal.truncate();
         assert!(wal.is_empty());
-        assert_eq!(wal.appended_total(), 3, "total survives truncation");
         assert_eq!(wal.truncations(), 1);
         wal.append(4);
         assert_eq!(wal.records(), &[4]);
-        assert_eq!(wal.appended_total(), 4);
     }
 
     #[test]
@@ -238,7 +226,6 @@ mod tests {
         assert_eq!(wal.take_records(), vec![1, 2]);
         assert!(wal.is_empty());
         assert_eq!(wal.truncations(), 0, "only checkpoints count truncations");
-        assert_eq!(wal.appended_total(), 2);
         wal.append(3);
         assert_eq!(wal.records(), &[3]);
     }

@@ -26,33 +26,31 @@ use hta_core::whatif::{BranchOutcome, BranchSpec, WhatIf};
 use hta_core::{PolicyContext, ScaleAction, ScalingPolicy};
 use hta_des::{branch_salt, Duration};
 
+/// Candidate pool deltas evaluated at each decision point.
+const DELTAS: [i32; 7] = [-2, -1, 0, 1, 2, 3, 4];
+/// Event cap per branch rollout.
+const MAX_EVENTS_PER_BRANCH: u64 = 100_000;
+/// Abandon a candidate's remaining ensemble rollouts once its mean score
+/// exceeds this multiple of the best mean seen so far.
+const EARLY_ABORT_FACTOR: f64 = 3.0;
+
 /// Tuning for the [`ForecastEngine`].
 #[derive(Debug, Clone)]
 pub struct ForecastConfig {
-    /// Candidate pool deltas evaluated at each decision point.
-    pub deltas: Vec<i32>,
     /// RNG partitions (branch seeds) per candidate. 1 = single rollout;
     /// more average out stochastic noise at proportional cost.
     pub ensemble: usize,
-    /// Event cap per branch rollout.
-    pub max_events_per_branch: u64,
     /// Hard cap on branch rollouts per decision (the branch-budget knob:
     /// candidates beyond the budget are not evaluated and the report is
     /// marked truncated).
     pub max_branches: usize,
-    /// Abandon a candidate's remaining ensemble rollouts once its mean
-    /// score exceeds this multiple of the best mean seen so far.
-    pub early_abort_factor: f64,
 }
 
 impl Default for ForecastConfig {
     fn default() -> Self {
         ForecastConfig {
-            deltas: vec![-2, -1, 0, 1, 2, 3, 4],
             ensemble: 2,
-            max_events_per_branch: 100_000,
             max_branches: 32,
-            early_abort_factor: 3.0,
         }
     }
 }
@@ -184,7 +182,7 @@ impl ForecastEngine {
     /// positive delta is `None` when the pool is at `max_workers`).
     pub fn delta_candidates(&self, live: usize, max_workers: usize) -> Vec<Candidate> {
         let mut out: Vec<Candidate> = Vec::new();
-        for &delta in &self.cfg.deltas {
+        for delta in DELTAS {
             let action = if delta > 0 {
                 let n = (delta as usize).min(max_workers.saturating_sub(live));
                 if n == 0 {
@@ -241,7 +239,7 @@ impl ForecastEngine {
                     salt,
                     initial_action: cand.action,
                     horizon,
-                    max_events: self.cfg.max_events_per_branch,
+                    max_events: MAX_EVENTS_PER_BRANCH,
                 };
                 let outcome = world.branch(&spec);
                 branches_run += 1;
@@ -251,7 +249,7 @@ impl ForecastEngine {
                 // candidate already far above the best mean.
                 if best_score.is_finite() {
                     let mean = Self::mean_objective(&outcomes);
-                    if mean > self.cfg.early_abort_factor * best_score {
+                    if mean > EARLY_ABORT_FACTOR * best_score {
                         break;
                     }
                 }
@@ -555,7 +553,6 @@ mod tests {
         let mut engine = ForecastEngine::new(ForecastConfig {
             max_branches: 3,
             ensemble: 2,
-            ..ForecastConfig::default()
         });
         let candidates = engine.delta_candidates(5, 20);
         assert!(candidates.len() * 2 > 3, "budget actually binds");

@@ -41,7 +41,6 @@ fn driver_cfg(seed: u64) -> DriverConfig {
             node_provision_sd: Duration::from_secs(2),
             controller_interval: Duration::from_secs(10),
             node_idle_timeout: Duration::from_secs(120),
-            serialize_provisioning: true,
             registry_bandwidth_mbps: 50.0,
             image_pull_jitter: 0.0,
             pod_start_delay: Duration::from_secs(1),
@@ -52,7 +51,6 @@ fn driver_cfg(seed: u64) -> DriverConfig {
         master: MasterConfig {
             egress_base_mbps: 200.0,
             egress_overhead_per_flow: 0.0,
-            fast_abort_multiplier: None,
             peer_transfers: false,
             peer_bandwidth_mbps: 2_000.0,
             faults: Default::default(),
@@ -65,7 +63,6 @@ fn driver_cfg(seed: u64) -> DriverConfig {
             seed: seed.wrapping_add(1),
         },
         worker_request: Resources::cores(3, 12_000, 50_000),
-        worker_anti_affinity: false,
         worker_image_mb: 250.0,
         master_in_cluster: true,
         master_request: Resources::new(1000, 2_000, 5_000),

@@ -54,7 +54,7 @@
 //!   only to `channel`, so staging starts only when a dispatch arrives;
 //! * `lease` — heartbeats, lease expiry and the dispatch and completion
 //!   retransmits;
-//! * `faults` — injected attempt failures, fast abort and speculation;
+//! * `faults` — injected attempt failures and speculation;
 //! * `snapshot` — the incrementally kept autoscaler view ([`QueueStatus`]);
 //! * `recovery` — the checkpoint-restore and WAL-replay hooks;
 //! * `sanitize` — [`Master::assert_invariants`].
@@ -100,9 +100,6 @@ pub enum WqEvent {
     /// A task's execution finished; stale when the tagged run generation
     /// no longer matches the record's (the run was interrupted).
     TaskFinished(TaskId, u64),
-    /// Straggler check for one task (armed at dispatch when fast abort is
-    /// enabled); stale under the same run-generation rule.
-    FastAbortCheck(TaskId, u64),
     /// Wake up to progress the worker-to-worker transfer link.
     PeerLinkWake(u64),
     /// An execution attempt died partway through (fault injection); stale
@@ -167,8 +164,6 @@ pub enum WqNotification {
     },
     /// A task was re-queued because its worker was killed.
     TaskRequeued(TaskId),
-    /// A straggling task was aborted by fast abort and re-queued.
-    TaskFastAborted(TaskId),
     /// A task exhausted its retry budget, is permanently failed and left
     /// the master.
     TaskFailed {
@@ -196,11 +191,6 @@ pub struct MasterConfig {
     pub egress_base_mbps: f64,
     /// Concurrency-overhead coefficient of the link model.
     pub egress_overhead_per_flow: f64,
-    /// Work Queue's fast-abort multiplier
-    /// (`work_queue_activate_fast_abort`): a running task exceeding
-    /// `multiplier ×` its category's mean execution time is killed and
-    /// re-queued on another worker. `None` disables straggler mitigation.
-    pub fast_abort_multiplier: Option<f64>,
     /// Worker-to-worker transfers of cached files: a cacheable input that
     /// another worker already holds is fetched peer-to-peer over the
     /// cluster network instead of the master's uplink. Off by default —
@@ -223,7 +213,6 @@ impl Default for MasterConfig {
         MasterConfig {
             egress_base_mbps: 600.0,
             egress_overhead_per_flow: 0.083,
-            fast_abort_multiplier: None,
             peer_transfers: false,
             peer_bandwidth_mbps: 2_000.0,
             faults: TaskFaults::default(),
@@ -238,7 +227,7 @@ struct CatWall {
     total_ms: u128,
     count: u64,
     /// `total_ms / count`, recomputed on observation so the hot readers
-    /// ([`Master::mean_wall_id`], fast-abort/straggler arming) never
+    /// ([`Master::mean_wall_id`], straggler arming) never
     /// divide.
     mean: Duration,
 }
@@ -290,7 +279,6 @@ pub struct Master {
     /// sum of a bit-mixed id), so crash-equivalence checks can compare
     /// completion *sets* although finished records are gone.
     completed_digest: u64,
-    fast_abort_multiplier: Option<f64>,
     /// Mean observed wall per category, indexed by [`CategoryId`].
     cat_wall: Vec<CatWall>,
     faults: TaskFaults,
@@ -396,7 +384,6 @@ impl Master {
             completed_count: 0,
             failed_count: 0,
             completed_digest: 0,
-            fast_abort_multiplier: cfg.fast_abort_multiplier,
             cat_wall: Vec::new(),
             rng: SimRng::seed_from_u64(cfg.faults.seed),
             faults: cfg.faults,
@@ -572,7 +559,6 @@ impl Master {
                 // channel (inline when the channel is fault-free).
                 self.report_completion(now, task, run_gen, 0, fx)
             }
-            WqEvent::FastAbortCheck(task, run_gen) => self.fast_abort_check(now, task, run_gen, fx),
             WqEvent::TaskAttemptFailed(task, run_gen, kind) => {
                 self.task_attempt_failed(now, task, run_gen, kind, fx)
             }
@@ -668,12 +654,6 @@ impl Master {
                 WqEvent::TaskAttemptFailed(task, generation, kind),
             ),
             None => fx.push(duration, WqEvent::TaskFinished(task, generation)),
-        }
-        if let Some(mult) = self.fast_abort_multiplier {
-            if let Some(mean) = self.mean_wall_id(cat) {
-                let deadline = mean.mul_f64(mult.max(1.0));
-                fx.push(deadline, WqEvent::FastAbortCheck(task, generation));
-            }
         }
         if let Some(factor) = self.faults.straggler_factor {
             if let Some(mean) = self.mean_wall_id(cat) {

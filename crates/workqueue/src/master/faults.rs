@@ -1,6 +1,6 @@
 //! Task-level faults and straggler mitigation: injected attempt
-//! failures with their retry budget and OOM escalation, Work Queue's
-//! fast abort, and speculative duplicates.
+//! failures with their retry budget and OOM escalation, and speculative
+//! duplicates.
 
 use hta_des::{Duration, EffectSink, SimTime};
 use hta_resources::Resources;
@@ -72,47 +72,6 @@ pub struct TaskFaultStats {
 }
 
 impl Master {
-    /// Kill and re-queue a task that has been running far past its
-    /// category's mean (Work Queue's fast abort).
-    pub(super) fn fast_abort_check(
-        &mut self,
-        now: SimTime,
-        task: TaskId,
-        run_gen: u64,
-        fx: &mut EffectSink<WqEvent>,
-    ) {
-        let wid = {
-            let Some(rec) = self.tasks.get(&task) else {
-                return;
-            };
-            if rec.run_generation != run_gen {
-                return;
-            }
-            let TaskState::Running(wid) = rec.state else {
-                return;
-            };
-            wid
-        };
-        // The aborted run's duplicate (if any) restarts with the retry.
-        self.cancel_speculation(now, task);
-        // Abort: bump the generation (stales the pending TaskFinished),
-        // free the worker, re-queue at the front.
-        let rec = self.tasks.get_mut(&task).expect("checked above");
-        rec.state = TaskState::Waiting;
-        rec.allocation = None;
-        rec.started_at = None;
-        rec.run_generation += 1;
-        rec.interruptions += 1;
-        self.waiting
-            .push_front(task, rec.spec.cat, rec.spec.declared);
-        self.waiting_dirty = true;
-        self.notifications
-            .push(WqNotification::TaskFastAborted(task));
-        self.refresh_task_snap(task);
-        self.release_from_worker(now, wid, task);
-        self.dispatch(now, fx);
-    }
-
     /// Decide whether the execution attempt about to start will fail, and
     /// if so how and at what fraction of its run. Draws nothing when both
     /// fault rates are zero (RNG-stream preservation).
@@ -376,74 +335,6 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use crate::master::testkit::*;
-
-    #[test]
-    fn fast_abort_requeues_straggler() {
-        let (cat, db) = catalog_with_db();
-        let mut m = new_master(
-            MasterConfig {
-                egress_base_mbps: 100.0,
-                egress_overhead_per_flow: 0.0,
-                fast_abort_multiplier: Some(2.0),
-                ..MasterConfig::default()
-            },
-            cat,
-        );
-        let mut q = EventQueue::new();
-        let mut fx = EffectSink::new();
-        let _w1 = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
-        run(&mut m, &mut q, &mut fx, 5);
-        let decl = Some(Resources::cores(1, 2_000, 2_000));
-        // Establish the category mean with a normal 60 s task…
-        m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
-        run(&mut m, &mut q, &mut fx, 100);
-        assert_eq!(m.completed_count(), 1);
-        // …then a straggler that would run 1000 s (mean 60 × 2 = 120 s
-        // threshold). It gets aborted and re-run; the rerun also exceeds
-        // the threshold, so it keeps cycling until the mean catches up or
-        // the test's event budget ends — so give the rerun a sane length
-        // by checking the first abort only.
-        let mut straggler = cpu_task(1, db, decl);
-        straggler.exec = ExecModel::cpu_bound(Duration::from_secs(1_000));
-        m.submit(q.now(), straggler, &mut fx);
-        sched(&mut q, &mut fx);
-        // Pump until the abort notification shows up.
-        let mut aborted = false;
-        for _ in 0..200 {
-            let Some((now, ev)) = q.pop() else { break };
-            m.handle(now, ev, &mut fx);
-            sched(&mut q, &mut fx);
-            if m.drain_notifications()
-                .iter()
-                .any(|n| matches!(n, WqNotification::TaskFastAborted(TaskId(1))))
-            {
-                aborted = true;
-                break;
-            }
-        }
-        assert!(aborted, "straggler must be fast-aborted");
-        let rec = m.task(TaskId(1)).unwrap();
-        assert!(rec.interruptions >= 1);
-    }
-
-    #[test]
-    fn fast_abort_disabled_by_default() {
-        let (cat, db) = catalog_with_db();
-        let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
-        let mut fx = EffectSink::new();
-        let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
-        run(&mut m, &mut q, &mut fx, 5);
-        let decl = Some(Resources::cores(1, 2_000, 2_000));
-        m.submit(SimTime::ZERO, cpu_task(0, db, decl), &mut fx);
-        run(&mut m, &mut q, &mut fx, 100);
-        let mut slow = cpu_task(1, db, decl);
-        slow.exec = ExecModel::cpu_bound(Duration::from_secs(1_000));
-        m.submit(q.now(), slow, &mut fx);
-        run(&mut m, &mut q, &mut fx, 300);
-        assert!(m.all_complete());
-        assert_eq!(completion(&m, TaskId(1)).2, 0, "never interrupted");
-    }
 
     #[test]
     fn transient_failures_retry_until_budget_exhausted() {

@@ -6,7 +6,7 @@
 
 use hta::core::driver::{DriverConfig, SystemDriver};
 use hta::core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta::core::{OperatorConfig, OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy};
+use hta::core::{OperatorConfig, OraclePolicy, TargetTrackingPolicy};
 use hta::prelude::*;
 use hta::workloads::{blast_single_stage, BlastParams};
 
@@ -21,10 +21,7 @@ fn policies(declared_wf: &hta::makeflow::Workflow) -> Vec<(bool, Box<dyn Scaling
         (false, Box::new(HpaPolicy::new(0.20, 3, 20))),
         (false, Box::new(HpaPolicy::new(0.50, 3, 20))),
         (false, Box::new(FixedPolicy::new(20))),
-        (
-            false,
-            Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
-        ),
+        (false, Box::new(TargetTrackingPolicy::new())),
         (false, Box::new(OraclePolicy::from_workflow(declared_wf))),
     ]
 }

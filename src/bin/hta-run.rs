@@ -146,6 +146,15 @@ fn usage() -> &'static str {
      trace mode --max-workers 96 --nodes 3:100 --initial 8"
 }
 
+/// Parse a fault rate: a finite probability in `[0, 1]`.
+fn probability(flag: &str, v: &str) -> Result<f64, String> {
+    let p: f64 = v.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("{flag}: probability {p} not in [0, 1]"));
+    }
+    Ok(p)
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut args: VecDeque<String> = std::env::args().skip(1).collect();
     let mut opt = Options {
@@ -210,10 +219,12 @@ fn parse_args() -> Result<Options, String> {
                 let (lo, hi) = v
                     .split_once(':')
                     .ok_or_else(|| "--nodes wants MIN:MAX".to_string())?;
-                opt.nodes = Some((
-                    lo.parse().map_err(|e| format!("--nodes: {e}"))?,
-                    hi.parse().map_err(|e| format!("--nodes: {e}"))?,
-                ));
+                let lo: usize = lo.parse().map_err(|e| format!("--nodes: {e}"))?;
+                let hi: usize = hi.parse().map_err(|e| format!("--nodes: {e}"))?;
+                if lo > hi {
+                    return Err(format!("--nodes: MIN {lo} is above MAX {hi}"));
+                }
+                opt.nodes = Some((lo, hi));
             }
             "--worker-cores" => {
                 opt.worker_cores = Some(
@@ -258,21 +269,9 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--checkpoint-interval: {e}"))?
             }
-            "--task-fail-rate" => {
-                opt.task_fail_rate = need(&mut args, "--task-fail-rate")?
-                    .parse()
-                    .map_err(|e| format!("--task-fail-rate: {e}"))?
-            }
-            "--oom-rate" => {
-                opt.oom_rate = need(&mut args, "--oom-rate")?
-                    .parse()
-                    .map_err(|e| format!("--oom-rate: {e}"))?
-            }
-            "--pull-fail-rate" => {
-                opt.pull_fail_rate = need(&mut args, "--pull-fail-rate")?
-                    .parse()
-                    .map_err(|e| format!("--pull-fail-rate: {e}"))?
-            }
+            "--task-fail-rate" => opt.task_fail_rate = probability(&a, &need(&mut args, &a)?)?,
+            "--oom-rate" => opt.oom_rate = probability(&a, &need(&mut args, &a)?)?,
+            "--pull-fail-rate" => opt.pull_fail_rate = probability(&a, &need(&mut args, &a)?)?,
             "--net-delay" => {
                 opt.net_delay_ms = need(&mut args, "--net-delay")?
                     .parse()

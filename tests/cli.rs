@@ -3,7 +3,7 @@
 use std::process::Command;
 
 use hta::core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
-use hta::core::{OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy};
+use hta::core::{OraclePolicy, TargetTrackingPolicy};
 use hta::forecast::{MpcConfig, MpcPolicy};
 use hta_bench::experiments::{fig2_workload, paper_driver, synth_trace, PolicyKind};
 
@@ -242,6 +242,22 @@ fn bad_network_knob_values_fail_cleanly() {
 }
 
 #[test]
+fn out_of_range_cluster_and_fault_values_fail_cleanly() {
+    for args in [
+        vec!["demo", "--nodes", "5:2"],
+        vec!["demo", "--task-fail-rate", "1.5"],
+        vec!["demo", "--task-fail-rate", "nan"],
+        vec!["demo", "--oom-rate", "2"],
+        vec!["demo", "--pull-fail-rate", "-1"],
+    ] {
+        let out = hta_run(&args);
+        assert_eq!(out.status.code(), Some(1), "args {args:?} should fail");
+        assert!(out.stdout.is_empty(), "args {args:?} must not run");
+        assert!(!out.stderr.is_empty());
+    }
+}
+
+#[test]
 fn synth_trace_runs_open_loop() {
     let out = hta_run(&["--trace", "synth:demo-1k", "--max-workers", "30"]);
     assert!(
@@ -462,7 +478,7 @@ fn every_policy_spelling_maps_to_one_policy_and_operator_mode() {
             "tracking",
             PolicyKind::Tracking,
             false,
-            Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
+            Box::new(TargetTrackingPolicy::new()),
         ),
     ];
     for (spelling, kind, probes, expected) in table {

@@ -4,7 +4,7 @@
 use hta::cluster::{ClusterConfig, MachineType};
 use hta::core::driver::{DriverConfig, SystemDriver};
 use hta::core::policy::{HtaConfig, HtaPolicy};
-use hta::core::{OperatorConfig, OraclePolicy, TargetTrackingConfig, TargetTrackingPolicy};
+use hta::core::{OperatorConfig, OraclePolicy, TargetTrackingPolicy};
 use hta::prelude::*;
 use hta::workloads::{blast_single_stage, BlastParams};
 
@@ -76,7 +76,7 @@ fn target_tracking_scales_on_queue_depth() {
     let r = SystemDriver::new(
         cfg(false),
         workload(40, true),
-        Box::new(TargetTrackingPolicy::new(TargetTrackingConfig::default())),
+        Box::new(TargetTrackingPolicy::new()),
     )
     .run();
     assert!(!r.timed_out);
@@ -118,44 +118,4 @@ fn trace_disabled_by_default() {
     )
     .run();
     assert!(r.trace.is_empty());
-}
-
-#[test]
-fn min_pool_floor_reduces_scaling_churn_on_oscillating_workloads() {
-    use hta::core::policy::HtaConfig as HC;
-    use hta::workloads::{md_ensemble, MdParams};
-
-    let params = MdParams {
-        replicas: 9,
-        rounds: 4,
-        wall_jitter: 0.05,
-        sim_wall: Duration::from_secs(120),
-        ..MdParams::default()
-    };
-    let run = |hta_cfg: HC| {
-        let mut c = cfg(true);
-        c.trace_capacity = 4096;
-        SystemDriver::new(c, md_ensemble(&params), Box::new(HtaPolicy::new(hta_cfg))).run()
-    };
-    let churny = run(HC::default());
-    let floored = run(HC {
-        min_pool: 3,
-        ..HC::default()
-    });
-    assert!(!churny.timed_out && !floored.timed_out);
-    let drains = |r: &hta::core::driver::RunResult| r.trace.count_matching("DrainWorkers");
-    assert!(
-        drains(&floored) <= drains(&churny),
-        "floor must not increase drain decisions ({} vs {})",
-        drains(&floored),
-        drains(&churny)
-    );
-    // The floor trades waste for fewer re-provisioning lags: runtime must
-    // not regress.
-    assert!(
-        floored.makespan_s <= churny.makespan_s * 1.02,
-        "floored {} vs churny {}",
-        floored.makespan_s,
-        churny.makespan_s
-    );
 }
