@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use hta_cluster::{Cluster, ClusterConfig, MachineType, PodSpec};
-use hta_core::{estimate, EstimatorInput, RunningTask, WaitingTask};
+use hta_core::{estimate, EstimatorInput, EstimatorMode, RunningTask, WaitingTask};
 use hta_des::{Duration, EffectSink, EventQueue, SimRng, SimTime};
 use hta_resources::Resources;
 use hta_workqueue::master::{Master, MasterConfig};
@@ -86,7 +86,7 @@ fn bench_estimator(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("algorithm1", format!("r{running}_w{waiting}")),
             &input,
-            |b, input| b.iter(|| black_box(estimate(black_box(input)))),
+            |b, input| b.iter(|| black_box(estimate(black_box(input), EstimatorMode::Aggregate))),
         );
     }
     group.finish();
@@ -105,28 +105,26 @@ fn bench_cluster_scheduler(c: &mut Criterion) {
             });
             let img = cluster.registry_mut().register("img", 100.0);
             let mut q = EventQueue::new();
-            for (d, e) in cluster.bootstrap(SimTime::ZERO) {
-                q.schedule_in(d, e);
-            }
+            let mut fx = EffectSink::new();
+            cluster.bootstrap(SimTime::ZERO, &mut fx);
             for _ in 0..100 {
-                let (_, fx) = cluster.create_pod(
+                cluster.create_pod(
                     SimTime::ZERO,
                     PodSpec {
                         request: Resources::cores(1, 3_000, 5_000),
                         image: img,
                         group: "w".into(),
                     },
+                    &mut fx,
                 );
-                for (d, e) in fx {
-                    q.schedule_in(d, e);
-                }
             }
             // Drain until all pods placed and running.
             for _ in 0..10_000 {
-                let Some((now, ev)) = q.pop() else { break };
-                for (d, e) in cluster.handle(now, ev) {
+                for (d, e) in fx.drain() {
                     q.schedule_in(d, e);
                 }
+                let Some((now, ev)) = q.pop() else { break };
+                cluster.handle(now, ev, &mut fx);
                 if cluster.pending_pod_count() == 0
                     && cluster.running_pods_in_group("w").len() == 100
                 {

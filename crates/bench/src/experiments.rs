@@ -366,7 +366,7 @@ impl InitSample {
 /// requiring a fresh node (previous pods keep their nodes busy).
 pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
     use hta_cluster::{Cluster, ClusterEvent, PodPhase, PodSpec};
-    use hta_des::{EventQueue, SimTime};
+    use hta_des::{EffectSink, EventQueue, SimTime};
 
     let mut cluster = Cluster::new(ClusterConfig {
         machine: MachineType::n1_standard_4(),
@@ -377,22 +377,19 @@ pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
     });
     let image = cluster.registry_mut().register("wq-worker:latest", 500.0);
     let mut q: EventQueue<ClusterEvent> = EventQueue::new();
-    for (d, e) in cluster.bootstrap(SimTime::ZERO) {
-        q.schedule_in(d, e);
-    }
+    let mut fx = EffectSink::new();
+    cluster.bootstrap(SimTime::ZERO, &mut fx);
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
-        let (pod, fx) = cluster.create_pod(
+        let pod = cluster.create_pod(
             q.now(),
             PodSpec {
                 request: Resources::cores(4, 14_000, 50_000),
                 image,
                 group: "bench".into(),
             },
+            &mut fx,
         );
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
         // Run until this pod is running (or has failed and left the
         // cluster).
         for _ in 0..100_000 {
@@ -402,10 +399,11 @@ pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
             {
                 break;
             }
-            let Some((now, ev)) = q.pop() else { break };
-            for (d, e) in cluster.handle(now, ev) {
+            for (d, e) in fx.drain() {
                 q.schedule_in(d, e);
             }
+            let Some((now, ev)) = q.pop() else { break };
+            cluster.handle(now, ev, &mut fx);
         }
         let p = cluster
             .pod(pod)
@@ -599,7 +597,7 @@ pub enum Ablation {
 
 /// Run one ablation variant on the Fig. 10 multistage workload.
 pub fn ablation_run(variant: Ablation, seed: u64) -> RunResult {
-    use hta_core::policy::EstimatorMode;
+    use hta_core::EstimatorMode;
     let mut s = fig10(PolicyKind::Hta, seed);
     let mut hta_cfg = HtaConfig::default();
     match variant {

@@ -3,10 +3,11 @@
 //!
 //! [`Cluster`] is a pure state machine. The system driver delivers
 //! [`ClusterEvent`]s at simulated instants via [`Cluster::handle`]; each
-//! call returns follow-up events as `(delay, event)` pairs ([`Effect`]s)
-//! that the driver schedules on the global queue. API mutations
-//! ([`Cluster::create_pod`], [`Cluster::delete_pod`],
-//! [`Cluster::complete_pod`]) likewise return effects.
+//! call pushes follow-up events as `(delay, event)` effects into a
+//! caller-owned [`EffectSink`], which the driver drains onto the global
+//! queue. API mutations ([`Cluster::bootstrap`], [`Cluster::create_pod`],
+//! [`Cluster::delete_pod`], [`Cluster::complete_pod`],
+//! [`Cluster::fail_node`]) push into the same sink.
 //!
 //! Every observable transition is appended to the informer buffer; HTA's
 //! init-time tracker and the Work Queue driver drain it with
@@ -20,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hta_des::{Backoff, Duration, SimRng, SimTime};
+use hta_des::{Backoff, Duration, EffectSink, SimRng, SimTime};
 use hta_resources::Resources;
 
 use crate::config::ClusterConfig;
@@ -56,9 +57,6 @@ pub enum ClusterEvent {
     /// Pod containers finished starting.
     PodStarted(PodId),
 }
-
-/// A follow-up event with its delay.
-pub type Effect = (Duration, ClusterEvent);
 
 /// Cumulative fault-injection counters (see [`Cluster::fault_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -135,8 +133,7 @@ impl Cluster {
     /// Create the initial `min_nodes` pool **already Ready** (the paper's
     /// experiments start from an existing 3-node cluster) and arm the
     /// controller tick.
-    pub fn bootstrap(&mut self, now: SimTime) -> Vec<Effect> {
-        let mut fx = Vec::new();
+    pub fn bootstrap(&mut self, now: SimTime, fx: &mut EffectSink<ClusterEvent>) {
         for _ in 0..self.cfg.min_nodes {
             let id = NodeId(self.node_ids.alloc());
             let mut node = Node::provisioning(id, self.cfg.machine.clone());
@@ -145,15 +142,14 @@ impl Cluster {
                 .push(WatchEvent::node(now, WatchKind::NodeReady(id)));
             self.nodes.insert(id, node);
             if let Some(d) = self.sample_preemption() {
-                fx.push((d, ClusterEvent::NodePreempted(id)));
+                fx.push(d, ClusterEvent::NodePreempted(id));
             }
             if let Some(d) = self.sample_node_fault() {
-                fx.push((d, ClusterEvent::NodeFault(id)));
+                fx.push(d, ClusterEvent::NodeFault(id));
             }
         }
         self.controller_armed = true;
-        fx.push((self.cfg.controller_interval, ClusterEvent::ControllerTick));
-        fx
+        fx.push(self.cfg.controller_interval, ClusterEvent::ControllerTick);
     }
 
     /// Sample a preemptible node's lifetime (exponential with the
@@ -181,9 +177,14 @@ impl Cluster {
     // API-server surface
     // ------------------------------------------------------------------
 
-    /// Submit a pod. Returns its id and any follow-up effects (the pod may
-    /// schedule immediately onto a warm node).
-    pub fn create_pod(&mut self, now: SimTime, spec: PodSpec) -> (PodId, Vec<Effect>) {
+    /// Submit a pod and return its id. It may schedule immediately onto a
+    /// warm node, pushing the follow-up effects into `fx`.
+    pub fn create_pod(
+        &mut self,
+        now: SimTime,
+        spec: PodSpec,
+        fx: &mut EffectSink<ClusterEvent>,
+    ) -> PodId {
         let id = PodId(self.pod_ids.alloc());
         let pod = Pod::new(id, spec, now);
         self.watch
@@ -197,17 +198,17 @@ impl Cluster {
         }
         self.pods.insert(id, pod);
         self.pending.push(id);
-        let fx = self.try_schedule_all(now);
+        self.try_schedule_all(now, fx);
         self.assert_invariants();
-        (id, fx)
+        id
     }
 
     /// Delete a pod (eviction semantics): it leaves the API server and
     /// frees its node's resources immediately. A running pod's watchers
     /// see `PodFailed`, a pending pod's `PodSucceeded`.
-    pub fn delete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
+    pub fn delete_pod(&mut self, now: SimTime, id: PodId, fx: &mut EffectSink<ClusterEvent>) {
         if !self.pods.contains_key(&id) {
-            return Vec::new();
+            return;
         }
         let kind = match self.retire_pod(now, id).phase {
             PodPhase::Running => WatchKind::PodFailed,
@@ -215,24 +216,22 @@ impl Cluster {
         };
         self.watch.push(WatchEvent::pod(now, id, kind));
         // Freed capacity may admit a pending pod right away.
-        let fx = self.try_schedule_all(now);
+        self.try_schedule_all(now, fx);
         self.assert_invariants();
-        fx
     }
 
     /// A running pod's containers exited successfully (graceful worker
     /// drain — the paper's *Worker-Pod Stopped* state): the pod leaves the
     /// API server and frees its node's resources.
-    pub fn complete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
+    pub fn complete_pod(&mut self, now: SimTime, id: PodId, fx: &mut EffectSink<ClusterEvent>) {
         if !self.pods.contains_key(&id) {
-            return Vec::new();
+            return;
         }
         self.retire_pod(now, id);
         self.watch
             .push(WatchEvent::pod(now, id, WatchKind::PodSucceeded));
-        let fx = self.try_schedule_all(now);
+        self.try_schedule_all(now, fx);
         self.assert_invariants();
-        fx
     }
 
     /// Crash a node (failure injection): the node is removed and every
@@ -240,9 +239,9 @@ impl Cluster {
     /// on it are killed and their tasks re-queued by the layers above);
     /// the cloud controller will replace capacity on its next scan if
     /// pending pods need it.
-    pub fn fail_node(&mut self, now: SimTime, id: NodeId) -> Vec<Effect> {
+    pub fn fail_node(&mut self, now: SimTime, id: NodeId, fx: &mut EffectSink<ClusterEvent>) {
         let Some(node) = self.nodes.remove(&id) else {
-            return Vec::new();
+            return;
         };
         self.watch
             .push(WatchEvent::node(now, WatchKind::NodeRemoved(id)));
@@ -253,9 +252,8 @@ impl Cluster {
                 .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
         }
         // Any queue pressure re-provisions via the controller.
-        let fx = self.try_schedule_all(now);
+        self.try_schedule_all(now, fx);
         self.assert_invariants();
-        fx
     }
 
     /// Remove a stopped pod from the API server: out of `pods`, its
@@ -286,46 +284,44 @@ impl Cluster {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Deliver one internal event.
-    pub fn handle(&mut self, now: SimTime, ev: ClusterEvent) -> Vec<Effect> {
-        let fx = match ev {
-            ClusterEvent::ControllerTick => self.controller_tick(now),
-            ClusterEvent::NodeProvisioned(id) => self.node_provisioned(now, id),
-            ClusterEvent::NodePreempted(id) => self.fail_node(now, id),
+    /// Deliver one internal event, pushing its follow-ups into `fx`.
+    pub fn handle(&mut self, now: SimTime, ev: ClusterEvent, fx: &mut EffectSink<ClusterEvent>) {
+        match ev {
+            ClusterEvent::ControllerTick => self.controller_tick(now, fx),
+            ClusterEvent::NodeProvisioned(id) => self.node_provisioned(now, id, fx),
+            ClusterEvent::NodePreempted(id) => self.fail_node(now, id, fx),
             ClusterEvent::PodImagePulled(pod, node, image) => {
-                self.image_pulled(now, pod, node, image)
+                self.image_pulled(now, pod, node, image, fx)
             }
             ClusterEvent::PodPullRetry(pod, node, attempt) => {
-                self.pod_pull_retry(now, pod, node, attempt)
+                self.pod_pull_retry(pod, node, attempt, fx)
             }
-            ClusterEvent::PodPullGaveUp(pod) => self.pod_pull_gave_up(now, pod),
-            ClusterEvent::NodeFault(id) => self.node_fault(now, id),
-            ClusterEvent::NodeRejoin => self.node_rejoin(now),
+            ClusterEvent::PodPullGaveUp(pod) => self.pod_pull_gave_up(now, pod, fx),
+            ClusterEvent::NodeFault(id) => self.node_fault(now, id, fx),
+            ClusterEvent::NodeRejoin => self.node_rejoin(now, fx),
             ClusterEvent::PodStarted(pod) => self.pod_started(now, pod),
-        };
+        }
         self.assert_invariants();
-        fx
     }
 
     /// Handle a flaky node's MTTF expiry: crash it like a preemption and
     /// schedule a replacement machine after the sampled repair time.
-    fn node_fault(&mut self, now: SimTime, id: NodeId) -> Vec<Effect> {
+    fn node_fault(&mut self, now: SimTime, id: NodeId, fx: &mut EffectSink<ClusterEvent>) {
         if !self.nodes.contains_key(&id) {
             // The autoscaler (or a preemption) already removed it.
-            return Vec::new();
+            return;
         }
         self.fault_stats.node_faults += 1;
-        let mut fx = self.fail_node(now, id);
+        self.fail_node(now, id, fx);
         let mttr = self.cfg.faults.node_mttr;
-        fx.push((self.sample_exp(mttr), ClusterEvent::NodeRejoin));
-        fx
+        fx.push(self.sample_exp(mttr), ClusterEvent::NodeRejoin);
     }
 
     /// A replacement machine for a crashed flaky node joins the pool
     /// (already booted — the MTTR sample covered provisioning).
-    fn node_rejoin(&mut self, now: SimTime) -> Vec<Effect> {
+    fn node_rejoin(&mut self, now: SimTime, fx: &mut EffectSink<ClusterEvent>) {
         if self.live_node_count() >= self.cfg.max_nodes {
-            return Vec::new();
+            return;
         }
         let id = NodeId(self.node_ids.alloc());
         let mut node = Node::provisioning(id, self.cfg.machine.clone());
@@ -334,22 +330,19 @@ impl Cluster {
             .push(WatchEvent::node(now, WatchKind::NodeReady(id)));
         self.nodes.insert(id, node);
         self.fault_stats.node_rejoins += 1;
-        let mut fx = Vec::new();
         if let Some(d) = self.sample_preemption() {
-            fx.push((d, ClusterEvent::NodePreempted(id)));
+            fx.push(d, ClusterEvent::NodePreempted(id));
         }
         if let Some(d) = self.sample_node_fault() {
-            fx.push((d, ClusterEvent::NodeFault(id)));
+            fx.push(d, ClusterEvent::NodeFault(id));
         }
-        fx.extend(self.try_schedule_all(now));
-        fx
+        self.try_schedule_all(now, fx);
     }
 
-    fn controller_tick(&mut self, now: SimTime) -> Vec<Effect> {
-        let mut fx = self.scale_up_for_pending();
+    fn controller_tick(&mut self, now: SimTime, fx: &mut EffectSink<ClusterEvent>) {
+        self.scale_up_for_pending(fx);
         self.scale_down_idle(now);
-        fx.push((self.cfg.controller_interval, ClusterEvent::ControllerTick));
-        fx
+        fx.push(self.cfg.controller_interval, ClusterEvent::ControllerTick);
     }
 
     /// Provision nodes for pods that cannot be placed on current (ready or
@@ -358,9 +351,9 @@ impl Cluster {
     /// batch, each node sampling its own latency from the calibrated
     /// distribution (the paper: "requests submitted in the same batch …
     /// experience similar resource initialization latency").
-    fn scale_up_for_pending(&mut self) -> Vec<Effect> {
+    fn scale_up_for_pending(&mut self, fx: &mut EffectSink<ClusterEvent>) {
         if self.pending.is_empty() {
-            return Vec::new();
+            return;
         }
         // Batched reservation processing: while a batch is in flight, new
         // requests wait for the next scan after it is ready (§IV-B:
@@ -371,7 +364,7 @@ impl Cluster {
             .values()
             .any(|n| n.state == NodeState::Provisioning)
         {
-            return Vec::new();
+            return;
         }
         // Virtual free list: ready nodes' available + provisioning nodes'
         // full allocatable.
@@ -399,9 +392,7 @@ impl Cluster {
         }
         let live = self.live_node_count();
         let headroom = self.cfg.max_nodes.saturating_sub(live);
-        let to_create = new_nodes.min(headroom);
-        let mut fx = Vec::with_capacity(to_create);
-        for _ in 0..to_create {
+        for _ in 0..new_nodes.min(headroom) {
             let id = NodeId(self.node_ids.alloc());
             let node = Node::provisioning(id, self.cfg.machine.clone());
             self.nodes.insert(id, node);
@@ -409,14 +400,13 @@ impl Cluster {
                 .rng
                 .normal_duration(self.cfg.node_provision_mean, self.cfg.node_provision_sd);
             if let Some(life) = self.sample_preemption() {
-                fx.push((latency + life, ClusterEvent::NodePreempted(id)));
+                fx.push(latency + life, ClusterEvent::NodePreempted(id));
             }
             if let Some(life) = self.sample_node_fault() {
-                fx.push((latency + life, ClusterEvent::NodeFault(id)));
+                fx.push(latency + life, ClusterEvent::NodeFault(id));
             }
-            fx.push((latency, ClusterEvent::NodeProvisioned(id)));
+            fx.push(latency, ClusterEvent::NodeProvisioned(id));
         }
-        fx
     }
 
     /// Remove nodes that have been empty past the idle timeout, never
@@ -440,7 +430,7 @@ impl Cluster {
         }
     }
 
-    fn node_provisioned(&mut self, now: SimTime, id: NodeId) -> Vec<Effect> {
+    fn node_provisioned(&mut self, now: SimTime, id: NodeId, fx: &mut EffectSink<ClusterEvent>) {
         if let Some(n) = self.nodes.get_mut(&id) {
             if n.state == NodeState::Provisioning {
                 n.mark_ready(now);
@@ -448,7 +438,7 @@ impl Cluster {
                     .push(WatchEvent::node(now, WatchKind::NodeReady(id)));
             }
         }
-        self.try_schedule_all(now)
+        self.try_schedule_all(now, fx);
     }
 
     fn image_pulled(
@@ -457,23 +447,25 @@ impl Cluster {
         pod_id: PodId,
         node_id: NodeId,
         image: ImageId,
-    ) -> Vec<Effect> {
+        fx: &mut EffectSink<ClusterEvent>,
+    ) {
         // The pull completed on the node regardless of the pod's fate.
         if let Some(n) = self.nodes.get_mut(&node_id) {
             n.cache_image(image);
         }
-        let Some(pod) = self.pods.get(&pod_id) else {
-            return Vec::new();
-        };
-        if pod.phase != PodPhase::Pending(PendingReason::PullingImage) {
-            return Vec::new();
+        let pulling = self
+            .pods
+            .get(&pod_id)
+            .is_some_and(|p| p.phase == PodPhase::Pending(PendingReason::PullingImage));
+        if !pulling {
+            return;
         }
         self.watch.push(WatchEvent::pod(
             now,
             pod_id,
             WatchKind::PodImagePulled(node_id),
         ));
-        vec![(self.cfg.pod_start_delay, ClusterEvent::PodStarted(pod_id))]
+        fx.push(self.cfg.pod_start_delay, ClusterEvent::PodStarted(pod_id));
     }
 
     /// Begin pull attempt `attempt` for a pod whose image transfer takes
@@ -488,21 +480,23 @@ impl Cluster {
         image: ImageId,
         attempt: u32,
         pull: Duration,
-    ) -> Effect {
-        let faults = self.cfg.faults.clone();
+        fx: &mut EffectSink<ClusterEvent>,
+    ) {
+        let rate = self.cfg.faults.image_pull_fail_rate;
         // No draw at rate 0 so fault-free runs keep their RNG stream.
-        let failed =
-            faults.image_pull_fail_rate > 0.0 && self.rng.uniform() < faults.image_pull_fail_rate;
+        let failed = rate > 0.0 && self.rng.uniform() < rate;
         if !failed {
-            return (pull, ClusterEvent::PodImagePulled(pid, nid, image));
+            fx.push(pull, ClusterEvent::PodImagePulled(pid, nid, image));
+            return;
         }
         let next = attempt + 1;
-        if next >= faults.image_pull_max_attempts {
-            return (pull, ClusterEvent::PodPullGaveUp(pid));
+        if next >= self.cfg.faults.image_pull_max_attempts {
+            fx.push(pull, ClusterEvent::PodPullGaveUp(pid));
+            return;
         }
         self.fault_stats.image_pull_retries += 1;
         let backoff = Backoff::IMAGE_PULL.jittered(attempt, &mut self.rng);
-        (pull + backoff, ClusterEvent::PodPullRetry(pid, nid, next))
+        fx.push(pull + backoff, ClusterEvent::PodPullRetry(pid, nid, next));
     }
 
     /// A backoff window elapsed: re-attempt the pull if the pod is still
@@ -510,59 +504,57 @@ impl Cluster {
     /// live pod's node is live).
     fn pod_pull_retry(
         &mut self,
-        now: SimTime,
         pod_id: PodId,
         node_id: NodeId,
         attempt: u32,
-    ) -> Vec<Effect> {
-        let _ = now;
+        fx: &mut EffectSink<ClusterEvent>,
+    ) {
         let Some(pod) = self.pods.get(&pod_id).filter(|p| {
             p.phase == PodPhase::Pending(PendingReason::PullingImage) && p.node == Some(node_id)
         }) else {
-            return Vec::new();
+            return;
         };
         let image = pod.spec.image;
         let pull = self.registry.pull_duration(image, &mut self.rng);
-        vec![self.start_pull(pod_id, node_id, image, attempt, pull)]
+        self.start_pull(pod_id, node_id, image, attempt, pull, fx);
     }
 
     /// The kubelet exhausted its pull attempts: fail the pod and free its
     /// node slot. The layers above observe `PodFailed` and recover.
-    fn pod_pull_gave_up(&mut self, now: SimTime, pod_id: PodId) -> Vec<Effect> {
+    fn pod_pull_gave_up(&mut self, now: SimTime, pod_id: PodId, fx: &mut EffectSink<ClusterEvent>) {
         let pulling = self
             .pods
             .get(&pod_id)
             .is_some_and(|p| p.phase == PodPhase::Pending(PendingReason::PullingImage));
         if !pulling {
-            return Vec::new();
+            return;
         }
         self.fault_stats.image_pull_gaveups += 1;
         self.retire_pod(now, pod_id);
         self.watch
             .push(WatchEvent::pod(now, pod_id, WatchKind::PodFailed));
-        self.try_schedule_all(now)
+        self.try_schedule_all(now, fx);
     }
 
-    fn pod_started(&mut self, now: SimTime, pod_id: PodId) -> Vec<Effect> {
+    /// Containers started: the pod runs. Schedules nothing.
+    fn pod_started(&mut self, now: SimTime, pod_id: PodId) {
         let Some(pod) = self.pods.get_mut(&pod_id) else {
-            return Vec::new();
+            return;
         };
         if pod.phase == PodPhase::Running {
-            return Vec::new();
+            return;
         }
         let Some(node) = pod.node else {
-            return Vec::new();
+            return;
         };
         pod.phase = PodPhase::Running;
         pod.running_at = Some(now);
         self.watch
             .push(WatchEvent::pod(now, pod_id, WatchKind::PodRunning(node)));
-        Vec::new()
     }
 
     /// First-fit FIFO scheduler pass over the pending queue.
-    fn try_schedule_all(&mut self, now: SimTime) -> Vec<Effect> {
-        let mut fx = Vec::new();
+    fn try_schedule_all(&mut self, now: SimTime, fx: &mut EffectSink<ClusterEvent>) {
         let mut still_pending = Vec::new();
         let pending = std::mem::take(&mut self.pending);
         for pid in pending {
@@ -594,12 +586,11 @@ impl Cluster {
                         .push(WatchEvent::pod(now, pid, WatchKind::PodScheduled(nid)));
                     if cached {
                         // Skip the pull phase entirely.
-                        pod.phase = PodPhase::Pending(PendingReason::PullingImage);
-                        fx.push((self.cfg.pod_start_delay, ClusterEvent::PodStarted(pid)));
+                        fx.push(self.cfg.pod_start_delay, ClusterEvent::PodStarted(pid));
                         self.watch
                             .push(WatchEvent::pod(now, pid, WatchKind::PodImagePulled(nid)));
                     } else {
-                        fx.push(self.start_pull(pid, nid, image, 0, pull));
+                        self.start_pull(pid, nid, image, 0, pull, fx);
                     }
                 }
                 None => {
@@ -614,7 +605,6 @@ impl Cluster {
             }
         }
         self.pending = still_pending;
-        fx
     }
 
     // ------------------------------------------------------------------
@@ -765,17 +755,37 @@ mod tests {
         }
     }
 
-    /// Drive a cluster's own event loop until quiescent, returning the end
-    /// time. Mirrors what the hta-core driver does for the full system.
-    fn run_to_quiescence(
-        cluster: &mut Cluster,
-        fx: Vec<Effect>,
-        q: &mut hta_des::EventQueue<ClusterEvent>,
-        max_events: usize,
-    ) {
-        for (d, e) in fx {
+    type Queue = hta_des::EventQueue<ClusterEvent>;
+    type Sink = EffectSink<ClusterEvent>;
+
+    /// Schedule the sink's effects on the queue, in push order.
+    fn flush(fx: &mut Sink, q: &mut Queue) {
+        for (d, e) in fx.drain() {
             q.schedule_in(d, e);
         }
+    }
+
+    /// Deliver the next event and schedule its effects.
+    fn step(cluster: &mut Cluster, fx: &mut Sink, q: &mut Queue) -> Option<SimTime> {
+        flush(fx, q);
+        let (now, ev) = q.pop()?;
+        cluster.handle(now, ev, fx);
+        flush(fx, q);
+        Some(now)
+    }
+
+    /// Deliver every event due at or before `until`.
+    fn run_until(cluster: &mut Cluster, fx: &mut Sink, q: &mut Queue, until: SimTime) {
+        flush(fx, q);
+        while q.peek_time().is_some_and(|at| at <= until) {
+            step(cluster, fx, q);
+        }
+    }
+
+    /// Drive a cluster's own event loop until quiescent. Mirrors what the
+    /// hta-core driver does for the full system.
+    fn run_to_quiescence(cluster: &mut Cluster, fx: &mut Sink, q: &mut Queue, max_events: usize) {
+        flush(fx, q);
         for _ in 0..max_events {
             // Stop if only the recurring controller tick remains and
             // nothing is pending or provisioning.
@@ -787,9 +797,8 @@ mod tests {
             if only_ticks && cluster.pods.values().all(|p| p.phase == PodPhase::Running) {
                 break;
             }
-            let Some((now, ev)) = q.pop() else { break };
-            for (d, e) in cluster.handle(now, ev) {
-                q.schedule_in(d, e);
+            if step(cluster, fx, q).is_none() {
+                break;
             }
         }
     }
@@ -805,7 +814,8 @@ mod tests {
     #[test]
     fn bootstrap_creates_ready_min_nodes() {
         let mut c = Cluster::new(small_cfg());
-        let fx = c.bootstrap(SimTime::ZERO);
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         assert_eq!(c.ready_node_count(), 1);
         assert_eq!(fx.len(), 1); // the controller tick
         let events = c.drain_watch();
@@ -816,14 +826,13 @@ mod tests {
     fn pod_on_warm_node_skips_pull_when_cached() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 500.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
 
         // First pod: cold pull (10s at 50MB/s).
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let pod1 = c.pod(p1).unwrap();
         assert_eq!(pod1.phase, PodPhase::Running);
         assert!(!pod1.waited_for_node);
@@ -831,12 +840,12 @@ mod tests {
         assert_eq!(pod1.running_at.unwrap(), SimTime::from_secs(11));
 
         // Complete it, then a second pod reuses the cached image.
-        let fx = c.complete_pod(q.now(), p1);
+        c.complete_pod(q.now(), p1, &mut fx);
         assert!(c.pod(p1).is_none(), "a completed pod leaves the cluster");
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
-        let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
+        let p2 = c.create_pod(q.now(), worker_spec(img), &mut fx);
         let before = q.now();
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let pod2 = c.pod(p2).unwrap();
         assert_eq!(pod2.phase, PodPhase::Running);
         // No pull: only the 1s container start.
@@ -850,17 +859,16 @@ mod tests {
     fn unschedulable_pod_triggers_node_provision_and_full_init() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 500.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
 
         // Fill the single warm node, then submit one more pod.
-        let (_p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let _p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         c.drain_watch();
-        let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 5000);
+        let p2 = c.create_pod(q.now(), worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 5000);
 
         let pod2 = c.pod(p2).unwrap();
         assert_eq!(pod2.phase, PodPhase::Running);
@@ -899,16 +907,13 @@ mod tests {
         cfg.max_nodes = 2;
         let mut c = Cluster::new(cfg);
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let mut fx_all = Vec::new();
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         for _ in 0..5 {
-            let (_, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-            fx_all.extend(fx);
+            c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
         }
-        run_to_quiescence(&mut c, fx_all, &mut q, 3000);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 3000);
         assert_eq!(c.live_node_count(), 2);
         // 2 pods run (one per node), 3 remain pending.
         assert_eq!(c.pending_pod_count(), 3);
@@ -919,36 +924,21 @@ mod tests {
     fn pod_pending_during_a_batch_waits_for_the_next_scan() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let pump_until = |c: &mut Cluster, q: &mut hta_des::EventQueue<_>, t: u64| {
-            while q.peek_time().is_some_and(|at| at <= SimTime::from_secs(t)) {
-                let (now, ev) = q.pop().unwrap();
-                for (d, e) in c.handle(now, ev) {
-                    q.schedule_in(d, e);
-                }
-            }
-        };
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         // One node-sized pod fills the bootstrap node; the second makes
         // the 10 s scan request a node, ready 150 s later.
         for _ in 0..2 {
-            let (_, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-            for (d, e) in fx {
-                q.schedule_in(d, e);
-            }
+            c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
         }
-        pump_until(&mut c, &mut q, 10);
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(10));
         assert_eq!(c.live_node_count(), 2, "the first batch is requested");
         // A third pod turns pending while that batch is provisioning: the
         // scans at 60..150 s request nothing for it.
-        pump_until(&mut c, &mut q, 55);
-        let (p3, fx) = c.create_pod(q.now(), worker_spec(img));
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
-        pump_until(&mut c, &mut q, 159);
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(55));
+        let p3 = c.create_pod(q.now(), worker_spec(img), &mut fx);
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(159));
         assert_eq!(
             c.live_node_count(),
             2,
@@ -957,11 +947,11 @@ mod tests {
         assert_eq!(c.ready_node_count(), 1);
         // The batch is ready at 160 s and takes the second pod; the next
         // scan then requests a node for the third.
-        pump_until(&mut c, &mut q, 160);
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(160));
         assert_eq!(c.ready_node_count(), 2);
         assert_eq!(c.pending_pod_count(), 1);
         assert!(c.pod(p3).unwrap().node.is_none());
-        pump_until(&mut c, &mut q, 170);
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(170));
         assert_eq!(c.live_node_count(), 3, "the next scan requests a node");
         assert_eq!(c.ready_node_count(), 2);
         assert!(c.check_invariants());
@@ -974,36 +964,24 @@ mod tests {
         cfg.node_idle_timeout = Duration::from_secs(30);
         let mut c = Cluster::new(cfg);
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
 
         // Force a second node into existence.
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
-        let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 5000);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
+        let p2 = c.create_pod(q.now(), worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 5000);
         assert_eq!(c.ready_node_count(), 2);
 
         // Finish both pods; after the idle timeout one node is reclaimed.
         c.drain_watch();
-        let mut fx = c.complete_pod(q.now(), p1);
-        fx.extend(c.complete_pod(q.now(), p2));
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
+        c.complete_pod(q.now(), p1, &mut fx);
+        c.complete_pod(q.now(), p2, &mut fx);
         // Run controller ticks for 120 s of simulated time.
         let deadline = q.now() + Duration::from_secs(120);
-        while let Some(t) = q.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = q.pop().unwrap();
-            for (d, e) in c.handle(now, ev) {
-                q.schedule_in(d, e);
-            }
-        }
+        run_until(&mut c, &mut fx, &mut q, deadline);
         assert_eq!(c.ready_node_count(), 1, "scaled down to min_nodes");
         assert_eq!(c.live_node_count(), 1, "the removed node is gone");
         let removed = c
@@ -1019,16 +997,15 @@ mod tests {
     fn delete_running_pod_fails_it_and_frees_capacity() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Running);
 
         c.drain_watch();
-        let _ = c.delete_pod(q.now(), p1);
+        c.delete_pod(q.now(), p1, &mut fx);
         assert!(c.pod(p1).is_none());
         let events = c.drain_watch();
         assert!(events
@@ -1046,15 +1023,14 @@ mod tests {
         cfg.max_nodes = 1; // nothing can ever fit a second pod
         let mut c = Cluster::new(cfg);
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (_p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
-        let (p2, _fx) = c.create_pod(q.now(), worker_spec(img));
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let _p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
+        let p2 = c.create_pod(q.now(), worker_spec(img), &mut fx);
         c.drain_watch();
-        let _ = c.delete_pod(q.now(), p2);
+        c.delete_pod(q.now(), p2, &mut fx);
         assert!(c.pod(p2).is_none());
         assert_eq!(c.pending_pod_count(), 0);
         assert_eq!(c.group_replicas("wq-worker"), 1);
@@ -1070,11 +1046,12 @@ mod tests {
     fn watch_stream_records_full_lifecycle_in_order() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let _ = c.bootstrap(SimTime::ZERO);
+        c.bootstrap(SimTime::ZERO, &mut Sink::new());
         c.drain_watch();
-        let mut q = hta_des::EventQueue::new();
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let kinds: Vec<WatchKind> = c
             .drain_watch()
             .into_iter()
@@ -1095,12 +1072,11 @@ mod tests {
     fn describe_reports_nodes_and_pods() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (_p, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let _p = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let text = c.describe(q.now());
         assert!(text.contains("NODES (1 live)"), "{text}");
         assert!(text.contains("PODS (1 live)"), "{text}");
@@ -1112,12 +1088,11 @@ mod tests {
     fn group_queries() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         assert_eq!(c.group_replicas("wq-worker"), 1);
         assert_eq!(c.group_replicas("other"), 0);
         assert_eq!(c.running_pods_in_group("wq-worker"), vec![p1]);
@@ -1127,25 +1102,24 @@ mod tests {
     fn group_counts_follow_every_exit_from_the_live_set() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         let other = |image| PodSpec {
             group: "other".into(),
             ..worker_spec(image)
         };
         let recount = |c: &Cluster, g: &str| c.live_pods_in_group(g).count();
-        let (running, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
-        let (deleted, _) = c.create_pod(q.now(), worker_spec(img));
-        let (completed, _) = c.create_pod(q.now(), other(img));
+        let running = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
+        let deleted = c.create_pod(q.now(), worker_spec(img), &mut fx);
+        let completed = c.create_pod(q.now(), other(img), &mut fx);
         assert_eq!(
             (c.group_replicas("wq-worker"), c.group_replicas("other")),
             (2, 1)
         );
-        let _ = c.delete_pod(q.now(), deleted);
-        let _ = c.complete_pod(q.now(), completed);
+        c.delete_pod(q.now(), deleted, &mut fx);
+        c.complete_pod(q.now(), completed, &mut fx);
         assert_eq!(
             (c.group_replicas("wq-worker"), c.group_replicas("other")),
             (1, 0)
@@ -1153,14 +1127,14 @@ mod tests {
         // A node crash fails the running pod; a retired pod's second
         // exit is a no-op and must not count twice.
         let node = c.pod(running).and_then(|p| p.node).expect("bound");
-        let _ = c.fail_node(q.now(), node);
-        let _ = c.delete_pod(q.now(), running);
+        c.fail_node(q.now(), node, &mut fx);
+        c.delete_pod(q.now(), running, &mut fx);
         for g in ["wq-worker", "other", "never-seen"] {
             assert_eq!(c.group_replicas(g), 0, "{g}");
             assert_eq!(c.group_replicas(g), recount(&c, g), "{g}");
         }
         assert!(c.check_invariants());
-        let (_again, _) = c.create_pod(q.now(), other(img));
+        c.create_pod(q.now(), other(img), &mut fx);
         assert_eq!(c.group_replicas("other"), 1);
         // A desynchronised count is an invariant violation.
         *c.live_per_group.get_mut("other").expect("seen") += 1;
@@ -1175,27 +1149,17 @@ mod tests {
         cfg.max_nodes = 4;
         let mut c = Cluster::new(cfg);
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         // A long-lived pod occupies the bootstrap node.
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
         // Run for two simulated hours: the node must be reclaimed at some
         // point (mean lifetime 300 s) and the pod must fail with it.
-        let deadline = SimTime::from_secs(7200);
         let mut preempted = false;
-        while let Some(t) = q.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = q.pop().unwrap();
-            for (d, e) in c.handle(now, ev) {
-                q.schedule_in(d, e);
-            }
+        flush(&mut fx, &mut q);
+        while q.peek_time().is_some_and(|t| t <= SimTime::from_secs(7200)) {
+            step(&mut c, &mut fx, &mut q);
             if c.pod(p1).is_none() {
                 preempted = true;
                 break;
@@ -1213,23 +1177,13 @@ mod tests {
     fn on_demand_nodes_never_self_preempt() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         // Drain controller ticks for a long horizon; nothing may fail.
-        let deadline = SimTime::from_secs(7200);
-        while let Some(t) = q.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = q.pop().unwrap();
-            for (d, e) in c.handle(now, ev) {
-                q.schedule_in(d, e);
-            }
-        }
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(7200));
         assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Running);
     }
 
@@ -1237,18 +1191,14 @@ mod tests {
     fn node_failure_fails_pods_and_replacement_provisions() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let node = c.pod(p1).unwrap().node.unwrap();
         c.drain_watch();
-        let fx = c.fail_node(q.now(), node);
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
+        c.fail_node(q.now(), node, &mut fx);
         assert!(c.pod(p1).is_none());
         assert_eq!(c.live_node_count(), 0);
         let events = c.drain_watch();
@@ -1260,21 +1210,26 @@ mod tests {
             .any(|e| e.kind == WatchKind::NodeRemoved(node)));
         assert!(c.check_invariants());
         // A replacement pod pends and a fresh node is provisioned.
-        let (p2, fx) = c.create_pod(q.now(), worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 5000);
+        let p2 = c.create_pod(q.now(), worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 5000);
         assert_eq!(c.pod(p2).unwrap().phase, PodPhase::Running);
     }
 
     #[test]
     fn failing_unknown_or_removed_node_is_noop() {
         let mut c = Cluster::new(small_cfg());
-        let _ = c.bootstrap(SimTime::ZERO);
-        assert!(c.fail_node(SimTime::ZERO, NodeId(99)).is_empty());
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        fx.drain();
+        c.fail_node(SimTime::ZERO, NodeId(99), &mut fx);
+        assert!(fx.is_empty());
         let WatchKind::NodeReady(id) = c.drain_watch()[0].kind else {
             panic!("bootstrap readies a node");
         };
-        let _ = c.fail_node(SimTime::ZERO, id);
-        assert!(c.fail_node(SimTime::ZERO, id).is_empty(), "double fail");
+        c.fail_node(SimTime::ZERO, id, &mut fx);
+        fx.drain();
+        c.fail_node(SimTime::ZERO, id, &mut fx);
+        assert!(fx.is_empty(), "double fail");
     }
 
     #[test]
@@ -1283,21 +1238,18 @@ mod tests {
         // CPU would allow 4.
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         let spec = PodSpec {
             request: Resources::new(1000, 7_000, 5_000),
             image: img,
             group: "wq-worker".into(),
         };
-        let mut fx_all = Vec::new();
         for _ in 0..4 {
-            let (_, fx) = c.create_pod(SimTime::ZERO, spec.clone());
-            fx_all.extend(fx);
+            c.create_pod(SimTime::ZERO, spec.clone(), &mut fx);
         }
-        run_to_quiescence(&mut c, fx_all, &mut q, 5000);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 5000);
         // 2 pods on the bootstrap node, 2 on a provisioned one.
         assert_eq!(c.ready_node_count(), 2);
         assert_eq!(c.running_pods_in_group("wq-worker").len(), 4);
@@ -1308,32 +1260,20 @@ mod tests {
     fn pod_larger_than_any_machine_pends_forever() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
-        let (p, fx) = c.create_pod(
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
+        let p = c.create_pod(
             SimTime::ZERO,
             PodSpec {
                 request: Resources::cores(64, 1_000_000, 0),
                 image: img,
                 group: "huge".into(),
             },
+            &mut fx,
         );
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
         // Run many controller ticks: no node is ever provisioned for it.
-        let deadline = SimTime::from_secs(600);
-        while let Some(t) = q.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = q.pop().unwrap();
-            for (d, e) in c.handle(now, ev) {
-                q.schedule_in(d, e);
-            }
-        }
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(600));
         assert!(matches!(
             c.pod(p).unwrap().phase,
             PodPhase::Pending(PendingReason::InsufficientResource)
@@ -1349,12 +1289,11 @@ mod tests {
             cfg.seed = seed;
             let mut c = Cluster::new(cfg);
             let img = c.registry_mut().register("worker", 400.0);
-            let mut q = hta_des::EventQueue::new();
-            for (d, e) in c.bootstrap(SimTime::ZERO) {
-                q.schedule_in(d, e);
-            }
-            let (p, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-            run_to_quiescence(&mut c, fx, &mut q, 1000);
+            let mut q = Queue::new();
+            let mut fx = Sink::new();
+            c.bootstrap(SimTime::ZERO, &mut fx);
+            let p = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
+            run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
             c.pod(p).unwrap().running_at.unwrap()
         };
         assert_eq!(run_once(5), run_once(5), "same seed, same pull time");
@@ -1365,21 +1304,18 @@ mod tests {
     fn small_pods_pack_multiple_per_node() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 100.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         let small = PodSpec {
             request: Resources::cores(1, 2_000, 5_000),
             image: img,
             group: "wq-worker".into(),
         };
-        let mut fx_all = Vec::new();
         for _ in 0..4 {
-            let (_, fx) = c.create_pod(SimTime::ZERO, small.clone());
-            fx_all.extend(fx);
+            c.create_pod(SimTime::ZERO, small.clone(), &mut fx);
         }
-        run_to_quiescence(&mut c, fx_all, &mut q, 2000);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 2000);
         // All four 1-core pods fit the single 4-core node.
         assert_eq!(c.ready_node_count(), 1);
         assert_eq!(c.running_pods_in_group("wq-worker").len(), 4);
@@ -1390,32 +1326,23 @@ mod tests {
     fn image_pulled_for_a_deleted_pod_is_still_cached() {
         let mut c = Cluster::new(small_cfg());
         let img = c.registry_mut().register("worker", 500.0);
-        let mut q = hta_des::EventQueue::new();
-        for (d, e) in c.bootstrap(SimTime::ZERO) {
-            q.schedule_in(d, e);
-        }
+        let mut q = Queue::new();
+        let mut fx = Sink::new();
+        c.bootstrap(SimTime::ZERO, &mut fx);
         // The pod is deleted while its 10 s pull is in flight.
-        let (p1, fx) = c.create_pod(SimTime::ZERO, worker_spec(img));
-        for (d, e) in fx {
-            q.schedule_in(d, e);
-        }
+        let p1 = c.create_pod(SimTime::ZERO, worker_spec(img), &mut fx);
         let node = c.pod(p1).and_then(|p| p.node).expect("bound at once");
-        let _ = c.delete_pod(SimTime::ZERO, p1);
+        c.delete_pod(SimTime::ZERO, p1, &mut fx);
         assert!(c.pod(p1).is_none());
         // The pull still completes on the node and caches the image.
-        while q.peek_time().is_some_and(|t| t <= SimTime::from_secs(10)) {
-            let (now, ev) = q.pop().unwrap();
-            for (d, e) in c.handle(now, ev) {
-                q.schedule_in(d, e);
-            }
-        }
+        run_until(&mut c, &mut fx, &mut q, SimTime::from_secs(10));
         assert!(c.nodes[&node].has_image(img));
         // The next pod on that node skips the pull: scheduled and pulled
         // at once, running after the 1 s container start.
         c.drain_watch();
         let created = q.now();
-        let (p2, fx) = c.create_pod(created, worker_spec(img));
-        run_to_quiescence(&mut c, fx, &mut q, 1000);
+        let p2 = c.create_pod(created, worker_spec(img), &mut fx);
+        run_to_quiescence(&mut c, &mut fx, &mut q, 1000);
         let pod2 = c.pod(p2).unwrap();
         assert_eq!(pod2.node, Some(node));
         assert_eq!(pod2.running_at, Some(created + Duration::from_secs(1)));
@@ -1484,50 +1411,49 @@ mod tests {
                 let max_nodes = cfg.max_nodes;
                 let mut c = Cluster::new(cfg);
                 let img = c.registry_mut().register("worker", 100.0);
-                let mut q = hta_des::EventQueue::new();
-                for (d, e) in c.bootstrap(SimTime::ZERO) {
-                    q.schedule_in(d, e);
-                }
+                let mut q = Queue::new();
+                let mut fx = Sink::new();
+                c.bootstrap(SimTime::ZERO, &mut fx);
                 let mut issued: BTreeSet<PodId> = BTreeSet::new();
                 let mut retired: BTreeSet<PodId> = BTreeSet::new();
                 let mut removed: BTreeSet<NodeId> = BTreeSet::new();
                 for op in ops {
                     let now = q.now();
                     let live: Vec<PodId> = issued.difference(&retired).copied().collect();
-                    let fx = match op {
+                    match op {
                         Op::Create(worker) => {
                             let mut spec = worker_spec(img);
                             if !worker {
                                 spec.group = "other".into();
                                 spec.request = Resources::cores(1, 2_000, 5_000);
                             }
-                            let (id, fx) = c.create_pod(now, spec);
+                            let id = c.create_pod(now, spec, &mut fx);
                             prop_assert!(issued.insert(id), "{} reissued", id);
-                            fx
                         }
-                        Op::Complete(i) => pick(&live, i)
-                            .map(|id| c.complete_pod(now, id))
-                            .unwrap_or_default(),
-                        Op::Delete(i) => pick(&live, i)
-                            .map(|id| c.delete_pod(now, id))
-                            .unwrap_or_default(),
+                        Op::Complete(i) => {
+                            if let Some(id) = pick(&live, i) {
+                                c.complete_pod(now, id, &mut fx);
+                            }
+                        }
+                        Op::Delete(i) => {
+                            if let Some(id) = pick(&live, i) {
+                                c.delete_pod(now, id, &mut fx);
+                            }
+                        }
                         Op::FailNode(i) => {
                             let nodes: Vec<NodeId> = c.nodes.keys().copied().collect();
-                            c.fail_node(now, pick(&nodes, i).unwrap_or(NodeId(u64::MAX)))
+                            let id = pick(&nodes, i).unwrap_or(NodeId(u64::MAX));
+                            c.fail_node(now, id, &mut fx);
                         }
                         Op::Step(n) => {
                             for _ in 0..n {
-                                let Some((t, ev)) = q.pop() else { break };
-                                for (d, e) in c.handle(t, ev) {
-                                    q.schedule_in(d, e);
+                                if step(&mut c, &mut fx, &mut q).is_none() {
+                                    break;
                                 }
                             }
-                            Vec::new()
                         }
-                    };
-                    for (d, e) in fx {
-                        q.schedule_in(d, e);
                     }
+                    flush(&mut fx, &mut q);
                     for e in c.drain_watch() {
                         match e.kind {
                             WatchKind::PodSucceeded | WatchKind::PodFailed => {

@@ -30,38 +30,35 @@
 //!   been empty past an idle threshold, within `[min_nodes, max_nodes]`.
 //!
 //! The simulator is a pure state machine: [`cluster::Cluster::handle`]
-//! consumes a [`cluster::ClusterEvent`] at a known time and returns
-//! follow-up events with delays; the system driver in `hta-core` owns the
-//! global event loop.
+//! consumes a [`cluster::ClusterEvent`] at a known time and pushes
+//! follow-up events with delays into a caller-owned
+//! [`hta_des::EffectSink`], like the Work Queue master does; the system
+//! driver in `hta-core` owns the sinks and the global event loop.
 //!
 //! # Example
 //!
 //! ```
 //! use hta_cluster::{Cluster, ClusterConfig, PodPhase, PodSpec};
-//! use hta_des::{EventQueue, SimTime};
+//! use hta_des::{EffectSink, EventQueue, SimTime};
 //! use hta_resources::Resources;
 //!
 //! let mut cluster = Cluster::new(ClusterConfig::default());
 //! let image = cluster.registry_mut().register("wq-worker:latest", 500.0);
 //! let mut queue = EventQueue::new();
-//! for (d, e) in cluster.bootstrap(SimTime::ZERO) {
-//!     queue.schedule_in(d, e);
-//! }
-//!
-//! let (pod, fx) = cluster.create_pod(SimTime::ZERO, PodSpec {
+//! let mut fx = EffectSink::new();
+//! cluster.bootstrap(SimTime::ZERO, &mut fx);
+//! let pod = cluster.create_pod(SimTime::ZERO, PodSpec {
 //!     request: Resources::cores(3, 12_000, 50_000),
 //!     image,
 //!     group: "wq-worker".into(),
-//! });
-//! for (d, e) in fx {
-//!     queue.schedule_in(d, e);
-//! }
+//! }, &mut fx);
 //! // Drive events until the pod runs (image pull ≈ 12.5 s).
 //! while cluster.pod(pod).unwrap().phase != PodPhase::Running {
-//!     let (now, ev) = queue.pop().expect("events pending");
-//!     for (d, e) in cluster.handle(now, ev) {
+//!     for (d, e) in fx.drain() {
 //!         queue.schedule_in(d, e);
 //!     }
+//!     let (now, ev) = queue.pop().expect("events pending");
+//!     cluster.handle(now, ev, &mut fx);
 //! }
 //! assert!(queue.now() > SimTime::from_secs(10));
 //! ```
@@ -76,7 +73,7 @@ pub mod objects;
 pub mod pod;
 pub mod watch;
 
-pub use cluster::{Cluster, ClusterEvent, ClusterFaultStats, Effect};
+pub use cluster::{Cluster, ClusterEvent, ClusterFaultStats};
 pub use config::{ClusterConfig, ClusterFaults, MachineType};
 pub use hpa::{Hpa, HpaConfig};
 pub use ids::{ImageId, NodeId, PodId};

@@ -36,7 +36,7 @@
 //!   spans and what-if rollouts.
 
 use hta_cluster::objects::StatefulSet;
-use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, Effect, ImageId, PodId, PodSpec};
+use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodSpec};
 use hta_des::trace::TraceRing;
 use hta_des::{
     branch_salt, CategoryId, DigestConfig, DigestReport, Duration, EffectSink, EventDigest,
@@ -277,6 +277,8 @@ pub struct SystemDriver {
     /// Reusable effect buffer between the master and the event queue —
     /// steady-state Work Queue dispatch allocates nothing.
     wq_sink: EffectSink<WqEvent>,
+    /// Reusable effect buffer between the cluster and the event queue.
+    cluster_sink: EffectSink<ClusterEvent>,
     /// Reusable pod-id buffer for the cleanup / scale-down paths.
     pod_scratch: Vec<PodId>,
     /// Reusable label buffer for per-category metric names.
@@ -357,6 +359,7 @@ impl SystemDriver {
             seen_categories: std::collections::BTreeSet::new(),
             util_history: std::collections::VecDeque::new(),
             wq_sink: EffectSink::with_capacity(16),
+            cluster_sink: EffectSink::new(),
             pod_scratch: Vec::new(),
             label_buf: String::new(),
             per_cat_counts: Vec::new(),
@@ -426,9 +429,9 @@ impl SystemDriver {
         }
     }
 
-    /// Schedule the cluster's effects on the global queue.
-    fn schedule_cluster(&mut self, fx: Vec<Effect>) {
-        for (d, e) in fx {
+    /// Drain the reusable cluster effect sink into the global queue.
+    fn flush_cluster(&mut self) {
+        for (d, e) in self.cluster_sink.drain() {
             self.queue.schedule_in(d, Event::Cluster(e));
         }
     }

@@ -19,9 +19,9 @@ impl SystemDriver {
             image: self.master_image,
             group: MASTER_GROUP.into(),
         };
-        let (pod, fx) = self.cluster.create_pod(now, spec);
+        let pod = self.cluster.create_pod(now, spec, &mut self.cluster_sink);
+        self.flush_cluster();
         self.master_pod = Some(pod);
-        self.schedule_cluster(fx);
         pod
     }
 
@@ -32,8 +32,8 @@ impl SystemDriver {
         }
         self.started = true;
         let start = SimTime::ZERO;
-        let fx = self.cluster.bootstrap(start);
-        self.schedule_cluster(fx);
+        self.cluster.bootstrap(start, &mut self.cluster_sink);
+        self.flush_cluster();
         if self.cfg.master_in_cluster {
             let pod = self.create_master_pod(start);
             self.master_set.bind(pod);
@@ -96,8 +96,8 @@ impl SystemDriver {
         }
         match ev {
             Event::Cluster(ce) => {
-                let fx = self.cluster.handle(now, ce);
-                self.schedule_cluster(fx);
+                self.cluster.handle(now, ce, &mut self.cluster_sink);
+                self.flush_cluster();
             }
             Event::Wq(inc, we) => {
                 // A message from a dead master incarnation is dropped: the
@@ -338,8 +338,8 @@ impl SystemDriver {
                     WqNotification::WorkerStopped(wid) => {
                         if let Some(pod) = self.worker_to_pod.remove(&wid) {
                             self.pod_to_worker.remove(&pod);
-                            let fx = self.cluster.complete_pod(now, pod);
-                            self.schedule_cluster(fx);
+                            self.cluster.complete_pod(now, pod, &mut self.cluster_sink);
+                            self.flush_cluster();
                         }
                     }
                 }
@@ -388,8 +388,9 @@ impl SystemDriver {
         if !self.initial_workers_created {
             self.initial_workers_created = true;
             for _ in 0..self.cfg.initial_workers.min(self.cfg.max_workers) {
-                let (_pod, fx) = self.cluster.create_pod(now, self.worker_pod_spec());
-                self.schedule_cluster(fx);
+                self.cluster
+                    .create_pod(now, self.worker_pod_spec(), &mut self.cluster_sink);
+                self.flush_cluster();
             }
         }
         // Checkpoint #0 is taken *before* the first submission wave so the

@@ -39,15 +39,16 @@ impl SystemDriver {
         self.cleanup_started = true;
         self.collect_pending_pods();
         for i in 0..self.pod_scratch.len() {
-            let fx = self.cluster.delete_pod(now, self.pod_scratch[i]);
-            self.schedule_cluster(fx);
+            self.cluster
+                .delete_pod(now, self.pod_scratch[i], &mut self.cluster_sink);
+            self.flush_cluster();
         }
         for (&wid, _) in self.worker_to_pod.iter() {
             self.master.drain_worker(now, wid);
         }
         if let Some(pod) = self.master_pod {
-            let fx = self.cluster.delete_pod(now, pod);
-            self.schedule_cluster(fx);
+            self.cluster.delete_pod(now, pod, &mut self.cluster_sink);
+            self.flush_cluster();
         }
     }
 
@@ -139,8 +140,9 @@ impl SystemDriver {
             ScaleAction::CreateWorkers(n) => {
                 let headroom = self.cfg.max_workers.saturating_sub(self.live_worker_pods());
                 for _ in 0..n.min(headroom) {
-                    let (_pod, fx) = self.cluster.create_pod(now, self.worker_pod_spec());
-                    self.schedule_cluster(fx);
+                    self.cluster
+                        .create_pod(now, self.worker_pod_spec(), &mut self.cluster_sink);
+                    self.flush_cluster();
                 }
             }
             ScaleAction::DrainWorkers(n) => self.drain_workers(now, n),
@@ -158,8 +160,9 @@ impl SystemDriver {
             if remaining == 0 {
                 return 0;
             }
-            let fx = self.cluster.delete_pod(now, self.pod_scratch[i]);
-            self.schedule_cluster(fx);
+            self.cluster
+                .delete_pod(now, self.pod_scratch[i], &mut self.cluster_sink);
+            self.flush_cluster();
             remaining -= 1;
         }
         remaining
@@ -200,8 +203,8 @@ impl SystemDriver {
         candidates.sort();
         for (_tasks, pod) in candidates.into_iter().take(remaining) {
             // delete_pod → PodFailed watch event → kill_worker in pump().
-            let fx = self.cluster.delete_pod(now, pod);
-            self.schedule_cluster(fx);
+            self.cluster.delete_pod(now, pod, &mut self.cluster_sink);
+            self.flush_cluster();
         }
     }
 
@@ -228,8 +231,8 @@ impl SystemDriver {
                 .push((now, self.master.connected_workers(), false));
             self.trace
                 .push(now, "inject", format!("node {node} crashed"));
-            let fx = self.cluster.fail_node(now, node);
-            self.schedule_cluster(fx);
+            self.cluster.fail_node(now, node, &mut self.cluster_sink);
+            self.flush_cluster();
         }
     }
 }

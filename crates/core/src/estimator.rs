@@ -16,10 +16,23 @@
 //!   workers' arrival time).
 //!
 //! The simulation is event-driven over task completion times rather than
-//! the paper's 1-second loop — identical result, fewer iterations.
+//! the paper's 1-second loop — identical result, fewer iterations. It is
+//! written once over a capacity model: the paper's pooled `avaRsrc`
+//! or the per-worker free lists of the `per-worker-est` ablation
+//! ([`EstimatorMode`]).
 
 use hta_des::Duration;
 use hta_resources::Resources;
+
+/// Which capacity model Algorithm 1 uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EstimatorMode {
+    /// The paper's scalar `avaRsrc` (aggregate free capacity).
+    #[default]
+    Aggregate,
+    /// Per-worker free lists (no phantom fits across fragments).
+    PerWorker,
+}
 
 /// A task currently held by a worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +90,108 @@ pub struct ScaleDecision {
     pub next_action: Duration,
 }
 
+/// How the forward simulation holds free capacity — the only thing the
+/// two [`EstimatorMode`]s do differently.
+trait Capacity {
+    /// Where an allocation was charged, so its completion frees it there.
+    type Slot: Copy;
+    /// Charge a running task's allocation; `None` drops the task from
+    /// the projection.
+    fn charge(&mut self, allocation: &Resources) -> Option<Self::Slot>;
+    /// True once no waiting task may dispatch until a completion.
+    fn exhausted(&self) -> bool;
+    /// Dispatch a waiting task, or `None` when it fits nowhere.
+    fn place(&mut self, request: &Resources) -> Option<Self::Slot>;
+    /// A completion frees its allocation, clamped to the capacity it
+    /// came from.
+    fn release(&mut self, slot: Self::Slot, allocation: &Resources);
+    /// Whole idle workers at the end of the cycle.
+    fn idle_workers(&self, unit: &Resources) -> i64;
+}
+
+/// The paper's scalar `avaRsrc`: all free capacity in one aggregate.
+/// Once the pool is exhausted nothing dispatches (not even a zero-sized
+/// task), which also spares rescanning the queue on every completion.
+struct Pool {
+    capacity: Resources,
+    available: Resources,
+}
+
+impl Capacity for Pool {
+    type Slot = ();
+
+    fn charge(&mut self, allocation: &Resources) -> Option<()> {
+        self.available = self.available.saturating_sub(allocation);
+        Some(())
+    }
+
+    fn exhausted(&self) -> bool {
+        self.available.is_zero()
+    }
+
+    fn place(&mut self, request: &Resources) -> Option<()> {
+        if !request.fits_in(&self.available) {
+            return None;
+        }
+        self.available = self.available.saturating_sub(request);
+        Some(())
+    }
+
+    fn release(&mut self, (): (), allocation: &Resources) {
+        self.available = (self.available + *allocation).min(&self.capacity);
+    }
+
+    fn idle_workers(&self, unit: &Resources) -> i64 {
+        // `i64::MAX` means a zero unit: no meaningful count.
+        match self.available.divide_by(unit) {
+            i64::MAX => 0,
+            n => n,
+        }
+    }
+}
+
+/// Per-worker free lists (ablation of the paper's scalar `avaRsrc`).
+///
+/// The pooled model can *phantom-fit* a task across fragments no single
+/// worker has (two workers with 2 free cores each "fit" a 3-core task).
+/// Here running tasks are first-fit onto workers (a task that fits none —
+/// a stale snapshot — is dropped), completions free their own worker,
+/// and a waiting task dispatches only into a worker that fits it.
+struct PerWorker<'a> {
+    capacity: &'a [Resources],
+    free: Vec<Resources>,
+}
+
+impl Capacity for PerWorker<'_> {
+    type Slot = usize;
+
+    fn charge(&mut self, allocation: &Resources) -> Option<usize> {
+        self.place(allocation)
+    }
+
+    fn exhausted(&self) -> bool {
+        false
+    }
+
+    fn place(&mut self, request: &Resources) -> Option<usize> {
+        let w = self.free.iter().position(|f| request.fits_in(f))?;
+        self.free[w] = self.free[w].saturating_sub(request);
+        Some(w)
+    }
+
+    fn release(&mut self, w: usize, allocation: &Resources) {
+        self.free[w] = (self.free[w] + *allocation).min(&self.capacity[w]);
+    }
+
+    fn idle_workers(&self, _unit: &Resources) -> i64 {
+        self.free
+            .iter()
+            .zip(self.capacity)
+            .filter(|(free, cap)| free == cap)
+            .count() as i64
+    }
+}
+
 /// Workers needed to hold the overflow groups, sized arithmetically
 /// (`ceil(count / tasks-per-worker)` per group — a lower bound that
 /// ignores cross-group packing, which is fine: overflow only exists when
@@ -98,90 +213,104 @@ fn overflow_workers(overflow: &[(Resources, usize)], unit: &Resources) -> i64 {
     total
 }
 
-/// Run Algorithm 1.
-pub fn estimate(input: &EstimatorInput) -> ScaleDecision {
-    let window = input.rsrc_init_time;
-    let queue_empty_now = input.waiting.is_empty();
-    // Aggregate capacity and currently available slice of it.
-    let capacity: Resources = input.active_workers.iter().copied().sum();
-    let in_use: Resources = input.running.iter().map(|t| t.allocation).sum();
-    let mut available = capacity.saturating_sub(&in_use);
+/// Run Algorithm 1 under the given capacity model.
+pub fn estimate(input: &EstimatorInput, mode: EstimatorMode) -> ScaleDecision {
+    match mode {
+        EstimatorMode::Aggregate => {
+            let capacity: Resources = input.active_workers.iter().copied().sum();
+            simulate(
+                input,
+                Pool {
+                    capacity,
+                    available: capacity,
+                },
+            )
+        }
+        EstimatorMode::PerWorker => simulate(
+            input,
+            PerWorker {
+                capacity: &input.active_workers,
+                free: input.active_workers.clone(),
+            },
+        ),
+    }
+}
 
-    // Completion-time heap (simple sorted vec; sizes are small).
-    // Entries: (completion_time, allocation).
-    let mut completions: Vec<(Duration, Resources)> = input
-        .running
+/// The forward simulation of one initialization cycle, then the decision.
+fn simulate<C: Capacity>(input: &EstimatorInput, mut cap: C) -> ScaleDecision {
+    // Completion horizon, sorted by time (stable: ties keep input order).
+    let mut completions: Vec<(Duration, Resources, C::Slot)> =
+        Vec::with_capacity(input.running.len());
+    completions.extend(
+        input
+            .running
+            .iter()
+            .filter_map(|t| Some((t.remaining, t.allocation, cap.charge(&t.allocation)?))),
+    );
+    completions.sort_by_key(|(d, _, _)| *d);
+    let mut max_remaining = completions
         .iter()
-        .map(|t| (t.remaining, t.allocation))
-        .collect();
-    completions.sort_by_key(|(d, _)| *d);
-
-    let mut waiting: Vec<WaitingTask> = input.waiting.clone();
-    let mut max_running_remaining = completions
-        .iter()
-        .map(|(d, _)| *d)
+        .map(|(d, _, _)| *d)
         .max()
         .unwrap_or(Duration::ZERO);
+    let mut waiting: Vec<WaitingTask> = input.waiting.clone();
 
-    // Dispatch as much of the waiting queue as fits into `available`,
-    // inserting dispatched tasks' completions back into the horizon.
-    // Returns true when anything was dispatched.
-    fn dispatch(
-        now: Duration,
-        available: &mut Resources,
-        waiting: &mut Vec<WaitingTask>,
-        completions: &mut Vec<(Duration, Resources)>,
-        max_rem: &mut Duration,
-    ) -> bool {
-        let mut any = false;
-        let mut i = 0;
-        while i < waiting.len() {
-            if available.is_zero() {
-                break;
-            }
-            let t = waiting[i];
-            if t.resources.fits_in(available) {
-                *available = available.saturating_sub(&t.resources);
+    // Dispatch as much of the waiting queue as fits, inserting dispatched
+    // tasks' completions back into the horizon.
+    let mut dispatch =
+        |now: Duration, cap: &mut C, completions: &mut Vec<(Duration, Resources, C::Slot)>| {
+            let mut i = 0;
+            while i < waiting.len() && !cap.exhausted() {
+                let t = waiting[i];
+                let Some(slot) = cap.place(&t.resources) else {
+                    i += 1;
+                    continue;
+                };
                 let done_at = now + t.exec;
-                let pos = completions.partition_point(|(d, _)| *d <= done_at);
-                completions.insert(pos, (done_at, t.resources));
-                *max_rem = (*max_rem).max(done_at);
+                let pos = completions.partition_point(|(d, _, _)| *d <= done_at);
+                completions.insert(pos, (done_at, t.resources, slot));
+                max_remaining = max_remaining.max(done_at);
                 waiting.remove(i);
-                any = true;
-            } else {
-                i += 1;
             }
-        }
-        any
-    }
+        };
 
-    // t = 0 dispatch (capacity may already be free).
-    dispatch(
-        Duration::ZERO,
-        &mut available,
-        &mut waiting,
-        &mut completions,
-        &mut max_running_remaining,
-    );
-
-    // Walk completion events inside the window.
+    // t = 0 dispatch (capacity may already be free), then walk completion
+    // events inside the window.
+    dispatch(Duration::ZERO, &mut cap, &mut completions);
     let mut idx = 0;
     while idx < completions.len() {
-        let (at, alloc) = completions[idx];
+        let (at, allocation, slot) = completions[idx];
         idx += 1;
-        if at > window {
+        if at > input.rsrc_init_time {
             break;
         }
-        available += alloc;
-        available = available.min(&capacity);
-        dispatch(
-            at,
-            &mut available,
-            &mut waiting,
-            &mut completions,
-            &mut max_running_remaining,
-        );
+        cap.release(slot, &allocation);
+        dispatch(at, &mut cap, &mut completions);
     }
+    decide(
+        input,
+        &waiting,
+        cap.idle_workers(&input.worker_unit),
+        max_remaining,
+    )
+}
+
+/// The decision rules at the end of the cycle, shared by both capacity
+/// models: `waiting` is what is still queued, `idle_workers` the whole
+/// workers left idle and `max_remaining` the latest simulated completion.
+fn decide(
+    input: &EstimatorInput,
+    waiting: &[WaitingTask],
+    idle_workers: i64,
+    max_remaining: Duration,
+) -> ScaleDecision {
+    let hidden = overflow_workers(&input.overflow, &input.worker_unit);
+    // A drain re-evaluates when the longest-running task should finish.
+    let until_longest = if max_remaining.is_zero() {
+        input.default_cycle
+    } else {
+        max_remaining
+    };
 
     // Queue empty: the pseudocode's line 19 returns "no change", but
     // eq. 2 drives RSH negative as completions outpace arrivals and §V-C
@@ -192,8 +321,6 @@ pub fn estimate(input: &EstimatorInput) -> ScaleDecision {
     // nothing" per line 19 — draining there would cancel pods whose tasks
     // have not dispatched yet. (See DESIGN.md for this
     // pseudocode/behaviour discrepancy.)
-    let hidden = overflow_workers(&input.overflow, &input.worker_unit);
-
     if waiting.is_empty() {
         // The visible prefix was absorbed, but a truncated backlog is
         // still real demand the simulation never saw — provision for it
@@ -204,20 +331,10 @@ pub fn estimate(input: &EstimatorInput) -> ScaleDecision {
                 next_action: input.rsrc_init_time,
             };
         }
-        let idle_workers = available.divide_by(&input.worker_unit);
-        if queue_empty_now
-            && idle_workers > 0
-            && idle_workers != i64::MAX
-            && !input.active_workers.is_empty()
-        {
-            let next = if max_running_remaining.is_zero() {
-                input.default_cycle
-            } else {
-                max_running_remaining.min(input.default_cycle)
-            };
+        if input.waiting.is_empty() && idle_workers > 0 {
             return ScaleDecision {
                 delta: -idle_workers,
-                next_action: next,
+                next_action: until_longest.min(input.default_cycle),
             };
         }
         return ScaleDecision {
@@ -228,23 +345,17 @@ pub fn estimate(input: &EstimatorInput) -> ScaleDecision {
 
     // Lines 22–24: spare whole workers at the end of the cycle → drain
     // (never while truncated backlog hides behind the visible prefix).
-    let idle_workers = available.divide_by(&input.worker_unit);
-    if hidden == 0 && idle_workers > 0 && idle_workers != i64::MAX {
-        let next = if max_running_remaining.is_zero() {
-            input.default_cycle
-        } else {
-            max_running_remaining
-        };
+    if hidden == 0 && idle_workers > 0 {
         return ScaleDecision {
             delta: -idle_workers,
-            next_action: next,
+            next_action: until_longest,
         };
     }
 
     // Line 25: scale up by the workers the leftover waiting set needs
     // (first-fit packing into worker-unit bins).
     let mut bins: Vec<Resources> = Vec::new();
-    for t in &waiting {
+    for t in waiting {
         if !t.resources.fits_in(&input.worker_unit) {
             // Larger than any worker — unsatisfiable; skip rather than
             // provision forever.
@@ -261,174 +372,10 @@ pub fn estimate(input: &EstimatorInput) -> ScaleDecision {
     }
 }
 
-/// Eq. 2 — forecast the resource shortage at the end of the next
-/// initialization cycle, in cores:
-///
-/// ```text
-/// RSH(t_rr) = RSH(t_nr) + Σ_{t=t_nr}^{t_rr} (ΔRSH(t) − ΔRIU(t))
-/// ```
-///
-/// With no new arrivals known in advance (the autoscaler cannot see
-/// future submissions), ΔRSH contributions come from queued tasks that
-/// still cannot dispatch, and ΔRIU from predicted completions — which is
-/// exactly what [`estimate`]'s forward simulation computes. This helper
-/// exposes the scalar RSH value itself: positive = cores still missing at
-/// `t_rr`, negative = whole-worker surplus (the §V-C "scale down if
-/// RSH < 0" signal).
-pub fn forecast_rsh_cores(input: &EstimatorInput) -> f64 {
-    let d = estimate(input);
-    if d.delta >= 0 {
-        // Workers still needed, in core units of the worker pod size.
-        d.delta as f64 * input.worker_unit.cores_f64()
-    } else {
-        -(-d.delta as f64) * input.worker_unit.cores_f64()
-    }
-}
-
-/// Per-worker variant of Algorithm 1 (ablation of the paper's scalar
-/// `avaRsrc`).
-///
-/// The paper's pseudocode pools all free capacity into one aggregate,
-/// which can *phantom-fit* a task across fragments no single worker has
-/// (e.g. two workers with 2 free cores each "fit" a 3-core task). This
-/// variant keeps a per-worker free list: running tasks are first-fit
-/// assigned to workers, completions free their own worker, and a waiting
-/// task dispatches only into a worker that individually fits it. The
-/// decision rules (empty-queue surplus drain, leftover packing) are
-/// identical.
-pub fn estimate_per_worker(input: &EstimatorInput) -> ScaleDecision {
-    let window = input.rsrc_init_time;
-    let queue_empty_now = input.waiting.is_empty();
-    let n = input.active_workers.len();
-    let mut free: Vec<Resources> = input.active_workers.clone();
-
-    // First-fit the running tasks onto workers; tasks that fit nowhere
-    // (stale snapshot) are dropped from the projection.
-    // Entries: (completion_time, allocation, worker index).
-    let mut completions: Vec<(Duration, Resources, usize)> = Vec::new();
-    for t in &input.running {
-        if let Some(w) = (0..n).find(|&w| t.allocation.fits_in(&free[w])) {
-            free[w] = free[w].saturating_sub(&t.allocation);
-            let pos = completions.partition_point(|(d, _, _)| *d <= t.remaining);
-            completions.insert(pos, (t.remaining, t.allocation, w));
-        }
-    }
-
-    let mut waiting: Vec<WaitingTask> = input.waiting.clone();
-    let mut max_running_remaining = completions
-        .iter()
-        .map(|(d, _, _)| *d)
-        .max()
-        .unwrap_or(Duration::ZERO);
-
-    fn dispatch_pw(
-        now: Duration,
-        free: &mut [Resources],
-        waiting: &mut Vec<WaitingTask>,
-        completions: &mut Vec<(Duration, Resources, usize)>,
-        max_rem: &mut Duration,
-    ) {
-        let mut i = 0;
-        while i < waiting.len() {
-            let t = waiting[i];
-            match (0..free.len()).find(|&w| t.resources.fits_in(&free[w])) {
-                Some(w) => {
-                    free[w] = free[w].saturating_sub(&t.resources);
-                    let done_at = now + t.exec;
-                    let pos = completions.partition_point(|(d, _, _)| *d <= done_at);
-                    completions.insert(pos, (done_at, t.resources, w));
-                    *max_rem = (*max_rem).max(done_at);
-                    waiting.remove(i);
-                }
-                None => i += 1,
-            }
-        }
-    }
-
-    dispatch_pw(
-        Duration::ZERO,
-        &mut free,
-        &mut waiting,
-        &mut completions,
-        &mut max_running_remaining,
-    );
-    let mut idx = 0;
-    while idx < completions.len() {
-        let (at, alloc, w) = completions[idx];
-        idx += 1;
-        if at > window {
-            break;
-        }
-        free[w] += alloc;
-        free[w] = free[w].min(&input.active_workers[w]);
-        dispatch_pw(
-            at,
-            &mut free,
-            &mut waiting,
-            &mut completions,
-            &mut max_running_remaining,
-        );
-    }
-
-    // Whole workers idle at the end of the cycle (free == capacity).
-    let idle_workers = (0..n)
-        .filter(|&w| free[w] == input.active_workers[w])
-        .count() as i64;
-    let hidden = overflow_workers(&input.overflow, &input.worker_unit);
-
-    if waiting.is_empty() {
-        if hidden > 0 {
-            return ScaleDecision {
-                delta: hidden,
-                next_action: input.rsrc_init_time,
-            };
-        }
-        if queue_empty_now && idle_workers > 0 {
-            let next = if max_running_remaining.is_zero() {
-                input.default_cycle
-            } else {
-                max_running_remaining.min(input.default_cycle)
-            };
-            return ScaleDecision {
-                delta: -idle_workers,
-                next_action: next,
-            };
-        }
-        return ScaleDecision {
-            delta: 0,
-            next_action: input.default_cycle,
-        };
-    }
-    if hidden == 0 && idle_workers > 0 {
-        let next = if max_running_remaining.is_zero() {
-            input.default_cycle
-        } else {
-            max_running_remaining
-        };
-        return ScaleDecision {
-            delta: -idle_workers,
-            next_action: next,
-        };
-    }
-    let mut bins: Vec<Resources> = Vec::new();
-    for t in &waiting {
-        if !t.resources.fits_in(&input.worker_unit) {
-            continue;
-        }
-        match bins.iter_mut().find(|b| t.resources.fits_in(b)) {
-            Some(b) => *b = b.saturating_sub(&t.resources),
-            None => bins.push(input.worker_unit.saturating_sub(&t.resources)),
-        }
-    }
-    ScaleDecision {
-        delta: (bins.len() as i64).saturating_add(hidden),
-        next_action: input.rsrc_init_time,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use EstimatorMode::{Aggregate, PerWorker};
 
     fn worker() -> Resources {
         Resources::cores(3, 12_000, 50_000)
@@ -455,7 +402,7 @@ mod tests {
         let mut input = base_input();
         input.active_workers = vec![worker(); 3];
         // Nothing waiting, nothing running: eq. 2 surplus → drain all 3.
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, -3);
         assert_eq!(d.next_action, Duration::from_secs(60));
     }
@@ -472,14 +419,14 @@ mod tests {
             };
             2
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0);
     }
 
     #[test]
     fn empty_queue_with_no_workers_is_no_change() {
         let input = base_input();
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0);
     }
 
@@ -494,7 +441,7 @@ mod tests {
             };
             9
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 3);
         assert_eq!(d.next_action, input.rsrc_init_time);
     }
@@ -520,7 +467,7 @@ mod tests {
             };
             3
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0, "no shortage at the end of the cycle");
     }
 
@@ -541,7 +488,7 @@ mod tests {
             };
             6
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 2);
     }
 
@@ -556,7 +503,7 @@ mod tests {
             resources: Resources::new(1000, 60_000, 0),
             exec: Duration::from_secs(10),
         }];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, -4);
         assert_eq!(
             d.next_action, input.default_cycle,
@@ -578,7 +525,7 @@ mod tests {
             resources: Resources::new(1000, 50_000, 0),
             exec: Duration::from_secs(10),
         }];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert!(d.delta < 0);
         assert_eq!(d.next_action, Duration::from_secs(400));
     }
@@ -595,7 +542,7 @@ mod tests {
             };
             4
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 4);
     }
 
@@ -621,7 +568,7 @@ mod tests {
                 exec: Duration::from_secs(60),
             },
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 2);
     }
 
@@ -632,7 +579,7 @@ mod tests {
             resources: Resources::cores(64, 0, 0),
             exec: Duration::from_secs(60),
         }];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0, "unsatisfiable task provisions nothing");
     }
 
@@ -654,7 +601,7 @@ mod tests {
             };
             3
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0);
         // Two more 40 s tasks: the fourth still dispatches inside the
         // window (at t=130), but the fifth finds the worker busy until
@@ -665,7 +612,7 @@ mod tests {
                 exec: Duration::from_secs(40),
             });
         }
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 1);
     }
 
@@ -689,10 +636,10 @@ mod tests {
             exec: Duration::from_secs(60),
         }];
         // Aggregate (paper) absorbs the task → no change.
-        let agg = estimate(&input);
+        let agg = estimate(&input, Aggregate);
         assert_eq!(agg.delta, 0, "aggregate phantom-fits");
         // Per-worker knows it cannot run anywhere → scale up.
-        let pw = estimate_per_worker(&input);
+        let pw = estimate(&input, PerWorker);
         assert_eq!(pw.delta, 1, "per-worker sees the fragmentation");
     }
 
@@ -707,8 +654,8 @@ mod tests {
             };
             12
         ];
-        let a = estimate(&input);
-        let b = estimate_per_worker(&input);
+        let a = estimate(&input, Aggregate);
+        let b = estimate(&input, PerWorker);
         assert_eq!(a.delta, b.delta, "no fragmentation → same answer");
     }
 
@@ -721,29 +668,9 @@ mod tests {
             remaining: Duration::from_secs(10_000),
             allocation: one_core(),
         }];
-        let d = estimate_per_worker(&input);
+        let d = estimate(&input, PerWorker);
         // Two workers fully idle; the third is partially used → drain 2.
         assert_eq!(d.delta, -2);
-    }
-
-    #[test]
-    fn forecast_rsh_signs_follow_the_decision() {
-        let mut input = base_input();
-        // Shortage: 9 one-core tasks, no workers → +3 workers → +9 cores.
-        input.waiting = vec![
-            WaitingTask {
-                resources: one_core(),
-                exec: Duration::from_secs(300)
-            };
-            9
-        ];
-        assert_eq!(forecast_rsh_cores(&input), 9.0);
-        // Surplus: idle pool, empty queue → negative RSH.
-        let mut idle = base_input();
-        idle.active_workers = vec![worker(); 2];
-        assert_eq!(forecast_rsh_cores(&idle), -6.0);
-        // Balanced: nothing at all.
-        assert_eq!(forecast_rsh_cores(&base_input()), 0.0);
     }
 
     #[test]
@@ -759,10 +686,10 @@ mod tests {
             exec: Duration::from_secs(10),
         }];
         input.overflow = vec![(one_core(), 300)];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 100);
         assert_eq!(d.next_action, input.rsrc_init_time);
-        let pw = estimate_per_worker(&input);
+        let pw = estimate(&input, PerWorker);
         assert_eq!(pw.delta, 100, "per-worker variant agrees");
     }
 
@@ -779,7 +706,7 @@ mod tests {
             exec: Duration::from_secs(10),
         }];
         input.overflow = vec![(one_core(), 30)];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert!(
             d.delta > 0,
             "idle drain must not fire over a hidden backlog (got {})",
@@ -800,7 +727,7 @@ mod tests {
             9
         ];
         input.overflow = vec![(one_core(), 9)];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 6);
     }
 
@@ -818,7 +745,7 @@ mod tests {
             (Resources::cores(64, 0, 0), 10),
             (Resources::ZERO, 10),
         ];
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 1, "only the visible task provisions");
     }
 
@@ -838,7 +765,7 @@ mod tests {
             worker_unit: Resources::ZERO,
             overflow: Vec::new(),
         };
-        let d = estimate(&input);
+        let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 0, "nothing sane to do with a zero unit");
     }
 }

@@ -28,12 +28,12 @@
 //! # Example: Algorithm 1 directly
 //!
 //! ```
-//! use hta_core::{estimate, EstimatorInput, WaitingTask};
+//! use hta_core::{estimate, EstimatorInput, EstimatorMode, WaitingTask};
 //! use hta_des::Duration;
 //! use hta_resources::Resources;
 //!
 //! // Nine queued 1-core jobs, no workers yet, node-sized worker pods.
-//! let decision = estimate(&EstimatorInput {
+//! let input = EstimatorInput {
 //!     rsrc_init_time: Duration::from_secs(157),
 //!     default_cycle: Duration::from_secs(30),
 //!     running: vec![],
@@ -47,7 +47,8 @@
 //!     active_workers: vec![],
 //!     worker_unit: Resources::cores(3, 12_000, 50_000),
 //!     overflow: vec![],
-//! });
+//! };
+//! let decision = estimate(&input, EstimatorMode::Aggregate);
 //! assert_eq!(decision.delta, 3, "9 one-core jobs pack into 3 workers");
 //! assert_eq!(decision.next_action, Duration::from_secs(157));
 //! ```
@@ -84,8 +85,7 @@ pub mod whatif;
 pub use category_stats::{CategoryEstimate, CategoryStats};
 pub use driver::{DriverConfig, RecoveryReport, SystemDriver};
 pub use estimator::{
-    estimate, estimate_per_worker, forecast_rsh_cores, EstimatorInput, RunningTask, ScaleDecision,
-    WaitingTask,
+    estimate, EstimatorInput, EstimatorMode, RunningTask, ScaleDecision, WaitingTask,
 };
 pub use fault::{ControlPlaneFaults, FaultPlan};
 pub use init_time::InitTimeTracker;

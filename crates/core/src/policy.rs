@@ -16,18 +16,8 @@ use hta_workqueue::master::QueueStatus;
 
 use crate::category_stats::CategoryStats;
 use crate::estimator::{
-    estimate, estimate_per_worker, EstimatorInput, RunningTask, ScaleDecision, WaitingTask,
+    estimate, EstimatorInput, EstimatorMode, RunningTask, ScaleDecision, WaitingTask,
 };
-
-/// Which capacity model Algorithm 1 uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EstimatorMode {
-    /// The paper's scalar `avaRsrc` (aggregate free capacity).
-    #[default]
-    Aggregate,
-    /// Per-worker free lists (no phantom fits across fragments).
-    PerWorker,
-}
 
 /// What the driver should do to the worker-pod pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,10 +272,7 @@ impl ScalingPolicy for HtaPolicy {
             return (ScaleAction::None, MIN_INTERVAL);
         }
         let input = self.build_input(ctx);
-        let ScaleDecision { delta, next_action } = match self.cfg.estimator_mode {
-            EstimatorMode::Aggregate => estimate(&input),
-            EstimatorMode::PerWorker => estimate_per_worker(&input),
-        };
+        let ScaleDecision { delta, next_action } = estimate(&input, self.cfg.estimator_mode);
         let next = next_action.max(MIN_INTERVAL).min(MAX_INTERVAL);
         let action = if delta > 0 {
             let headroom = ctx.max_workers.saturating_sub(ctx.live_worker_pods);

@@ -1,12 +1,12 @@
 //! Allocation-free effect collection for state-machine handlers.
 //!
-//! The original component convention — `handle(now, event) ->
-//! Vec<(Duration, E)>` — heap-allocates a fresh `Vec` for every event
-//! even though most events produce zero or one follow-up. An
-//! [`EffectSink`] inverts the flow: the caller owns one sink for the
-//! lifetime of the run, handlers push effects into it, and the caller
-//! drains it into its event queue. The buffer is reused across events,
-//! so steady-state dispatch performs no allocation at all.
+//! Every component handler (`handle(now, event, &mut sink)`) and API
+//! mutation pushes its `(delay, event)` effects into an [`EffectSink`]
+//! rather than returning a fresh `Vec` per call, which would allocate
+//! for every event although most produce zero or one follow-up. The
+//! caller owns one sink per component for the lifetime of the run and
+//! drains it into its event queue after each call. The buffer is reused
+//! across events, so steady-state dispatch performs no allocation at all.
 //!
 //! The sink is deliberately a plain buffer rather than a queue
 //! reference: drivers wrap component events into their own global event

@@ -33,6 +33,8 @@ const MAX_EVENTS_PER_BRANCH: u64 = 100_000;
 /// Abandon a candidate's remaining ensemble rollouts once its mean score
 /// exceeds this multiple of the best mean seen so far.
 const EARLY_ABORT_FACTOR: f64 = 3.0;
+/// [`MpcPolicy`]'s re-evaluation cadence.
+const MPC_INTERVAL: Duration = Duration::from_secs(30);
 
 /// Tuning for the [`ForecastEngine`].
 #[derive(Debug, Clone)]
@@ -170,11 +172,6 @@ impl ForecastEngine {
     /// An engine with the given tuning.
     pub fn new(cfg: ForecastConfig) -> Self {
         ForecastEngine { cfg, decisions: 0 }
-    }
-
-    /// The tuning.
-    pub fn config(&self) -> &ForecastConfig {
-        &self.cfg
     }
 
     /// Build the candidate list for a pool-delta decision, deduplicating
@@ -335,25 +332,10 @@ impl ForecastEngine {
 }
 
 /// Tuning for [`MpcPolicy`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MpcConfig {
     /// Engine tuning.
     pub forecast: ForecastConfig,
-    /// Fixed rollout horizon; `None` derives one initialization cycle
-    /// from the live measurement (the paper's natural decision window).
-    pub horizon: Option<Duration>,
-    /// Re-evaluation cadence.
-    pub interval: Duration,
-}
-
-impl Default for MpcConfig {
-    fn default() -> Self {
-        MpcConfig {
-            forecast: ForecastConfig::default(),
-            horizon: None,
-            interval: Duration::from_secs(30),
-        }
-    }
 }
 
 /// Model-predictive scaling: at every decision point, fork one branch
@@ -367,7 +349,6 @@ impl Default for MpcConfig {
 /// instead of evaluating a closed-form estimate.
 #[derive(Debug, Clone)]
 pub struct MpcPolicy {
-    cfg: MpcConfig,
     engine: ForecastEngine,
     last_desired: usize,
     /// The last decision's report (introspection for traces and tests).
@@ -377,10 +358,8 @@ pub struct MpcPolicy {
 impl MpcPolicy {
     /// A fresh policy.
     pub fn new(cfg: MpcConfig) -> Self {
-        let engine = ForecastEngine::new(cfg.forecast.clone());
         MpcPolicy {
-            cfg,
-            engine,
+            engine: ForecastEngine::new(cfg.forecast),
             last_desired: 0,
             last_report: None,
         }
@@ -391,34 +370,32 @@ impl MpcPolicy {
         self.last_report.as_ref()
     }
 
-    fn horizon_for(&self, ctx: &PolicyContext<'_>) -> Duration {
-        self.cfg.horizon.unwrap_or_else(|| {
-            // The horizon must cover the actuation delay (a worker
-            // created now only boots after `init_time`) PLUS an
-            // execution window long enough for the new capacity to
-            // finish real work — a bare one-init-cycle horizon ends
-            // exactly when created workers arrive, every scale-up looks
-            // like pure cost, and the argmin degenerates to "drain".
-            let mut exec = Duration::ZERO;
-            for w in &ctx.queue.waiting {
-                if let Some(e) = ctx.stats.estimate(w.cat) {
-                    exec = exec.max(e.mean_wall);
-                }
+    /// The rollout horizon, derived from the live measurements. It must
+    /// cover the actuation delay (a worker created now only boots after
+    /// `init_time`) PLUS an execution window long enough for the new
+    /// capacity to finish real work — a bare one-init-cycle horizon ends
+    /// exactly when created workers arrive, every scale-up looks like
+    /// pure cost, and the argmin degenerates to "drain".
+    fn horizon_for(ctx: &PolicyContext<'_>) -> Duration {
+        let mut exec = Duration::ZERO;
+        for w in &ctx.queue.waiting {
+            if let Some(e) = ctx.stats.estimate(w.cat) {
+                exec = exec.max(e.mean_wall);
             }
-            for (cat, _) in ctx.held_jobs {
-                if let Some(e) = ctx.stats.estimate(*cat) {
-                    exec = exec.max(e.mean_wall);
-                }
+        }
+        for (cat, _) in ctx.held_jobs {
+            if let Some(e) = ctx.stats.estimate(*cat) {
+                exec = exec.max(e.mean_wall);
             }
-            if exec == Duration::ZERO {
-                // No learned statistics yet (warm-up): assume a generous
-                // execution window rather than a myopic one.
-                exec = Duration::from_secs(300);
-            }
-            let h = ctx.init_time + exec.mul_f64(1.5);
-            h.max(Duration::from_secs(120))
-                .min(Duration::from_secs(1_800))
-        })
+        }
+        if exec == Duration::ZERO {
+            // No learned statistics yet (warm-up): assume a generous
+            // execution window rather than a myopic one.
+            exec = Duration::from_secs(300);
+        }
+        let h = ctx.init_time + exec.mul_f64(1.5);
+        h.max(Duration::from_secs(120))
+            .min(Duration::from_secs(1_800))
     }
 }
 
@@ -432,7 +409,7 @@ impl ScalingPolicy for MpcPolicy {
     /// [`ScalingPolicy::decide_with_world`].
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> (ScaleAction, Duration) {
         self.last_desired = ctx.live_worker_pods;
-        (ScaleAction::None, self.cfg.interval)
+        (ScaleAction::None, MPC_INTERVAL)
     }
 
     fn decide_with_world(
@@ -444,29 +421,18 @@ impl ScalingPolicy for MpcPolicy {
             self.last_desired = 0;
             let live = ctx.live_worker_pods;
             return if live > 0 {
-                (ScaleAction::DrainWorkers(live), self.cfg.interval)
+                (ScaleAction::DrainWorkers(live), MPC_INTERVAL)
             } else {
-                (ScaleAction::None, self.cfg.interval)
+                (ScaleAction::None, MPC_INTERVAL)
             };
         }
         let candidates = self
             .engine
             .delta_candidates(ctx.live_worker_pods, ctx.max_workers);
-        let horizon = self.horizon_for(ctx);
-        let report = self.engine.evaluate(world, &candidates, horizon);
+        let report = self
+            .engine
+            .evaluate(world, &candidates, Self::horizon_for(ctx));
         let action = report.winner().action;
-        if std::env::var_os("HTA_MPC_DEBUG").is_some() {
-            eprintln!(
-                "[mpc @{:.0}s] live={} waiting={} running={} horizon={:.0}s -> {:?}\n{}",
-                ctx.now.as_secs_f64(),
-                ctx.live_worker_pods,
-                ctx.queue.waiting.len(),
-                ctx.queue.running.len(),
-                horizon.as_secs_f64(),
-                action,
-                report.table(),
-            );
-        }
         self.last_desired = match action {
             ScaleAction::CreateWorkers(n) => ctx.live_worker_pods + n,
             ScaleAction::DrainWorkers(n) | ScaleAction::KillWorkers(n) => {
@@ -475,7 +441,7 @@ impl ScalingPolicy for MpcPolicy {
             ScaleAction::None => ctx.live_worker_pods,
         };
         self.last_report = Some(report);
-        (action, self.cfg.interval)
+        (action, MPC_INTERVAL)
     }
 
     fn desired(&self) -> usize {

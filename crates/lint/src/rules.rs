@@ -45,6 +45,7 @@ const EFFECT_SCOPE: &[&str] = &[
     "crates/des/src/",
     "crates/core/src/",
     "crates/workqueue/src/",
+    "crates/cluster/src/",
 ];
 
 /// Source root of the streaming trace subsystem: arrival generation
@@ -471,6 +472,15 @@ mod tests {
             "fn h(fx: &mut EffectSink<E>, w: &mut World) {\n    w.queue.schedule_in(d, e);\n}\n";
         let f = findings("crates/des/src/a.rs", src);
         assert_eq!(f, vec![(2, "effect-purity")]);
+    }
+
+    #[test]
+    fn effect_purity_covers_the_cluster() {
+        let src = "impl Cluster {\n    fn handle(&mut self, now: SimTime, fx: &mut EffectSink<ClusterEvent>) -> Vec<(Duration, ClusterEvent)> { vec![] }\n    fn tick(&mut self, fx: &mut EffectSink<ClusterEvent>) { self.q.schedule_in(d, e); }\n}\n";
+        let f = findings("crates/cluster/src/cluster.rs", src);
+        assert_eq!(f, vec![(2, "effect-purity"), (3, "effect-purity")]);
+        // Outside the scoped crates the same source is not checked.
+        assert!(findings("crates/metrics/src/a.rs", src).is_empty());
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //!   --checkpoint-interval <s> control-plane checkpoint cadence   [120]
 //!   --task-fail-rate <p>   transient task-failure probability  [0]
 //!   --oom-rate <p>         OOM-kill probability per attempt    [0]
+//!                          (with --task-fail-rate, at most 1 in sum)
 //!   --pull-fail-rate <p>   image-pull failure probability      [0]
 //!   --net-delay <ms>       control-message one-way delay (ms)  [0]
 //!   --net-loss <p>         control-message loss probability    [0]
@@ -358,6 +359,14 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
+    }
+    // One uniform draw per attempt picks OOM below `oom` and a transient
+    // failure below `oom + transient`, so the two rates share [0, 1].
+    if opt.task_fail_rate + opt.oom_rate > 1.0 {
+        return Err(format!(
+            "--task-fail-rate {} plus --oom-rate {} exceeds 1",
+            opt.task_fail_rate, opt.oom_rate
+        ));
     }
     match (&opt.workflow, &opt.trace_source) {
         (None, None) => Err(format!("need a workflow file or --trace\n{}", usage())),

@@ -249,6 +249,17 @@ fn out_of_range_cluster_and_fault_values_fail_cleanly() {
         vec!["demo", "--task-fail-rate", "nan"],
         vec!["demo", "--oom-rate", "2"],
         vec!["demo", "--pull-fail-rate", "-1"],
+        vec![
+            "demo",
+            "--task-fail-rate",
+            "0.8",
+            "--oom-rate",
+            "0.8",
+            "--max-retries",
+            "50",
+            "--seed",
+            "9",
+        ],
     ] {
         let out = hta_run(&args);
         assert_eq!(out.status.code(), Some(1), "args {args:?} should fail");
