@@ -144,7 +144,7 @@ pub fn workloads(quick: bool) -> Vec<(&'static str, ScenarioFn)> {
 /// Branches forked per repetition of the snapshot microbenchmark.
 const SNAPSHOT_BRANCHES: u64 = 16;
 
-/// Snapshot/fork microbenchmark: fork [`SNAPSHOT_BRANCHES`] what-if
+/// Snapshot/fork microbenchmark: fork `SNAPSHOT_BRANCHES` what-if
 /// branches off a mid-flight Fig. 10 driver and roll each 300 simulated
 /// seconds forward — the per-decision cost an MPC policy pays.
 ///

@@ -140,14 +140,15 @@ impl SystemDriver {
                 break;
             }
         }
-        // The worker/running views of the snapshot are always current;
-        // the waiting queue is summarized by the demand histogram, so
-        // the per-second sampler never walks the queue — with a deep
-        // open-loop backlog the old O(queue) walk dominated the run.
-        let status = self.master.snapshot();
-        let supply_cores: f64 = status
-            .workers
-            .values()
+        // The sampler reads only the workers and the on-worker tasks,
+        // O(running + workers); the waiting queue is summarized by the
+        // demand histogram, so the per-second sampler never walks the
+        // queue — with a deep open-loop backlog an O(queue) walk would
+        // dominate the run.
+        let supply_cores: f64 = self
+            .master
+            .view()
+            .workers()
             .map(|w| w.capacity.cores_f64())
             .sum();
         let t = now.as_secs_f64();
@@ -213,7 +214,7 @@ impl SystemDriver {
         // iteration does not change any series' contents).
         self.per_cat_counts.clear();
         self.per_cat_counts.resize(self.master.interner().len(), 0);
-        for r in status.running.values() {
+        for r in self.master.view().running() {
             self.per_cat_counts[r.cat.index()] += 1;
         }
         for &cat in &self.seen_categories {

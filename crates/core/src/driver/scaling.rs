@@ -88,9 +88,6 @@ impl SystemDriver {
         } else {
             self.cfg.default_init_time
         };
-        // Refresh the incremental snapshot once, then hand the policy
-        // borrowed views — no per-tick queue rebuild.
-        self.master.refresh_queue_status();
         // Swap the policy out so it can be handed `&self` as a what-if
         // world alongside the borrowed context views. The HoldPolicy
         // placeholder is what a forked branch sees as "its" policy, which
@@ -99,8 +96,7 @@ impl SystemDriver {
             std::mem::replace(&mut self.policy, Box::new(crate::policy::HoldPolicy));
         let ctx = PolicyContext {
             now,
-            queue: self.master.snapshot(),
-            interner: self.master.interner(),
+            queue: self.master.view(),
             held_jobs: &held,
             stats: self.operator.stats(),
             init_time,
@@ -122,7 +118,7 @@ impl SystemDriver {
                     action,
                     ctx.live_worker_pods,
                     ctx.pending_worker_pods,
-                    ctx.queue.waiting.len(),
+                    ctx.queue.waiting_count(),
                     ctx.init_time.as_secs_f64()
                 ),
             );

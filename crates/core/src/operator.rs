@@ -606,9 +606,8 @@ fn workflow_cat(master: &Master, name: &str) -> CategoryId {
 /// worker kill) to the category's learned requirement.
 fn declare_waiting(cat: CategoryId, resources: Resources, master: &mut Master) {
     let waiting: Vec<TaskId> = master
-        .queue_status()
-        .waiting
-        .iter()
+        .view()
+        .waiting()
         .filter(|w| w.cat == cat)
         .map(|w| w.id)
         .collect();
@@ -738,10 +737,9 @@ mod tests {
             Some(Resources::cores(1, 2_000, 2_000))
         );
         // Released tasks carry the learned declaration.
-        let st = m.queue_status();
-        assert!(st
-            .waiting
-            .iter()
+        assert!(m
+            .view()
+            .waiting()
             .all(|w| w.declared == Some(Resources::cores(1, 2_000, 2_000))));
     }
 
@@ -805,11 +803,7 @@ mod tests {
         op.submit_ready(SimTime::ZERO, &mut m, &mut fx);
         // All three submitted unknown; none dispatched (no workers), so
         // they are all waiting with declared = None.
-        assert!(m
-            .queue_status()
-            .waiting
-            .iter()
-            .all(|w| w.declared.is_none()));
+        assert!(m.view().waiting().all(|w| w.declared.is_none()));
         // Simulate the category's first measurement arriving: every task
         // still in the queue gets the learned declaration in place.
         let measured = Measured {
@@ -826,9 +820,8 @@ mod tests {
             &mut fx,
         );
         let upgraded = m
-            .queue_status()
-            .waiting
-            .iter()
+            .view()
+            .waiting()
             .filter(|w| w.declared == Some(Resources::cores(1, 2_000, 2_000)))
             .count();
         assert_eq!(upgraded, 3, "all queued align tasks upgraded");
@@ -1125,11 +1118,9 @@ mod tests {
         assert!(op.job_for_task.keys().copied().eq(live(&m)));
         // Released submissions carry the learned declaration (embedded in
         // the recorded specs), exactly like the live queue.
-        rm.refresh_queue_status();
         assert!(rm
-            .queue_status()
-            .waiting
-            .iter()
+            .view()
+            .waiting()
             .all(|w| w.declared == Some(Resources::cores(1, 2_000, 2_000))));
         // Fresh decisions after recovery keep the task-id sequence intact:
         // no replayed id is ever reissued.

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use hta_des::Duration;
 use hta_resources::Resources;
+use hta_workqueue::RunningSnapshot;
 
 use crate::policy::{PolicyContext, ScaleAction, ScalingPolicy};
 
@@ -85,15 +86,21 @@ impl ScalingPolicy for OraclePolicy {
         // The whole outstanding task set, with true requirements. The
         // oracle keeps its truth keyed by name (it comes from the workload
         // definition, before any interning) and resolves ids on the fly.
-        let mut demands: Vec<Resources> = Vec::new();
-        for w in &ctx.queue.waiting {
-            demands.push(self.requirement(ctx.interner.name(w.cat), ctx.worker_unit));
-        }
-        for r in ctx.queue.running.values() {
-            demands.push(self.requirement(ctx.interner.name(r.cat), r.allocation));
+        // First-fit packing is order-sensitive: running tasks go in
+        // ascending task id.
+        let names = ctx.queue.interner();
+        let mut demands: Vec<Resources> = ctx
+            .queue
+            .waiting()
+            .map(|w| self.requirement(names.name(w.cat), ctx.worker_unit))
+            .collect();
+        let mut running: Vec<RunningSnapshot> = ctx.queue.running().collect();
+        running.sort_unstable_by_key(|r| r.id);
+        for r in &running {
+            demands.push(self.requirement(names.name(r.cat), r.allocation));
         }
         for (cat, count) in ctx.held_jobs {
-            let req = self.requirement(ctx.interner.name(*cat), ctx.worker_unit);
+            let req = self.requirement(names.name(*cat), ctx.worker_unit);
             demands.extend(std::iter::repeat_n(req, *count));
         }
         let desired = Self::bins_needed(&demands, ctx.worker_unit).min(ctx.max_workers);
@@ -122,35 +129,25 @@ impl ScalingPolicy for OraclePolicy {
 mod tests {
     use super::*;
     use crate::category_stats::CategoryStats;
-    use hta_des::{CategoryId, Interner, SimTime};
-    use hta_workqueue::master::{QueueStatus, WaitingSnapshot};
-    use hta_workqueue::TaskId;
+    use crate::policy::testkit::master;
+    use hta_des::{CategoryId, SimTime};
+    use hta_workqueue::Master;
 
     const CAT0: CategoryId = CategoryId::from_u32(0);
-
-    fn interner(names: &[&str]) -> Interner {
-        let mut it = Interner::new();
-        for n in names {
-            it.intern(n);
-        }
-        it
-    }
 
     fn unit() -> Resources {
         Resources::cores(3, 12_000, 50_000)
     }
 
     fn ctx<'a>(
-        queue: &'a QueueStatus,
+        queue: &'a Master,
         stats: &'a CategoryStats,
-        it: &'a Interner,
         held: &'a [(CategoryId, usize)],
         live: usize,
     ) -> PolicyContext<'a> {
         PolicyContext {
             now: SimTime::from_secs(10),
-            queue,
-            interner: it,
+            queue: queue.view(),
             held_jobs: held,
             stats,
             init_time: Duration::from_secs(157),
@@ -164,17 +161,10 @@ mod tests {
         }
     }
 
-    fn waiting_queue(n: u64) -> QueueStatus {
-        QueueStatus {
-            waiting: (0..n)
-                .map(|i| WaitingSnapshot {
-                    id: TaskId(i),
-                    cat: CAT0,
-                    declared: None, // the oracle does not need declarations
-                })
-                .collect(),
-            ..QueueStatus::default()
-        }
+    /// `n` waiting tasks of the one category `name`, undeclared (the
+    /// oracle does not need declarations).
+    fn waiting_queue(name: &str, n: usize) -> Master {
+        master(&[name], &[(CAT0, None, n)], &[])
     }
 
     #[test]
@@ -182,10 +172,9 @@ mod tests {
         let mut req = BTreeMap::new();
         req.insert("align".to_string(), Resources::cores(1, 2_000, 2_000));
         let mut p = OraclePolicy::new(req);
-        let it = interner(&["align"]);
-        let q = waiting_queue(9);
+        let q = waiting_queue("align", 9);
         let stats = CategoryStats::new();
-        let (action, _) = p.decide(&ctx(&q, &stats, &it, &[], 0));
+        let (action, _) = p.decide(&ctx(&q, &stats, &[], 0));
         assert_eq!(action, ScaleAction::CreateWorkers(3), "9 × 1c → 3 workers");
         assert_eq!(p.desired(), 3);
     }
@@ -193,10 +182,9 @@ mod tests {
     #[test]
     fn oracle_drains_surplus_immediately() {
         let mut p = OraclePolicy::new(BTreeMap::new());
-        let q = QueueStatus::default();
-        let it = Interner::new();
+        let q = master(&[], &[], &[]);
         let stats = CategoryStats::new();
-        let (action, _) = p.decide(&ctx(&q, &stats, &it, &[], 5));
+        let (action, _) = p.decide(&ctx(&q, &stats, &[], 5));
         assert_eq!(action, ScaleAction::DrainWorkers(5));
     }
 
@@ -205,12 +193,11 @@ mod tests {
         let mut req = BTreeMap::new();
         req.insert("dd".to_string(), Resources::cores(1, 1_000, 15_000));
         let mut p = OraclePolicy::new(req);
-        let it = interner(&["dd"]);
-        let q = QueueStatus::default();
+        let q = waiting_queue("dd", 0);
         let stats = CategoryStats::new();
         let held = vec![(CAT0, 6)];
         // 15 GB disk → 3 per 50 GB worker → 2 workers.
-        let (action, _) = p.decide(&ctx(&q, &stats, &it, &held, 0));
+        let (action, _) = p.decide(&ctx(&q, &stats, &held, 0));
         assert_eq!(action, ScaleAction::CreateWorkers(2));
     }
 
@@ -219,12 +206,11 @@ mod tests {
         let mut req = BTreeMap::new();
         req.insert("x".to_string(), unit());
         let mut p = OraclePolicy::new(req);
-        let it = interner(&["x"]);
-        let q = waiting_queue(100);
+        let q = waiting_queue("x", 100);
         let stats = CategoryStats::new();
-        let (action, _) = p.decide(&ctx(&q, &stats, &it, &[], 0));
+        let (action, _) = p.decide(&ctx(&q, &stats, &[], 0));
         assert_eq!(action, ScaleAction::CreateWorkers(20), "quota-clamped");
-        let mut done = ctx(&q, &stats, &it, &[], 7);
+        let mut done = ctx(&q, &stats, &[], 7);
         done.workload_done = true;
         let (action, _) = p.decide(&done);
         assert_eq!(action, ScaleAction::DrainWorkers(7));

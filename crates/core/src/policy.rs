@@ -10,9 +10,9 @@
 //! §II-C deployment difference the paper builds its middleware around.
 
 use hta_cluster::{Hpa, HpaConfig};
-use hta_des::{CategoryId, Duration, Interner, SimTime};
+use hta_des::{CategoryId, Duration, SimTime};
 use hta_resources::Resources;
-use hta_workqueue::master::QueueStatus;
+use hta_workqueue::{QueueView, RunningSnapshot};
 
 use crate::category_stats::CategoryStats;
 use crate::estimator::{
@@ -37,11 +37,10 @@ pub enum ScaleAction {
 pub struct PolicyContext<'a> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Work Queue state (waiting/running/workers).
-    pub queue: &'a QueueStatus,
-    /// The master's category interner (resolves the ids in `queue` and
-    /// `held_jobs` back to names at output boundaries).
-    pub interner: &'a Interner,
+    /// Work Queue state (waiting/running/workers), borrowed from the
+    /// master. Its interner resolves the ids in it and in `held_jobs`
+    /// back to names at output boundaries.
+    pub queue: QueueView<'a>,
     /// Jobs the operator is still holding back (warm-up): they are demand
     /// the queue does not show. `(category, count)` pairs.
     pub held_jobs: &'a [(CategoryId, usize)],
@@ -154,10 +153,12 @@ impl HtaPolicy {
     fn build_input(&self, ctx: &PolicyContext<'_>) -> EstimatorInput {
         let stats = ctx.stats;
 
-        let running: Vec<RunningTask> = ctx
-            .queue
-            .running
-            .values()
+        // Ascending task id: the per-worker capacity model packs
+        // first-fit, so the order decides the estimate.
+        let mut on_workers: Vec<RunningSnapshot> = ctx.queue.running().collect();
+        on_workers.sort_unstable_by_key(|r| r.id);
+        let running: Vec<RunningTask> = on_workers
+            .iter()
             .map(|r| {
                 let mean = stats
                     .estimate(r.cat)
@@ -174,12 +175,14 @@ impl HtaPolicy {
             })
             .collect();
 
+        // The head of the queue enters Algorithm 1's simulation.
+        let mut head: Vec<(CategoryId, Option<Resources>)> = Vec::new();
         let mut waiting: Vec<WaitingTask> = ctx
             .queue
-            .waiting
-            .iter()
+            .waiting()
             .take(ESTIMATOR_QUEUE_CAP)
             .map(|w| {
+                head.push((w.cat, w.declared));
                 let est = stats.estimate(w.cat);
                 let resources = w
                     .declared
@@ -191,18 +194,22 @@ impl HtaPolicy {
             .collect();
         // Tasks past the cap stay out of the quadratic simulation but are
         // still demand: group them by planned requirement so the
-        // estimator can size scale-up for them arithmetically. One linear
-        // pass over the snapshot at policy ticks only (the per-second
-        // sampler never walks the queue).
+        // estimator can size scale-up for them arithmetically. The groups
+        // are the demand histogram minus the head, so a policy tick costs
+        // O(cap + distinct), not a walk of the whole backlog; the
+        // estimator only sums them, so their order does not matter.
         let mut overflow: Vec<(Resources, usize)> = Vec::new();
-        for w in ctx.queue.waiting.iter().skip(ESTIMATOR_QUEUE_CAP) {
-            let resources = w
-                .declared
-                .or(stats.estimate(w.cat).map(|e| e.resources))
+        for &(cat, declared, count) in ctx.queue.waiting_demand() {
+            let tail = count - head.iter().filter(|h| **h == (cat, declared)).count();
+            if tail == 0 {
+                continue;
+            }
+            let resources = declared
+                .or(stats.estimate(cat).map(|e| e.resources))
                 .unwrap_or(ctx.worker_unit);
             match overflow.iter_mut().find(|(r, _)| *r == resources) {
-                Some((_, n)) => *n += 1,
-                None => overflow.push((resources, 1)),
+                Some((_, n)) => *n += tail,
+                None => overflow.push((resources, tail)),
             }
         }
         // Held jobs whose category is already measured are demand (they
@@ -225,8 +232,7 @@ impl HtaPolicy {
         // future capacity so one shortage is not provisioned twice.
         let mut active_workers: Vec<Resources> = ctx
             .queue
-            .workers
-            .values()
+            .workers()
             .filter(|w| w.state == hta_workqueue::WorkerState::Active)
             .map(|w| w.capacity)
             .collect();
@@ -453,43 +459,79 @@ impl ScalingPolicy for HoldPolicy {
     }
 }
 
+/// Test fixture shared by the policy tests: a real master built through
+/// its public API, so a policy reads the queue the way the driver hands
+/// it over.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use hta_des::{CategoryId, Duration, EffectSink, SimTime};
+    use hta_resources::Resources;
+    use hta_workqueue::{ExecModel, FileCatalog, Master, MasterConfig, TaskId, TaskSpec};
+
+    /// A master that interns `categories` (ids in order), then queues
+    /// `count` tasks per `(category, declared, count)` group and connects
+    /// one worker per entry of `workers`. Connecting dispatches, so only
+    /// tasks that fit no worker stay waiting.
+    pub(crate) fn master(
+        categories: &[&str],
+        waiting: &[(CategoryId, Option<Resources>, usize)],
+        workers: &[Resources],
+    ) -> Master {
+        let mut m = Master::new(MasterConfig::default(), FileCatalog::new());
+        for name in categories {
+            m.intern_category(name);
+        }
+        let mut fx = EffectSink::new();
+        let mut id = 0;
+        for &(cat, declared, count) in waiting {
+            for _ in 0..count {
+                let spec = TaskSpec {
+                    id: TaskId(id),
+                    cat,
+                    inputs: Vec::new(),
+                    output_mb: 0.0,
+                    declared,
+                    actual: Resources::cores(1, 1_000, 1_000),
+                    exec: ExecModel::cpu_bound(Duration::from_secs(60)),
+                };
+                m.submit(SimTime::ZERO, spec, &mut fx);
+                id += 1;
+            }
+        }
+        for &capacity in workers {
+            m.worker_connect(SimTime::ZERO, capacity, &mut fx);
+        }
+        m
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testkit::master;
     use super::*;
-    use hta_workqueue::master::{QueueStatus, WaitingSnapshot, WorkerSnapshot};
-    use hta_workqueue::{TaskId, WorkerId, WorkerState};
+    use hta_workqueue::Master;
 
     const ALIGN: CategoryId = CategoryId::from_u32(0);
     const STAGE2: CategoryId = CategoryId::from_u32(1);
-
-    fn it() -> &'static Interner {
-        static IT: std::sync::OnceLock<Interner> = std::sync::OnceLock::new();
-        IT.get_or_init(|| {
-            let mut it = Interner::new();
-            it.intern("align"); // ALIGN
-            it.intern("stage2"); // STAGE2
-            it
-        })
-    }
+    const NAMES: &[&str] = &["align", "stage2"];
 
     fn worker_unit() -> Resources {
         Resources::cores(3, 12_000, 50_000)
     }
 
-    fn empty_queue() -> QueueStatus {
-        QueueStatus::default()
+    fn empty_queue() -> Master {
+        master(NAMES, &[], &[])
     }
 
     fn ctx<'a>(
-        queue: &'a QueueStatus,
+        queue: &'a Master,
         stats: &'a CategoryStats,
         held: &'a [(CategoryId, usize)],
         live: usize,
     ) -> PolicyContext<'a> {
         PolicyContext {
             now: SimTime::from_secs(100),
-            queue,
-            interner: it(),
+            queue: queue.view(),
             held_jobs: held,
             stats,
             init_time: Duration::from_secs(157),
@@ -503,34 +545,8 @@ mod tests {
         }
     }
 
-    fn waiting_queue(n: usize, declared: Option<Resources>) -> QueueStatus {
-        QueueStatus {
-            waiting: (0..n)
-                .map(|i| WaitingSnapshot {
-                    id: TaskId(i as u64),
-                    cat: ALIGN,
-                    declared,
-                })
-                .collect(),
-            ..QueueStatus::default()
-        }
-    }
-
-    fn idle_workers(n: u64) -> std::collections::BTreeMap<WorkerId, WorkerSnapshot> {
-        (0..n)
-            .map(|i| {
-                (
-                    WorkerId(i),
-                    WorkerSnapshot {
-                        id: WorkerId(i),
-                        capacity: worker_unit(),
-                        available: worker_unit(),
-                        state: WorkerState::Active,
-                        tasks: 0,
-                    },
-                )
-            })
-            .collect()
+    fn waiting_queue(n: usize, declared: Option<Resources>) -> Master {
+        master(NAMES, &[(ALIGN, declared, n)], &[])
     }
 
     #[test]
@@ -542,6 +558,41 @@ mod tests {
         assert_eq!(action, ScaleAction::CreateWorkers(3));
         assert_eq!(p.desired(), 3);
         assert_eq!(next, Duration::from_secs(120), "init time clamped to max");
+    }
+
+    #[test]
+    fn overflow_groups_are_the_tail_past_the_cap() {
+        let one = Some(Resources::cores(1, 2_000, 2_000));
+        let two = Resources::cores(2, 2_000, 2_000);
+        // The cap falls inside the STAGE2 run: 324 of its 500 tasks are
+        // in the head, 176 in the tail, beside all 200 two-core tasks.
+        let q = master(
+            NAMES,
+            &[
+                (ALIGN, one, 700),
+                (STAGE2, None, 500),
+                (ALIGN, Some(two), 200),
+            ],
+            &[],
+        );
+        let stats = CategoryStats::new();
+        let c = ctx(&q, &stats, &[], 0);
+        let input = HtaPolicy::new(HtaConfig::default()).build_input(&c);
+        assert_eq!(input.waiting.len(), ESTIMATOR_QUEUE_CAP);
+        let mut overflow = input.overflow;
+        overflow.sort_by_key(|(r, _)| r.millicores);
+        // Reference: one walk of the tail, grouped by planned requirement.
+        let mut walked: Vec<(Resources, usize)> = Vec::new();
+        for w in c.queue.waiting().skip(ESTIMATOR_QUEUE_CAP) {
+            let r = w.declared.unwrap_or(worker_unit());
+            match walked.iter_mut().find(|(g, _)| *g == r) {
+                Some((_, n)) => *n += 1,
+                None => walked.push((r, 1)),
+            }
+        }
+        walked.sort_by_key(|(r, _)| r.millicores);
+        assert_eq!(overflow, walked);
+        assert_eq!(overflow, [(two, 200), (worker_unit(), 176)]);
     }
 
     #[test]
@@ -589,8 +640,7 @@ mod tests {
         // Draining while a probe runs is safe here: nodes stay warm for
         // the idle timeout and images are cached, so re-creating workers
         // after the probe completes costs seconds, not an init cycle.
-        let mut q = empty_queue();
-        q.workers = idle_workers(4);
+        let q = master(NAMES, &[], &[worker_unit(); 4]);
         let stats = CategoryStats::new();
         let held = vec![(STAGE2, 33)];
         let mut p = HtaPolicy::new(HtaConfig::default());
@@ -600,14 +650,9 @@ mod tests {
 
     #[test]
     fn hta_drains_on_idle_pool() {
-        let mut q = empty_queue();
-        q.workers = idle_workers(4);
         // One waiting task too big for the aggregate → idle forever.
-        q.waiting = vec![WaitingSnapshot {
-            id: TaskId(0),
-            cat: STAGE2,
-            declared: Some(Resources::new(1000, 80_000, 0)),
-        }];
+        let big = Some(Resources::new(1000, 80_000, 0));
+        let q = master(NAMES, &[(STAGE2, big, 1)], &[worker_unit(); 4]);
         let stats = CategoryStats::new();
         let mut p = HtaPolicy::new(HtaConfig::default());
         let (action, _) = p.decide(&ctx(&q, &stats, &[], 4));

@@ -60,12 +60,12 @@ impl ScalingPolicy for TargetTrackingPolicy {
             };
         }
         let backlog =
-            ctx.queue.waiting.len() + ctx.held_jobs.iter().map(|(_, n)| *n).sum::<usize>();
+            ctx.queue.waiting_count() + ctx.held_jobs.iter().map(|(_, n)| *n).sum::<usize>();
         let live = ctx.live_worker_pods.max(1);
         let metric = backlog as f64 / live as f64;
         let raw = ((live as f64) * metric / TARGET_BACKLOG_PER_WORKER).ceil() as usize;
         // Keep at least enough workers for what is running.
-        let busy_floor = if ctx.queue.running.is_empty() { 0 } else { 1 };
+        let busy_floor = usize::from(ctx.queue.running_count() > 0);
         let desired = raw.max(MIN_WORKERS).max(busy_floor).min(ctx.max_workers);
         self.last_desired = desired;
         let action = if desired > ctx.live_worker_pods {
@@ -101,30 +101,20 @@ impl ScalingPolicy for TargetTrackingPolicy {
 mod tests {
     use super::*;
     use crate::category_stats::CategoryStats;
-    use hta_des::{CategoryId, Interner};
+    use crate::policy::testkit::master;
+    use hta_des::CategoryId;
     use hta_resources::Resources;
-    use hta_workqueue::master::{QueueStatus, WaitingSnapshot};
-    use hta_workqueue::TaskId;
-
-    fn it() -> &'static Interner {
-        static IT: std::sync::OnceLock<Interner> = std::sync::OnceLock::new();
-        IT.get_or_init(|| {
-            let mut it = Interner::new();
-            it.intern("t");
-            it
-        })
-    }
+    use hta_workqueue::Master;
 
     fn ctx<'a>(
-        queue: &'a QueueStatus,
+        queue: &'a Master,
         stats: &'a CategoryStats,
         live: usize,
         now_s: u64,
     ) -> PolicyContext<'a> {
         PolicyContext {
             now: SimTime::from_secs(now_s),
-            queue,
-            interner: it(),
+            queue: queue.view(),
             held_jobs: &[],
             stats,
             init_time: Duration::from_secs(157),
@@ -138,17 +128,8 @@ mod tests {
         }
     }
 
-    fn backlog(n: usize) -> QueueStatus {
-        QueueStatus {
-            waiting: (0..n)
-                .map(|i| WaitingSnapshot {
-                    id: TaskId(i as u64),
-                    cat: CategoryId::from_u32(0),
-                    declared: None,
-                })
-                .collect(),
-            ..QueueStatus::default()
-        }
+    fn backlog(n: usize) -> Master {
+        master(&["t"], &[(CategoryId::from_u32(0), None, n)], &[])
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //!
 //! 1. **Invariant assertions.** Components assert per-event invariants
 //!    (monotonic simulated time, task conservation, non-negative free
-//!    resources) through [`sanitize_assert!`]. The checks are active
-//!    under `debug_assertions` — every `cargo test` run exercises them
-//!    for free — and can be forced into release builds with the
-//!    `sim-sanitizer` cargo feature. In plain release builds the
-//!    condition is not even evaluated.
+//!    resources) through [`sanitize_assert!`](crate::sanitize_assert).
+//!    The checks are active under `debug_assertions` — every
+//!    `cargo test` run exercises them for free — and can be forced into
+//!    release builds with the `sim-sanitizer` cargo feature. In plain
+//!    release builds the condition is not even evaluated.
 //!
 //! 2. **Event digests.** An [`EventDigest`] folds every delivered event
 //!    into a rolling 64-bit FNV-1a hash and records periodic

@@ -68,12 +68,6 @@ impl<E> EffectSink<E> {
     pub fn drain(&mut self) -> std::vec::Drain<'_, (Duration, E)> {
         self.effects.drain(..)
     }
-
-    /// Take the buffered effects as a `Vec` (test convenience; the hot
-    /// path uses [`EffectSink::drain`]).
-    pub fn take(&mut self) -> Vec<(Duration, E)> {
-        std::mem::take(&mut self.effects)
-    }
 }
 
 impl<E> Default for EffectSink<E> {

@@ -377,13 +377,12 @@ impl MpcPolicy {
     /// exactly when created workers arrive, every scale-up looks like
     /// pure cost, and the argmin degenerates to "drain".
     fn horizon_for(ctx: &PolicyContext<'_>) -> Duration {
+        // The waiting categories come from the demand histogram, which
+        // holds exactly the categories with a live waiting task: O(distinct),
+        // not O(queue).
+        let waiting = ctx.queue.waiting_demand().iter().map(|(cat, _, _)| cat);
         let mut exec = Duration::ZERO;
-        for w in &ctx.queue.waiting {
-            if let Some(e) = ctx.stats.estimate(w.cat) {
-                exec = exec.max(e.mean_wall);
-            }
-        }
-        for (cat, _) in ctx.held_jobs {
+        for cat in waiting.chain(ctx.held_jobs.iter().map(|(cat, _)| cat)) {
             if let Some(e) = ctx.stats.estimate(*cat) {
                 exec = exec.max(e.mean_wall);
             }

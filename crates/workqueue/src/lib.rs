@@ -88,7 +88,7 @@ pub use hta_des::{ChannelStats, NetworkFaults, Partition};
 pub use ids::{FileId, FlowId, TaskId, WorkerId};
 pub use link::FairShareLink;
 pub use master::{
-    FailKind, Master, MasterConfig, QueueStatus, RunningSnapshot, TaskFaultStats, TaskFaults,
+    FailKind, Master, MasterConfig, QueueView, RunningSnapshot, TaskFaultStats, TaskFaults,
     WaitingSnapshot, WorkerSnapshot, WqEffect, WqEvent, WqNotification,
 };
 pub use proto::ControlMsg;

@@ -26,18 +26,19 @@
 //! and the completion digest are all that remain of it), a worker is
 //! retired from the table the moment it stops, and the dispatch
 //! admission gate (the component-wise max of free resources) is kept
-//! current per worker transition instead of being rescanned. Three more
+//! current per worker transition instead of being rescanned. Two more
 //! design decisions keep steady-state event handling allocation-free:
 //!
 //! * category names are interned once, when the run is built, and task
 //!   specs carry the [`CategoryId`]; everything downstream (notifications,
 //!   snapshots, per-category statistics) moves the `Copy` id;
 //! * every effect-producing method pushes into a caller-owned
-//!   [`EffectSink`] instead of returning a fresh `Vec` per event;
-//! * the autoscaler's [`QueueStatus`] is maintained *incrementally* at
-//!   task/worker transitions instead of being rebuilt from scratch on
-//!   every poll ([`Master::queue_status`] only re-derives the waiting
-//!   view, and only when the queue actually changed).
+//!   [`EffectSink`] instead of returning a fresh `Vec` per event.
+//!
+//! The master keeps no copy of its own state for readers: the
+//! autoscaler's [`QueueView`] borrows the master and derives each view
+//! from the task records, the worker table and the waiting FIFO when it
+//! is read, so no transition has a second structure to keep in step.
 //!
 //! # Layout
 //!
@@ -55,7 +56,8 @@
 //! * `lease` — heartbeats, lease expiry and the dispatch and completion
 //!   retransmits;
 //! * `faults` — injected attempt failures and speculation;
-//! * `snapshot` — the incrementally kept autoscaler view ([`QueueStatus`]);
+//! * `snapshot` — the autoscaler's borrowed view ([`QueueView`]) and the
+//!   `Copy` items it yields;
 //! * `recovery` — the checkpoint-restore and WAL-replay hooks;
 //! * `sanitize` — [`Master::assert_invariants`].
 
@@ -89,7 +91,7 @@ mod snapshot;
 use channel::staging::FlowPurpose;
 use dispatch::DispatchGate;
 pub use faults::{TaskFaultStats, TaskFaults};
-pub use snapshot::{QueueStatus, RunningSnapshot, WaitingSnapshot, WorkerSnapshot};
+pub use snapshot::{QueueView, RunningSnapshot, WaitingSnapshot, WorkerSnapshot};
 
 /// Events the master schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +250,7 @@ pub struct Master {
     /// walk.
     waiting: WaitingQueue,
     /// Live (active or draining) workers only: a worker is dropped the
-    /// moment it stops (see [`Master::refresh_worker_snap`]), so every
+    /// moment it stops (see [`Master::worker_changed`]), so every
     /// scan over this map costs O(live), not O(workers ever connected).
     workers: BTreeMap<WorkerId, Worker>,
     /// Incrementally maintained dispatch admission gate.
@@ -286,10 +288,6 @@ pub struct Master {
     /// nonzero or speculation is on, so fault-free runs stay byte-stable.
     rng: SimRng,
     fault_stats: TaskFaultStats,
-    /// Incrementally maintained autoscaler snapshot.
-    snap: QueueStatus,
-    /// True when `snap.waiting` no longer reflects the FIFO queue.
-    waiting_dirty: bool,
     /// Recycled input-file buffer for [`Master::dispatch`].
     input_scratch: Vec<FileId>,
     /// Recycled completed-flow buffer for the link wake-ups.
@@ -388,8 +386,6 @@ impl Master {
             rng: SimRng::seed_from_u64(cfg.faults.seed),
             faults: cfg.faults,
             fault_stats: TaskFaultStats::default(),
-            snap: QueueStatus::default(),
-            waiting_dirty: false,
             input_scratch: Vec::new(),
             flow_scratch: Vec::new(),
             mwu_cache: std::cell::Cell::new(None),
@@ -449,7 +445,6 @@ impl Master {
         self.submitted += 1;
         self.tasks.insert(id, TaskRecord::new(spec, now));
         self.waiting.push_back(id, cat, declared);
-        self.waiting_dirty = true;
         self.dispatch(now, fx);
         self.assert_invariants();
     }
@@ -464,7 +459,6 @@ impl Master {
         let old = rec.spec.declared;
         rec.spec.declared = Some(declared);
         self.waiting.redeclare(rec.spec.cat, old, Some(declared));
-        self.waiting_dirty = true;
     }
 
     /// A new worker connected with the given capacity.
@@ -478,7 +472,7 @@ impl Master {
         let id = WorkerId(self.next_worker);
         self.next_worker += 1;
         self.workers.insert(id, Worker::connect(id, capacity, now));
-        self.refresh_worker_snap(id);
+        self.worker_changed(id);
         self.start_lease(now, id, fx);
         self.dispatch(now, fx);
         self.assert_invariants();
@@ -496,7 +490,7 @@ impl Master {
             w.stop(now);
             self.notifications.push(WqNotification::WorkerStopped(id));
         }
-        self.refresh_worker_snap(id);
+        self.worker_changed(id);
         self.assert_invariants();
     }
 
@@ -508,7 +502,7 @@ impl Master {
             return; // never connected, or already stopped and retired
         };
         let orphans = w.stop(now);
-        self.refresh_worker_snap(id);
+        self.worker_changed(id);
         self.last_heartbeat.remove(&id);
         self.suspects.remove(&id);
         // Cancel any flows serving the orphaned tasks (the worker's cache
@@ -531,9 +525,7 @@ impl Master {
             rec.run_generation += 1;
             rec.interruptions += 1;
             self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
-            self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
-            self.refresh_task_snap(*t);
         }
         self.dispatch(now, fx);
         self.assert_invariants();
@@ -584,7 +576,7 @@ impl Master {
     /// — absence of workers is not staleness, and the policy's no-metrics
     /// path owns that case.
     pub fn telemetry_age(&self, now: SimTime) -> Duration {
-        if !self.liveness_on() || self.snap.workers.is_empty() {
+        if !self.liveness_on() || self.workers.is_empty() {
             return Duration::ZERO;
         }
         now.since(self.last_telemetry)
@@ -644,7 +636,6 @@ impl Master {
             rec.started_at = Some(now);
             (rec.spec.exec.duration, rec.run_generation, rec.spec.cat)
         };
-        self.refresh_task_snap(task);
         // Fault injection: this attempt may die partway through instead of
         // finishing. Exactly one of the two events below survives the
         // run-generation check.
@@ -672,7 +663,7 @@ impl Master {
                 w.stop(now);
                 self.notifications.push(WqNotification::WorkerStopped(wid));
             }
-            self.refresh_worker_snap(wid);
+            self.worker_changed(wid);
         }
     }
 
@@ -751,19 +742,15 @@ impl Master {
         self.completed_digest = self.completed_digest.wrapping_add(mix64(task.raw()));
     }
 
-    /// Drop a finished (completed or permanently failed) task's record
-    /// and its running-snapshot entry, returning the record. The table
-    /// holds only waiting and on-worker tasks, so master memory follows
-    /// the in-flight tasks, not every task ever submitted; the finished
-    /// task lives on in the counters, the completion digest and its exit
-    /// notification.
+    /// Drop a finished (completed or permanently failed) task's record,
+    /// returning it. The table holds only waiting and on-worker tasks, so
+    /// master memory follows the in-flight tasks, not every task ever
+    /// submitted; the finished task lives on in the counters, the
+    /// completion digest and its exit notification.
     fn retire_task(&mut self, task: TaskId) -> Arc<TaskRecord> {
-        let rec = self
-            .tasks
+        self.tasks
             .remove(&task)
-            .expect("a finishing task has a record");
-        self.refresh_task_snap(task);
-        rec
+            .expect("a finishing task has a record")
     }
 
     /// The demand histogram: distinct (category, declared, count) triples
@@ -783,9 +770,10 @@ impl Master {
         self.waiting.len()
     }
 
-    /// Number of tasks assigned to workers (staging/running/returning).
+    /// Number of tasks assigned to workers (staging/running/returning):
+    /// the stored records are exactly the waiting and the on-worker tasks.
     pub fn running_count(&self) -> usize {
-        self.snap.running.len()
+        self.tasks.len() - self.waiting.len()
     }
 
     /// Number of completed tasks.
@@ -833,12 +821,12 @@ impl Master {
 
     /// Connected (non-stopped) worker count.
     pub fn connected_workers(&self) -> usize {
-        self.snap.workers.len()
+        self.workers.len()
     }
 
     /// Connected workers with no assigned task.
     pub fn idle_workers(&self) -> usize {
-        self.snap.workers.values().filter(|w| w.tasks == 0).count()
+        self.workers.values().filter(|w| w.is_idle()).count()
     }
 
     /// Busy CPU cores on one worker: Σ over *running* tasks of
@@ -883,12 +871,11 @@ impl Master {
     }
 
     /// Cores in use by running tasks, by *allocation* (the paper's RIU).
+    /// Summed in integer millicores, so the total does not depend on the
+    /// order the tasks are visited in.
     pub fn in_use_cores(&self) -> f64 {
-        self.snap
-            .running
-            .values()
-            .map(|r| r.allocation.cores_f64())
-            .sum()
+        let total: Resources = self.view().running().map(|r| r.allocation).sum();
+        total.cores_f64()
     }
 
     /// `wq_status`-style textual snapshot of the queue and workers.
@@ -927,20 +914,6 @@ impl Master {
     /// The live (waiting and on-worker) task records, in ascending id.
     pub fn task_records(&self) -> impl Iterator<Item = &TaskRecord> {
         self.tasks.values()
-    }
-
-    /// Snapshot for the autoscaler: refreshes the waiting view if the
-    /// queue changed, then returns the incrementally maintained status.
-    pub fn queue_status(&mut self) -> &QueueStatus {
-        self.refresh_queue_status();
-        &self.snap
-    }
-
-    /// The current snapshot *without* refreshing the waiting view. Pair
-    /// with [`Master::refresh_queue_status`] when shared borrows of the
-    /// master (e.g. the interner) must coexist with the snapshot.
-    pub fn snapshot(&self) -> &QueueStatus {
-        &self.snap
     }
 }
 
@@ -1302,9 +1275,9 @@ mod tests {
         // HTA learns the category needs 1 core and updates the waiting task…
         m.declare_resources(TaskId(1), Resources::cores(1, 2_000, 2_000));
         assert_eq!(
-            m.queue_status().waiting[0].declared,
+            m.view().waiting().next().and_then(|w| w.declared),
             Some(Resources::cores(1, 2_000, 2_000)),
-            "declared upgrade must show in the next snapshot"
+            "declared upgrade must show in the waiting view"
         );
         // …but the exclusive task still blocks the worker; the waiting task
         // dispatches only after it completes, with the declared allocation.

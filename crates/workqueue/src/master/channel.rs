@@ -155,7 +155,7 @@ impl Master {
         self.last_telemetry = self.last_telemetry.max(now);
         if self.suspects.remove(&worker) {
             // Re-adoption makes the worker eligible for placement again.
-            self.refresh_worker_snap(worker);
+            self.worker_changed(worker);
             self.dispatch(now, fx);
         }
     }

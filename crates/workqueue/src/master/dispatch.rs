@@ -102,7 +102,6 @@ impl Master {
             return;
         }
         self.link.advance(now);
-        let mut changed = false;
         // Admission gate: the component-wise max of free resources across
         // accepting workers is a necessary condition for any placement —
         // a request that does not fit it cannot fit any single worker. On
@@ -150,7 +149,6 @@ impl Master {
                 self.waiting.defer(tid);
                 continue;
             };
-            changed = true;
             self.waiting.placed(cat, declared);
             {
                 let worker = self.workers.get_mut(&wid).expect("worker exists");
@@ -161,7 +159,7 @@ impl Master {
             }
             // The placement shrank this worker's free pool; the refresh
             // updates its gate entry, so re-reading keeps the bound sound.
-            self.refresh_worker_snap(wid);
+            self.worker_changed(wid);
             (max_free, any_idle) = self.gate.headroom();
             self.net_seq += 1;
             let seq = self.net_seq;
@@ -170,7 +168,6 @@ impl Master {
             rec.allocation = Some(allocation);
             rec.dispatch_seq = seq;
             rec.dispatch_acked = false;
-            self.refresh_task_snap(tid);
             // The dispatch decision crosses the control channel: inline
             // (and byte-identical to a direct call) when the transport is
             // fault-free, otherwise subject to delay/loss/partition with
@@ -188,10 +185,26 @@ impl Master {
         }
         let tasks = &self.tasks;
         self.waiting.finish_pass(|t| queued(tasks, t));
-        if changed {
-            self.waiting_dirty = true;
-        }
         self.flush_wakes(fx);
+    }
+
+    /// Re-derive one worker's dispatch-gate entry, and retire the worker
+    /// once it has stopped. Called whenever its state, load, task count or
+    /// suspicion changes — every path that stops a worker ends here, which
+    /// is what keeps `workers` O(live).
+    pub(super) fn worker_changed(&mut self, wid: WorkerId) {
+        let live = self
+            .workers
+            .get(&wid)
+            .filter(|w| w.state != WorkerState::Stopped);
+        let entry = match live {
+            Some(w) => self.gate_entry(w),
+            None => {
+                self.workers.remove(&wid);
+                None
+            }
+        };
+        self.gate.set(wid, entry);
     }
 
     /// A worker's dispatch-gate entry: its free resources and idleness

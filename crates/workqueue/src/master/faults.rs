@@ -170,8 +170,6 @@ impl Master {
             rec.state = TaskState::Waiting;
             self.waiting
                 .push_front(task, rec.spec.cat, rec.spec.declared);
-            self.waiting_dirty = true;
-            self.refresh_task_snap(task);
         }
         self.release_from_worker(now, wid, task);
         self.dispatch(now, fx);
@@ -215,7 +213,7 @@ impl Master {
             .get_mut(&dup_wid)
             .expect("worker exists")
             .assign(task, alloc);
-        self.refresh_worker_snap(dup_wid);
+        self.worker_changed(dup_wid);
         // The duplicate is an ordinary run of a category job: model its
         // wall time as the category mean (±10%) — speculation's premise is
         // that the straggler, not the task, is the outlier.
@@ -263,7 +261,6 @@ impl Master {
             rec.run_generation += 1;
             (wid, cores * elapsed.as_secs_f64(), rec.run_generation)
         };
-        self.refresh_task_snap(task);
         self.fault_stats.wasted_core_s += wasted_core_s;
         self.fault_stats.speculative_wins += 1;
         self.release_from_worker(now, primary_wid, task);
@@ -312,7 +309,6 @@ impl Master {
         let remaining = sp.duration.saturating_sub(now.since(sp.started_at));
         let generation = rec.run_generation;
         fx.push(remaining, WqEvent::TaskFinished(task, generation));
-        self.refresh_task_snap(task);
         true
     }
 

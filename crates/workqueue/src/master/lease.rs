@@ -193,16 +193,14 @@ impl Master {
             rec.interruptions += 1;
             rec.dispatch_acked = false;
             self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
-            self.waiting_dirty = true;
             self.notifications.push(WqNotification::TaskRequeued(*t));
-            self.refresh_task_snap(*t);
         }
         if let Some(w) = self.workers.get_mut(&wid) {
             for t in &orphans {
                 w.remove_task(*t);
             }
         }
-        self.refresh_worker_snap(wid);
+        self.worker_changed(wid);
         // Cancelled flows bumped the link generations; re-arm so the
         // survivors' completions still wake the link.
         self.arm_link_wake(fx);

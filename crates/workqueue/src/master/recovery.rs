@@ -50,15 +50,13 @@ impl Master {
             rec.interruptions += 1;
             rec.dispatch_acked = false;
             self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
-            self.refresh_task_snap(*t);
         }
-        self.waiting_dirty = true;
         let wids: Vec<WorkerId> = self.workers.keys().copied().collect();
         for w in wids {
             if let Some(worker) = self.workers.get_mut(&w) {
                 let _ = worker.stop(now);
             }
-            self.refresh_worker_snap(w);
+            self.worker_changed(w);
         }
         // Liveness state dies with the old incarnation: the pending
         // LeaseCheck/HeartbeatTick events are incarnation-fenced by the
@@ -111,7 +109,6 @@ impl Master {
             self.waiting
                 .remove(rec.spec.cat, rec.spec.declared, |t| queued(tasks, t));
         }
-        self.waiting_dirty = true;
         self.assert_invariants();
     }
 }
@@ -218,11 +215,11 @@ mod tests {
         let live: Vec<TaskId> = m.waiting.iter().filter(|t| queued(&m.tasks, *t)).collect();
         assert_eq!(live, Vec::from(reference.clone()), "live order");
         assert_eq!(m.waiting_count(), reference.len());
-        let snap: Vec<TaskId> = m.queue_status().waiting.iter().map(|w| w.id).collect();
+        let view: Vec<TaskId> = m.view().waiting().map(|w| w.id).collect();
         assert_eq!(
-            snap,
+            view,
             Vec::from(reference.clone()),
-            "snapshot skips tombstones"
+            "the waiting view skips tombstones"
         );
         let mut counts: Vec<(Option<Resources>, usize)> = Vec::new();
         for t in &reference {

@@ -21,9 +21,7 @@ impl Master {
     ///
     /// Delta checks:
     /// * **Counter conservation** — every submitted task is stored or
-    ///   counted as completed or failed, and the stored records are
-    ///   exactly the live queue entries plus the on-worker tasks (the
-    ///   running snapshot): no finished task keeps a record.
+    ///   counted as completed or failed.
     /// * **Waiting queue** — its histogram counts its live entries, and
     ///   tombstones never outnumber them.
     ///
@@ -31,6 +29,11 @@ impl Master {
     /// * **Queue consistency** — the queue's live entries are exactly the
     ///   tasks whose record says `Waiting`, every other entry is a
     ///   counted tombstone, and the demand histogram is a recount.
+    /// * **Record conservation** — every record not `Waiting` is in its
+    ///   primary worker's task list, and the on-worker enumeration the
+    ///   autoscaler reads lists exactly the records minus the live queue
+    ///   entries: no finished task keeps a record, and no task is counted
+    ///   twice.
     /// * **Non-negative free resources** — no worker pool is
     ///   over-allocated.
     /// * **Live staging flows** — every worker's in-flight file marker
@@ -50,16 +53,12 @@ impl Master {
         self.waiting.assert_consistent();
         let records = self.tasks.len();
         assert!(
-            self.submitted == records + self.completed_count + self.failed_count
-                && self.waiting.len() + self.snap.running.len() == records,
+            self.submitted == records + self.completed_count + self.failed_count,
             "task conservation violated by the counters: {} submitted != {records} stored \
-             + {} completed + {} failed, or the stored records are not the waiting queue's \
-             {} live entries + {} on-worker tasks",
+             + {} completed + {} failed",
             self.submitted,
             self.completed_count,
-            self.failed_count,
-            self.waiting.len(),
-            self.snap.running.len()
+            self.failed_count
         );
         self.tasks.assert_consistent();
         let waiting = self.tasks.values().filter(|r| is_waiting(r)).count();
@@ -88,6 +87,24 @@ impl Master {
              tasks are in state Waiting and the queue counts {} live and {} tombstones",
             self.waiting.len(),
             self.waiting.tombstones()
+        );
+        for rec in self.tasks.values().filter(|r| !is_waiting(r)) {
+            let on_list = rec
+                .worker()
+                .and_then(|w| self.workers.get(&w))
+                .is_some_and(|w| w.tasks().contains(&rec.spec.id));
+            assert!(
+                on_list,
+                "task {:?} in state {:?} is missing from its worker's task list",
+                rec.spec.id, rec.state
+            );
+        }
+        let on_worker = self.view().running().count();
+        assert!(
+            on_worker + self.waiting.len() == records,
+            "task conservation violated: {records} stored records != the waiting queue's {} \
+             live entries + {on_worker} on-worker tasks",
+            self.waiting.len()
         );
         let demand = self.waiting.demand();
         assert!(
@@ -122,16 +139,16 @@ impl Master {
             );
         }
         // Bounded state: a stopped worker is retired on the spot, so the
-        // table holds exactly the live workers the snapshot reports.
+        // table holds exactly the live workers.
+        let stopped = self
+            .workers
+            .values()
+            .filter(|w| w.state == WorkerState::Stopped)
+            .count();
         assert!(
-            self.workers.len() == self.snap.workers.len()
-                && self
-                    .workers
-                    .values()
-                    .all(|w| w.state != WorkerState::Stopped),
-            "worker table holds {} records for {} live workers (stopped worker retained)",
-            self.workers.len(),
-            self.snap.workers.len()
+            stopped == 0,
+            "worker table holds {} records, {stopped} of them stopped (stopped worker retained)",
+            self.workers.len()
         );
         // The incremental dispatch gate must equal a fresh scan: same
         // members with current entries, axes that count exactly those

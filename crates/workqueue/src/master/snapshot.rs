@@ -1,9 +1,8 @@
-//! The autoscaler's view of the queue ([`QueueStatus`]), kept current at
-//! every task and worker transition instead of rebuilt on each poll.
+//! The autoscaler's view of the queue ([`QueueView`]): borrowed from the
+//! master and derived from its records when read, so it never holds a
+//! copy that could go stale.
 
-use std::collections::BTreeMap;
-
-use hta_des::{CategoryId, SimTime};
+use hta_des::{CategoryId, Interner, SimTime};
 use hta_resources::Resources;
 
 use super::{is_waiting, Master};
@@ -51,94 +50,91 @@ pub struct WorkerSnapshot {
     pub tasks: usize,
 }
 
-/// Queue status handed to the autoscaler (the paper's framework-level
-/// feedback input).
+/// The autoscaler's read-only view of the queue (the paper's
+/// framework-level feedback input), borrowed from the master.
 ///
-/// Maintained incrementally by the master: `running` and `workers` are
-/// updated in place at every task/worker transition; `waiting` is a
-/// lazily rebuilt view of the FIFO queue (rebuilt only when the queue
-/// changed since the last poll).
-#[derive(Debug, Clone, Default)]
-pub struct QueueStatus {
-    /// Waiting tasks in FIFO order.
-    pub waiting: Vec<WaitingSnapshot>,
-    /// Tasks assigned to workers, keyed by task id.
-    pub running: BTreeMap<TaskId, RunningSnapshot>,
-    /// Active and draining workers, keyed by worker id.
-    pub workers: BTreeMap<WorkerId, WorkerSnapshot>,
+/// Every view is derived when it is read, from the master's own task
+/// records, worker table and waiting FIFO, so there is no second copy to
+/// keep in step. It hands out only the snapshot item types, never a
+/// [`TaskRecord`](crate::task::TaskRecord): a policy sees what a Work
+/// Queue status query reports, not a task's true footprint.
+#[derive(Debug, Clone, Copy)]
+pub struct QueueView<'a> {
+    master: &'a Master,
+}
+
+impl<'a> QueueView<'a> {
+    /// Waiting tasks in FIFO (dispatch) order. O(queue).
+    pub fn waiting(self) -> impl Iterator<Item = WaitingSnapshot> + 'a {
+        let m = self.master;
+        m.waiting.iter().filter_map(move |t| {
+            let r = m.tasks.get(&t).filter(|r| is_waiting(r))?;
+            Some(WaitingSnapshot {
+                id: r.spec.id,
+                cat: r.spec.cat,
+                declared: r.spec.declared,
+            })
+        })
+    }
+
+    /// Tasks on workers (staging, running or returning), in worker id
+    /// order and then in each worker's assignment order. Each task is
+    /// listed once, at its primary worker: a speculative duplicate is not
+    /// a second task. O(running + workers).
+    pub fn running(self) -> impl Iterator<Item = RunningSnapshot> + 'a {
+        let m = self.master;
+        m.workers.values().flat_map(move |w| {
+            w.tasks().iter().filter_map(move |t| {
+                let r = m.tasks.get(t).filter(|r| r.worker() == Some(w.id))?;
+                Some(RunningSnapshot {
+                    id: r.spec.id,
+                    cat: r.spec.cat,
+                    started_at: r.started_at,
+                    allocation: r.allocation.unwrap_or(Resources::ZERO),
+                    worker: w.id,
+                })
+            })
+        })
+    }
+
+    /// Live (active and draining) workers in id order. O(workers).
+    pub fn workers(self) -> impl Iterator<Item = WorkerSnapshot> + 'a {
+        self.master.workers.values().map(|w| WorkerSnapshot {
+            id: w.id,
+            capacity: w.capacity(),
+            available: w.pool.available(),
+            state: w.state,
+            tasks: w.task_count(),
+        })
+    }
+
+    /// Number of waiting tasks.
+    pub fn waiting_count(self) -> usize {
+        self.master.waiting_count()
+    }
+
+    /// Number of tasks on workers.
+    pub fn running_count(self) -> usize {
+        self.master.running_count()
+    }
+
+    /// The waiting queue's demand histogram (see
+    /// [`Master::waiting_demand`]).
+    pub fn waiting_demand(self) -> &'a [(CategoryId, Option<Resources>, usize)] {
+        self.master.waiting_demand()
+    }
+
+    /// The category interner (resolves the views' ids to names at output
+    /// boundaries).
+    pub fn interner(self) -> &'a Interner {
+        self.master.interner()
+    }
 }
 
 impl Master {
-    /// Re-derive one task's entry in the running snapshot (insert while it
-    /// is on a worker, remove otherwise). Called at every state change.
-    pub(super) fn refresh_task_snap(&mut self, task: TaskId) {
-        let entry = self.tasks.get(&task).and_then(|r| {
-            let worker = r.worker()?;
-            Some(RunningSnapshot {
-                id: r.spec.id,
-                cat: r.spec.cat,
-                started_at: r.started_at,
-                allocation: r.allocation.unwrap_or(Resources::ZERO),
-                worker,
-            })
-        });
-        match entry {
-            Some(s) => {
-                self.snap.running.insert(task, s);
-            }
-            None => {
-                self.snap.running.remove(&task);
-            }
-        }
-    }
-
-    /// Re-derive one worker's entries in the snapshot and the dispatch
-    /// gate, and retire the worker once it has stopped. Called whenever
-    /// its state, load, task count or suspicion changes — every path that
-    /// stops a worker ends here, which is what keeps `workers` O(live).
-    pub(super) fn refresh_worker_snap(&mut self, wid: WorkerId) {
-        let live = self
-            .workers
-            .get(&wid)
-            .filter(|w| w.state != WorkerState::Stopped);
-        let Some(w) = live else {
-            self.workers.remove(&wid);
-            self.snap.workers.remove(&wid);
-            self.gate.set(wid, None);
-            return;
-        };
-        self.snap.workers.insert(
-            wid,
-            WorkerSnapshot {
-                id: w.id,
-                capacity: w.capacity(),
-                available: w.pool.available(),
-                state: w.state,
-                tasks: w.task_count(),
-            },
-        );
-        let entry = self.gate_entry(w);
-        self.gate.set(wid, entry);
-    }
-
-    /// Bring the waiting view of the snapshot up to date (the running and
-    /// worker views are always current). Cheap when nothing changed.
-    pub fn refresh_queue_status(&mut self) {
-        if !self.waiting_dirty {
-            return;
-        }
-        self.waiting_dirty = false;
-        self.snap.waiting.clear();
-        self.snap.waiting.reserve(self.waiting.len());
-        for t in self.waiting.iter() {
-            if let Some(r) = self.tasks.get(&t).filter(|r| is_waiting(r)) {
-                self.snap.waiting.push(WaitingSnapshot {
-                    id: r.spec.id,
-                    cat: r.spec.cat,
-                    declared: r.spec.declared,
-                });
-            }
-        }
+    /// The autoscaler's borrowed view of the queue.
+    pub fn view(&self) -> QueueView<'_> {
+        QueueView { master: self }
     }
 }
 
@@ -147,7 +143,7 @@ mod tests {
     use crate::master::testkit::*;
 
     #[test]
-    fn queue_status_snapshot() {
+    fn view_lists_waiting_running_and_workers() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
         let mut fx = EffectSink::new();
@@ -162,16 +158,17 @@ mod tests {
             cpu_task(1, db, Some(Resources::cores(2, 0, 0))),
             &mut fx,
         );
-        let st = m.queue_status();
-        assert_eq!(st.running.len(), 1);
-        assert_eq!(st.waiting.len(), 1, "2-core task can't fit beside 1-core");
-        assert_eq!(st.workers.len(), 1);
-        assert_eq!(st.workers[&w].tasks, 1);
-        assert_eq!(st.waiting[0].id, TaskId(1));
+        let v = m.view();
+        assert_eq!((v.running().count(), v.running_count()), (1, 1));
+        let waiting: Vec<TaskId> = v.waiting().map(|t| t.id).collect();
+        assert_eq!(waiting, [TaskId(1)], "2-core task can't fit beside 1-core");
+        assert_eq!(v.waiting_count(), 1);
+        let workers: Vec<(WorkerId, usize)> = v.workers().map(|w| (w.id, w.tasks)).collect();
+        assert_eq!(workers, [(w, 1)]);
     }
 
     #[test]
-    fn incremental_snapshot_matches_rebuilt_state() {
+    fn derived_views_match_the_records() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
         let mut q = EventQueue::new();
@@ -182,12 +179,14 @@ mod tests {
         for i in 0..4 {
             m.submit(SimTime::ZERO, cpu_task(i, db, decl), &mut fx);
         }
-        // Cross-check the maintained snapshot against ground truth at
-        // several points through the run.
+        // Cross-check the views against the records at several points
+        // through the run.
         for _ in 0..20 {
-            let st = m.queue_status();
-            let snap_running: Vec<TaskId> = st.running.keys().copied().collect();
-            let snap_waiting: Vec<TaskId> = st.waiting.iter().map(|w| w.id).collect();
+            let v = m.view();
+            let mut running: Vec<TaskId> = v.running().map(|r| r.id).collect();
+            running.sort();
+            let mut waiting: Vec<TaskId> = v.waiting().map(|w| w.id).collect();
+            waiting.sort();
             let truth_running: Vec<TaskId> = m
                 .task_records()
                 .filter(|r| r.worker().is_some())
@@ -198,23 +197,73 @@ mod tests {
                 .filter(|r| r.state == TaskState::Waiting)
                 .map(|r| r.spec.id)
                 .collect();
-            assert_eq!(snap_running, truth_running);
-            assert_eq!(
-                {
-                    let mut s = snap_waiting.clone();
-                    s.sort();
-                    s
-                },
-                truth_waiting
-            );
+            assert_eq!(running, truth_running);
+            assert_eq!(waiting, truth_waiting);
             let Some((now, ev)) = q.pop() else { break };
             m.handle(now, ev, &mut fx);
             sched(&mut q, &mut fx);
         }
         run(&mut m, &mut q, &mut fx, 400);
         assert!(m.all_complete());
-        let st = m.queue_status();
-        assert!(st.running.is_empty());
-        assert!(st.waiting.is_empty());
+        let v = m.view();
+        assert_eq!((v.running().count(), v.waiting().count()), (0, 0));
+    }
+
+    #[test]
+    fn each_task_is_listed_once_where_it_runs_or_waits() {
+        let (cat, db) = catalog_with_db();
+        let mut m = new_master(
+            faulty_cfg(TaskFaults {
+                straggler_factor: Some(2.0),
+                ..TaskFaults::default()
+            }),
+            cat,
+        );
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let one = Some(Resources::cores(1, 2_000, 2_000));
+        let two = Some(Resources::cores(2, 2_000, 2_000));
+        let w0 = m.worker_connect(SimTime::ZERO, Resources::cores(3, 8_000, 50_000), &mut fx);
+        let w1 = m.worker_connect(SimTime::ZERO, Resources::cores(2, 8_000, 50_000), &mut fx);
+        // A 60 s task sets the category mean; a straggler on w0 then
+        // earns a speculative duplicate on w1 at twice the mean.
+        m.submit(SimTime::ZERO, cpu_task(0, db, one), &mut fx);
+        run(&mut m, &mut q, &mut fx, 100);
+        let mut straggler = cpu_task(1, db, one);
+        straggler.exec = ExecModel::cpu_bound(Duration::from_secs(10_000));
+        m.submit(q.now(), straggler, &mut fx);
+        sched(&mut q, &mut fx);
+        while m.fault_stats().speculative_launched == 0 {
+            let (now, ev) = q.pop().expect("the straggler check fires");
+            m.handle(now, ev, &mut fx);
+            sched(&mut q, &mut fx);
+        }
+        let now = q.now();
+        m.submit(now, cpu_task(2, db, two), &mut fx);
+        m.submit(now, cpu_task(3, db, two), &mut fx);
+        let running = |m: &Master| -> Vec<(TaskId, WorkerId)> {
+            m.view().running().map(|r| (r.id, r.worker)).collect()
+        };
+        let waiting = |m: &Master| -> Vec<TaskId> { m.view().waiting().map(|w| w.id).collect() };
+        // The duplicate sits on w1's task list, but task 1 is listed once,
+        // at its primary.
+        assert_eq!(running(&m), [(TaskId(1), w0), (TaskId(2), w0)]);
+        assert_eq!(m.worker(w1).map(Worker::task_count), Some(1));
+        assert_eq!((m.running_count(), waiting(&m)), (2, vec![TaskId(3)]));
+        // A draining worker's tasks are still on workers.
+        m.drain_worker(now, w0);
+        assert_eq!(running(&m), [(TaskId(1), w0), (TaskId(2), w0)]);
+        let states: Vec<(WorkerId, WorkerState)> =
+            m.view().workers().map(|w| (w.id, w.state)).collect();
+        assert_eq!(
+            states,
+            [(w0, WorkerState::Draining), (w1, WorkerState::Active)]
+        );
+        // Killing w0 promotes the duplicate onto w1 and re-queues task 2
+        // at the front, listed once, ahead of task 3.
+        m.kill_worker(now, w0, &mut fx);
+        assert_eq!(running(&m), [(TaskId(1), w1)]);
+        assert_eq!(waiting(&m), [TaskId(2), TaskId(3)]);
+        assert_eq!((m.running_count(), m.waiting_count()), (1, 2));
     }
 }

@@ -10,9 +10,9 @@
 //! anyway:
 //!
 //! * **Dispatch** is at-least-once: the master retransmits on a seeded
-//!   backoff schedule until the worker's [`DispatchAck`] arrives. The
-//!   per-dispatch `seq` makes retransmits idempotent — a worker already
-//!   staging that sequence ignores the copy.
+//!   backoff schedule until the worker's [`ControlMsg::DispatchAck`]
+//!   arrives. The per-dispatch `seq` makes retransmits idempotent — a
+//!   worker already staging that sequence ignores the copy.
 //! * **Completion** reports carry the task's run generation; a report
 //!   from a presumed-dead worker whose task was already re-dispatched
 //!   ("zombie" completion) fails the generation check and is fenced.
