@@ -43,7 +43,8 @@ impl SystemDriver {
             self.on_master_ready(start);
         }
         self.pump(start);
-        self.queue.schedule_in(Duration::ZERO, Event::Sample);
+        self.queue
+            .every(Duration::ZERO, self.cfg.sample_interval, Event::Sample);
         self.queue
             .schedule_in(Duration::from_secs(1), Event::PolicyTick);
         for at in self.cfg.faults.node_crash_times.clone() {
@@ -110,11 +111,7 @@ impl SystemDriver {
                 }
             }
             Event::PolicyTick => self.policy_tick(now),
-            Event::Sample => {
-                self.sample(now);
-                self.queue
-                    .schedule_in(self.cfg.sample_interval, Event::Sample);
-            }
+            Event::Sample => self.sample(now),
             Event::FailWorkerNode => self.fail_worker_node(now),
             Event::CheckpointTick => self.checkpoint_tick(now),
             Event::CrashControlPlane => self.crash_control_plane(now),
@@ -126,6 +123,11 @@ impl SystemDriver {
                     self.pump_arrivals(now);
                 }
             }
+        }
+        // A sampler tick only reads the system; anything else may change
+        // what the next tick reads.
+        if !matches!(ev, Event::Sample) {
+            self.history.forget_tick();
         }
         self.pump(now);
     }
@@ -202,6 +204,10 @@ impl SystemDriver {
             if watch.is_empty() && notes.is_empty() {
                 break;
             }
+            // Even after a sampler tick there can be work here: a
+            // branch's initial action runs outside any event, and what it
+            // leaves is drained after the branch's first event.
+            self.history.forget_tick();
             // During a control-plane outage the informer consumer is down
             // with it: pod-lifecycle events still happen (the data plane
             // keeps running) but nobody measures init times or adopts

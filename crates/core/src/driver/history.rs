@@ -19,8 +19,18 @@ pub(super) enum History {
     Full(Arc<FullHistory>),
     /// A what-if rollout keeps only what its outcome is scored on: the
     /// running supply integral, continued from the parent's series.
-    Rollout(StepIntegral),
+    Rollout {
+        supply: StepIntegral,
+        /// The reading of the last sampler tick, kept while nothing but
+        /// ticks has run since: a tick changes nothing it reads, so the
+        /// next tick would read the same pair.
+        last_tick: Option<TickReading>,
+    },
 }
+
+/// What a sampler tick reads from the system: the diluted utilization
+/// and the supply cores.
+type TickReading = (Option<f64>, f64);
 
 /// A full run's history: its metric series and its finished tasks'
 /// lifecycles.
@@ -51,7 +61,7 @@ impl History {
     fn supply_until(&self, end_s: f64) -> f64 {
         match self {
             History::Full(full) => full.recorder.supply.integral_until(end_s),
-            History::Rollout(supply) => supply.until(end_s),
+            History::Rollout { supply, .. } => supply.until(end_s),
         }
     }
 
@@ -59,7 +69,15 @@ impl History {
     fn supply_integral(&self) -> StepIntegral {
         match self {
             History::Full(full) => full.recorder.supply.running_integral(),
-            History::Rollout(supply) => *supply,
+            History::Rollout { supply, .. } => *supply,
+        }
+    }
+
+    /// Drop a rollout's cached tick reading: the system may have changed.
+    #[inline]
+    pub(super) fn forget_tick(&mut self) {
+        if let History::Rollout { last_tick, .. } = self {
+            *last_tick = None;
         }
     }
 }
@@ -126,8 +144,8 @@ impl SystemDriver {
     /// integral: the policy reads the one, the branch outcome the other,
     /// and nothing reads the rest.
     pub(super) fn sample(&mut self, now: SimTime) {
+        let (util_now, supply_cores) = self.tick_reading();
         // Feed the (laggy) metrics pipeline.
-        let util_now = self.current_utilization();
         self.util_history.push_back((now, util_now));
         let horizon = self
             .cfg
@@ -145,16 +163,10 @@ impl SystemDriver {
         // demand histogram, so the per-second sampler never walks the
         // queue — with a deep open-loop backlog an O(queue) walk would
         // dominate the run.
-        let supply_cores: f64 = self
-            .master
-            .view()
-            .workers()
-            .map(|w| w.capacity.cores_f64())
-            .sum();
         let t = now.as_secs_f64();
         let recorder = match &mut self.history {
             History::Full(full) => &mut Arc::make_mut(full).recorder,
-            History::Rollout(supply) => {
+            History::Rollout { supply, .. } => {
                 supply.push(t, supply_cores);
                 return;
             }
@@ -253,6 +265,40 @@ impl SystemDriver {
         });
     }
 
+    /// What this tick reads. A rollout reuses its last tick's reading
+    /// while only ticks have run since (`dispatch` and `pump` forget it),
+    /// so a tick that follows a tick costs O(1) instead of a pass over
+    /// the workers. The sanitizer checks the reuse against a fresh read.
+    fn tick_reading(&mut self) -> TickReading {
+        if let History::Rollout {
+            last_tick: Some(cached),
+            ..
+        } = self.history
+        {
+            hta_des::sanitize_assert!(
+                same_bits(cached, self.read_tick()),
+                "a cached tick reading went stale at {:?}",
+                self.queue.now()
+            );
+            return cached;
+        }
+        let reading = self.read_tick();
+        if let History::Rollout { last_tick, .. } = &mut self.history {
+            *last_tick = Some(reading);
+        }
+        reading
+    }
+
+    fn read_tick(&self) -> TickReading {
+        let supply_cores = self
+            .master
+            .view()
+            .workers()
+            .map(|w| w.capacity.cores_f64())
+            .sum();
+        (self.current_utilization(), supply_cores)
+    }
+
     /// Apply `spec.initial_action` at the fork instant and roll this
     /// (already forked) driver forward to the horizon or the event budget.
     fn roll_out(mut self, spec: &BranchSpec) -> BranchOutcome {
@@ -301,9 +347,16 @@ impl WhatIf for SystemDriver {
     /// fork would read off its recorder.
     fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
         let mut branch = self.fork_branch(spec.salt);
-        branch.history = History::Rollout(self.history.supply_integral());
+        branch.history = History::Rollout {
+            supply: self.history.supply_integral(),
+            last_tick: None,
+        };
         branch.roll_out(spec)
     }
+}
+
+fn same_bits(a: TickReading, b: TickReading) -> bool {
+    a.0.map(f64::to_bits) == b.0.map(f64::to_bits) && a.1.to_bits() == b.1.to_bits()
 }
 
 #[cfg(test)]
@@ -406,5 +459,87 @@ mod tests {
     fn rollouts_match_full_branches_on_a_traced_run() {
         let traced = traced_driver("demo-1k,tasks=400,rate=4", 7, 4);
         assert_rollouts_match_full_branches(traced, &[0, 30_000, 64_300, 121_000, 150_900]);
+    }
+
+    fn spec(initial_action: ScaleAction) -> BranchSpec {
+        BranchSpec {
+            salt: 0,
+            initial_action,
+            horizon: Duration::from_secs(300),
+            max_events: u64::MAX,
+        }
+    }
+
+    /// Step a full fork of `driver` through `spec`'s branch and report
+    /// whether a worker connected in the same millisecond as a sampler
+    /// tick: `(before the tick, after it)` in `(time, seq)` order.
+    fn connects_on_a_tick(driver: &SystemDriver, spec: &BranchSpec) -> (bool, bool) {
+        let mut fork = driver.fork_branch(spec.salt);
+        let t0 = fork.now();
+        fork.apply_action(t0, spec.initial_action);
+        let tick_ms = fork.cfg.sample_interval.as_millis();
+        let (mut before, mut after) = (false, false);
+        let mut ticked_at = None;
+        while let Some((now, ev)) = fork.queue.pop() {
+            if now > t0 + spec.horizon {
+                break;
+            }
+            if matches!(ev, Event::Sample) {
+                ticked_at = Some(now);
+            }
+            let connected = fork.master.connected_workers();
+            fork.dispatch(now, ev);
+            if fork.master.connected_workers() > connected && now.as_millis() % tick_ms == 0 {
+                if ticked_at == Some(now) {
+                    after = true;
+                } else {
+                    before = true;
+                }
+            }
+            if fork.is_finished() {
+                break;
+            }
+        }
+        (before, after)
+    }
+
+    #[test]
+    fn rollouts_match_full_branches_when_a_worker_connects_on_a_tick() {
+        let hta = || fig10_driver(Box::new(HtaPolicy::new(HtaConfig::default())));
+        let mut at_42s = hta();
+        assert!(!at_42s.advance_until(SimTime::from_secs(42)));
+        // A pod created at the fork starts one second later, after that
+        // second's tick in (time, seq) order; a worker whose start was
+        // queued earlier connects before the tick of its second.
+        let (_, after) = connects_on_a_tick(&at_42s, &spec(ScaleAction::CreateWorkers(2)));
+        let (before, _) = connects_on_a_tick(&at_42s, &spec(ScaleAction::None));
+        assert!(after && before, "after {after}, before {before}");
+        assert_rollouts_match_full_branches(hta(), &[42_000]);
+    }
+
+    /// A branch's initial action runs outside any event, so what it
+    /// leaves for the pump (a killed pod's watch event, a drained idle
+    /// worker's stop) is drained after the branch's first event. Here
+    /// that event is a sampler tick: the tick must still be pumped.
+    #[test]
+    fn rollouts_match_full_branches_when_the_first_event_is_a_tick() {
+        let mut driver = fig10_driver(Box::new(HtaPolicy::new(HtaConfig::default())));
+        assert!(!driver.advance_until(SimTime::from_secs(13)));
+        let mut forks = 0;
+        while forks < 4 {
+            let next = driver.queue.clone().pop().map(|(_, ev)| ev);
+            if matches!(next, Some(Event::Sample)) {
+                forks += 1;
+                for action in [ScaleAction::KillWorkers(1), ScaleAction::DrainWorkers(1)] {
+                    let spec = spec(action);
+                    let lean = driver.branch(&spec);
+                    let full = driver.fork_branch(spec.salt).roll_out(&spec);
+                    assert_eq!(lean, full, "at {:?}, {spec:?}", driver.now());
+                    assert_eq!(lean.cost_core_s.to_bits(), full.cost_core_s.to_bits());
+                }
+            }
+            let (now, ev) = driver.queue.pop().expect("the run is mid-flight");
+            driver.dispatch(now, ev);
+        }
     }
 }

@@ -55,12 +55,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -244,15 +238,6 @@ mod tests {
         assert_eq!(b - a, Duration::from_secs(4));
         assert_eq!(a - b, Duration::ZERO);
         assert_eq!(SimTime::MAX + Duration::from_secs(1), SimTime::MAX);
-    }
-
-    #[test]
-    fn since_and_checked_since_agree_when_ordered() {
-        let a = SimTime::from_millis(100);
-        let b = SimTime::from_millis(350);
-        assert_eq!(b.since(a), Duration::from_millis(250));
-        assert_eq!(b.checked_since(a), Some(Duration::from_millis(250)));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

@@ -89,24 +89,6 @@ impl TraceRing {
         self.entries.iter()
     }
 
-    /// Entries from one component, oldest-first.
-    pub fn by_component<'a>(
-        &'a self,
-        component: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries
-            .iter()
-            .filter(move |e| e.component == component)
-    }
-
-    /// Count retained entries whose message contains `needle`.
-    pub fn count_matching(&self, needle: &str) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.message.contains(needle))
-            .count()
-    }
-
     /// Render the retained tail as one string (one line per entry).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -150,18 +132,6 @@ mod tests {
         let mut ring = TraceRing::disabled();
         ring.push(SimTime::ZERO, "t", "x".into());
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn filters_and_counts() {
-        let mut ring = TraceRing::new(16);
-        ring.push(SimTime::ZERO, "policy", "CreateWorkers(3)".into());
-        ring.push(SimTime::ZERO, "driver", "worker pod pod-1 killed".into());
-        ring.push(SimTime::ZERO, "policy", "DrainWorkers(1)".into());
-        assert_eq!(ring.by_component("policy").count(), 2);
-        assert_eq!(ring.by_component("driver").count(), 1);
-        assert_eq!(ring.count_matching("Workers"), 2);
-        assert_eq!(ring.count_matching("nothing"), 0);
     }
 
     #[test]

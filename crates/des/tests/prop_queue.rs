@@ -1,6 +1,7 @@
 //! Property tests for the event queue: global time ordering and FIFO
 //! delivery within a timestamp — the invariants deterministic replay
-//! rests on.
+//! rests on — and a periodic timer that is indistinguishable from a
+//! self-rescheduling event.
 
 use hta_des::{Duration, EventQueue, SimTime};
 use proptest::prelude::*;
@@ -66,4 +67,91 @@ proptest! {
         prop_assert_eq!(at.as_millis(), expect);
         prop_assert!(q.is_empty());
     }
+
+    /// Random schedules interleaved with the built-in periodic timer give
+    /// the same deliveries, clock, counters and next-event time as a twin
+    /// queue whose tick re-schedules itself from the heap on every pop,
+    /// also across `clone()` and `clear()`.
+    #[test]
+    fn timer_matches_a_self_rescheduling_twin(
+        ops in proptest::collection::vec(arb_op(), 1..400),
+        interval in 1u64..30,
+    ) {
+        let interval = Duration::from_millis(interval * GRID);
+        let mut q = EventQueue::new();
+        let mut twin = EventQueue::new();
+        let mut armed = false;
+        let mut next = 0u32;
+        for op in ops {
+            match op {
+                Op::At(delay) => {
+                    let at = q.now() + Duration::from_millis(delay);
+                    q.schedule_at(at, Some(next));
+                    twin.schedule_at(at, Some(next));
+                    next += 1;
+                }
+                Op::In(delay) => {
+                    q.schedule_in(Duration::from_millis(delay), Some(next));
+                    twin.schedule_in(Duration::from_millis(delay), Some(next));
+                    next += 1;
+                }
+                Op::Arm(first) if !armed => {
+                    q.every(Duration::from_millis(first), interval, None);
+                    twin.schedule_in(Duration::from_millis(first), None);
+                    armed = true;
+                }
+                Op::Arm(_) => {}
+                Op::Pop => {
+                    let got = q.pop();
+                    let want = twin.pop();
+                    if let Some((_, None)) = want {
+                        twin.schedule_in(interval, None);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                Op::Fork => {
+                    q = q.clone();
+                    twin = twin.clone();
+                }
+                Op::Clear => {
+                    q.clear();
+                    twin.clear();
+                    armed = false;
+                }
+            }
+            prop_assert_eq!(q.now(), twin.now());
+            prop_assert_eq!(q.delivered(), twin.delivered());
+            prop_assert_eq!(q.len(), twin.len());
+            prop_assert_eq!(q.is_empty(), twin.is_empty());
+            prop_assert_eq!(q.peek_time(), twin.peek_time());
+        }
+    }
+}
+
+/// One step of `timer_matches_a_self_rescheduling_twin`; delays are in
+/// milliseconds.
+#[derive(Debug, Clone)]
+enum Op {
+    At(u64),
+    In(u64),
+    Arm(u64),
+    Pop,
+    Fork,
+    Clear,
+}
+
+/// Ticks and most events fall on a 100 ms grid, so many share a
+/// millisecond and only the sequence number orders them.
+const GRID: u64 = 100;
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u32..16, 0u64..5_000).prop_map(|(kind, v)| match kind {
+        0..=1 => Op::At(v / GRID * GRID),
+        2 => Op::At(v),
+        3..=4 => Op::In(v % 3),
+        5 => Op::Arm(v % 2_000 / GRID * GRID),
+        6 => Op::Fork,
+        7 => Op::Clear,
+        _ => Op::Pop,
+    })
 }

@@ -132,21 +132,6 @@ impl Resources {
         }
     }
 
-    /// The binding utilization fraction of `self` against `capacity`
-    /// (max over dimensions of used/capacity; 0 for zero capacity).
-    pub fn share_of(&self, capacity: &Resources) -> f64 {
-        let frac = |used: i64, cap: i64| {
-            if cap <= 0 {
-                0.0
-            } else {
-                used.max(0) as f64 / cap as f64
-            }
-        };
-        frac(self.millicores, capacity.millicores)
-            .max(frac(self.memory_mb, capacity.memory_mb))
-            .max(frac(self.disk_mb, capacity.disk_mb))
-    }
-
     /// Subtraction clamped at zero on each dimension.
     pub fn saturating_sub(&self, other: &Resources) -> Resources {
         Resources {
@@ -165,17 +150,6 @@ impl Resources {
         }
     }
 
-    /// Scale every component by a float factor, rounding up (conservative
-    /// for capacity planning).
-    pub fn scaled_f64_ceil(&self, k: f64) -> Resources {
-        let k = k.max(0.0);
-        Resources {
-            millicores: (self.millicores as f64 * k).ceil() as i64,
-            memory_mb: (self.memory_mb as f64 * k).ceil() as i64,
-            disk_mb: (self.disk_mb as f64 * k).ceil() as i64,
-        }
-    }
-
     /// How many copies of `unit` fit inside `self` simultaneously
     /// (the binding dimension decides). Returns `i64::MAX` when `unit`
     /// is zero on every dimension that `self` is non-zero on.
@@ -189,27 +163,6 @@ impl Resources {
             if need > 0 {
                 n = n.min((have.max(0)) / need);
             }
-        }
-        n
-    }
-
-    /// Ceil-divide: how many `unit`-sized allocations are needed to cover
-    /// `self`. Dimensions where `unit` is zero are ignored unless `self`
-    /// needs them (in which case the answer is `i64::MAX`).
-    pub fn units_to_cover(&self, unit: &Resources) -> i64 {
-        let mut n = 0i64;
-        for (need, have) in [
-            (self.millicores, unit.millicores),
-            (self.memory_mb, unit.memory_mb),
-            (self.disk_mb, unit.disk_mb),
-        ] {
-            if need <= 0 {
-                continue;
-            }
-            if have <= 0 {
-                return i64::MAX;
-            }
-            n = n.max((need + have - 1) / have);
         }
         n
     }
@@ -345,24 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn units_to_cover_rounds_up() {
-        let demand = r(9_000, 0, 0);
-        let node = Resources::cores(4, 15_000, 0);
-        assert_eq!(demand.units_to_cover(&node), 3); // ceil(9/4)
-        assert_eq!(Resources::ZERO.units_to_cover(&node), 0);
-        let impossible = r(0, 10, 0);
-        assert_eq!(impossible.units_to_cover(&r(1000, 0, 0)), i64::MAX);
-    }
-
-    #[test]
     fn sum_and_scale() {
         let total: Resources = vec![r(100, 10, 1), r(200, 20, 2), r(300, 30, 3)]
             .into_iter()
             .sum();
         assert_eq!(total, r(600, 60, 6));
         assert_eq!(total * 2, r(1200, 120, 12));
-        assert_eq!(total.scaled_f64_ceil(0.5), r(300, 30, 3));
-        assert_eq!(total.scaled_f64_ceil(-1.0), Resources::ZERO);
     }
 
     #[test]
@@ -380,16 +321,6 @@ mod tests {
         assert_eq!(a.checked_sub(&b), Some(r(500, 50, 5)));
         assert_eq!(b.checked_sub(&a), None);
         assert_eq!(a.checked_sub(&a), Some(Resources::ZERO));
-    }
-
-    #[test]
-    fn share_of_reports_binding_dimension() {
-        let cap = Resources::cores(4, 16_000, 100_000);
-        let used = r(1000, 12_000, 10_000);
-        // Memory is binding: 12/16 = 0.75 > cpu 0.25 > disk 0.1.
-        assert!((used.share_of(&cap) - 0.75).abs() < 1e-9);
-        assert_eq!(Resources::ZERO.share_of(&cap), 0.0);
-        assert_eq!(used.share_of(&Resources::ZERO), 0.0);
     }
 
     #[test]

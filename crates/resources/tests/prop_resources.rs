@@ -84,18 +84,6 @@ proptest! {
         prop_assert!(n >= k, "n={} k={}", n, k);
         prop_assert!(unit.scaled(n).fits_in(&total) || n == i64::MAX);
     }
-
-    #[test]
-    fn units_to_cover_is_sufficient(demand in arb_resources(), unit in arb_resources()) {
-        let n = demand.units_to_cover(&unit);
-        prop_assume!(n != i64::MAX);
-        prop_assert!(demand.fits_in(&unit.scaled(n)),
-            "demand {:?} not covered by {} units of {:?}", demand, n, unit);
-        // Minimality: n-1 units do not cover (when n > 0).
-        if n > 0 {
-            prop_assert!(!demand.fits_in(&unit.scaled(n - 1)));
-        }
-    }
 }
 
 proptest! {

@@ -456,9 +456,11 @@ impl Master {
         let Some(rec) = self.tasks.get_mut_if(&task, is_waiting) else {
             return;
         };
-        let old = rec.spec.declared;
-        rec.spec.declared = Some(declared);
-        self.waiting.redeclare(rec.spec.cat, old, Some(declared));
+        let (cat, old, new) = (rec.spec.cat, rec.spec.declared, Some(declared));
+        rec.spec.declared = new;
+        let before = self.demand_counts(cat, old, new);
+        self.waiting.redeclare(cat, old, new);
+        self.assert_redeclared(cat, old, new, before);
     }
 
     /// A new worker connected with the given capacity.

@@ -24,6 +24,10 @@ impl Master {
     ///   counted as completed or failed.
     /// * **Waiting queue** — its histogram counts its live entries, and
     ///   tombstones never outnumber them.
+    /// * **Redeclared requirement** — [`Master::declare_resources`], which
+    ///   ends in no full audit, moves exactly one count from the task's
+    ///   old `(category, declared)` pair to its new one (checked in
+    ///   place by `assert_redeclared`).
     ///
     /// Full audit:
     /// * **Queue consistency** — the queue's live entries are exactly the
@@ -198,6 +202,55 @@ impl Master {
         );
     }
 
+    /// The histogram counts of a redeclared task's `old` and `new`
+    /// `(category, declared)` pairs, read before the update for
+    /// [`assert_redeclared`](Self::assert_redeclared); `(0, 0)` when the
+    /// sanitizer is off.
+    pub(super) fn demand_counts(
+        &self,
+        cat: CategoryId,
+        old: Option<Resources>,
+        new: Option<Resources>,
+    ) -> (usize, usize) {
+        if !hta_des::sanitize::ACTIVE {
+            return (0, 0);
+        }
+        (
+            self.waiting.demand_of(cat, old),
+            self.waiting.demand_of(cat, new),
+        )
+    }
+
+    /// [`Master::declare_resources`]'s delta check, O(distinct
+    /// requirements): the task moved from its `old` pair to its `new` one,
+    /// so `old` lost one count and `new` gained one. The total alone
+    /// would not show a count left under the wrong pair.
+    pub(super) fn assert_redeclared(
+        &self,
+        cat: CategoryId,
+        old: Option<Resources>,
+        new: Option<Resources>,
+        (old_before, new_before): (usize, usize),
+    ) {
+        if !hta_des::sanitize::ACTIVE {
+            return;
+        }
+        let (old_after, new_after) = (
+            self.waiting.demand_of(cat, old),
+            self.waiting.demand_of(cat, new),
+        );
+        let moved = if old == new {
+            old_after == old_before
+        } else {
+            old_before > 0 && old_after + 1 == old_before && new_after == new_before + 1
+        };
+        assert!(
+            moved,
+            "redeclaring a {cat:?} task from {old:?} to {new:?} left the demand histogram \
+             at {old_after} (was {old_before}) and {new_after} (was {new_before})"
+        );
+    }
+
     /// The dispatch admission gate recomputed by a full worker scan: the
     /// component-wise max of free resources across workers that could
     /// take a declared-resources task, and whether any worker could take
@@ -260,6 +313,21 @@ mod tests {
         let cat = m.task(TaskId(0)).unwrap().spec.cat;
         m.waiting.push_back(TaskId(0), cat, None);
         m.assert_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "left the demand histogram")]
+    fn sanitizer_catches_a_redeclare_left_under_the_old_pair() {
+        let (cat, db) = catalog_with_db();
+        let mut m = new_master(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
+        // A histogram update that moves nothing keeps the total right:
+        // only the per-pair delta check sees it.
+        let new = Some(Resources::cores(1, 2_000, 2_000));
+        let before = m.demand_counts(ALIGN, None, new);
+        m.waiting.redeclare(ALIGN, None, None);
+        m.assert_redeclared(ALIGN, None, new, before);
     }
 
     #[test]

@@ -68,6 +68,15 @@ impl WaitingQueue {
         &self.demand
     }
 
+    /// The live entries of one `(category, declared)` pair, in
+    /// O(distinct requirements).
+    pub(crate) fn demand_of(&self, cat: CategoryId, declared: Option<Resources>) -> usize {
+        self.demand
+            .iter()
+            .find(|(c, d, _)| *c == cat && *d == declared)
+            .map_or(0, |&(_, _, n)| n)
+    }
+
     /// Queue a task at the back (a fresh submission).
     pub(crate) fn push_back(&mut self, id: TaskId, cat: CategoryId, declared: Option<Resources>) {
         debug_assert!(self.deferred.is_empty(), "push inside a dispatch pass");

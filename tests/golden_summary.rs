@@ -15,6 +15,7 @@ use hta::cluster::{ClusterConfig, MachineType};
 use hta::core::driver::{DriverConfig, RunResult, SystemDriver};
 use hta::core::policy::{FixedPolicy, HpaPolicy, HtaConfig, HtaPolicy, ScalingPolicy};
 use hta::core::{FaultPlan, OperatorConfig};
+use hta::forecast::{MpcConfig, MpcPolicy};
 use hta::prelude::*;
 use hta::workloads::{blast_multistage, MultistageParams};
 
@@ -64,6 +65,7 @@ fn run(policy: &str, faults: bool) -> RunResult {
         "hta" => Box::new(HtaPolicy::new(HtaConfig::default())),
         "hpa50" => Box::new(HpaPolicy::new(0.5, 2, 8)),
         "fixed6" => Box::new(FixedPolicy::new(6)),
+        "mpc" => Box::new(MpcPolicy::new(MpcConfig::default())),
         other => panic!("unknown policy {other}"),
     };
     SystemDriver::new(cfg(hta, plan), workload(!hta), p).run()
@@ -136,4 +138,11 @@ fn fixed_clean_matches_golden() {
 #[test]
 fn fixed_faults_matches_golden() {
     check("fixed6", true);
+}
+
+/// The one golden whose policy forks the simulation: every MPC decision
+/// rolls out what-if branches, so this pins the rollout path too.
+#[test]
+fn mpc_clean_matches_golden() {
+    check("mpc", false);
 }
