@@ -68,26 +68,11 @@ impl FileCatalog {
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
-
-    /// Total MB a worker still needs for `inputs` given its cache.
-    pub fn missing_mb<'a>(
-        &self,
-        inputs: impl IntoIterator<Item = &'a FileId>,
-        cached: impl Fn(FileId) -> bool,
-    ) -> f64 {
-        inputs
-            .into_iter()
-            .filter_map(|id| self.get(*id))
-            .filter(|f| !cached(f.id))
-            .map(|f| f.size_mb)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
     fn register_and_get() {
@@ -98,18 +83,6 @@ mod tests {
         assert!(cat.get(db).unwrap().cacheable);
         assert!(!cat.get(q).unwrap().cacheable);
         assert_eq!(cat.get(FileId(99)), None);
-    }
-
-    #[test]
-    fn missing_mb_respects_cache() {
-        let mut cat = FileCatalog::new();
-        let db = cat.register("db", 1400.0, true);
-        let q = cat.register("q", 2.0, false);
-        let cached: BTreeSet<FileId> = [db].into_iter().collect();
-        let missing = cat.missing_mb([&db, &q], |f| cached.contains(&f));
-        assert!((missing - 2.0).abs() < 1e-9);
-        let missing_all = cat.missing_mb([&db, &q], |_| false);
-        assert!((missing_all - 1402.0).abs() < 1e-9);
     }
 
     #[test]

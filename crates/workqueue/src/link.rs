@@ -162,16 +162,17 @@ impl FairShareLink {
         let secs = min_rem / rate;
         Some(Duration::from_millis((secs * 1000.0).ceil() as u64 + 1))
     }
-
-    /// Remaining MB of one flow (for tests/inspection).
-    pub fn remaining_mb(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Remaining MB of one flow.
+    fn remaining_mb(link: &FairShareLink, id: FlowId) -> Option<f64> {
+        link.flows.get(&id).copied()
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -203,8 +204,8 @@ mod tests {
         link.add_flow(t(0), FlowId(2), 100.0);
         // Each flow gets 50 MB/s → 2 s to move 100 MB.
         link.advance(t(1000));
-        assert!((link.remaining_mb(FlowId(1)).unwrap() - 50.0).abs() < 1e-6);
-        assert!((link.remaining_mb(FlowId(2)).unwrap() - 50.0).abs() < 1e-6);
+        assert!((remaining_mb(&link, FlowId(1)).unwrap() - 50.0).abs() < 1e-6);
+        assert!((remaining_mb(&link, FlowId(2)).unwrap() - 50.0).abs() < 1e-6);
     }
 
     #[test]
@@ -215,7 +216,7 @@ mod tests {
         // 1 s alone: 100 MB/s → 0 remaining at t=1s? No: flow is 100MB so
         // drain half (0.5 s) then add a second flow.
         link.advance(t(500));
-        assert!((link.remaining_mb(FlowId(1)).unwrap() - 50.0).abs() < 1e-6);
+        assert!((remaining_mb(&link, FlowId(1)).unwrap() - 50.0).abs() < 1e-6);
         link.add_flow(t(500), FlowId(2), 50.0);
         // Both now drain at 50 MB/s; flow1 (50MB) and flow2 (50MB) finish
         // together 1 s later.
@@ -243,7 +244,7 @@ mod tests {
         link.add_flow(t(0), FlowId(2), 77.0);
         let total_before: f64 = [FlowId(1), FlowId(2)]
             .iter()
-            .filter_map(|f| link.remaining_mb(*f))
+            .filter_map(|f| remaining_mb(&link, *f))
             .sum();
         // Advance in odd small steps; drained amounts must sum correctly.
         let mut now = 0u64;
@@ -251,13 +252,13 @@ mod tests {
         for step in [13u64, 7, 29, 3, 41] {
             let before: f64 = [FlowId(1), FlowId(2)]
                 .iter()
-                .filter_map(|f| link.remaining_mb(*f))
+                .filter_map(|f| remaining_mb(&link, *f))
                 .sum();
             now += step;
             link.advance(t(now));
             let after: f64 = [FlowId(1), FlowId(2)]
                 .iter()
-                .filter_map(|f| link.remaining_mb(*f))
+                .filter_map(|f| remaining_mb(&link, *f))
                 .sum();
             drained_total += before - after;
         }
@@ -306,5 +307,34 @@ mod tests {
         let link = FairShareLink::new(100.0, 0.0);
         assert_eq!(link.current_throughput_mbps(), 0.0);
         assert_eq!(link.next_completion_delay(), None);
+    }
+
+    proptest! {
+        /// Advancing in many small steps drains exactly as much as one big
+        /// step while the flow set is unchanged.
+        #[test]
+        fn advance_is_step_invariant(
+            mb in 10.0f64..1000.0,
+            steps in proptest::collection::vec(1u64..500, 1..50),
+        ) {
+            let total_ms: u64 = steps.iter().sum();
+            // Path A: single advance.
+            let mut a = FairShareLink::new(100.0, 0.0);
+            a.advance(SimTime::ZERO);
+            a.add_flow(SimTime::ZERO, FlowId(0), mb);
+            a.advance(SimTime::from_millis(total_ms));
+            // Path B: stepwise advances.
+            let mut b = FairShareLink::new(100.0, 0.0);
+            b.advance(SimTime::ZERO);
+            b.add_flow(SimTime::ZERO, FlowId(0), mb);
+            let mut now = 0;
+            for s in steps {
+                now += s;
+                b.advance(SimTime::from_millis(now));
+            }
+            let ra = remaining_mb(&a, FlowId(0)).unwrap_or(0.0);
+            let rb = remaining_mb(&b, FlowId(0)).unwrap_or(0.0);
+            prop_assert!((ra - rb).abs() < 1e-6, "ra={ra} rb={rb}");
+        }
     }
 }

@@ -24,9 +24,10 @@
 //! O(live), in every run: a task's record leaves the table when the task
 //! completes or permanently fails (its exit notification, the counters
 //! and the completion digest are all that remain of it), a worker is
-//! retired from the table the moment it stops, and the dispatch
-//! admission gate (the component-wise max of free resources) is kept
-//! current per worker transition instead of being rescanned. Two more
+//! retired from the table the moment it stops, and the worker index that
+//! decides placements (the eligible workers in id order under a tree of
+//! per-axis free-resource maxima) is kept current per worker transition,
+//! so a placement takes a tree descent instead of a scan. Two more
 //! design decisions keep steady-state event handling allocation-free:
 //!
 //! * category names are interned once, when the run is built, and task
@@ -45,7 +46,7 @@
 //! This file holds the state, the public API, execution and completion.
 //! Every other job is a private child module:
 //!
-//! * `dispatch` — the admission gate and the first-fit dispatch pass;
+//! * `dispatch` — the worker index and the first-fit dispatch pass;
 //! * `channel` — the control channel. Every master↔worker message enters
 //!   through `route_ctl` (or `net_deliver` for a delayed copy), and the
 //!   receivers behind it are private to the module, so no code can go
@@ -89,7 +90,7 @@ mod sanitize;
 mod snapshot;
 
 use channel::staging::FlowPurpose;
-use dispatch::DispatchGate;
+use dispatch::WorkerIndex;
 pub use faults::{TaskFaultStats, TaskFaults};
 pub use snapshot::{QueueView, RunningSnapshot, WaitingSnapshot, WorkerSnapshot};
 
@@ -253,8 +254,11 @@ pub struct Master {
     /// moment it stops (see [`Master::worker_changed`]), so every
     /// scan over this map costs O(live), not O(workers ever connected).
     workers: BTreeMap<WorkerId, Worker>,
-    /// Incrementally maintained dispatch admission gate.
-    gate: DispatchGate,
+    /// The eligible workers in id order under a max tree of their free
+    /// resources: dispatch reads its headroom and takes each placement's
+    /// first-fit worker from it. [`Master::worker_changed`] is its only
+    /// writer.
+    index: WorkerIndex,
     link: FairShareLink,
     /// Worker-to-worker transfer link (used when `peer_transfers` is on).
     peer_link: FairShareLink,
@@ -369,7 +373,7 @@ impl Master {
             tasks: TaskTable::new(),
             waiting: WaitingQueue::default(),
             workers: BTreeMap::new(),
-            gate: DispatchGate::default(),
+            index: WorkerIndex::default(),
             link: FairShareLink::new(cfg.egress_base_mbps, cfg.egress_overhead_per_flow),
             peer_link: FairShareLink::new(cfg.peer_bandwidth_mbps, 0.0),
             peer_transfers: cfg.peer_transfers,
@@ -1333,7 +1337,7 @@ mod tests {
             .map(|_| m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx))
             .collect();
         assert_eq!(m.connected_workers(), 50);
-        assert_eq!(m.gate.members.len(), 50);
+        assert_eq!(m.index.members().count(), 50);
         for w in &ids {
             m.drain_worker(SimTime::from_secs(10), *w);
         }
@@ -1341,8 +1345,9 @@ mod tests {
             assert!(m.worker(*w).is_none(), "{w:?} retained after it stopped");
         }
         assert_eq!(m.connected_workers(), 0);
-        assert!(m.workers.is_empty() && m.gate.members.is_empty());
-        assert_eq!(m.gate.headroom(), (Resources::ZERO, false));
+        assert!(m.workers.is_empty() && m.index.members().next().is_none());
+        assert_eq!(m.index.headroom(), (Resources::ZERO, false));
+        m.index.assert_consistent();
         assert_eq!(m.mean_worker_utilization(), None);
         let stopped = m
             .drain_notifications()

@@ -169,7 +169,7 @@ mod tests {
     fn heartbeat_readopts_suspect_and_reopens_the_gate() {
         // Worker→master traffic is cut for the first 100 s: heartbeats are
         // lost, the lease expires and the worker becomes a suspect, which
-        // closes the dispatch gate.
+        // takes it out of the worker index.
         let (cat, db) = catalog_with_db();
         let cut = hta_des::Partition {
             start: Duration::ZERO,
@@ -183,7 +183,10 @@ mod tests {
         run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(60));
         assert!(m.suspects.contains(&w), "lease expired during the cut");
         assert!(m.worker(w).is_some(), "a suspect is not retired");
-        assert_eq!(m.gate.headroom(), (Resources::ZERO, false));
+        let one = Resources::cores(1, 2_000, 2_000);
+        assert_eq!(m.index.headroom(), (Resources::ZERO, false));
+        assert_eq!(m.index.members().count(), 0);
+        assert_eq!(m.index.first_fit(&one, None), None);
         m.submit(
             q.now(),
             cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
@@ -191,10 +194,12 @@ mod tests {
         );
         assert_eq!(m.waiting_count(), 1, "no eligible worker while suspect");
         // The first heartbeat after the cut heals re-adopts the worker;
-        // the refreshed gate admits the waiting task.
+        // its index entry is back and the waiting task is placed on it.
         run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(101));
         assert!(!m.suspects.contains(&w), "re-adopted");
-        assert_eq!(m.waiting_count(), 0, "re-opened gate placed the task");
+        assert_eq!(m.waiting_count(), 0, "the re-adopted worker took the task");
+        assert_eq!(m.index.first_fit(&one, None), Some(w));
+        assert_eq!(m.index.first_fit(&one, Some(w)), None);
         assert_eq!(m.task(TaskId(0)).unwrap().worker(), Some(w));
         run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(300));
         assert_eq!(m.completed_count(), 1);

@@ -201,12 +201,9 @@ impl Master {
         };
         // A duplicate needs room on a *different* active worker; if none
         // has any, skip silently (the primary keeps running).
-        let Some(dup_wid) = self
-            .workers
-            .values()
-            .find(|w| w.id != primary_wid && !self.suspects.contains(&w.id) && w.can_accept(&alloc))
-            .map(|w| w.id)
-        else {
+        let dup = self.index.first_fit(&alloc, Some(primary_wid));
+        self.assert_first_fit(Some(&alloc), Some(primary_wid), dup);
+        let Some(dup_wid) = dup else {
             return;
         };
         self.workers

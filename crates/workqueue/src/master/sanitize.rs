@@ -1,7 +1,5 @@
 //! The sim-sanitizer's audit of the master's structural invariants.
 
-use std::collections::BTreeMap;
-
 use hta_des::CategoryId;
 use hta_resources::Resources;
 
@@ -46,8 +44,11 @@ impl Master {
     ///   occupied slots, and its window stays trimmed and bounded.
     /// * **Bounded worker state** — no stopped worker is retained, so
     ///   the worker table is exactly the live set.
-    /// * **Incremental dispatch gate** — equals a fresh scan of the
-    ///   eligible workers.
+    /// * **Worker index** — its members and headroom equal a fresh scan
+    ///   of the eligible workers, its tree is consistent, and it keeps at
+    ///   most `2 × live + INDEX_SLACK` slots. Each dispatch and
+    ///   speculation pick is also checked against `scan_first_fit` as
+    ///   it is made.
     /// * **Interner stability** — category ids stay dense and resolve
     ///   to distinct names.
     pub fn assert_invariants(&self) {
@@ -154,37 +155,23 @@ impl Master {
             "worker table holds {} records, {stopped} of them stopped (stopped worker retained)",
             self.workers.len()
         );
-        // The incremental dispatch gate must equal a fresh scan: same
-        // members with current entries, axes that count exactly those
-        // members, and the same headroom as the reference scan.
-        let members: BTreeMap<WorkerId, (Resources, bool)> = self
+        // The worker index must equal a fresh scan: the same members with
+        // current entries, the same headroom, and a tree within its bound.
+        self.index.assert_consistent();
+        let members: Vec<(WorkerId, (Resources, bool))> = self
             .workers
             .values()
-            .filter_map(|w| Some((w.id, self.gate_entry(w)?)))
+            .filter_map(|w| Some((w.id, self.index_entry(w)?)))
             .collect();
         assert!(
-            self.gate.members == members,
-            "dispatch gate members {:?} out of sync with the worker table {members:?}",
-            self.gate.members
+            self.index.members().eq(members.iter().copied()),
+            "worker index members {:?} out of sync with the worker table {members:?}",
+            self.index.members().collect::<Vec<_>>()
         );
-        for axis in [
-            &self.gate.millicores,
-            &self.gate.memory_mb,
-            &self.gate.disk_mb,
-        ] {
-            let counted: usize = axis.values().map(|n| *n as usize).sum();
-            assert!(
-                counted == members.len(),
-                "dispatch gate axis counts {counted} entries for {} members",
-                members.len()
-            );
-        }
-        let idle = members.values().filter(|(_, idle)| *idle).count();
         assert!(
-            self.gate.idle == idle && self.gate.headroom() == self.scan_headroom(),
-            "dispatch gate {:?} (idle {}) != full scan {:?} (idle {idle})",
-            self.gate.headroom(),
-            self.gate.idle,
+            self.index.headroom() == self.scan_headroom(),
+            "worker index headroom {:?} != full scan {:?}",
+            self.index.headroom(),
             self.scan_headroom()
         );
         let mut seen_cats = 0usize;
@@ -251,12 +238,12 @@ impl Master {
         );
     }
 
-    /// The dispatch admission gate recomputed by a full worker scan: the
+    /// The dispatch headroom recomputed by a full worker scan: the
     /// component-wise max of free resources across workers that could
     /// take a declared-resources task, and whether any worker could take
-    /// an exclusive (unknown-resources) one. Dispatch reads the
-    /// incremental [`DispatchGate`]; this scan is the sanitizer's
-    /// reference for it.
+    /// an exclusive (unknown-resources) one. Dispatch reads the root of
+    /// the incremental [`WorkerIndex`](super::WorkerIndex); this scan is
+    /// the sanitizer's reference for it.
     fn scan_headroom(&self) -> (Resources, bool) {
         let mut max_free = Resources::ZERO;
         let mut any_idle = false;
@@ -274,6 +261,45 @@ impl Master {
             any_idle |= w.is_idle();
         }
         (max_free, any_idle)
+    }
+
+    /// The first-fit placement recomputed by a full worker scan in id
+    /// order: the first worker other than `except` that is not a suspect
+    /// and can take `req` (`None`: an unknown-resources task, which needs
+    /// an empty worker). The sanitizer's reference for the worker index.
+    fn scan_first_fit(
+        &self,
+        req: Option<&Resources>,
+        except: Option<WorkerId>,
+    ) -> Option<WorkerId> {
+        self.workers
+            .values()
+            .find(|w| {
+                Some(w.id) != except
+                    && !self.suspects.contains(&w.id)
+                    && req.map_or_else(|| w.can_accept_exclusive(), |r| w.can_accept(r))
+            })
+            .map(|w| w.id)
+    }
+
+    /// Assert that the worker index `picked` the worker the first-fit
+    /// scan picks for `req` (see [`scan_first_fit`](Self::scan_first_fit));
+    /// O(workers) per pick, so only in sanitized builds.
+    pub(super) fn assert_first_fit(
+        &self,
+        req: Option<&Resources>,
+        except: Option<WorkerId>,
+        picked: Option<WorkerId>,
+    ) {
+        if !hta_des::sanitize::ACTIVE {
+            return;
+        }
+        let scan = self.scan_first_fit(req, except);
+        assert!(
+            picked == scan,
+            "worker index picked {picked:?} for {req:?} (except {except:?}), the first-fit \
+             scan picks {scan:?}"
+        );
     }
 }
 

@@ -38,15 +38,6 @@ impl ExecModel {
             cpu_fraction: 0.9,
         }
     }
-
-    /// An I/O-bound job (the paper's `dd` tasks): the CPU is mostly idle
-    /// waiting on the disk, "rarely over 20%" (§VI-B).
-    pub fn io_bound(duration: Duration) -> Self {
-        ExecModel {
-            duration,
-            cpu_fraction: 0.15,
-        }
-    }
 }
 
 /// A task as submitted to the master.
@@ -165,12 +156,6 @@ impl TaskRecord {
         }
     }
 
-    /// The resources the master should plan with: declared if known,
-    /// otherwise `None` (whole-worker).
-    pub fn planning_resources(&self) -> Option<Resources> {
-        self.spec.declared
-    }
-
     /// Worker currently responsible for the task, if any.
     pub fn worker(&self) -> Option<WorkerId> {
         match self.state {
@@ -178,24 +163,19 @@ impl TaskRecord {
             TaskState::Waiting => None,
         }
     }
-
-    /// Queue wait time (submission → execution start), if started.
-    pub fn queue_delay(&self) -> Option<Duration> {
-        self.started_at.map(|s| s.since(self.submitted_at))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn spec(declared: Option<Resources>) -> TaskSpec {
+    fn spec() -> TaskSpec {
         TaskSpec {
             id: TaskId(0),
             cat: CategoryId::from_u32(0),
             inputs: vec![FileId(0)],
             output_mb: 0.6,
-            declared,
+            declared: None,
             actual: Resources::new(1000, 2_000, 3_000),
             exec: ExecModel::cpu_bound(Duration::from_secs(90)),
         }
@@ -205,26 +185,15 @@ mod tests {
     fn exec_model_presets() {
         let cpu = ExecModel::cpu_bound(Duration::from_secs(10));
         assert!(cpu.cpu_fraction > 0.8);
-        let io = ExecModel::io_bound(Duration::from_secs(10));
-        assert!(io.cpu_fraction < 0.2, "dd tasks rarely exceed 20% CPU");
     }
 
     #[test]
     fn record_lifecycle_accessors() {
-        let mut r = TaskRecord::new(spec(None), SimTime::from_secs(1));
+        let mut r = TaskRecord::new(spec(), SimTime::from_secs(1));
         assert_eq!(r.state, TaskState::Waiting);
         assert_eq!(r.worker(), None);
-        assert_eq!(r.planning_resources(), None);
         r.state = TaskState::Running(WorkerId(3));
         assert_eq!(r.worker(), Some(WorkerId(3)));
-        r.started_at = Some(SimTime::from_secs(11));
-        assert_eq!(r.queue_delay(), Some(Duration::from_secs(10)));
-    }
-
-    #[test]
-    fn declared_resources_flow_to_planning() {
-        let r = TaskRecord::new(spec(Some(Resources::new(1000, 2_000, 0))), SimTime::ZERO);
-        assert_eq!(r.planning_resources(), Some(Resources::new(1000, 2_000, 0)));
     }
 
     #[test]
@@ -235,7 +204,7 @@ mod tests {
             (TaskState::Running(WorkerId(2)), Some(WorkerId(2))),
             (TaskState::Returning(WorkerId(3)), Some(WorkerId(3))),
         ] {
-            let mut r = TaskRecord::new(spec(None), SimTime::ZERO);
+            let mut r = TaskRecord::new(spec(), SimTime::ZERO);
             r.state = state;
             assert_eq!(r.worker(), expect);
         }

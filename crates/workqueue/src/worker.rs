@@ -91,7 +91,7 @@ impl Worker {
     }
 
     /// True when the worker can accept a task of `request` size right now.
-    pub fn can_accept(&self, request: &Resources) -> bool {
+    pub(crate) fn can_accept(&self, request: &Resources) -> bool {
         self.state == WorkerState::Active
             && self.exclusive_task.is_none()
             && self.pool.can_fit(request)
@@ -99,7 +99,7 @@ impl Worker {
 
     /// True when the worker can accept an unknown-resources task (must be
     /// completely empty — the conservative §III-A mode).
-    pub fn can_accept_exclusive(&self) -> bool {
+    pub(crate) fn can_accept_exclusive(&self) -> bool {
         self.state == WorkerState::Active && self.is_idle() && self.exclusive_task.is_none()
     }
 

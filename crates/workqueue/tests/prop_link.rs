@@ -59,33 +59,6 @@ proptest! {
         prop_assert_eq!(link.aggregate_mbps(0), 0.0);
     }
 
-    /// Advancing in many small steps drains exactly as much as one big
-    /// step while the flow set is unchanged.
-    #[test]
-    fn advance_is_step_invariant(
-        mb in 10.0f64..1000.0,
-        steps in proptest::collection::vec(1u64..500, 1..50),
-    ) {
-        let total_ms: u64 = steps.iter().sum();
-        // Path A: single advance.
-        let mut a = FairShareLink::new(100.0, 0.0);
-        a.advance(SimTime::ZERO);
-        a.add_flow(SimTime::ZERO, FlowId(0), mb);
-        a.advance(SimTime::from_millis(total_ms));
-        // Path B: stepwise advances.
-        let mut b = FairShareLink::new(100.0, 0.0);
-        b.advance(SimTime::ZERO);
-        b.add_flow(SimTime::ZERO, FlowId(0), mb);
-        let mut now = 0;
-        for s in steps {
-            now += s;
-            b.advance(SimTime::from_millis(now));
-        }
-        let ra = a.remaining_mb(FlowId(0)).unwrap_or(0.0);
-        let rb = b.remaining_mb(FlowId(0)).unwrap_or(0.0);
-        prop_assert!((ra - rb).abs() < 1e-6, "ra={ra} rb={rb}");
-    }
-
     /// Cancelling flows mid-transfer never panics and frees capacity for
     /// the survivors (their completion comes no later than before).
     #[test]
