@@ -11,7 +11,7 @@
 //!
 //! Every observable transition is appended to the informer buffer; HTA's
 //! init-time tracker and the Work Queue driver drain it with
-//! [`Cluster::drain_watch`].
+//! [`Cluster::drain_watch_into`].
 //!
 //! Like a Kubernetes API server, the cluster stores only live objects: a
 //! pod leaves when it succeeds, fails or is deleted, and a node leaves
@@ -275,8 +275,18 @@ impl Cluster {
         pod
     }
 
-    /// Drain the informer buffer (events since the last drain).
-    pub fn drain_watch(&mut self) -> Vec<WatchEvent> {
+    /// Hand the informer buffer (events since the last drain) to the
+    /// caller in exchange for `out`, which must be empty. The two buffers
+    /// trade places and keep their capacity, so a caller that reuses
+    /// `out` drains without allocating or copying.
+    pub fn drain_watch_into(&mut self, out: &mut Vec<WatchEvent>) {
+        debug_assert!(out.is_empty(), "draining into a full buffer");
+        std::mem::swap(&mut self.watch, out);
+    }
+
+    /// Drain the informer buffer into a fresh `Vec`.
+    #[cfg(test)]
+    fn drain_watch(&mut self) -> Vec<WatchEvent> {
         std::mem::take(&mut self.watch)
     }
 

@@ -57,11 +57,6 @@ impl StatefulSet {
         Some(slot)
     }
 
-    /// Stable DNS-style identity for an ordinal (`name-0`, `name-1`, …).
-    pub fn identity(&self, ordinal: usize) -> String {
-        format!("{}-{}", self.name, ordinal)
-    }
-
     /// True when every ordinal is bound.
     pub fn fully_bound(&self) -> bool {
         self.pods.iter().all(|p| p.is_some())
@@ -78,7 +73,6 @@ mod tests {
         assert!(!ss.fully_bound());
         let ord = ss.bind(PodId(10)).unwrap();
         assert_eq!(ord, 0);
-        assert_eq!(ss.identity(ord), "wq-master-0");
         assert!(ss.fully_bound());
         // Restart: unbind frees the same ordinal for the replacement.
         assert_eq!(ss.unbind(PodId(10)), Some(0));

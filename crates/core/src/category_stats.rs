@@ -69,18 +69,6 @@ impl CategoryStats {
             samples: acc.samples,
         })
     }
-
-    /// True once the category has any measurement.
-    pub fn knows(&self, cat: CategoryId) -> bool {
-        self.by_category
-            .get(cat.index())
-            .is_some_and(|a| a.samples > 0)
-    }
-
-    /// Number of categories with measurements.
-    pub fn categories_known(&self) -> usize {
-        self.by_category.iter().filter(|a| a.samples > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -101,8 +89,6 @@ mod tests {
     fn unknown_category_has_no_estimate() {
         let s = CategoryStats::new();
         assert!(s.estimate(ALIGN).is_none());
-        assert!(!s.knows(ALIGN));
-        assert_eq!(s.categories_known(), 0);
     }
 
     #[test]
@@ -113,7 +99,6 @@ mod tests {
         assert_eq!(e.resources, Resources::new(1000, 2000, 0));
         assert_eq!(e.mean_wall, Duration::from_secs(90));
         assert_eq!(e.samples, 1);
-        assert!(s.knows(ALIGN));
     }
 
     #[test]
@@ -133,7 +118,6 @@ mod tests {
         let mut s = CategoryStats::new();
         s.observe(ALIGN, m(1000, 0, 10));
         s.observe(REDUCE, m(2000, 0, 20));
-        assert_eq!(s.categories_known(), 2);
         assert_eq!(s.estimate(ALIGN).unwrap().resources.millicores, 1000);
         assert_eq!(s.estimate(REDUCE).unwrap().resources.millicores, 2000);
     }
@@ -144,9 +128,8 @@ mod tests {
         // Observing id 2 grows the table through ids 0 and 1, which must
         // stay unknown.
         s.observe(CategoryId::from_u32(2), m(500, 0, 5));
-        assert_eq!(s.categories_known(), 1);
-        assert!(!s.knows(ALIGN));
-        assert!(!s.knows(REDUCE));
-        assert!(s.knows(CategoryId::from_u32(2)));
+        assert!(s.estimate(ALIGN).is_none());
+        assert!(s.estimate(REDUCE).is_none());
+        assert!(s.estimate(CategoryId::from_u32(2)).is_some());
     }
 }

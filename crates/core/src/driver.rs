@@ -36,17 +36,17 @@
 //!   spans and what-if rollouts.
 
 use hta_cluster::objects::StatefulSet;
-use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodSpec};
+use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodSpec, WatchEvent};
 use hta_des::trace::TraceRing;
 use hta_des::{
     branch_salt, CategoryId, DigestConfig, DigestReport, Duration, EffectSink, EventDigest,
     EventQueue, SimTime, SnapshotState,
 };
 use hta_makeflow::Workflow;
-use hta_metrics::{FaultSummary, RunRecorder, RunSummary, TaskSpan};
+use hta_metrics::{FaultSummary, RunRecorder, RunSummary, StepIntegral, TaskSpan};
 use hta_resources::Resources;
 use hta_trace::{ArrivalSource, ArrivalStats};
-use hta_workqueue::master::{Master, MasterConfig, WqEvent};
+use hta_workqueue::master::{Master, MasterConfig, WqEvent, WqNotification};
 use hta_workqueue::WorkerId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -281,6 +281,10 @@ pub struct SystemDriver {
     cluster_sink: EffectSink<ClusterEvent>,
     /// Reusable pod-id buffer for the cleanup / scale-down paths.
     pod_scratch: Vec<PodId>,
+    /// Reusable buffers the pump trades for the cluster's informer
+    /// buffer and the master's notification buffer.
+    watch_scratch: Vec<WatchEvent>,
+    note_scratch: Vec<WqNotification>,
     /// Reusable label buffer for per-category metric names.
     label_buf: String,
     /// Reusable per-category running-task counts, indexed by
@@ -339,7 +343,10 @@ impl SystemDriver {
             operator,
             policy,
             tracker,
-            history: History::Full(Arc::default()),
+            history: History::Full {
+                recorded: Arc::default(),
+                supply: StepIntegral::default(),
+            },
             queue: EventQueue::new(),
             worker_image,
             master_image,
@@ -361,6 +368,8 @@ impl SystemDriver {
             wq_sink: EffectSink::with_capacity(16),
             cluster_sink: EffectSink::new(),
             pod_scratch: Vec::new(),
+            watch_scratch: Vec::new(),
+            note_scratch: Vec::new(),
             label_buf: String::new(),
             per_cat_counts: Vec::new(),
             digest: None,
@@ -515,13 +524,13 @@ impl SystemDriver {
         let now = self.queue.now();
         self.sample(now);
         let end = self.workload_finished_at.unwrap_or(now).as_secs_f64();
-        let History::Full(full) = self.history else {
+        let History::Full { recorded, .. } = self.history else {
             unreachable!("a what-if rollout never runs to the end");
         };
         let FullHistory {
             mut recorder,
             mut spans,
-        } = Arc::unwrap_or_clone(full);
+        } = Arc::unwrap_or_clone(recorded);
         recorder.finish(end);
         let label = self.policy.name();
         let mut summary = recorder.summary(label.clone());
@@ -836,18 +845,27 @@ mod tests {
         let mut parent = fig10_driver(Box::new(FixedPolicy::new(3)));
         parent.advance_until(SimTime::from_secs(120));
         let fork = parent.fork_branch(1);
-        assert!(Arc::ptr_eq(
-            parent.operator.file_ids(),
-            fork.operator.file_ids()
-        ));
-        let dag = |d: &SystemDriver| d.operator.workflow().dag.job(JobId(3)).unwrap() as *const Job;
-        assert_eq!(dag(&parent), dag(&fork), "one job table");
+        let ((parent_dag, parent_jobs), (fork_dag, fork_jobs)) = (
+            parent.operator.shared_inputs(),
+            fork.operator.shared_inputs(),
+        );
+        assert!(
+            Arc::ptr_eq(parent_jobs, fork_jobs),
+            "one operator job table"
+        );
+        assert_eq!(
+            parent_dag.job(JobId(3)).unwrap() as *const Job,
+            fork_dag.job(JobId(3)).unwrap() as *const Job,
+            "one DAG graph"
+        );
         let db = |d: &SystemDriver| {
             d.master.catalog().get(hta_workqueue::FileId(0)).unwrap()
                 as *const hta_workqueue::FileSpec
         };
         assert_eq!(db(&parent), db(&fork), "one file catalogue");
-        let (History::Full(a), History::Full(b)) = (&parent.history, &fork.history) else {
+        let (History::Full { recorded: a, .. }, History::Full { recorded: b, .. }) =
+            (&parent.history, &fork.history)
+        else {
             panic!("a plain fork keeps the full history");
         };
         assert!(
@@ -858,7 +876,7 @@ mod tests {
         let mut fork = fork;
         let parent_len = a.recorder.supply.len();
         fork.advance_until(SimTime::from_secs(130));
-        let History::Full(b) = &fork.history else {
+        let History::Full { recorded: b, .. } = &fork.history else {
             unreachable!()
         };
         assert!(!Arc::ptr_eq(a, b));

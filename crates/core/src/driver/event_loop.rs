@@ -198,9 +198,12 @@ impl SystemDriver {
     /// Cross-component plumbing: drain informer events and master
     /// notifications until both are quiet.
     fn pump(&mut self, now: SimTime) {
+        let mut watch = std::mem::take(&mut self.watch_scratch);
+        let mut notes = std::mem::take(&mut self.note_scratch);
         loop {
-            let watch = self.cluster.drain_watch();
-            let notes = self.master.drain_notifications();
+            watch.clear();
+            self.cluster.drain_watch_into(&mut watch);
+            self.master.drain_notifications_into(&mut notes);
             if watch.is_empty() && notes.is_empty() {
                 break;
             }
@@ -285,7 +288,7 @@ impl SystemDriver {
                     _ => {}
                 }
             }
-            for note in notes {
+            for note in notes.drain(..) {
                 self.record_exit(now, &note);
                 match note {
                     WqNotification::TaskCompleted {
@@ -351,6 +354,8 @@ impl SystemDriver {
                 }
             }
         }
+        self.watch_scratch = watch;
+        self.note_scratch = notes;
     }
 
     /// Keep the span of a task that `note` says left the master. It is
@@ -376,8 +381,8 @@ impl SystemDriver {
         else {
             return;
         };
-        if let (History::Full(full), None) = (&mut self.history, &self.arrivals) {
-            Arc::make_mut(full).spans.push(Span {
+        if let (History::Full { recorded, .. }, None) = (&mut self.history, &self.arrivals) {
+            Arc::make_mut(recorded).spans.push(Span {
                 task,
                 cat,
                 submitted_at,

@@ -13,12 +13,17 @@ use crate::whatif::{BranchOutcome, BranchSpec, BranchStop, WhatIf};
 /// What a driver keeps of its run's history.
 #[derive(Clone)]
 pub(super) enum History {
-    /// Every recorded series and the finished tasks' spans. Shared
-    /// copy-on-write: a fork costs a reference count until one side
-    /// records.
-    Full(Arc<FullHistory>),
+    /// Every recorded series and the finished tasks' spans, shared
+    /// copy-on-write (a fork costs a reference count until one side
+    /// records), and the running integral of the supply series, pushed
+    /// beside it so a branch takes it over in O(1) instead of replaying
+    /// the series.
+    Full {
+        recorded: Arc<FullHistory>,
+        supply: StepIntegral,
+    },
     /// A what-if rollout keeps only what its outcome is scored on: the
-    /// running supply integral, continued from the parent's series.
+    /// running supply integral, taken over from the parent's.
     Rollout {
         supply: StepIntegral,
         /// The reading of the last sampler tick, kept while nothing but
@@ -60,15 +65,23 @@ impl History {
     /// newest sample).
     fn supply_until(&self, end_s: f64) -> f64 {
         match self {
-            History::Full(full) => full.recorder.supply.integral_until(end_s),
+            History::Full { recorded, .. } => recorded.recorder.supply.integral_until(end_s),
             History::Rollout { supply, .. } => supply.until(end_s),
         }
     }
 
-    /// The running supply integral a rollout continues from.
+    /// The running supply integral a rollout continues from. O(1): the
+    /// full history keeps its own live, and the sanitizer checks it
+    /// bitwise against a replay of the recorded series.
     fn supply_integral(&self) -> StepIntegral {
         match self {
-            History::Full(full) => full.recorder.supply.running_integral(),
+            History::Full { recorded, supply } => {
+                hta_des::sanitize_assert!(
+                    *supply == recorded.recorder.supply.running_integral(),
+                    "the live supply integral drifted from the supply series"
+                );
+                *supply
+            }
             History::Rollout { supply, .. } => *supply,
         }
     }
@@ -90,7 +103,7 @@ impl SystemDriver {
     /// scale-up. This dilution is one of the two mechanisms that stall
     /// the paper's Fig. 2 ramps while each batch of fresh nodes
     /// provisions (the other being the pipeline staleness below).
-    fn current_utilization(&self) -> Option<f64> {
+    fn current_utilization(&mut self) -> Option<f64> {
         let live = self.live_worker_pods();
         if live == 0 {
             self.master.mean_worker_utilization()
@@ -107,7 +120,7 @@ impl SystemDriver {
     /// The utilization as the HPA sees it: the newest pipeline sample at
     /// least `metrics_lag` old (falling back to the oldest sample, then
     /// to the live value when no history exists yet).
-    pub(super) fn lagged_utilization(&self, now: SimTime) -> Option<f64> {
+    pub(super) fn lagged_utilization(&mut self, now: SimTime) -> Option<f64> {
         if self.cfg.metrics_lag.is_zero() {
             return self.current_utilization();
         }
@@ -165,7 +178,10 @@ impl SystemDriver {
         // dominate the run.
         let t = now.as_secs_f64();
         let recorder = match &mut self.history {
-            History::Full(full) => &mut Arc::make_mut(full).recorder,
+            History::Full { recorded, supply } => {
+                supply.push(t, supply_cores);
+                &mut Arc::make_mut(recorded).recorder
+            }
             History::Rollout { supply, .. } => {
                 supply.push(t, supply_cores);
                 return;
@@ -289,7 +305,7 @@ impl SystemDriver {
         reading
     }
 
-    fn read_tick(&self) -> TickReading {
+    fn read_tick(&mut self) -> TickReading {
         let supply_cores = self
             .master
             .view()
@@ -342,9 +358,9 @@ impl WhatIf for SystemDriver {
     /// roll the branch forward under a frozen policy to the horizon (or
     /// the event budget). The receiver is untouched.
     ///
-    /// The branch records only its running supply integral, continued
-    /// from the receiver's series, so `cost_core_s` is bitwise what a full
-    /// fork would read off its recorder.
+    /// The branch records only its running supply integral, taken over
+    /// from the receiver's in O(1), so `cost_core_s` is bitwise what a
+    /// full fork would read off its recorder.
     fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
         let mut branch = self.fork_branch(spec.salt);
         branch.history = History::Rollout {
@@ -424,7 +440,7 @@ mod tests {
                     };
                     let lean = driver.branch(&spec);
                     let full = driver.fork_branch(salt).roll_out(&spec);
-                    assert!(matches!(driver.history, History::Full(_)));
+                    assert!(matches!(driver.history, History::Full { .. }));
                     assert_eq!(lean, full, "at {stop} ms, {spec:?}");
                     assert_eq!(
                         lean.cost_core_s.to_bits(),
@@ -459,6 +475,32 @@ mod tests {
     fn rollouts_match_full_branches_on_a_traced_run() {
         let traced = traced_driver("demo-1k,tasks=400,rate=4", 7, 4);
         assert_rollouts_match_full_branches(traced, &[0, 30_000, 64_300, 121_000, 150_900]);
+    }
+
+    /// The live supply integral a branch takes over is, at every stop of
+    /// a Fig. 10 HTA run (on ticks and between them), bitwise the replay
+    /// of the recorded supply series.
+    #[test]
+    fn the_live_supply_integral_replays_the_supply_series() {
+        let mut driver = fig10_driver(Box::new(HtaPolicy::new(HtaConfig::default())));
+        let mut stops = 0;
+        for step in 1.. {
+            let finished = driver.advance_until(SimTime::from_millis(step * 1_700));
+            let History::Full { recorded, supply } = &driver.history else {
+                unreachable!("a run keeps its full history");
+            };
+            assert!(
+                *supply == recorded.recorder.supply.running_integral(),
+                "at {:?}",
+                driver.now()
+            );
+            assert!(driver.history.supply_integral() == *supply);
+            stops += 1;
+            if finished {
+                break;
+            }
+        }
+        assert!(stops > 300, "the run spans many samples ({stops} stops)");
     }
 
     fn spec(initial_action: ScaleAction) -> BranchSpec {

@@ -17,12 +17,15 @@
 //! operator interns every workflow category in the master's interner at
 //! construction — the master's table is the only name↔id map — so task
 //! specs, completion handling and warm-up checks carry ids, never names.
+//! The same construction pass resolves each job's category id, profile
+//! and input file ids into a job table, so a submission looks nothing
+//! up by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hta_des::{CategoryId, Duration, EffectSink, SimRng, SimTime};
-use hta_makeflow::{JobId, SimProfile, Workflow};
+use hta_makeflow::{Dag, JobId, SimProfile, Workflow};
 use hta_resources::Resources;
 use hta_workqueue::master::{Master, WqEvent};
 use hta_workqueue::task::{ExecModel, Measured, TaskSpec};
@@ -71,20 +74,33 @@ enum CatKnowledge {
     Unknown,
 }
 
+/// What one workflow job's submission needs, resolved once when the
+/// operator is built.
+#[derive(Debug)]
+pub(crate) struct JobEntry {
+    cat: CategoryId,
+    /// The category's profile; a category without one runs as
+    /// [`SimProfile::default`].
+    sim: SimProfile,
+    inputs: Box<[FileId]>,
+}
+
 /// The operator.
 #[derive(Debug, Clone)]
 pub struct Operator {
     cfg: OperatorConfig,
-    workflow: Workflow,
+    /// The workflow's DAG: its graph is shared by clones, its per-run job
+    /// states are copied.
+    dag: Dag,
+    /// One entry per job, by DAG position. Fixed at construction and
+    /// shared by clones.
+    jobs: Arc<[JobEntry]>,
     stats: crate::category_stats::CategoryStats,
     /// Learned (or trusted-declared) per-category resources.
     learned: BTreeMap<CategoryId, Resources>,
     /// Categories with a warm-up probe in flight.
     probing: BTreeSet<CategoryId>,
     held: BTreeMap<CategoryId, Vec<JobId>>,
-    /// File name → catalogue id. Fixed at construction and shared by
-    /// clones.
-    file_ids: Arc<BTreeMap<String, FileId>>,
     /// The workflow job behind each task still in the master (waiting or
     /// on a worker); a task's entry leaves with its record, so a fork
     /// copies O(in-flight) entries.
@@ -109,55 +125,60 @@ impl hta_des::SnapshotState for Operator {
 impl Operator {
     /// Build an operator over a workflow, registering its files in the
     /// master's catalogue and its categories in the master's interner.
+    /// The workflow's category profiles and source-file sizes are
+    /// consumed here: what submissions need of them goes into the job
+    /// table.
     pub fn new(cfg: OperatorConfig, workflow: Workflow, master: &mut Master) -> Self {
+        let Workflow {
+            dag,
+            categories,
+            source_files,
+        } = workflow;
         let rng = SimRng::seed_from_u64(cfg.seed);
-        let mut file_ids = BTreeMap::new();
         // Register source files with their metadata; intermediate files
-        // with the producing category's output size (non-cacheable).
-        // Distinct names in first-seen order, so every `FileId` follows
-        // the jobs' id order.
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let names = workflow
-            .dag
-            .jobs()
-            .flat_map(|job| job.inputs.iter().chain(job.outputs.iter()))
-            .filter(|f| seen.insert(f.as_str()));
-        for name in names {
-            let id = match workflow.source_files.get(name) {
-                Some(src) => {
-                    master
-                        .catalog_mut()
-                        .register(name.clone(), src.size_mb, src.cacheable)
+        // with the producing category's output size (non-cacheable);
+        // unlisted sources (wrapper scripts etc.) zero-sized.
+        let register = |master: &mut Master, name: &str| match source_files.get(name) {
+            Some(src) => master
+                .catalog_mut()
+                .register(name, src.size_mb, src.cacheable),
+            None => {
+                let out_mb = dag.producer_of(name).map_or(0.0, |producer| {
+                    let cat = &dag.job(producer).expect("producer exists").category;
+                    categories.get(cat).map_or(0.0, |p| p.sim.output_mb)
+                });
+                master.catalog_mut().register(name, out_mb, false)
+            }
+        };
+        // One pass over the jobs in id order: each distinct file is
+        // registered and each category interned at its first sight
+        // (inputs before outputs), so every `FileId` and `CategoryId`
+        // follows the jobs' id order, and each job's entry is resolved
+        // on the way.
+        let mut file_ids: BTreeMap<&str, FileId> = BTreeMap::new();
+        let mut jobs = Vec::with_capacity(dag.len());
+        for job in dag.jobs() {
+            let mut inputs = Vec::with_capacity(job.inputs.len());
+            for (i, name) in job.inputs.iter().chain(&job.outputs).enumerate() {
+                let id = *file_ids
+                    .entry(name.as_str())
+                    .or_insert_with(|| register(master, name));
+                if i < job.inputs.len() {
+                    inputs.push(id);
                 }
-                None => match workflow.dag.producer_of(name) {
-                    Some(producer) => {
-                        let cat = &workflow
-                            .dag
-                            .job(producer)
-                            .expect("producer exists")
-                            .category;
-                        let out_mb = workflow
-                            .categories
-                            .get(cat)
-                            .map(|p| p.sim.output_mb)
-                            .unwrap_or(0.0);
-                        master.catalog_mut().register(name.clone(), out_mb, false)
-                    }
-                    // Unlisted source (wrapper script etc.): zero-sized.
-                    None => master.catalog_mut().register(name.clone(), 0.0, false),
-                },
-            };
-            file_ids.insert(name.clone(), id);
+            }
+            jobs.push(JobEntry {
+                cat: master.intern_category(&job.category),
+                sim: categories
+                    .get(&job.category)
+                    .map_or_else(SimProfile::default, |p| p.sim),
+                inputs: inputs.into(),
+            });
         }
-        // Intern every category up front (job categories may lack
-        // profiles and vice versa — cover both) so ids exist before the
-        // first submission.
-        for job in workflow.dag.jobs() {
-            master.intern_category(&job.category);
-        }
-        // Trusted declared resources seed the knowledge map.
+        // Trusted declared resources seed the knowledge map. Categories
+        // without jobs are interned too, after the jobs' own.
         let mut learned = BTreeMap::new();
-        for (name, prof) in &workflow.categories {
+        for (name, prof) in &categories {
             let id = master.intern_category(name);
             if let Some(r) = prof.declared.filter(|_| cfg.trust_declared) {
                 learned.insert(id, r);
@@ -165,12 +186,12 @@ impl Operator {
         }
         Operator {
             cfg,
-            workflow,
+            dag,
+            jobs: jobs.into(),
             stats: crate::category_stats::CategoryStats::new(),
             learned,
             probing: BTreeSet::new(),
             held: BTreeMap::new(),
-            file_ids: Arc::new(file_ids),
             job_for_task: BTreeMap::new(),
             next_task: 0,
             rng,
@@ -198,15 +219,16 @@ impl Operator {
         &self.stats
     }
 
-    /// The wrapped workflow (read access).
-    pub fn workflow(&self) -> &Workflow {
-        &self.workflow
+    /// The DAG and the job table, for sharing checks in tests.
+    #[cfg(test)]
+    pub(crate) fn shared_inputs(&self) -> (&Dag, &Arc<[JobEntry]>) {
+        (&self.dag, &self.jobs)
     }
 
-    /// The shared file-name map, for sharing checks in tests.
-    #[cfg(test)]
-    pub(crate) fn file_ids(&self) -> &Arc<BTreeMap<String, FileId>> {
-        &self.file_ids
+    /// The table entry of a workflow job.
+    fn entry(&self, job: JobId) -> &JobEntry {
+        let pos = self.dag.position(job).expect("a workflow job");
+        &self.jobs[pos]
     }
 
     /// Known per-category resources (declared-and-trusted or learned) by
@@ -234,13 +256,13 @@ impl Operator {
     /// (Without fault injection nothing fails, so this is exactly
     /// "all complete".)
     pub fn all_complete(&self) -> bool {
-        self.workflow.all_resolved()
+        self.dag.all_resolved()
     }
 
     /// Jobs that permanently failed or were abandoned, as
     /// `(failed, abandoned)` counts.
     pub fn failure_counts(&self) -> (usize, usize) {
-        (self.workflow.dag.failed(), self.workflow.dag.abandoned())
+        (self.dag.failed(), self.dag.abandoned())
     }
 
     fn knowledge(&self, cat: CategoryId) -> CatKnowledge {
@@ -260,9 +282,8 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        for job in self.workflow.ready_jobs() {
-            let j = self.workflow.dag.job(job).expect("ready job exists");
-            let cat = workflow_cat(master, &j.category);
+        for job in self.dag.ready_jobs() {
+            let cat = self.entry(job).cat;
             if !self.cfg.warmup {
                 self.submit_job(now, job, cat, master, fx);
                 continue;
@@ -274,7 +295,7 @@ impl Operator {
                     self.submit_job(now, job, cat, master, fx);
                 }
                 CatKnowledge::Probing => {
-                    self.workflow.submit(job); // leaves the DAG ready set
+                    self.dag.mark_submitted(job); // leaves the ready set
                     self.held.entry(cat).or_default().push(job);
                 }
             }
@@ -282,8 +303,8 @@ impl Operator {
     }
 
     /// Build a task spec for `job`, whose category id is `cat`, and
-    /// submit it to the master. The job and its category profile are read
-    /// in place; only the spec's own fields are allocated.
+    /// submit it to the master. Everything comes from the job's table
+    /// entry; only the spec's own fields are allocated.
     fn push_job(
         &mut self,
         now: SimTime,
@@ -292,19 +313,9 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        let j = self.workflow.dag.job(job).expect("job exists");
-        // A category without a profile runs as `CategoryProfile::unknown`.
-        let sim = self
-            .workflow
-            .categories
-            .get(&j.category)
-            .map_or_else(SimProfile::default, |p| p.sim);
+        let entry = self.entry(job);
+        let (sim, inputs) = (entry.sim, entry.inputs.to_vec());
         let declared = self.known_resources_id(cat);
-        let inputs: Vec<FileId> = j
-            .inputs
-            .iter()
-            .filter_map(|f| self.file_ids.get(f).copied())
-            .collect();
         let wall = sample_wall(&mut self.rng, &sim);
         let task_id = TaskId(self.next_task);
         self.next_task += 1;
@@ -339,7 +350,7 @@ impl Operator {
         master: &mut Master,
         fx: &mut EffectSink<WqEvent>,
     ) {
-        self.workflow.submit(job);
+        self.dag.mark_submitted(job);
         self.push_job(now, job, cat, master, fx);
     }
 
@@ -409,7 +420,7 @@ impl Operator {
 
         // Unblock the DAG and submit whatever its ready set now holds.
         if let Some(job) = self.job_for_task.remove(&task) {
-            self.workflow.complete(job);
+            self.dag.complete_job(job);
             self.submit_ready(now, master, fx);
         }
     }
@@ -475,7 +486,7 @@ impl Operator {
         }
         self.held.retain(|_, v| !v.is_empty());
         if !was_held {
-            self.workflow.submit(job);
+            self.dag.mark_submitted(job);
         }
         // The first submission of a still-unlearned category under warm-up
         // was that category's probe: restore the flag.
@@ -518,7 +529,7 @@ impl Operator {
     /// newly ready jobs were submitted under their own records).
     pub fn replay_complete(&mut self, task: TaskId) {
         if let Some(job) = self.job_for_task.remove(&task) {
-            self.workflow.complete(job);
+            self.dag.complete_job(job);
         }
     }
 
@@ -541,7 +552,7 @@ impl Operator {
         let Some(job) = self.job_for_task.remove(&task) else {
             return false;
         };
-        let abandoned = self.workflow.fail(job);
+        let abandoned = self.dag.fail_job(job);
         if !abandoned.is_empty() {
             for list in self.held.values_mut() {
                 list.retain(|j| !abandoned.contains(j));
@@ -592,14 +603,6 @@ impl Operator {
         self.held.retain(|_, v| !v.is_empty());
         promoted
     }
-}
-
-/// The id of a workflow category, interned by [`Operator::new`].
-fn workflow_cat(master: &Master, name: &str) -> CategoryId {
-    master
-        .interner()
-        .get(name)
-        .expect("workflow categories are interned at construction")
 }
 
 /// Upgrade the queued waiting tasks of `cat` (e.g. re-queued after a

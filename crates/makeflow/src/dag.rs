@@ -8,6 +8,11 @@
 //! completion notification), and submission, failure and abandonment
 //! take jobs out. [`Dag::ready_jobs`] reads the set, so asking what to
 //! submit costs O(ready), not O(jobs).
+//!
+//! The per-run state is flat: one array of job states and one of missing
+//! producer counts, both indexed by a job's position in id order
+//! ([`Dag::position`]), so a completion indexes instead of searching and
+//! a clone copies two small arrays.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -19,6 +24,8 @@ use crate::job::{Job, JobId, JobState};
 pub enum DagError {
     /// Two jobs claim to produce the same file.
     DuplicateProducer(String),
+    /// Two jobs share this id.
+    DuplicateJob(JobId),
     /// The dependency graph contains a cycle through this job.
     Cycle(JobId),
 }
@@ -29,6 +36,7 @@ impl std::fmt::Display for DagError {
             DagError::DuplicateProducer(file) => {
                 write!(f, "file {file:?} is produced by more than one rule")
             }
+            DagError::DuplicateJob(j) => write!(f, "more than one job is {j}"),
             DagError::Cycle(j) => write!(f, "dependency cycle involving {j}"),
         }
     }
@@ -45,11 +53,13 @@ impl std::error::Error for DagError {}
 #[derive(Debug, Clone)]
 pub struct Dag {
     graph: Arc<Graph>,
-    states: BTreeMap<JobId, JobState>,
+    /// Each job's state, by position.
+    states: Vec<JobState>,
     /// Exactly the jobs whose state is `Ready`, in id order.
     ready: BTreeSet<JobId>,
-    /// job → number of *incomplete* producer jobs it waits on.
-    missing_deps: BTreeMap<JobId, usize>,
+    /// By position: the number of *incomplete* producer jobs the job
+    /// waits on.
+    missing_deps: Vec<u32>,
     completed: usize,
     failed: usize,
     abandoned: usize,
@@ -58,18 +68,33 @@ pub struct Dag {
 /// The immutable shape of a DAG, shared by all clones.
 #[derive(Debug)]
 struct Graph {
-    jobs: BTreeMap<JobId, Job>,
+    /// The jobs in id order; a job's index here is its position.
+    jobs: Vec<Job>,
     /// file name → producing job. Ordered so that any future iteration
     /// (none today) cannot depend on hash state.
     producers: BTreeMap<String, JobId>,
-    /// job → jobs that consume one of its outputs.
-    dependents: BTreeMap<JobId, BTreeSet<JobId>>,
+    /// By position: the positions of the jobs that consume one of the
+    /// job's outputs, ascending.
+    dependents: Vec<Vec<u32>>,
+}
+
+/// The position of `id` among `jobs` (sorted by id, ids distinct). The
+/// parser and the workload generators number jobs densely from 0, so
+/// the lookup is one index; other numberings fall back to a binary
+/// search.
+fn position_in(jobs: &[Job], id: JobId) -> Option<usize> {
+    let dense = usize::try_from(id.raw()).ok();
+    match dense.and_then(|i| jobs.get(i).map(|j| (i, j))) {
+        Some((i, j)) if j.id == id => Some(i),
+        _ => jobs.binary_search_by_key(&id, |j| j.id).ok(),
+    }
 }
 
 impl Dag {
     /// Build a DAG from jobs. Inputs with no producer are workflow source
-    /// files (assumed present). Fails on duplicate producers or cycles.
-    pub fn build(jobs: Vec<Job>) -> Result<Self, DagError> {
+    /// files (assumed present). Fails on duplicate producers, duplicate
+    /// job ids or cycles.
+    pub fn build(mut jobs: Vec<Job>) -> Result<Self, DagError> {
         let mut producers: BTreeMap<String, JobId> = BTreeMap::new();
         for job in &jobs {
             for out in &job.outputs {
@@ -78,48 +103,56 @@ impl Dag {
                 }
             }
         }
-        let mut dependents: BTreeMap<JobId, BTreeSet<JobId>> = BTreeMap::new();
-        let mut missing: BTreeMap<JobId, usize> = BTreeMap::new();
-        for job in &jobs {
-            let mut producer_set = BTreeSet::new();
+        jobs.sort_by_key(|j| j.id);
+        if let Some(pair) = jobs.windows(2).find(|pair| pair[0].id == pair[1].id) {
+            return Err(DagError::DuplicateJob(pair[0].id));
+        }
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); jobs.len()];
+        let mut missing_deps = Vec::with_capacity(jobs.len());
+        let mut producer_set = Vec::new();
+        for (pos, job) in jobs.iter().enumerate() {
+            producer_set.clear();
             for input in &job.inputs {
                 if let Some(&p) = producers.get(input) {
                     if p == job.id {
                         return Err(DagError::Cycle(job.id));
                     }
-                    producer_set.insert(p);
+                    producer_set.push(position_in(&jobs, p).expect("a producer is a job"));
                 }
             }
-            missing.insert(job.id, producer_set.len());
-            for p in producer_set {
-                dependents.entry(p).or_default().insert(job.id);
+            producer_set.sort_unstable();
+            producer_set.dedup();
+            missing_deps.push(producer_set.len() as u32);
+            // Positions ascend, so every dependents list is built sorted.
+            for &p in &producer_set {
+                dependents[p].push(pos as u32);
             }
         }
-        let states: BTreeMap<JobId, JobState> = jobs
+        let states: Vec<JobState> = missing_deps
             .iter()
-            .map(|j| {
-                let st = if missing[&j.id] == 0 {
+            .map(|&m| {
+                if m == 0 {
                     JobState::Ready
                 } else {
                     JobState::Blocked
-                };
-                (j.id, st)
+                }
             })
             .collect();
-        let ready = states
+        let ready = jobs
             .iter()
+            .zip(&states)
             .filter(|(_, s)| **s == JobState::Ready)
-            .map(|(&j, _)| j)
+            .map(|(j, _)| j.id)
             .collect();
         let dag = Dag {
             graph: Arc::new(Graph {
-                jobs: jobs.into_iter().map(|j| (j.id, j)).collect(),
+                jobs,
                 producers,
                 dependents,
             }),
             states,
             ready,
-            missing_deps: missing,
+            missing_deps,
             completed: 0,
             failed: 0,
             abandoned: 0,
@@ -132,31 +165,24 @@ impl Dag {
     /// ordered, there is a cycle.
     fn check_acyclic(&self) -> Result<(), DagError> {
         let mut missing = self.missing_deps.clone();
-        let mut queue: Vec<JobId> = missing
-            .iter()
-            .filter(|(_, &m)| m == 0)
-            .map(|(&j, _)| j)
-            .collect();
+        let mut queue: Vec<usize> = (0..missing.len()).filter(|&p| missing[p] == 0).collect();
         let mut seen = 0usize;
         while let Some(j) = queue.pop() {
             seen += 1;
-            if let Some(deps) = self.graph.dependents.get(&j) {
-                for &d in deps {
-                    let m = missing.get_mut(&d).expect("dependent exists");
-                    *m -= 1;
-                    if *m == 0 {
-                        queue.push(d);
-                    }
+            for &d in &self.graph.dependents[j] {
+                let m = &mut missing[d as usize];
+                *m -= 1;
+                if *m == 0 {
+                    queue.push(d as usize);
                 }
             }
         }
         if seen != self.graph.jobs.len() {
             let stuck = missing
                 .iter()
-                .find(|(_, &m)| m > 0)
-                .map(|(&j, _)| j)
+                .position(|&m| m > 0)
                 .expect("some job is stuck in a cycle");
-            return Err(DagError::Cycle(stuck));
+            return Err(DagError::Cycle(self.graph.jobs[stuck].id));
         }
         Ok(())
     }
@@ -171,6 +197,12 @@ impl Dag {
         self.graph.jobs.is_empty()
     }
 
+    /// A job's position: its index in id order, the order of
+    /// [`Dag::jobs`]. Tables built alongside the DAG can index by it.
+    pub fn position(&self, id: JobId) -> Option<usize> {
+        position_in(&self.graph.jobs, id)
+    }
+
     /// Jobs currently in `Ready` state, in id order. O(ready).
     pub fn ready_jobs(&self) -> Vec<JobId> {
         self.ready.iter().copied().collect()
@@ -178,19 +210,23 @@ impl Dag {
 
     /// A job by id.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.graph.jobs.get(&id)
+        self.position(id).map(|p| &self.graph.jobs[p])
     }
 
     /// A job's state.
     pub fn state(&self, id: JobId) -> Option<JobState> {
-        self.states.get(&id).copied()
+        self.position(id).map(|p| self.states[p])
     }
 
     /// Mark a ready job as handed to the execution layer.
     pub fn mark_submitted(&mut self, id: JobId) {
-        if let Some(s) = self.states.get_mut(&id) {
-            debug_assert_eq!(*s, JobState::Ready, "submitting a non-ready job");
-            *s = JobState::Submitted;
+        if let Some(p) = self.position(id) {
+            debug_assert_eq!(
+                self.states[p],
+                JobState::Ready,
+                "submitting a non-ready job"
+            );
+            self.states[p] = JobState::Submitted;
             self.ready.remove(&id);
         }
         self.assert_ready_set();
@@ -200,33 +236,27 @@ impl Dag {
     /// job already terminal (complete, failed or abandoned) stays as it
     /// is, so the terminal counters never count a job twice.
     pub fn complete_job(&mut self, id: JobId) -> Vec<JobId> {
-        let Some(s) = self.states.get_mut(&id) else {
+        let Some(p) = self.position(id) else {
             return Vec::new();
         };
-        if matches!(
-            s,
-            JobState::Complete | JobState::Failed | JobState::Abandoned
-        ) {
+        if is_terminal(self.states[p]) {
             return Vec::new();
         }
-        *s = JobState::Complete;
+        self.states[p] = JobState::Complete;
         self.ready.remove(&id);
         self.completed += 1;
         let mut newly_ready = Vec::new();
         // The graph and the per-run state are disjoint fields, so the
         // loop reads the dependents in place.
-        if let Some(deps) = self.graph.dependents.get(&id) {
-            for &d in deps {
-                let m = self.missing_deps.get_mut(&d).expect("dependent tracked");
-                *m = m.saturating_sub(1);
-                if *m == 0 {
-                    let st = self.states.get_mut(&d).expect("state tracked");
-                    if *st == JobState::Blocked {
-                        *st = JobState::Ready;
-                        self.ready.insert(d);
-                        newly_ready.push(d);
-                    }
-                }
+        for &d in &self.graph.dependents[p] {
+            let d = d as usize;
+            let m = &mut self.missing_deps[d];
+            *m = m.saturating_sub(1);
+            if *m == 0 && self.states[d] == JobState::Blocked {
+                self.states[d] = JobState::Ready;
+                let job = self.graph.jobs[d].id;
+                self.ready.insert(job);
+                newly_ready.push(job);
             }
         }
         self.assert_ready_set();
@@ -238,37 +268,29 @@ impl Dag {
     /// abandoned jobs. The rest of the workflow keeps running — graceful
     /// degradation rather than workflow abort.
     pub fn fail_job(&mut self, id: JobId) -> Vec<JobId> {
-        let Some(s) = self.states.get_mut(&id) else {
+        let Some(p) = self.position(id) else {
             return Vec::new();
         };
-        if matches!(
-            s,
-            JobState::Complete | JobState::Failed | JobState::Abandoned
-        ) {
+        if is_terminal(self.states[p]) {
             return Vec::new();
         }
-        *s = JobState::Failed;
+        self.states[p] = JobState::Failed;
         self.ready.remove(&id);
         self.failed += 1;
-        // BFS over the dependents closure.
+        // DFS over the dependents closure.
         let mut abandoned = Vec::new();
-        let mut frontier = vec![id];
+        let mut frontier = vec![p];
         while let Some(j) = frontier.pop() {
-            let Some(deps) = self.graph.dependents.get(&j) else {
-                continue;
-            };
-            for &d in deps {
-                let st = self.states.get_mut(&d).expect("state tracked");
-                if matches!(
-                    st,
-                    JobState::Complete | JobState::Failed | JobState::Abandoned
-                ) {
+            for &d in &self.graph.dependents[j] {
+                let d = d as usize;
+                if is_terminal(self.states[d]) {
                     continue;
                 }
-                *st = JobState::Abandoned;
-                self.ready.remove(&d);
+                self.states[d] = JobState::Abandoned;
+                let job = self.graph.jobs[d].id;
+                self.ready.remove(&job);
                 self.abandoned += 1;
-                abandoned.push(d);
+                abandoned.push(job);
                 frontier.push(d);
             }
         }
@@ -282,10 +304,12 @@ impl Dag {
     fn assert_ready_set(&self) {
         if hta_des::sanitize::ACTIVE {
             let scan = self
-                .states
+                .graph
+                .jobs
                 .iter()
+                .zip(&self.states)
                 .filter(|(_, s)| **s == JobState::Ready)
-                .map(|(&j, _)| j);
+                .map(|(j, _)| j.id);
             assert!(
                 scan.eq(self.ready.iter().copied()),
                 "DAG ready set {:?} out of sync with the job states",
@@ -328,7 +352,7 @@ impl Dag {
 
     /// Iterate jobs in id order.
     pub fn jobs(&self) -> impl Iterator<Item = &Job> {
-        self.graph.jobs.values()
+        self.graph.jobs.iter()
     }
 
     /// Distinct category names, in first-seen (id) order.
@@ -336,11 +360,19 @@ impl Dag {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         self.graph
             .jobs
-            .values()
+            .iter()
             .filter(|j| seen.insert(j.category.as_str()))
             .map(|j| j.category.clone())
             .collect()
     }
+}
+
+/// True for the states a job never leaves.
+fn is_terminal(s: JobState) -> bool {
+    matches!(
+        s,
+        JobState::Complete | JobState::Failed | JobState::Abandoned
+    )
 }
 
 #[cfg(test)]
@@ -401,6 +433,34 @@ mod tests {
     fn duplicate_producer_rejected() {
         let err = Dag::build(vec![job(0, "a", &[], &["x"]), job(1, "a", &[], &["x"])]).unwrap_err();
         assert_eq!(err, DagError::DuplicateProducer("x".into()));
+    }
+
+    #[test]
+    fn duplicate_job_id_rejected() {
+        let err = Dag::build(vec![job(0, "a", &[], &["x"]), job(0, "a", &[], &["y"])]).unwrap_err();
+        assert_eq!(err, DagError::DuplicateJob(JobId(0)));
+    }
+
+    #[test]
+    fn sparse_unordered_ids_index_by_position() {
+        // Ids neither dense nor in input order: positions follow id order.
+        let mut d = Dag::build(vec![
+            job(40, "reduce", &["o7", "o9"], &["result"]),
+            job(9, "align", &["p"], &["o9"]),
+            job(3, "split", &["input"], &["p"]),
+            job(7, "align", &["p"], &["o7"]),
+        ])
+        .unwrap();
+        let ids: Vec<JobId> = d.jobs().map(|j| j.id).collect();
+        assert_eq!(ids, vec![JobId(3), JobId(7), JobId(9), JobId(40)]);
+        assert_eq!(d.position(JobId(9)), Some(2));
+        assert_eq!(d.position(JobId(1)), None);
+        assert_eq!(d.state(JobId(1)), None);
+        assert_eq!(d.ready_jobs(), vec![JobId(3)]);
+        assert_eq!(d.complete_job(JobId(3)), vec![JobId(7), JobId(9)]);
+        assert!(d.complete_job(JobId(9)).is_empty());
+        assert_eq!(d.complete_job(JobId(7)), vec![JobId(40)]);
+        assert_eq!(d.job(JobId(40)).unwrap().category, "reduce");
     }
 
     #[test]

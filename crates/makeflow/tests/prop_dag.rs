@@ -1,9 +1,166 @@
 //! Property tests for the DAG: random layered workflows complete in any
 //! valid order; the maintained ready set equals a scan of the job states
-//! after any submit/complete/fail sequence; cycles are rejected.
+//! after any submit/complete/fail sequence; the flat DAG agrees with an
+//! ordered-map reference model; cycles are rejected.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use hta_makeflow::{Dag, Job, JobId, JobState};
 use proptest::prelude::*;
+
+/// The DAG's execution state as plain ordered maps keyed by job id,
+/// updated by direct search: the reference the flat, position-indexed
+/// [`Dag`] is checked against.
+struct Reference {
+    states: BTreeMap<JobId, JobState>,
+    missing: BTreeMap<JobId, usize>,
+    dependents: BTreeMap<JobId, BTreeSet<JobId>>,
+    completed: usize,
+    failed: usize,
+    abandoned: usize,
+}
+
+fn terminal(s: JobState) -> bool {
+    matches!(
+        s,
+        JobState::Complete | JobState::Failed | JobState::Abandoned
+    )
+}
+
+impl Reference {
+    fn new(jobs: &[Job]) -> Self {
+        let producers: BTreeMap<&str, JobId> = jobs
+            .iter()
+            .flat_map(|j| j.outputs.iter().map(move |o| (o.as_str(), j.id)))
+            .collect();
+        let mut states = BTreeMap::new();
+        let mut missing = BTreeMap::new();
+        let mut dependents: BTreeMap<JobId, BTreeSet<JobId>> = BTreeMap::new();
+        for job in jobs {
+            let deps: BTreeSet<JobId> = job
+                .inputs
+                .iter()
+                .filter_map(|i| producers.get(i.as_str()).copied())
+                .collect();
+            for &p in &deps {
+                dependents.entry(p).or_default().insert(job.id);
+            }
+            let state = if deps.is_empty() {
+                JobState::Ready
+            } else {
+                JobState::Blocked
+            };
+            states.insert(job.id, state);
+            missing.insert(job.id, deps.len());
+        }
+        Reference {
+            states,
+            missing,
+            dependents,
+            completed: 0,
+            failed: 0,
+            abandoned: 0,
+        }
+    }
+
+    fn in_state(&self, st: JobState) -> Vec<JobId> {
+        self.states
+            .iter()
+            .filter(|(_, s)| **s == st)
+            .map(|(&j, _)| j)
+            .collect()
+    }
+
+    fn submit(&mut self, id: JobId) {
+        if let Some(s) = self.states.get_mut(&id) {
+            *s = JobState::Submitted;
+        }
+    }
+
+    fn complete(&mut self, id: JobId) -> Vec<JobId> {
+        match self.states.get_mut(&id) {
+            Some(s) if !terminal(*s) => *s = JobState::Complete,
+            _ => return Vec::new(),
+        }
+        self.completed += 1;
+        let mut newly_ready = Vec::new();
+        for &d in self.dependents.get(&id).into_iter().flatten() {
+            let m = self.missing.get_mut(&d).expect("dependent tracked");
+            *m = m.saturating_sub(1);
+            let st = self.states.get_mut(&d).expect("state tracked");
+            if *m == 0 && *st == JobState::Blocked {
+                *st = JobState::Ready;
+                newly_ready.push(d);
+            }
+        }
+        newly_ready
+    }
+
+    fn fail(&mut self, id: JobId) -> Vec<JobId> {
+        match self.states.get_mut(&id) {
+            Some(s) if !terminal(*s) => *s = JobState::Failed,
+            _ => return Vec::new(),
+        }
+        self.failed += 1;
+        let mut abandoned = Vec::new();
+        let mut frontier = vec![id];
+        while let Some(j) = frontier.pop() {
+            for &d in self.dependents.get(&j).into_iter().flatten() {
+                let st = self.states.get_mut(&d).expect("state tracked");
+                if terminal(*st) {
+                    continue;
+                }
+                *st = JobState::Abandoned;
+                self.abandoned += 1;
+                abandoned.push(d);
+                frontier.push(d);
+            }
+        }
+        abandoned
+    }
+}
+
+/// A random DAG of `n` jobs. Job `i` produces `f{i}.a` and `f{i}.b`;
+/// each edge `(x, y)` makes the later of the two consume one output of
+/// the earlier (repeats and both outputs of one producer included), so
+/// the graph is acyclic. Ids are a permutation of `0..n` (by `keys`),
+/// scaled by `stride` and shifted by `offset`, so they can be sparse
+/// and out of topological order; the jobs are listed rotated by
+/// `rotate`, so not in id order either.
+fn random_dag(
+    n: usize,
+    edges: &[(usize, usize, bool)],
+    keys: &[u32],
+    stride: u64,
+    offset: u64,
+    rotate: usize,
+) -> Vec<Job> {
+    let mut by_key: Vec<usize> = (0..n).collect();
+    by_key.sort_by_key(|&i| (keys[i], i));
+    let mut ids = vec![0u64; n];
+    for (rank, &i) in by_key.iter().enumerate() {
+        ids[i] = rank as u64 * stride + offset;
+    }
+    let mut jobs: Vec<Job> = (0..n)
+        .map(|i| Job {
+            id: JobId(ids[i]),
+            category: format!("c{}", i % 3),
+            command: format!("job {i}"),
+            inputs: vec![format!("src.{}", i % 2)],
+            outputs: vec![format!("f{i}.a"), format!("f{i}.b")],
+        })
+        .collect();
+    for &(x, y, second) in edges {
+        let (lo, hi) = (x.min(y), x.max(y));
+        if lo == hi || hi >= n {
+            continue;
+        }
+        let file = format!("f{lo}.{}", if second { "b" } else { "a" });
+        jobs[hi].inputs.push(file);
+    }
+    jobs.rotate_left(rotate % n);
+    jobs
+}
 
 /// Build a random layered DAG: `widths[l]` jobs in layer `l`, each job in
 /// layer l > 0 consuming 1..=3 outputs of layer l-1 (indices from the
@@ -130,6 +287,76 @@ proptest! {
             prop_assert_eq!(dag.completed(), in_state(&dag, JobState::Complete).len());
             prop_assert_eq!(dag.failed(), in_state(&dag, JobState::Failed).len());
             prop_assert_eq!(dag.abandoned(), in_state(&dag, JobState::Abandoned).len());
+        }
+    }
+
+    /// On random DAGs (sparse, unordered ids; repeated and parallel
+    /// edges) and random submit/complete/fail sequences, the flat DAG
+    /// reports exactly what the ordered-map reference does: every job's
+    /// state, the ready set in id order, the newly ready and abandoned
+    /// lists in order, and the counters.
+    #[test]
+    fn flat_dag_matches_an_ordered_map_reference(
+        n in 1usize..24,
+        edges in proptest::collection::vec((0usize..24, 0usize..24, any::<bool>()), 0..60),
+        keys in proptest::collection::vec(0u32..1_000, 24..25),
+        stride in 1u64..4,
+        offset in 0u64..3,
+        rotate in 0usize..24,
+        ops in proptest::collection::vec((0u8..4, 0usize..1_000), 1..80),
+    ) {
+        let jobs = random_dag(n, &edges, &keys, stride, offset, rotate);
+        let mut reference = Reference::new(&jobs);
+        let mut dag = Dag::build(jobs).expect("forward edges are acyclic");
+        let ids: Vec<JobId> = reference.states.keys().copied().collect();
+        prop_assert!(dag.jobs().map(|j| j.id).eq(ids.iter().copied()));
+        let unknown = JobId(1_000);
+        for (op, pick) in ops {
+            let pick_from = |v: Vec<JobId>| (!v.is_empty()).then(|| v[pick % v.len()]);
+            let (got, want) = match op {
+                0 => match pick_from(reference.in_state(JobState::Ready)) {
+                    Some(j) => {
+                        dag.mark_submitted(j);
+                        reference.submit(j);
+                        (Vec::new(), Vec::new())
+                    }
+                    None => continue,
+                },
+                1 => match pick_from(reference.in_state(JobState::Submitted)) {
+                    Some(j) => (dag.complete_job(j), reference.complete(j)),
+                    None => continue,
+                },
+                2 => {
+                    let mut live = reference.in_state(JobState::Ready);
+                    live.extend(reference.in_state(JobState::Submitted));
+                    match pick_from(live) {
+                        Some(j) => (dag.fail_job(j), reference.fail(j)),
+                        None => continue,
+                    }
+                }
+                // Any job, terminal ones and an unknown id included.
+                _ => {
+                    let j = ids.get(pick % (ids.len() + 1)).copied().unwrap_or(unknown);
+                    if pick % 2 == 0 {
+                        (dag.complete_job(j), reference.complete(j))
+                    } else {
+                        (dag.fail_job(j), reference.fail(j))
+                    }
+                }
+            };
+            prop_assert_eq!(got, want);
+            for (&j, &st) in &reference.states {
+                prop_assert_eq!(dag.state(j), Some(st), "{:?}", j);
+            }
+            prop_assert_eq!(dag.state(unknown), None);
+            prop_assert_eq!(dag.ready_jobs(), reference.in_state(JobState::Ready));
+            prop_assert_eq!(
+                (dag.completed(), dag.failed(), dag.abandoned()),
+                (reference.completed, reference.failed, reference.abandoned)
+            );
+            let resolved = reference.completed + reference.failed + reference.abandoned;
+            prop_assert_eq!(dag.all_resolved(), resolved == ids.len());
+            prop_assert_eq!(dag.all_complete(), reference.completed == ids.len());
         }
     }
 

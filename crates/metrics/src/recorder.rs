@@ -312,27 +312,6 @@ impl FaultSummary {
     }
 }
 
-impl RunSummary {
-    /// Render as one row of the paper's summary tables.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<14} {:>10.0} {:>14.0} {:>16.0}",
-            self.label,
-            self.runtime_s,
-            self.accumulated_waste_core_s,
-            self.accumulated_shortage_core_s
-        )
-    }
-
-    /// The tables' header, matching [`RunSummary::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<14} {:>10} {:>14} {:>16}",
-            "Autoscaler", "Runtime(s)", "Waste(core·s)", "Shortage(core·s)"
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,26 +380,6 @@ mod tests {
         let csv = r.to_csv();
         assert!(csv.contains("running:align"));
         assert!(csv.contains("running:reduce"));
-    }
-
-    #[test]
-    fn table_row_formats() {
-        let s = RunSummary {
-            label: "HTA".into(),
-            runtime_s: 3060.0,
-            accumulated_waste_core_s: 9146.0,
-            accumulated_shortage_core_s: 40680.0,
-            avg_cpu_utilization: 0.85,
-            avg_egress_mbps: 100.0,
-            peak_nodes: 20.0,
-            peak_workers: 20.0,
-            faults: FaultSummary::default(),
-        };
-        let row = s.table_row();
-        assert!(row.contains("HTA"));
-        assert!(row.contains("3060"));
-        assert!(row.contains("9146"));
-        assert!(RunSummary::table_header().contains("Waste"));
     }
 
     #[test]

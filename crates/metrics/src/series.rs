@@ -186,6 +186,7 @@ impl TimeSeries {
 /// as it closes, in the order [`TimeSeries::integral_until`] adds it.
 /// So for any `end_s` at or after the newest sample, `until(end_s)` is
 /// bitwise equal to `integral_until(end_s)` over the same samples.
+/// Equality is bitwise, field by field.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepIntegral {
     closed: f64,
@@ -222,6 +223,18 @@ impl StepIntegral {
                 self.closed
             }
         }
+    }
+}
+
+impl PartialEq for StepIntegral {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |s: &Self| {
+            (
+                s.closed.to_bits(),
+                s.last.map(|(t, v)| (t.to_bits(), v.to_bits())),
+            )
+        };
+        bits(self) == bits(other)
     }
 }
 

@@ -296,12 +296,10 @@ pub struct Master {
     input_scratch: Vec<FileId>,
     /// Recycled completed-flow buffer for the link wake-ups.
     flow_scratch: Vec<FlowId>,
-    /// Memoised [`Master::mean_worker_utilization`] result, cleared by
-    /// every mutating entry point. The metrics sampler reads the mean
-    /// several times per (usually event-free) sampling interval; the
-    /// cached value is the product of the exact same summation, so
-    /// reported series stay bit-identical.
-    mwu_cache: std::cell::Cell<Option<Option<f64>>>,
+    /// Workers on which a task started or stopped running since the last
+    /// [`Master::mean_worker_utilization`] read, which re-sums their busy
+    /// cores. Reported by id, so a run-state change costs a push.
+    busy_stale: Vec<WorkerId>,
     /// The lossy control channel all master↔worker traffic crosses
     /// (zero-fault ⇒ strict inline pass-through).
     net: NetChannel,
@@ -340,6 +338,18 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Busy CPU cores on `w`: Σ over its *running* tasks, in list order, of
+/// `actual cores × cpu_fraction`. (Actual usage, not allocation — a
+/// 1-core job on an exclusively held 3-core worker burns 1 core.)
+fn sum_busy_cores(tasks: &TaskTable, w: &Worker) -> f64 {
+    w.tasks()
+        .iter()
+        .filter_map(|t| tasks.get(t))
+        .filter(|r| matches!(r.state, TaskState::Running(_)))
+        .map(|r| r.spec.actual.cores_f64() * r.spec.exec.cpu_fraction)
+        .sum()
 }
 
 /// True when a record is in the waiting queue's live set.
@@ -392,7 +402,7 @@ impl Master {
             fault_stats: TaskFaultStats::default(),
             input_scratch: Vec::new(),
             flow_scratch: Vec::new(),
-            mwu_cache: std::cell::Cell::new(None),
+            busy_stale: Vec::new(),
             net: NetChannel::new(cfg.net),
             net_seq: 0,
             last_heartbeat: BTreeMap::new(),
@@ -444,7 +454,6 @@ impl Master {
             cat.index() < self.interner.len(),
             "{cat:?} was never interned"
         );
-        self.mwu_cache.set(None);
         let declared = spec.declared;
         self.submitted += 1;
         self.tasks.insert(id, TaskRecord::new(spec, now));
@@ -456,7 +465,6 @@ impl Master {
     /// Update the declared resources of a *waiting* task (HTA applies a
     /// category's measured requirement to queued jobs — §IV-A step iii).
     pub fn declare_resources(&mut self, task: TaskId, declared: Resources) {
-        self.mwu_cache.set(None);
         let Some(rec) = self.tasks.get_mut_if(&task, is_waiting) else {
             return;
         };
@@ -474,7 +482,6 @@ impl Master {
         capacity: Resources,
         fx: &mut EffectSink<WqEvent>,
     ) -> WorkerId {
-        self.mwu_cache.set(None);
         let id = WorkerId(self.next_worker);
         self.next_worker += 1;
         self.workers.insert(id, Worker::connect(id, capacity, now));
@@ -488,7 +495,6 @@ impl Master {
     /// Gracefully drain a worker: no new tasks; stops when empty. Idle
     /// workers stop immediately (notification emitted).
     pub fn drain_worker(&mut self, now: SimTime, id: WorkerId) {
-        self.mwu_cache.set(None);
         let Some(w) = self.workers.get_mut(&id) else {
             return; // never connected, or already stopped and retired
         };
@@ -503,7 +509,6 @@ impl Master {
     /// Kill a worker (pod eviction): running/staging tasks are re-queued
     /// at the front, transfers cancelled, cache lost.
     pub fn kill_worker(&mut self, now: SimTime, id: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        self.mwu_cache.set(None);
         let Some(w) = self.workers.get_mut(&id) else {
             return; // never connected, or already stopped and retired
         };
@@ -537,8 +542,18 @@ impl Master {
         self.assert_invariants();
     }
 
-    /// Drain upward notifications.
-    pub fn drain_notifications(&mut self) -> Vec<WqNotification> {
+    /// Hand the upward notifications to the caller in exchange for
+    /// `out`, which must be empty. The two buffers trade places and keep
+    /// their capacity, so a caller that reuses `out` drains without
+    /// allocating or copying.
+    pub fn drain_notifications_into(&mut self, out: &mut Vec<WqNotification>) {
+        debug_assert!(out.is_empty(), "draining into a full buffer");
+        std::mem::swap(&mut self.notifications, out);
+    }
+
+    /// Drain upward notifications into a fresh `Vec`.
+    #[cfg(test)]
+    pub(crate) fn drain_notifications(&mut self) -> Vec<WqNotification> {
         std::mem::take(&mut self.notifications)
     }
 
@@ -548,7 +563,6 @@ impl Master {
 
     /// Deliver one event, pushing follow-up effects into `fx`.
     pub fn handle(&mut self, now: SimTime, ev: WqEvent, fx: &mut EffectSink<WqEvent>) {
-        self.mwu_cache.set(None);
         match ev {
             WqEvent::LinkWake(generation) => self.link_wake(now, generation, fx),
             WqEvent::PeerLinkWake(generation) => self.peer_link_wake(now, generation, fx),
@@ -640,6 +654,7 @@ impl Master {
             };
             rec.state = TaskState::Running(wid);
             rec.started_at = Some(now);
+            self.busy_stale.push(wid);
             (rec.spec.exec.duration, rec.run_generation, rec.spec.cat)
         };
         // Fault injection: this attempt may die partway through instead of
@@ -707,6 +722,7 @@ impl Master {
         let output_mb = rec.spec.output_mb;
         if output_mb > 0.0 {
             rec.state = TaskState::Returning(wid);
+            self.busy_stale.push(wid);
         }
         self.observe_wall(cat, wall);
         if output_mb > 0.0 {
@@ -835,40 +851,40 @@ impl Master {
         self.workers.values().filter(|w| w.is_idle()).count()
     }
 
-    /// Busy CPU cores on one worker: Σ over *running* tasks of
-    /// `actual cores × cpu_fraction`. (Actual usage, not allocation — a
-    /// 1-core job on an exclusively held 3-core worker burns 1 core.)
-    pub fn worker_busy_cores(&self, id: WorkerId) -> f64 {
-        let Some(w) = self.workers.get(&id) else {
-            return 0.0;
-        };
-        w.tasks()
-            .iter()
-            .filter_map(|t| self.tasks.get(t))
-            .filter(|r| matches!(r.state, TaskState::Running(_)))
-            .map(|r| r.spec.actual.cores_f64() * r.spec.exec.cpu_fraction)
-            .sum()
-    }
-
     /// Mean CPU utilization across connected workers (the HPA metric):
     /// per-worker `busy / capacity`, averaged. `None` when no worker is
     /// connected (no metrics — like a Deployment with zero ready pods).
-    pub fn mean_worker_utilization(&self) -> Option<f64> {
-        if let Some(cached) = self.mwu_cache.get() {
-            return cached;
-        }
+    ///
+    /// Each worker's busy cores are cached: re-summed only when its task
+    /// list changed or it is in `busy_stale`, which is merged with the
+    /// id-ordered worker walk. So a read costs O(workers) plus the tasks
+    /// of the changed workers, and the sanitizer checks every cached
+    /// value bitwise against a fresh sum.
+    pub fn mean_worker_utilization(&mut self) -> Option<f64> {
+        self.busy_stale.sort_unstable();
+        self.busy_stale.dedup();
+        let mut stale = self.busy_stale.drain(..).peekable();
         let mut sum = 0.0;
-        for w in self.workers.values() {
-            sum += w.utilization(self.worker_busy_cores(w.id));
+        for w in self.workers.values_mut() {
+            while stale.next_if(|s| *s < w.id).is_some() {}
+            if stale.next_if_eq(&w.id).is_some() {
+                w.busy_cores = None;
+            }
+            let busy = match w.busy_cores {
+                Some(cached) => {
+                    hta_des::sanitize_assert!(
+                        cached.to_bits() == sum_busy_cores(&self.tasks, w).to_bits(),
+                        "{:?}'s cached busy cores went stale",
+                        w.id
+                    );
+                    cached
+                }
+                None => *w.busy_cores.insert(sum_busy_cores(&self.tasks, w)),
+            };
+            sum += w.utilization(busy);
         }
         let live = self.workers.len();
-        let mean = if live == 0 {
-            None
-        } else {
-            Some(sum / live as f64)
-        };
-        self.mwu_cache.set(Some(mean));
-        mean
+        (live > 0).then(|| sum / live as f64)
     }
 
     /// Instantaneous egress throughput (MB/s).
@@ -1258,7 +1274,7 @@ mod tests {
             m.handle(now, ev, &mut fx);
             sched(&mut q, &mut fx);
         }
-        let util = m.worker_busy_cores(w) / 3.0;
+        let util = sum_busy_cores(&m.tasks, m.worker(w).unwrap()) / 3.0;
         assert!((util - 0.3).abs() < 0.01, "util={util}");
         assert_eq!(
             m.mean_worker_utilization().map(|u| (u * 10.0).round()),

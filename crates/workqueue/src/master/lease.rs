@@ -162,7 +162,6 @@ impl Master {
     /// `Active` with its cache — a partitioned worker that heals is
     /// re-adopted with its files still warm.
     fn presume_dead(&mut self, now: SimTime, wid: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        self.mwu_cache.set(None);
         if !self.workers.contains_key(&wid) {
             return;
         }

@@ -27,7 +27,6 @@ impl Master {
     ///
     /// [`kill_worker`]: Self::kill_worker
     pub fn recover_reset_data_plane(&mut self, now: SimTime) -> usize {
-        self.mwu_cache.set(None);
         self.abandon_transfers(now, |_| true);
         let orphans: Vec<TaskId> = self
             .tasks
@@ -98,7 +97,6 @@ impl Master {
 
     /// Retire a task the WAL says finished, tombstoning its queue entry.
     fn retire_replayed(&mut self, task: TaskId) {
-        self.mwu_cache.set(None);
         let rec = self.retire_task(task);
         debug_assert!(
             is_waiting(&rec),

@@ -52,6 +52,11 @@ pub struct Worker {
     /// whole worker to one unknown-resources task (false only while such a
     /// task occupies it).
     pub exclusive_task: Option<TaskId>,
+    /// The busy cores of the tasks running here, as the master last
+    /// summed them; `None` once the task list changed since (the
+    /// task-list mutators below forget it). A task that starts or stops
+    /// running in place is the master's to report.
+    pub(crate) busy_cores: Option<f64>,
 }
 
 impl Worker {
@@ -67,6 +72,7 @@ impl Worker {
             connected_at: now,
             stopped_at: None,
             exclusive_task: None,
+            busy_cores: None,
         }
     }
 
@@ -109,6 +115,7 @@ impl Worker {
             .allocate(task.raw(), allocation)
             .expect("caller must check can_accept");
         self.tasks.push(task);
+        self.busy_cores = None;
     }
 
     /// Assign an unknown-resources task exclusively (whole capacity).
@@ -120,6 +127,7 @@ impl Worker {
             .expect("empty worker fits its own capacity");
         self.tasks.push(task);
         self.exclusive_task = Some(task);
+        self.busy_cores = None;
     }
 
     /// Remove a task (finished, returned, or re-queued after kill).
@@ -129,6 +137,7 @@ impl Worker {
         if self.exclusive_task == Some(task) {
             self.exclusive_task = None;
         }
+        self.busy_cores = None;
     }
 
     /// Whether `file` is in the worker's cache.
@@ -185,6 +194,7 @@ impl Worker {
         self.cache.clear();
         self.inflight.clear();
         self.exclusive_task = None;
+        self.busy_cores = None;
         std::mem::take(&mut self.tasks)
     }
 
