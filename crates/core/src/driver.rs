@@ -30,10 +30,18 @@
 //! * `recovery` — control-plane crash recovery: the checkpoint, the
 //!   write-ahead log (`WalRecord` and its one append), the crash and
 //!   the restart's reconciliation pass with WAL replay;
-//! * `scaling` — the policy tick, its actions (pod creations, drains and
-//!   evictions), node-failure injection and the cleanup stage;
+//! * `scaling` — the policy slot, the policy tick, its actions (pod
+//!   creations, drains and evictions), node-failure injection and the
+//!   cleanup stage;
 //! * `history` — the metric sampler, the laggy metrics pipeline, task
 //!   spans and what-if rollouts.
+//!
+//! The driver is two parts: a `World`, everything the run simulates,
+//! and a `PolicySlot`, the scaling policy. The event loop runs on the
+//! world and reaches the policy only through the slot it is handed, so
+//! a what-if rollout can fork the world alone, run it under a hold
+//! slot, and run beside the other rollouts of its decision on another
+//! thread.
 
 use hta_cluster::objects::StatefulSet;
 use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodSpec, WatchEvent};
@@ -65,6 +73,7 @@ use history::{FullHistory, History, Span};
 pub use recovery::RecoveryReport;
 use recovery::RecoveryState;
 pub(crate) use recovery::WalRecord;
+use scaling::PolicySlot;
 
 /// The worker-pod group label.
 pub const WORKER_GROUP: &str = "wq-worker";
@@ -239,11 +248,20 @@ enum Event {
 /// RNG-partitioned fork used by counterfactual rollouts.
 #[derive(Clone)]
 pub struct SystemDriver {
+    world: World,
+    policy: PolicySlot,
+}
+
+/// Everything a run simulates except the scaling policy, which the
+/// event loop is handed as a [`PolicySlot`]. A what-if rollout forks
+/// only this, so the rollouts of one decision can run on scoped threads
+/// from one shared `&World`.
+#[derive(Clone)]
+struct World {
     cfg: DriverConfig,
     cluster: Cluster,
     master: Master,
     operator: Operator,
-    policy: Box<dyn ScalingPolicy>,
     tracker: InitTimeTracker,
     history: History,
     queue: EventQueue<Event>,
@@ -308,6 +326,13 @@ pub struct SystemDriver {
     arrivals: Option<ArrivalSource>,
 }
 
+/// What-if rollouts share one `&World` across threads: a field that is
+/// not `Send + Sync` (an `Rc`, a boxed policy) fails to compile here.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<World>()
+};
+
 impl SystemDriver {
     /// Build a driver over a workflow with the given policy.
     pub fn new(mut cfg: DriverConfig, workflow: Workflow, policy: Box<dyn ScalingPolicy>) -> Self {
@@ -337,46 +362,48 @@ impl SystemDriver {
             TraceRing::disabled()
         };
         SystemDriver {
-            cfg,
-            cluster,
-            master,
-            operator,
-            policy,
-            tracker,
-            history: History::Full {
-                recorded: Arc::default(),
-                supply: StepIntegral::default(),
+            world: World {
+                cfg,
+                cluster,
+                master,
+                operator,
+                tracker,
+                history: History::Full {
+                    recorded: Arc::default(),
+                    supply: StepIntegral::default(),
+                },
+                queue: EventQueue::new(),
+                worker_image,
+                master_image,
+                pod_to_worker: BTreeMap::new(),
+                worker_to_pod: BTreeMap::new(),
+                master_pod: None,
+                master_set: StatefulSet::new(MASTER_GROUP, 1, 50_000),
+                master_ready: false,
+                initial_workers_created: false,
+                workload_finished_at: None,
+                cleanup_started: false,
+                interrupted: 0,
+                failures_injected: 0,
+                recovery_watches: Vec::new(),
+                recovery_times: Vec::new(),
+                trace,
+                seen_categories: std::collections::BTreeSet::new(),
+                util_history: std::collections::VecDeque::new(),
+                wq_sink: EffectSink::with_capacity(16),
+                cluster_sink: EffectSink::new(),
+                pod_scratch: Vec::new(),
+                watch_scratch: Vec::new(),
+                note_scratch: Vec::new(),
+                label_buf: String::new(),
+                per_cat_counts: Vec::new(),
+                digest: None,
+                started: false,
+                incarnation: 0,
+                recovery,
+                arrivals: None,
             },
-            queue: EventQueue::new(),
-            worker_image,
-            master_image,
-            pod_to_worker: BTreeMap::new(),
-            worker_to_pod: BTreeMap::new(),
-            master_pod: None,
-            master_set: StatefulSet::new(MASTER_GROUP, 1, 50_000),
-            master_ready: false,
-            initial_workers_created: false,
-            workload_finished_at: None,
-            cleanup_started: false,
-            interrupted: 0,
-            failures_injected: 0,
-            recovery_watches: Vec::new(),
-            recovery_times: Vec::new(),
-            trace,
-            seen_categories: std::collections::BTreeSet::new(),
-            util_history: std::collections::VecDeque::new(),
-            wq_sink: EffectSink::with_capacity(16),
-            cluster_sink: EffectSink::new(),
-            pod_scratch: Vec::new(),
-            watch_scratch: Vec::new(),
-            note_scratch: Vec::new(),
-            label_buf: String::new(),
-            per_cat_counts: Vec::new(),
-            digest: None,
-            started: false,
-            incarnation: 0,
-            recovery,
-            arrivals: None,
+            policy: PolicySlot::new(policy),
         }
     }
 
@@ -397,10 +424,10 @@ impl SystemDriver {
             Workflow::from_jobs(Vec::new(), Vec::new()).expect("empty workflow is a valid DAG");
         let mut driver = SystemDriver::new(cfg, workflow, policy);
         for (i, name) in source.categories().enumerate() {
-            let id = driver.master.intern_category(name);
+            let id = driver.world.master.intern_category(name);
             assert_eq!(id.index(), i, "trace table interned out of order");
         }
-        driver.arrivals = Some(source);
+        driver.world.arrivals = Some(source);
         driver
     }
 
@@ -408,7 +435,7 @@ impl SystemDriver {
     /// [`RunResult::digest`]). Costs a `Debug` format per event — use for
     /// divergence hunting, never for timed runs.
     pub fn with_digest(mut self, cfg: DigestConfig) -> Self {
-        self.digest = Some(EventDigest::new(cfg));
+        self.world.digest = Some(EventDigest::new(cfg));
         self
     }
 
@@ -425,6 +452,73 @@ impl SystemDriver {
     /// The branch never inherits the parent's event digest: digests
     /// describe exactly one run, and a branch is a different run.
     pub fn fork_branch(&self, salt: u64) -> SystemDriver {
+        SystemDriver {
+            world: self.world.fork_branch(salt),
+            policy: self.policy.clone(),
+        }
+    }
+
+    /// Run to completion (or the safety cut-off).
+    pub fn run(self) -> RunResult {
+        let SystemDriver {
+            mut world,
+            mut policy,
+        } = self;
+        world.start_once(&mut policy);
+        let deadline = SimTime::ZERO + world.cfg.max_sim_time;
+        let (timed_out, _) = world.run_loop(deadline, u64::MAX, &mut policy);
+        world.finalize(timed_out, &policy)
+    }
+
+    /// Advance the run up to (and including) simulated time `until`,
+    /// processing events exactly as [`SystemDriver::run`] would, then
+    /// return with the driver mid-flight. Unlike the run loop's deadline
+    /// cut-off this never discards an event: it only pops events whose
+    /// timestamp is `≤ until`, so a run that is advanced in pieces and
+    /// then finished with [`SystemDriver::run`] is event-for-event
+    /// identical to one straight `run()` call.
+    ///
+    /// This is the decision-point hook for what-if tooling: advance to a
+    /// moment of interest, interrogate the driver via
+    /// [`WhatIf`](crate::whatif::WhatIf), then keep running. Returns true once the run is
+    /// finished.
+    pub fn advance_until(&mut self, until: SimTime) -> bool {
+        let (world, policy) = (&mut self.world, &mut self.policy);
+        world.start_once(policy);
+        while world.queue.peek_time().is_some_and(|t| t <= until) {
+            let Some((now, ev)) = world.queue.pop() else {
+                break;
+            };
+            world.dispatch(now, ev, policy);
+            if world.is_finished() {
+                return true;
+            }
+        }
+        world.is_finished()
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.world.queue.now()
+    }
+
+    /// Live worker pods (pending + running), for
+    /// introspection at a decision point.
+    pub fn live_workers(&self) -> usize {
+        self.world.live_worker_pods()
+    }
+
+    /// Tasks the master has completed so far, for introspection at a
+    /// decision point (what-if branch deltas are measured against this).
+    pub fn completed_tasks(&self) -> usize {
+        self.world.master.completed_count()
+    }
+}
+
+impl World {
+    /// A copy of this world with every RNG stream re-partitioned by
+    /// `salt` (see [`SystemDriver::fork_branch`]) and no event digest.
+    fn fork_branch(&self, salt: u64) -> World {
         let mut branch = SnapshotState::fork(self, salt);
         branch.digest = None;
         branch
@@ -466,63 +560,12 @@ impl SystemDriver {
         self.cluster.group_replicas(WORKER_GROUP)
     }
 
-    /// Run to completion (or the safety cut-off).
-    pub fn run(mut self) -> RunResult {
-        self.start_once();
-        let deadline = SimTime::ZERO + self.cfg.max_sim_time;
-        let (timed_out, _) = self.run_loop(deadline, u64::MAX);
-        self.finalize(timed_out)
-    }
-
-    /// Advance the run up to (and including) simulated time `until`,
-    /// processing events exactly as [`SystemDriver::run`] would, then
-    /// return with the driver mid-flight. Unlike the run loop's deadline
-    /// cut-off this never discards an event: it only pops events whose
-    /// timestamp is `≤ until`, so a run that is advanced in pieces and
-    /// then finished with [`SystemDriver::run`] is event-for-event
-    /// identical to one straight `run()` call.
-    ///
-    /// This is the decision-point hook for what-if tooling: advance to a
-    /// moment of interest, interrogate the driver via
-    /// [`WhatIf`](crate::whatif::WhatIf), then keep running. Returns true once the run is
-    /// finished.
-    pub fn advance_until(&mut self, until: SimTime) -> bool {
-        self.start_once();
-        while self.queue.peek_time().is_some_and(|t| t <= until) {
-            let Some((now, ev)) = self.queue.pop() else {
-                break;
-            };
-            self.dispatch(now, ev);
-            if self.is_finished() {
-                return true;
-            }
-        }
-        self.is_finished()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Live worker pods (pending + running), for
-    /// introspection at a decision point.
-    pub fn live_workers(&self) -> usize {
-        self.live_worker_pods()
-    }
-
-    /// Tasks the master has completed so far, for introspection at a
-    /// decision point (what-if branch deltas are measured against this).
-    pub fn completed_tasks(&self) -> usize {
-        self.master.completed_count()
-    }
-
     /// Tear down into a [`RunResult`].
-    fn finalize(mut self, timed_out: bool) -> RunResult {
+    fn finalize(mut self, timed_out: bool, policy: &PolicySlot) -> RunResult {
         // Final sample so the series reflect the drained end state (the
         // loop exits on pod events, which can land between sample ticks).
         let now = self.queue.now();
-        self.sample(now);
+        self.sample(now, policy);
         let end = self.workload_finished_at.unwrap_or(now).as_secs_f64();
         let History::Full { recorded, .. } = self.history else {
             unreachable!("a what-if rollout never runs to the end");
@@ -532,7 +575,7 @@ impl SystemDriver {
             mut spans,
         } = Arc::unwrap_or_clone(recorded);
         recorder.finish(end);
-        let label = self.policy.name();
+        let label = policy.name();
         let mut summary = recorder.summary(label.clone());
         let task_faults = self.master.fault_stats();
         let cluster_faults = self.cluster.fault_stats();
@@ -621,7 +664,7 @@ impl SystemDriver {
     }
 }
 
-impl SnapshotState for SystemDriver {
+impl SnapshotState for World {
     /// Re-partition every RNG stream in the system for a what-if branch.
     /// Each component gets its own decorrelated salt so the streams stay
     /// independent across (and within) branches.
@@ -749,6 +792,14 @@ mod testkit {
             .with_source_file("db", 100.0, true)
     }
 
+    impl SystemDriver {
+        /// Deliver one popped event under the driver's policy, as the
+        /// run loop does.
+        pub(super) fn dispatch(&mut self, now: SimTime, ev: Event) {
+            self.world.dispatch(now, ev, &mut self.policy);
+        }
+    }
+
     pub(super) fn traced_driver(spec: &str, seed: u64, pool: usize) -> SystemDriver {
         let source = ArrivalSource::synth(spec, seed).expect("valid trace spec");
         SystemDriver::new_traced(small_cfg(), source, Box::new(FixedPolicy::new(pool)))
@@ -846,8 +897,8 @@ mod tests {
         parent.advance_until(SimTime::from_secs(120));
         let fork = parent.fork_branch(1);
         let ((parent_dag, parent_jobs), (fork_dag, fork_jobs)) = (
-            parent.operator.shared_inputs(),
-            fork.operator.shared_inputs(),
+            parent.world.operator.shared_inputs(),
+            fork.world.operator.shared_inputs(),
         );
         assert!(
             Arc::ptr_eq(parent_jobs, fork_jobs),
@@ -859,12 +910,15 @@ mod tests {
             "one DAG graph"
         );
         let db = |d: &SystemDriver| {
-            d.master.catalog().get(hta_workqueue::FileId(0)).unwrap()
-                as *const hta_workqueue::FileSpec
+            d.world
+                .master
+                .catalog()
+                .get(hta_workqueue::FileId(0))
+                .unwrap() as *const hta_workqueue::FileSpec
         };
         assert_eq!(db(&parent), db(&fork), "one file catalogue");
         let (History::Full { recorded: a, .. }, History::Full { recorded: b, .. }) =
-            (&parent.history, &fork.history)
+            (&parent.world.history, &fork.world.history)
         else {
             panic!("a plain fork keeps the full history");
         };
@@ -876,7 +930,7 @@ mod tests {
         let mut fork = fork;
         let parent_len = a.recorder.supply.len();
         fork.advance_until(SimTime::from_secs(130));
-        let History::Full { recorded: b, .. } = &fork.history else {
+        let History::Full { recorded: b, .. } = &fork.world.history else {
             unreachable!()
         };
         assert!(!Arc::ptr_eq(a, b));

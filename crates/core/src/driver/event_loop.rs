@@ -9,9 +9,9 @@ use hta_workqueue::master::WqNotification;
 use std::sync::Arc;
 
 use super::history::{History, Span};
-use super::{Event, SystemDriver, WalRecord, MASTER_GROUP, WORKER_GROUP};
+use super::{Event, PolicySlot, WalRecord, World, MASTER_GROUP, WORKER_GROUP};
 
-impl SystemDriver {
+impl World {
     /// Create (or re-create) the master pod.
     fn create_master_pod(&mut self, now: SimTime) -> PodId {
         let spec = PodSpec {
@@ -26,7 +26,7 @@ impl SystemDriver {
     }
 
     /// Bootstrap on the first call; later calls are no-ops.
-    pub(super) fn start_once(&mut self) {
+    pub(super) fn start_once(&mut self, policy: &mut PolicySlot) {
         if self.started {
             return;
         }
@@ -40,9 +40,9 @@ impl SystemDriver {
             debug_assert!(self.master_set.fully_bound());
         } else {
             self.master_ready = true;
-            self.on_master_ready(start);
+            self.on_master_ready(start, policy);
         }
-        self.pump(start);
+        self.pump(start, policy);
         self.queue
             .every(Duration::ZERO, self.cfg.sample_interval, Event::Sample);
         self.queue
@@ -67,7 +67,12 @@ impl SystemDriver {
     /// *after* the pop on purpose — the over-deadline event still counts
     /// into `delivered`, which keeps event totals (and every golden
     /// fingerprint built on them) identical to the historical behaviour.
-    pub(super) fn run_loop(&mut self, deadline: SimTime, max_events: u64) -> (bool, bool) {
+    pub(super) fn run_loop(
+        &mut self,
+        deadline: SimTime,
+        max_events: u64,
+        policy: &mut PolicySlot,
+    ) -> (bool, bool) {
         let mut timed_out = false;
         let mut budget_exhausted = false;
         let mut processed: u64 = 0;
@@ -76,7 +81,7 @@ impl SystemDriver {
                 timed_out = true;
                 break;
             }
-            self.dispatch(now, ev);
+            self.dispatch(now, ev, policy);
             if self.is_finished() {
                 break;
             }
@@ -91,7 +96,7 @@ impl SystemDriver {
 
     /// Process one popped event: digest, dispatch to the owning
     /// component, then pump cross-component plumbing.
-    pub(super) fn dispatch(&mut self, now: SimTime, ev: Event) {
+    pub(super) fn dispatch(&mut self, now: SimTime, ev: Event, policy: &mut PolicySlot) {
         if let Some(d) = self.digest.as_mut() {
             d.record(now.as_millis(), &ev);
         }
@@ -110,12 +115,12 @@ impl SystemDriver {
                     self.flush_wq();
                 }
             }
-            Event::PolicyTick => self.policy_tick(now),
-            Event::Sample => self.sample(now),
+            Event::PolicyTick => self.policy_tick(now, policy),
+            Event::Sample => self.sample(now, policy),
             Event::FailWorkerNode => self.fail_worker_node(now),
-            Event::CheckpointTick => self.checkpoint_tick(now),
+            Event::CheckpointTick => self.checkpoint_tick(now, policy),
             Event::CrashControlPlane => self.crash_control_plane(now),
-            Event::RestartControlPlane => self.restart_control_plane(now),
+            Event::RestartControlPlane => self.restart_control_plane(now, policy),
             Event::TraceArrival(inc) => {
                 // A wake armed by a dead master incarnation is dropped;
                 // the restart pass armed a fresh one for the backlog.
@@ -129,7 +134,7 @@ impl SystemDriver {
         if !matches!(ev, Event::Sample) {
             self.history.forget_tick();
         }
-        self.pump(now);
+        self.pump(now, policy);
     }
 
     /// Admit every trace arrival that is due, then arm one wake-up for
@@ -197,7 +202,7 @@ impl SystemDriver {
 
     /// Cross-component plumbing: drain informer events and master
     /// notifications until both are quiet.
-    fn pump(&mut self, now: SimTime) {
+    fn pump(&mut self, now: SimTime, policy: &mut PolicySlot) {
         let mut watch = std::mem::take(&mut self.watch_scratch);
         let mut notes = std::mem::take(&mut self.note_scratch);
         loop {
@@ -240,7 +245,7 @@ impl SystemDriver {
                             .group;
                         if Some(ev.pod) == self.master_pod && !self.master_ready {
                             self.master_ready = true;
-                            self.on_master_ready(now);
+                            self.on_master_ready(now, policy);
                         } else if group == WORKER_GROUP {
                             let wid = self.master.worker_connect(
                                 now,
@@ -395,7 +400,7 @@ impl SystemDriver {
 
     /// The master pod is up: create the initial worker pods and submit the
     /// first batch of jobs (warm-up stage, §V-C).
-    fn on_master_ready(&mut self, now: SimTime) {
+    fn on_master_ready(&mut self, now: SimTime, policy: &mut PolicySlot) {
         if !self.initial_workers_created {
             self.initial_workers_created = true;
             for _ in 0..self.cfg.initial_workers.min(self.cfg.max_workers) {
@@ -412,7 +417,7 @@ impl SystemDriver {
             .as_ref()
             .is_some_and(|r| r.checkpoint.is_none())
         {
-            self.take_checkpoint(now);
+            self.take_checkpoint(now, policy);
             let interval = self
                 .recovery
                 .as_ref()

@@ -5,9 +5,11 @@
 use hta_des::{CategoryId, Duration, SimTime};
 use hta_metrics::{RunRecorder, Sample, StepIntegral};
 use hta_workqueue::TaskId;
+use rayon::prelude::*;
 use std::sync::Arc;
 
-use super::SystemDriver;
+use super::{PolicySlot, SystemDriver, World};
+use crate::policy::ScalingPolicy;
 use crate::whatif::{BranchOutcome, BranchSpec, BranchStop, WhatIf};
 
 /// What a driver keeps of its run's history.
@@ -33,9 +35,24 @@ pub(super) enum History {
     },
 }
 
-/// What a sampler tick reads from the system: the diluted utilization
-/// and the supply cores.
-type TickReading = (Option<f64>, f64);
+/// What a sampler tick reads from the system.
+#[derive(Clone, Copy)]
+pub(super) struct TickReading {
+    /// The connected workers' mean utilization.
+    mean: Option<f64>,
+    /// The utilization the metrics pipeline reports: `mean` diluted by
+    /// the pending worker pods.
+    reported: Option<f64>,
+    supply_cores: f64,
+}
+
+impl TickReading {
+    fn same_bits(&self, other: &TickReading) -> bool {
+        same_bits(self.mean, other.mean)
+            && same_bits(self.reported, other.reported)
+            && self.supply_cores.to_bits() == other.supply_cores.to_bits()
+    }
+}
 
 /// A full run's history: its metric series and its finished tasks'
 /// lifecycles.
@@ -95,22 +112,27 @@ impl History {
     }
 }
 
-impl SystemDriver {
+impl World {
     /// The utilization the metrics pipeline reports *right now*.
+    fn current_utilization(&mut self) -> Option<f64> {
+        let mean = self.master.mean_worker_utilization();
+        self.reported_utilization(mean)
+    }
+
+    /// The utilization the metrics pipeline reports for the connected
+    /// workers' `mean`.
     ///
     /// Kubernetes HPA semantics: pods without metrics (pending — still
     /// waiting for a node or an image) are averaged in at 0 % usage on
     /// scale-up. This dilution is one of the two mechanisms that stall
     /// the paper's Fig. 2 ramps while each batch of fresh nodes
     /// provisions (the other being the pipeline staleness below).
-    fn current_utilization(&mut self) -> Option<f64> {
+    fn reported_utilization(&self, mean: Option<f64>) -> Option<f64> {
         let live = self.live_worker_pods();
         if live == 0 {
-            self.master.mean_worker_utilization()
+            mean
         } else {
-            let connected_sum = self
-                .master
-                .mean_worker_utilization()
+            let connected_sum = mean
                 .map(|m| m * self.master.connected_workers() as f64)
                 .unwrap_or(0.0);
             Some(connected_sum / live as f64)
@@ -156,10 +178,11 @@ impl SystemDriver {
     /// A what-if rollout stops after the metrics pipeline and the supply
     /// integral: the policy reads the one, the branch outcome the other,
     /// and nothing reads the rest.
-    pub(super) fn sample(&mut self, now: SimTime) {
-        let (util_now, supply_cores) = self.tick_reading();
+    pub(super) fn sample(&mut self, now: SimTime, policy: &PolicySlot) {
+        let reading = self.tick_reading();
+        let supply_cores = reading.supply_cores;
         // Feed the (laggy) metrics pipeline.
-        self.util_history.push_back((now, util_now));
+        self.util_history.push_back((now, reading.reported));
         let horizon = self
             .cfg
             .metrics_lag
@@ -265,6 +288,10 @@ impl SystemDriver {
             recorder.record_extra(&self.label_buf, t, count as f64);
             self.seen_categories.insert(cat);
         }
+        hta_des::sanitize_assert!(
+            same_bits(reading.mean, self.master.mean_worker_utilization()),
+            "the tick's mean utilization went stale within the tick at {now:?}"
+        );
         recorder.record(Sample {
             time_s: t,
             supply_cores,
@@ -273,11 +300,11 @@ impl SystemDriver {
             nodes: self.cluster.ready_node_count() as f64,
             workers_connected: self.master.connected_workers() as f64,
             workers_idle: self.master.idle_workers() as f64,
-            workers_desired: self.policy.desired() as f64,
+            workers_desired: policy.desired() as f64,
             tasks_waiting: (self.master.waiting_count() + held_count) as f64,
             tasks_running: self.master.running_count() as f64,
             egress_mbps: self.master.egress_throughput_mbps(),
-            cpu_utilization: self.master.mean_worker_utilization().unwrap_or(0.0),
+            cpu_utilization: reading.mean.unwrap_or(0.0),
         });
     }
 
@@ -292,7 +319,7 @@ impl SystemDriver {
         } = self.history
         {
             hta_des::sanitize_assert!(
-                same_bits(cached, self.read_tick()),
+                cached.same_bits(&self.read_tick()),
                 "a cached tick reading went stale at {:?}",
                 self.queue.now()
             );
@@ -305,6 +332,8 @@ impl SystemDriver {
         reading
     }
 
+    /// One read of the workers: the mean utilization is read once and
+    /// serves both the pipeline and the recorded series.
     fn read_tick(&mut self) -> TickReading {
         let supply_cores = self
             .master
@@ -312,21 +341,50 @@ impl SystemDriver {
             .workers()
             .map(|w| w.capacity.cores_f64())
             .sum();
-        (self.current_utilization(), supply_cores)
+        let mean = self.master.mean_worker_utilization();
+        TickReading {
+            mean,
+            reported: self.reported_utilization(mean),
+            supply_cores,
+        }
+    }
+
+    /// Fork a branch under `policy`, keep only the supply integral,
+    /// taken over from this world's in O(1), and roll it out. The
+    /// receiver is untouched.
+    fn branch_under(&self, spec: &BranchSpec, mut policy: PolicySlot) -> BranchOutcome {
+        let mut branch = self.fork_branch(spec.salt);
+        branch.history = History::Rollout {
+            supply: self.history.supply_integral(),
+            last_tick: None,
+        };
+        branch.roll_out(spec, &mut policy)
+    }
+
+    /// Roll every spec out under a hold slot, side by side on the rayon
+    /// threads (the caller's included), with the outcomes in spec order.
+    /// Each rollout is one single-threaded run of its own fork, so the
+    /// outcomes do not depend on the thread count.
+    pub(super) fn rollouts(&self, specs: &[BranchSpec]) -> Vec<BranchOutcome> {
+        specs
+            .par_iter()
+            .map(|spec| self.branch_under(spec, PolicySlot::hold(None)))
+            .collect()
     }
 
     /// Apply `spec.initial_action` at the fork instant and roll this
-    /// (already forked) driver forward to the horizon or the event budget.
-    fn roll_out(mut self, spec: &BranchSpec) -> BranchOutcome {
+    /// (already forked) world forward under `policy` to the horizon or
+    /// the event budget.
+    fn roll_out(mut self, spec: &BranchSpec, policy: &mut PolicySlot) -> BranchOutcome {
         let t0 = self.queue.now();
         let supply_before = self.history.supply_until(t0.as_secs_f64());
         let completed_before = self.master.completed_count();
         let events_before = self.queue.delivered();
         self.apply_action(t0, spec.initial_action);
-        let (_, budget_exhausted) = self.run_loop(t0 + spec.horizon, spec.max_events);
+        let (_, budget_exhausted) = self.run_loop(t0 + spec.horizon, spec.max_events, policy);
         let t1 = self.queue.now();
         // Final sample so the cost integral reflects the branch-end state.
-        self.sample(t1);
+        self.sample(t1, policy);
         let finished = self.workload_finished_at.is_some();
         let stop = if finished {
             BranchStop::Finished
@@ -355,30 +413,66 @@ impl SystemDriver {
 
 impl WhatIf for SystemDriver {
     /// Fork a branch, apply the candidate action at the fork instant, and
-    /// roll the branch forward under a frozen policy to the horizon (or
-    /// the event budget). The receiver is untouched.
+    /// roll the branch forward under a copy of this driver's policy to
+    /// the horizon (or the event budget). The receiver is untouched.
     ///
     /// The branch records only its running supply integral, taken over
     /// from the receiver's in O(1), so `cost_core_s` is bitwise what a
     /// full fork would read off its recorder.
     fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
-        let mut branch = self.fork_branch(spec.salt);
-        branch.history = History::Rollout {
-            supply: self.history.supply_integral(),
-            last_tick: None,
-        };
-        branch.roll_out(spec)
+        self.world.branch_under(spec, self.policy.clone())
     }
 }
 
-fn same_bits(a: TickReading, b: TickReading) -> bool {
-    a.0.map(f64::to_bits) == b.0.map(f64::to_bits) && a.1.to_bits() == b.1.to_bits()
+/// The world a deciding policy forks its what-if branches from. A branch
+/// runs under a hold slot: apply the candidate action, then hold the
+/// pool.
+pub(super) struct DecisionWorld<'a> {
+    pub(super) world: &'a World,
+    /// The policy copy of the control-plane checkpoint, if one was taken:
+    /// a restart inside a branch restores it.
+    pub(super) checkpointed: Option<&'a dyn ScalingPolicy>,
+}
+
+impl WhatIf for DecisionWorld<'_> {
+    fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
+        let checkpointed = self.checkpointed.map(ScalingPolicy::clone_box);
+        self.world
+            .branch_under(spec, PolicySlot::hold(checkpointed))
+    }
+
+    /// The branches run side by side on up to `available_parallelism`
+    /// threads. A world with a checkpointed policy keeps to this thread:
+    /// that policy is not `Send`.
+    fn branch_all(&self, specs: &[BranchSpec]) -> Vec<BranchOutcome> {
+        if self.checkpointed.is_some() {
+            return specs.iter().map(|spec| self.branch(spec)).collect();
+        }
+        self.world.rollouts(specs)
+    }
+
+    fn batches_in_parallel(&self) -> bool {
+        self.checkpointed.is_none() && rayon::current_num_threads() > 1
+    }
+}
+
+fn same_bits(a: Option<f64>, b: Option<f64>) -> bool {
+    a.map(f64::to_bits) == b.map(f64::to_bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::testkit::*;
+
+    impl SystemDriver {
+        /// Roll this (already forked) driver out under its own policy,
+        /// keeping its full history: the reference a lean branch must
+        /// match.
+        fn roll_out(mut self, spec: &BranchSpec) -> BranchOutcome {
+            self.world.roll_out(spec, &mut self.policy)
+        }
+    }
 
     #[test]
     fn run_produces_consistent_metrics() {
@@ -417,14 +511,14 @@ mod tests {
             // An off-tick stop steps on, one event at a time, to the
             // first instant that is not a whole second.
             while !stop.is_multiple_of(1_000) && driver.now().as_millis().is_multiple_of(1_000) {
-                let Some((now, ev)) = driver.queue.pop() else {
+                let Some((now, ev)) = driver.world.queue.pop() else {
                     break;
                 };
                 driver.dispatch(now, ev);
             }
-            assert!(!driver.is_finished(), "fork at {stop} ms is mid-run");
+            assert!(!driver.world.is_finished(), "fork at {stop} ms is mid-run");
             forked_at.push(driver.now().as_millis());
-            watching += usize::from(!driver.recovery_watches.is_empty());
+            watching += usize::from(!driver.world.recovery_watches.is_empty());
             for salt in [0, 1, 0xD1CE] {
                 for (initial_action, max_events) in [
                     (ScaleAction::CreateWorkers(2), u64::MAX),
@@ -440,7 +534,7 @@ mod tests {
                     };
                     let lean = driver.branch(&spec);
                     let full = driver.fork_branch(salt).roll_out(&spec);
-                    assert!(matches!(driver.history, History::Full { .. }));
+                    assert!(matches!(driver.world.history, History::Full { .. }));
                     assert_eq!(lean, full, "at {stop} ms, {spec:?}");
                     assert_eq!(
                         lean.cost_core_s.to_bits(),
@@ -486,7 +580,7 @@ mod tests {
         let mut stops = 0;
         for step in 1.. {
             let finished = driver.advance_until(SimTime::from_millis(step * 1_700));
-            let History::Full { recorded, supply } = &driver.history else {
+            let History::Full { recorded, supply } = &driver.world.history else {
                 unreachable!("a run keeps its full history");
             };
             assert!(
@@ -494,13 +588,93 @@ mod tests {
                 "at {:?}",
                 driver.now()
             );
-            assert!(driver.history.supply_integral() == *supply);
+            assert!(driver.world.history.supply_integral() == *supply);
             stops += 1;
             if finished {
                 break;
             }
         }
         assert!(stops > 300, "the run spans many samples ({stops} stops)");
+    }
+
+    /// Outcomes equal field by field, their floats bit for bit.
+    fn same_outcomes(a: &[BranchOutcome], b: &[BranchOutcome]) -> bool {
+        let bits = |o: &BranchOutcome| (o.elapsed_s.to_bits(), o.cost_core_s.to_bits());
+        a == b && a.iter().map(bits).eq(b.iter().map(bits))
+    }
+
+    /// Every `ScaleAction` kind, each on a replay and a fresh salt, one
+    /// of them cut short by its event budget.
+    fn batch_specs() -> Vec<BranchSpec> {
+        let mut specs = Vec::new();
+        for salt in [0, 0xBEEF] {
+            for initial_action in [
+                ScaleAction::None,
+                ScaleAction::CreateWorkers(2),
+                ScaleAction::DrainWorkers(1),
+                ScaleAction::KillWorkers(1),
+            ] {
+                specs.push(BranchSpec {
+                    salt,
+                    ..spec(initial_action)
+                });
+            }
+        }
+        specs[5].max_events = 40;
+        specs
+    }
+
+    /// A decision's batch on 1, 2 and 4 threads reports bitwise what its
+    /// branches report one by one, in spec order.
+    #[test]
+    fn rollouts_do_not_depend_on_the_thread_count() {
+        let mut driver = fig10_driver(Box::new(HtaPolicy::new(HtaConfig::default())));
+        for stop_s in [30, 200, 260, 433] {
+            assert!(!driver.advance_until(SimTime::from_secs(stop_s)));
+            let world = DecisionWorld {
+                world: &driver.world,
+                checkpointed: None,
+            };
+            let specs = batch_specs();
+            let one_by_one: Vec<BranchOutcome> = specs.iter().map(|s| world.branch(s)).collect();
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let batch = pool.install(|| driver.world.rollouts(&specs));
+                assert!(
+                    same_outcomes(&batch, &one_by_one),
+                    "{threads} threads at {stop_s} s"
+                );
+            }
+            assert!(same_outcomes(&world.branch_all(&specs), &one_by_one));
+        }
+    }
+
+    /// With a control-plane checkpoint taken, a batch stays on the
+    /// calling thread and still reports what the branches report one by
+    /// one.
+    #[test]
+    fn a_checkpointed_world_batches_on_the_calling_thread() {
+        let mut cfg = small_cfg();
+        cfg.faults.control_plane = crate::fault::ControlPlaneFaults {
+            crash_times: vec![Duration::from_secs(150)],
+            outage: Duration::from_secs(30),
+            checkpoint_interval: Duration::from_secs(45),
+        };
+        let mut driver = SystemDriver::new(cfg, tiny_workflow(12), Box::new(FixedPolicy::new(3)));
+        assert!(!driver.advance_until(SimTime::from_secs(120)));
+        let checkpointed = driver.policy.checkpointed.as_deref();
+        assert!(checkpointed.is_some(), "checkpoints were taken");
+        let world = DecisionWorld {
+            world: &driver.world,
+            checkpointed,
+        };
+        assert!(!world.batches_in_parallel());
+        let specs = batch_specs();
+        let one_by_one: Vec<BranchOutcome> = specs.iter().map(|s| world.branch(s)).collect();
+        assert!(same_outcomes(&world.branch_all(&specs), &one_by_one));
     }
 
     fn spec(initial_action: ScaleAction) -> BranchSpec {
@@ -518,27 +692,27 @@ mod tests {
     fn connects_on_a_tick(driver: &SystemDriver, spec: &BranchSpec) -> (bool, bool) {
         let mut fork = driver.fork_branch(spec.salt);
         let t0 = fork.now();
-        fork.apply_action(t0, spec.initial_action);
-        let tick_ms = fork.cfg.sample_interval.as_millis();
+        fork.world.apply_action(t0, spec.initial_action);
+        let tick_ms = fork.world.cfg.sample_interval.as_millis();
         let (mut before, mut after) = (false, false);
         let mut ticked_at = None;
-        while let Some((now, ev)) = fork.queue.pop() {
+        while let Some((now, ev)) = fork.world.queue.pop() {
             if now > t0 + spec.horizon {
                 break;
             }
             if matches!(ev, Event::Sample) {
                 ticked_at = Some(now);
             }
-            let connected = fork.master.connected_workers();
+            let connected = fork.world.master.connected_workers();
             fork.dispatch(now, ev);
-            if fork.master.connected_workers() > connected && now.as_millis() % tick_ms == 0 {
+            if fork.world.master.connected_workers() > connected && now.as_millis() % tick_ms == 0 {
                 if ticked_at == Some(now) {
                     after = true;
                 } else {
                     before = true;
                 }
             }
-            if fork.is_finished() {
+            if fork.world.is_finished() {
                 break;
             }
         }
@@ -569,7 +743,7 @@ mod tests {
         assert!(!driver.advance_until(SimTime::from_secs(13)));
         let mut forks = 0;
         while forks < 4 {
-            let next = driver.queue.clone().pop().map(|(_, ev)| ev);
+            let next = driver.world.queue.clone().pop().map(|(_, ev)| ev);
             if matches!(next, Some(Event::Sample)) {
                 forks += 1;
                 for action in [ScaleAction::KillWorkers(1), ScaleAction::DrainWorkers(1)] {
@@ -580,7 +754,7 @@ mod tests {
                     assert_eq!(lean.cost_core_s.to_bits(), full.cost_core_s.to_bits());
                 }
             }
-            let (now, ev) = driver.queue.pop().expect("the run is mid-flight");
+            let (now, ev) = driver.world.queue.pop().expect("the run is mid-flight");
             driver.dispatch(now, ev);
         }
     }

@@ -20,7 +20,7 @@
 //!
 //! The WAL contract is the compiler's. [`WalRecord`] is crate-private, so
 //! rustc's `dead_code` reports a variant no decision site constructs, and
-//! [`SystemDriver::log`] is the only append. [`SystemDriver::replay_wal`]
+//! [`World::log`] is the only append. [`World::replay_wal`]
 //! is the one non-test match over it and denies wildcard arms, so a
 //! variant without a replay arm fails to compile.
 
@@ -32,11 +32,10 @@ use hta_workqueue::master::Master;
 use hta_workqueue::task::TaskSpec;
 use hta_workqueue::TaskId;
 
-use super::{Event, SystemDriver, WORKER_GROUP};
+use super::{Event, PolicySlot, World, WORKER_GROUP};
 use crate::fault::ControlPlaneFaults;
 use crate::init_time::InitTimeTracker;
 use crate::operator::Operator;
-use crate::policy::ScalingPolicy;
 
 /// One durably logged control-plane decision.
 #[derive(Debug, Clone)]
@@ -79,7 +78,9 @@ pub(crate) enum WalRecord {
     },
 }
 
-/// Everything the driver checkpoints as "the control plane".
+/// Everything the driver checkpoints as "the control plane", except the
+/// scaling policy: its copy is kept in the [`PolicySlot`], so this state
+/// stays `Send + Sync` with the rest of the world.
 ///
 /// The cluster, the event queue, and the metrics recorder are *not* part
 /// of this state: nodes and pods keep running through an outage (they are
@@ -91,8 +92,6 @@ pub(crate) struct ControlPlaneState {
     master: Master,
     /// The Makeflow operator.
     operator: Operator,
-    /// The active scaling policy (cloned behind the trait).
-    policy: Box<dyn ScalingPolicy>,
     /// The init-time tracker feeding the estimator.
     tracker: InitTimeTracker,
     /// The open-loop trace cursor (None for workflow-driven runs): the
@@ -183,7 +182,7 @@ impl RecoveryState {
     }
 }
 
-impl SystemDriver {
+impl World {
     /// Append one decision record to the WAL — the only append. A no-op
     /// in normal runs.
     pub(super) fn log(&mut self, rec: WalRecord) {
@@ -205,11 +204,11 @@ impl SystemDriver {
 
     /// Capture the full control plane into a fresh checkpoint and truncate
     /// the WAL it supersedes.
-    pub(super) fn take_checkpoint(&mut self, now: SimTime) {
+    pub(super) fn take_checkpoint(&mut self, now: SimTime, policy: &mut PolicySlot) {
+        policy.checkpoint();
         let state = ControlPlaneState {
             master: self.master.clone(),
             operator: self.operator.clone(),
-            policy: self.policy.clone(),
             tracker: self.tracker.clone(),
             arrivals: self.arrivals.clone(),
         };
@@ -222,7 +221,7 @@ impl SystemDriver {
     }
 
     /// Periodic checkpoint cadence (control-plane faults active only).
-    pub(super) fn checkpoint_tick(&mut self, now: SimTime) {
+    pub(super) fn checkpoint_tick(&mut self, now: SimTime, policy: &mut PolicySlot) {
         let Some(rs) = self.recovery.as_ref() else {
             return;
         };
@@ -238,7 +237,7 @@ impl SystemDriver {
             self.queue.schedule_in(interval, Event::CheckpointTick);
             return;
         }
-        self.take_checkpoint(now);
+        self.take_checkpoint(now, policy);
         self.queue.schedule_in(interval, Event::CheckpointTick);
     }
 
@@ -285,7 +284,7 @@ impl SystemDriver {
     /// reset its data-plane beliefs, replay the WAL, reconcile warm-up
     /// probes, re-adopt surviving workers, resume submissions, and
     /// re-checkpoint.
-    pub(super) fn restart_control_plane(&mut self, now: SimTime) {
+    pub(super) fn restart_control_plane(&mut self, now: SimTime, policy: &mut PolicySlot) {
         let (state, records, crashed_at, checkpoint_at) = {
             let Some(rs) = self.recovery.as_mut() else {
                 return;
@@ -313,13 +312,12 @@ impl SystemDriver {
         let ControlPlaneState {
             master,
             operator,
-            policy,
             tracker,
             arrivals,
         } = state;
         self.master = master;
         self.operator = operator;
-        self.policy = policy;
+        policy.restore();
         self.tracker = tracker;
         self.arrivals = arrivals;
         // 2. The checkpoint believes in workers and in-flight transfers
@@ -375,7 +373,7 @@ impl SystemDriver {
         self.util_history.clear();
         // 8. Post-recovery checkpoint: the replayed decisions are now part
         // of durable state, so a second crash replays from here.
-        self.take_checkpoint(now);
+        self.take_checkpoint(now, policy);
         // 9. Bookkeeping.
         self.recovery
             .as_mut()
@@ -680,9 +678,9 @@ mod tests {
 
         let mut d = driver(true);
         d.advance_until(SimTime::from_secs(351));
-        let names = d.master.interner();
+        let names = d.world.master.interner();
         let mut late_live = 0;
-        for r in d.master.task_records() {
+        for r in d.world.master.task_records() {
             let name = names.name(r.spec.cat);
             assert_eq!(
                 name, expected[&r.spec.id],

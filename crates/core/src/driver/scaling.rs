@@ -1,15 +1,75 @@
-//! The scaling loop: the policy tick, the translation of its actions into
-//! pod creations, graceful drains and evictions, node-failure injection,
-//! and the cleanup stage (§V-C).
+//! The scaling loop: the policy slot, the policy tick, the translation of
+//! its actions into pod creations, graceful drains and evictions,
+//! node-failure injection, and the cleanup stage (§V-C).
 
 use hta_cluster::{PodId, PodPhase};
 use hta_des::{Duration, SimTime};
 use hta_workqueue::{WorkerId, WorkerState};
 
-use super::{Event, SystemDriver, WORKER_GROUP};
-use crate::policy::{PolicyContext, ScaleAction, ScalingPolicy};
+use super::history::DecisionWorld;
+use super::{Event, World, WORKER_GROUP};
+use crate::policy::{HoldPolicy, PolicyContext, ScaleAction, ScalingPolicy};
 
-impl SystemDriver {
+/// The scaling policy as the event loop reaches it: the live policy, and
+/// the copy the newest control-plane checkpoint holds (`None` until one
+/// is taken, and always in runs without control-plane faults).
+#[derive(Clone)]
+pub(super) struct PolicySlot {
+    live: Box<dyn ScalingPolicy>,
+    pub(super) checkpointed: Option<Box<dyn ScalingPolicy>>,
+}
+
+impl PolicySlot {
+    pub(super) fn new(live: Box<dyn ScalingPolicy>) -> Self {
+        PolicySlot {
+            live,
+            checkpointed: None,
+        }
+    }
+
+    /// The slot a what-if rollout runs under: it holds the pool after the
+    /// branch's initial action. A restart inside the branch restores the
+    /// parent's `checkpointed` policy, as a restart in the parent would.
+    pub(super) fn hold(checkpointed: Option<Box<dyn ScalingPolicy>>) -> Self {
+        PolicySlot {
+            live: Box::new(HoldPolicy),
+            checkpointed,
+        }
+    }
+
+    /// The live policy decides, with `world` to fork what-if branches
+    /// from.
+    fn decide(&mut self, ctx: &PolicyContext<'_>, world: &World) -> (ScaleAction, Duration) {
+        let world = DecisionWorld {
+            world,
+            checkpointed: self.checkpointed.as_deref(),
+        };
+        self.live.decide_with_world(ctx, &world)
+    }
+
+    pub(super) fn desired(&self) -> usize {
+        self.live.desired()
+    }
+
+    pub(super) fn name(&self) -> String {
+        self.live.name()
+    }
+
+    /// Keep a copy of the live policy for the control-plane checkpoint.
+    pub(super) fn checkpoint(&mut self) {
+        self.checkpointed = Some(self.live.clone());
+    }
+
+    /// Bring the live policy back to the checkpoint's copy.
+    pub(super) fn restore(&mut self) {
+        self.live = self
+            .checkpointed
+            .clone()
+            .expect("a restart restores a taken checkpoint");
+    }
+}
+
+impl World {
     /// Worker pods still waiting for a node / image.
     fn pending_worker_pod_count(&self) -> usize {
         self.cluster
@@ -52,7 +112,7 @@ impl SystemDriver {
         }
     }
 
-    pub(super) fn policy_tick(&mut self, now: SimTime) {
+    pub(super) fn policy_tick(&mut self, now: SimTime, policy: &mut PolicySlot) {
         if self.cleanup_started {
             // Keep draining stragglers (workers that were mid-task when
             // cleanup began finish and stop on their own; pending pods are
@@ -88,12 +148,6 @@ impl SystemDriver {
         } else {
             self.cfg.default_init_time
         };
-        // Swap the policy out so it can be handed `&self` as a what-if
-        // world alongside the borrowed context views. The HoldPolicy
-        // placeholder is what a forked branch sees as "its" policy, which
-        // is exactly the frozen-pool rollout semantics branches want.
-        let mut policy: Box<dyn ScalingPolicy> =
-            std::mem::replace(&mut self.policy, Box::new(crate::policy::HoldPolicy));
         let ctx = PolicyContext {
             now,
             queue: self.master.view(),
@@ -108,7 +162,7 @@ impl SystemDriver {
             workload_done,
             telemetry_age: self.master.telemetry_age(now),
         };
-        let (action, next) = policy.decide_with_world(&ctx, &*self);
+        let (action, next) = policy.decide(&ctx, self);
         if self.trace.is_enabled() && action != ScaleAction::None {
             self.trace.push(
                 now,
@@ -123,7 +177,6 @@ impl SystemDriver {
                 ),
             );
         }
-        self.policy = policy;
         self.apply_action(now, action);
         self.queue
             .schedule_in(next.max(Duration::from_secs(1)), Event::PolicyTick);

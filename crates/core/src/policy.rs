@@ -432,11 +432,8 @@ impl ScalingPolicy for FixedPolicy {
 
 /// A policy that never acts.
 ///
-/// Two jobs: it is the placeholder the driver swaps into itself while the
-/// real policy is deciding (so the policy can borrow the driver as a
-/// [`WhatIf`](crate::whatif::WhatIf) world), and — because what-if
-/// branches are forked *during* that swap — it is the policy every branch
-/// rolls forward under, which gives model-predictive rollouts their
+/// It is the policy every what-if branch a deciding policy forks rolls
+/// forward under, which gives model-predictive rollouts their
 /// constant-input ("apply the candidate action, then hold") semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HoldPolicy;

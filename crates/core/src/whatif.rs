@@ -6,9 +6,11 @@
 //! without the asker knowing anything about drivers, clusters, or event
 //! queues. `SystemDriver` implements it by forking itself (clone + RNG
 //! partition — see `hta_des::SnapshotState`), applying the candidate
-//! action, and running the branch forward under a frozen policy with
-//! event/time budgets. A branch records only the supply integral its
-//! [`BranchOutcome::cost_core_s`] is read from.
+//! action, and running the branch forward with event/time budgets. The
+//! world a deciding policy is handed rolls its branches out under a
+//! frozen (hold) policy, and runs a [`WhatIf::branch_all`] batch side by
+//! side on scoped threads. A branch records only the supply integral
+//! its [`BranchOutcome::cost_core_s`] is read from.
 //!
 //! Everything crossing the trait is plain data, which is what lets the
 //! model-predictive policy in `crates/forecast` depend only on this crate
@@ -95,4 +97,20 @@ pub trait WhatIf {
     /// Fork a branch, apply `spec.initial_action`, simulate to the
     /// horizon (or a budget), and report what happened.
     fn branch(&self, spec: &BranchSpec) -> BranchOutcome;
+
+    /// Evaluate every spec; the outcomes come back in spec order and are
+    /// exactly what [`WhatIf::branch`] reports for each. The default runs
+    /// them one by one; a world may run them side by side.
+    fn branch_all(&self, specs: &[BranchSpec]) -> Vec<BranchOutcome> {
+        specs.iter().map(|spec| self.branch(spec)).collect()
+    }
+
+    /// True when [`WhatIf::branch_all`] runs its branches side by side.
+    /// A caller may then hand over in one batch every branch it might
+    /// need and drop those it ends up not using; otherwise it should
+    /// branch one by one and run only the branches it uses. The default
+    /// runs a batch in turn.
+    fn batches_in_parallel(&self) -> bool {
+        false
+    }
 }

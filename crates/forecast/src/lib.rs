@@ -77,7 +77,7 @@ impl Candidate {
 }
 
 /// Ensemble-aggregated result for one candidate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateScore {
     /// The candidate's label.
     pub label: String,
@@ -104,7 +104,7 @@ pub struct CandidateScore {
 }
 
 /// Everything one forecast decision produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForecastReport {
     /// Per-candidate scores, in candidate order.
     pub candidates: Vec<CandidateScore>,
@@ -207,6 +207,14 @@ impl ForecastEngine {
     /// Evaluate `candidates` against the world over `horizon` and score
     /// them. Increments the decision counter (so the next call partitions
     /// fresh RNG streams even for identical candidates).
+    ///
+    /// When the world runs batches side by side and the branch budget
+    /// covers every candidate × ensemble rollout, they are handed to it
+    /// as one [`WhatIf::branch_all`] batch, and the loop below replays
+    /// the sequential rules over the outcomes in order. The early abort
+    /// decides which outcomes are kept, and only the kept ones count in
+    /// the report, so it is exactly the sequential report. Otherwise the
+    /// rollouts run one by one, and only those the loop keeps run.
     pub fn evaluate(
         &mut self,
         world: &dyn WhatIf,
@@ -216,6 +224,22 @@ impl ForecastEngine {
         self.decisions += 1;
         let decision_salt = self.decisions;
         let ensemble = self.cfg.ensemble.max(1);
+        // Two-level salt: decision ⊕ candidate, then ensemble index. Never
+        // zero, so branches never alias the parent's own stochastic future.
+        let spec = |ci: usize, ei: usize| BranchSpec {
+            salt: branch_salt(branch_salt(decision_salt, ci as u64 + 1), ei as u64 + 1),
+            initial_action: candidates[ci].action,
+            horizon,
+            max_events: MAX_EVENTS_PER_BRANCH,
+        };
+        let batch = (world.batches_in_parallel()
+            && candidates.len() * ensemble <= self.cfg.max_branches)
+            .then(|| {
+                let specs: Vec<BranchSpec> = (0..candidates.len())
+                    .flat_map(|ci| (0..ensemble).map(move |ei| spec(ci, ei)))
+                    .collect();
+                world.branch_all(&specs)
+            });
         let mut branches_run = 0usize;
         let mut events_simulated = 0u64;
         let mut truncated = false;
@@ -228,17 +252,10 @@ impl ForecastEngine {
                     truncated = true;
                     break;
                 }
-                // Two-level salt: decision ⊕ candidate, then ensemble
-                // index. Never zero, so branches never alias the
-                // parent's own stochastic future.
-                let salt = branch_salt(branch_salt(decision_salt, ci as u64 + 1), ei as u64 + 1);
-                let spec = BranchSpec {
-                    salt,
-                    initial_action: cand.action,
-                    horizon,
-                    max_events: MAX_EVENTS_PER_BRANCH,
+                let outcome = match &batch {
+                    Some(outcomes) => outcomes[ci * ensemble + ei],
+                    None => world.branch(&spec(ci, ei)),
                 };
-                let outcome = world.branch(&spec);
                 branches_run += 1;
                 events_simulated += outcome.events;
                 outcomes.push(outcome);
@@ -456,6 +473,7 @@ impl ScalingPolicy for MpcPolicy {
 mod tests {
     use super::*;
     use hta_core::whatif::BranchStop;
+    use std::cell::Cell;
 
     /// A fake world with a quadratic sweet spot at +2 workers.
     struct FakeWorld;
@@ -480,6 +498,129 @@ mod tests {
                 cost_core_s: 500.0 + miss * 40.0,
             }
         }
+    }
+
+    /// [`FakeWorld`] with a cliff: +3 and +4 workers cost ten times as
+    /// much, so their ensembles abort after one rollout.
+    struct CliffWorld;
+
+    impl WhatIf for CliffWorld {
+        fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
+            let mut out = FakeWorld.branch(spec);
+            if matches!(spec.initial_action, ScaleAction::CreateWorkers(n) if n >= 3) {
+                out.cost_core_s *= 10.0;
+            }
+            out
+        }
+    }
+
+    /// Wraps a world, counting its batches and branches. When
+    /// `parallel`, it says it runs batches side by side, and runs each
+    /// back to front to show that only the order it hands back counts.
+    struct Counted<'a> {
+        inner: &'a dyn WhatIf,
+        parallel: bool,
+        batches: Cell<usize>,
+        branches: Cell<usize>,
+    }
+
+    impl WhatIf for Counted<'_> {
+        fn branch(&self, spec: &BranchSpec) -> BranchOutcome {
+            self.branches.set(self.branches.get() + 1);
+            self.inner.branch(spec)
+        }
+
+        fn batches_in_parallel(&self) -> bool {
+            self.parallel
+        }
+
+        fn branch_all(&self, specs: &[BranchSpec]) -> Vec<BranchOutcome> {
+            self.batches.set(self.batches.get() + 1);
+            let mut out: Vec<BranchOutcome> = specs.iter().rev().map(|s| self.branch(s)).collect();
+            out.reverse();
+            out
+        }
+    }
+
+    /// One decision on `world` wrapped as [`Counted`], and one on `world`
+    /// itself: the two reports, and the batches and branches the wrapper
+    /// counted.
+    fn counted_and_plain(
+        world: &dyn WhatIf,
+        parallel: bool,
+        cfg: ForecastConfig,
+    ) -> (ForecastReport, ForecastReport, (usize, usize)) {
+        let mut engine = ForecastEngine::new(cfg);
+        let candidates = engine.delta_candidates(5, 20);
+        let mut twin = engine.clone();
+        let counted = Counted {
+            inner: world,
+            parallel,
+            batches: Cell::new(0),
+            branches: Cell::new(0),
+        };
+        let a = engine.evaluate(&counted, &candidates, Duration::from_secs(120));
+        let b = twin.evaluate(world, &candidates, Duration::from_secs(120));
+        (a, b, (counted.batches.get(), counted.branches.get()))
+    }
+
+    #[test]
+    fn the_batch_path_reports_what_the_sequential_path_reports() {
+        let (a, b, counts) = counted_and_plain(&FakeWorld, true, ForecastConfig::default());
+        assert_eq!(counts, (1, 14), "one batch of 7 candidates × 2");
+        assert_eq!(a, b);
+        assert_eq!(a.branches_run, 14);
+    }
+
+    /// The batch runs every rollout, but the replayed early abort keeps
+    /// only those the sequential loop runs: the report counts 12 of 14.
+    #[test]
+    fn the_batch_path_replays_the_early_abort() {
+        let (a, b, counts) = counted_and_plain(&CliffWorld, true, ForecastConfig::default());
+        assert_eq!(counts, (1, 14), "two of them speculative");
+        assert_eq!(a, b);
+        assert_eq!(a.branches_run, 12, "+3 and +4 abort after one rollout");
+        let aborted: Vec<&str> = a
+            .candidates
+            .iter()
+            .filter(|c| c.rollouts == 1)
+            .map(|c| c.label.as_str())
+            .collect();
+        assert_eq!(aborted, ["+3", "+4"]);
+        let kept: u64 = a
+            .candidates
+            .iter()
+            .flat_map(|c| &c.outcomes)
+            .map(|o| o.events)
+            .sum();
+        assert_eq!(
+            a.events_simulated, kept,
+            "the dropped rollouts go uncounted"
+        );
+    }
+
+    /// A world that runs a batch in turn is never handed one: it runs
+    /// only the rollouts the loop keeps.
+    #[test]
+    fn a_sequential_world_branches_one_by_one() {
+        let (a, b, counts) = counted_and_plain(&CliffWorld, false, ForecastConfig::default());
+        assert_eq!(counts, (0, 12));
+        assert_eq!(a, b);
+    }
+
+    /// Over the branch budget the engine never batches: the budget stops
+    /// the sequential loop before it would run everything.
+    #[test]
+    fn an_over_budget_decision_branches_one_by_one() {
+        let cfg = ForecastConfig {
+            max_branches: 3,
+            ensemble: 2,
+        };
+        let (a, b, counts) = counted_and_plain(&CliffWorld, true, cfg);
+        assert_eq!(counts, (0, 3));
+        assert_eq!(a, b);
+        assert!(a.truncated);
+        assert_eq!(a.branches_run, 3);
     }
 
     #[test]

@@ -9,20 +9,31 @@
 //! 3. **Salt-0 fidelity** — a no-action branch on salt 0 replays the
 //!    parent's own stochastic future: its completion delta equals what
 //!    the parent actually goes on to do over the same window.
+//! 4. **Batch fidelity** — the world a deciding policy is handed reports
+//!    for a `branch_all` batch, which it may run on several threads,
+//!    bitwise what its `branch` reports for each spec in turn, and the
+//!    batch leaves the parent's event stream untouched.
+
+use std::sync::{Arc, Mutex};
 
 use hta_core::driver::{DriverConfig, SystemDriver};
-use hta_core::whatif::{BranchSpec, WhatIf};
-use hta_core::{HoldPolicy, OperatorConfig, ScaleAction};
+use hta_core::whatif::{BranchOutcome, BranchSpec, WhatIf};
+use hta_core::{
+    FixedPolicy, HoldPolicy, OperatorConfig, PolicyContext, ScaleAction, ScalingPolicy,
+};
 use hta_des::{branch_salt, DigestConfig, Duration, SimTime};
 use hta_workloads::{blast_multistage, MultistageParams};
 use proptest::prelude::*;
 
-fn driver(seed: u64, fixed_pool: usize) -> SystemDriver {
-    let workload = blast_multistage(&MultistageParams {
+fn workload() -> hta_makeflow::Workflow {
+    blast_multistage(&MultistageParams {
         stage_tasks: vec![10, 4],
         ..MultistageParams::default()
-    });
-    let cfg = DriverConfig {
+    })
+}
+
+fn cfg_of(seed: u64) -> DriverConfig {
+    DriverConfig {
         operator: OperatorConfig {
             warmup: true,
             trust_declared: false,
@@ -30,13 +41,16 @@ fn driver(seed: u64, fixed_pool: usize) -> SystemDriver {
             seed,
         },
         ..DriverConfig::default()
-    };
+    }
+}
+
+fn driver(seed: u64, fixed_pool: usize) -> SystemDriver {
     let policy = if fixed_pool > 0 {
-        Box::new(hta_core::FixedPolicy::new(fixed_pool)) as Box<dyn hta_core::ScalingPolicy>
+        Box::new(FixedPolicy::new(fixed_pool)) as Box<dyn ScalingPolicy>
     } else {
         Box::new(HoldPolicy)
     };
-    SystemDriver::new(cfg, workload, policy)
+    SystemDriver::new(cfg_of(seed), workload(), policy)
 }
 
 fn digest_cfg() -> DigestConfig {
@@ -53,6 +67,58 @@ fn spec(salt: u64, action: ScaleAction, horizon_s: u64) -> BranchSpec {
         horizon: Duration::from_secs(horizon_s),
         max_events: 200_000,
     }
+}
+
+/// What a [`BatchProbe`] saw: the batch's outcomes, then the same specs'
+/// one by one.
+type Seen = Arc<Mutex<Option<(Vec<BranchOutcome>, Vec<BranchOutcome>)>>>;
+
+/// `FixedPolicy(3)`, except that its first decision at or after `at`
+/// also hands `specs` to its world as one batch and then one by one.
+#[derive(Clone)]
+struct BatchProbe {
+    inner: FixedPolicy,
+    at: SimTime,
+    specs: Vec<BranchSpec>,
+    seen: Seen,
+}
+
+impl ScalingPolicy for BatchProbe {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, ctx: &PolicyContext<'_>) -> (ScaleAction, Duration) {
+        self.inner.decide(ctx)
+    }
+
+    fn desired(&self) -> usize {
+        self.inner.desired()
+    }
+
+    fn clone_box(&self) -> Box<dyn ScalingPolicy> {
+        Box::new(self.clone())
+    }
+
+    fn decide_with_world(
+        &mut self,
+        ctx: &PolicyContext<'_>,
+        world: &dyn WhatIf,
+    ) -> (ScaleAction, Duration) {
+        let mut seen = self.seen.lock().expect("one run per probe");
+        if seen.is_none() && ctx.now >= self.at {
+            let batch = world.branch_all(&self.specs);
+            let one_by_one = self.specs.iter().map(|s| world.branch(s)).collect();
+            *seen = Some((batch, one_by_one));
+        }
+        self.inner.decide(ctx)
+    }
+}
+
+/// Outcomes equal field by field, their floats bit for bit.
+fn same_outcomes(a: &[BranchOutcome], b: &[BranchOutcome]) -> bool {
+    let bits = |o: &BranchOutcome| (o.elapsed_s.to_bits(), o.cost_core_s.to_bits());
+    a == b && a.iter().map(bits).eq(b.iter().map(bits))
 }
 
 fn arb_action() -> impl Strategy<Value = ScaleAction> {
@@ -139,5 +205,52 @@ proptest! {
             outcome.completed_delta, parent_delta,
             "salt-0 branch diverged from the parent's own future"
         );
+    }
+
+    /// Property 4: at a random decision, a batch of every `ScaleAction`
+    /// kind reports bitwise the outcomes of sequential `branch` calls,
+    /// in spec order, and the run digests bitwise like a twin that never
+    /// branched.
+    #[test]
+    fn a_batch_matches_sequential_branches(
+        seed in 1u64..50,
+        fork_at in 20u64..1_200,
+        salt in 1u64..u64::MAX,
+        n in 1usize..4,
+        horizon_s in 30u64..900,
+    ) {
+        let actions = [
+            ScaleAction::None,
+            ScaleAction::CreateWorkers(n),
+            ScaleAction::DrainWorkers(n),
+            ScaleAction::KillWorkers(n),
+        ];
+        let specs: Vec<BranchSpec> = actions
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| spec(branch_salt(salt, i as u64), a, horizon_s))
+            .collect();
+        let seen = Seen::default();
+        let probe = BatchProbe {
+            inner: FixedPolicy::new(3),
+            at: SimTime::ZERO + Duration::from_secs(fork_at),
+            specs,
+            seen: seen.clone(),
+        };
+        let probed = SystemDriver::new(cfg_of(seed), workload(), Box::new(probe))
+            .with_digest(digest_cfg())
+            .run();
+        let clean = driver(seed, 3).with_digest(digest_cfg()).run();
+        prop_assert!(!clean.timed_out && !probed.timed_out);
+        let (clean, probed) = (clean.digest.unwrap(), probed.digest.unwrap());
+        prop_assert_eq!(clean.first_divergence(&probed), None, "a batch perturbed the parent");
+        prop_assert!(clean.matches(&probed));
+        let seen = seen.lock().unwrap().take();
+        let Some((batch, one_by_one)) = seen else {
+            // The run ended before the fork point: nothing to compare.
+            return Ok(());
+        };
+        prop_assert_eq!(batch.len(), 4);
+        prop_assert!(same_outcomes(&batch, &one_by_one), "{:?} vs {:?}", batch, one_by_one);
     }
 }

@@ -48,14 +48,6 @@ pub enum WallDist {
 }
 
 impl WallDist {
-    fn sample_s(&self, rng: &mut SimRng) -> f64 {
-        match self {
-            WallDist::Fixed { secs } => *secs,
-            WallDist::Lognormal { median_s, sigma } => rng.lognormal(median_s.ln(), *sigma),
-            WallDist::Pareto { xm_s, alpha } => rng.pareto(*xm_s, *alpha),
-        }
-    }
-
     fn validate(&self) -> Result<(), String> {
         let ok = match self {
             WallDist::Fixed { secs } => secs.is_finite() && *secs > 0.0,
@@ -70,6 +62,36 @@ impl WallDist {
             Ok(())
         } else {
             Err(format!("invalid wall distribution {self:?}"))
+        }
+    }
+}
+
+/// A [`WallDist`] in the form a draw uses: the lognormal's `ln(median)`
+/// is taken once, when the trace is built, not on every arrival.
+#[derive(Debug, Clone, Copy)]
+enum WallDraw {
+    Fixed { secs: f64 },
+    Lognormal { mu: f64, sigma: f64 },
+    Pareto { xm_s: f64, alpha: f64 },
+}
+
+impl WallDraw {
+    fn new(dist: &WallDist) -> Self {
+        match *dist {
+            WallDist::Fixed { secs } => WallDraw::Fixed { secs },
+            WallDist::Lognormal { median_s, sigma } => WallDraw::Lognormal {
+                mu: median_s.ln(),
+                sigma,
+            },
+            WallDist::Pareto { xm_s, alpha } => WallDraw::Pareto { xm_s, alpha },
+        }
+    }
+
+    fn sample_s(self, rng: &mut SimRng) -> f64 {
+        match self {
+            WallDraw::Fixed { secs } => secs,
+            WallDraw::Lognormal { mu, sigma } => rng.lognormal(mu, sigma),
+            WallDraw::Pareto { xm_s, alpha } => rng.pareto(xm_s, alpha),
         }
     }
 }
@@ -161,6 +183,8 @@ impl SynthConfig {
 #[derive(Debug, Clone)]
 pub struct SynthTrace {
     cfg: SynthConfig,
+    /// Each category's wall-time draw, in category order.
+    walls: Vec<WallDraw>,
     engine: ArrivalEngine,
     wall_rng: SimRng,
     mix_rng: SimRng,
@@ -183,8 +207,13 @@ impl SynthTrace {
             arrival_rng,
             regime_rng,
         );
+        let mut walls = Vec::new();
+        for c in &cfg.categories {
+            walls.push(WallDraw::new(&c.wall));
+        }
         Ok(SynthTrace {
             cfg,
+            walls,
             engine,
             wall_rng,
             mix_rng,
@@ -218,8 +247,7 @@ impl SynthTrace {
         let at = SimTime::from_millis((t_s * 1_000.0).round() as u64);
         let idx = sample_category(&self.cfg.categories, &mut self.mix_rng);
         let cat = &self.cfg.categories[idx];
-        let wall_s = cat
-            .wall
+        let wall_s = self.walls[idx]
             .sample_s(&mut self.wall_rng)
             .min(self.cfg.max_wall_s);
         let spec = TaskSpec {
