@@ -7,11 +7,17 @@ use std::hint::black_box;
 
 use hta_cluster::{Cluster, ClusterConfig, MachineType, PodSpec};
 use hta_core::{estimate, EstimatorInput, EstimatorMode, RunningTask, WaitingTask};
-use hta_des::{Duration, EffectSink, EventQueue, SimRng, SimTime};
+use hta_des::{Duration, EffectSink, SimRng, SimTime};
 use hta_resources::Resources;
 use hta_workqueue::master::{Master, MasterConfig};
 use hta_workqueue::task::{ExecModel, TaskSpec};
 use hta_workqueue::{FairShareLink, FileCatalog, FlowId, TaskId};
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "these benches time the queue itself and drive components as the system driver does"
+)]
+type Queue<E> = hta_des::EventQueue<E>;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
@@ -20,7 +26,7 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut rng = SimRng::seed_from_u64(7);
             let times: Vec<u64> = (0..n).map(|_| rng.uniform_u64(0, 1_000_000)).collect();
             b.iter(|| {
-                let mut q = EventQueue::new();
+                let mut q = Queue::new();
                 for (i, t) in times.iter().enumerate() {
                     q.schedule_at(SimTime::from_millis(*t), i);
                 }
@@ -104,7 +110,7 @@ fn bench_cluster_scheduler(c: &mut Criterion) {
                 ..ClusterConfig::default()
             });
             let img = cluster.registry_mut().register("img", 100.0);
-            let mut q = EventQueue::new();
+            let mut q = Queue::new();
             let mut fx = EffectSink::new();
             cluster.bootstrap(SimTime::ZERO, &mut fx);
             for _ in 0..100 {
@@ -149,7 +155,7 @@ fn bench_master_dispatch(c: &mut Criterion) {
                     let db = catalog.register("db", 200.0, true);
                     let mut m = Master::new(MasterConfig::default(), catalog);
                     let align = m.intern_category("align");
-                    let mut q = EventQueue::new();
+                    let mut q = Queue::new();
                     let mut fx = EffectSink::new();
                     for _ in 0..workers {
                         m.worker_connect(

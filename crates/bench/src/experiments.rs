@@ -364,6 +364,10 @@ impl InitSample {
 
 /// Reproduce the Fig. 6 benchmark: `runs` sequential pod creations, each
 /// requiring a fresh node (previous pods keep their nodes busy).
+#[expect(
+    clippy::disallowed_types,
+    reason = "a cluster-only micro-benchmark: this loop stands in for the system driver"
+)]
 pub fn fig6_measurements(runs: usize, seed: u64) -> Vec<InitSample> {
     use hta_cluster::{Cluster, ClusterEvent, PodPhase, PodSpec};
     use hta_des::{EffectSink, EventQueue, SimTime};

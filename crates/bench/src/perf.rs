@@ -11,7 +11,6 @@
 //! changes either did more than make the code faster.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +66,19 @@ pub struct PerfReport {
 
 /// Builds one workload's scenario from the seed.
 type ScenarioFn = fn(u64) -> Scenario;
+
+/// Run `f` and measure it in host wall seconds.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "measuring host wall time is this harness's purpose; the simulation itself never \
+              reads the host clock. Keep as long as this file only times runs"
+)]
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = std::time::Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64())
+}
 
 /// Reset the kernel's peak-RSS counter (`VmHWM`) so the next
 /// [`peak_rss_mb`] reading is a per-workload peak rather than a
@@ -163,29 +175,25 @@ pub fn snapshot_microbench(reps: usize) -> PerfEntry {
     let mut elapsed = 0f64;
     reset_peak_rss();
     for _ in 0..reps.max(1) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "measuring host wall time is this harness's purpose; the simulation itself \
-                      never reads the host clock. Keep as long as this file only times runs"
-        )]
-        let t = Instant::now();
-        let (mut ev, mut el) = (0u64, 0f64);
-        for salt in 1..=SNAPSHOT_BRANCHES {
-            let action = match salt % 3 {
-                0 => ScaleAction::None,
-                1 => ScaleAction::CreateWorkers(2),
-                _ => ScaleAction::DrainWorkers(1),
-            };
-            let o = parent.branch(&BranchSpec {
-                salt,
-                initial_action: action,
-                horizon: Duration::from_secs(300),
-                max_events: 100_000,
-            });
-            ev += o.events;
-            el += o.elapsed_s;
-        }
-        let wall = t.elapsed().as_secs_f64();
+        let ((ev, el), wall) = timed(|| {
+            let (mut ev, mut el) = (0u64, 0f64);
+            for salt in 1..=SNAPSHOT_BRANCHES {
+                let action = match salt % 3 {
+                    0 => ScaleAction::None,
+                    1 => ScaleAction::CreateWorkers(2),
+                    _ => ScaleAction::DrainWorkers(1),
+                };
+                let o = parent.branch(&BranchSpec {
+                    salt,
+                    initial_action: action,
+                    horizon: Duration::from_secs(300),
+                    max_events: 100_000,
+                });
+                ev += o.events;
+                el += o.elapsed_s;
+            }
+            (ev, el)
+        });
         best = best.min(wall);
         events = ev;
         elapsed = el;
@@ -210,15 +218,7 @@ pub fn run_perf(label: &str, quick: bool, reps: usize) -> PerfReport {
         let mut makespan = 0f64;
         reset_peak_rss();
         for _ in 0..reps {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "measuring host wall time is this harness's purpose; the simulation \
-                          itself never reads the host clock. Keep as long as this file only \
-                          times runs"
-            )]
-            let t = Instant::now();
-            let r = f(PERF_SEED).run(None);
-            let wall = t.elapsed().as_secs_f64();
+            let (r, wall) = timed(|| f(PERF_SEED).run(None));
             best = best.min(wall);
             events = r.events;
             makespan = r.makespan_s;

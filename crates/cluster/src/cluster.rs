@@ -98,7 +98,7 @@ pub struct Cluster {
 impl hta_des::SnapshotState for Cluster {
     /// Re-partition the provisioning/fault RNG for a what-if branch; all
     /// other state (nodes, pods, pending queue, watch log) is untouched.
-    fn reseed(&mut self, salt: u64) {
+    fn reseed(&mut self, salt: hta_des::Salt) {
         self.rng = self.rng.partition(salt);
     }
 }
@@ -765,6 +765,10 @@ mod tests {
         }
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "these tests drive the cluster as the system driver does"
+    )]
     type Queue = hta_des::EventQueue<ClusterEvent>;
     type Sink = EffectSink<ClusterEvent>;
 

@@ -47,8 +47,8 @@ use hta_cluster::objects::StatefulSet;
 use hta_cluster::{Cluster, ClusterConfig, ClusterEvent, ImageId, PodId, PodSpec, WatchEvent};
 use hta_des::trace::TraceRing;
 use hta_des::{
-    branch_salt, CategoryId, DigestConfig, DigestReport, Duration, EffectSink, EventDigest,
-    EventQueue, SimTime, SnapshotState,
+    CategoryId, DigestConfig, DigestReport, Duration, EffectSink, EventDigest, EventQueue, Salt,
+    SimTime, SnapshotState,
 };
 use hta_makeflow::Workflow;
 use hta_metrics::{FaultSummary, RunRecorder, RunSummary, StepIntegral, TaskSpan};
@@ -71,8 +71,8 @@ mod scaling;
 
 use history::{FullHistory, History, Span};
 pub use recovery::RecoveryReport;
-use recovery::RecoveryState;
 pub(crate) use recovery::WalRecord;
+use recovery::{ControlPlaneState, RecoveryState};
 use scaling::PolicySlot;
 
 /// The worker-pod group label.
@@ -260,9 +260,9 @@ pub struct SystemDriver {
 struct World {
     cfg: DriverConfig,
     cluster: Cluster,
-    master: Master,
-    operator: Operator,
-    tracker: InitTimeTracker,
+    /// The master, operator, init-time tracker and trace cursor: what a
+    /// control-plane checkpoint copies and a restart restores, whole.
+    cp: ControlPlaneState,
     history: History,
     queue: EventQueue<Event>,
     worker_image: ImageId,
@@ -320,10 +320,6 @@ struct World {
     /// Crash-recovery machinery (None unless control-plane faults are
     /// active).
     recovery: Option<RecoveryState>,
-    /// Open-loop arrival source (None for workflow-driven runs). Part of
-    /// the control-plane checkpoint: the trace cursor must restore with
-    /// the decisions made from it.
-    arrivals: Option<ArrivalSource>,
 }
 
 /// What-if rollouts share one `&World` across threads: a field that is
@@ -365,9 +361,12 @@ impl SystemDriver {
             world: World {
                 cfg,
                 cluster,
-                master,
-                operator,
-                tracker,
+                cp: ControlPlaneState {
+                    master,
+                    operator,
+                    tracker,
+                    arrivals: None,
+                },
                 history: History::Full {
                     recorded: Arc::default(),
                     supply: StepIntegral::default(),
@@ -401,7 +400,6 @@ impl SystemDriver {
                 started: false,
                 incarnation: 0,
                 recovery,
-                arrivals: None,
             },
             policy: PolicySlot::new(policy),
         }
@@ -424,10 +422,10 @@ impl SystemDriver {
             Workflow::from_jobs(Vec::new(), Vec::new()).expect("empty workflow is a valid DAG");
         let mut driver = SystemDriver::new(cfg, workflow, policy);
         for (i, name) in source.categories().enumerate() {
-            let id = driver.world.master.intern_category(name);
+            let id = driver.world.cp.master.intern_category(name);
             assert_eq!(id.index(), i, "trace table interned out of order");
         }
-        driver.world.arrivals = Some(source);
+        driver.world.cp.arrivals = Some(source);
         driver
     }
 
@@ -511,7 +509,7 @@ impl SystemDriver {
     /// Tasks the master has completed so far, for introspection at a
     /// decision point (what-if branch deltas are measured against this).
     pub fn completed_tasks(&self) -> usize {
-        self.world.master.completed_count()
+        self.world.cp.master.completed_count()
     }
 }
 
@@ -577,9 +575,9 @@ impl World {
         recorder.finish(end);
         let label = policy.name();
         let mut summary = recorder.summary(label.clone());
-        let task_faults = self.master.fault_stats();
+        let task_faults = self.cp.master.fault_stats();
         let cluster_faults = self.cluster.fault_stats();
-        let (jobs_failed, jobs_abandoned) = self.operator.failure_counts();
+        let (jobs_failed, jobs_abandoned) = self.cp.operator.failure_counts();
         let (master_crashes, checkpoints_taken, recoveries) = match self.recovery.take() {
             Some(r) => (r.crashes, r.wal.truncations(), r.reports),
             None => (0, 0, Vec::new()),
@@ -606,18 +604,19 @@ impl World {
             outage_s: recoveries.iter().fold(0.0, |s, r| s + r.outage_s()),
             checkpoints_taken,
             wal_replayed: recoveries.iter().map(|r| r.wal_replayed as u64).sum(),
-            msgs_dropped: self.master.net_stats().dropped,
-            msgs_duplicated: self.master.net_stats().duplicated,
-            msgs_reordered: self.master.net_stats().reordered,
-            leases_expired: self.master.leases_expired(),
-            zombies_fenced: self.master.zombies_fenced(),
+            msgs_dropped: self.cp.master.net_stats().dropped,
+            msgs_duplicated: self.cp.master.net_stats().duplicated,
+            msgs_reordered: self.cp.master.net_stats().reordered,
+            leases_expired: self.cp.master.leases_expired(),
+            zombies_fenced: self.cp.master.zombies_fenced(),
             partition_s: self
+                .cp
                 .master
                 .net_config()
                 .partition_seconds(Duration::from_secs_f64(end)),
         };
         // The tasks still live (a timed-out run) join the finished ones.
-        spans.extend(self.master.task_records().map(|r| Span {
+        spans.extend(self.cp.master.task_records().map(|r| Span {
             task: r.spec.id,
             cat: r.spec.cat,
             submitted_at: r.submitted_at,
@@ -630,7 +629,7 @@ impl World {
             .iter()
             .map(|s| TaskSpan {
                 label: s.task.to_string(),
-                category: self.master.interner().name(s.cat).to_string(),
+                category: self.cp.master.interner().name(s.cat).to_string(),
                 submitted_s: s.submitted_at.as_secs_f64(),
                 started_s: s.started_at.map(|t| t.as_secs_f64()),
                 completed_s: s.exited_at.map(|t| t.as_secs_f64()),
@@ -638,17 +637,17 @@ impl World {
             })
             .collect();
         let digest = self.digest.take().map(EventDigest::report);
-        let arrivals = self.arrivals.as_ref().map(ArrivalSource::stats);
+        let arrivals = self.cp.arrivals.as_ref().map(ArrivalSource::stats);
         RunResult {
             label,
             digest,
             recoveries,
             arrivals,
-            completed: self.master.completed_count(),
-            completed_digest: self.master.completed_digest(),
+            completed: self.cp.master.completed_count(),
+            completed_digest: self.cp.master.completed_digest(),
             makespan_s: end,
             summary,
-            init_measurements: self.tracker.measurements().to_vec(),
+            init_measurements: self.cp.tracker.measurements().to_vec(),
             events: self.queue.delivered(),
             timed_out,
             interrupted_tasks: self.interrupted,
@@ -666,14 +665,15 @@ impl World {
 
 impl SnapshotState for World {
     /// Re-partition every RNG stream in the system for a what-if branch.
-    /// Each component gets its own decorrelated salt so the streams stay
+    /// Each component gets its own positional stream, so the streams stay
     /// independent across (and within) branches.
-    fn reseed(&mut self, salt: u64) {
-        self.cluster.reseed(branch_salt(salt, 1));
-        self.master.reseed(branch_salt(salt, 2));
-        self.operator.reseed(branch_salt(salt, 3));
-        if let Some(a) = self.arrivals.as_mut() {
-            a.reseed(branch_salt(salt, 4));
+    fn reseed(&mut self, salt: Salt) {
+        let [cluster, master, operator, arrivals] = salt.streams();
+        self.cluster.reseed(cluster);
+        self.cp.master.reseed(master);
+        self.cp.operator.reseed(operator);
+        if let Some(a) = self.cp.arrivals.as_mut() {
+            a.reseed(arrivals);
         }
     }
 }
@@ -897,8 +897,8 @@ mod tests {
         parent.advance_until(SimTime::from_secs(120));
         let fork = parent.fork_branch(1);
         let ((parent_dag, parent_jobs), (fork_dag, fork_jobs)) = (
-            parent.world.operator.shared_inputs(),
-            fork.world.operator.shared_inputs(),
+            parent.world.cp.operator.shared_inputs(),
+            fork.world.cp.operator.shared_inputs(),
         );
         assert!(
             Arc::ptr_eq(parent_jobs, fork_jobs),
@@ -911,6 +911,7 @@ mod tests {
         );
         let db = |d: &SystemDriver| {
             d.world
+                .cp
                 .master
                 .catalog()
                 .get(hta_workqueue::FileId(0))

@@ -111,7 +111,7 @@ impl World {
                 // master that no longer exists. The recovered master
                 // re-queues the orphaned work instead.
                 if inc == self.incarnation {
-                    self.master.handle(now, we, &mut self.wq_sink);
+                    self.cp.master.handle(now, we, &mut self.wq_sink);
                     self.flush_wq();
                 }
             }
@@ -145,12 +145,13 @@ impl World {
         if self.control_plane_down() || self.cleanup_started {
             return;
         }
-        let Some(mut arrivals) = self.arrivals.take() else {
+        let Some(mut arrivals) = self.cp.arrivals.take() else {
             return;
         };
         while let Some(spec) = arrivals.pop_due(now) {
-            self.operator
-                .submit_trace(now, spec, &mut self.master, &mut self.wq_sink);
+            self.cp
+                .operator
+                .submit_trace(now, spec, &mut self.cp.master, &mut self.wq_sink);
         }
         self.flush_wq();
         self.drain_operator_wal();
@@ -158,7 +159,7 @@ impl World {
             self.queue
                 .schedule_in(next.since(now), Event::TraceArrival(self.incarnation));
         }
-        self.arrivals = Some(arrivals);
+        self.cp.arrivals = Some(arrivals);
     }
 
     /// True when nothing will ever need the pool again: the workflow is
@@ -168,12 +169,12 @@ impl World {
     /// `operator.all_complete()` checks — those would declare an open-loop
     /// run finished while arrivals were still in flight.
     pub(super) fn workload_resolved(&mut self) -> bool {
-        if !self.operator.all_complete() {
+        if !self.cp.operator.all_complete() {
             return false;
         }
-        match self.arrivals.as_mut() {
+        match self.cp.arrivals.as_mut() {
             None => true,
-            Some(a) => a.exhausted() && self.master.all_complete(),
+            Some(a) => a.exhausted() && self.cp.master.all_complete(),
         }
     }
 
@@ -208,7 +209,7 @@ impl World {
         loop {
             watch.clear();
             self.cluster.drain_watch_into(&mut watch);
-            self.master.drain_notifications_into(&mut notes);
+            self.cp.master.drain_notifications_into(&mut notes);
             if watch.is_empty() && notes.is_empty() {
                 break;
             }
@@ -222,7 +223,7 @@ impl World {
             // fresh workers until the restart reconciliation.
             let down = self.control_plane_down();
             if !down {
-                self.tracker.observe_all(watch.iter());
+                self.cp.tracker.observe_all(watch.iter());
             }
             for ev in &watch {
                 match ev.kind {
@@ -247,7 +248,7 @@ impl World {
                             self.master_ready = true;
                             self.on_master_ready(now, policy);
                         } else if group == WORKER_GROUP {
-                            let wid = self.master.worker_connect(
+                            let wid = self.cp.master.worker_connect(
                                 now,
                                 self.cfg.worker_request,
                                 &mut self.wq_sink,
@@ -286,7 +287,7 @@ impl World {
                                 );
                             }
                             self.worker_to_pod.remove(&wid);
-                            self.master.kill_worker(now, wid, &mut self.wq_sink);
+                            self.cp.master.kill_worker(now, wid, &mut self.wq_sink);
                             self.flush_wq();
                         }
                     }
@@ -307,12 +308,12 @@ impl World {
                         // released warm-up holds) append their records
                         // after this one, preserving causal replay order.
                         self.log(WalRecord::Complete { task });
-                        self.operator.on_task_completed(
+                        self.cp.operator.on_task_completed(
                             now,
                             task,
                             cat,
                             measured,
-                            &mut self.master,
+                            &mut self.cp.master,
                             &mut self.wq_sink,
                         );
                         self.flush_wq();
@@ -328,7 +329,7 @@ impl World {
                     }
                     WqNotification::TaskFailed { task, cat, .. } => {
                         if self.trace.is_enabled() {
-                            let name = self.master.interner().name(cat);
+                            let name = self.cp.master.interner().name(cat);
                             self.trace.push(
                                 now,
                                 "wq",
@@ -336,11 +337,11 @@ impl World {
                             );
                         }
                         self.log(WalRecord::Fail { task });
-                        self.operator.on_task_failed(
+                        self.cp.operator.on_task_failed(
                             now,
                             task,
                             cat,
-                            &mut self.master,
+                            &mut self.cp.master,
                             &mut self.wq_sink,
                         );
                         self.flush_wq();
@@ -386,7 +387,7 @@ impl World {
         else {
             return;
         };
-        if let (History::Full { recorded, .. }, None) = (&mut self.history, &self.arrivals) {
+        if let (History::Full { recorded, .. }, None) = (&mut self.history, &self.cp.arrivals) {
             Arc::make_mut(recorded).spans.push(Span {
                 task,
                 cat,
@@ -426,8 +427,9 @@ impl World {
                 .checkpoint_interval;
             self.queue.schedule_in(interval, Event::CheckpointTick);
         }
-        self.operator
-            .submit_ready(now, &mut self.master, &mut self.wq_sink);
+        self.cp
+            .operator
+            .submit_ready(now, &mut self.cp.master, &mut self.wq_sink);
         self.flush_wq();
         self.drain_operator_wal();
         // Open-loop arrivals start flowing once the master can take them.

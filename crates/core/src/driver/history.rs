@@ -115,7 +115,7 @@ impl History {
 impl World {
     /// The utilization the metrics pipeline reports *right now*.
     fn current_utilization(&mut self) -> Option<f64> {
-        let mean = self.master.mean_worker_utilization();
+        let mean = self.cp.master.mean_worker_utilization();
         self.reported_utilization(mean)
     }
 
@@ -133,7 +133,7 @@ impl World {
             mean
         } else {
             let connected_sum = mean
-                .map(|m| m * self.master.connected_workers() as f64)
+                .map(|m| m * self.cp.master.connected_workers() as f64)
                 .unwrap_or(0.0);
             Some(connected_sum / live as f64)
         }
@@ -213,7 +213,7 @@ impl World {
         // Resolve open time-to-recover watches. Watches still open when
         // cleanup begins never resolve (the pool shrinks on purpose).
         if !self.recovery_watches.is_empty() && !self.cleanup_started {
-            let connected = self.master.connected_workers();
+            let connected = self.cp.master.connected_workers();
             let mut resolved = Vec::new();
             for w in &mut self.recovery_watches {
                 if !w.2 {
@@ -229,15 +229,16 @@ impl World {
                 recorder.record_extra("recovery_s", t, r);
             }
         }
-        let held = self.operator.held_jobs();
+        let held = self.cp.operator.held_jobs();
         let held_count: usize = held.iter().map(|(_, c)| c).sum();
         let waiting_cores: f64 = self
+            .cp
             .master
             .waiting_demand()
             .iter()
             .map(|(cat, declared, n)| {
                 declared
-                    .or_else(|| self.operator.known_resources_id(*cat))
+                    .or_else(|| self.cp.operator.known_resources_id(*cat))
                     .unwrap_or(self.cfg.worker_request)
                     .cores_f64()
                     * *n as f64
@@ -246,14 +247,15 @@ impl World {
             + held
                 .iter()
                 .map(|(cat, count)| {
-                    self.operator
+                    self.cp
+                        .operator
                         .known_resources_id(*cat)
                         .unwrap_or(self.cfg.worker_request)
                         .cores_f64()
                         * *count as f64
                 })
                 .sum::<f64>();
-        let in_use_cores = self.master.in_use_cores();
+        let in_use_cores = self.cp.master.in_use_cores();
         let quota_cores = self.cfg.max_workers as f64 * self.cfg.worker_request.cores_f64();
         let demand = in_use_cores + waiting_cores;
         let shortage_cores = (demand.min(quota_cores) - supply_cores).max(0.0);
@@ -264,15 +266,16 @@ impl World {
         // boundary (`record_extra` keys series by name, so id-order
         // iteration does not change any series' contents).
         self.per_cat_counts.clear();
-        self.per_cat_counts.resize(self.master.interner().len(), 0);
-        for r in self.master.view().running() {
+        self.per_cat_counts
+            .resize(self.cp.master.interner().len(), 0);
+        for r in self.cp.master.view().running() {
             self.per_cat_counts[r.cat.index()] += 1;
         }
         for &cat in &self.seen_categories {
             if self.per_cat_counts[cat.index()] == 0 {
                 self.label_buf.clear();
                 self.label_buf.push_str("running:");
-                self.label_buf.push_str(self.master.interner().name(cat));
+                self.label_buf.push_str(self.cp.master.interner().name(cat));
                 recorder.record_extra(&self.label_buf, t, 0.0);
             }
         }
@@ -284,12 +287,12 @@ impl World {
             let cat = CategoryId::from_u32(i as u32);
             self.label_buf.clear();
             self.label_buf.push_str("running:");
-            self.label_buf.push_str(self.master.interner().name(cat));
+            self.label_buf.push_str(self.cp.master.interner().name(cat));
             recorder.record_extra(&self.label_buf, t, count as f64);
             self.seen_categories.insert(cat);
         }
         hta_des::sanitize_assert!(
-            same_bits(reading.mean, self.master.mean_worker_utilization()),
+            same_bits(reading.mean, self.cp.master.mean_worker_utilization()),
             "the tick's mean utilization went stale within the tick at {now:?}"
         );
         recorder.record(Sample {
@@ -298,12 +301,12 @@ impl World {
             in_use_cores,
             shortage_cores,
             nodes: self.cluster.ready_node_count() as f64,
-            workers_connected: self.master.connected_workers() as f64,
-            workers_idle: self.master.idle_workers() as f64,
+            workers_connected: self.cp.master.connected_workers() as f64,
+            workers_idle: self.cp.master.idle_workers() as f64,
             workers_desired: policy.desired() as f64,
-            tasks_waiting: (self.master.waiting_count() + held_count) as f64,
-            tasks_running: self.master.running_count() as f64,
-            egress_mbps: self.master.egress_throughput_mbps(),
+            tasks_waiting: (self.cp.master.waiting_count() + held_count) as f64,
+            tasks_running: self.cp.master.running_count() as f64,
+            egress_mbps: self.cp.master.egress_throughput_mbps(),
             cpu_utilization: reading.mean.unwrap_or(0.0),
         });
     }
@@ -336,12 +339,13 @@ impl World {
     /// serves both the pipeline and the recorded series.
     fn read_tick(&mut self) -> TickReading {
         let supply_cores = self
+            .cp
             .master
             .view()
             .workers()
             .map(|w| w.capacity.cores_f64())
             .sum();
-        let mean = self.master.mean_worker_utilization();
+        let mean = self.cp.master.mean_worker_utilization();
         TickReading {
             mean,
             reported: self.reported_utilization(mean),
@@ -378,7 +382,7 @@ impl World {
     fn roll_out(mut self, spec: &BranchSpec, policy: &mut PolicySlot) -> BranchOutcome {
         let t0 = self.queue.now();
         let supply_before = self.history.supply_until(t0.as_secs_f64());
-        let completed_before = self.master.completed_count();
+        let completed_before = self.cp.master.completed_count();
         let events_before = self.queue.delivered();
         self.apply_action(t0, spec.initial_action);
         let (_, budget_exhausted) = self.run_loop(t0 + spec.horizon, spec.max_events, policy);
@@ -395,16 +399,16 @@ impl World {
         } else {
             BranchStop::Horizon
         };
-        let held: usize = self.operator.held_jobs().iter().map(|(_, c)| c).sum();
+        let held: usize = self.cp.operator.held_jobs().iter().map(|(_, c)| c).sum();
         let cost_core_s = (self.history.supply_until(t1.as_secs_f64()) - supply_before).max(0.0);
         BranchOutcome {
             elapsed_s: t1.since(t0).as_secs_f64(),
             events: self.queue.delivered() - events_before,
             stop,
             finished,
-            completed_delta: self.master.completed_count() - completed_before,
-            tasks_waiting: self.master.waiting_count() + held,
-            tasks_running: self.master.running_count(),
+            completed_delta: self.cp.master.completed_count() - completed_before,
+            tasks_waiting: self.cp.master.waiting_count() + held,
+            tasks_running: self.cp.master.running_count(),
             live_worker_pods: self.live_worker_pods(),
             cost_core_s,
         }
@@ -703,9 +707,11 @@ mod tests {
             if matches!(ev, Event::Sample) {
                 ticked_at = Some(now);
             }
-            let connected = fork.world.master.connected_workers();
+            let connected = fork.world.cp.master.connected_workers();
             fork.dispatch(now, ev);
-            if fork.world.master.connected_workers() > connected && now.as_millis() % tick_ms == 0 {
+            if fork.world.cp.master.connected_workers() > connected
+                && now.as_millis() % tick_ms == 0
+            {
                 if ticked_at == Some(now) {
                     after = true;
                 } else {

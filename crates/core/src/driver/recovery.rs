@@ -25,7 +25,7 @@
 //! variant without a replay arm fails to compile.
 
 use hta_cluster::{PodId, PodPhase};
-use hta_des::{branch_salt, Checkpoint, SimTime, SnapshotState, Wal};
+use hta_des::{Checkpoint, SimTime, Wal};
 use hta_makeflow::JobId;
 use hta_resources::Resources;
 use hta_workqueue::master::Master;
@@ -80,38 +80,27 @@ pub(crate) enum WalRecord {
 
 /// Everything the driver checkpoints as "the control plane", except the
 /// scaling policy: its copy is kept in the [`PolicySlot`], so this state
-/// stays `Send + Sync` with the rest of the world.
+/// stays `Send + Sync` with the rest of the world. The world holds it as
+/// one field, so a checkpoint is one `clone()` and a restart one move:
+/// no site lists the members.
 ///
 /// The cluster, the event queue, and the metrics recorder are *not* part
 /// of this state: nodes and pods keep running through an outage (they are
 /// the data plane), and the recorder represents the observer, which also
 /// survives.
 #[derive(Clone)]
-pub(crate) struct ControlPlaneState {
+pub(super) struct ControlPlaneState {
     /// The Work Queue master.
-    master: Master,
+    pub(super) master: Master,
     /// The Makeflow operator.
-    operator: Operator,
+    pub(super) operator: Operator,
     /// The init-time tracker feeding the estimator.
-    tracker: InitTimeTracker,
+    pub(super) tracker: InitTimeTracker,
     /// The open-loop trace cursor (None for workflow-driven runs): the
     /// generator's RNG streams, lookahead buffer and counters, captured
     /// so WAL replay advances the exact arrival stream the crashed
     /// control plane was consuming.
-    arrivals: Option<hta_trace::ArrivalSource>,
-}
-
-impl SnapshotState for ControlPlaneState {
-    /// Re-partition the RNG streams of the stateful members. Stream
-    /// indices mirror the driver's own `SnapshotState` impl so a salted
-    /// control-plane fork decorrelates the same way a driver fork does.
-    fn reseed(&mut self, salt: u64) {
-        self.master.reseed(branch_salt(salt, 2));
-        self.operator.reseed(branch_salt(salt, 3));
-        if let Some(a) = self.arrivals.as_mut() {
-            a.reseed(branch_salt(salt, 4));
-        }
-    }
+    pub(super) arrivals: Option<hta_trace::ArrivalSource>,
 }
 
 /// What one crash-recovery cycle did (appended to
@@ -196,7 +185,7 @@ impl World {
     /// is off, so the pending buffer stays empty).
     pub(super) fn drain_operator_wal(&mut self) {
         if self.recovery.is_some() {
-            for rec in self.operator.drain_wal_records() {
+            for rec in self.cp.operator.drain_wal_records() {
                 self.log(rec);
             }
         }
@@ -206,17 +195,11 @@ impl World {
     /// the WAL it supersedes.
     pub(super) fn take_checkpoint(&mut self, now: SimTime, policy: &mut PolicySlot) {
         policy.checkpoint();
-        let state = ControlPlaneState {
-            master: self.master.clone(),
-            operator: self.operator.clone(),
-            tracker: self.tracker.clone(),
-            arrivals: self.arrivals.clone(),
-        };
         let rs = self
             .recovery
             .as_mut()
             .expect("checkpointing without control-plane faults");
-        rs.checkpoint = Some(Checkpoint::take(state, now));
+        rs.checkpoint = Some(Checkpoint::take(self.cp.clone(), now));
         rs.wal.truncate();
     }
 
@@ -285,46 +268,32 @@ impl World {
     /// probes, re-adopt surviving workers, resume submissions, and
     /// re-checkpoint.
     pub(super) fn restart_control_plane(&mut self, now: SimTime, policy: &mut PolicySlot) {
-        let (state, records, crashed_at, checkpoint_at) = {
-            let Some(rs) = self.recovery.as_mut() else {
-                return;
-            };
-            if rs.down_until.is_none() {
-                return;
-            }
-            rs.down_until = None;
-            let cp = rs
-                .checkpoint
-                .as_ref()
-                .expect("crashes are ignored before checkpoint #0");
-            // Moved, not copied: step 8 re-checkpoints, which supersedes
-            // these records before anything could crash again.
-            (
-                cp.restore(),
-                rs.wal.take_records(),
-                rs.last_crash_at,
-                cp.taken_at(),
-            )
+        let Some(rs) = self.recovery.as_mut() else {
+            return;
         };
+        if rs.down_until.is_none() {
+            return;
+        }
+        rs.down_until = None;
+        // Moved, not copied: step 8 re-checkpoints, which supersedes
+        // these records before anything could crash again.
+        let records = rs.wal.take_records();
+        let crashed_at = rs.last_crash_at;
+        let cp = rs
+            .checkpoint
+            .as_ref()
+            .expect("crashes are ignored before checkpoint #0");
+        let checkpoint_at = cp.taken_at();
         // 1. Restore the control plane to its checkpoint. The trace
         // cursor is control-plane state too: arrivals admitted after the
         // checkpoint rewind with it and re-admit through WAL replay.
-        let ControlPlaneState {
-            master,
-            operator,
-            tracker,
-            arrivals,
-        } = state;
-        self.master = master;
-        self.operator = operator;
+        self.cp = cp.restore();
         policy.restore();
-        self.tracker = tracker;
-        self.arrivals = arrivals;
         // 2. The checkpoint believes in workers and in-flight transfers
         // from before the crash. Reset those beliefs: every worker is
         // unknown until re-adopted, every Staging/Running/Returning task
         // is re-queued exactly once.
-        let tasks_requeued = self.master.recover_reset_data_plane(now);
+        let tasks_requeued = self.cp.master.recover_reset_data_plane(now);
         // 3. Replay the decision log on top.
         let wal_replayed = records.len();
         self.replay_wal(now, records);
@@ -335,8 +304,9 @@ impl World {
         // after the checkpoint, lost with the WAL-truncating recovery
         // semantics, or orphaned mid-flight) are re-aimed. These are
         // *fresh* decisions and log normally.
-        self.operator
-            .reconcile_probes(now, &mut self.master, &mut self.wq_sink);
+        self.cp
+            .operator
+            .reconcile_probes(now, &mut self.cp.master, &mut self.wq_sink);
         self.flush_wq();
         self.drain_operator_wal();
         // 5. Re-adopt the workers that survived the outage, in PodId
@@ -350,9 +320,10 @@ impl World {
         survivors.sort();
         let workers_readopted = survivors.len();
         for pod in survivors {
-            let wid = self
-                .master
-                .worker_connect(now, self.cfg.worker_request, &mut self.wq_sink);
+            let wid =
+                self.cp
+                    .master
+                    .worker_connect(now, self.cfg.worker_request, &mut self.wq_sink);
             self.pod_to_worker.insert(pod, wid);
             self.worker_to_pod.insert(wid, pod);
         }
@@ -362,8 +333,9 @@ impl World {
         // arrival pump under the new incarnation — arrivals that landed
         // during the outage are clients retrying, admitted now as fresh
         // (WAL-logged) decisions.
-        self.operator
-            .submit_ready(now, &mut self.master, &mut self.wq_sink);
+        self.cp
+            .operator
+            .submit_ready(now, &mut self.cp.master, &mut self.wq_sink);
         self.flush_wq();
         self.drain_operator_wal();
         self.pump_arrivals(now);
@@ -395,7 +367,7 @@ impl World {
                  {tasks_requeued} tasks re-queued, {workers_readopted} workers re-adopted"
             ),
         );
-        self.master.assert_invariants();
+        self.cp.master.assert_invariants();
     }
 
     /// Re-apply the WAL on top of a restored checkpoint. Submits re-enter
@@ -411,26 +383,28 @@ impl World {
         for rec in records {
             match rec {
                 WalRecord::Submit { job, spec } => {
-                    self.operator.replay_submit(
+                    self.cp.operator.replay_submit(
                         now,
                         job,
                         spec,
-                        &mut self.master,
+                        &mut self.cp.master,
                         &mut self.wq_sink,
                     );
                 }
                 WalRecord::Learn { cat, resources } => {
-                    self.operator.replay_learn(cat, resources, &mut self.master);
+                    self.cp
+                        .operator
+                        .replay_learn(cat, resources, &mut self.cp.master);
                 }
                 WalRecord::Complete { task } => {
-                    self.master.recover_complete(task);
-                    self.operator.replay_complete(task);
+                    self.cp.master.recover_complete(task);
+                    self.cp.operator.replay_complete(task);
                 }
                 WalRecord::Fail { task } => {
-                    let cat = self.master.task(task).map(|r| r.spec.cat);
-                    self.master.recover_failed(task);
+                    let cat = self.cp.master.task(task).map(|r| r.spec.cat);
+                    self.cp.master.recover_failed(task);
                     if let Some(cat) = cat {
-                        self.operator.replay_fail(task, cat);
+                        self.cp.operator.replay_fail(task, cat);
                     }
                 }
                 WalRecord::TraceSubmit { spec } => {
@@ -439,7 +413,7 @@ impl World {
                     // RNG streams, so the logged spec and the cursor stay
                     // in lockstep (checked) and no randomness is re-drawn
                     // for arrivals the old incarnation already admitted.
-                    if let Some(a) = self.arrivals.as_mut() {
+                    if let Some(a) = self.cp.arrivals.as_mut() {
                         let regenerated = a.replay_next().map(|(_, s)| s);
                         debug_assert_eq!(
                             regenerated.as_ref(),
@@ -447,10 +421,10 @@ impl World {
                             "trace cursor diverged from the WAL"
                         );
                     }
-                    self.operator.replay_trace_submit(
+                    self.cp.operator.replay_trace_submit(
                         now,
                         spec,
-                        &mut self.master,
+                        &mut self.cp.master,
                         &mut self.wq_sink,
                     );
                 }
@@ -678,9 +652,9 @@ mod tests {
 
         let mut d = driver(true);
         d.advance_until(SimTime::from_secs(351));
-        let names = d.world.master.interner();
+        let names = d.world.cp.master.interner();
         let mut late_live = 0;
-        for r in d.world.master.task_records() {
+        for r in d.world.cp.master.task_records() {
             let name = names.name(r.spec.cat);
             assert_eq!(
                 name, expected[&r.spec.id],
@@ -706,6 +680,44 @@ mod tests {
         assert_eq!(
             a.completed_digest, crash_free.completed_digest,
             "identical completed-task set across crash and crash-free runs"
+        );
+    }
+
+    #[test]
+    fn restart_rewinds_the_init_time_tracker_to_its_checkpoint() {
+        // Bounded amnesia covers every control-plane member: a
+        // measurement taken after the checkpoint is forgotten by the
+        // restart. The first one lands when the third worker's node is up.
+        let mut probe = SystemDriver::new(
+            small_cfg(),
+            tiny_workflow(40),
+            Box::new(FixedPolicy::new(3)),
+        );
+        let mut t = 0;
+        while probe.world.cp.tracker.count() == 0 {
+            t += 1;
+            assert!(
+                !probe.advance_until(SimTime::from_secs(t)),
+                "no measurement"
+            );
+        }
+        // Crash a second later; checkpoint #0 (at master-ready) is the
+        // only one before it.
+        let mut cfg = small_cfg();
+        cfg.faults.control_plane = ControlPlaneFaults {
+            crash_times: vec![Duration::from_secs(t + 1)],
+            outage: Duration::from_secs(30),
+            checkpoint_interval: Duration::from_secs(3_600),
+        };
+        let mut d = SystemDriver::new(cfg, tiny_workflow(40), Box::new(FixedPolicy::new(3)));
+        d.advance_until(SimTime::from_secs(t + 1));
+        assert!(d.world.cp.tracker.count() > 0, "measured before the crash");
+        d.advance_until(SimTime::from_secs(t + 31));
+        assert_eq!(d.world.recovery.as_ref().map(|r| r.reports.len()), Some(1));
+        assert_eq!(
+            d.world.cp.tracker.count(),
+            0,
+            "the restart keeps a measurement its checkpoint never saw"
         );
     }
 

@@ -104,7 +104,7 @@ impl World {
             self.flush_cluster();
         }
         for (&wid, _) in self.worker_to_pod.iter() {
-            self.master.drain_worker(now, wid);
+            self.cp.master.drain_worker(now, wid);
         }
         if let Some(pod) = self.master_pod {
             self.cluster.delete_pod(now, pod, &mut self.cluster_sink);
@@ -138,21 +138,21 @@ impl World {
                 .schedule_in(Duration::from_secs(5), Event::PolicyTick);
             return;
         }
-        let held = self.operator.held_jobs();
+        let held = self.cp.operator.held_jobs();
         let pending = self.pending_worker_pod_count();
         let utilization = self.lagged_utilization(now);
         let live = self.live_worker_pods();
         let workload_done = self.workload_resolved();
         let init_time = if self.cfg.use_measured_init_time {
-            self.tracker.latest()
+            self.cp.tracker.latest()
         } else {
             self.cfg.default_init_time
         };
         let ctx = PolicyContext {
             now,
-            queue: self.master.view(),
+            queue: self.cp.master.view(),
             held_jobs: &held,
-            stats: self.operator.stats(),
+            stats: self.cp.operator.stats(),
             init_time,
             worker_unit: self.cfg.worker_request,
             live_worker_pods: live,
@@ -160,7 +160,7 @@ impl World {
             utilization,
             max_workers: self.cfg.max_workers,
             workload_done,
-            telemetry_age: self.master.telemetry_age(now),
+            telemetry_age: self.cp.master.telemetry_age(now),
         };
         let (action, next) = policy.decide(&ctx, self);
         if self.trace.is_enabled() && action != ScaleAction::None {
@@ -226,13 +226,13 @@ impl World {
             .worker_to_pod
             .keys()
             .filter_map(|w| {
-                let worker = self.master.worker(*w)?;
+                let worker = self.cp.master.worker(*w)?;
                 (worker.state == WorkerState::Active).then_some((worker.task_count(), *w))
             })
             .collect();
         candidates.sort();
         for (_tasks, wid) in candidates.into_iter().take(remaining) {
-            self.master.drain_worker(now, wid);
+            self.cp.master.drain_worker(now, wid);
         }
     }
 
@@ -245,7 +245,7 @@ impl World {
             .pod_to_worker
             .iter()
             .filter_map(|(pod, wid)| {
-                let worker = self.master.worker(*wid)?;
+                let worker = self.cp.master.worker(*wid)?;
                 (worker.state != WorkerState::Stopped).then_some((worker.task_count(), *pod))
             })
             .collect();
@@ -277,7 +277,7 @@ impl World {
             // Time-to-recover watch: resolved at the first sample where
             // the connected pool is back at its pre-crash size.
             self.recovery_watches
-                .push((now, self.master.connected_workers(), false));
+                .push((now, self.cp.master.connected_workers(), false));
             self.trace
                 .push(now, "inject", format!("node {node} crashed"));
             self.cluster.fail_node(now, node, &mut self.cluster_sink);

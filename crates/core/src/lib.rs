@@ -72,6 +72,11 @@
 //! ```
 
 pub mod category_stats;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the driver owns the event queue: components emit through EffectSink, and only \
+              the driver schedules"
+)]
 pub mod driver;
 pub mod estimator;
 pub mod fault;

@@ -117,7 +117,7 @@ pub struct Operator {
 impl hta_des::SnapshotState for Operator {
     /// Re-partition the submission RNG for a what-if branch; DAG state,
     /// holds and learned resources are untouched.
-    fn reseed(&mut self, salt: u64) {
+    fn reseed(&mut self, salt: hta_des::Salt) {
         self.rng = self.rng.partition(salt);
     }
 }

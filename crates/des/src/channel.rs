@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backoff::Backoff;
 use crate::rng::SimRng;
+use crate::snapshot::{Salt, SnapshotState};
 use crate::time::{Duration, SimTime};
 
 /// Direction of a control message over the master↔worker link.
@@ -221,13 +222,6 @@ impl NetChannel {
         self.stats
     }
 
-    /// Re-partition the fault RNG for a what-if branch (counters and
-    /// config are untouched; salt 0 must leave the stream as-is, which
-    /// [`SimRng::partition`] guarantees).
-    pub fn reseed(&mut self, salt: u64) {
-        self.rng = self.rng.partition(salt);
-    }
-
     /// Decide the fate of one message sent at `now` in direction `dir`.
     ///
     /// Draw order is fixed: loss → jitter → reorder → duplication.
@@ -270,6 +264,13 @@ impl NetChannel {
     /// as the faults that caused it).
     pub fn retry_delay(&mut self, attempt: u32) -> Duration {
         Backoff::DISPATCH_RETRY.jittered(attempt, &mut self.rng)
+    }
+}
+impl SnapshotState for NetChannel {
+    /// Re-partition the fault RNG for a what-if branch; counters and
+    /// config are untouched.
+    fn reseed(&mut self, salt: Salt) {
+        self.rng = self.rng.partition(salt);
     }
 }
 

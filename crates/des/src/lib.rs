@@ -46,6 +46,10 @@
 pub mod backoff;
 pub mod channel;
 pub mod intern;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the queue's own module; components emit through EffectSink, only the driver schedules"
+)]
 pub mod queue;
 pub mod rng;
 pub mod sanitize;
@@ -58,10 +62,14 @@ pub mod wal;
 pub use backoff::Backoff;
 pub use channel::{ChanDir, ChannelStats, Delivery, NetChannel, NetworkFaults, Partition};
 pub use intern::{CategoryId, Interner};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the re-export the driver and the engine benches name the queue by"
+)]
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
 pub use sanitize::{DigestConfig, DigestReport, Divergence, EventDigest};
 pub use sink::EffectSink;
-pub use snapshot::{branch_salt, SnapshotState};
+pub use snapshot::{branch_salts, Salt, SnapshotState};
 pub use time::{Duration, SimTime};
 pub use wal::{Checkpoint, Wal};

@@ -27,10 +27,17 @@
 //! let _: f64 = rand::random();
 //! ```
 
-use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use crate::snapshot::Salt;
 use crate::time::Duration;
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "SimRng is the one owner of a raw generator: every stream a component holds is a \
+              SimRng, which SnapshotState::reseed re-partitions"
+)]
+type SmallRng = rand::rngs::SmallRng;
 
 /// Deterministic random source used throughout the simulation.
 #[derive(Debug, Clone)]
@@ -66,10 +73,12 @@ impl SimRng {
     /// seed is derived by peeking at a clone of the parent state and
     /// mixing in `salt`, so distinct salts from the same parent state give
     /// well-separated streams and the same salt reproduces the same child.
-    pub fn partition(&self, salt: u64) -> SimRng {
+    pub fn partition(&self, salt: Salt) -> SimRng {
         let mut probe = self.inner.clone();
         let base = probe.next_u64();
-        SimRng::seed_from_u64(splitmix64(base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        SimRng::seed_from_u64(splitmix64(
+            base ^ salt.0.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ))
     }
 
     /// Uniform in `[0, 1)`.
@@ -210,7 +219,7 @@ mod tests {
     fn partition_does_not_consume_the_parent() {
         let mut a = SimRng::seed_from_u64(7);
         let mut b = SimRng::seed_from_u64(7);
-        let _child = a.partition(3);
+        let _child = a.partition(Salt(3));
         // `b` never partitioned; both streams must stay identical.
         for _ in 0..64 {
             assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
@@ -220,9 +229,9 @@ mod tests {
     #[test]
     fn partition_is_reproducible_and_salt_sensitive() {
         let a = SimRng::seed_from_u64(7);
-        let mut c1 = a.partition(3);
-        let mut c2 = a.partition(3);
-        let mut c3 = a.partition(4);
+        let mut c1 = a.partition(Salt(3));
+        let mut c2 = a.partition(Salt(3));
+        let mut c3 = a.partition(Salt(4));
         let (x1, x2, x3) = (c1.uniform(), c2.uniform(), c3.uniform());
         assert_eq!(x1.to_bits(), x2.to_bits(), "same salt ⇒ same child");
         assert_ne!(x1.to_bits(), x3.to_bits(), "different salt ⇒ new stream");
@@ -231,9 +240,9 @@ mod tests {
     #[test]
     fn partition_depends_on_parent_position() {
         let mut a = SimRng::seed_from_u64(7);
-        let mut early = a.partition(1);
+        let mut early = a.partition(Salt(1));
         let _ = a.uniform();
-        let mut late = a.partition(1);
+        let mut late = a.partition(Salt(1));
         assert_ne!(
             early.uniform().to_bits(),
             late.uniform().to_bits(),

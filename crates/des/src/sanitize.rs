@@ -1,9 +1,9 @@
 //! Runtime invariant checking (the "sim-sanitizer") and event-stream
 //! digests for divergence hunting.
 //!
-//! Static analysis (clippy's determinism bans and `hta-lint`) catches
-//! determinism hazards that are visible in the source. This module catches the rest at runtime, in
-//! two layers:
+//! Static checks (clippy's determinism bans, the `SnapshotState` and
+//! `Salt` types) catch determinism hazards that are visible in the
+//! source. This module catches the rest at runtime, in two layers:
 //!
 //! 1. **Invariant assertions.** Components assert per-event invariants
 //!    (monotonic simulated time, task conservation, non-negative free

@@ -7,8 +7,10 @@
 //! 1. **Isolation** — forking must never perturb the parent. The fork
 //!    operates on `&self`, so the type system already forbids mutation;
 //!    the subtle hazard is *shared mutable state* (`Rc<RefCell<…>>`,
-//!    `static mut`), which a deep clone silently aliases. The workspace
-//!    lints ban it: `Rc`/`RefCell` are clippy `disallowed-types`, and
+//!    `static mut`), which a deep clone silently aliases. The trait
+//!    requires `Send`, so an `Rc` or a raw pointer in a component fails to
+//!    compile; the workspace lints ban the rest: `RefCell`, host clocks,
+//!    OS handles and raw RNGs are clippy `disallowed-types`, and
 //!    `unsafe_code = "forbid"` rejects every `static mut` access.
 //! 2. **Determinism** — a branch forked with salt `0` is an exact replay:
 //!    it must reproduce the parent's future event-for-event. A branch
@@ -17,43 +19,128 @@
 //!    independent — but still reproducible — future: the same
 //!    `(parent state, salt)` pair always yields the same branch.
 //!
-//! Salts for sub-components are derived with [`branch_salt`] so that one
-//! user-facing salt fans out into well-separated per-stream salts without
-//! any coordination between components.
+//! A branch salt reaches a component's [`SnapshotState::reseed`] as a
+//! [`Salt`]: a token with no public constructor, made only by
+//! [`SnapshotState::fork`] from a non-zero `u64`. A component that owns
+//! several streams splits its salt by position ([`Salt::streams`]), so
+//! no code outside this module writes a stream index, and no reseed can
+//! invent a salt. A `Salt` is neither `Copy` nor `Clone`: each one seeds
+//! exactly one stream, and handing one to two streams is a move error.
 
 /// A simulation component whose full state can be checkpointed and forked.
-pub trait SnapshotState: Clone {
+///
+/// `Send` makes state that cannot cross a fork or a checkpoint fail to
+/// compile: an `Rc` (shared between a parent and its forks) or a raw
+/// pointer (dangling after a restore) in a component is not `Send`.
+///
+/// ```compile_fail,E0277
+/// use hta_des::{Salt, SnapshotState};
+///
+/// #[derive(Clone)]
+/// struct Shared(std::rc::Rc<u64>);
+///
+/// impl SnapshotState for Shared {
+///     fn reseed(&mut self, _salt: Salt) {}
+/// }
+/// ```
+///
+/// ```compile_fail,E0277
+/// use hta_des::{Salt, SnapshotState};
+///
+/// #[derive(Clone)]
+/// struct Scratch(*mut u8);
+///
+/// impl SnapshotState for Scratch {
+///     fn reseed(&mut self, _salt: Salt) {}
+/// }
+/// ```
+pub trait SnapshotState: Clone + Send {
     /// Re-partition every RNG stream owned by this component using `salt`.
     ///
-    /// Implementations must derive each child stream with
-    /// [`SimRng::partition`](crate::SimRng::partition) (or an equivalent
-    /// non-consuming derivation) so the receiver's *other* state — queues,
-    /// counters, maps — is untouched and a salt of the same value is
-    /// reproducible. Components owning several streams should decorrelate
-    /// them with [`branch_salt`].
-    fn reseed(&mut self, salt: u64);
+    /// Implementations derive each child stream with
+    /// [`SimRng::partition`](crate::SimRng::partition), which leaves the
+    /// receiver's *other* state — queues, counters, maps — untouched. A
+    /// component owning several streams splits `salt` with
+    /// [`Salt::streams`] (or [`Salt::split`], to keep the salt itself for
+    /// one of them). Never called with the replay salt `0`.
+    fn reseed(&mut self, salt: Salt);
 
     /// Checkpoint this component and fork an independent branch.
     ///
-    /// Salt `0` is reserved for *exact replay*: the branch keeps the
-    /// parent's RNG streams byte-for-byte and will reproduce the parent's
-    /// future exactly. Any other salt yields an independent stochastic
-    /// future.
+    /// Salt `0` is reserved for *exact replay*: the branch is a plain
+    /// `clone()`, so it keeps the parent's RNG streams byte-for-byte and
+    /// reproduces the parent's future exactly. Any other salt yields an
+    /// independent stochastic future. This is the one place a raw `u64`
+    /// becomes a [`Salt`].
     fn fork(&self, salt: u64) -> Self {
         let mut branch = self.clone();
         if salt != 0 {
-            branch.reseed(salt);
+            branch.reseed(Salt(salt));
         }
         branch
     }
 }
 
-/// Derive a per-stream salt from a branch salt and a stream index.
+/// A non-zero branch salt, handed to [`SnapshotState::reseed`].
 ///
-/// Used by composite components to hand each owned RNG stream its own
-/// decorrelated salt; `branch_salt(s, i)` is never `0` for non-zero `s`,
-/// so a replay salt stays a replay all the way down.
-pub fn branch_salt(salt: u64, stream: u64) -> u64 {
+/// Only this crate constructs one, so a salt outside des comes from
+/// `fork` or from splitting another salt. A reseed cannot invent one,
+///
+/// ```compile_fail,E0423
+/// use hta_des::{Salt, SimRng, SnapshotState};
+///
+/// #[derive(Clone)]
+/// struct Comp(SimRng);
+///
+/// impl SnapshotState for Comp {
+///     fn reseed(&mut self, _salt: Salt) {
+///         self.0 = self.0.partition(Salt(42));
+///     }
+/// }
+/// ```
+///
+/// nor hand one stream's salt to a second stream:
+///
+/// ```compile_fail,E0382
+/// use hta_des::{Salt, SimRng, SnapshotState};
+///
+/// #[derive(Clone)]
+/// struct Pair(SimRng, SimRng);
+///
+/// impl SnapshotState for Pair {
+///     fn reseed(&mut self, salt: Salt) {
+///         let [first] = salt.streams();
+///         self.0 = self.0.partition(first);
+///         self.1 = self.1.partition(first);
+///     }
+/// }
+/// ```
+pub struct Salt(pub(crate) u64);
+
+impl Salt {
+    /// Split into `N` positional sub-stream salts, one per owned stream:
+    /// element `i` is the `i + 1`-th of [`branch_salts`].
+    pub fn streams<const N: usize>(self) -> [Salt; N] {
+        std::array::from_fn(|i| Salt(branch_salt(self.0, i as u64 + 1)))
+    }
+
+    /// Keep this salt for the component's own stream and split off `N`
+    /// positional sub-stream salts, as [`Salt::streams`] does.
+    pub fn split<const N: usize>(self) -> (Salt, [Salt; N]) {
+        (Salt(self.0), self.streams())
+    }
+}
+
+/// The branch salts derived from `salt`: streams 1, 2, … in order, each
+/// decorrelated from `salt` and from the others. Never `0` for a
+/// non-zero `salt`, and all `0` for `0`, so a replay salt stays a
+/// replay all the way down. [`Salt::streams`] uses the same sequence.
+pub fn branch_salts(salt: u64) -> impl Iterator<Item = u64> {
+    (1u64..).map(move |stream| branch_salt(salt, stream))
+}
+
+/// Derive a per-stream salt from a branch salt and a stream index.
+fn branch_salt(salt: u64, stream: u64) -> u64 {
     if salt == 0 {
         return 0;
     }
@@ -77,7 +164,7 @@ mod tests {
     }
 
     impl SnapshotState for Comp {
-        fn reseed(&mut self, salt: u64) {
+        fn reseed(&mut self, salt: Salt) {
             self.rng = self.rng.partition(salt);
         }
     }
@@ -126,5 +213,16 @@ mod tests {
         assert_ne!(branch_salt(42, 0), branch_salt(42, 1));
         assert_ne!(branch_salt(42, 1), branch_salt(43, 1));
         assert_eq!(branch_salt(42, 1), branch_salt(42, 1));
+    }
+
+    #[test]
+    fn streams_are_positional_branch_salts() {
+        let [a, b, c] = Salt(42).streams();
+        let want: Vec<u64> = (1..=3).map(|i| branch_salt(42, i)).collect();
+        assert_eq!(vec![a.0, b.0, c.0], want);
+        assert_eq!(branch_salts(42).take(3).collect::<Vec<_>>(), want);
+        let (own, [first]) = Salt(42).split();
+        assert_eq!((own.0, first.0), (42, want[0]));
+        assert!(branch_salts(0).take(3).all(|s| s == 0));
     }
 }

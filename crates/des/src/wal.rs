@@ -1,8 +1,9 @@
 //! Checkpoint + write-ahead log substrate for crash-recoverable components.
 //!
-//! The what-if subsystem introduced [`SnapshotState`] — a deep-clone/fork
-//! capability with partitioned RNG streams. Crash recovery layers two small
-//! containers on top of it:
+//! The what-if subsystem introduced [`SnapshotState`](crate::SnapshotState)
+//! — a deep-clone/fork capability with partitioned RNG streams. Crash
+//! recovery needs only its exact-replay half, a `clone()`, and layers two
+//! small containers on top of it:
 //!
 //! * [`Checkpoint`] — a point-in-time snapshot of a component (an
 //!   exact-replay copy the caller hands over by value) stamped with the sim
@@ -27,19 +28,19 @@
 //! has replayed may move them out with [`Wal::take_records`] instead of
 //! copying them.
 
-use crate::{SimTime, SnapshotState};
+use crate::SimTime;
 
 /// A point-in-time exact-replay snapshot of a component.
 #[derive(Debug, Clone)]
-pub struct Checkpoint<S: SnapshotState> {
+pub struct Checkpoint<S: Clone> {
     state: S,
     taken_at: SimTime,
 }
 
-impl<S: SnapshotState> Checkpoint<S> {
+impl<S: Clone> Checkpoint<S> {
     /// Keep `state`, captured at sim instant `at`. The caller builds the
-    /// copy (an exact-replay `fork(0)` or clone of the live component)
-    /// and hands it over, so a checkpoint costs one copy, not two.
+    /// copy (a `clone()` of the live component) and hands it over, so a
+    /// checkpoint costs one copy, not two.
     pub fn take(state: S, at: SimTime) -> Self {
         Checkpoint {
             state,
@@ -47,10 +48,11 @@ impl<S: SnapshotState> Checkpoint<S> {
         }
     }
 
-    /// Reconstruct the captured state (another exact-replay fork, so one
-    /// checkpoint can serve several successive recoveries).
+    /// Reconstruct the captured state: a `clone()`, the exact replay that
+    /// salt `0` means to [`SnapshotState::fork`](crate::SnapshotState::fork),
+    /// so one checkpoint can serve several successive recoveries.
     pub fn restore(&self) -> S {
-        self.state.fork(0)
+        self.state.clone()
     }
 
     /// The sim instant the checkpoint was captured at.
@@ -140,19 +142,13 @@ mod tests {
         value: u64,
     }
 
-    impl SnapshotState for Counter {
-        fn reseed(&mut self, salt: u64) {
-            self.rng = self.rng.partition(salt);
-        }
-    }
-
     #[test]
     fn checkpoint_restores_state_at_capture_time() {
         let mut c = Counter {
             rng: SimRng::seed_from_u64(7),
             value: 10,
         };
-        let cp = Checkpoint::take(c.fork(0), SimTime::from_secs(30));
+        let cp = Checkpoint::take(c.clone(), SimTime::from_secs(30));
         c.value = 99;
         let restored = cp.restore();
         assert_eq!(c.value, 99, "mutating the live state is visible there");
@@ -166,7 +162,7 @@ mod tests {
             rng: SimRng::seed_from_u64(7),
             value: 0,
         };
-        let cp = Checkpoint::take(c.fork(0), SimTime::ZERO);
+        let cp = Checkpoint::take(c.clone(), SimTime::ZERO);
         let mut a = cp.restore();
         let mut b = c.clone();
         for _ in 0..16 {
@@ -180,7 +176,7 @@ mod tests {
             rng: SimRng::seed_from_u64(3),
             value: 5,
         };
-        let cp = Checkpoint::take(c.fork(0), SimTime::ZERO);
+        let cp = Checkpoint::take(c.clone(), SimTime::ZERO);
         let mut first = cp.restore();
         let mut second = cp.restore();
         assert_eq!(first.value, second.value);

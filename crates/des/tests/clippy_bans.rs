@@ -2,9 +2,11 @@
 //! the root `Cargo.toml` (`[workspace.lints.*]`) and `clippy.toml`. This
 //! test proves that live configuration still catches every case in
 //! `fixtures/banned.rs`: it builds the fixture as a throwaway crate whose
-//! `[lints]` are copied from the workspace table and whose `clippy.toml`
-//! is the root one, runs `cargo clippy --message-format=json`, and
-//! asserts the exact set of (line, lint) pairs.
+//! `[lints]` are copied from the workspace table, whose `clippy.toml` is
+//! the root one and which depends on this crate and the vendored `rand`
+//! (so bans on their types resolve), runs `cargo clippy
+//! --message-format=json`, and asserts the exact set of (line, lint)
+//! pairs in the fixture.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -12,7 +14,7 @@ use std::process::Command;
 
 use serde_json::Value;
 
-const BANNED: &str = include_str!("../fixtures/banned.rs");
+const BANNED: &str = include_str!("fixtures/banned.rs");
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -60,7 +62,7 @@ fn str_field<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 }
 
 /// `(line, lint)` for every diagnostic with a lint code, at the line of
-/// its primary span.
+/// its primary span in the fixture crate's `src/lib.rs`.
 fn diagnostics(json_lines: &str) -> BTreeSet<(u64, String)> {
     let mut out = BTreeSet::new();
     for line in json_lines.lines() {
@@ -78,7 +80,9 @@ fn diagnostics(json_lines: &str) -> BTreeSet<(u64, String)> {
             continue;
         };
         for span in spans {
-            if field(span, "is_primary") == Some(&Value::Bool(true)) {
+            if field(span, "is_primary") == Some(&Value::Bool(true))
+                && str_field(span, "file_name") == Some("src/lib.rs")
+            {
                 if let Some(Value::Uint(l)) = field(span, "line_start") {
                     out.insert((*l, code.to_string()));
                 }
@@ -107,11 +111,16 @@ fn clippy_and_rustc_catch_every_banned_case() {
 
     let krate = Path::new(env!("CARGO_TARGET_TMPDIR")).join("banned-fixture");
     std::fs::create_dir_all(krate.join("src")).expect("create fixture crate");
+    let path = |p: &str| root.join(p).display().to_string();
     std::fs::write(
         krate.join("Cargo.toml"),
         format!(
             "[package]\nname = \"banned-fixture\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
-             publish = false\n\n[lib]\npath = \"src/lib.rs\"\n\n[workspace]\n\n{lints}"
+             publish = false\n\n[lib]\npath = \"src/lib.rs\"\n\n[dependencies]\n\
+             hta-des = {{ path = {des:?} }}\n\
+             rand = {{ path = {rand:?}, features = [\"small_rng\"] }}\n\n[workspace]\n\n{lints}",
+            des = path("crates/des"),
+            rand = path("vendor/rand"),
         ),
     )
     .expect("write fixture manifest");
@@ -121,7 +130,13 @@ fn clippy_and_rustc_catch_every_banned_case() {
     let out = cargo()
         .current_dir(&krate)
         .env_remove("CLIPPY_CONF_DIR")
-        .args(["clippy", "--offline", "--quiet", "--message-format=json"])
+        .args([
+            "clippy",
+            "--offline",
+            "--quiet",
+            "--no-deps",
+            "--message-format=json",
+        ])
         .arg("--target-dir")
         .arg(krate.join("target"))
         .output()
@@ -130,20 +145,38 @@ fn clippy_and_rustc_catch_every_banned_case() {
     let got = diagnostics(&stdout);
 
     let want: BTreeSet<(u64, String)> = [
-        // Hash containers, host clock reads, static mut, Rc/RefCell.
-        (14, "clippy::disallowed_types"),
-        (17, "clippy::disallowed_methods"),
+        // Hash containers, host clock reads, static mut, Rc/RefCell. A
+        // clock read names its type too.
+        (16, "clippy::disallowed_types"),
+        (19, "clippy::disallowed_methods"),
         (19, "clippy::disallowed_types"),
-        (30, "clippy::disallowed_methods"),
-        (31, "clippy::disallowed_methods"),
-        (40, "unsafe_code"),
-        (46, "clippy::disallowed_types"),
-        (50, "clippy::disallowed_types"),
-        (55, "clippy::disallowed_types"),
+        (21, "clippy::disallowed_types"),
+        (32, "clippy::disallowed_methods"),
+        (32, "clippy::disallowed_types"),
+        (33, "clippy::disallowed_methods"),
+        (33, "clippy::disallowed_types"),
+        (34, "clippy::disallowed_types"),
+        (42, "unsafe_code"),
+        (48, "clippy::disallowed_types"),
+        (52, "clippy::disallowed_types"),
+        (57, "clippy::disallowed_types"),
         // A stale expectation, then an unjustified one and an `#[allow]`.
-        (68, "unfulfilled_lint_expectations"),
-        (74, "clippy::allow_attributes_without_reason"),
-        (80, "clippy::allow_attributes"),
+        (71, "unfulfilled_lint_expectations"),
+        (77, "clippy::allow_attributes_without_reason"),
+        (83, "clippy::allow_attributes"),
+        // Stored host time, each OS handle, a raw RNG.
+        (91, "clippy::disallowed_types"),
+        (92, "clippy::disallowed_types"),
+        (93, "clippy::disallowed_types"),
+        (94, "clippy::disallowed_types"),
+        (95, "clippy::disallowed_types"),
+        (96, "clippy::disallowed_types"),
+        (97, "clippy::disallowed_types"),
+        (98, "clippy::disallowed_types"),
+        (99, "clippy::disallowed_types"),
+        (100, "clippy::disallowed_types"),
+        // A component that names the event queue.
+        (107, "clippy::disallowed_types"),
     ]
     .into_iter()
     .map(|(l, c)| (l, c.to_string()))

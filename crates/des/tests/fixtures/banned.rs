@@ -1,15 +1,17 @@
-//! Lint fixture: every per-line hazard that clippy and the compiler now
-//! ban, plus the `#[expect]` suppression rules. `tests/clippy_bans.rs`
-//! builds this file as a throwaway crate with the workspace's
-//! `[workspace.lints]` table and root `clippy.toml`, runs clippy, and
-//! asserts the exact set of (line, lint) pairs, so a line added above
-//! an existing case shifts every expectation below it.
+//! Lint fixture: every per-line hazard that clippy and the compiler ban,
+//! plus the `#[expect]` suppression rules. `tests/clippy_bans.rs` builds
+//! this file as a throwaway crate (depending on `hta-des` and `rand`)
+//! with the workspace's `[workspace.lints]` table and root `clippy.toml`,
+//! runs clippy, and asserts the exact set of (line, lint) pairs, so a
+//! line added above an existing case shifts every expectation below it.
 //!
-//! Two old hazards cannot appear here because they do not compile:
-//! unseeded randomness (`rand::thread_rng`, `rand::random`) and rayon
-//! reductions (`par_iter().sum()`, `.reduce(..)`) are absent from the
-//! vendored crates. `compile_fail` doctests in `hta-des` (`rng.rs`) and
-//! `hta-bench` (`lib.rs`) pin those.
+//! Some hazards cannot appear here because they do not compile:
+//! unseeded randomness (`rand::thread_rng`, `rand::random`), `StdRng`
+//! and rayon reductions (`par_iter().sum()`, `.reduce(..)`) are absent
+//! from the vendored crates, and a component holding an `Rc` or a raw
+//! pointer is not `Send`, which `SnapshotState` requires. `compile_fail`
+//! doctests in `hta-des` (`rng.rs`, `snapshot.rs`) and `hta-bench`
+//! (`lib.rs`) pin those.
 
 use std::collections::HashMap;
 
@@ -58,6 +60,7 @@ pub fn set_of_ids() -> usize {
 // A justified suppression silences its lint and reports nothing.
 #[expect(
     clippy::disallowed_methods,
+    clippy::disallowed_types,
     reason = "fixture: a used expectation with a reason is silent"
 )]
 pub fn justified() -> f64 {
@@ -80,4 +83,30 @@ pub fn unjustified() -> usize {
 #[allow(clippy::disallowed_types, reason = "fixture")]
 pub fn allowed() -> usize {
     std::collections::HashSet::<u16>::new().len()
+}
+
+// State a checkpoint or fork cannot capture: stored host time, open OS
+// handles and a raw RNG outside `SimRng`.
+pub struct Unsnapshottable {
+    pub started: std::time::Instant,
+    pub wall: std::time::SystemTime,
+    pub log: std::fs::File,
+    pub peer: std::net::TcpStream,
+    pub listener: std::net::TcpListener,
+    pub socket: std::net::UdpSocket,
+    pub local: std::os::unix::net::UnixStream,
+    pub worker: std::thread::JoinHandle<()>,
+    pub child: std::process::Child,
+    pub rng: rand::rngs::SmallRng,
+}
+
+// A component that schedules directly instead of emitting through its
+// `EffectSink`: only the driver may name the event queue.
+pub fn schedules_directly(
+    fx: &mut hta_des::EffectSink<u32>,
+    queue: &mut hta_des::EventQueue<u32>,
+) {
+    for (delay, event) in fx.drain() {
+        queue.schedule_in(delay, event);
+    }
 }

@@ -3,15 +3,18 @@
 //! rests on — and a periodic timer that is indistinguishable from a
 //! self-rescheduling event.
 
-use hta_des::{Duration, EventQueue, SimTime};
+use hta_des::{Duration, SimTime};
 use proptest::prelude::*;
+
+#[expect(clippy::disallowed_types, reason = "the queue's own property tests")]
+type Queue<E> = hta_des::EventQueue<E>;
 
 proptest! {
     /// Events always pop in non-decreasing time order, regardless of the
     /// scheduling order.
     #[test]
     fn pops_are_time_ordered(times in proptest::collection::vec(0u64..100_000, 1..300)) {
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         for (i, t) in times.iter().enumerate() {
             q.schedule_at(SimTime::from_millis(*t), i);
         }
@@ -29,7 +32,7 @@ proptest! {
     /// order (stable FIFO ties).
     #[test]
     fn ties_are_fifo(groups in proptest::collection::vec((0u64..50, 1usize..6), 1..40)) {
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut seq = 0usize;
         for (t, n) in &groups {
             for _ in 0..*n {
@@ -53,7 +56,7 @@ proptest! {
     /// `now + delay` exactly.
     #[test]
     fn relative_delays_accumulate(delays in proptest::collection::vec(1u64..10_000, 1..100)) {
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut expect = 0u64;
         q.schedule_in(Duration::from_millis(delays[0]), 0usize);
         for (i, d) in delays.iter().enumerate().skip(1) {
@@ -78,8 +81,8 @@ proptest! {
         interval in 1u64..30,
     ) {
         let interval = Duration::from_millis(interval * GRID);
-        let mut q = EventQueue::new();
-        let mut twin = EventQueue::new();
+        let mut q = Queue::new();
+        let mut twin = Queue::new();
         let mut armed = false;
         let mut next = 0u32;
         for op in ops {

@@ -24,7 +24,7 @@
 
 use hta_core::whatif::{BranchOutcome, BranchSpec, WhatIf};
 use hta_core::{PolicyContext, ScaleAction, ScalingPolicy};
-use hta_des::{branch_salt, Duration};
+use hta_des::{branch_salts, Duration};
 
 /// Candidate pool deltas evaluated at each decision point.
 const DELTAS: [i32; 7] = [-2, -1, 0, 1, 2, 3, 4];
@@ -224,10 +224,16 @@ impl ForecastEngine {
         self.decisions += 1;
         let decision_salt = self.decisions;
         let ensemble = self.cfg.ensemble.max(1);
-        // Two-level salt: decision ⊕ candidate, then ensemble index. Never
-        // zero, so branches never alias the parent's own stochastic future.
+        // Two-level salt grid, candidate-major like a batch: each
+        // candidate takes the next stream of the decision salt, and each
+        // ensemble member the next stream of its candidate's. Never zero,
+        // so branches never alias the parent's own stochastic future.
+        let salts: Vec<u64> = branch_salts(decision_salt)
+            .take(candidates.len())
+            .flat_map(|candidate| branch_salts(candidate).take(ensemble))
+            .collect();
         let spec = |ci: usize, ei: usize| BranchSpec {
-            salt: branch_salt(branch_salt(decision_salt, ci as u64 + 1), ei as u64 + 1),
+            salt: salts[ci * ensemble + ei],
             initial_action: candidates[ci].action,
             horizon,
             max_events: MAX_EVENTS_PER_BRANCH,

@@ -21,7 +21,7 @@ use hta_core::whatif::{BranchOutcome, BranchSpec, WhatIf};
 use hta_core::{
     FixedPolicy, HoldPolicy, OperatorConfig, PolicyContext, ScaleAction, ScalingPolicy,
 };
-use hta_des::{branch_salt, DigestConfig, Duration, SimTime};
+use hta_des::{branch_salts, DigestConfig, Duration, SimTime};
 use hta_workloads::{blast_multistage, MultistageParams};
 use proptest::prelude::*;
 
@@ -152,7 +152,8 @@ proptest! {
         forked.advance_until(fork_time);
         // Several branches, including the parent-replay salt 0: none may
         // leak a single event back into the parent.
-        for s in [salt, branch_salt(salt, 1), 0] {
+        let stream = branch_salts(salt).next().expect("an endless sequence");
+        for s in [salt, stream, 0] {
             let _ = forked.branch(&spec(s, action, horizon_s));
         }
         let forked = forked.run();
@@ -227,8 +228,8 @@ proptest! {
         ];
         let specs: Vec<BranchSpec> = actions
             .iter()
-            .enumerate()
-            .map(|(i, &a)| spec(branch_salt(salt, i as u64), a, horizon_s))
+            .zip(branch_salts(salt))
+            .map(|(&a, s)| spec(s, a, horizon_s))
             .collect();
         let seen = Seen::default();
         let probe = BatchProbe {

@@ -14,8 +14,7 @@
 //! arrival instants bit-for-bit, non-zero salts yield an independent but
 //! reproducible future.
 
-use hta_des::snapshot::branch_salt;
-use hta_des::SimRng;
+use hta_des::{Salt, SimRng, SnapshotState};
 
 /// Sinusoidal diurnal intensity modulation: the instantaneous rate is
 /// scaled by `1 + amplitude · sin(2π (t − phase) / period)`.
@@ -248,12 +247,15 @@ impl ArrivalEngine {
             }
         }
     }
+}
 
+impl SnapshotState for ArrivalEngine {
     /// Re-partition both RNG streams for a what-if branch (the counters
-    /// and clock are untouched, so a salt-0 branch replays exactly).
-    pub fn reseed(&mut self, salt: u64) {
-        self.arrival_rng = self.arrival_rng.partition(branch_salt(salt, 1));
-        self.regime_rng = self.regime_rng.partition(branch_salt(salt, 2));
+    /// and clock are untouched).
+    fn reseed(&mut self, salt: Salt) {
+        let [arrival, regime] = salt.streams();
+        self.arrival_rng = self.arrival_rng.partition(arrival);
+        self.regime_rng = self.regime_rng.partition(regime);
     }
 }
 
@@ -362,16 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn clone_replays_and_nonzero_reseed_diverges() {
+    fn salt_zero_fork_replays_and_nonzero_fork_diverges() {
         // Salt-0 replay is a plain clone (SnapshotState::fork skips
-        // reseed entirely for salt 0); reseed is only ever called with a
-        // non-zero salt and must diverge reproducibly.
+        // reseed entirely for salt 0); a non-zero salt must diverge
+        // reproducibly.
         let mut a = engine(ArrivalProcess::Poisson { rate_per_s: 3.0 }, None);
-        let mut b = a.clone();
-        let mut c = a.clone();
-        let mut d = a.clone();
-        c.reseed(9);
-        d.reseed(9);
+        let mut b = a.fork(0);
+        let mut c = a.fork(9);
+        let mut d = a.fork(9);
         let (xa, xb, xc, xd) = (
             a.next_arrival_s(),
             b.next_arrival_s(),

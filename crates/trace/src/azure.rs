@@ -24,8 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use hta_des::snapshot::branch_salt;
-use hta_des::{CategoryId, Duration, SimRng, SimTime};
+use hta_des::{CategoryId, Duration, Salt, SimRng, SimTime, SnapshotState};
 use hta_resources::Resources;
 use hta_workqueue::{ExecModel, TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -294,18 +293,15 @@ impl AzureTrace {
         self.emitted += 1;
         Some((at, spec))
     }
-
-    /// Re-partition both RNG streams for a what-if branch; the cursor is
-    /// untouched.
-    pub fn reseed(&mut self, salt: u64) {
-        self.offset_rng = self.offset_rng.partition(branch_salt(salt, 1));
-        self.wall_rng = self.wall_rng.partition(branch_salt(salt, 2));
-    }
 }
 
-impl hta_des::SnapshotState for AzureTrace {
-    fn reseed(&mut self, salt: u64) {
-        AzureTrace::reseed(self, salt);
+impl SnapshotState for AzureTrace {
+    /// Re-partition both RNG streams for a what-if branch; the cursor is
+    /// untouched.
+    fn reseed(&mut self, salt: Salt) {
+        let [offset, wall] = salt.streams();
+        self.offset_rng = self.offset_rng.partition(offset);
+        self.wall_rng = self.wall_rng.partition(wall);
     }
 }
 

@@ -13,16 +13,17 @@
 //! * **Laziness / bounded memory** — a trace never materializes the
 //!   whole workload. Generator state is O(1) (synthetic) or O(file bins)
 //!   (Azure adapter); the driver-facing [`ArrivalSource`] buffers at
-//!   most [`source::LOOKAHEAD`] pre-drawn events. The
-//!   `trace-unbounded-materialization` lint rule enforces this inside
-//!   `crates/trace/src`.
+//!   most [`source::LOOKAHEAD`] pre-drawn events. A doubling test
+//!   (`source::tests::lookahead_buffer_stays_bounded`) checks it: twice
+//!   the tasks leave the buffer's length and capacity unchanged.
 //! * **Determinism** — all randomness flows through partitioned
 //!   [`hta_des::SimRng`] streams forked off the trace seed. Same seed ⇒
 //!   bitwise-identical event stream.
 //! * **Snapshot/fork** — every generator is plain owned data and
 //!   implements [`hta_des::SnapshotState`]: a salt-0 fork replays the
 //!   remainder of the trace exactly; non-zero salts re-partition each
-//!   stream with distinct [`hta_des::snapshot::branch_salt`] indices.
+//!   stream with its own positional stream of the branch salt
+//!   ([`hta_des::Salt::streams`]).
 //! * **Category table** — a spec carries its category's index in
 //!   [`ArrivalSource::categories`] as its [`hta_des::CategoryId`]; the
 //!   driver interns that table, in order, before the first arrival.

@@ -14,8 +14,7 @@
 
 use std::collections::VecDeque;
 
-use hta_des::snapshot::branch_salt;
-use hta_des::SimTime;
+use hta_des::{Salt, SimTime, SnapshotState};
 use hta_workqueue::TaskSpec;
 use serde::{Deserialize, Serialize};
 
@@ -50,7 +49,7 @@ impl TraceKind {
         }
     }
 
-    fn reseed(&mut self, salt: u64) {
+    fn reseed(&mut self, salt: Salt) {
         match self {
             TraceKind::Synth(t) => t.reseed(salt),
             TraceKind::Azure(t) => t.reseed(salt),
@@ -208,20 +207,20 @@ impl ArrivalSource {
     }
 }
 
-impl hta_des::SnapshotState for ArrivalSource {
+impl SnapshotState for ArrivalSource {
     /// Re-partition the generator's streams. Events already in the
     /// lookahead buffer were drawn before the fork and stay as-is (they
     /// are the branch's committed near future); divergence starts once
     /// the buffer refills.
-    fn reseed(&mut self, salt: u64) {
-        self.trace.reseed(branch_salt(salt, 1));
+    fn reseed(&mut self, salt: Salt) {
+        let [trace] = salt.streams();
+        self.trace.reseed(trace);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hta_des::SnapshotState;
 
     fn source() -> ArrivalSource {
         ArrivalSource::synth("demo-1k,tasks=300", 9).expect("valid spec")
@@ -252,13 +251,28 @@ mod tests {
         assert!(st.first_arrival_s.unwrap() <= st.last_arrival_s.unwrap());
     }
 
+    /// The lookahead's `(length, capacity)` when `spec` is built and its
+    /// high-water mark over a full drain, read after every refill.
+    fn buffered(spec: &str) -> [(usize, usize); 2] {
+        let mut s = ArrivalSource::synth(spec, 42).expect("valid spec");
+        let built = (s.lookahead.len(), s.lookahead.capacity());
+        let mut high = built;
+        while let Some(t) = s.peek_next_time() {
+            high.0 = high.0.max(s.lookahead.len());
+            high.1 = high.1.max(s.lookahead.capacity());
+            s.pop_due(t);
+        }
+        assert!(s.exhausted());
+        [built, high]
+    }
+
     #[test]
     fn lookahead_buffer_stays_bounded() {
-        let mut s = source();
-        s.refill();
-        assert!(s.lookahead.len() <= LOOKAHEAD);
-        let _ = s.peek_next_time();
-        assert!(s.lookahead.len() <= LOOKAHEAD);
+        // Twice the tasks, the same buffer: memory follows the in-flight
+        // window, never the trace length.
+        let base = buffered("trace-50k");
+        assert_eq!(base, buffered("trace-50k,tasks=100000"));
+        assert_eq!(base[1].0, LOOKAHEAD, "the window fills");
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //!
 //! RNG partitioning: the constructor forks four independent streams off
 //! the trace seed (arrival gaps, regime dwells, wall times, category
-//! mix). [`SynthTrace::reseed`] re-partitions each with a distinct
-//! [`branch_salt`] stream index, so a salt-0 snapshot fork replays the
-//! remainder of the trace bit-for-bit and non-zero salts give
-//! independent futures.
+//! mix). Its [`SnapshotState::reseed`] hands each a positional stream
+//! of the branch salt ([`hta_des::Salt::streams`]), so a salt-0 snapshot
+//! fork replays the remainder of the trace bit-for-bit and non-zero
+//! salts give independent futures.
 
-use hta_des::snapshot::branch_salt;
-use hta_des::{CategoryId, Duration, SimRng, SimTime};
+use hta_des::{CategoryId, Duration, Salt, SimRng, SimTime, SnapshotState};
 use hta_resources::Resources;
 use hta_workqueue::{ExecModel, TaskId, TaskSpec};
 
@@ -207,10 +206,11 @@ impl SynthTrace {
             arrival_rng,
             regime_rng,
         );
-        let mut walls = Vec::new();
-        for c in &cfg.categories {
-            walls.push(WallDraw::new(&c.wall));
-        }
+        let walls = cfg
+            .categories
+            .iter()
+            .map(|c| WallDraw::new(&c.wall))
+            .collect();
         Ok(SynthTrace {
             cfg,
             walls,
@@ -265,15 +265,6 @@ impl SynthTrace {
         self.emitted += 1;
         Some((at, spec))
     }
-
-    /// Re-partition every RNG stream for a what-if branch; the cursor and
-    /// clock are untouched. Distinct stream indices keep the four streams
-    /// decorrelated; salt 0 (replay) is preserved by `branch_salt`.
-    pub fn reseed(&mut self, salt: u64) {
-        self.engine.reseed(branch_salt(salt, 1));
-        self.wall_rng = self.wall_rng.partition(branch_salt(salt, 2));
-        self.mix_rng = self.mix_rng.partition(branch_salt(salt, 3));
-    }
 }
 
 /// Weighted pick over the mix; one uniform draw per task.
@@ -289,9 +280,15 @@ fn sample_category(categories: &[CategorySpec], rng: &mut SimRng) -> usize {
     categories.len() - 1
 }
 
-impl hta_des::SnapshotState for SynthTrace {
-    fn reseed(&mut self, salt: u64) {
-        SynthTrace::reseed(self, salt);
+impl SnapshotState for SynthTrace {
+    /// Re-partition every RNG stream for a what-if branch; the cursor and
+    /// clock are untouched. Positional streams keep the four
+    /// decorrelated.
+    fn reseed(&mut self, salt: Salt) {
+        let [engine, wall, mix] = salt.streams();
+        self.engine.reseed(engine);
+        self.wall_rng = self.wall_rng.partition(wall);
+        self.mix_rng = self.mix_rng.partition(mix);
     }
 }
 

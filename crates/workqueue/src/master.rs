@@ -66,8 +66,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use hta_des::{
-    branch_salt, CategoryId, ChannelStats, Duration, EffectSink, Interner, NetChannel,
-    NetworkFaults, SimRng, SimTime,
+    CategoryId, ChannelStats, Duration, EffectSink, Interner, NetChannel, NetworkFaults, Salt,
+    SimRng, SimTime, SnapshotState,
 };
 use hta_resources::Resources;
 use serde::{Deserialize, Serialize};
@@ -364,13 +364,15 @@ fn queued(tasks: &TaskTable, id: TaskId) -> bool {
     tasks.get(&id).is_some_and(is_waiting)
 }
 
-impl hta_des::SnapshotState for Master {
+impl SnapshotState for Master {
     /// Re-partition the fault/speculation and channel RNGs for a what-if
     /// branch; queue contents, workers, flows and statistics are
-    /// untouched. The two streams get decorrelated salts.
-    fn reseed(&mut self, salt: u64) {
-        self.rng = self.rng.partition(salt);
-        self.net.reseed(branch_salt(salt, 1));
+    /// untouched. The master's own stream keeps the salt; the channel
+    /// gets its first sub-stream.
+    fn reseed(&mut self, salt: Salt) {
+        let (own, [net]) = salt.split();
+        self.rng = self.rng.partition(own);
+        self.net.reseed(net);
     }
 }
 
@@ -945,7 +947,15 @@ impl Master {
 mod testkit {
     pub(super) use super::*;
     pub(super) use crate::task::ExecModel;
-    pub(super) use hta_des::{Checkpoint, EventQueue};
+    pub(super) use hta_des::Checkpoint;
+
+    /// The queue the tests drive the master with, as the system driver
+    /// does.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "these tests drive the master as the system driver does"
+    )]
+    pub(super) type Queue = hta_des::EventQueue<WqEvent>;
 
     pub(super) fn catalog_with_db() -> (FileCatalog, crate::ids::FileId) {
         let mut cat = FileCatalog::new();
@@ -982,7 +992,7 @@ mod testkit {
     }
 
     /// Schedule everything buffered in the sink.
-    pub(super) fn sched(q: &mut EventQueue<WqEvent>, fx: &mut EffectSink<WqEvent>) {
+    pub(super) fn sched(q: &mut Queue, fx: &mut EffectSink<WqEvent>) {
         for (d, e) in fx.drain() {
             q.schedule_in(d, e);
         }
@@ -993,7 +1003,7 @@ mod testkit {
     /// the event that emitted its `TaskCompleted`).
     pub(super) fn run(
         master: &mut Master,
-        q: &mut EventQueue<WqEvent>,
+        q: &mut Queue,
         fx: &mut EffectSink<WqEvent>,
         limit: usize,
     ) -> BTreeMap<TaskId, SimTime> {
@@ -1051,7 +1061,7 @@ mod testkit {
     /// Drive the master through every event due at or before `until`.
     pub(super) fn run_until(
         master: &mut Master,
-        q: &mut EventQueue<WqEvent>,
+        q: &mut Queue,
         fx: &mut EffectSink<WqEvent>,
         until: SimTime,
     ) {
@@ -1084,7 +1094,7 @@ mod tests {
     fn single_task_full_lifecycle() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);
@@ -1116,7 +1126,7 @@ mod tests {
     fn retirement_drops_records_but_keeps_accounting() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);
@@ -1144,7 +1154,7 @@ mod tests {
         // records, not by the id range the long task pins open.
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
         let mut long = cpu_task(0, db, decl);
@@ -1177,7 +1187,7 @@ mod tests {
     fn drain_lets_running_tasks_finish() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);
@@ -1210,7 +1220,7 @@ mod tests {
     fn kill_requeues_tasks_and_they_rerun_elsewhere() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w1 = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -1260,7 +1270,7 @@ mod tests {
     fn utilization_reflects_actual_usage_not_allocation() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(3, 12_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -1286,7 +1296,7 @@ mod tests {
     fn declare_resources_upgrades_waiting_tasks() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -1385,7 +1395,7 @@ mod tests {
     fn draining_worker_is_retired_when_its_last_task_completes() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(
@@ -1405,7 +1415,7 @@ mod tests {
     fn stale_events_reaching_a_retired_worker_are_noops() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(lease_cfg(Vec::new()), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(

@@ -359,7 +359,7 @@ mod tests {
     fn cacheable_input_transfers_once_per_worker() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);
@@ -377,7 +377,7 @@ mod tests {
     fn one_cacheable_flow_releases_its_many_waiters_in_id_order() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(
             SimTime::ZERO,
@@ -425,7 +425,7 @@ mod tests {
     fn a_cancelled_flow_leaves_no_waiter_behind() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let cap = Resources::cores(8, 64_000, 500_000);
         let w = m.worker_connect(SimTime::ZERO, cap, &mut fx);
@@ -467,7 +467,7 @@ mod tests {
             },
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w1 = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -509,7 +509,7 @@ mod tests {
             },
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w1 = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);

@@ -385,7 +385,7 @@ mod tests {
     fn unknown_resources_run_exclusively() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);
@@ -406,7 +406,7 @@ mod tests {
     fn known_resources_pack_in_parallel() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);

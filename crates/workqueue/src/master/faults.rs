@@ -342,7 +342,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -394,7 +394,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -421,7 +421,7 @@ mod tests {
     fn zero_rates_draw_nothing_and_change_nothing() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(faulty_cfg(TaskFaults::default()), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -445,7 +445,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
         let _w1 = m.worker_connect(SimTime::ZERO, Resources::cores(1, 4_000, 50_000), &mut fx);
@@ -492,7 +492,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
         let _w1 = m.worker_connect(SimTime::ZERO, Resources::cores(1, 4_000, 50_000), &mut fx);

@@ -229,7 +229,7 @@ mod tests {
             asymmetric: true,
         };
         let mut m = new_master(lease_cfg(vec![cut]), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(

@@ -128,7 +128,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let decl = Some(Resources::cores(1, 2_000, 2_000));
         for id in 0..3 {
@@ -246,7 +246,7 @@ mod tests {
     fn recover_reset_requeues_inflight_and_disconnects_workers() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 10);

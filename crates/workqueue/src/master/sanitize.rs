@@ -312,7 +312,7 @@ mod tests {
     fn sanitizer_catches_broken_conservation() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         m.submit(

@@ -171,7 +171,7 @@ mod tests {
     fn derived_views_match_the_records() {
         let (cat, db) = catalog_with_db();
         let mut m = new_master(link_cfg(), cat);
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(2, 8_000, 50_000), &mut fx);
         run(&mut m, &mut q, &mut fx, 5);
@@ -219,7 +219,7 @@ mod tests {
             }),
             cat,
         );
-        let mut q = EventQueue::new();
+        let mut q = Queue::new();
         let mut fx = EffectSink::new();
         let one = Some(Resources::cores(1, 2_000, 2_000));
         let two = Some(Resources::cores(2, 2_000, 2_000));

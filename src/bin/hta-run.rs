@@ -156,6 +156,15 @@ fn probability(flag: &str, v: &str) -> Result<f64, String> {
     Ok(p)
 }
 
+/// A whole number of seconds that must be positive: zero would make
+/// the run degenerate rather than fast.
+fn positive_secs(flag: &str, v: &str) -> Result<u64, String> {
+    match v.parse().map_err(|e| format!("{flag}: {e}"))? {
+        0 => Err(format!("{flag}: must be at least 1 s")),
+        s => Ok(s),
+    }
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut args: VecDeque<String> = std::env::args().skip(1).collect();
     let mut opt = Options {
@@ -265,10 +274,10 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--crash-outage: {e}"))?
             }
+            // A zero cadence re-arms the checkpoint tick at the same
+            // instant forever, so simulated time never advances.
             "--checkpoint-interval" => {
-                opt.checkpoint_interval = need(&mut args, "--checkpoint-interval")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-interval: {e}"))?
+                opt.checkpoint_interval = positive_secs(&a, &need(&mut args, &a)?)?
             }
             "--task-fail-rate" => opt.task_fail_rate = probability(&a, &need(&mut args, &a)?)?,
             "--oom-rate" => opt.oom_rate = probability(&a, &need(&mut args, &a)?)?,
@@ -323,13 +332,9 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|e| format!("--lease: {e}"))?,
                 )
             }
-            "--preempt-mean" => {
-                opt.preempt_mean = Some(
-                    need(&mut args, "--preempt-mean")?
-                        .parse()
-                        .map_err(|e| format!("--preempt-mean: {e}"))?,
-                )
-            }
+            // A zero mean lifetime preempts every node the moment it
+            // boots, so the run only ends at the simulation cut-off.
+            "--preempt-mean" => opt.preempt_mean = Some(positive_secs(&a, &need(&mut args, &a)?)?),
             "--max-retries" => {
                 opt.max_retries = need(&mut args, "--max-retries")?
                     .parse()

@@ -58,7 +58,7 @@ pub use hta_workqueue as workqueue;
 
 /// Common imports for examples and downstream users.
 pub mod prelude {
-    pub use hta_des::{Duration, EventQueue, SimRng, SimTime};
+    pub use hta_des::{Duration, SimRng, SimTime};
     pub use hta_metrics::{RunRecorder, RunSummary};
     pub use hta_resources::{ResourcePool, Resources};
 }

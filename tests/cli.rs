@@ -251,6 +251,16 @@ fn out_of_range_cluster_and_fault_values_fail_cleanly() {
         vec!["demo", "--pull-fail-rate", "-1"],
         vec![
             "demo",
+            "--policy",
+            "fixed:3",
+            "--crash-master",
+            "60",
+            "--checkpoint-interval",
+            "0",
+        ],
+        vec!["demo", "--preempt-mean", "0"],
+        vec![
+            "demo",
             "--task-fail-rate",
             "0.8",
             "--oom-rate",
