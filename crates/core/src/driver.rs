@@ -324,9 +324,15 @@ struct World {
 
 /// What-if rollouts share one `&World` across threads: a field that is
 /// not `Send + Sync` (an `Rc`, a boxed policy) fails to compile here.
+/// The two per-task types that grow with load carry byte budgets: a
+/// field that re-inflates the master's task record (one per waiting
+/// task) or a WAL record (one per decision between checkpoints) fails
+/// the build too.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
-    send_sync::<World>()
+    send_sync::<World>();
+    assert!(size_of::<hta_workqueue::TaskRecord>() <= 96);
+    assert!(size_of::<WalRecord>() <= 32);
 };
 
 impl SystemDriver {
@@ -344,6 +350,13 @@ impl SystemDriver {
         let mut master = Master::new(cfg.master.clone(), hta_workqueue::FileCatalog::new());
         let mut operator = Operator::new(cfg.operator.clone(), workflow, &mut master);
         let recovery = if cfg.faults.control_plane.is_active() {
+            // The checkpoint tick re-arms itself one interval later: at a
+            // zero interval simulated time would never move again.
+            assert!(
+                !cfg.faults.control_plane.checkpoint_interval.is_zero(),
+                "ControlPlaneFaults::checkpoint_interval must be positive when control-plane \
+                 faults are active"
+            );
             // Every control-plane decision from the very first submission
             // must be durably logged, so recording starts before bootstrap.
             operator.record_wal(true);
@@ -617,12 +630,12 @@ impl World {
         };
         // The tasks still live (a timed-out run) join the finished ones.
         spans.extend(self.cp.master.task_records().map(|r| Span {
-            task: r.spec.id,
-            cat: r.spec.cat,
-            submitted_at: r.submitted_at,
-            started_at: r.started_at,
+            task: r.id(),
+            cat: r.cat(),
+            submitted_at: r.submitted_at(),
+            started_at: r.started_at(),
             exited_at: None,
-            interruptions: r.interruptions,
+            interruptions: r.interruptions(),
         }));
         spans.sort_unstable_by_key(|s| s.task);
         let task_spans: Vec<TaskSpan> = spans
@@ -957,5 +970,46 @@ mod tests {
             a.summary.accumulated_waste_core_s,
             b.summary.accumulated_waste_core_s
         );
+    }
+
+    /// The master's task memory at the deepest backlog of `tasks`
+    /// `trace-50k` arrivals on two workers, read every 10 simulated
+    /// seconds until the trace is exhausted.
+    fn deepest_backlog(tasks: u64) -> hta_workqueue::master::TaskBytes {
+        let spec = format!("trace-50k,tasks={tasks}");
+        let source = ArrivalSource::synth(&spec, 7).expect("valid trace spec");
+        let mut d = SystemDriver::new_traced(small_cfg(), source, Box::new(FixedPolicy::new(2)));
+        let mut deepest = d.world.cp.master.task_bytes();
+        let mut t = SimTime::ZERO;
+        while !d
+            .world
+            .cp
+            .arrivals
+            .as_ref()
+            .is_some_and(|a| a.stats().exhausted)
+        {
+            t += Duration::from_secs(10);
+            d.advance_until(t);
+            let now = d.world.cp.master.task_bytes();
+            if now.waiting > deepest.waiting {
+                deepest = now;
+            }
+        }
+        deepest
+    }
+
+    #[test]
+    fn bytes_per_waiting_task_stay_flat_when_the_backlog_doubles() {
+        // Counted from type sizes and held capacities, so exact per
+        // seed: a waiting task costs its compact record, its `Arc`
+        // header, a table slot and a queue entry, whatever the depth.
+        let (small, large) = (deepest_backlog(1_500), deepest_backlog(3_000));
+        assert!(
+            small.waiting > 1_000 && large.waiting > 2 * small.waiting - 200,
+            "the backlog doubles: {small:?} → {large:?}"
+        );
+        let (a, b) = (small.per_record(), large.per_record());
+        assert!(a <= 128.0 && b <= 128.0, "{a:.1} and {b:.1} B per record");
+        assert!(b <= a * 1.1, "bytes per record grew from {a:.1} to {b:.1}");
     }
 }

@@ -31,6 +31,7 @@ use hta_resources::Resources;
 use hta_workqueue::master::Master;
 use hta_workqueue::task::TaskSpec;
 use hta_workqueue::TaskId;
+use std::sync::Arc;
 
 use super::{Event, PolicySlot, World, WORKER_GROUP};
 use crate::fault::ControlPlaneFaults;
@@ -46,8 +47,9 @@ pub(crate) enum WalRecord {
     Submit {
         /// The workflow job.
         job: JobId,
-        /// The exact spec handed to the master.
-        spec: TaskSpec,
+        /// The exact spec handed to the master, shared so a fork's copy
+        /// of the log copies a pointer.
+        spec: Arc<TaskSpec>,
     },
     /// A category's resources were learned from its first measurement.
     Learn {
@@ -73,8 +75,8 @@ pub(crate) enum WalRecord {
     /// checkpoint-restored trace cursor one event, so the generator never
     /// re-draws an already-admitted arrival's randomness.
     TraceSubmit {
-        /// The exact spec handed to the master.
-        spec: TaskSpec,
+        /// The exact spec handed to the master (shared, as in `Submit`).
+        spec: Arc<TaskSpec>,
     },
 }
 
@@ -386,7 +388,7 @@ impl World {
                     self.cp.operator.replay_submit(
                         now,
                         job,
-                        spec,
+                        Arc::unwrap_or_clone(spec),
                         &mut self.cp.master,
                         &mut self.wq_sink,
                     );
@@ -401,7 +403,7 @@ impl World {
                     self.cp.operator.replay_complete(task);
                 }
                 WalRecord::Fail { task } => {
-                    let cat = self.cp.master.task(task).map(|r| r.spec.cat);
+                    let cat = self.cp.master.task(task).map(|r| r.cat());
                     self.cp.master.recover_failed(task);
                     if let Some(cat) = cat {
                         self.cp.operator.replay_fail(task, cat);
@@ -417,13 +419,13 @@ impl World {
                         let regenerated = a.replay_next().map(|(_, s)| s);
                         debug_assert_eq!(
                             regenerated.as_ref(),
-                            Some(&spec),
+                            Some(&*spec),
                             "trace cursor diverged from the WAL"
                         );
                     }
                     self.cp.operator.replay_trace_submit(
                         now,
-                        spec,
+                        Arc::unwrap_or_clone(spec),
                         &mut self.cp.master,
                         &mut self.wq_sink,
                     );
@@ -479,6 +481,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ControlPlaneFaults::checkpoint_interval must be positive")]
+    fn a_zero_checkpoint_interval_is_rejected_at_construction() {
+        // Built in code, past the CLI's own check: the driver must refuse
+        // it rather than re-arm its checkpoint tick at one instant forever.
+        let mut cfg = small_cfg();
+        cfg.faults.control_plane = ControlPlaneFaults {
+            crash_times: vec![Duration::from_secs(60)],
+            outage: Duration::from_secs(30),
+            checkpoint_interval: Duration::ZERO,
+        };
+        let _ = SystemDriver::new(cfg, tiny_workflow(3), Box::new(FixedPolicy::new(3)));
     }
 
     fn completed_labels(r: &RunResult) -> Vec<String> {
@@ -655,12 +671,8 @@ mod tests {
         let names = d.world.cp.master.interner();
         let mut late_live = 0;
         for r in d.world.cp.master.task_records() {
-            let name = names.name(r.spec.cat);
-            assert_eq!(
-                name, expected[&r.spec.id],
-                "{:?} resolves by name",
-                r.spec.id
-            );
+            let name = names.name(r.cat());
+            assert_eq!(name, expected[&r.id()], "{:?} resolves by name", r.id());
             late_live += usize::from(name == "late");
         }
         assert!(

@@ -336,7 +336,7 @@ impl Operator {
         if self.wal_recording {
             self.wal_pending.push(WalRecord::Submit {
                 job,
-                spec: spec.clone(),
+                spec: Arc::new(spec.clone()),
             });
         }
         master.submit(now, spec, fx);
@@ -374,8 +374,9 @@ impl Operator {
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.submitted += 1;
         if self.wal_recording {
-            self.wal_pending
-                .push(WalRecord::TraceSubmit { spec: spec.clone() });
+            self.wal_pending.push(WalRecord::TraceSubmit {
+                spec: Arc::new(spec.clone()),
+            });
         }
         master.submit(now, spec, fx);
     }
@@ -1087,7 +1088,7 @@ mod tests {
         for rec in &wal {
             match rec {
                 WalRecord::Submit { job, spec } => {
-                    rop.replay_submit(t, *job, spec.clone(), &mut rm, &mut rfx)
+                    rop.replay_submit(t, *job, (**spec).clone(), &mut rm, &mut rfx)
                 }
                 WalRecord::Learn { cat, resources } => rop.replay_learn(*cat, *resources, &mut rm),
                 WalRecord::Complete { task } => {
@@ -1095,12 +1096,12 @@ mod tests {
                     rop.replay_complete(*task);
                 }
                 WalRecord::Fail { task } => {
-                    let c = rm.task(*task).unwrap().spec.cat;
+                    let c = rm.task(*task).unwrap().cat();
                     rm.recover_failed(*task);
                     rop.replay_fail(*task, c);
                 }
                 WalRecord::TraceSubmit { spec } => {
-                    rop.replay_trace_submit(t, spec.clone(), &mut rm, &mut rfx)
+                    rop.replay_trace_submit(t, (**spec).clone(), &mut rm, &mut rfx)
                 }
             }
         }
@@ -1115,7 +1116,7 @@ mod tests {
         assert_eq!(rm.completed_digest(), m.completed_digest());
         assert_eq!(rm.waiting_count(), m.waiting_count());
         // The job map holds exactly the tasks still in the master.
-        let live = |m: &Master| m.task_records().map(|r| r.spec.id).collect::<Vec<_>>();
+        let live = |m: &Master| m.task_records().map(|r| r.id()).collect::<Vec<_>>();
         assert_eq!(live(&rm), (1..5).map(TaskId).collect::<Vec<_>>());
         assert!(rop.job_for_task.keys().copied().eq(live(&rm)));
         assert!(op.job_for_task.keys().copied().eq(live(&m)));

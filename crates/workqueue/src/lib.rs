@@ -78,6 +78,7 @@ pub mod ids;
 pub mod link;
 pub mod master;
 pub mod proto;
+mod shape;
 pub mod task;
 mod task_table;
 mod waiting;
@@ -92,5 +93,5 @@ pub use master::{
     WaitingSnapshot, WorkerSnapshot, WqEffect, WqEvent, WqNotification,
 };
 pub use proto::ControlMsg;
-pub use task::{ExecModel, Speculative, TaskRecord, TaskSpec, TaskState};
+pub use task::{ExecModel, Speculative, TaskRecord, TaskRef, TaskSpec, TaskState};
 pub use worker::{Worker, WorkerState};

@@ -36,6 +36,11 @@
 //! * every effect-producing method pushes into a caller-owned
 //!   [`EffectSink`] instead of returning a fresh `Vec` per event.
 //!
+//! A waiting task costs about 120 bytes: its record is compact (the
+//! category-level fields and declared requirements are interned in a
+//! shared shape table, and the dispatch-time state is allocated only
+//! at dispatch), and [`Master::task_bytes`] counts it.
+//!
 //! The master keeps no copy of its own state for readers: the
 //! autoscaler's [`QueueView`] borrows the master and derives each view
 //! from the task records, the worker table and the waiting FIFO when it
@@ -76,7 +81,8 @@ use crate::file::FileCatalog;
 use crate::ids::{FileId, FlowId, TaskId, WorkerId};
 use crate::link::FairShareLink;
 use crate::proto::ControlMsg;
-use crate::task::{Measured, TaskRecord, TaskSpec, TaskState};
+use crate::shape::{Shape, ShapeTable};
+use crate::task::{Measured, TaskRecord, TaskRef, TaskSpec, TaskState};
 use crate::task_table::TaskTable;
 use crate::waiting::WaitingQueue;
 use crate::worker::{Worker, WorkerState};
@@ -85,6 +91,8 @@ mod channel;
 mod dispatch;
 mod faults;
 mod lease;
+#[cfg(test)]
+mod prop_spec;
 mod recovery;
 mod sanitize;
 mod snapshot;
@@ -224,6 +232,27 @@ impl Default for MasterConfig {
     }
 }
 
+/// The master's task memory (see [`Master::task_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskBytes {
+    /// Live task records (waiting and on-worker).
+    pub records: usize,
+    /// Of those, the waiting ones.
+    pub waiting: usize,
+    /// Bytes held for them.
+    pub bytes: usize,
+}
+
+impl TaskBytes {
+    /// Bytes per live record (0 with no record).
+    pub fn per_record(&self) -> f64 {
+        if self.records == 0 {
+            return 0.0;
+        }
+        self.bytes as f64 / self.records as f64
+    }
+}
+
 /// Per-category wall-time accumulator with a cached mean.
 #[derive(Debug, Clone, Copy, Default)]
 struct CatWall {
@@ -241,6 +270,9 @@ pub struct Master {
     catalog: FileCatalog,
     interner: Interner,
     tasks: TaskTable,
+    /// The category-level fields and declared requirements the task
+    /// records name by index: O(distinct shapes), shared by clones.
+    shapes: ShapeTable,
     /// The FIFO of waiting tasks and its demand histogram: distinct
     /// (category, declared requirement) pairs with their counts. The
     /// histogram lets [`Master::dispatch`] stop scanning the moment
@@ -343,12 +375,15 @@ fn mix64(mut z: u64) -> u64 {
 /// Busy CPU cores on `w`: Σ over its *running* tasks, in list order, of
 /// `actual cores × cpu_fraction`. (Actual usage, not allocation — a
 /// 1-core job on an exclusively held 3-core worker burns 1 core.)
-fn sum_busy_cores(tasks: &TaskTable, w: &Worker) -> f64 {
+fn sum_busy_cores(tasks: &TaskTable, shapes: &ShapeTable, w: &Worker) -> f64 {
     w.tasks()
         .iter()
         .filter_map(|t| tasks.get(t))
         .filter(|r| matches!(r.state, TaskState::Running(_)))
-        .map(|r| r.spec.actual.cores_f64() * r.spec.exec.cpu_fraction)
+        .map(|r| {
+            let shape = shapes.shape(r.shape);
+            shape.actual.cores_f64() * shape.cpu_fraction
+        })
         .sum()
 }
 
@@ -383,6 +418,7 @@ impl Master {
             catalog,
             interner: Interner::new(),
             tasks: TaskTable::new(),
+            shapes: ShapeTable::default(),
             waiting: WaitingQueue::default(),
             workers: BTreeMap::new(),
             index: WorkerIndex::default(),
@@ -457,8 +493,16 @@ impl Master {
             "{cat:?} was never interned"
         );
         let declared = spec.declared;
+        let shape = self.shapes.intern(Shape {
+            cat,
+            output_mb: spec.output_mb,
+            actual: spec.actual,
+            cpu_fraction: spec.exec.cpu_fraction,
+        });
+        let declared_id = self.shapes.intern_declared(declared);
         self.submitted += 1;
-        self.tasks.insert(id, TaskRecord::new(spec, now));
+        self.tasks
+            .insert(id, TaskRecord::new(spec, shape, declared_id, now));
         self.waiting.push_back(id, cat, declared);
         self.dispatch(now, fx);
         self.assert_invariants();
@@ -470,8 +514,9 @@ impl Master {
         let Some(rec) = self.tasks.get_mut_if(&task, is_waiting) else {
             return;
         };
-        let (cat, old, new) = (rec.spec.cat, rec.spec.declared, Some(declared));
-        rec.spec.declared = new;
+        let (cat, old) = self.shapes.key(rec);
+        let new = Some(declared);
+        rec.declared = self.shapes.intern_declared(new);
         let before = self.demand_counts(cat, old, new);
         self.waiting.redeclare(cat, old, new);
         self.assert_redeclared(cat, old, new, before);
@@ -531,13 +576,9 @@ impl Master {
             let Some(rec) = self.tasks.get_mut(t) else {
                 continue;
             };
-            rec.speculative = None;
-            rec.state = TaskState::Waiting;
-            rec.allocation = None;
-            rec.started_at = None;
-            rec.run_generation += 1;
-            rec.interruptions += 1;
-            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
+            rec.requeue();
+            let (cat, declared) = self.shapes.key(rec);
+            self.waiting.push_front(*t, cat, declared);
             self.notifications.push(WqNotification::TaskRequeued(*t));
         }
         self.dispatch(now, fx);
@@ -655,9 +696,11 @@ impl Master {
                 unreachable!("state checked above");
             };
             rec.state = TaskState::Running(wid);
-            rec.started_at = Some(now);
             self.busy_stale.push(wid);
-            (rec.spec.exec.duration, rec.run_generation, rec.spec.cat)
+            let run = rec.run_mut();
+            run.started_at = Some(now);
+            let generation = run.run_generation;
+            (rec.duration, generation, self.shapes.cat(rec.shape))
         };
         // Fault injection: this attempt may die partway through instead of
         // finishing. Exactly one of the two events below survives the
@@ -701,7 +744,7 @@ impl Master {
             let Some(rec) = self.tasks.get(&task) else {
                 return;
             };
-            if rec.run_generation != run_gen {
+            if rec.run_generation() != run_gen {
                 return; // interrupted run; event is stale
             }
             let TaskState::Running(_) = rec.state else {
@@ -714,14 +757,12 @@ impl Master {
         let TaskState::Running(wid) = rec.state else {
             unreachable!("state checked above");
         };
-        // Resource-monitor measurement of this run.
-        let wall = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
-        rec.measured = Some(Measured {
-            peak: rec.spec.actual,
-            wall,
-        });
-        let cat = rec.spec.cat;
-        let output_mb = rec.spec.output_mb;
+        // Resource-monitor measurement of this run (its peak is the
+        // shape's true footprint).
+        let run = rec.run_mut();
+        let wall = run.started_at.map_or(Duration::ZERO, |s| now.since(s));
+        run.measured_wall = Some(wall);
+        let Shape { cat, output_mb, .. } = *self.shapes.shape(rec.shape);
         if output_mb > 0.0 {
             rec.state = TaskState::Returning(wid);
             self.busy_stale.push(wid);
@@ -745,15 +786,16 @@ impl Master {
         let rec = self.retire_task(task);
         self.completed_count += 1;
         self.note_completed_id(task);
+        let shape = self.shapes.shape(rec.shape);
         self.notifications.push(WqNotification::TaskCompleted {
             task,
-            cat: rec.spec.cat,
-            measured: rec.measured.unwrap_or(Measured {
-                peak: rec.spec.actual,
-                wall: Duration::ZERO,
-            }),
+            cat: shape.cat,
+            measured: Measured {
+                peak: shape.actual,
+                wall: rec.run().measured_wall.unwrap_or(Duration::ZERO),
+            },
             submitted_at: rec.submitted_at,
-            started_at: rec.started_at,
+            started_at: rec.started_at(),
             interruptions: rec.interruptions,
         });
         self.release_from_worker(now, wid, task);
@@ -827,14 +869,35 @@ impl Master {
 
     /// The record of a live (waiting or on-worker) task. `None` once the
     /// task has finished: finished tasks leave the master's state.
-    pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
-        self.tasks.get(&id)
+    pub fn task(&self, id: TaskId) -> Option<TaskRef<'_>> {
+        self.tasks.get(&id).map(|r| TaskRef::new(r, &self.shapes))
+    }
+
+    /// The spec of a live task, reassembled from its record: the
+    /// submitted spec, with the declared requirement as it stands now
+    /// (raised by [`Master::declare_resources`] or an OOM retry).
+    pub fn spec(&self, id: TaskId) -> Option<TaskSpec> {
+        self.task(id).map(TaskRef::spec)
     }
 
     /// True when some task of `cat` is waiting or on a worker (the
     /// operator's probe reconciliation checks this after a recovery).
     pub fn has_live_task_in_category(&self, cat: CategoryId) -> bool {
-        self.tasks.values().any(|r| r.spec.cat == cat)
+        self.tasks.values().any(|r| self.shapes.cat(r.shape) == cat)
+    }
+
+    /// What the master holds for its live tasks, in bytes computed from
+    /// type sizes and the capacities held, never from the process's
+    /// memory: the records (each with its `Arc` header, inputs and run
+    /// state), the task table's slots, the waiting queue and the shape
+    /// table. O(records); it reads state only, so a run that calls it
+    /// is event-for-event the same.
+    pub fn task_bytes(&self) -> TaskBytes {
+        TaskBytes {
+            records: self.tasks.len(),
+            waiting: self.waiting.len(),
+            bytes: self.tasks.bytes() + self.waiting.bytes() + self.shapes.bytes(),
+        }
     }
 
     /// A live (active or draining) worker. `None` once the worker has
@@ -875,13 +938,15 @@ impl Master {
             let busy = match w.busy_cores {
                 Some(cached) => {
                     hta_des::sanitize_assert!(
-                        cached.to_bits() == sum_busy_cores(&self.tasks, w).to_bits(),
+                        cached.to_bits() == sum_busy_cores(&self.tasks, &self.shapes, w).to_bits(),
                         "{:?}'s cached busy cores went stale",
                         w.id
                     );
                     cached
                 }
-                None => *w.busy_cores.insert(sum_busy_cores(&self.tasks, w)),
+                None => *w
+                    .busy_cores
+                    .insert(sum_busy_cores(&self.tasks, &self.shapes, w)),
             };
             sum += w.utilization(busy);
         }
@@ -936,8 +1001,8 @@ impl Master {
     }
 
     /// The live (waiting and on-worker) task records, in ascending id.
-    pub fn task_records(&self) -> impl Iterator<Item = &TaskRecord> {
-        self.tasks.values()
+    pub fn task_records(&self) -> impl Iterator<Item = TaskRef<'_>> {
+        self.tasks.values().map(|r| TaskRef::new(r, &self.shapes))
     }
 }
 
@@ -1284,7 +1349,7 @@ mod tests {
             m.handle(now, ev, &mut fx);
             sched(&mut q, &mut fx);
         }
-        let util = sum_busy_cores(&m.tasks, m.worker(w).unwrap()) / 3.0;
+        let util = sum_busy_cores(&m.tasks, &m.shapes, m.worker(w).unwrap()) / 3.0;
         assert!((util - 0.3).abs() < 0.01, "util={util}");
         assert_eq!(
             m.mean_worker_utilization().map(|u| (u * 10.0).round()),
@@ -1321,7 +1386,7 @@ mod tests {
         }
         assert!(m.task(TaskId(0)).is_none(), "the exclusive task finished");
         let rec = m.task(TaskId(1)).unwrap();
-        assert_eq!(rec.allocation, Some(Resources::cores(1, 2_000, 2_000)));
+        assert_eq!(rec.allocation(), Some(Resources::cores(1, 2_000, 2_000)));
         run(&mut m, &mut q, &mut fx, 400);
         assert!(m.all_complete());
     }
@@ -1426,7 +1491,7 @@ mod tests {
         run_until(&mut m, &mut q, &mut fx, SimTime::from_secs(5));
         let rec = m.task(TaskId(0)).unwrap();
         assert_eq!(rec.state, TaskState::Running(w));
-        let (run_gen, seq) = (rec.run_generation, rec.dispatch_seq);
+        let (run_gen, seq) = (rec.run_generation(), rec.dispatch_seq());
         let now = q.now();
         m.kill_worker(now, w, &mut fx);
         assert!(m.worker(w).is_none(), "killed worker retired");

@@ -71,9 +71,9 @@ impl Master {
         match msg {
             ControlMsg::Dispatch { task, seq } => self.recv_dispatch(now, task, seq, fx),
             ControlMsg::DispatchAck { task, seq } => {
-                let fresh = |r: &TaskRecord| r.dispatch_seq == seq && !r.dispatch_acked;
+                let fresh = |r: &TaskRecord| r.run().dispatch_seq == seq && !r.run().dispatch_acked;
                 if let Some(rec) = self.tasks.get_mut_if(&task, fresh) {
-                    rec.dispatch_acked = true;
+                    rec.run_mut().dispatch_acked = true;
                 }
             }
             ControlMsg::Completion { task, run_gen } => {
@@ -98,7 +98,7 @@ impl Master {
             let Some(rec) = self.tasks.get(&task) else {
                 return;
             };
-            if rec.dispatch_seq != seq {
+            if rec.dispatch_seq() != seq {
                 return; // fenced: a newer dispatch decision superseded this copy
             }
             if rec.worker().is_none() {
@@ -135,7 +135,7 @@ impl Master {
             let stale = self
                 .tasks
                 .get(&task)
-                .is_none_or(|rec| rec.run_generation != run_gen);
+                .is_none_or(|rec| rec.run_generation() != run_gen);
             if stale {
                 self.zombies_fenced += 1;
             }

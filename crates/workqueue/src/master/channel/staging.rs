@@ -238,7 +238,7 @@ impl Master {
         self.link.advance(now);
         let mut inputs = std::mem::take(&mut self.input_scratch);
         inputs.clear();
-        inputs.extend_from_slice(&self.tasks[&task].spec.inputs);
+        inputs.extend_from_slice(&self.tasks[&task].inputs);
         let mut deps: Vec<FlowId> = Vec::new();
         let mut own_mb = 0.0;
         let mut own_cacheable: Vec<FileId> = Vec::new();

@@ -289,9 +289,7 @@ impl Master {
             let Some(tid) = self.waiting.pop_front(|t| queued(tasks, t)) else {
                 break;
             };
-            let rec = &self.tasks[&tid];
-            let declared = rec.spec.declared;
-            let cat = rec.spec.cat;
+            let (cat, declared) = self.shapes.key(&self.tasks[&tid]);
             let target = match declared {
                 Some(req) => self.index.first_fit(&req, None).map(|w| (w, req)),
                 None => self
@@ -320,9 +318,10 @@ impl Master {
             let seq = self.net_seq;
             let rec = self.tasks.get_mut(&tid).expect("task exists");
             rec.state = TaskState::Staging(wid);
-            rec.allocation = Some(allocation);
-            rec.dispatch_seq = seq;
-            rec.dispatch_acked = false;
+            let run = rec.run_mut();
+            run.allocation = Some(allocation);
+            run.dispatch_seq = seq;
+            run.dispatch_acked = false;
             // The dispatch decision crosses the control channel: inline
             // (and byte-identical to a direct call) when the transport is
             // fault-free, otherwise subject to delay/loss/partition with

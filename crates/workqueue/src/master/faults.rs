@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use super::{FailKind, Master, WqEvent, WqNotification};
 use crate::ids::{TaskId, WorkerId};
+use crate::shape::Shape;
 use crate::task::{Speculative, TaskRecord, TaskState};
 
 /// Fault-injection knobs for task execution.
@@ -110,7 +111,7 @@ impl Master {
             let Some(rec) = self.tasks.get(&task) else {
                 return;
             };
-            if rec.run_generation != run_gen {
+            if rec.run_generation() != run_gen {
                 return; // interrupted run; event is stale
             }
             let TaskState::Running(wid) = rec.state else {
@@ -126,24 +127,26 @@ impl Master {
         // The failed attempt's start leaves the record with the attempt,
         // but a permanent failure still reports it: the task's span shows
         // the run that failed.
-        let started_at = rec.started_at.take();
+        let Shape { cat, actual, .. } = *self.shapes.shape(rec.shape);
+        let run = rec.run_mut();
+        let started_at = run.started_at.take();
         let wall = started_at.map_or(Duration::ZERO, |s| now.since(s));
-        let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
+        let cores = run.allocation.unwrap_or(actual).cores_f64();
+        run.run_generation += 1;
+        run.allocation = None;
         self.fault_stats.wasted_core_s += cores * wall.as_secs_f64();
         match kind {
             FailKind::Transient => self.fault_stats.transient_failures += 1,
             FailKind::Oom => self.fault_stats.oom_kills += 1,
         }
         rec.retries += 1;
-        rec.run_generation += 1;
-        rec.allocation = None;
         if rec.retries > self.faults.max_retries {
             self.fault_stats.permanent_failures += 1;
             self.failed_count += 1;
             let rec = self.retire_task(task);
             self.notifications.push(WqNotification::TaskFailed {
                 task,
-                cat: rec.spec.cat,
+                cat,
                 submitted_at: rec.submitted_at,
                 started_at,
                 interruptions: rec.interruptions,
@@ -154,22 +157,22 @@ impl Master {
                 // Retry at an escalated memory allocation (the operator's
                 // remedy for OOMKilled pods), capped at the biggest
                 // connected worker so the task stays schedulable.
-                if let Some(declared) = rec.spec.declared {
+                if let Some(declared) = self.shapes.declared(rec.declared) {
                     let mut mem = (declared.memory_mb as f64 * self.faults.oom_escalation.max(1.0))
                         .ceil() as i64;
                     if let Some(cap) = largest_mem {
                         mem = mem.min(cap);
                     }
-                    rec.spec.declared = Some(Resources::new(
+                    rec.declared = self.shapes.intern_declared(Some(Resources::new(
                         declared.millicores,
                         mem.max(declared.memory_mb),
                         declared.disk_mb,
-                    ));
+                    )));
                 }
             }
             rec.state = TaskState::Waiting;
-            self.waiting
-                .push_front(task, rec.spec.cat, rec.spec.declared);
+            let (cat, declared) = self.shapes.key(rec);
+            self.waiting.push_front(task, cat, declared);
         }
         self.release_from_worker(now, wid, task);
         self.dispatch(now, fx);
@@ -188,16 +191,17 @@ impl Master {
             let Some(rec) = self.tasks.get(&task) else {
                 return;
             };
-            if rec.run_generation != run_gen {
+            if rec.run_generation() != run_gen {
                 return;
             }
             let TaskState::Running(wid) = rec.state else {
                 return;
             };
-            if rec.speculative.is_some() {
+            if rec.run().speculative.is_some() {
                 return;
             }
-            (rec.allocation.unwrap_or(rec.spec.actual), wid, rec.spec.cat)
+            let shape = self.shapes.shape(rec.shape);
+            (rec.allocation().unwrap_or(shape.actual), wid, shape.cat)
         };
         // A duplicate needs room on a *different* active worker; if none
         // has any, skip silently (the primary keeps running).
@@ -216,10 +220,10 @@ impl Master {
         // that the straggler, not the task, is the outlier.
         let mean = self
             .mean_wall_id(cat)
-            .unwrap_or_else(|| self.tasks[&task].spec.exec.duration);
+            .unwrap_or_else(|| self.tasks[&task].duration);
         let duration = self.rng.jittered(mean, 0.1);
         let rec = self.tasks.get_mut(&task).expect("checked above");
-        rec.speculative = Some(Speculative {
+        rec.run_mut().speculative = Some(Speculative {
             worker: dup_wid,
             started_at: now,
             duration,
@@ -239,24 +243,28 @@ impl Master {
     ) {
         let (primary_wid, wasted_core_s, new_gen) = {
             let racing = |r: &TaskRecord| {
-                r.run_generation == run_gen
+                r.run_generation() == run_gen
                     && matches!(r.state, TaskState::Running(_))
-                    && r.speculative.is_some()
+                    && r.run().speculative.is_some()
             };
             let Some(rec) = self.tasks.get_mut_if(&task, racing) else {
                 return;
             };
-            let (TaskState::Running(wid), Some(sp)) = (rec.state, rec.speculative.take()) else {
+            let actual = self.shapes.shape(rec.shape).actual;
+            let TaskState::Running(wid) = rec.state else {
                 unreachable!("state checked above");
             };
-            let elapsed = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
-            let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
+            let run = rec.run_mut();
+            let sp = run.speculative.take().expect("checked above");
+            let elapsed = run.started_at.map_or(Duration::ZERO, |s| now.since(s));
+            let cores = run.allocation.unwrap_or(actual).cores_f64();
             // Promote: measured wall becomes the duplicate's run; bump the
             // generation so the primary's pending TaskFinished is stale.
+            run.started_at = Some(sp.started_at);
+            run.run_generation += 1;
+            let generation = run.run_generation;
             rec.state = TaskState::Running(sp.worker);
-            rec.started_at = Some(sp.started_at);
-            rec.run_generation += 1;
-            (wid, cores * elapsed.as_secs_f64(), rec.run_generation)
+            (wid, cores * elapsed.as_secs_f64(), generation)
         };
         self.fault_stats.wasted_core_s += wasted_core_s;
         self.fault_stats.speculative_wins += 1;
@@ -279,14 +287,16 @@ impl Master {
         let Some(rec) = self.tasks.get_mut(&task) else {
             return false;
         };
-        let Some(sp) = rec.speculative else {
+        let Some(sp) = rec.run().speculative else {
             return false;
         };
+        let actual = self.shapes.shape(rec.shape).actual;
         let primary_died = matches!(rec.state, TaskState::Running(w) if w == dead);
         if sp.worker == dead && !primary_died {
             // Only the duplicate died; charge its burned work.
-            rec.speculative = None;
-            let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
+            let run = rec.run_mut();
+            run.speculative = None;
+            let cores = run.allocation.unwrap_or(actual).cores_f64();
             self.fault_stats.wasted_core_s += cores * now.since(sp.started_at).as_secs_f64();
             return true;
         }
@@ -296,15 +306,16 @@ impl Master {
         // Primary died, duplicate lives: promote it. Fresh generation
         // stales both pending finish events, so schedule the duplicate's
         // remaining run explicitly.
-        rec.speculative = None;
-        let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
-        let elapsed = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
-        self.fault_stats.wasted_core_s += cores * elapsed.as_secs_f64();
         rec.state = TaskState::Running(sp.worker);
-        rec.started_at = Some(sp.started_at);
-        rec.run_generation += 1;
+        let run = rec.run_mut();
+        run.speculative = None;
+        let cores = run.allocation.unwrap_or(actual).cores_f64();
+        let elapsed = run.started_at.map_or(Duration::ZERO, |s| now.since(s));
+        self.fault_stats.wasted_core_s += cores * elapsed.as_secs_f64();
+        run.started_at = Some(sp.started_at);
+        run.run_generation += 1;
         let remaining = sp.duration.saturating_sub(now.since(sp.started_at));
-        let generation = rec.run_generation;
+        let generation = run.run_generation;
         fx.push(remaining, WqEvent::TaskFinished(task, generation));
         true
     }
@@ -313,11 +324,16 @@ impl Master {
     /// some other way), charging its burned core·seconds as waste.
     pub(super) fn cancel_speculation(&mut self, now: SimTime, task: TaskId) {
         let (sp, wasted_core_s) = {
-            let Some(rec) = self.tasks.get_mut_if(&task, |r| r.speculative.is_some()) else {
+            let Some(rec) = self
+                .tasks
+                .get_mut_if(&task, |r| r.run().speculative.is_some())
+            else {
                 return;
             };
-            let sp = rec.speculative.take().expect("checked above");
-            let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
+            let actual = self.shapes.shape(rec.shape).actual;
+            let run = rec.run_mut();
+            let sp = run.speculative.take().expect("checked above");
+            let cores = run.allocation.unwrap_or(actual).cores_f64();
             (sp, cores * now.since(sp.started_at).as_secs_f64())
         };
         self.fault_stats.wasted_core_s += wasted_core_s;
@@ -411,7 +427,7 @@ mod tests {
         }
         let rec = m.task(TaskId(0)).unwrap();
         // 2000 → 4000 → 8000 MB, capped at the 16 GB worker.
-        assert_eq!(rec.spec.declared.unwrap().memory_mb, 8_000);
+        assert_eq!(rec.declared().unwrap().memory_mb, 8_000);
         run(&mut m, &mut q, &mut fx, 500);
         assert_eq!(m.fault_stats().oom_kills, 3);
         assert_eq!(m.fault_stats().permanent_failures, 1);

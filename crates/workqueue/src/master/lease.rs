@@ -58,7 +58,7 @@ impl Master {
     ) {
         if attempt > 0 {
             let resolved = self.tasks.get(&task).is_none_or(|rec| {
-                rec.run_generation != run_gen || !matches!(rec.state, TaskState::Running(_))
+                rec.run_generation() != run_gen || !matches!(rec.state, TaskState::Running(_))
             });
             if resolved {
                 return; // processed meanwhile, or the run was superseded
@@ -91,7 +91,8 @@ impl Master {
         fx: &mut EffectSink<WqEvent>,
     ) {
         let resend = self.tasks.get(&task).is_some_and(|rec| {
-            rec.dispatch_seq == seq && !rec.dispatch_acked && rec.worker().is_some()
+            let run = rec.run();
+            run.dispatch_seq == seq && !run.dispatch_acked && rec.worker().is_some()
         });
         if !resend {
             return;
@@ -184,14 +185,9 @@ impl Master {
             let Some(rec) = self.tasks.get_mut(t) else {
                 continue;
             };
-            rec.speculative = None;
-            rec.state = TaskState::Waiting;
-            rec.allocation = None;
-            rec.started_at = None;
-            rec.run_generation += 1;
-            rec.interruptions += 1;
-            rec.dispatch_acked = false;
-            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
+            rec.requeue();
+            let (cat, declared) = self.shapes.key(rec);
+            self.waiting.push_front(*t, cat, declared);
             self.notifications.push(WqNotification::TaskRequeued(*t));
         }
         if let Some(w) = self.workers.get_mut(&wid) {

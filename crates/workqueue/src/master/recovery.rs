@@ -41,14 +41,9 @@ impl Master {
             .collect();
         for t in orphans.iter().rev() {
             let rec = self.tasks.get_mut(t).expect("collected above");
-            rec.speculative = None;
-            rec.state = TaskState::Waiting;
-            rec.allocation = None;
-            rec.started_at = None;
-            rec.run_generation += 1;
-            rec.interruptions += 1;
-            rec.dispatch_acked = false;
-            self.waiting.push_front(*t, rec.spec.cat, rec.spec.declared);
+            rec.requeue();
+            let (cat, declared) = self.shapes.key(rec);
+            self.waiting.push_front(*t, cat, declared);
         }
         let wids: Vec<WorkerId> = self.workers.keys().copied().collect();
         for w in wids {
@@ -103,9 +98,9 @@ impl Master {
             "WAL replay runs against a reset data plane"
         );
         if is_waiting(&rec) {
+            let (cat, declared) = self.shapes.key(&rec);
             let tasks = &self.tasks;
-            self.waiting
-                .remove(rec.spec.cat, rec.spec.declared, |t| queued(tasks, t));
+            self.waiting.remove(cat, declared, |t| queued(tasks, t));
         }
         self.assert_invariants();
     }
@@ -149,8 +144,8 @@ mod tests {
         run(&mut m, &mut q, &mut fx, 60);
         let live = m.task(TaskId(0)).unwrap();
         assert!(live.retries > 0, "an attempt was OOM-killed");
-        assert!(live.spec.declared.unwrap().memory_mb > 2_000, "escalated");
-        let redeclared = m.task(TaskId(2)).unwrap().spec.declared.unwrap();
+        assert!(live.declared().unwrap().memory_mb > 2_000, "escalated");
+        let redeclared = m.task(TaskId(2)).unwrap().declared().unwrap();
         assert!(
             redeclared.memory_mb >= 3_000,
             "redeclared, then maybe escalated"
@@ -161,13 +156,13 @@ mod tests {
             assert!(!m.tasks.shares_record(&restored.tasks, id), "{id:?} copied");
             let rec = restored.task(*id).unwrap();
             assert_eq!(rec.state, TaskState::Waiting);
-            assert_eq!((rec.retries, rec.run_generation), (0, 0));
-            assert_eq!(rec.spec.declared, decl);
+            assert_eq!((rec.retries, rec.run_generation()), (0, 0));
+            assert_eq!(rec.declared(), decl);
         }
         assert_eq!(restored.waiting_count(), 3);
         assert_eq!(
             restored.waiting_demand(),
-            &[(m.task(TaskId(0)).unwrap().spec.cat, decl, 3)]
+            &[(m.task(TaskId(0)).unwrap().cat(), decl, 3)]
         );
         restored.assert_invariants();
     }
@@ -221,7 +216,7 @@ mod tests {
         );
         let mut counts: Vec<(Option<Resources>, usize)> = Vec::new();
         for t in &reference {
-            let d = m.task(*t).unwrap().spec.declared;
+            let d = m.task(*t).unwrap().declared();
             match counts.iter_mut().find(|(dd, _)| *dd == d) {
                 Some(slot) => slot.1 += 1,
                 None => counts.push((d, 1)),
@@ -238,7 +233,7 @@ mod tests {
         // Dispatch skips the tombstones: the head survivor goes first.
         let _w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
         let head = m.task(reference[0]).unwrap();
-        assert!(head.worker().is_some(), "{:?} placed", head.spec.id);
+        assert!(head.worker().is_some(), "{:?} placed", head.id);
         assert!(m.waiting_count() < reference.len());
     }
 

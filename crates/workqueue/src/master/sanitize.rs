@@ -42,6 +42,8 @@ impl Master {
     ///   and every staging waiter names a flow that is still live.
     /// * **Task table** — its record counter equals a recount of the
     ///   occupied slots, and its window stays trimmed and bounded.
+    /// * **Shape table** — every record's shape and declared indices name
+    ///   entries the table holds.
     /// * **Bounded worker state** — no stopped worker is retained, so
     ///   the worker table is exactly the live set.
     /// * **Worker index** — its members and headroom equal a fresh scan
@@ -66,6 +68,12 @@ impl Master {
             self.failed_count
         );
         self.tasks.assert_consistent();
+        assert!(
+            self.tasks
+                .values()
+                .all(|r| self.shapes.holds(r.shape, r.declared)),
+            "a task record names an entry the shape table does not hold"
+        );
         let waiting = self.tasks.values().filter(|r| is_waiting(r)).count();
         let (mut live, mut dead) = (0usize, 0usize);
         // The demand histogram must be an exact recount of the live
@@ -78,12 +86,13 @@ impl Master {
                 continue;
             };
             live += 1;
+            let (cat, declared) = self.shapes.key(rec);
             match expect
                 .iter_mut()
-                .find(|(c, d, _)| *c == rec.spec.cat && *d == rec.spec.declared)
+                .find(|(c, d, _)| *c == cat && *d == declared)
             {
                 Some(slot) => slot.2 += 1,
-                None => expect.push((rec.spec.cat, rec.spec.declared, 1)),
+                None => expect.push((cat, declared, 1)),
             }
         }
         assert!(
@@ -97,11 +106,11 @@ impl Master {
             let on_list = rec
                 .worker()
                 .and_then(|w| self.workers.get(&w))
-                .is_some_and(|w| w.tasks().contains(&rec.spec.id));
+                .is_some_and(|w| w.tasks().contains(&rec.id));
             assert!(
                 on_list,
                 "task {:?} in state {:?} is missing from its worker's task list",
-                rec.spec.id, rec.state
+                rec.id, rec.state
             );
         }
         let on_worker = self.view().running().count();
@@ -336,7 +345,7 @@ mod tests {
         let mut fx = EffectSink::new();
         m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
         // A task id queued twice (double-requeue bug) must be caught.
-        let cat = m.task(TaskId(0)).unwrap().spec.cat;
+        let cat = m.task(TaskId(0)).unwrap().cat();
         m.waiting.push_back(TaskId(0), cat, None);
         m.assert_invariants();
     }

@@ -69,10 +69,11 @@ impl<'a> QueueView<'a> {
         let m = self.master;
         m.waiting.iter().filter_map(move |t| {
             let r = m.tasks.get(&t).filter(|r| is_waiting(r))?;
+            let (cat, declared) = m.shapes.key(r);
             Some(WaitingSnapshot {
-                id: r.spec.id,
-                cat: r.spec.cat,
-                declared: r.spec.declared,
+                id: r.id,
+                cat,
+                declared,
             })
         })
     }
@@ -87,10 +88,10 @@ impl<'a> QueueView<'a> {
             w.tasks().iter().filter_map(move |t| {
                 let r = m.tasks.get(t).filter(|r| r.worker() == Some(w.id))?;
                 Some(RunningSnapshot {
-                    id: r.spec.id,
-                    cat: r.spec.cat,
-                    started_at: r.started_at,
-                    allocation: r.allocation.unwrap_or(Resources::ZERO),
+                    id: r.id,
+                    cat: m.shapes.cat(r.shape),
+                    started_at: r.started_at(),
+                    allocation: r.allocation().unwrap_or(Resources::ZERO),
                     worker: w.id,
                 })
             })
@@ -190,12 +191,12 @@ mod tests {
             let truth_running: Vec<TaskId> = m
                 .task_records()
                 .filter(|r| r.worker().is_some())
-                .map(|r| r.spec.id)
+                .map(|r| r.id)
                 .collect();
             let truth_waiting: Vec<TaskId> = m
                 .task_records()
                 .filter(|r| r.state == TaskState::Waiting)
-                .map(|r| r.spec.id)
+                .map(|r| r.id)
                 .collect();
             assert_eq!(running, truth_running);
             assert_eq!(waiting, truth_waiting);

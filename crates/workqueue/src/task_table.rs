@@ -113,10 +113,10 @@ impl TaskTable {
         self.occupied + self.overflow.len()
     }
 
-    /// Store `rec` under `id` (which must be `rec.spec.id`), returning
+    /// Store `rec` under `id` (which must be `rec.id`), returning
     /// the record it replaces.
     pub(crate) fn insert(&mut self, id: TaskId, rec: TaskRecord) -> Option<TaskRecord> {
-        debug_assert_eq!(id, rec.spec.id, "task record filed under a foreign id");
+        debug_assert_eq!(id, rec.id, "task record filed under a foreign id");
         let rec = Arc::new(rec);
         let raw = id.raw();
         if raw < self.base {
@@ -190,12 +190,26 @@ impl TaskTable {
         self.overflow
             .iter()
             .map(|(id, r)| (id, &**r))
-            .chain(self.slots.iter().flatten().map(|r| (&r.spec.id, &**r)))
+            .chain(self.slots.iter().flatten().map(|r| (&r.id, &**r)))
     }
 
     /// Records in ascending id.
     pub(crate) fn values(&self) -> impl Iterator<Item = &TaskRecord> {
         self.iter().map(|(_, r)| r)
+    }
+
+    /// Bytes the table holds: every record with its `Arc` header and its
+    /// own heap parts, the window's slots by capacity, and the overflow's
+    /// entries (their B-tree nodes' spare room not counted). O(records).
+    pub(crate) fn bytes(&self) -> usize {
+        let arc_header = 2 * size_of::<usize>();
+        let records: usize = self
+            .values()
+            .map(|r| arc_header + size_of::<TaskRecord>() + r.heap_bytes())
+            .sum();
+        records
+            + self.slots.capacity() * size_of::<Option<Arc<TaskRecord>>>()
+            + self.overflow.len() * size_of::<(TaskId, Arc<TaskRecord>)>()
     }
 
     /// True when this table and `other` hold the very same allocation
@@ -233,9 +247,9 @@ impl TaskTable {
         for (off, rec) in self.slots.iter().enumerate() {
             if let Some(rec) = rec {
                 assert!(
-                    rec.spec.id.raw() == self.base + off as u64,
+                    rec.id.raw() == self.base + off as u64,
                     "task table files {:?} under id {}",
-                    rec.spec.id,
+                    rec.id,
                     self.base + off as u64
                 );
             }
@@ -251,7 +265,7 @@ impl TaskTable {
         assert!(
             self.overflow
                 .iter()
-                .all(|(id, r)| id.raw() < self.base && r.spec.id == *id),
+                .all(|(id, r)| id.raw() < self.base && r.id == *id),
             "task table overflow overlaps the window at base {}",
             self.base
         );
@@ -269,6 +283,7 @@ impl Index<&TaskId> for TaskTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::{DeclaredId, Shape, ShapeTable};
     use crate::task::{ExecModel, TaskSpec};
     use hta_des::{CategoryId, Duration, SimTime};
     use hta_resources::Resources;
@@ -284,7 +299,14 @@ mod tests {
             actual: Resources::cores(1, 1, 1),
             exec: ExecModel::cpu_bound(Duration::from_secs(1)),
         };
-        TaskRecord::new(spec, SimTime::ZERO)
+        let mut shapes = ShapeTable::default();
+        let shape = shapes.intern(Shape {
+            cat: spec.cat,
+            output_mb: spec.output_mb,
+            actual: spec.actual,
+            cpu_fraction: spec.exec.cpu_fraction,
+        });
+        TaskRecord::new(spec, shape, DeclaredId::default(), SimTime::ZERO)
     }
 
     #[derive(Debug, Clone)]
@@ -356,8 +378,8 @@ mod tests {
                     }
                     Op::Remove(pos) if !model.is_empty() => {
                         let id = *model.keys().nth(pos % model.len()).expect("in range");
-                        let got = table.remove(&id).map(|r| r.spec.id);
-                        prop_assert_eq!(got, model.remove(&id).map(|r| r.spec.id));
+                        let got = table.remove(&id).map(|r| r.id);
+                        prop_assert_eq!(got, model.remove(&id).map(|r| r.id));
                         prop_assert!(table.remove(&id).is_none());
                     }
                     Op::Touch(pos) if !model.is_empty() => {

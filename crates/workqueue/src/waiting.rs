@@ -170,6 +170,12 @@ impl WaitingQueue {
         self.fifo.len() + self.deferred.len()
     }
 
+    /// Bytes the queue holds, by capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.fifo.capacity() + self.deferred.capacity()) * size_of::<TaskId>()
+            + self.demand.capacity() * size_of::<Demand>()
+    }
+
     /// Tombstoned entries held.
     pub(crate) fn tombstones(&self) -> usize {
         self.tombstones
