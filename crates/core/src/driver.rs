@@ -327,12 +327,14 @@ struct World {
 /// The two per-task types that grow with load carry byte budgets: a
 /// field that re-inflates the master's task record (one per waiting
 /// task) or a WAL record (one per decision between checkpoints) fails
-/// the build too.
+/// the build too. So does a recovery state that holds its checkpoint by
+/// value again (a whole control plane inline in every world and fork).
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<World>();
     assert!(size_of::<hta_workqueue::TaskRecord>() <= 96);
     assert!(size_of::<WalRecord>() <= 32);
+    assert!(size_of::<RecoveryState>() <= 160);
 };
 
 impl SystemDriver {
@@ -996,6 +998,39 @@ mod tests {
             }
         }
         deepest
+    }
+
+    #[test]
+    fn a_drained_backlog_gives_its_buffers_back() {
+        // Fill the queue to its deepest backlog, then drain it to a
+        // tenth. The table's slots and the queue's FIFO halve whenever
+        // they are a quarter full, so each holds at most four 8-byte
+        // entries per record: with the 96-byte record and its `Arc`
+        // header, at most 160 B per record. Buffers that keep their peak
+        // capacity charge the records left 333 B each here.
+        let source = ArrivalSource::synth("trace-50k,tasks=3000", 7).expect("valid trace spec");
+        let mut d = SystemDriver::new_traced(small_cfg(), source, Box::new(FixedPolicy::new(2)));
+        let mut deepest = d.world.cp.master.task_bytes();
+        let mut t = SimTime::ZERO;
+        loop {
+            t += Duration::from_secs(10);
+            assert!(
+                !d.advance_until(t),
+                "the backlog drains before the run ends"
+            );
+            let now = d.world.cp.master.task_bytes();
+            if now.waiting > deepest.waiting {
+                deepest = now;
+            }
+            if deepest.waiting > 2_000 && now.waiting <= deepest.waiting / 10 {
+                assert!(
+                    now.per_record() <= 160.0,
+                    "{:.1} B per record at {now:?} after a peak of {deepest:?}",
+                    now.per_record()
+                );
+                break;
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!
 //! WAL records carry **decided data, not decision inputs** (see
 //! [`hta_des::wal`]): a `Submit` embeds the full task spec with its
-//! already-sampled wall time, so replay never re-draws randomness.
+//! already-sampled wall time, so replay never re-draws randomness. A trace
+//! arrival is the trace cursor's decision, and the cursor is in the
+//! checkpoint: its `TraceSubmit` names the task id, and replay takes the
+//! spec from the restored cursor and checks the id.
 //! Statistics observations are deliberately *not* logged — recovered
 //! estimates revert to their checkpoint values, which is the bounded
 //! amnesia the chaos-recovery harness asserts on.
@@ -69,14 +72,14 @@ pub(crate) enum WalRecord {
         /// The failed task.
         task: TaskId,
     },
-    /// An open-loop trace arrival was admitted. The spec embeds every
-    /// decided value exactly as drawn from the generator, its category as
-    /// an id every checkpoint already holds; replay also advances the
-    /// checkpoint-restored trace cursor one event, so the generator never
-    /// re-draws an already-admitted arrival's randomness.
+    /// An open-loop trace arrival was admitted. Replay advances the
+    /// checkpoint-restored trace cursor one event, which yields this very
+    /// arrival again (its RNG streams rewound with it), so the record only
+    /// names it. The learned declaration an undeclared spec picked up is
+    /// filled in again by the same operator path, in log order.
     TraceSubmit {
-        /// The exact spec handed to the master (shared, as in `Submit`).
-        spec: Arc<TaskSpec>,
+        /// The admitted task.
+        task: TaskId,
     },
 }
 
@@ -193,16 +196,18 @@ impl World {
         }
     }
 
-    /// Capture the full control plane into a fresh checkpoint and truncate
-    /// the WAL it supersedes.
+    /// Capture the full control plane into a fresh checkpoint. The
+    /// superseded checkpoint and the WAL it anchors are dropped first, so
+    /// the new copy never coexists with the old one and its log.
     pub(super) fn take_checkpoint(&mut self, now: SimTime, policy: &mut PolicySlot) {
         policy.checkpoint();
         let rs = self
             .recovery
             .as_mut()
             .expect("checkpointing without control-plane faults");
-        rs.checkpoint = Some(Checkpoint::take(self.cp.clone(), now));
+        rs.checkpoint = None;
         rs.wal.truncate();
+        rs.checkpoint = Some(Checkpoint::take(self.cp.clone(), now));
     }
 
     /// Periodic checkpoint cadence (control-plane faults active only).
@@ -409,26 +414,21 @@ impl World {
                         self.cp.operator.replay_fail(task, cat);
                     }
                 }
-                WalRecord::TraceSubmit { spec } => {
+                WalRecord::TraceSubmit { task } => {
                     // Advance the restored cursor one event: the
                     // generator re-derives this arrival from its rewound
-                    // RNG streams, so the logged spec and the cursor stay
-                    // in lockstep (checked) and no randomness is re-drawn
-                    // for arrivals the old incarnation already admitted.
-                    if let Some(a) = self.cp.arrivals.as_mut() {
-                        let regenerated = a.replay_next().map(|(_, s)| s);
-                        debug_assert_eq!(
-                            regenerated.as_ref(),
-                            Some(&*spec),
-                            "trace cursor diverged from the WAL"
-                        );
-                    }
-                    self.cp.operator.replay_trace_submit(
-                        now,
-                        Arc::unwrap_or_clone(spec),
-                        &mut self.cp.master,
-                        &mut self.wq_sink,
-                    );
+                    // RNG streams, so no randomness is re-drawn for
+                    // arrivals the old incarnation already admitted.
+                    let (_, spec) = self
+                        .cp
+                        .arrivals
+                        .as_mut()
+                        .and_then(hta_trace::ArrivalSource::replay_next)
+                        .expect("a logged arrival is still in the restored cursor");
+                    assert_eq!(spec.id, task, "trace cursor diverged from the WAL");
+                    self.cp
+                        .operator
+                        .admit_trace(now, spec, &mut self.cp.master, &mut self.wq_sink);
                 }
             }
         }
@@ -692,6 +692,118 @@ mod tests {
         assert_eq!(
             a.completed_digest, crash_free.completed_digest,
             "identical completed-task set across crash and crash-free runs"
+        );
+    }
+
+    #[test]
+    fn replayed_trace_arrivals_keep_the_declaration_they_were_admitted_with() {
+        // Every spec declares nothing, so each admission takes whatever its
+        // category has learned so far. Categories learn after checkpoint
+        // #0 and before the crash; the WAL names arrivals by id only, so
+        // replay must fill each regenerated spec in again, in log order.
+        let source = || {
+            let mut cfg = hta_trace::synth::preset("demo-1k").expect("a preset");
+            cfg.total_tasks = 300;
+            cfg.arrivals = hta_trace::ArrivalProcess::Poisson { rate_per_s: 3.0 };
+            for c in &mut cfg.categories {
+                c.declared = None;
+            }
+            let trace = hta_trace::SynthTrace::new(cfg, 5).expect("a valid trace");
+            ArrivalSource::new(
+                "synth:undeclared",
+                hta_trace::TraceKind::Synth(Box::new(trace)),
+            )
+        };
+        let (crash_s, outage_s) = (120, 30);
+        let driver = |crash: bool| {
+            let mut cfg = small_cfg();
+            if crash {
+                cfg.faults.control_plane = ControlPlaneFaults {
+                    crash_times: vec![Duration::from_secs(crash_s)],
+                    outage: Duration::from_secs(outage_s),
+                    checkpoint_interval: Duration::from_secs(3_600),
+                };
+            }
+            SystemDriver::new_traced(cfg, source(), Box::new(FixedPolicy::new(4)))
+        };
+        let crash_free = driver(false).run();
+        assert!(!crash_free.timed_out);
+
+        let mut d = driver(true);
+        d.advance_until(SimTime::from_secs(crash_s - 1));
+        let live = &d.world.cp;
+        let checkpointed = d.world.recovery.as_ref().expect("faults are active");
+        let checkpointed = checkpointed.checkpoint.as_ref().expect("checkpoint #0");
+        let checkpointed = checkpointed.restore();
+        let learned_since = live
+            .master
+            .interner()
+            .iter_by_name()
+            .filter(|&(_, c)| {
+                live.operator.known_resources_id(c).is_some()
+                    && checkpointed.operator.known_resources_id(c).is_none()
+            })
+            .count();
+        assert!(learned_since > 0, "a category learns after the checkpoint");
+        // A waiting task has waited since its admission (no faults here),
+        // so its declaration is the one it was admitted with, raised by
+        // any learning since: exactly what replay must rebuild.
+        let first_logged = checkpointed.arrivals.as_ref().map_or(0, |a| a.submitted());
+        let before: BTreeMap<TaskId, Option<Resources>> = live
+            .master
+            .view()
+            .waiting()
+            .map(|w| (w.id, w.declared))
+            .collect();
+        assert!(
+            before
+                .iter()
+                .any(|(id, decl)| id.raw() >= first_logged && decl.is_some()),
+            "an arrival logged after the checkpoint was admitted with a learned declaration"
+        );
+
+        d.advance_until(SimTime::from_secs(crash_s + outage_s));
+        assert_eq!(d.world.recovery.as_ref().map(|r| r.reports.len()), Some(1));
+        let mut compared = 0;
+        for (id, decl) in &before {
+            if let Some(rec) = d.world.cp.master.task(*id) {
+                assert_eq!(rec.declared(), *decl, "{id:?} replays its declaration");
+                compared += 1;
+            }
+        }
+        assert!(compared > 0, "replayed tasks are live after the restart");
+
+        let a = d.run();
+        assert!(!a.timed_out, "recovered traced run must complete");
+        assert!(a.recoveries[0].wal_replayed > 0);
+        assert_eq!(a.completed, crash_free.completed);
+        assert_eq!(
+            a.completed_digest, crash_free.completed_digest,
+            "identical completed-task set across crash and crash-free runs"
+        );
+    }
+
+    #[test]
+    fn forks_share_the_parent_checkpoint() {
+        let mut cfg = small_cfg();
+        cfg.faults.control_plane = ControlPlaneFaults {
+            crash_times: vec![Duration::from_secs(10_000)],
+            outage: Duration::from_secs(30),
+            checkpoint_interval: Duration::from_secs(60),
+        };
+        let mut parent = SystemDriver::new(cfg, tiny_workflow(12), Box::new(FixedPolicy::new(3)));
+        parent.advance_until(SimTime::from_secs(90));
+        let fork = parent.fork_branch(1);
+        let checkpoint = |d: &SystemDriver| {
+            d.world
+                .recovery
+                .as_ref()
+                .and_then(|r| r.checkpoint.clone())
+                .expect("a checkpoint was taken")
+        };
+        assert!(
+            checkpoint(&fork).shares_state_with(&checkpoint(&parent)),
+            "a fork copies the checkpoint's pointer, not its control plane"
         );
     }
 

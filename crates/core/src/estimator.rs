@@ -20,6 +20,16 @@
 //! written once over a capacity model: the paper's pooled `avaRsrc`
 //! or the per-worker free lists of the `per-worker-est` ablation
 //! ([`EstimatorMode`]).
+//!
+//! A cycle costs O((n + d) log n) for a visible backlog of n tasks and d
+//! simulated dispatches, plus one visit per passed-over task per
+//! completion: the completion horizon is a heap, a dispatch pops its task
+//! off the front of a queue, and a pass stops as soon as no task left in
+//! it can fit (each entry carries the per-dimension minimum of the
+//! requests from it to the back).
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use hta_des::Duration;
 use hta_resources::Resources;
@@ -98,8 +108,9 @@ trait Capacity {
     /// Charge a running task's allocation; `None` drops the task from
     /// the projection.
     fn charge(&mut self, allocation: &Resources) -> Option<Self::Slot>;
-    /// True once no waiting task may dispatch until a completion.
-    fn exhausted(&self) -> bool;
+    /// False once no waiting task whose request is at least `floor` on
+    /// every dimension may dispatch until a completion.
+    fn may_fit(&self, floor: &Resources) -> bool;
     /// Dispatch a waiting task, or `None` when it fits nowhere.
     fn place(&mut self, request: &Resources) -> Option<Self::Slot>;
     /// A completion frees its allocation, clamped to the capacity it
@@ -125,8 +136,8 @@ impl Capacity for Pool {
         Some(())
     }
 
-    fn exhausted(&self) -> bool {
-        self.available.is_zero()
+    fn may_fit(&self, floor: &Resources) -> bool {
+        !self.available.is_zero() && floor.fits_in(&self.available)
     }
 
     fn place(&mut self, request: &Resources) -> Option<()> {
@@ -169,8 +180,8 @@ impl Capacity for PerWorker<'_> {
         self.place(allocation)
     }
 
-    fn exhausted(&self) -> bool {
-        false
+    fn may_fit(&self, floor: &Resources) -> bool {
+        self.free.iter().any(|f| floor.fits_in(f))
     }
 
     fn place(&mut self, request: &Resources) -> Option<usize> {
@@ -238,55 +249,72 @@ pub fn estimate(input: &EstimatorInput, mode: EstimatorMode) -> ScaleDecision {
 
 /// The forward simulation of one initialization cycle, then the decision.
 fn simulate<C: Capacity>(input: &EstimatorInput, mut cap: C) -> ScaleDecision {
-    // Completion horizon, sorted by time (stable: ties keep input order).
-    let mut completions: Vec<(Duration, Resources, C::Slot)> =
-        Vec::with_capacity(input.running.len());
-    completions.extend(
-        input
-            .running
-            .iter()
-            .filter_map(|t| Some((t.remaining, t.allocation, cap.charge(&t.allocation)?))),
-    );
-    completions.sort_by_key(|(d, _, _)| *d);
-    let mut max_remaining = completions
-        .iter()
-        .map(|(d, _, _)| *d)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let mut waiting: Vec<WaitingTask> = input.waiting.clone();
+    // Completion horizon: a min-heap on (time, insertion order) over
+    // indices into `charged`, so equal times complete in input order for
+    // running tasks, then in dispatch order.
+    let mut charged: Vec<(Resources, C::Slot)> = Vec::with_capacity(input.running.len());
+    let mut horizon = Vec::with_capacity(input.running.len());
+    let mut max_remaining = Duration::ZERO;
+    for t in &input.running {
+        if let Some(slot) = cap.charge(&t.allocation) {
+            horizon.push(Reverse((t.remaining, charged.len())));
+            charged.push((t.allocation, slot));
+            max_remaining = max_remaining.max(t.remaining);
+        }
+    }
+    let mut horizon = BinaryHeap::from(horizon);
+    // The waiting queue, each entry with the per-dimension minimum of the
+    // requests from it to the back: a pass that cannot fit an entry's
+    // floor cannot place that entry or anything behind it.
+    let mut queue: VecDeque<(WaitingTask, Resources)> =
+        VecDeque::with_capacity(input.waiting.len());
+    for t in input.waiting.iter().rev() {
+        let floor = queue
+            .front()
+            .map_or(t.resources, |(_, f)| f.min(&t.resources));
+        queue.push_front((*t, floor));
+    }
+    let mut passed = Vec::new();
 
-    // Dispatch as much of the waiting queue as fits, inserting dispatched
-    // tasks' completions back into the horizon.
-    let mut dispatch =
-        |now: Duration, cap: &mut C, completions: &mut Vec<(Duration, Resources, C::Slot)>| {
-            let mut i = 0;
-            while i < waiting.len() && !cap.exhausted() {
-                let t = waiting[i];
-                let Some(slot) = cap.place(&t.resources) else {
-                    i += 1;
-                    continue;
-                };
-                let done_at = now + t.exec;
-                let pos = completions.partition_point(|(d, _, _)| *d <= done_at);
-                completions.insert(pos, (done_at, t.resources, slot));
-                max_remaining = max_remaining.max(done_at);
-                waiting.remove(i);
+    // Dispatch as much of the waiting queue as fits, first fit in queue
+    // order, pushing dispatched tasks' completions onto the horizon.
+    let mut dispatch = |now: Duration,
+                        cap: &mut C,
+                        horizon: &mut BinaryHeap<Reverse<(Duration, usize)>>,
+                        charged: &mut Vec<(Resources, C::Slot)>| {
+        while let Some((t, floor)) = queue.pop_front() {
+            if !cap.may_fit(&floor) {
+                queue.push_front((t, floor));
+                break;
             }
-        };
+            match cap.place(&t.resources) {
+                Some(slot) => {
+                    let done_at = now + t.exec;
+                    horizon.push(Reverse((done_at, charged.len())));
+                    charged.push((t.resources, slot));
+                    max_remaining = max_remaining.max(done_at);
+                }
+                None => passed.push((t, floor)),
+            }
+        }
+        // Passed-over tasks keep their places ahead of the rest.
+        while let Some(entry) = passed.pop() {
+            queue.push_front(entry);
+        }
+    };
 
     // t = 0 dispatch (capacity may already be free), then walk completion
     // events inside the window.
-    dispatch(Duration::ZERO, &mut cap, &mut completions);
-    let mut idx = 0;
-    while idx < completions.len() {
-        let (at, allocation, slot) = completions[idx];
-        idx += 1;
+    dispatch(Duration::ZERO, &mut cap, &mut horizon, &mut charged);
+    while let Some(Reverse((at, i))) = horizon.pop() {
         if at > input.rsrc_init_time {
             break;
         }
+        let (allocation, slot) = charged[i];
         cap.release(slot, &allocation);
-        dispatch(at, &mut cap, &mut completions);
+        dispatch(at, &mut cap, &mut horizon, &mut charged);
     }
+    let waiting: Vec<WaitingTask> = queue.into_iter().map(|(t, _)| t).collect();
     decide(
         input,
         &waiting,
@@ -747,6 +775,227 @@ mod tests {
         ];
         let d = estimate(&input, Aggregate);
         assert_eq!(d.delta, 1, "only the visible task provisions");
+    }
+
+    /// A capacity model that counts every call into `inner`: one per
+    /// running task charged, queue entry visited, placement and
+    /// completion released, so the count is the cycle's work.
+    struct Counting<'a, C> {
+        inner: C,
+        calls: &'a std::cell::Cell<u64>,
+    }
+
+    impl<C: Capacity> Capacity for Counting<'_, C> {
+        type Slot = C::Slot;
+
+        fn charge(&mut self, allocation: &Resources) -> Option<C::Slot> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.charge(allocation)
+        }
+
+        fn may_fit(&self, floor: &Resources) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.may_fit(floor)
+        }
+
+        fn place(&mut self, request: &Resources) -> Option<C::Slot> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.place(request)
+        }
+
+        fn release(&mut self, slot: C::Slot, allocation: &Resources) {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.release(slot, allocation);
+        }
+
+        fn idle_workers(&self, unit: &Resources) -> i64 {
+            self.inner.idle_workers(unit)
+        }
+    }
+
+    /// One aggregate-mode cycle over `n` one-core tasks of 0.1 s on
+    /// three workers: every task dispatches inside the window, so the
+    /// number of dispatches grows with the backlog.
+    fn pool_cycle_work(n: usize) -> (ScaleDecision, u64) {
+        let mut input = base_input();
+        input.active_workers = vec![worker(); 3];
+        input.running = vec![
+            RunningTask {
+                remaining: Duration::from_millis(50),
+                allocation: one_core(),
+            };
+            4
+        ];
+        input.waiting = vec![
+            WaitingTask {
+                resources: one_core(),
+                exec: Duration::from_millis(100),
+            };
+            n
+        ];
+        let capacity: Resources = input.active_workers.iter().copied().sum();
+        let calls = std::cell::Cell::new(0);
+        let pool = Pool {
+            capacity,
+            available: capacity,
+        };
+        let d = simulate(
+            &input,
+            Counting {
+                inner: pool,
+                calls: &calls,
+            },
+        );
+        (d, calls.get())
+    }
+
+    #[test]
+    fn cycle_work_doubles_with_the_backlog() {
+        // A dispatch pops its task off the queue front and a pass stops
+        // at the first entry whose floor no capacity fits, so a cycle's
+        // work is linear in the tasks it dispatches: O(1) per task, not a
+        // rescan of the queue per completion.
+        let (small_d, small) = pool_cycle_work(2_000);
+        let (large_d, large) = pool_cycle_work(4_000);
+        assert_eq!(small_d, large_d);
+        assert_eq!(small_d.delta, 0, "both backlogs are absorbed in the window");
+        assert!(
+            small > 2 * 2_000,
+            "every task is visited and placed: {small}"
+        );
+        assert!(
+            large <= 2 * small,
+            "work grew from {small} to {large} calls when the backlog doubled"
+        );
+    }
+
+    /// The forward simulation as first written: a sorted vector for the
+    /// completion horizon and `Vec::remove` for each dispatch, rescanning
+    /// the queue until the capacity is exhausted.
+    fn reference(input: &EstimatorInput, mode: EstimatorMode) -> ScaleDecision {
+        fn run<C: Capacity>(
+            input: &EstimatorInput,
+            mut cap: C,
+            exhausted: impl Fn(&C) -> bool,
+        ) -> ScaleDecision {
+            let mut completions: Vec<(Duration, Resources, C::Slot)> = input
+                .running
+                .iter()
+                .filter_map(|t| Some((t.remaining, t.allocation, cap.charge(&t.allocation)?)))
+                .collect();
+            completions.sort_by_key(|(d, _, _)| *d);
+            let mut max_remaining = completions
+                .iter()
+                .map(|(d, _, _)| *d)
+                .max()
+                .unwrap_or(Duration::ZERO);
+            let mut waiting = input.waiting.clone();
+            let mut dispatch =
+                |now: Duration,
+                 cap: &mut C,
+                 completions: &mut Vec<(Duration, Resources, C::Slot)>| {
+                    let mut i = 0;
+                    while i < waiting.len() && !exhausted(cap) {
+                        let t = waiting[i];
+                        let Some(slot) = cap.place(&t.resources) else {
+                            i += 1;
+                            continue;
+                        };
+                        let done_at = now + t.exec;
+                        let pos = completions.partition_point(|(d, _, _)| *d <= done_at);
+                        completions.insert(pos, (done_at, t.resources, slot));
+                        max_remaining = max_remaining.max(done_at);
+                        waiting.remove(i);
+                    }
+                };
+            dispatch(Duration::ZERO, &mut cap, &mut completions);
+            let mut idx = 0;
+            while idx < completions.len() {
+                let (at, allocation, slot) = completions[idx];
+                idx += 1;
+                if at > input.rsrc_init_time {
+                    break;
+                }
+                cap.release(slot, &allocation);
+                dispatch(at, &mut cap, &mut completions);
+            }
+            let idle = cap.idle_workers(&input.worker_unit);
+            decide(input, &waiting, idle, max_remaining)
+        }
+        match mode {
+            Aggregate => {
+                let capacity: Resources = input.active_workers.iter().copied().sum();
+                let pool = Pool {
+                    capacity,
+                    available: capacity,
+                };
+                run(input, pool, |p| p.available.is_zero())
+            }
+            PerWorker => {
+                let cap = super::PerWorker {
+                    capacity: &input.active_workers,
+                    free: input.active_workers.clone(),
+                };
+                run(input, cap, |_| false)
+            }
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn resources() -> impl Strategy<Value = Resources> {
+            (0i64..4, 0i64..4, 0i64..3)
+                .prop_map(|(c, m, d)| Resources::new(c * 500, m * 3_000, d * 20_000))
+        }
+
+        fn input() -> impl Strategy<Value = EstimatorInput> {
+            let running = proptest::collection::vec(
+                (0u64..200, resources()).prop_map(|(s, allocation)| RunningTask {
+                    remaining: Duration::from_secs(s),
+                    allocation,
+                }),
+                0..12,
+            );
+            let waiting = proptest::collection::vec(
+                (resources(), 0u64..120).prop_map(|(resources, s)| WaitingTask {
+                    resources,
+                    exec: Duration::from_secs(s),
+                }),
+                0..40,
+            );
+            let workers = proptest::collection::vec(
+                any::<bool>().prop_map(|big| {
+                    if big {
+                        worker()
+                    } else {
+                        Resources::cores(1, 4_000, 10_000)
+                    }
+                }),
+                0..5,
+            );
+            (running, waiting, workers, 0u64..3).prop_map(|(running, waiting, workers, o)| {
+                EstimatorInput {
+                    rsrc_init_time: Duration::from_secs(157),
+                    default_cycle: Duration::from_secs(60),
+                    running,
+                    waiting,
+                    active_workers: workers,
+                    worker_unit: worker(),
+                    overflow: vec![(one_core(), o as usize)],
+                }
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn matches_the_first_written_simulation(input in input()) {
+                for mode in [Aggregate, PerWorker] {
+                    prop_assert_eq!(estimate(&input, mode), reference(&input, mode));
+                }
+            }
+        }
     }
 
     #[test]

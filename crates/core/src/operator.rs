@@ -358,10 +358,31 @@ impl Operator {
     /// job behind them: the DAG stays untouched and completion
     /// acknowledgements only feed the category statistics and learning.
     /// The spec's category id comes from the trace's table, which the
-    /// driver interned at construction. A spec with no declared resources
-    /// picks up whatever the category has learned so far — open-loop
-    /// arrivals never wait in warm-up holds.
+    /// driver interned at construction. The arrival itself is the trace
+    /// cursor's decision, which the checkpoint holds, so the WAL record
+    /// names only the task id.
     pub fn submit_trace(
+        &mut self,
+        now: SimTime,
+        spec: TaskSpec,
+        master: &mut Master,
+        fx: &mut EffectSink<WqEvent>,
+    ) {
+        if self.wal_recording {
+            self.wal_pending
+                .push(WalRecord::TraceSubmit { task: spec.id });
+        }
+        self.admit_trace(now, spec, master, fx);
+    }
+
+    /// Submit a trace arrival without logging it: the one path live
+    /// admission and WAL replay share (replay passes the arrival the
+    /// restored cursor produced again). A spec with no declared resources
+    /// picks up whatever the category has learned so far, so a replayed
+    /// arrival gets the value the live one got: replay re-applies `Learn`
+    /// records in log order. Open-loop arrivals never wait in warm-up
+    /// holds.
+    pub(crate) fn admit_trace(
         &mut self,
         now: SimTime,
         mut spec: TaskSpec,
@@ -373,11 +394,6 @@ impl Operator {
         }
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.submitted += 1;
-        if self.wal_recording {
-            self.wal_pending.push(WalRecord::TraceSubmit {
-                spec: Arc::new(spec.clone()),
-            });
-        }
         master.submit(now, spec, fx);
     }
 
@@ -497,22 +513,6 @@ impl Operator {
         }
         self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.job_for_task.insert(spec.id, job);
-        self.submitted += 1;
-        master.submit(now, spec, fx);
-    }
-
-    /// Re-apply a logged trace admission. The spec is decided data: the
-    /// declared fill happened before logging, and its category id,
-    /// interned at construction, is in every checkpoint. Replay only
-    /// resubmits, without logging.
-    pub fn replay_trace_submit(
-        &mut self,
-        now: SimTime,
-        spec: TaskSpec,
-        master: &mut Master,
-        fx: &mut EffectSink<WqEvent>,
-    ) {
-        self.next_task = self.next_task.max(spec.id.raw() + 1);
         self.submitted += 1;
         master.submit(now, spec, fx);
     }
@@ -1100,9 +1100,7 @@ mod tests {
                     rm.recover_failed(*task);
                     rop.replay_fail(*task, c);
                 }
-                WalRecord::TraceSubmit { spec } => {
-                    rop.replay_trace_submit(t, (**spec).clone(), &mut rm, &mut rfx)
-                }
+                WalRecord::TraceSubmit { .. } => unreachable!("a workflow admits no arrival"),
             }
         }
         rop.reconcile_probes(t, &mut rm, &mut rfx);

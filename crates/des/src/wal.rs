@@ -7,7 +7,9 @@
 //!
 //! * [`Checkpoint`] — a point-in-time snapshot of a component (an
 //!   exact-replay copy the caller hands over by value) stamped with the sim
-//!   instant it was captured at.
+//!   instant it was captured at. The snapshot never changes after it is
+//!   taken, so it sits behind an `Arc`: cloning a checkpoint (a what-if
+//!   fork of its owner) copies a pointer, and only a restore copies state.
 //! * [`Wal`] — an in-memory write-ahead log of *decision records* appended
 //!   since the last checkpoint. Recovery restores the checkpoint and then
 //!   re-applies the log in order.
@@ -19,7 +21,10 @@
 //! reconstructs the pre-crash decisions bit-for-bit, while everything *not*
 //! logged (running statistics, learned estimates observed after the
 //! checkpoint) reverts to its checkpoint value — the bounded-amnesia
-//! contract documented in ARCHITECTURE.md §9.
+//! contract documented in ARCHITECTURE.md §9. A decision that checkpointed
+//! state already determines (the next arrival of a cursor whose RNG
+//! streams are in the checkpoint) is logged by name only: replay takes it
+//! from the restored state again and checks that the names agree.
 //!
 //! The log is truncated at every checkpoint, so a crash replays at most one
 //! checkpoint interval of records. [`Wal::records`] leaves them in place
@@ -28,12 +33,15 @@
 //! has replayed may move them out with [`Wal::take_records`] instead of
 //! copying them.
 
+use std::sync::Arc;
+
 use crate::SimTime;
 
-/// A point-in-time exact-replay snapshot of a component.
+/// A point-in-time exact-replay snapshot of a component, shared by every
+/// clone of the checkpoint.
 #[derive(Debug, Clone)]
 pub struct Checkpoint<S: Clone> {
-    state: S,
+    state: Arc<S>,
     taken_at: SimTime,
 }
 
@@ -43,7 +51,7 @@ impl<S: Clone> Checkpoint<S> {
     /// checkpoint costs one copy, not two.
     pub fn take(state: S, at: SimTime) -> Self {
         Checkpoint {
-            state,
+            state: Arc::new(state),
             taken_at: at,
         }
     }
@@ -52,7 +60,13 @@ impl<S: Clone> Checkpoint<S> {
     /// salt `0` means to [`SnapshotState::fork`](crate::SnapshotState::fork),
     /// so one checkpoint can serve several successive recoveries.
     pub fn restore(&self) -> S {
-        self.state.clone()
+        S::clone(&self.state)
+    }
+
+    /// True when `self` and `other` share one snapshot (one is a clone of
+    /// the other).
+    pub fn shares_state_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.state, &other.state)
     }
 
     /// The sim instant the checkpoint was captured at.
@@ -186,6 +200,23 @@ mod tests {
                 second.rng.uniform().to_bits()
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_clones_share_one_snapshot() {
+        let c = Counter {
+            rng: SimRng::seed_from_u64(3),
+            value: 5,
+        };
+        let cp = Checkpoint::take(c.clone(), SimTime::ZERO);
+        let copy = cp.clone();
+        assert!(copy.shares_state_with(&cp), "a clone copies the pointer");
+        let other = Checkpoint::take(c, SimTime::ZERO);
+        assert!(
+            !other.shares_state_with(&cp),
+            "a new take is a new snapshot"
+        );
+        assert_eq!(copy.restore().value, 5);
     }
 
     #[test]

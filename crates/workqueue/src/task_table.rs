@@ -18,7 +18,10 @@
 //!   again; read-only paths must use [`TaskTable::get`], which copies
 //!   nothing.
 //! * **Retirement** (a task finishing) empties a slot and pops empty
-//!   slots off both ends, so the window follows the in-flight tasks.
+//!   slots off both ends, so the window follows the in-flight tasks. The
+//!   slot buffer halves whenever it is at most a quarter full
+//!   ([`release_spare_capacity`]), so a drained backlog gives its memory
+//!   back.
 //! * **Bounded window.** A record that stays long (a long-running task,
 //!   or one starved in the queue) would pin the window's front and make
 //!   it grow with every later task. Whenever the window holds more than
@@ -43,6 +46,25 @@ const SLACK: usize = 64;
 /// Most slots the window may hold while it holds `records` records.
 fn window_limit(records: usize) -> usize {
     2 * records + SLACK
+}
+
+/// Buffer capacity below which a deque keeps its buffer however empty.
+const MIN_CAPACITY: usize = 64;
+
+/// Halve `deque`'s buffer while it is at most a quarter full, in one
+/// reallocation. A buffer that grew by doubling to hold a backlog shrinks
+/// the same way as the backlog drains, so after each call its capacity
+/// is within 4× its length (or at most [`MIN_CAPACITY`]), and a shrink
+/// copies at most a quarter of what the buffer held: O(1) amortised per
+/// removal.
+pub(crate) fn release_spare_capacity<T>(deque: &mut VecDeque<T>) {
+    let mut target = deque.capacity();
+    while target > MIN_CAPACITY && deque.len() <= target / 4 {
+        target /= 2;
+    }
+    if target < deque.capacity() {
+        deque.shrink_to(target);
+    }
 }
 
 /// Dense, id-indexed store of task records (see the module docs).
@@ -166,6 +188,7 @@ impl TaskTable {
         while self.slots.len() > window_limit(self.occupied) {
             self.spill_front();
         }
+        release_spare_capacity(&mut self.slots);
     }
 
     /// Move the (occupied) front slot's record to the overflow map.
@@ -407,6 +430,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_drained_window_halves_its_buffer() {
+        let mut table = TaskTable::new();
+        for id in 0..10_000 {
+            table.insert(TaskId(id), record(id));
+        }
+        let peak = table.slots.capacity();
+        assert!(peak >= 10_000);
+        for id in 0..9_000 {
+            table.remove(&TaskId(id));
+        }
+        table.assert_consistent();
+        assert_eq!(table.slot_count(), 1_000);
+        assert!(
+            table.slots.capacity() <= 4 * table.slot_count(),
+            "{} slots held for 1,000 records after a peak of {peak}",
+            table.slots.capacity()
+        );
+        for id in 9_000..10_000 {
+            table.remove(&TaskId(id));
+        }
+        assert!(table.slots.capacity() <= MIN_CAPACITY);
     }
 
     #[test]

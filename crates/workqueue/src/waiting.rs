@@ -18,6 +18,10 @@
 //! * **Bounded tombstones.** Whenever tombstones outnumber live entries,
 //!   one `retain` drops them all, so the FIFO holds at most twice the
 //!   live entries and a removal costs O(1) amortised.
+//! * **Capacity follows length.** The FIFO buffers halve whenever they
+//!   are at most a quarter full, at the end of each pass and after each
+//!   compaction, so a drained backlog does not pin the buffer its peak
+//!   grew.
 //! * **Dispatch passes.** A pass pops live entries in order
 //!   ([`WaitingQueue::pop_front`]), and either places each one
 //!   ([`WaitingQueue::placed`]) or passes it over
@@ -31,6 +35,7 @@ use hta_des::CategoryId;
 use hta_resources::Resources;
 
 use crate::ids::TaskId;
+use crate::task_table::release_spare_capacity;
 
 /// One histogram bucket: (category, declared requirement, live count);
 /// `None` means undeclared (the task runs exclusively).
@@ -155,6 +160,8 @@ impl WaitingQueue {
             std::mem::swap(&mut self.fifo, &mut self.deferred);
         }
         self.compact_if_sparse(is_live);
+        release_spare_capacity(&mut self.fifo);
+        release_spare_capacity(&mut self.deferred);
     }
 
     /// Every entry in queue order, tombstones included (callers skip the
@@ -187,6 +194,7 @@ impl WaitingQueue {
         if self.tombstones > self.len() {
             self.fifo.retain(|id| is_live(*id));
             self.tombstones = 0;
+            release_spare_capacity(&mut self.fifo);
         }
     }
 
@@ -381,6 +389,32 @@ mod tests {
                 check(&q, &model, &live);
             }
         }
+    }
+
+    #[test]
+    fn a_drained_queue_halves_its_buffers() {
+        let mut q = WaitingQueue::default();
+        for raw in 0..10_000 {
+            q.push_back(TaskId(raw), cat(0), None);
+        }
+        let peak = q.bytes();
+        // One pass places 9,000 tasks and passes one over.
+        let live = |t: TaskId| t.raw() >= 9_000 || t.raw() == 0;
+        assert_eq!(q.pop_front(live), Some(TaskId(0)));
+        q.defer(TaskId(0));
+        for raw in 1..9_000 {
+            assert_eq!(q.pop_front(|_| true), Some(TaskId(raw)));
+            q.placed(cat(0), None);
+        }
+        q.finish_pass(live);
+        assert_eq!(q.len(), 1_001);
+        assert!(
+            q.bytes() <= 4 * size_of::<TaskId>() * q.len() + 64 * size_of::<TaskId>() + 64,
+            "{} bytes held for {} entries after a peak of {peak}",
+            q.bytes(),
+            q.len()
+        );
+        q.assert_consistent();
     }
 
     #[test]
